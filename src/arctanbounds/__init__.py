@@ -22,7 +22,6 @@ from .errors import (
     BracketError,
     ConvergenceError,
     DomainError,
-    NoCrossingError,
     ParamError,
     PrecisionError,
     SingularityError,
@@ -43,15 +42,12 @@ from .family import (
 )
 from .fixedpoint import FixedReal
 from .kernel import (
-    DEFAULT_CROSSOVER,
     DEFAULT_KERNEL,
     CertifiedValue,
     ErrorProfile,
     KernelSpec,
     approx,
-    enclosure_half_width,
     error_profile,
-    tune_crossover,
 )
 from .oracle import (
     DEFAULT_DIGITS,
@@ -73,7 +69,6 @@ __all__ = [
     "BracketError",
     "CertifiedValue",
     "ConvergenceError",
-    "DEFAULT_CROSSOVER",
     "DEFAULT_DIGITS",
     "DEFAULT_GRID",
     "DEFAULT_KERNEL",
@@ -86,7 +81,6 @@ __all__ = [
     "GridSpec",
     "KernelSpec",
     "MinimumResult",
-    "NoCrossingError",
     "ParamError",
     "PrecisionError",
     "Regime",
@@ -99,7 +93,6 @@ __all__ = [
     "classify_regime",
     "dominance_report",
     "enclosure",
-    "enclosure_half_width",
     "error_profile",
     "eval_bound",
     "eval_bound_hp",
@@ -115,6 +108,5 @@ __all__ = [
     "shafer_defect_derivative",
     "stationarity_gap",
     "sweep",
-    "tune_crossover",
     "__version__",
 ]

@@ -72,7 +72,7 @@ class Enclosure:
 
     def __post_init__(self):
         if not self.lower <= self.upper:
-            raise ValueError(f"inverted enclosure: {self.lower} > {self.upper}")
+            raise ParamError(f"inverted enclosure: {self.lower} > {self.upper}")
 
     @property
     def half_width(self) -> float:

@@ -22,7 +22,7 @@ from . import catalog as cat
 from . import family as fam
 from . import kernel as ker
 from . import oracle as orc
-from .errors import ArctanBoundsError
+from .errors import ArctanBoundsError, ParamError
 
 ENV_DIGITS = "ARCTANBOUNDS_DIGITS"
 
@@ -44,7 +44,7 @@ def _env_digits(fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return fallback
+        raise ParamError(f"{ENV_DIGITS} must be an integer, got {raw!r}") from None
 
 
 def _grid_from_args(args) -> orc.GridSpec:
@@ -130,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("profile", help="certified vs actual kernel error over a grid")
-    p.add_argument("--a-low", type=float, default=ker.DEFAULT_KERNEL.a_low)
-    p.add_argument("--a-high", type=float, default=ker.DEFAULT_KERNEL.a_high)
-    p.add_argument("--crossover", type=float, default=ker.DEFAULT_KERNEL.crossover)
     _add_grid_args(p, points=2_000)
     p.add_argument("--digits", type=int, default=_env_digits(orc.DEFAULT_DIGITS))
     _add_output_args(p)
@@ -263,7 +260,7 @@ def _cmd_dominance(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    spec = ker.KernelSpec(args.a_low, args.a_high, args.crossover)
+    spec = ker.DEFAULT_KERNEL
     prof = ker.error_profile(spec, _grid_from_args(args), digits=args.digits)
     if args.format == "csv":
         if args.output:
@@ -275,8 +272,7 @@ def _cmd_profile(args) -> int:
         _emit(args, json.dumps(prof.to_json_dict(), indent=2))
     else:
         d = prof.to_json_dict()
-        _emit(args, f"kernel a_low={spec.a_low!r} a_high={spec.a_high!r} "
-                    f"crossover={spec.crossover!r}\n"
+        _emit(args, f"kernel a_low={spec.a_low!r} a_high={spec.a_high!r}\n"
                     f"max certified error = {prof.max_certified!r}\n"
                     f"max actual error    = {prof.max_actual!r}\n"
                     f"certified everywhere: {d['certified_everywhere']}")
@@ -295,9 +291,8 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except ArctanBoundsError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -28,6 +28,3 @@ class BracketError(ArctanBoundsError):
 class ConvergenceError(ArctanBoundsError):
     """Iteration budget exhausted before reaching the residual tolerance."""
 
-
-class NoCrossingError(ArctanBoundsError):
-    """The two curves being intersected do not cross on the given grid."""

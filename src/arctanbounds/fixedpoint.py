@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, ParamError, PrecisionError
 
 _GUARD_DIGITS = 10
 
@@ -193,7 +193,7 @@ class FixedReal:
 
     def __init__(self, value: "int | float | str | Fraction | FixedReal" = 0, digits: int = 30):
         if digits < 1:
-            raise ValueError("digits must be >= 1")
+            raise ParamError(f"digits must be >= 1, got {digits!r}")
         if isinstance(value, FixedReal):
             units = _rescale(value.units, value.digits, digits)
         elif isinstance(value, int):

@@ -1,18 +1,21 @@
 """Fast arctan approximation with a certified absolute error bound.
 
-Each call evaluates one family enclosure (a shared denominator a + sqrt(1+x^2),
-so one square root and one division) and returns its midpoint together with
-its half-width.  The half-width *is* the certificate: the true arctan lies
-strictly inside the enclosure, so |value - arctan x| never exceeds it beyond
-double-rounding noise (tests allow two ulps of the value).
+Each call brackets arctan |x| by the pointwise best of two members of the
+sharpened Shafer family c*x/(a + sqrt(1+x^2)): one with 0 <= a <= 1/2, whose
+lower and upper bounds are (1+a)x/(a+u) and (pi/2)x/(a+u), and one with
+a >= 2/pi, where the same two forms swap sides.  Both members share
+u = hypot(1, x), so a call costs one square root and two divisions.  The lower
+end is the larger of the two lower bounds and the upper end the smaller of the
+two upper bounds, each rounded outward so that the bracket holds in the
+floating-point arithmetic that computes it.  The value is the midpoint of the
+bracket and the certificate is its larger distance to an end, so
+|value - arctan x| <= error_bound holds exactly, with no ulp allowance.
 
-Two parameters are carried, one from each certified regime, switched at a
-fixed abscissa.  The reversed-regime enclosure at a = 2/pi is the narrower of
-the two at every x (its width coefficient (1+a) - pi/2 ~ 0.0658 beats the
-family regime's best pi/2 - 3/2 ~ 0.0708, and its larger denominator helps
-again), so the default switch point sits where the two *lower bounds* trade
-dominance (x ~ 2.1758); below it the a = 1/2 enclosure is still certified,
-merely a little wider.  Certification is independent of the switch choice.
+The default pair (1/2, 2/pi) is the best one: the a = 1/2 lower bound is the
+tighter for |x| below ~2.1758 and the a = 2/pi one above, while the a = 2/pi
+upper bound is the tighter everywhere.  The worst certified error on
+[1e-8, 1e8] is ~0.0249, and it falls to ~1e-14 at x = 1e-4 and ~1e-5 at
+x = 1e4.
 """
 
 from __future__ import annotations
@@ -20,42 +23,43 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 from . import fixedpoint as fp
 from . import oracle as orc
 from .catalog import TWO_OVER_PI
-from .errors import NoCrossingError, ParamError
+from .errors import DomainError, ParamError
 
-#: Abscissa where the a = 1/2 family lower bound and the a = 2/pi reversed
-#: lower bound exchange tightness: u* = (pi/4 - 3/pi) / (3/2 - pi/2),
-#: x* = sqrt(u*^2 - 1).  Frozen from that closed form; a regression test
-#: re-derives it through dominance_report.
-DEFAULT_CROSSOVER = 2.1758413981537927
+_HALF_PI = 0.5 * math.pi
+_DBL_MAX = sys.float_info.max
+#: Below this magnitude arctan x = x - x^3/3 + ... lies strictly between x
+#: and the next double toward zero: x^3/3 is far below one subnormal step.
+_TINY = 2.0 ** -1000
+#: Outward rounding factors 1 -+ 16 u0, with u0 = 2**-53; see approx.
+_DOWN = 1.0 - 2.0 ** -49
+_UP = 1.0 + 2.0 ** -49
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel configuration: one enclosure parameter per regime plus the
-    switch abscissa (a_low serves |x| < crossover, a_high the rest)."""
+    """The kernel's two family parameters, one from each certified regime."""
 
     a_low: float = 0.5
     a_high: float = TWO_OVER_PI
-    crossover: float = DEFAULT_CROSSOVER
 
     def __post_init__(self):
         if not 0.0 <= self.a_low <= 0.5:
             raise ParamError(f"a_low must lie in [0, 1/2], got {self.a_low!r}")
-        if not self.a_high >= TWO_OVER_PI:
-            raise ParamError(f"a_high must be >= 2/pi, got {self.a_high!r}")
-        if not (math.isfinite(self.crossover) and self.crossover > 0):
-            raise ParamError(f"crossover must be positive, got {self.crossover!r}")
+        # the upper limit keeps every quotient in approx a normal double
+        if not TWO_OVER_PI <= self.a_high <= 2.0:
+            raise ParamError(f"a_high must lie in [2/pi, 2], got {self.a_high!r}")
 
 
 DEFAULT_KERNEL = KernelSpec()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertifiedValue:
     """Approximation plus its certified absolute error bound."""
 
@@ -64,30 +68,48 @@ class CertifiedValue:
     x: float
 
 
-def _coefficients(a: float) -> tuple[float, float]:
-    """(lower, upper) numerator constants of the enclosure at parameter a."""
-    half_pi = 0.5 * math.pi
-    if a <= 0.5:
-        return 1.0 + a, half_pi
-    return half_pi, 1.0 + a
-
-
 def approx(spec: KernelSpec, x: float) -> CertifiedValue:
     """Approximate arctan x with a certified error bound, for any finite x.
 
-    Odd symmetry is applied exactly (computed on |x| and negated), x = 0
-    returns (0, 0).  math.hypot keeps sqrt(1+x^2) overflow-free across the
-    whole double range.
+    Odd symmetry is applied exactly (computed on |x| and negated), and x = 0
+    returns (0, 0).  Raises DomainError for an infinite or NaN x.
     """
-    if x == 0.0:
-        return CertifiedValue(0.0, 0.0, x)
     ax = abs(x)
-    a = spec.a_low if ax < spec.crossover else spec.a_high
-    c_lo, c_hi = _coefficients(a)
-    base = ax / (a + math.hypot(1.0, ax))
-    value = 0.5 * (c_lo + c_hi) * base
-    half = 0.5 * (c_hi - c_lo) * base
-    return CertifiedValue(value if x > 0 else -value, half, x)
+    if ax < _TINY:
+        lower, upper = math.nextafter(ax, 0.0), ax
+    elif ax <= _DBL_MAX:
+        # Each of the four bounds is c * (ax / (a + u)).  With unit roundoff
+        # u0 = 2**-53 it carries six roundings of relative size u0: c = 1+a or
+        # pi/2 once, hypot twice (it is within one ulp, and a >= 0 keeps that
+        # relative error in a + u), then the sum, the quotient and the product
+        # once each.  The parameters enter exactly, and each double lies in
+        # its regime (the double nearest 2/pi is above 2/pi).  The outward
+        # scaling by 1 -+ 16 u0 rounds once more, so by Higham's gamma_n lemma
+        # (Accuracy and Stability of Numerical Algorithms, Lemma 3.1) a stored
+        # end is the exact bound times (1 + theta)(1 -+ 16 u0) with
+        # |theta| <= gamma_7 ~ 7 u0 < 16 u0: below the exact lower bound and
+        # above the exact upper one.  For 2**-1000 <= ax <= DBL_MAX and
+        # a_high <= 2, u and both quotients are finite normal doubles, so the
+        # model holds throughout.
+        u = math.hypot(1.0, ax)
+        a_low, a_high = spec.a_low, spec.a_high
+        q_low = ax / (a_low + u)
+        q_high = ax / (a_high + u)
+        lower_low = (1.0 + a_low) * q_low
+        lower_high = _HALF_PI * q_high
+        upper_low = _HALF_PI * q_low
+        upper_high = (1.0 + a_high) * q_high
+        lower = (lower_low if lower_low > lower_high else lower_high) * _DOWN
+        upper = (upper_low if upper_low < upper_high else upper_high) * _UP
+    else:
+        raise DomainError(f"approx needs a finite argument, got {x!r}")
+    # value lies in [lower, upper], and upper <= 2 * lower (their ratio is at
+    # most (pi/2) / (1 + a_low), or they are adjacent doubles), so both
+    # differences are exact by Sterbenz's lemma
+    value = 0.5 * (lower + upper)
+    below, above = value - lower, upper - value
+    return CertifiedValue(-value if x < 0 else value,
+                          below if below > above else above, x)
 
 
 @dataclass(frozen=True)
@@ -103,11 +125,10 @@ class ProfileRow:
 class ErrorProfile:
     """Certified versus measured error of a kernel over a grid.
 
-    `actual` is |value - arctan x| measured against the fixed-point oracle;
-    `ratio` is (certified + 2 ulp(value)) / actual, folding in the double-
-    rounding allowance so that >= 1 everywhere is exactly the certification
-    property.  (The raw quotient can dip a hair under 1 at the bottom of the
-    grid, where true enclosure margins sit far below one ulp.)
+    `actual` is |value - arctan x| measured against the fixed-point oracle
+    and `ratio` is certified / actual, so ratio >= 1 everywhere is the
+    certification property, as far as a resolution of about 10**-digits can
+    tell.
     """
 
     spec: KernelSpec
@@ -127,7 +148,6 @@ class ErrorProfile:
         return {
             "a_low": self.spec.a_low,
             "a_high": self.spec.a_high,
-            "crossover": self.spec.crossover,
             "digits": self.digits,
             "grid": {
                 "x_min": self.grid.x_min,
@@ -143,7 +163,13 @@ class ErrorProfile:
 
 def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
                   digits: int = orc.DEFAULT_DIGITS) -> ErrorProfile:
-    """Tabulate certified and actual error of the kernel over a grid."""
+    """Tabulate certified and actual error of the kernel over a grid.
+
+    Needs at least 20 digits, like the oracle: a coarser oracle cannot
+    resolve the actual error against the certificate.
+    """
+    if digits < 20:
+        raise ParamError("error profile needs at least 20 digits")
     rows = []
     max_cert = 0.0
     max_act = 0.0
@@ -151,65 +177,9 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     for x, oracle_hp in zip(grid.values(), oracle_vals):
         est = approx(spec, x)
         actual = abs(float(fp.FixedReal(est.value, digits) - oracle_hp))
-        slack = 2.0 * math.ulp(est.value)
-        ratio = math.inf if actual == 0.0 else (est.error_bound + slack) / actual
+        ratio = math.inf if actual == 0.0 else est.error_bound / actual
         rows.append(ProfileRow(x, est.value, est.error_bound, actual, ratio))
         max_cert = max(max_cert, est.error_bound)
         max_act = max(max_act, actual)
     return ErrorProfile(spec=spec, grid=grid, digits=digits, rows=rows,
                         max_certified=max_cert, max_actual=max_act)
-
-
-def enclosure_half_width(a: float, x: float) -> float:
-    """Half-width of the family enclosure at parameter a (certified error of
-    its midpoint)."""
-    c_lo, c_hi = _coefficients(a)
-    return 0.5 * (c_hi - c_lo) * x / (a + math.hypot(1.0, x))
-
-
-def tune_crossover(a_low: float, a_high: float,
-                   grid: orc.GridSpec = orc.DEFAULT_GRID) -> float:
-    """Abscissa where the two enclosure half-width curves cross, located by a
-    grid scan plus bisection on their difference.
-
-    Raises NoCrossingError when one enclosure is narrower across the whole
-    grid, which is the generic situation: for any admissible pair the
-    a >= 2/pi enclosure is narrower everywhere than the a <= 1/2 one, so the
-    width curves only cross for pairs of large-coefficient parameters such as
-    (0, 2).
-    """
-    if not 0.0 <= a_low <= 0.5:
-        raise ParamError(f"a_low must lie in [0, 1/2], got {a_low!r}")
-    if not a_high >= TWO_OVER_PI:
-        raise ParamError(f"a_high must be >= 2/pi, got {a_high!r}")
-
-    xs = grid.values()
-    diffs = [enclosure_half_width(a_low, x) - enclosure_half_width(a_high, x)
-             for x in xs]
-    lo = hi = None
-    for i in range(1, len(xs)):
-        if diffs[i - 1] == 0.0:
-            return xs[i - 1]
-        if diffs[i - 1] * diffs[i] < 0:
-            lo, hi = xs[i - 1], xs[i]
-            break
-    if lo is None:
-        if diffs[-1] == 0.0:
-            return xs[-1]
-        raise NoCrossingError(
-            f"half-width curves of a={a_low!r} and a={a_high!r} do not cross "
-            f"on [{grid.x_min}, {grid.x_max}]")
-
-    f_lo = enclosure_half_width(a_low, lo) - enclosure_half_width(a_high, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = enclosure_half_width(a_low, mid) - enclosure_half_width(a_high, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -292,6 +292,8 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
             f"dominance needs same-side bounds; {bound_a.value} is {side_a}, "
             f"{bound_b.value} is {side_b}")
     side = side_a
+    if digits < 20:
+        raise ParamError("dominance needs at least 20 digits")
 
     xs = grid.values()
     verdicts = []

@@ -41,9 +41,13 @@ FAMILY_PARAMS = (0.0, 0.1, 0.25, 0.5)
 REVERSED_PARAMS = (TWO_OVER_PI, 0.7, 1.0, 2.0)
 
 # Baseline from the first profile run of the default kernel over the default
-# grid; the width curve is increasing, so this is the half-width at x = 1e8
-# with a = 2/pi.  Criterion 9 requires stability across runs to 1e-12.
-MAX_CERTIFIED_BASELINE = 0.032911722576819936
+# grid: the largest certified error, at x ~ 2.573.  Criterion 9 requires
+# stability across runs to 1e-12.
+MAX_CERTIFIED_BASELINE = 0.024925798709781066
+# The same figure for the kernel that switched between the a = 1/2 and
+# a = 2/pi enclosures (its a = 2/pi half-width at x = 1e8); the best-of-two
+# kernel may not be looser.
+SWITCH_KERNEL_MAX_CERTIFIED = 0.032911722576819936
 
 
 @contextmanager
@@ -206,13 +210,14 @@ def test_criterion_09_kernel_certification():
             x = rng.uniform(-1e6, 1e6)
             cv = approx(DEFAULT_KERNEL, x)
             actual = abs(float(FixedReal(cv.value, digits) - oracle_arctan(x, digits)))
-            assert actual <= cv.error_bound + 2 * math.ulp(cv.value), (x, actual, cv)
+            assert actual <= cv.error_bound, (x, actual, cv)
 
         profile_grid = DEFAULT_GRID
         first = error_profile(DEFAULT_KERNEL, profile_grid)
         second = error_profile(DEFAULT_KERNEL, profile_grid)
         assert first.max_certified == second.max_certified
         assert abs(first.max_certified - MAX_CERTIFIED_BASELINE) <= 1e-12
+        assert first.max_certified <= SWITCH_KERNEL_MAX_CERTIFIED
         assert all(r.ratio >= 1.0 for r in first.rows)
 
 

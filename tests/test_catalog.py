@@ -170,7 +170,7 @@ class TestEnclosure:
             enclosure(0.5, -3.0)
 
     def test_inverted_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError):
             Enclosure(2.0, 1.0)
 
     @given(

@@ -71,6 +71,19 @@ class TestErrors:
         assert code == 2
         assert "DomainError" in err
 
+    def test_negative_digits_maps_to_exit_2(self, capsys):
+        code, _, err = run(capsys, ["eval", "--bound", "shafer-lower", "--x", "1",
+                                    "--digits", "-3"])
+        assert code == 2
+        assert "ParamError" in err
+
+    def test_profile_below_oracle_digits_maps_to_exit_2(self, capsys):
+        code, out, err = run(capsys, ["profile", "--grid-points", "20",
+                                      "--digits", "5", "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "ParamError" in err
+
     def test_find_min_outside_regime(self, capsys):
         code, _, err = run(capsys, ["find-min", "--a", "0.4"])
         assert code == 2
@@ -149,3 +162,11 @@ class TestEnvDigits:
         assert code == 0
         payload = json.loads(out)
         assert payload["value_hp"] == "2." + "0" * 25
+
+    def test_non_integer_env_maps_to_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_DIGITS, "abc")
+        code, out, err = run(capsys, ["eval", "--bound", "identity-upper",
+                                      "--x", "2", "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "ParamError" in err and cli.ENV_DIGITS in err

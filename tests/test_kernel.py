@@ -1,35 +1,67 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arctanbounds import (
-    DEFAULT_CROSSOVER,
     DEFAULT_KERNEL,
-    BoundId,
-    FixedReal,
+    DomainError,
     GridSpec,
     KernelSpec,
-    NoCrossingError,
     ParamError,
     approx,
-    dominance_report,
     enclosure,
-    enclosure_half_width,
     error_profile,
     oracle_arctan,
-    tune_crossover,
 )
 
 SMALL_GRID = GridSpec(1e-8, 1e8, 300, "log")
+DBL_MAX = sys.float_info.max
+
+
+def scaled_digits(ax: float) -> int:
+    """Oracle digits whose unit lies far below x**3, the smallest gap a float
+    bound can leave to arctan x at tiny x."""
+    return 40 + 3 * max(0, -math.floor(math.log10(ax)))
+
+
+def to_units(value: float, digits: int) -> int:
+    """floor(value * 10**digits), exactly."""
+    num, den = value.as_integer_ratio()
+    return num * 10 ** digits // den
+
+
+def assert_certified(x: float) -> None:
+    """|approx(x).value - arctan x| <= error_bound, in exact units, no slack."""
+    cv = approx(DEFAULT_KERNEL, x)
+    if x == 0.0:
+        assert cv.value == 0.0 and cv.error_bound == 0.0
+        return
+    digits = scaled_digits(abs(x))
+    truth = oracle_arctan(x, digits).units
+    actual = abs(to_units(cv.value, digits) - truth)
+    assert actual <= to_units(cv.error_bound, digits), (x, cv)
+
+
+def full_range_grid() -> list[float]:
+    """±[5e-324, DBL_MAX]: a log grid plus the edges where the kernel's
+    arithmetic changes (subnormals, the tiny-x branch, x*x overflow)."""
+    lo, hi = math.log10(5e-324), math.log10(DBL_MAX)
+    xs = [10.0 ** (lo + (hi - lo) * i / 4000) for i in range(4000)]
+    tiny, square_max = 2.0 ** -1000, math.sqrt(DBL_MAX)
+    xs += [5e-324, 1e-323, 2.0 ** -1022, math.nextafter(tiny, 0.0), tiny,
+           math.nextafter(tiny, 1.0), 1.0, 2.1758413981537927,
+           math.nextafter(square_max, 0.0), square_max,
+           math.nextafter(square_max, math.inf), DBL_MAX]
+    return [s * x for x in xs if 0.0 < x <= DBL_MAX for s in (1.0, -1.0)]
 
 
 class TestKernelSpec:
     def test_defaults(self):
         assert DEFAULT_KERNEL.a_low == 0.5
         assert DEFAULT_KERNEL.a_high == 2 / math.pi
-        assert DEFAULT_KERNEL.crossover == DEFAULT_CROSSOVER
 
     def test_validation(self):
         with pytest.raises(ParamError):
@@ -39,16 +71,11 @@ class TestKernelSpec:
         with pytest.raises(ParamError):
             KernelSpec(a_high=0.6)
         with pytest.raises(ParamError):
-            KernelSpec(crossover=0.0)
+            KernelSpec(a_high=2.5)
         with pytest.raises(ParamError):
-            KernelSpec(crossover=math.inf)
-
-    def test_default_crossover_is_lower_bound_dominance_point(self):
-        report = dominance_report(
-            BoundId.FAMILY_LOWER, BoundId.REVERSED_LOWER,
-            a_a=0.5, a_b=2 / math.pi, grid=GridSpec(0.5, 8.0, 200, "log"))
-        assert len(report.crossovers) == 1
-        assert report.crossovers[0] == pytest.approx(DEFAULT_CROSSOVER, abs=1e-9)
+            KernelSpec(a_high=math.inf)
+        with pytest.raises(ParamError):
+            KernelSpec(a_low=math.nan)
 
 
 class TestApprox:
@@ -56,23 +83,20 @@ class TestApprox:
         cv = approx(DEFAULT_KERNEL, 0.0)
         assert cv.value == 0.0 and cv.error_bound == 0.0
 
-    def test_at_one_uses_low_parameter(self):
-        # 1 < default crossover, so the a = 1/2 enclosure is active
+    def test_value_and_bound_at_one(self):
         cv = approx(DEFAULT_KERNEL, 1.0)
-        enc = enclosure(0.5, 1.0)
-        assert cv.value == pytest.approx(enc.midpoint, rel=1e-15)
-        assert cv.error_bound == pytest.approx(enc.half_width, rel=1e-13)
-        assert cv.value == pytest.approx(0.8021038997832506, abs=1e-15)
-        assert cv.error_bound == pytest.approx(0.018492274892026372, abs=1e-15)
+        assert cv.value == pytest.approx(0.790819165857514, rel=1e-12)
+        assert cv.error_bound == pytest.approx(0.0072075409662911705, rel=1e-12)
+        # the best of both members beats either member on its own
+        assert cv.error_bound < enclosure(2 / math.pi, 1.0).half_width
+        assert cv.error_bound < enclosure(0.5, 1.0).half_width
 
-    def test_above_crossover_uses_high_parameter(self):
-        x = 5.0
-        cv = approx(DEFAULT_KERNEL, x)
-        enc = enclosure(2 / math.pi, x)
-        assert cv.value == pytest.approx(enc.midpoint, rel=1e-15)
+    def test_bound_is_small_at_both_ends(self):
+        assert approx(DEFAULT_KERNEL, 1e-4).error_bound < 2e-14
+        assert approx(DEFAULT_KERNEL, 1e4).error_bound < 2e-5
 
     def test_odd_symmetry_exact(self):
-        for x in [1e-7, 0.3, 1.0, 4.7, 1e5, 1e300]:
+        for x in [1e-300, 1e-7, 0.3, 1.0, 4.7, 1e5, 1e300]:
             assert approx(DEFAULT_KERNEL, -x).value == -approx(DEFAULT_KERNEL, x).value
             assert approx(DEFAULT_KERNEL, -x).error_bound == approx(DEFAULT_KERNEL, x).error_bound
 
@@ -80,7 +104,12 @@ class TestApprox:
         for x in [1e-300, 1e300, 1e8, 5e-324]:
             cv = approx(DEFAULT_KERNEL, x)
             assert math.isfinite(cv.value) and math.isfinite(cv.error_bound)
-            assert abs(cv.value - math.atan(x)) <= cv.error_bound + 2 * math.ulp(cv.value)
+            assert_certified(x)
+
+    def test_non_finite_argument_raises(self):
+        for x in [math.inf, -math.inf, math.nan]:
+            with pytest.raises(DomainError):
+                approx(DEFAULT_KERNEL, x)
 
     def test_error_bound_vanishes_at_zero(self):
         previous = math.inf
@@ -91,18 +120,22 @@ class TestApprox:
             previous = cv.error_bound
 
     def test_error_bound_limit_at_infinity(self):
-        limit = ((1 + 2 / math.pi) - math.pi / 2) / 2
-        assert approx(DEFAULT_KERNEL, 1e12).error_bound == pytest.approx(limit, rel=1e-9)
+        # both members tend to pi/2, so only the outward rounding is left
+        previous = math.inf
+        for x in [1e4, 1e8, 1e12]:
+            cv = approx(DEFAULT_KERNEL, x)
+            assert cv.error_bound < previous
+            previous = cv.error_bound
+        assert approx(DEFAULT_KERNEL, 1e300).error_bound < 2.0 ** -48
 
-    @given(st.floats(min_value=-1e6, max_value=1e6,
-                     allow_nan=False, allow_infinity=False))
+    @given(st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=120, deadline=None)
     def test_certification_random(self, x):
-        cv = approx(DEFAULT_KERNEL, x)
-        actual = abs(float(FixedReal(cv.value, 30) - oracle_arctan(x, 30)))
-        # 2e-30 is the measurement resolution: for |x| below ~1e-14 the
-        # 30-digit absolute oracle quantum exceeds an ulp of the value
-        assert actual <= cv.error_bound + 2 * math.ulp(cv.value) + 2e-30
+        assert_certified(x)
+
+    def test_certification_full_range_grid(self):
+        for x in full_range_grid():
+            assert_certified(x)
 
 
 class TestErrorProfile:
@@ -110,11 +143,12 @@ class TestErrorProfile:
         prof = error_profile(DEFAULT_KERNEL, SMALL_GRID)
         assert all(r.ratio >= 1.0 for r in prof.rows)
         for r in prof.rows:
-            assert r.actual <= r.certified + 2 * math.ulp(r.value)
+            assert r.actual <= r.certified
 
-    def test_max_certified_matches_width_at_grid_top(self):
+    def test_max_certified_beats_either_member(self):
         prof = error_profile(DEFAULT_KERNEL, SMALL_GRID)
-        assert prof.max_certified == enclosure_half_width(2 / math.pi, 1e8)
+        assert prof.max_certified <= 0.0250
+        assert prof.max_certified < enclosure(2 / math.pi, 1e8).half_width
         assert prof.max_actual <= prof.max_certified
 
     def test_deterministic(self):
@@ -132,40 +166,13 @@ class TestErrorProfile:
         assert lines[0] == "x,value,certified,actual,ratio"
         assert len(lines) == 25
 
-    def test_single_parameter_profile(self):
-        # a_low = a_high style run: force the low parameter everywhere by a
-        # huge crossover; the certified curve then grows to the a=1/2 width
-        spec = KernelSpec(a_low=0.5, a_high=2 / math.pi, crossover=1e9)
+    def test_other_pair_profile(self):
+        # the widest admissible pair is certified too, just less tightly
+        spec = KernelSpec(a_low=0.0, a_high=2.0)
         prof = error_profile(spec, SMALL_GRID)
-        assert prof.max_certified == pytest.approx(
-            enclosure_half_width(0.5, 1e8), rel=1e-15)
         assert all(r.ratio >= 1.0 for r in prof.rows)
+        assert prof.max_certified > error_profile(DEFAULT_KERNEL, SMALL_GRID).max_certified
 
-
-class TestTuneCrossover:
-    def test_default_pair_has_no_crossing(self):
-        # the reversed-regime enclosure is narrower everywhere
-        with pytest.raises(NoCrossingError):
-            tune_crossover(0.5, 2 / math.pi, SMALL_GRID)
-        with pytest.raises(NoCrossingError):
-            tune_crossover(0.0, 2 / math.pi, SMALL_GRID)
-
-    def test_wide_pair_crossing_matches_closed_form(self):
-        # widths of a=0 and a=2 cross where (pi/2 - 1)(2+u) = (3 - pi/2)u
-        xc = tune_crossover(0.0, 2.0, SMALL_GRID)
-        u = (math.pi - 2) / (4 - math.pi)
-        assert xc == pytest.approx(math.sqrt(u * u - 1), abs=1e-9)
-
-    def test_crossing_off_grid_raises(self):
-        with pytest.raises(NoCrossingError):
-            tune_crossover(0.0, 2.0, GridSpec(10.0, 100.0, 50, "log"))
-
-    def test_degenerate_two_point_grid(self):
-        with pytest.raises(NoCrossingError):
-            tune_crossover(0.5, 2 / math.pi, GridSpec(1.0, 2.0, 2, "log"))
-
-    def test_param_validation(self):
+    def test_needs_twenty_digits(self):
         with pytest.raises(ParamError):
-            tune_crossover(0.7, 2.0)
-        with pytest.raises(ParamError):
-            tune_crossover(0.3, 0.5)
+            error_profile(DEFAULT_KERNEL, SMALL_GRID, digits=19)

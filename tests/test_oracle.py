@@ -158,6 +158,11 @@ class TestDominance:
         with pytest.raises(ParamError):
             dominance_report(BoundId.SHAFER_LOWER, BoundId.IDENTITY_UPPER, grid=GRID)
 
+    def test_needs_twenty_digits(self):
+        with pytest.raises(ParamError):
+            dominance_report(BoundId.SHAFER_LOWER, BoundId.RATIO_LOWER,
+                             grid=GRID, digits=19)
+
     def test_json_round_trip(self):
         report = dominance_report(
             BoundId.FAMILY_LOWER, BoundId.SHAFER_LOWER, a_a=0.25,

@@ -6,9 +6,11 @@ one-off inequalities.  Every entry carries a validity predicate; evaluating a
 family bound outside its certified parameter range is a hard ParamError, never
 a silent number.
 
-The formulas are cancellation-free for x > 0, so a single implementation
-serves both the float path and the fixed-point path used by the verification
-sweeps (see :mod:`arctanbounds.fixedpoint`).
+The formulas are written once with ordinary operators, so a single
+implementation serves both the float path and the fixed-point path used by the
+verification sweeps (see :mod:`arctanbounds.fixedpoint`).  Each entry also
+carries a proven bound on the rounding error of its float form, which lets a
+sweep settle most grid points in double precision (see :func:`float_form`).
 """
 
 from __future__ import annotations
@@ -155,10 +157,84 @@ def _two_over_pi_lower_errata(a, x):
     return pi * pi * x / (2 + 2 * pi * _u(x))
 
 
+# Float error bounds.  With unit roundoff u = 2**-53, each correctly rounded
+# operation on normal doubles returns (exact)(1 + d), |d| <= u, and a product
+# or quotient of n such factors is 1 + theta_n, |theta_n| <= gamma_n = nu/(1-nu)
+# (Higham, Accuracy and Stability of Numerical Algorithms, Lemmas 3.1 and 3.3).
+# A sum of two positive terms with relative errors theta_j and theta_k has
+# relative error theta_max(j,k) before its own rounding.  Parameters and x
+# enter exactly; math.pi is pi(1 + theta_1) and halving it is exact.
+#
+# The rational forms, counted as roundings n with b = B(1 + theta_n):
+#   u = sqrt(1 + x*x)      theta_2: x*x and the sum give theta_2, which the root
+#                          halves to theta_1, plus the root's own rounding
+#   a + u (a >= 0)         theta_3
+#   (1+a)x / (a+u)         numerator theta_2, quotient: n = 2 + 3 + 1 = 6
+#   (pi/2)x / (a+u)        numerator theta_2 (pi, product): n = 6
+#   4a(1-a^2)x / (a+u)     1 - a^2 theta_2 (a^2/(1-a^2) < 1 for a < 2/pi, so
+#                          the square's rounding stays within u), times 4a
+#                          theta_3, times x theta_4: n = 4 + 3 + 1 = 8
+#   max(pi/2, 1+a)x/(a+u)  the larger of two theta_1 values is theta_1 of the
+#                          larger: n = 2 + 3 + 1 = 6
+#   x / (1 + x*x)          n = 0 + 2 + 1 = 3
+#   x                      exact
+#   pi^2 x / (c + 2 pi u)  numerator theta_4; 2 pi u theta_4, plus c theta_5:
+#                          n = 4 + 5 + 1 = 10 (also the errata's c = 2)
+#   (pi+2)x / (2 + pi u)   numerator theta_3; pi u theta_4, plus 2 theta_5:
+#                          n = 3 + 5 + 1 = 9
+# Since gamma_n/(1 - gamma_n) < (n+1)u for n <= 10, |b - B| <= (n+1) u b.  For
+# 2**-500 <= x <= 2**500 every intermediate is a positive normal double (x*x
+# lies in [2**-1000, 2**1000] and no denominator is below 1), so the model holds
+# and b > 0.  Outside that range callers must not use these bounds.
+#
+# The other three forms cancel or lose relative accuracy, so their bounds are
+# absolute.  libm's log is taken to be within two ulps, |d| <= 4u.
+#   x - x^3/3          t = x*x*x/3 is t(1 + theta_3), then one subtraction:
+#                      |b - B| <= gamma_3 t + u|b|/(1-u) <= 4u t_f + 2u|b|.
+#                      Where t_f is subnormal (x below ~2**-340), b = x and
+#                      B = x - t with t < u x, inside 2u|b|; where it
+#                      overflows, b = -inf.
+#   ln(1+x^2)/(2x)     the two roundings of 1 + x*x move the log by at most
+#                      1.01(u x^2/(1+x^2) + u) <= 2.02u absolutely; log, then the
+#                      quotient add relative errors: |b - B| <= 1.03u/x + 6u B
+#                      <= 4u/x + 8u|b|.  The 1/x term is real: for x below
+#                      ~1e-8, 1 + x*x rounds to 1 and b = 0.
+#   (1+x) ln(1+x)      1 + x is (1+x)(1 + d), whose log is ln(1+x) + e with
+#                      |e| <= 1.01u; that d, the log's and the product's
+#                      roundings make a relative factor within 6.01u:
+#                      |b - B| <= 7u B + 1.02u(1+x) <= 8u|b| + 2u(1+x).
+# The constants carry enough slack to cover the rounding of the error bound's
+# own evaluation.
+
+_U = 2.0 ** -53
+
+#: The float error bounds hold for x in [FLOAT_FORM_MIN, FLOAT_FORM_MAX].
+FLOAT_FORM_MIN = 2.0 ** -500
+FLOAT_FORM_MAX = 2.0 ** 500
+
+
+def _relative(roundings: int) -> Callable[[float, float], float]:
+    c = (roundings + 1) * _U
+    return lambda x, b: c * b
+
+
+def _cubic_error(x, b):
+    return 4 * _U * (x * x * x / 3) + 2 * _U * abs(b)
+
+
+def _log_lower_error(x, b):
+    return 4 * _U / x + 8 * _U * abs(b)
+
+
+def _log_upper_error(x, b):
+    return 8 * _U * abs(b) + 2 * _U * (1 + x)
+
+
 @dataclass(frozen=True)
 class _BoundInfo:
     side: str                                   # "lower" | "upper"
     fn: Callable
+    float_error: Callable[[float, float], float]    # (x, fn(a, x)) -> bound on its error
     takes_param: bool = False
     param_ok: Optional[Callable[[float], bool]] = None
     param_range: str = ""
@@ -166,31 +242,37 @@ class _BoundInfo:
 
 
 _CATALOG: dict[BoundId, _BoundInfo] = {
-    BoundId.SHAFER_LOWER: _BoundInfo("lower", _shafer_lower),
-    BoundId.HALF_ANGLE_UPPER: _BoundInfo("upper", _half_angle_upper),
-    BoundId.RATIO_LOWER: _BoundInfo("lower", _ratio_lower),
-    BoundId.IDENTITY_UPPER: _BoundInfo("upper", _identity_upper),
-    BoundId.CUBIC_LOWER: _BoundInfo("lower", _cubic_lower),
-    BoundId.LOG_LOWER: _BoundInfo("lower", _log_lower),
-    BoundId.LOG_UPPER: _BoundInfo("upper", _log_upper),
+    BoundId.SHAFER_LOWER: _BoundInfo("lower", _shafer_lower, _relative(6)),
+    BoundId.HALF_ANGLE_UPPER: _BoundInfo("upper", _half_angle_upper, _relative(6)),
+    BoundId.RATIO_LOWER: _BoundInfo("lower", _ratio_lower, _relative(3)),
+    BoundId.IDENTITY_UPPER: _BoundInfo("upper", _identity_upper, _relative(0)),
+    BoundId.CUBIC_LOWER: _BoundInfo("lower", _cubic_lower, _cubic_error),
+    BoundId.LOG_LOWER: _BoundInfo("lower", _log_lower, _log_lower_error),
+    BoundId.LOG_UPPER: _BoundInfo("upper", _log_upper, _log_upper_error),
     BoundId.FAMILY_LOWER: _BoundInfo(
-        "lower", _one_plus_a_member, True, lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2"),
+        "lower", _one_plus_a_member, _relative(6), True,
+        lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2"),
     BoundId.FAMILY_UPPER: _BoundInfo(
-        "upper", _half_pi_member, True, lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2"),
+        "upper", _half_pi_member, _relative(6), True,
+        lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2"),
     BoundId.REVERSED_LOWER: _BoundInfo(
-        "lower", _half_pi_member, True, lambda a: a >= TWO_OVER_PI, "a >= 2/pi"),
+        "lower", _half_pi_member, _relative(6), True,
+        lambda a: a >= TWO_OVER_PI, "a >= 2/pi"),
     BoundId.REVERSED_UPPER: _BoundInfo(
-        "upper", _one_plus_a_member, True, lambda a: a >= TWO_OVER_PI, "a >= 2/pi"),
+        "upper", _one_plus_a_member, _relative(6), True,
+        lambda a: a >= TWO_OVER_PI, "a >= 2/pi"),
     BoundId.MID_REGIME_LOWER: _BoundInfo(
-        "lower", _mid_lower, True, lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi"),
+        "lower", _mid_lower, _relative(8), True,
+        lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi"),
     BoundId.MID_REGIME_UPPER: _BoundInfo(
-        "upper", _mid_upper, True, lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi"),
-    BoundId.TWO_OVER_PI_LOWER: _BoundInfo("lower", _two_over_pi_lower),
-    BoundId.TWO_OVER_PI_UPPER: _BoundInfo("upper", _two_over_pi_upper),
+        "upper", _mid_upper, _relative(6), True,
+        lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi"),
+    BoundId.TWO_OVER_PI_LOWER: _BoundInfo("lower", _two_over_pi_lower, _relative(10)),
+    BoundId.TWO_OVER_PI_UPPER: _BoundInfo("upper", _two_over_pi_upper, _relative(9)),
     # the errata entry is *claimed* as a lower bound; sweeping it on that side
     # tests the claim that was actually made (and finds it false)
     BoundId.TWO_OVER_PI_LOWER_ERRATA: _BoundInfo(
-        "lower", _two_over_pi_lower_errata, trusted=False),
+        "lower", _two_over_pi_lower_errata, _relative(10), trusted=False),
 }
 
 
@@ -231,6 +313,21 @@ def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
     _check_param(bound, a)
     _check_x(x)
     return _CATALOG[bound].fn(a, float(x))
+
+
+def float_form(bound: BoundId, a: Optional[float]
+               ) -> tuple[Callable[[Optional[float], float], float],
+                          Callable[[float, float], float]]:
+    """The float evaluator ``fn(a, x)`` of one bound and its error bound.
+
+    Checks `a` as eval_bound does.  For FLOAT_FORM_MIN <= x <= FLOAT_FORM_MAX,
+    ``error(x, fn(a, x))`` bounds |fn(a, x) - B|, where B is the bound at the
+    exact doubles a and x; it is infinite or NaN when fn(a, x) is.  Outside
+    that range the error bound means nothing.
+    """
+    _check_param(bound, a)
+    info = _CATALOG[bound]
+    return info.fn, info.float_error
 
 
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,

@@ -2,8 +2,10 @@
 
 Subcommands mirror the library surface: eval, classify, enclose, find-min,
 verify, dominance, profile.  Default output is text to stdout; ``--format
-json`` (or csv where a report has rows) plus ``--output`` write machine-
-readable files.
+json`` (or ``--format csv`` for profile, the one report written as rows) plus
+``--output`` write machine-readable files.  ``verify --stats`` adds, to the
+JSON report, each entry's count of points evaluated in fixed point, the
+oracle and sweep phase times, and the package and Python versions.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -16,12 +18,14 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import Optional
 
 from . import catalog as cat
 from . import family as fam
 from . import kernel as ker
 from . import oracle as orc
+from . import __version__
 from .errors import ArctanBoundsError, ParamError
 
 ENV_DIGITS = "ARCTANBOUNDS_DIGITS"
@@ -59,8 +63,9 @@ def _add_grid_args(p: argparse.ArgumentParser, points: int) -> None:
     p.add_argument("--grid-spacing", choices=["log", "linear"], default="log")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+def _add_output_args(p: argparse.ArgumentParser, rows: bool = False) -> None:
+    formats = ["text", "json", "csv"] if rows else ["text", "json"]
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--output", default=None, help="write the report to a file")
 
 
@@ -118,6 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=_env_digits(orc.DEFAULT_SWEEP_DIGITS),
                    help="oracle digits; below 50 the thinnest margins on the "
                         "default grid are unresolvable")
+    p.add_argument("--stats", action="store_true",
+                   help="add fixed-point point counts, phase times and "
+                        "provenance to the JSON report")
     _add_output_args(p)
 
     p = sub.add_parser("dominance", help="which of two same-side bounds is tighter where")
@@ -132,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="certified vs actual kernel error over a grid")
     _add_grid_args(p, points=2_000)
     p.add_argument("--digits", type=int, default=_env_digits(orc.DEFAULT_DIGITS))
-    _add_output_args(p)
+    _add_output_args(p, rows=True)
 
     return parser
 
@@ -204,9 +212,15 @@ def _cmd_verify(args) -> int:
     grid = _grid_from_args(args)
     results = []
     failed = False
+    started = time.perf_counter()
+    if args.stats:
+        orc._oracle_doubles_on_grid(grid, args.digits)   # builds both caches
+    oracle_done = time.perf_counter()
     for bound, a in _suite_entries(args.suite):
         report = orc.sweep(bound, a=a, grid=grid, digits=args.digits)
         entry = report.to_json_dict()
+        if args.stats:
+            entry["escalated"] = report.escalated
         if cat.bound_is_trusted(bound):
             entry["status"] = "ok" if report.ok else "violation"
             failed = failed or not report.ok
@@ -226,6 +240,17 @@ def _cmd_verify(args) -> int:
         "results": results,
         "ok": not failed,
     }
+    if args.stats:
+        payload["stats"] = {
+            "oracle_s": oracle_done - started,
+            "sweep_s": time.perf_counter() - oracle_done,
+            "escalated": sum(entry["escalated"] for entry in results),
+            "checked": grid.points * len(results),
+            "package_version": __version__,
+            "python_version": "%d.%d.%d" % sys.version_info[:3],
+            "digits": args.digits,
+            "grid": payload["grid"],
+        }
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2))
     else:
@@ -236,6 +261,11 @@ def _cmd_verify(args) -> int:
                          f"violations={entry['violation_count']:<6d} "
                          f"min_margin={entry['min_margin']:.3e}")
         lines.append(f"suite={args.suite} ok={not failed}")
+        if args.stats:
+            stats = payload["stats"]
+            lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} "
+                         f"point checks; oracle {stats['oracle_s']:.3f} s, "
+                         f"sweeps {stats['sweep_s']:.3f} s")
         _emit(args, "\n".join(lines))
     return 0 if not failed else 1
 

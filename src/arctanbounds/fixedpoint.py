@@ -201,8 +201,9 @@ class FixedReal:
         elif isinstance(value, float):
             if not math.isfinite(value):
                 raise DomainError("cannot represent a non-finite float")
-            frac = Fraction(value)
-            units = _round_div(frac.numerator * 10 ** digits, frac.denominator)
+            # the exact binary value, as Fraction(value) would give it
+            num, den = value.as_integer_ratio()
+            units = _round_div(num * 10 ** digits, den)
         elif isinstance(value, (Fraction, str)):
             frac = Fraction(value)
             units = _round_div(frac.numerator * 10 ** digits, frac.denominator)
@@ -227,6 +228,8 @@ class FixedReal:
         return _pow10(self.digits)
 
     def _coerce(self, other):
+        if type(other) is int:
+            return FixedReal._raw(other * _pow10(self.digits), self.digits)
         if isinstance(other, FixedReal):
             if other.digits != self.digits:
                 raise ValueError(

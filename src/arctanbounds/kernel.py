@@ -127,8 +127,10 @@ class ErrorProfile:
 
     `actual` is |value - arctan x| measured against the fixed-point oracle
     and `ratio` is certified / actual, so ratio >= 1 everywhere is the
-    certification property, as far as a resolution of about 10**-digits can
-    tell.
+    certification property.  Rows whose certified error is below
+    10**(3-digits), which the oracle at `digits` cannot resolve, are measured
+    at enough extra digits to put the oracle's error below a tenth of an ulp
+    of the certificate.
     """
 
     spec: KernelSpec
@@ -173,10 +175,17 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     rows = []
     max_cert = 0.0
     max_act = 0.0
+    unresolved = 10.0 ** (3 - digits)
     oracle_vals = orc._oracle_on_grid(grid, digits)
     for x, oracle_hp in zip(grid.values(), oracle_vals):
         est = approx(spec, x)
-        actual = abs(float(fp.FixedReal(est.value, digits) - oracle_hp))
+        if 0.0 < est.error_bound < unresolved:
+            # 1.5 * 10**-d, the oracle's error plus the value's rounding, is
+            # below 2**-53 / 10 of the certificate
+            d = 18 - math.floor(math.log10(est.error_bound))
+            actual = abs(float(fp.FixedReal(est.value, d) - orc.oracle_arctan(x, d)))
+        else:
+            actual = abs(float(fp.FixedReal(est.value, digits) - oracle_hp))
         ratio = math.inf if actual == 0.0 else est.error_bound / actual
         rows.append(ProfileRow(x, est.value, est.error_bound, actual, ratio))
         max_cert = max(max_cert, est.error_bound)

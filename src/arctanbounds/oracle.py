@@ -2,11 +2,24 @@
 
 The oracle evaluates arctan in integer fixed point (argument reduction plus
 an alternating Taylor series, see :mod:`arctanbounds.fixedpoint`) with an
-absolute error far below ``10**-digits``.  Sweeps compare a catalog bound
-against the oracle at every grid point *with the bound itself also evaluated
-in fixed point*: several true margins on the default grid (for instance the
-a = 1/2 family lower bound near x = 1e-8, margin ~ x^5/180 ~ 5.6e-43) sit far
-below one double ulp, so float evaluation would report spurious ties.  The
+absolute error far below ``10**-digits``.
+
+A sweep checks a catalog bound against the oracle at every grid point in two
+stages.  Stage 1 evaluates the bound's float form and subtracts it from the
+oracle rounded to a double, cached once per grid and digits.  The point is
+settled, the inequality holding, when that margin m exceeds a proven error
+bound E: the float form's own rounding error (from the catalog), the
+rounding of the oracle's double and of the subtraction, and the fixed-point
+path's own error, for which ``10**(5-digits)`` is a floor.  A settled point
+gets the verdict the fixed-point path would give.  Stage 2 sends every other
+point to the fixed-point path (``eval_bound_hp`` at the sweep's digits):
+points with |m| <= E, points outside [2**-500, 2**500], non-finite float
+values, and every violation, whose report holds the fixed-point bound.  So
+verdicts, violations and the minimum margin are those of a sweep that
+evaluates every point in fixed point: the minimum is taken over exact
+margins at every point whose margin interval m -+ E could reach it.  The
+thinnest true margins (the a = 1/2 family lower bound near x = 1e-8, margin
+~ x^5/180 ~ 5.6e-43) lie far below one double ulp and always escalate; the
 default 50 sweep digits resolve every certified margin on the default grid
 with several orders to spare.
 
@@ -20,8 +33,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from . import catalog as cat
@@ -96,18 +109,39 @@ def _oracle_on_grid(grid: GridSpec, digits: int) -> tuple[fp.FixedReal, ...]:
     return tuple(fp.FixedReal(x, digits).atan() for x in grid.values())
 
 
+@lru_cache(maxsize=8)
+def _oracle_doubles_on_grid(grid: GridSpec, digits: int) -> tuple[float, ...]:
+    return tuple(float(o) for o in _oracle_on_grid(grid, digits))
+
+
 def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
     return margin if x <= 1.0 else margin / oracle_value
+
+
+def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
+                 oracle_hp: fp.FixedReal, digits: int) -> tuple[float, float, bool]:
+    """(bound, reported margin, holds) at x from the fixed-point path: the
+    bound's double, the margin as reported, and whether it is positive."""
+    bound_hp = cat.eval_bound_hp(bound, x, a, digits=digits)
+    diff = oracle_hp.units - bound_hp.units
+    if side == "upper":
+        diff = -diff
+    # float(FixedReal) divides the units by the scale, correctly rounded
+    margin = _reported_margin(x, diff / bound_hp.scale, float(oracle_hp))
+    return float(bound_hp), margin, diff > 0
 
 
 @dataclass(frozen=True)
 class SweepReport:
     """Outcome of checking one bound against the oracle over a grid.
 
-    rows hold (x, bound, oracle, margin) per grid point; margin is signed so
-    that positive means the inequality holds at that point.  violations list
-    (x, bound, oracle) for every non-positive margin; the report is clean iff
-    violations is empty iff min_margin > 0.
+    violations list (x, bound, oracle) for every non-positive margin; the
+    report is clean iff violations is empty iff min_margin > 0.  escalated
+    counts the grid points the sweep evaluated in fixed point, the candidates
+    for the minimum margin included.  rows hold
+    (x, bound, oracle, margin) per grid point, all from the fixed-point path;
+    margin is signed so that positive means the inequality holds at that
+    point.  They are computed when first read.
     """
 
     bound: cat.BoundId
@@ -115,14 +149,24 @@ class SweepReport:
     side: str
     grid: GridSpec
     digits: int
-    rows: list[tuple[float, float, float, float]] = field(repr=False)
     violations: list[tuple[float, float, float]]
     min_margin: float
     min_margin_x: float
+    escalated: int
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @cached_property
+    def rows(self) -> list[tuple[float, float, float, float]]:
+        oracle_vals = _oracle_on_grid(self.grid, self.digits)
+        rows = []
+        for x, oracle_hp in zip(self.grid.values(), oracle_vals):
+            bound_f, margin, _ = _exact_point(self.bound, self.a, self.side, x,
+                                              oracle_hp, self.digits)
+            rows.append((x, bound_f, float(oracle_hp), margin))
+        return rows
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,7 +203,8 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
 
     For a lower bound, a violation is bound >= arctan; for an upper bound,
     bound <= arctan.  `side` defaults to the catalog's declared side of the
-    bound and must agree with it when given.
+    bound and must agree with it when given.  The two stages are described
+    in the module docstring.
     """
     declared = cat.bound_side(bound)
     if side is None:
@@ -168,28 +213,70 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         raise ParamError(f"{bound.value} is a {declared} bound, not {side}")
     if digits < 20:
         raise ParamError("sweep needs at least 20 digits")
+    fn, float_error = cat.float_form(bound, a)
 
     xs = grid.values()
-    oracle_vals = _oracle_on_grid(grid, digits)
-    rows = []
+    oracle_hp = _oracle_on_grid(grid, digits)
+    oracle_f = _oracle_doubles_on_grid(grid, digits)
+    lower = side == "lower"
+    float_lo, float_hi = cat.FLOAT_FORM_MIN, cat.FLOAT_FORM_MAX
+    # E = float_error + 4u(o + |b|) + floor: 4u(o + |b|) covers the rounding
+    # of o (half an ulp) and of o - b (at most u(o + |b|)) with room; floor
+    # covers the fixed-point path's own error, a few units of 10**-digits
+    # (10**-digits <= 10**-20 is far below u, so where that error grows with
+    # x or 1/x, for the cubic and log entries, their float bounds grow faster)
+    four_u = 2.0 ** -51
+    floor = 10.0 ** (5 - digits)
+
+    # stage 1: settle m > E in double.  A settled point's reported margin lies
+    # within rad = 2E of its estimate: E bounds the estimate's error, and as
+    # E >= 4u(o + |b|) >= 3u m it also covers the rounding of the reported
+    # margin, of the division by o and of these sums.
+    escalate = []
+    settled = []        # (index, lowest possible reported margin)
+    min_high = math.inf
+    for i, x in enumerate(xs):
+        if not float_lo <= x <= float_hi:
+            escalate.append(i)
+            continue
+        b = fn(a, x)
+        o = oracle_f[i]
+        m = o - b if lower else b - o
+        e = float_error(x, b) + four_u * (o + abs(b)) + floor
+        if not m > e:
+            escalate.append(i)
+            continue
+        rad = 2 * e
+        if x > 1.0:
+            m, rad = m / o, rad / o
+        if m + rad < min_high:
+            min_high = m + rad
+        settled.append((i, m - rad))
+
+    # stage 2: the fixed-point path for the escalated points, then for the
+    # settled ones whose reported margin could be the smallest
+    exact = {}
     violations = []
+    for i in escalate:
+        bound_f, margin, holds = _exact_point(bound, a, side, xs[i], oracle_hp[i], digits)
+        exact[i] = margin
+        if not holds:
+            violations.append((xs[i], bound_f, oracle_f[i]))
+        if margin < min_high:
+            min_high = margin
+    for i, low in settled:
+        if low <= min_high:
+            exact[i] = _exact_point(bound, a, side, xs[i], oracle_hp[i], digits)[1]
+
     min_margin = math.inf
     min_x = xs[0]
-    for x, oracle_hp in zip(xs, oracle_vals):
-        bound_hp = cat.eval_bound_hp(bound, x, a, digits=digits)
-        diff = (oracle_hp - bound_hp) if side == "lower" else (bound_hp - oracle_hp)
-        oracle_f = float(oracle_hp)
-        bound_f = float(bound_hp)
-        margin = _reported_margin(x, float(diff), oracle_f)
-        rows.append((x, bound_f, oracle_f, margin))
-        if diff.units <= 0:
-            violations.append((x, bound_f, oracle_f))
-        if margin < min_margin:
-            min_margin = margin
-            min_x = x
+    for i in sorted(exact):
+        if exact[i] < min_margin:
+            min_margin = exact[i]
+            min_x = xs[i]
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
-                       rows=rows, violations=violations,
-                       min_margin=min_margin, min_margin_x=min_x)
+                       violations=violations, min_margin=min_margin,
+                       min_margin_x=min_x, escalated=len(exact))
 
 
 @dataclass(frozen=True)

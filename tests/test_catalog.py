@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from arctanbounds import (
     eval_bound_hp,
     oracle_arctan,
 )
+from arctanbounds.catalog import FLOAT_FORM_MAX, FLOAT_FORM_MIN, float_form
+from arctanbounds.cli import _suite_entries
 
 B = BoundId
 
@@ -217,3 +221,27 @@ class TestBestEnclosure:
     def test_bad_param_propagates(self):
         with pytest.raises(ParamError):
             best_enclosure(1.0, [0.5, 0.6])
+
+
+class TestFloatErrorBound:
+    @pytest.mark.parametrize("bound,a", _suite_entries("all"),
+                             ids=lambda v: getattr(v, "value", repr(v)))
+    def test_bound_covers_rounding(self, bound, a):
+        # the exact bound at the doubles a and x, in fixed point with enough
+        # digits that its own error is far below the float error bound
+        fn, float_error = float_form(bound, a)
+        rng = random.Random(f"float-error-{bound.value}-{a}")
+        lo, hi = math.log2(FLOAT_FORM_MIN), math.log2(FLOAT_FORM_MAX)
+        xs = [FLOAT_FORM_MIN, FLOAT_FORM_MAX, 1e-8, 1.0, 1e8]
+        xs += [2.0 ** rng.uniform(lo, hi) for _ in range(60)]
+        xs += [10.0 ** rng.uniform(-9, 9) for _ in range(60)]
+        for x in xs:
+            b = fn(a, x)
+            err = float_error(x, b)
+            if not math.isfinite(b):
+                assert not err < math.inf, x
+                continue
+            digits = 40 + max(0, -math.floor(math.log10(x)))
+            exact = eval_bound_hp(bound, x, a, digits=digits).as_fraction()
+            slack = Fraction(100, 10 ** digits)
+            assert abs(Fraction(b) - exact) <= Fraction(err) + slack, x

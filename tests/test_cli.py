@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import arctanbounds
 from arctanbounds import cli
 
 VERIFY_ARGS = ["verify", "--grid-points", "300", "--format", "json"]
@@ -84,6 +85,21 @@ class TestErrors:
         assert out == ""
         assert "ParamError" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--grid-points", "20"],
+        ["dominance", "--bound-a", "shafer-lower", "--bound-b", "ratio-lower"],
+        ["eval", "--bound", "shafer-lower", "--x", "1"],
+        ["classify", "--a", "0.6"],
+        ["enclose", "--a", "0.5", "--x", "1"],
+        ["find-min", "--a", "0.6"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_only_for_profile(self, capsys, argv):
+        # only profile writes rows; other commands used to print text for csv
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     def test_find_min_outside_regime(self, capsys):
         code, _, err = run(capsys, ["find-min", "--a", "0.4"])
         assert code == 2
@@ -121,6 +137,26 @@ class TestVerify:
         assert out == ""
         assert json.loads(target.read_text())["ok"] is True
 
+    def test_stats(self, capsys):
+        _, plain, _ = run(capsys, VERIFY_ARGS)
+        code, out, _ = run(capsys, VERIFY_ARGS + ["--stats"])
+        assert code == 0
+        payload = json.loads(out)
+        stats = payload.pop("stats")
+        assert set(stats) == {"oracle_s", "sweep_s", "escalated", "checked",
+                              "package_version", "python_version", "digits", "grid"}
+        assert stats["oracle_s"] > 0 and stats["sweep_s"] > 0
+        assert stats["digits"] == 50 and stats["grid"]["points"] == 300
+        assert stats["package_version"] == arctanbounds.__version__
+        counts = [entry.pop("escalated") for entry in payload["results"]]
+        assert sum(counts) == stats["escalated"] < stats["checked"] == 300 * len(counts)
+        errata = next(i for i, e in enumerate(payload["results"])
+                      if e["bound"] == "two-over-pi-lower-errata")
+        assert counts[errata] >= payload["results"][errata]["violation_count"]
+        # without --stats the report carries none of it
+        assert payload == json.loads(plain)
+        assert "stats" not in plain and "escalated" not in plain
+
     def test_fixed_suite_subset(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "fixed",
                                     "--grid-points", "120", "--format", "json"])
@@ -143,6 +179,13 @@ class TestDominanceAndProfile:
         code, out, _ = run(capsys, ["profile", "--grid-points", "150"])
         assert code == 0
         assert "certified everywhere: True" in out
+
+    def test_profile_resolves_small_bounds_at_twenty_digits(self, capsys):
+        # certificates near 1e-22 lie below the resolution of a 20-digit
+        # oracle; those rows are measured at more digits
+        code, out, _ = run(capsys, ["profile", "--digits", "20", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["certified_everywhere"] is True
 
     def test_profile_csv_file(self, capsys, tmp_path):
         target = tmp_path / "profile.csv"

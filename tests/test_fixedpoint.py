@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,24 @@ class TestConstruction:
             FixedReal(math.inf, 30)
         with pytest.raises(DomainError):
             FixedReal(math.nan, 30)
+
+    def test_float_units_match_exact_rational(self):
+        # the units of a float are its exact binary value rounded to nearest,
+        # ties away from zero, as computed through Fraction
+        rng = random.Random(20091)
+        tiny = 2.0 ** -1074
+        values = [tiny, 3 * tiny, 2.0 ** -1022 - tiny, 2.0 ** -1022,
+                  sys.float_info.max, 0.1, 1.0, 0.0]
+        while len(values) < 1008:
+            v = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+            if math.isfinite(v):
+                values.append(v)
+        values += [-v for v in values]
+        for digits in (20, 50):
+            for v in values:
+                scaled = Fraction(v) * 10 ** digits
+                expected = math.floor(abs(scaled) + Fraction(1, 2))
+                assert FixedReal(v, digits).units == (expected if v >= 0 else -expected), v
 
     def test_precision_change_by_reconstruction(self):
         fr = FixedReal("1.23456789", 30)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,9 +12,12 @@ from arctanbounds import (
     GridSpec,
     ParamError,
     dominance_report,
+    eval_bound_hp,
     oracle_arctan,
     sweep,
 )
+from arctanbounds.catalog import bound_side
+from arctanbounds.cli import _suite_entries
 
 GRID = GridSpec(1e-8, 1e8, 400, "log")
 
@@ -120,6 +124,70 @@ class TestSweep:
         assert json.loads(json.dumps(payload)) == payload
         assert payload["ok"] is True
         assert payload["trusted"] is True
+
+
+def reference_sweep(bound, a, grid, digits, oracle):
+    """Every grid point through the fixed-point path: the per-point loop that
+    the filtered sweep replaced.  Returns (rows, violations, min_margin,
+    min_margin_x)."""
+    side = bound_side(bound)
+    xs = grid.values()
+    rows, violations = [], []
+    min_margin, min_x = math.inf, xs[0]
+    for x, oracle_hp in zip(xs, oracle):
+        bound_hp = eval_bound_hp(bound, x, a, digits=digits)
+        diff = (oracle_hp - bound_hp) if side == "lower" else (bound_hp - oracle_hp)
+        oracle_f, bound_f = float(oracle_hp), float(bound_hp)
+        margin = float(diff) if x <= 1.0 else float(diff) / oracle_f
+        rows.append((x, bound_f, oracle_f, margin))
+        if diff.units <= 0:
+            violations.append((x, bound_f, oracle_f))
+        if margin < min_margin:
+            min_margin, min_x = margin, x
+    return rows, violations, min_margin, min_x
+
+
+WIDE_GRID = GridSpec(1e-8, 1e8, 2000, "log")
+#: (grid, digits, whether to compare the rows, most escalated share allowed)
+FILTER_CASES = [
+    (WIDE_GRID, 20, True, 0.3),
+    (WIDE_GRID, 30, False, 0.3),
+    (WIDE_GRID, 50, False, 0.3),
+    # past the float forms' range guard, and x*x overflow above ~1.3e154; the
+    # fixed-point path reports resolution artifacts as violations out there,
+    # and every violation escalates
+    (GridSpec(1e-300, 1e300, 200, "log"), 50, True, 1.0),
+    # margins a few ulps apart, so only exact values can order them
+    (GridSpec(0.5, 0.5 * (1 + 1e-14), 40, "linear"), 50, True, 1.0),
+    (GridSpec(1e3, 1e3 * (1 + 1e-14), 40, "linear"), 50, True, 1.0),
+]
+
+
+class TestFilteredSweepMatchesReference:
+    @pytest.mark.parametrize("grid,digits,check_rows,max_share", FILTER_CASES,
+                             ids=["wide-20", "wide-30", "wide-50", "extreme-50",
+                                  "near-ties-0.5", "near-ties-1e3"])
+    def test_every_suite_entry(self, grid, digits, check_rows, max_share):
+        oracle = [oracle_arctan(x, digits) for x in grid.values()]
+        escalated = 0
+        for bound, a in _suite_entries("all"):
+            try:
+                expected = reference_sweep(bound, a, grid, digits, oracle)
+            except (ArithmeticError, ValueError) as exc:
+                # the fixed-point path fails where x rounds to zero units or
+                # the bound overflows a double; the sweep fails the same way
+                with pytest.raises(type(exc), match=str(exc)):
+                    sweep(bound, a=a, grid=grid, digits=digits)
+                continue
+            rows, violations, min_margin, min_x = expected
+            report = sweep(bound, a=a, grid=grid, digits=digits)
+            reference = dataclasses.replace(report, violations=violations,
+                                            min_margin=min_margin, min_margin_x=min_x)
+            assert report.to_json_dict() == reference.to_json_dict(), (bound, a)
+            if check_rows:
+                assert report.rows == rows, (bound, a)
+            escalated += report.escalated
+        assert escalated <= max_share * grid.points * len(_suite_entries("all"))
 
 
 class TestDominance:

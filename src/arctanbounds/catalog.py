@@ -21,9 +21,10 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import fixedpoint as fp
-from .errors import DomainError, ParamError
+from .errors import DomainError, ParamError, PrecisionError
 
 TWO_OVER_PI = 2.0 / math.pi
+_HALF_PI = 0.5 * math.pi
 
 
 class Regime(Enum):
@@ -212,6 +213,19 @@ _U = 2.0 ** -53
 FLOAT_FORM_MIN = 2.0 ** -500
 FLOAT_FORM_MAX = 2.0 ** 500
 
+# Outward-rounded family ends (enclosure here, approx in kernel.py).  An end
+# c * (x / (a + u)), c = 1 + a or pi/2, u = hypot(1, x), carries six roundings
+# of relative size u0 = 2**-53: c, hypot twice (one ulp; a >= 0 keeps it
+# relative in a + u), the sum, the quotient and the product; a and x enter
+# exactly.  Scaling by 1 -+ 16 u0 rounds once more, so by the gamma_n lemma
+# the stored end is the exact one times (1 + theta)(1 -+ 16 u0) with
+# |theta| <= gamma_7 ~ 7 u0 < 16 u0: below an exact lower bound and above an
+# exact upper one, as long as u, the quotient and the product are normal.
+_DOWN, _UP = 1.0 - 2.0 ** -49, 1.0 + 2.0 ** -49
+#: Below this, arctan x = x - x^3/3 + ... lies strictly between x and the
+#: next double toward zero: x^3/3 is far below one subnormal step.
+_TINY = 2.0 ** -1000
+
 
 def _relative(roundings: int) -> Callable[[float, float], float]:
     c = (roundings + 1) * _U
@@ -337,10 +351,13 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     x and a enter through their exact float values, so the result is the
     bound for the precise arguments a caller's doubles denote.  Used by the
     sweep engine, where float evaluation cannot resolve the thinnest margins.
+    Raises PrecisionError where x rounds to zero units.
     """
     _check_param(bound, a)
     _check_x(x)
     x_hp = fp.FixedReal(float(x), digits)
+    if x_hp.units == 0:
+        raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
     a_hp = None if a is None else fp.FixedReal(float(a), digits)
     return _CATALOG[bound].fn(a_hp, x_hp)
 
@@ -363,22 +380,32 @@ def classify_regime(a: float) -> Regime:
 
 
 def enclosure(a: float, x: float) -> Enclosure:
-    """Two-sided family enclosure of arctan x at parameter a.
+    """Two-sided family enclosure of arctan x at parameter a, rounded outward.
 
     For 0 <= a <= 1/2 the bracket is ((1+a)x/(a+u), (pi/2)x/(a+u)); for
-    a >= 2/pi the same two expressions swap roles.  Parameters in the gap
-    (1/2, 2/pi), or negative, have no certified two-sided bracket and raise.
+    a >= 2/pi the two swap roles.  Both ends are scaled outward by
+    1 -+ 2**-49 (see _DOWN), so the bracket holds for the doubles returned.
+    It is [nextafter(x, 0), x] below 2**-1000, and [0, x] where x/(a+u) is
+    subnormal (only a huge a does that).  Parameters in the gap (1/2, 2/pi),
+    or negative, have no certified two-sided bracket and raise.
     """
     _check_x(x)
     if not math.isfinite(a):
         raise ParamError("family parameter must be finite")
-    x = float(x)
     if 0.0 <= a <= 0.5:
-        return Enclosure(_one_plus_a_member(a, x), _half_pi_member(a, x))
-    if a >= TWO_OVER_PI:
-        return Enclosure(_half_pi_member(a, x), _one_plus_a_member(a, x))
-    raise ParamError(
-        f"no two-sided enclosure for a={a!r}; need 0 <= a <= 1/2 or a >= 2/pi")
+        c_lo, c_hi = 1.0 + a, _HALF_PI
+    elif a >= TWO_OVER_PI:
+        c_lo, c_hi = _HALF_PI, 1.0 + a
+    else:
+        raise ParamError(
+            f"no two-sided enclosure for a={a!r}; need 0 <= a <= 1/2 or a >= 2/pi")
+    x = float(x)
+    if x < _TINY:
+        return Enclosure(math.nextafter(x, 0.0), x)
+    q = x / (a + math.hypot(1.0, x))
+    if q < 2.0 ** -1022:
+        return Enclosure(0.0, x)
+    return Enclosure(c_lo * q * _DOWN, c_hi * q * _UP)
 
 
 def best_enclosure(x: float, params: Iterable[float]) -> Enclosure:

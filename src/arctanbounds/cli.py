@@ -6,6 +6,8 @@ json`` (or ``--format csv`` for profile, the one report written as rows) plus
 ``--output`` write machine-readable files.  ``verify --stats`` adds, to the
 JSON report, each entry's count of points evaluated in fixed point, the
 oracle and sweep phase times, and the package and Python versions.
+``dominance`` gives every grid point one exact verdict, and ``enclose`` an
+outward-rounded bracket.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -279,8 +281,7 @@ def _cmd_dominance(args) -> int:
     else:
         lines = [f"side={report.side}  A={report.bound_a.value} B={report.bound_b.value}",
                  f"points: A tighter {report.a_tighter}, B tighter {report.b_tighter}, "
-                 f"equal(<{orc.DOMINANCE_EQUAL_RTOL} rel) {report.equal}",
-                 f"raw signs: A {report.a_strict}, B {report.b_strict}, zero {report.zero_diff}"]
+                 f"equal {report.equal}"]
         for region in report.regions:
             lines.append(f"  [{region.x_lo:.6e}, {region.x_hi:.6e}] {region.verdict}")
         if report.crossovers:

@@ -135,15 +135,12 @@ class SolverConfig:
 
     tolerance: float = 1e-12
     max_iterations: int = 200
-    bracket_growth: float = 2.0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ParamError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ParamError("max_iterations must be >= 1")
-        if not self.bracket_growth > 1:
-            raise ParamError("bracket_growth must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,8 @@ def find_interior_minimum(a: float, config: SolverConfig = SolverConfig()) -> Mi
     """Locate the unique interior minimum of the ratio for 1/2 < a < 2/pi.
 
     Brackets the single sign change of the stationarity gap starting from
-    x = 1 (growing upward while the gap is negative, downward while it is
-    positive; for a near 1/2 the minimum sits below 1), then bisects until
+    x = 1 (doubling upward while the gap is negative, halving downward while
+    it is positive; for a near 1/2 the minimum sits below 1), then bisects until
     |gap| <= config.tolerance.
     """
     if not 0.5 < a < TWO_OVER_PI:
@@ -174,7 +171,7 @@ def find_interior_minimum(a: float, config: SolverConfig = SolverConfig()) -> Mi
     if g < 0:
         lo, hi = x, x
         for _ in range(config.max_iterations):
-            lo, hi = hi, hi * config.bracket_growth
+            lo, hi = hi, hi * 2.0
             if gap(hi) > 0:
                 break
         else:
@@ -182,7 +179,7 @@ def find_interior_minimum(a: float, config: SolverConfig = SolverConfig()) -> Mi
     elif g > 0:
         lo, hi = x, x
         for _ in range(config.max_iterations):
-            lo, hi = lo / config.bracket_growth, lo
+            lo, hi = lo / 2.0, lo
             if gap(lo) < 0:
                 break
         else:

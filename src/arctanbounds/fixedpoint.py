@@ -14,6 +14,7 @@ square root (``math.isqrt``), so no iterative refinement layer is needed.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,33 +39,6 @@ def _rescale(units: int, from_digits: int, to_digits: int) -> int:
     if to_digits >= from_digits:
         return units * 10 ** (to_digits - from_digits)
     return _round_div(units, 10 ** (from_digits - to_digits))
-
-
-def _atan_inv_small_int(m: int, scale: int) -> int:
-    """arctan(1/m) for integer m >= 2, in units of 1/scale.
-
-    Classic integer alternating series; each term is an exact floor of the
-    previous, so the accumulated error stays below the term count in units.
-    """
-    total = term = scale // m
-    m2 = m * m
-    k = 3
-    sign = -1
-    while term:
-        term //= m2
-        total += sign * (term // k)
-        k += 2
-        sign = -sign
-    return total
-
-
-@lru_cache(maxsize=None)
-def pi_units(digits: int) -> int:
-    """pi in units of 10**-digits, via the Machin combination 16*arctan(1/5) - 4*arctan(1/239)."""
-    work = digits + _GUARD_DIGITS
-    scale = 10 ** work
-    val = 16 * _atan_inv_small_int(5, scale) - 4 * _atan_inv_small_int(239, scale)
-    return _rescale(val, work, digits)
 
 
 def sqrt_units(units: int, digits: int) -> int:
@@ -137,6 +111,16 @@ def atan_units(x_units: int, digits: int) -> int:
     return result if x_units > 0 else -result
 
 
+@lru_cache(maxsize=None)
+def pi_units(digits: int) -> int:
+    """pi in units of 10**-digits, as 4*arctan(1) at ten guard digits.
+
+    arctan(1) takes no reciprocal step in atan_units, so this does not recurse.
+    """
+    work = digits + _GUARD_DIGITS
+    return _rescale(4 * atan_units(_pow10(work), work), work, digits)
+
+
 def log_units(y_units: int, digits: int) -> int:
     """Natural log of y_units/10**digits, in the same units.
 
@@ -179,6 +163,13 @@ def log_units(y_units: int, digits: int) -> int:
     return _rescale(total, work, digits)
 
 
+def _comparison(op):
+    def compare(self, other):
+        pair = self._cmp_pair(other)
+        return NotImplemented if pair is None else op(*pair)
+    return compare
+
+
 class FixedReal:
     """An immutable fixed-point real: ``units * 10**-digits``.
 
@@ -186,7 +177,10 @@ class FixedReal:
     through their exact rational value (a float contributes the real number
     it actually stores, not its decimal spelling).  Two FixedReal operands
     must carry the same precision; mixing precisions raises ValueError rather
-    than silently degrading.
+    than silently degrading.  Comparisons with ints, floats, Fractions and
+    FixedReals of any precision are exact, and the hash is that of the
+    rational units/10**digits, so FixedReal(0.5, 30) == 0.5 and both hash
+    alike, while FixedReal(0.1, 30) != 0.1.
     """
 
     __slots__ = ("units", "digits")
@@ -294,34 +288,30 @@ class FixedReal:
 
     # comparisons ----------------------------------------------------------
 
-    def _cmp_units(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return None
-        return rhs.units
+    def _cmp_pair(self, other):
+        """Two numbers ordered as self and other, by cross-multiplying their
+        exact rationals, or None for an unsupported type."""
+        if isinstance(other, FixedReal):
+            return self.units * other.scale, other.units * self.scale
+        if isinstance(other, int):
+            return self.units, other * self.scale
+        if isinstance(other, float):
+            if not math.isfinite(other):
+                return 0.0, other     # self is finite: it orders as 0 does
+            num, den = other.as_integer_ratio()
+            return self.units * den, num * self.scale
+        if isinstance(other, Fraction):
+            return self.units * other.denominator, other.numerator * self.scale
+        return None
 
-    def __eq__(self, other):
-        rhs = self._cmp_units(other)
-        return NotImplemented if rhs is None else self.units == rhs
-
-    def __lt__(self, other):
-        rhs = self._cmp_units(other)
-        return NotImplemented if rhs is None else self.units < rhs
-
-    def __le__(self, other):
-        rhs = self._cmp_units(other)
-        return NotImplemented if rhs is None else self.units <= rhs
-
-    def __gt__(self, other):
-        rhs = self._cmp_units(other)
-        return NotImplemented if rhs is None else self.units > rhs
-
-    def __ge__(self, other):
-        rhs = self._cmp_units(other)
-        return NotImplemented if rhs is None else self.units >= rhs
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __hash__(self):
-        return hash((self.units, self.digits))
+        return hash(Fraction(self.units, self.scale))
 
     # elementary functions -------------------------------------------------
 

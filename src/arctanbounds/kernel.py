@@ -28,17 +28,10 @@ from dataclasses import dataclass
 
 from . import fixedpoint as fp
 from . import oracle as orc
-from .catalog import TWO_OVER_PI
+from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
 from .errors import DomainError, ParamError
 
-_HALF_PI = 0.5 * math.pi
 _DBL_MAX = sys.float_info.max
-#: Below this magnitude arctan x = x - x^3/3 + ... lies strictly between x
-#: and the next double toward zero: x^3/3 is far below one subnormal step.
-_TINY = 2.0 ** -1000
-#: Outward rounding factors 1 -+ 16 u0, with u0 = 2**-53; see approx.
-_DOWN = 1.0 - 2.0 ** -49
-_UP = 1.0 + 2.0 ** -49
 
 
 @dataclass(frozen=True)
@@ -78,19 +71,11 @@ def approx(spec: KernelSpec, x: float) -> CertifiedValue:
     if ax < _TINY:
         lower, upper = math.nextafter(ax, 0.0), ax
     elif ax <= _DBL_MAX:
-        # Each of the four bounds is c * (ax / (a + u)).  With unit roundoff
-        # u0 = 2**-53 it carries six roundings of relative size u0: c = 1+a or
-        # pi/2 once, hypot twice (it is within one ulp, and a >= 0 keeps that
-        # relative error in a + u), then the sum, the quotient and the product
-        # once each.  The parameters enter exactly, and each double lies in
-        # its regime (the double nearest 2/pi is above 2/pi).  The outward
-        # scaling by 1 -+ 16 u0 rounds once more, so by Higham's gamma_n lemma
-        # (Accuracy and Stability of Numerical Algorithms, Lemma 3.1) a stored
-        # end is the exact bound times (1 + theta)(1 -+ 16 u0) with
-        # |theta| <= gamma_7 ~ 7 u0 < 16 u0: below the exact lower bound and
-        # above the exact upper one.  For 2**-1000 <= ax <= DBL_MAX and
-        # a_high <= 2, u and both quotients are finite normal doubles, so the
-        # model holds throughout.
+        # Each of the four bounds is c * (ax / (a + u)), scaled outward as
+        # derived beside _DOWN and _UP in catalog.py (gamma_7 < 16 u0).  Each
+        # parameter double lies in its regime (the double nearest 2/pi is
+        # above 2/pi).  For 2**-1000 <= ax <= DBL_MAX and a_high <= 2, u and
+        # both quotients are finite normal doubles, so the model holds.
         u = math.hypot(1.0, ax)
         a_low, a_high = spec.a_low, spec.a_high
         q_low = ax / (a_low + u)

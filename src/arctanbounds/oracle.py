@@ -21,7 +21,9 @@ margins at every point whose margin interval m -+ E could reach it.  The
 thinnest true margins (the a = 1/2 family lower bound near x = 1e-8, margin
 ~ x^5/180 ~ 5.6e-43) lie far below one double ulp and always escalate; the
 default 50 sweep digits resolve every certified margin on the default grid
-with several orders to spare.
+with several orders to spare.  A dominance report decides the sign of the
+difference of two bounds with the same filter, the second bound taking the
+oracle's place, and gives every grid point that one exact verdict.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -43,9 +45,6 @@ from .errors import DomainError, ParamError
 
 DEFAULT_DIGITS = 30
 DEFAULT_SWEEP_DIGITS = 50
-
-#: Relative closeness under which two bounds count as tied in dominance reports.
-DOMINANCE_EQUAL_RTOL = 1e-15
 
 
 def oracle_arctan(x: float, digits: int = DEFAULT_DIGITS) -> fp.FixedReal:
@@ -121,14 +120,19 @@ def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
                  oracle_hp: fp.FixedReal, digits: int) -> tuple[float, float, bool]:
     """(bound, reported margin, holds) at x from the fixed-point path: the
-    bound's double, the margin as reported, and whether it is positive."""
+    bound's double, the margin as reported, and whether it is positive.
+    Raises DomainError where the bound or the margin does not fit a double."""
     bound_hp = cat.eval_bound_hp(bound, x, a, digits=digits)
     diff = oracle_hp.units - bound_hp.units
     if side == "upper":
         diff = -diff
     # float(FixedReal) divides the units by the scale, correctly rounded
-    margin = _reported_margin(x, diff / bound_hp.scale, float(oracle_hp))
-    return float(bound_hp), margin, diff > 0
+    try:
+        margin = _reported_margin(x, diff / bound_hp.scale, float(oracle_hp))
+        return float(bound_hp), margin, diff > 0
+    except OverflowError:
+        raise DomainError(f"{bound.value} at x={x!r}: the bound or its margin "
+                          f"does not fit a double") from None
 
 
 @dataclass(frozen=True)
@@ -290,11 +294,10 @@ class DominanceRegion:
 class DominanceReport:
     """Pointwise tightness comparison of two same-side bounds.
 
-    Region labels use the relative tie tolerance DOMINANCE_EQUAL_RTOL; the
-    sign counts ignore it and record the exact fixed-point ordering, which is
-    what "strictly tighter everywhere" statements should be read against
-    (near x = 0 two uppers can differ by ~1e-18 relative: a real, strict gap
-    that the tie band would label "equal").
+    Each grid point has one verdict, the exact sign of the difference of the
+    two bounds: "a" or "b" where that bound is strictly tighter, "equal" only
+    where both fixed-point values agree to the unit.  Regions, crossovers and
+    counts all come from it.
     """
 
     bound_a: cat.BoundId
@@ -309,17 +312,14 @@ class DominanceReport:
     a_tighter: int
     b_tighter: int
     equal: int
-    a_strict: int
-    b_strict: int
-    zero_diff: int
 
     @property
     def a_strictly_tighter_everywhere(self) -> bool:
-        return self.a_strict > 0 and self.b_strict == 0 and self.zero_diff == 0
+        return self.a_tighter == self.grid.points
 
     @property
     def b_strictly_tighter_everywhere(self) -> bool:
-        return self.b_strict > 0 and self.a_strict == 0 and self.zero_diff == 0
+        return self.b_tighter == self.grid.points
 
     def to_json_dict(self) -> dict:
         return {
@@ -345,22 +345,10 @@ class DominanceReport:
                 "b_tighter": self.b_tighter,
                 "equal": self.equal,
             },
-            "strict_sign_counts": {
-                "a": self.a_strict,
-                "b": self.b_strict,
-                "zero": self.zero_diff,
-            },
         }
 
 
-def _tightness_sign(side: str, val_a: fp.FixedReal, val_b: fp.FixedReal) -> int:
-    """+1 if A is strictly tighter, -1 if B is, 0 on an exact tie."""
-    diff = val_a.units - val_b.units
-    if diff == 0:
-        return 0
-    if side == "lower":  # bigger lower bound is tighter
-        return 1 if diff > 0 else -1
-    return 1 if diff < 0 else -1
+_VERDICT = {1: "a", -1: "b", 0: "equal"}
 
 
 def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
@@ -369,8 +357,12 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
                      digits: int = DEFAULT_SWEEP_DIGITS) -> DominanceReport:
     """Partition the grid by which of two same-side bounds is tighter.
 
-    Crossover abscissae are refined by bisection on the sign of the
-    difference between adjacent grid points whose verdicts flip.
+    sign_at(x) gives every verdict and every bisection step: +1 if A is
+    strictly tighter, -1 if B is, 0 on an exact fixed-point tie.  It settles
+    the sign in double past sweep's threshold, the second bound taking the
+    oracle's place; unsettled margins, x outside the float forms' range and
+    non-finite values (whose comparison is false) go to eval_bound_hp.
+    Crossovers are bisected between adjacent non-tied points that flip.
     """
     side_a = cat.bound_side(bound_a)
     side_b = cat.bound_side(bound_b)
@@ -381,53 +373,48 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     side = side_a
     if digits < 20:
         raise ParamError("dominance needs at least 20 digits")
+    fn_a, error_a = cat.float_form(bound_a, a_a)
+    fn_b, error_b = cat.float_form(bound_b, a_b)
+    tighter = 1 if side == "lower" else -1     # a bigger lower bound is tighter
+    four_u = 2.0 ** -51
+    floor = 10.0 ** (5 - digits)
+
+    def sign_at(x: float) -> int:
+        if cat.FLOAT_FORM_MIN <= x <= cat.FLOAT_FORM_MAX:
+            fa, fb = fn_a(a_a, x), fn_b(a_b, x)
+            d = fa - fb
+            if abs(d) > (error_a(x, fa) + error_b(x, fb)
+                         + four_u * (abs(fa) + abs(fb)) + floor):
+                return tighter if d > 0 else -tighter
+        d = (cat.eval_bound_hp(bound_a, x, a_a, digits=digits).units
+             - cat.eval_bound_hp(bound_b, x, a_b, digits=digits).units)
+        return 0 if d == 0 else (tighter if d > 0 else -tighter)
 
     xs = grid.values()
-    verdicts = []
-    signs = []
-    for x in xs:
-        va = cat.eval_bound_hp(bound_a, x, a_a, digits=digits)
-        vb = cat.eval_bound_hp(bound_b, x, a_b, digits=digits)
-        sign = _tightness_sign(side, va, vb)
-        signs.append(sign)
-        tie = abs(va.units - vb.units) <= max(abs(va.units), abs(vb.units)) * DOMINANCE_EQUAL_RTOL
-        verdicts.append("equal" if tie else ("a" if sign > 0 else "b"))
-
+    signs = [sign_at(x) for x in xs]
     regions = []
     start = 0
     for i in range(1, len(xs) + 1):
-        if i == len(xs) or verdicts[i] != verdicts[start]:
-            regions.append(DominanceRegion(xs[start], xs[i - 1], verdicts[start]))
+        if i == len(xs) or signs[i] != signs[start]:
+            regions.append(DominanceRegion(xs[start], xs[i - 1], _VERDICT[signs[start]]))
             start = i
 
     crossovers = []
-    prev_idx = None
-    for i, v in enumerate(verdicts):
-        if v == "equal":
+    prev = None
+    for i, sign in enumerate(signs):
+        if sign == 0:
             continue
-        if prev_idx is not None and verdicts[prev_idx] != v:
-            crossovers.append(_bisect_crossover(
-                bound_a, bound_b, a_a, a_b, side, xs[prev_idx], xs[i], digits))
-        prev_idx = i
+        if prev is not None and signs[prev] != sign:
+            crossovers.append(_bisect_crossover(sign_at, xs[prev], xs[i], signs[prev]))
+        prev = i
 
     return DominanceReport(
         bound_a=bound_a, bound_b=bound_b, a_a=a_a, a_b=a_b, side=side,
         grid=grid, digits=digits, regions=regions, crossovers=crossovers,
-        a_tighter=verdicts.count("a"), b_tighter=verdicts.count("b"),
-        equal=verdicts.count("equal"),
-        a_strict=sum(1 for s in signs if s > 0),
-        b_strict=sum(1 for s in signs if s < 0),
-        zero_diff=sum(1 for s in signs if s == 0),
-    )
+        a_tighter=signs.count(1), b_tighter=signs.count(-1), equal=signs.count(0))
 
 
-def _bisect_crossover(bound_a, bound_b, a_a, a_b, side, lo, hi, digits) -> float:
-    def sign_at(x: float) -> int:
-        va = cat.eval_bound_hp(bound_a, x, a_a, digits=digits)
-        vb = cat.eval_bound_hp(bound_b, x, a_b, digits=digits)
-        return _tightness_sign(side, va, vb)
-
-    s_lo = sign_at(lo)
+def _bisect_crossover(sign_at, lo: float, hi: float, s_lo: int) -> float:
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arctanbounds import (
@@ -142,18 +143,36 @@ class TestClassifyRegime:
             classify_regime(math.nan)
 
 
+ENCLOSURE_PARAMS = (0.0, 0.1, 0.25, 0.5, TWO_OVER_PI, 0.7, 1.0, 2.0, 1e6, 1e300)
+DBL_MAX = sys.float_info.max
+
+
+def scaled_digits(x: float) -> int:
+    """Oracle digits whose unit lies far below x**3, the gap between arctan x
+    and x itself at tiny x."""
+    return 40 + 3 * max(0, -math.floor(math.log10(x)))
+
+
+def to_units(value: float, digits: int) -> int:
+    """floor(value * 10**digits), exactly."""
+    num, den = value.as_integer_ratio()
+    return num * 10 ** digits // den
+
+
 class TestEnclosure:
+    # the ends are the round-to-nearest closed forms (0.7836116248912243 and
+    # 0.8205961746752770 at a = 1/2) scaled outward by 1 -+ 2**-49
     def test_family_case_at_one(self):
         enc = enclosure(0.5, 1.0)
-        assert enc.lower == pytest.approx(0.7836116248912243, abs=1e-15)
-        assert enc.upper == pytest.approx(0.8205961746752770, abs=1e-15)
+        assert enc.lower == pytest.approx(0.7836116248912228, abs=1e-15)
+        assert enc.upper == pytest.approx(0.8205961746752783, abs=1e-15)
         assert enc.lower < math.atan(1.0) < enc.upper
-        assert enc.half_width == pytest.approx(0.018492274892026372, abs=1e-15)
+        assert enc.half_width == pytest.approx(0.01849227489202776, abs=1e-15)
 
     def test_reversed_case_at_one(self):
         enc = enclosure(2 / math.pi, 1.0)
-        assert enc.lower == pytest.approx(0.7659307561399281, abs=1e-15)
-        assert enc.upper == pytest.approx(0.7980267068238037, abs=1e-15)
+        assert enc.lower == pytest.approx(0.7659307561399268, abs=1e-15)
+        assert enc.upper == pytest.approx(0.7980267068238052, abs=1e-15)
         assert enc.lower < math.atan(1.0) < enc.upper
 
     def test_small_x_limit_constants(self):
@@ -161,6 +180,16 @@ class TestEnclosure:
         enc = enclosure(0.0, 1e-9)
         assert enc.lower / 1e-9 == pytest.approx(1.0, abs=1e-9)
         assert enc.upper / 1e-9 == pytest.approx(math.pi / 2, abs=1e-9)
+
+    def test_tiny_x_and_huge_parameter(self):
+        # below 2**-1000 arctan x lies between x and the next double down;
+        # where x/(a+u) is subnormal, which only a huge a allows, [0, x]
+        x = 2.0 ** -1001
+        for a in (0.0, 0.5, TWO_OVER_PI, 1e300):
+            enc = enclosure(a, x)
+            assert (enc.lower, enc.upper) == (math.nextafter(x, 0.0), x)
+        enc = enclosure(1e300, 1e-10)
+        assert (enc.lower, enc.upper) == (0.0, 1e-10)
 
     def test_rejects_gap_and_negative(self):
         for a in [0.51, 0.6, 0.63, -0.1, -2.0]:
@@ -183,11 +212,35 @@ class TestEnclosure:
         st.floats(min_value=1e-6, max_value=1e6),
     )
     @settings(max_examples=60, deadline=None)
+    @example(a=0.5, x=1e-6)    # the round-to-nearest lower end was above arctan
     def test_containment_against_oracle(self, a, x):
         enc = enclosure(a, x)
         truth = oracle_arctan(x, 30)
         assert truth - enc.lower > 0
         assert enc.upper - truth > 0
+
+    def test_containment_full_range_grid(self):
+        # strict containment in exact units, no slack, over [5e-324, DBL_MAX]:
+        # a log grid plus the edges where the arithmetic changes (subnormals,
+        # the tiny-x branch, x*x overflow), for each parameter and the
+        # pointwise best of a = 1/2 and a = 2/pi
+        lo, hi = math.log10(5e-324), math.log10(DBL_MAX)
+        xs = [10.0 ** (lo + (hi - lo) * i / 3000) for i in range(3000)]
+        tiny, square_max = 2.0 ** -1000, math.sqrt(DBL_MAX)
+        xs += [5e-324, 1e-323, 2.0 ** -1022, math.nextafter(tiny, 0.0), tiny,
+               math.nextafter(tiny, 1.0), 1e-8, 1e-6, 1.0, 2.1758413981537927,
+               math.nextafter(square_max, 0.0), square_max,
+               math.nextafter(square_max, math.inf), DBL_MAX]
+        for x in xs:
+            if not 0.0 < x <= DBL_MAX:
+                continue
+            digits = scaled_digits(x)
+            truth = oracle_arctan(x, digits).units
+            encs = [enclosure(a, x) for a in ENCLOSURE_PARAMS]
+            encs.append(best_enclosure(x, [0.5, TWO_OVER_PI]))
+            for a, enc in zip(ENCLOSURE_PARAMS + ("best",), encs):
+                assert to_units(enc.lower, digits) < truth < to_units(enc.upper, digits), \
+                    (a, x, enc)
 
 
 class TestBestEnclosure:
@@ -198,8 +251,8 @@ class TestBestEnclosure:
 
     def test_at_one(self):
         best = best_enclosure(1.0, [0.5, 2 / math.pi])
-        assert best.lower == pytest.approx(0.7836116248912243, abs=1e-15)
-        assert best.upper == pytest.approx(0.7980267068238037, abs=1e-15)
+        assert best.lower == pytest.approx(0.7836116248912228, abs=1e-15)
+        assert best.upper == pytest.approx(0.7980267068238052, abs=1e-15)
 
     def test_large_x_lower_comes_from_reversed_member(self):
         best = best_enclosure(100.0, [0.5, 2 / math.pi])

@@ -100,6 +100,24 @@ class TestErrors:
         assert exc.value.code == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
+    def test_zero_units_map_to_exit_2(self, capsys):
+        # x = 1e-60 rounds to zero units at 50 digits; log-lower divided by it
+        code, out, err = run(capsys, ["eval", "--bound", "log-lower", "--x", "1e-60",
+                                      "--digits", "50"])
+        assert code == 2
+        assert out == ""
+        assert "PrecisionError" in err and "Traceback" not in err
+
+    def test_extreme_verify_grids_map_to_exit_2(self, capsys):
+        base = ["verify", "--suite", "fixed", "--grid-max", "1e300", "--grid-points", "200"]
+        code, out, err = run(capsys, base + ["--grid-min", "1e-300"])
+        assert code == 2 and out == ""
+        assert "PrecisionError" in err
+        # cubic-lower's bound -x^3/3 does not fit a double above ~1e103
+        code, out, err = run(capsys, base + ["--grid-min", "1e-40"])
+        assert code == 2 and out == ""
+        assert "DomainError" in err and "cubic-lower" in err
+
     def test_find_min_outside_regime(self, capsys):
         code, _, err = run(capsys, ["find-min", "--a", "0.4"])
         assert code == 2
@@ -174,6 +192,16 @@ class TestDominanceAndProfile:
         payload = json.loads(out)
         assert len(payload["crossovers"]) == 1
         assert payload["crossovers"][0] == pytest.approx(2.17584, abs=1e-3)
+        assert "strict_sign_counts" not in payload
+
+    def test_dominance_text(self, capsys):
+        code, out, _ = run(capsys, [
+            "dominance", "--bound-a", "two-over-pi-upper", "--bound-b",
+            "identity-upper", "--grid-min", "1e-40", "--grid-max", "1e300",
+            "--grid-points", "300"])
+        assert code == 0
+        assert "points: A tighter 300, B tighter 0, equal 0" in out
+        assert "raw signs" not in out
 
     def test_profile_text(self, capsys):
         code, out, _ = run(capsys, ["profile", "--grid-points", "150"])

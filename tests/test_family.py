@@ -218,8 +218,6 @@ class TestInteriorMinimum:
             SolverConfig(tolerance=0.0)
         with pytest.raises(ParamError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ParamError):
-            SolverConfig(bracket_growth=1.0)
 
 
 class TestMinimumClosedForm:

@@ -87,6 +87,24 @@ class TestArithmetic:
         assert FixedReal(0.5, 30) > 0.25
         assert FixedReal(1, 30) == 1
 
+    def test_comparisons_are_exact(self):
+        # equality and order follow the exact rationals, and the hash agrees
+        assert hash(FixedReal(1, 30)) == hash(1)
+        assert FixedReal(0.5, 30) == 0.5 and hash(FixedReal(0.5, 30)) == hash(0.5)
+        assert FixedReal(0.1, 30) != 0.1   # the double 0.1 needs 55 digits
+        assert FixedReal(0.1, 30) > 0.1    # ...1257 rounds up to ...126
+        assert FixedReal(0.1, 60) == 0.1 and hash(FixedReal(0.1, 60)) == hash(0.1)
+        assert FixedReal("0.25", 30) == Fraction(1, 4)
+        assert FixedReal(1, 30) == FixedReal(1, 40)
+        assert FixedReal(-1, 30) < math.inf and FixedReal(1, 30) > -math.inf
+        assert FixedReal(0, 30) != math.nan
+
+    def test_set_round_trip(self):
+        values = {FixedReal(1, 30), FixedReal(0.5, 30), FixedReal(0.1, 60)}
+        assert values == {1, 0.5, 0.1}
+        assert Fraction(1, 2) in values and 0.1 in values
+        assert FixedReal(0.1, 30) not in values
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             FixedReal(1, 30) / FixedReal(0, 30)

@@ -2,15 +2,22 @@ import dataclasses
 import io
 import json
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import arctanbounds.catalog
 from arctanbounds import (
+    DEFAULT_GRID,
+    TWO_OVER_PI,
+    ArctanBoundsError,
     BoundId,
     DomainError,
     GridSpec,
     ParamError,
+    PrecisionError,
     dominance_report,
     eval_bound_hp,
     oracle_arctan,
@@ -153,10 +160,12 @@ FILTER_CASES = [
     (WIDE_GRID, 20, True, 0.3),
     (WIDE_GRID, 30, False, 0.3),
     (WIDE_GRID, 50, False, 0.3),
+    # x rounds to zero units at 1e-300, so every entry raises PrecisionError
+    (GridSpec(1e-300, 1e300, 200, "log"), 50, True, 1.0),
     # past the float forms' range guard, and x*x overflow above ~1.3e154; the
     # fixed-point path reports resolution artifacts as violations out there,
-    # and every violation escalates
-    (GridSpec(1e-300, 1e300, 200, "log"), 50, True, 1.0),
+    # every violation escalates, and cubic-lower's bound overflows a double
+    (GridSpec(1e-40, 1e300, 200, "log"), 50, True, 1.0),
     # margins a few ulps apart, so only exact values can order them
     (GridSpec(0.5, 0.5 * (1 + 1e-14), 40, "linear"), 50, True, 1.0),
     (GridSpec(1e3, 1e3 * (1 + 1e-14), 40, "linear"), 50, True, 1.0),
@@ -166,18 +175,23 @@ FILTER_CASES = [
 class TestFilteredSweepMatchesReference:
     @pytest.mark.parametrize("grid,digits,check_rows,max_share", FILTER_CASES,
                              ids=["wide-20", "wide-30", "wide-50", "extreme-50",
-                                  "near-ties-0.5", "near-ties-1e3"])
+                                  "huge-50", "near-ties-0.5", "near-ties-1e3"])
     def test_every_suite_entry(self, grid, digits, check_rows, max_share):
         oracle = [oracle_arctan(x, digits) for x in grid.values()]
         escalated = 0
         for bound, a in _suite_entries("all"):
             try:
                 expected = reference_sweep(bound, a, grid, digits, oracle)
-            except (ArithmeticError, ValueError) as exc:
-                # the fixed-point path fails where x rounds to zero units or
-                # the bound overflows a double; the sweep fails the same way
-                with pytest.raises(type(exc), match=str(exc)):
-                    sweep(bound, a=a, grid=grid, digits=digits)
+            except (ArithmeticError, ArctanBoundsError) as exc:
+                # the fixed-point path fails where x rounds to zero units
+                # (PrecisionError) or the bound overflows a double (a bare
+                # OverflowError here); the sweep raises a package error
+                if isinstance(exc, ArctanBoundsError):
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        sweep(bound, a=a, grid=grid, digits=digits)
+                else:
+                    with pytest.raises(DomainError, match="does not fit a double"):
+                        sweep(bound, a=a, grid=grid, digits=digits)
                 continue
             rows, violations, min_margin, min_x = expected
             report = sweep(bound, a=a, grid=grid, digits=digits)
@@ -188,6 +202,126 @@ class TestFilteredSweepMatchesReference:
                 assert report.rows == rows, (bound, a)
             escalated += report.escalated
         assert escalated <= max_share * grid.points * len(_suite_entries("all"))
+
+
+def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
+    """Every sign from the fixed-point path, at each grid point and each
+    bisection step: the loop that dominance_report's float filter replaced.
+    Returns the report's regions, crossovers and counts as JSON."""
+    side = bound_side(bound_a)
+
+    def sign_at(x):
+        diff = (eval_bound_hp(bound_a, x, a_a, digits=digits).units
+                - eval_bound_hp(bound_b, x, a_b, digits=digits).units)
+        if side == "upper":
+            diff = -diff
+        return (diff > 0) - (diff < 0)
+
+    xs = grid.values()
+    signs = [sign_at(x) for x in xs]
+    names = {1: "a", -1: "b", 0: "equal"}
+    regions = []
+    for x, sign in zip(xs, signs):
+        if regions and regions[-1]["verdict"] == names[sign]:
+            regions[-1]["x_hi"] = x
+        else:
+            regions.append({"x_lo": x, "x_hi": x, "verdict": names[sign]})
+    crossovers = []
+    prev = None
+    for i, sign in enumerate(signs):
+        if sign == 0:
+            continue
+        if prev is not None and signs[prev] != sign:
+            lo, hi = xs[prev], xs[i]
+            s_lo = sign_at(lo)
+            crossing = None
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                s_mid = sign_at(mid)
+                if s_mid == 0:
+                    crossing = mid
+                    break
+                if s_mid == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+                if (hi - lo) <= 1e-13 * max(1.0, abs(hi)):
+                    break
+            crossovers.append(0.5 * (lo + hi) if crossing is None else crossing)
+        prev = i
+    counts = {"a_tighter": signs.count(1), "b_tighter": signs.count(-1),
+              "equal": signs.count(0)}
+    return regions, crossovers, counts
+
+
+def _family_pairs():
+    """Family against reversed members, as the benchmark draws them."""
+    rng = random.Random("dominance-pairs")
+    pairs = []
+    for lower in (True, False):
+        for _ in range(5):
+            a_small, a_large = rng.uniform(0.0, 0.5), rng.uniform(TWO_OVER_PI, 2.0)
+            if lower:
+                pairs.append((BoundId.FAMILY_LOWER, BoundId.REVERSED_LOWER, a_small, a_large))
+            else:
+                pairs.append((BoundId.FAMILY_UPPER, BoundId.REVERSED_UPPER, a_small, a_large))
+    return pairs
+
+
+DOMINANCE_PAIRS = [
+    (BoundId.SHAFER_LOWER, BoundId.SHAFER_LOWER, None, None),
+    (BoundId.SHAFER_LOWER, BoundId.RATIO_LOWER, None, None),
+    (BoundId.TWO_OVER_PI_LOWER, BoundId.SHAFER_LOWER, None, None),
+    (BoundId.SHAFER_LOWER, BoundId.TWO_OVER_PI_LOWER, None, None),
+    (BoundId.FAMILY_LOWER, BoundId.SHAFER_LOWER, 0.25, None),
+    (BoundId.TWO_OVER_PI_UPPER, BoundId.HALF_ANGLE_UPPER, None, None),
+    (BoundId.TWO_OVER_PI_UPPER, BoundId.IDENTITY_UPPER, None, None),
+    (BoundId.TWO_OVER_PI_UPPER, BoundId.LOG_UPPER, None, None),
+    (BoundId.CUBIC_LOWER, BoundId.LOG_LOWER, None, None),
+    *_family_pairs(),
+]
+#: (grid, digits); at 320 digits x = 1e-300 still has 10**20 units
+DOMINANCE_GRIDS = [
+    (GridSpec(1e-8, 1e8, 400, "log"), 50),
+    (GridSpec(1.0049e-08, 9.9627e+07, 300, "log"), 50),
+    (GridSpec(1e-300, 1e300, 60, "log"), 320),
+    (GridSpec(0.5, 0.5 * (1 + 1e-14), 40, "linear"), 50),
+    (GridSpec(2.17, 2.18, 40, "linear"), 50),
+]
+
+
+class TestDominanceMatchesReference:
+    @pytest.mark.parametrize("grid,digits", DOMINANCE_GRIDS,
+                             ids=["log", "jittered", "extreme", "few-ulps", "crossover"])
+    def test_pairs(self, grid, digits):
+        for bound_a, bound_b, a_a, a_b in DOMINANCE_PAIRS:
+            regions, crossovers, counts = reference_dominance(
+                bound_a, bound_b, a_a, a_b, grid, digits)
+            payload = dominance_report(bound_a, bound_b, a_a, a_b, grid=grid,
+                                       digits=digits).to_json_dict()
+            assert payload["counts"] == counts, (bound_a, bound_b, a_a, a_b)
+            assert payload["regions"] == regions, (bound_a, bound_b, a_a, a_b)
+            # bit-identical, not approximately equal
+            assert payload["crossovers"] == crossovers, (bound_a, bound_b, a_a, a_b)
+
+    def test_few_points_reach_fixed_point(self, monkeypatch):
+        calls = []
+        original = arctanbounds.catalog.eval_bound_hp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(arctanbounds.catalog, "eval_bound_hp", counting)
+        for bound_a, bound_b, a_a, a_b in [
+                (BoundId.SHAFER_LOWER, BoundId.TWO_OVER_PI_LOWER, None, None),
+                *_family_pairs()[::5]]:
+            calls.clear()
+            dominance_report(bound_a, bound_b, a_a, a_b, grid=DEFAULT_GRID)
+            # two calls per point that reaches the fixed-point path
+            assert len(calls) / 2 < 0.05 * DEFAULT_GRID.points, (bound_a, bound_b)
 
 
 class TestDominance:
@@ -203,14 +337,17 @@ class TestDominance:
             BoundId.TWO_OVER_PI_UPPER, BoundId.HALF_ANGLE_UPPER, grid=GRID)
         assert report.side == "upper"
         assert report.a_strictly_tighter_everywhere
-        # near zero the gap (~x^3 * 0.055) sits inside the relative tie band,
-        # so the labeled counts are allowed to contain "equal" points
-        assert report.b_tighter == 0
+        # near zero the gap is only ~x^3 * 0.055, a relative ~5e-18 at
+        # x = 1e-8, and still a strict verdict
+        assert report.a_tighter == GRID.points
+        assert [r.verdict for r in report.regions] == ["a"]
 
     def test_two_over_pi_upper_beats_other_uppers_everywhere(self):
         for rival in (BoundId.IDENTITY_UPPER, BoundId.LOG_UPPER):
             report = dominance_report(BoundId.TWO_OVER_PI_UPPER, rival, grid=GRID)
             assert report.a_strictly_tighter_everywhere, rival
+            reverse = dominance_report(rival, BoundId.TWO_OVER_PI_UPPER, grid=GRID)
+            assert reverse.b_strictly_tighter_everywhere, rival
 
     def test_corrected_vs_shafer_single_crossover(self):
         report = dominance_report(
@@ -231,12 +368,24 @@ class TestDominance:
             dominance_report(BoundId.SHAFER_LOWER, BoundId.RATIO_LOWER,
                              grid=GRID, digits=19)
 
+    def test_zero_units_raise_precision_error(self):
+        # at 50 digits x = 1e-300 rounds to zero units; the report's wide
+        # fixed-point values used to overflow the old relative tie band
+        with pytest.raises(PrecisionError):
+            dominance_report(BoundId.TWO_OVER_PI_UPPER, BoundId.IDENTITY_UPPER,
+                             grid=GridSpec(1e-300, 1e300, 300, "log"))
+        report = dominance_report(BoundId.TWO_OVER_PI_UPPER, BoundId.IDENTITY_UPPER,
+                                  grid=GridSpec(1e-40, 1e300, 300, "log"))
+        assert report.a_strictly_tighter_everywhere
+
     def test_json_round_trip(self):
         report = dominance_report(
             BoundId.FAMILY_LOWER, BoundId.SHAFER_LOWER, a_a=0.25,
             grid=GridSpec(0.01, 100, 64, "log"))
         payload = report.to_json_dict()
         assert json.loads(json.dumps(payload)) == payload
+        assert set(payload["counts"]) == {"a_tighter", "b_tighter", "equal"}
+        assert "strict_sign_counts" not in payload
 
 
 class TestFamilySweepMatrix:

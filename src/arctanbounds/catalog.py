@@ -6,11 +6,13 @@ one-off inequalities.  Every entry carries a validity predicate; evaluating a
 family bound outside its certified parameter range is a hard ParamError, never
 a silent number.
 
-The formulas are written once with ordinary operators, so a single
-implementation serves both the float path and the fixed-point path used by the
-verification sweeps (see :mod:`arctanbounds.fixedpoint`).  Each entry also
-carries a proven bound on the rounding error of its float form, which lets a
-sweep settle most grid points in double precision (see :func:`float_form`).
+Each entry has two forms of its formula.  The float form is the closed form
+in double arithmetic; it carries a proven bound on its rounding error, which
+lets a sweep settle most grid points in double precision (see
+:func:`float_form`).  The units form is a straight line of integer operations
+on units of ``10**-digits``, each product, quotient and root floored, and
+serves :func:`eval_bound_hp`, the exact stage of the sweeps and dominance
+reports (see :mod:`arctanbounds.fixedpoint`).
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from . import fixedpoint as fp
 from .errors import DomainError, ParamError, PrecisionError
 
 TWO_OVER_PI = 2.0 / math.pi
+_PI = math.pi
 _HALF_PI = 0.5 * math.pi
 
 
@@ -86,48 +90,89 @@ class Enclosure:
         return 0.5 * (self.lower + self.upper)
 
 
-def _u(x):
-    return fp.sqrt_of(1 + x * x)
+# The units forms take the units of x and a (a is None for a fixed bound), the
+# scale s = 10**digits and digits.  They floor exactly where FixedReal
+# arithmetic on the closed form would, in the same order, so they return the
+# same units: sums are exact, a product is p*q // s, a quotient p*s // q, a
+# root isqrt(v*s), and an integer constant c enters as c*s, so halving pi is
+# P // 2 and dividing by 3 is T // 3 (floor(T*s / (3*s)) = floor(T/3)).  The
+# tests keep that FixedReal evaluation as their reference.  Every denominator
+# is at least s, or is 2x > 0.
+
+def _u_units(x, s):
+    return math.isqrt((s + x * x // s) * s)
 
 
 def _one_plus_a_member(a, x):
     # (1+a)x/(a+u): family lower bound for a <= 1/2, reversed upper for a >= 2/pi
-    return (1 + a) * x / (a + _u(x))
+    return (1 + a) * x / (a + math.sqrt(1 + x * x))
+
+
+def _one_plus_a_units(x, a, s, digits):
+    return (a + s) * x // s * s // (a + _u_units(x, s))
 
 
 def _half_pi_member(a, x):
     # (pi/2)x/(a+u): family upper bound for a <= 1/2, reversed lower for a >= 2/pi
-    half_pi = fp.pi_of(x) / 2
-    return half_pi * x / (a + _u(x))
+    return _HALF_PI * x / (a + math.sqrt(1 + x * x))
+
+
+def _half_pi_units(x, a, s, digits):
+    return fp.pi_units(digits) // 2 * x // s * s // (a + _u_units(x, s))
 
 
 def _mid_lower(a, x):
-    return 4 * a * (1 - a * a) * x / (a + _u(x))
+    return 4 * a * (1 - a * a) * x / (a + math.sqrt(1 + x * x))
+
+
+def _mid_lower_units(x, a, s, digits):
+    return 4 * a * (s - a * a // s) // s * x // s * s // (a + _u_units(x, s))
 
 
 def _mid_upper(a, x):
     # upper constant max(pi/2, 1+a); the exact switch sits at a = pi/2 - 1
-    half_pi = fp.pi_of(x) / 2
     one_plus_a = 1 + a
+    c = one_plus_a if one_plus_a > _HALF_PI else _HALF_PI
+    return c * x / (a + math.sqrt(1 + x * x))
+
+
+def _mid_upper_units(x, a, s, digits):
+    one_plus_a, half_pi = a + s, fp.pi_units(digits) // 2
     c = one_plus_a if one_plus_a > half_pi else half_pi
-    return c * x / (a + _u(x))
+    return c * x // s * s // (a + _u_units(x, s))
 
 
 def _shafer_lower(a, x):
     # the classical 3x/(1+2u) bound is exactly the a = 1/2 family member
-    return _one_plus_a_member(fp.lift_to(0.5, x), x)
+    return 1.5 * x / (0.5 + math.sqrt(1 + x * x))
+
+
+def _shafer_lower_units(x, a, s, digits):
+    return _one_plus_a_units(x, s // 2, s, digits)
 
 
 def _half_angle_upper(a, x):
     # 2x/(1+u) is exactly the a = 1 reversed-family upper bound
-    return _one_plus_a_member(fp.lift_to(1.0, x), x)
+    return 2.0 * x / (1.0 + math.sqrt(1 + x * x))
+
+
+def _half_angle_upper_units(x, a, s, digits):
+    return _one_plus_a_units(x, s, s, digits)
 
 
 def _ratio_lower(a, x):
     return x / (1 + x * x)
 
 
+def _ratio_lower_units(x, a, s, digits):
+    return x * s // (s + x * x // s)
+
+
 def _identity_upper(a, x):
+    return x
+
+
+def _identity_upper_units(x, a, s, digits):
     return x
 
 
@@ -135,27 +180,51 @@ def _cubic_lower(a, x):
     return x - x * x * x / 3
 
 
+def _cubic_lower_units(x, a, s, digits):
+    return x - x * x // s * x // s // 3
+
+
 def _log_lower(a, x):
-    return fp.log_of(1 + x * x) / (2 * x)
+    return math.log(1 + x * x) / (2 * x)
+
+
+def _log_lower_units(x, a, s, digits):
+    return fp.log_units(s + x * x // s, digits) * s // (2 * x)
 
 
 def _log_upper(a, x):
-    return (1 + x) * fp.log_of(1 + x)
+    return (1 + x) * math.log(1 + x)
+
+
+def _log_upper_units(x, a, s, digits):
+    return (s + x) * fp.log_units(s + x, digits) // s
 
 
 def _two_over_pi_lower(a, x):
-    pi = fp.pi_of(x)
-    return pi * pi * x / (4 + 2 * pi * _u(x))
+    return _PI * _PI * x / (4 + 2 * _PI * math.sqrt(1 + x * x))
+
+
+def _two_over_pi_lower_units(x, a, s, digits):
+    p = fp.pi_units(digits)
+    return p * p // s * x // s * s // (4 * s + 2 * p * _u_units(x, s) // s)
 
 
 def _two_over_pi_upper(a, x):
-    pi = fp.pi_of(x)
-    return (pi + 2) * x / (2 + pi * _u(x))
+    return (_PI + 2) * x / (2 + _PI * math.sqrt(1 + x * x))
+
+
+def _two_over_pi_upper_units(x, a, s, digits):
+    p = fp.pi_units(digits)
+    return (p + 2 * s) * x // s * s // (2 * s + p * _u_units(x, s) // s)
 
 
 def _two_over_pi_lower_errata(a, x):
-    pi = fp.pi_of(x)
-    return pi * pi * x / (2 + 2 * pi * _u(x))
+    return _PI * _PI * x / (2 + 2 * _PI * math.sqrt(1 + x * x))
+
+
+def _two_over_pi_lower_errata_units(x, a, s, digits):
+    p = fp.pi_units(digits)
+    return p * p // s * x // s * s // (2 * s + 2 * p * _u_units(x, s) // s)
 
 
 # Float error bounds.  With unit roundoff u = 2**-53, each correctly rounded
@@ -247,7 +316,8 @@ def _log_upper_error(x, b):
 @dataclass(frozen=True)
 class _BoundInfo:
     side: str                                   # "lower" | "upper"
-    fn: Callable
+    fn: Callable[[Optional[float], float], float]
+    units: Callable[[int, Optional[int], int, int], int]    # (x, a, s, digits)
     float_error: Callable[[float, float], float]    # (x, fn(a, x)) -> bound on its error
     takes_param: bool = False
     param_ok: Optional[Callable[[float], bool]] = None
@@ -256,37 +326,47 @@ class _BoundInfo:
 
 
 _CATALOG: dict[BoundId, _BoundInfo] = {
-    BoundId.SHAFER_LOWER: _BoundInfo("lower", _shafer_lower, _relative(6)),
-    BoundId.HALF_ANGLE_UPPER: _BoundInfo("upper", _half_angle_upper, _relative(6)),
-    BoundId.RATIO_LOWER: _BoundInfo("lower", _ratio_lower, _relative(3)),
-    BoundId.IDENTITY_UPPER: _BoundInfo("upper", _identity_upper, _relative(0)),
-    BoundId.CUBIC_LOWER: _BoundInfo("lower", _cubic_lower, _cubic_error),
-    BoundId.LOG_LOWER: _BoundInfo("lower", _log_lower, _log_lower_error),
-    BoundId.LOG_UPPER: _BoundInfo("upper", _log_upper, _log_upper_error),
+    BoundId.SHAFER_LOWER: _BoundInfo(
+        "lower", _shafer_lower, _shafer_lower_units, _relative(6)),
+    BoundId.HALF_ANGLE_UPPER: _BoundInfo(
+        "upper", _half_angle_upper, _half_angle_upper_units, _relative(6)),
+    BoundId.RATIO_LOWER: _BoundInfo(
+        "lower", _ratio_lower, _ratio_lower_units, _relative(3)),
+    BoundId.IDENTITY_UPPER: _BoundInfo(
+        "upper", _identity_upper, _identity_upper_units, _relative(0)),
+    BoundId.CUBIC_LOWER: _BoundInfo(
+        "lower", _cubic_lower, _cubic_lower_units, _cubic_error),
+    BoundId.LOG_LOWER: _BoundInfo(
+        "lower", _log_lower, _log_lower_units, _log_lower_error),
+    BoundId.LOG_UPPER: _BoundInfo(
+        "upper", _log_upper, _log_upper_units, _log_upper_error),
     BoundId.FAMILY_LOWER: _BoundInfo(
-        "lower", _one_plus_a_member, _relative(6), True,
+        "lower", _one_plus_a_member, _one_plus_a_units, _relative(6), True,
         lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2"),
     BoundId.FAMILY_UPPER: _BoundInfo(
-        "upper", _half_pi_member, _relative(6), True,
+        "upper", _half_pi_member, _half_pi_units, _relative(6), True,
         lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2"),
     BoundId.REVERSED_LOWER: _BoundInfo(
-        "lower", _half_pi_member, _relative(6), True,
+        "lower", _half_pi_member, _half_pi_units, _relative(6), True,
         lambda a: a >= TWO_OVER_PI, "a >= 2/pi"),
     BoundId.REVERSED_UPPER: _BoundInfo(
-        "upper", _one_plus_a_member, _relative(6), True,
+        "upper", _one_plus_a_member, _one_plus_a_units, _relative(6), True,
         lambda a: a >= TWO_OVER_PI, "a >= 2/pi"),
     BoundId.MID_REGIME_LOWER: _BoundInfo(
-        "lower", _mid_lower, _relative(8), True,
+        "lower", _mid_lower, _mid_lower_units, _relative(8), True,
         lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi"),
     BoundId.MID_REGIME_UPPER: _BoundInfo(
-        "upper", _mid_upper, _relative(6), True,
+        "upper", _mid_upper, _mid_upper_units, _relative(6), True,
         lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi"),
-    BoundId.TWO_OVER_PI_LOWER: _BoundInfo("lower", _two_over_pi_lower, _relative(10)),
-    BoundId.TWO_OVER_PI_UPPER: _BoundInfo("upper", _two_over_pi_upper, _relative(9)),
+    BoundId.TWO_OVER_PI_LOWER: _BoundInfo(
+        "lower", _two_over_pi_lower, _two_over_pi_lower_units, _relative(10)),
+    BoundId.TWO_OVER_PI_UPPER: _BoundInfo(
+        "upper", _two_over_pi_upper, _two_over_pi_upper_units, _relative(9)),
     # the errata entry is *claimed* as a lower bound; sweeping it on that side
     # tests the claim that was actually made (and finds it false)
     BoundId.TWO_OVER_PI_LOWER_ERRATA: _BoundInfo(
-        "lower", _two_over_pi_lower_errata, _relative(10), trusted=False),
+        "lower", _two_over_pi_lower_errata, _two_over_pi_lower_errata_units,
+        _relative(10), trusted=False),
 }
 
 
@@ -344,22 +424,31 @@ def float_form(bound: BoundId, a: Optional[float]
     return info.fn, info.float_error
 
 
+@lru_cache(maxsize=256)
+def _param_units(a: float, digits: int) -> int:
+    return fp.float_units(float(a), digits)
+
+
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
                   digits: int = 50) -> fp.FixedReal:
     """Evaluate one catalog bound in fixed point.
 
-    x and a enter through their exact float values, so the result is the
-    bound for the precise arguments a caller's doubles denote.  Used by the
-    sweep engine, where float evaluation cannot resolve the thinnest margins.
-    Raises PrecisionError where x rounds to zero units.
+    x and a enter through their exact float values, rounded to the nearest
+    unit, so the result is the bound for the precise arguments a caller's
+    doubles denote.  The entry's units form then floors each product,
+    quotient and root to a unit of 10**-digits.  Used by the sweep engine,
+    where float evaluation cannot resolve the thinnest margins.  Raises
+    PrecisionError where x rounds to zero units.
     """
     _check_param(bound, a)
     _check_x(x)
-    x_hp = fp.FixedReal(float(x), digits)
-    if x_hp.units == 0:
+    fp.check_digits(digits)
+    x_units = fp.float_units(float(x), digits)
+    if x_units == 0:
         raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
-    a_hp = None if a is None else fp.FixedReal(float(a), digits)
-    return _CATALOG[bound].fn(a_hp, x_hp)
+    a_units = None if a is None else _param_units(a, digits)
+    units = _CATALOG[bound].units(x_units, a_units, fp.pow10(digits), digits)
+    return fp.FixedReal._raw(units, digits)
 
 
 def classify_regime(a: float) -> Regime:

@@ -6,8 +6,10 @@ json`` (or ``--format csv`` for profile, the one report written as rows) plus
 ``--output`` write machine-readable files.  ``verify --stats`` adds, to the
 JSON report, each entry's count of points evaluated in fixed point, the
 oracle and sweep phase times, and the package and Python versions.
-``dominance`` gives every grid point one exact verdict, and ``enclose`` an
-outward-rounded bracket.
+``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
+the counts of grid points and bisection steps decided in fixed point, the
+report's time and the same provenance.  ``enclose`` gives an outward-rounded
+bracket.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -137,6 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-b", type=float, default=None)
     _add_grid_args(p, points=2_000)
     p.add_argument("--digits", type=int, default=_env_digits(orc.DEFAULT_SWEEP_DIGITS))
+    p.add_argument("--stats", action="store_true",
+                   help="add fixed-point counts, the report's time and "
+                        "provenance to the JSON report")
     _add_output_args(p)
 
     p = sub.add_parser("profile", help="certified vs actual kernel error over a grid")
@@ -248,10 +253,7 @@ def _cmd_verify(args) -> int:
             "sweep_s": time.perf_counter() - oracle_done,
             "escalated": sum(entry["escalated"] for entry in results),
             "checked": grid.points * len(results),
-            "package_version": __version__,
-            "python_version": "%d.%d.%d" % sys.version_info[:3],
-            "digits": args.digits,
-            "grid": payload["grid"],
+            **_provenance(args.digits, grid),
         }
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2))
@@ -272,12 +274,34 @@ def _cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
+def _provenance(digits: int, grid: orc.GridSpec) -> dict:
+    return {
+        "package_version": __version__,
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
+        "digits": digits,
+        "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
+                 "points": grid.points, "spacing": grid.spacing},
+    }
+
+
 def _cmd_dominance(args) -> int:
+    grid = _grid_from_args(args)
+    started = time.perf_counter()
     report = orc.dominance_report(args.bound_a, args.bound_b,
                                   a_a=args.param_a, a_b=args.param_b,
-                                  grid=_grid_from_args(args), digits=args.digits)
+                                  grid=grid, digits=args.digits)
+    payload = report.to_json_dict()
+    if args.stats:
+        payload["stats"] = {
+            "dominance_s": time.perf_counter() - started,
+            "escalated": report.escalated,
+            "checked": grid.points,
+            "escalated_steps": report.escalated_steps,
+            "bisection_steps": report.bisection_steps,
+            **_provenance(args.digits, grid),
+        }
     if args.format == "json":
-        _emit(args, json.dumps(report.to_json_dict(), indent=2))
+        _emit(args, json.dumps(payload, indent=2))
     else:
         lines = [f"side={report.side}  A={report.bound_a.value} B={report.bound_b.value}",
                  f"points: A tighter {report.a_tighter}, B tighter {report.b_tighter}, "
@@ -286,6 +310,12 @@ def _cmd_dominance(args) -> int:
             lines.append(f"  [{region.x_lo:.6e}, {region.x_hi:.6e}] {region.verdict}")
         if report.crossovers:
             lines.append("crossovers: " + ", ".join(f"{c!r}" for c in report.crossovers))
+        if args.stats:
+            stats = payload["stats"]
+            lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} "
+                         f"grid points and {stats['escalated_steps']} of "
+                         f"{stats['bisection_steps']} bisection steps; "
+                         f"dominance {stats['dominance_s']:.3f} s")
         _emit(args, "\n".join(lines))
     return 0
 

@@ -24,8 +24,15 @@ _GUARD_DIGITS = 10
 
 
 @lru_cache(maxsize=None)
-def _pow10(digits: int) -> int:
+def pow10(digits: int) -> int:
+    """The scale 10**digits, cached."""
     return 10 ** digits
+
+
+def check_digits(digits: int) -> None:
+    """Raise ParamError unless digits >= 1."""
+    if digits < 1:
+        raise ParamError(f"digits must be >= 1, got {digits!r}")
 
 
 def _round_div(n: int, d: int) -> int:
@@ -39,6 +46,13 @@ def _rescale(units: int, from_digits: int, to_digits: int) -> int:
     if to_digits >= from_digits:
         return units * 10 ** (to_digits - from_digits)
     return _round_div(units, 10 ** (from_digits - to_digits))
+
+
+def float_units(value: float, digits: int) -> int:
+    """The exact binary value of a finite float, as Fraction(value) would give
+    it, in units of 10**-digits rounded to nearest."""
+    num, den = value.as_integer_ratio()
+    return _round_div(num * pow10(digits), den)
 
 
 def sqrt_units(units: int, digits: int) -> int:
@@ -118,7 +132,7 @@ def pi_units(digits: int) -> int:
     arctan(1) takes no reciprocal step in atan_units, so this does not recurse.
     """
     work = digits + _GUARD_DIGITS
-    return _rescale(4 * atan_units(_pow10(work), work), work, digits)
+    return _rescale(4 * atan_units(pow10(work), work), work, digits)
 
 
 def log_units(y_units: int, digits: int) -> int:
@@ -186,8 +200,7 @@ class FixedReal:
     __slots__ = ("units", "digits")
 
     def __init__(self, value: "int | float | str | Fraction | FixedReal" = 0, digits: int = 30):
-        if digits < 1:
-            raise ParamError(f"digits must be >= 1, got {digits!r}")
+        check_digits(digits)
         if isinstance(value, FixedReal):
             units = _rescale(value.units, value.digits, digits)
         elif isinstance(value, int):
@@ -195,9 +208,7 @@ class FixedReal:
         elif isinstance(value, float):
             if not math.isfinite(value):
                 raise DomainError("cannot represent a non-finite float")
-            # the exact binary value, as Fraction(value) would give it
-            num, den = value.as_integer_ratio()
-            units = _round_div(num * 10 ** digits, den)
+            units = float_units(value, digits)
         elif isinstance(value, (Fraction, str)):
             frac = Fraction(value)
             units = _round_div(frac.numerator * 10 ** digits, frac.denominator)
@@ -219,11 +230,11 @@ class FixedReal:
 
     @property
     def scale(self) -> int:
-        return _pow10(self.digits)
+        return pow10(self.digits)
 
     def _coerce(self, other):
         if type(other) is int:
-            return FixedReal._raw(other * _pow10(self.digits), self.digits)
+            return FixedReal._raw(other * pow10(self.digits), self.digits)
         if isinstance(other, FixedReal):
             if other.digits != self.digits:
                 raise ValueError(
@@ -342,26 +353,13 @@ class FixedReal:
         return f"FixedReal('{self.as_decimal_string()}', digits={self.digits})"
 
 
-# generic dispatch: the closed-form bound and family expressions are written
-# once with ordinary operators and evaluated either on floats or on FixedReal
+# generic dispatch: the family analysis in family.py is written once with
+# ordinary operators and evaluated either on floats or on FixedReal (the
+# catalog's bounds have separate float and integer forms instead)
 
 def sqrt_of(v):
     return v.sqrt() if isinstance(v, FixedReal) else math.sqrt(v)
 
 
-def log_of(v):
-    return v.log() if isinstance(v, FixedReal) else math.log(v)
-
-
 def atan_of(v):
     return v.atan() if isinstance(v, FixedReal) else math.atan(v)
-
-
-def pi_of(like):
-    """pi at the precision of `like` (math.pi on the float path)."""
-    return FixedReal.pi(like.digits) if isinstance(like, FixedReal) else math.pi
-
-
-def lift_to(value, like):
-    """Convert `value` exactly into the numeric world of `like`."""
-    return FixedReal(value, like.digits) if isinstance(like, FixedReal) else float(value)

@@ -12,7 +12,8 @@ bound E: the float form's own rounding error (from the catalog), the
 rounding of the oracle's double and of the subtraction, and the fixed-point
 path's own error, for which ``10**(5-digits)`` is a floor.  A settled point
 gets the verdict the fixed-point path would give.  Stage 2 sends every other
-point to the fixed-point path (``eval_bound_hp`` at the sweep's digits):
+point to the fixed-point path (``eval_bound_hp`` at the sweep's digits, a
+straight line of integer operations per catalog entry):
 points with |m| <= E, points outside [2**-500, 2**500], non-finite float
 values, and every violation, whose report holds the fixed-point bound.  So
 verdicts, violations and the minimum margin are those of a sweep that
@@ -23,7 +24,9 @@ thinnest true margins (the a = 1/2 family lower bound near x = 1e-8, margin
 default 50 sweep digits resolve every certified margin on the default grid
 with several orders to spare.  A dominance report decides the sign of the
 difference of two bounds with the same filter, the second bound taking the
-oracle's place, and gives every grid point that one exact verdict.
+oracle's place, and gives every grid point that one exact verdict.  It
+bisects each crossover on the bit patterns of the two doubles, to a
+relative width of 1e-13 at any magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -35,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -297,7 +301,9 @@ class DominanceReport:
     Each grid point has one verdict, the exact sign of the difference of the
     two bounds: "a" or "b" where that bound is strictly tighter, "equal" only
     where both fixed-point values agree to the unit.  Regions, crossovers and
-    counts all come from it.
+    counts all come from it.  escalated counts the grid points, and
+    escalated_steps the bisection_steps, whose sign the fixed-point path
+    decided.
     """
 
     bound_a: cat.BoundId
@@ -312,6 +318,9 @@ class DominanceReport:
     a_tighter: int
     b_tighter: int
     equal: int
+    escalated: int
+    bisection_steps: int
+    escalated_steps: int
 
     @property
     def a_strictly_tighter_everywhere(self) -> bool:
@@ -378,20 +387,25 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     tighter = 1 if side == "lower" else -1     # a bigger lower bound is tighter
     four_u = 2.0 ** -51
     floor = 10.0 ** (5 - digits)
+    calls = escalated = 0
 
     def sign_at(x: float) -> int:
+        nonlocal calls, escalated
+        calls += 1
         if cat.FLOAT_FORM_MIN <= x <= cat.FLOAT_FORM_MAX:
             fa, fb = fn_a(a_a, x), fn_b(a_b, x)
             d = fa - fb
             if abs(d) > (error_a(x, fa) + error_b(x, fb)
                          + four_u * (abs(fa) + abs(fb)) + floor):
                 return tighter if d > 0 else -tighter
+        escalated += 1
         d = (cat.eval_bound_hp(bound_a, x, a_a, digits=digits).units
              - cat.eval_bound_hp(bound_b, x, a_b, digits=digits).units)
         return 0 if d == 0 else (tighter if d > 0 else -tighter)
 
     xs = grid.values()
     signs = [sign_at(x) for x in xs]
+    grid_escalated = escalated
     regions = []
     start = 0
     for i in range(1, len(xs) + 1):
@@ -411,21 +425,37 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     return DominanceReport(
         bound_a=bound_a, bound_b=bound_b, a_a=a_a, a_b=a_b, side=side,
         grid=grid, digits=digits, regions=regions, crossovers=crossovers,
-        a_tighter=signs.count(1), b_tighter=signs.count(-1), equal=signs.count(0))
+        a_tighter=signs.count(1), b_tighter=signs.count(-1), equal=signs.count(0),
+        escalated=grid_escalated, bisection_steps=calls - len(xs),
+        escalated_steps=escalated - grid_escalated)
+
+
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<q")
+
+
+def _bits(x: float) -> int:
+    return _BITS.unpack(_DOUBLE.pack(x))[0]
+
+
+def _from_bits(bits: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(bits))[0]
 
 
 def _bisect_crossover(sign_at, lo: float, hi: float, s_lo: int) -> float:
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
+    """A point within relative width 1e-13 of where sign_at leaves s_lo, for
+    0 < lo < hi.  Bisects the IEEE bit patterns, whose order is the numeric
+    order of positive doubles, so every step halves the doubles in between
+    and at most 64 steps reach adjacent doubles, at any magnitude."""
+    lo_bits, hi_bits = _bits(lo), _bits(hi)
+    while hi_bits - lo_bits > 1 and hi - lo > 1e-13 * hi:
+        mid_bits = (lo_bits + hi_bits) // 2
+        mid = _from_bits(mid_bits)
         s_mid = sign_at(mid)
         if s_mid == 0:
             return mid
         if s_mid == s_lo:
-            lo = mid
+            lo, lo_bits = mid, mid_bits
         else:
-            hi = mid
-        if (hi - lo) <= 1e-13 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+            hi, hi_bits = mid, mid_bits
+    return _from_bits((lo_bits + hi_bits) // 2)

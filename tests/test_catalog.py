@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import sys
 from fractions import Fraction
 
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from arctanbounds import (
     TWO_OVER_PI,
+    ArctanBoundsError,
     BoundId,
     DomainError,
     Enclosure,
     ParamError,
+    PrecisionError,
     Regime,
     best_enclosure,
     classify_regime,
@@ -21,8 +24,10 @@ from arctanbounds import (
     eval_bound_hp,
     oracle_arctan,
 )
+from arctanbounds import catalog
 from arctanbounds.catalog import FLOAT_FORM_MAX, FLOAT_FORM_MIN, float_form
 from arctanbounds.cli import _suite_entries
+from arctanbounds.fixedpoint import FixedReal
 
 B = BoundId
 
@@ -298,3 +303,134 @@ class TestFloatErrorBound:
             exact = eval_bound_hp(bound, x, a, digits=digits).as_fraction()
             slack = Fraction(100, 10 ** digits)
             assert abs(Fraction(b) - exact) <= Fraction(err) + slack, x
+
+
+# Reference: every bound written once with ordinary operators and evaluated
+# on floats or on FixedReal, one object per operation.  The catalog's float
+# and units forms replaced this path and must reproduce it exactly.
+
+def _sqrt(v):
+    return v.sqrt() if isinstance(v, FixedReal) else math.sqrt(v)
+
+
+def _log(v):
+    return v.log() if isinstance(v, FixedReal) else math.log(v)
+
+
+def _pi(like):
+    return FixedReal.pi(like.digits) if isinstance(like, FixedReal) else math.pi
+
+
+def _lift(value, like):
+    return FixedReal(value, like.digits) if isinstance(like, FixedReal) else float(value)
+
+
+def _u(x):
+    return _sqrt(1 + x * x)
+
+
+def _one_plus_a(a, x):
+    return (1 + a) * x / (a + _u(x))
+
+
+def _half_pi(a, x):
+    return _pi(x) / 2 * x / (a + _u(x))
+
+
+def _mid_upper(a, x):
+    half_pi = _pi(x) / 2
+    one_plus_a = 1 + a
+    c = one_plus_a if one_plus_a > half_pi else half_pi
+    return c * x / (a + _u(x))
+
+
+REFERENCE_FORMS = {
+    B.SHAFER_LOWER: lambda a, x: _one_plus_a(_lift(0.5, x), x),
+    B.HALF_ANGLE_UPPER: lambda a, x: _one_plus_a(_lift(1.0, x), x),
+    B.RATIO_LOWER: lambda a, x: x / (1 + x * x),
+    B.IDENTITY_UPPER: lambda a, x: x,
+    B.CUBIC_LOWER: lambda a, x: x - x * x * x / 3,
+    B.LOG_LOWER: lambda a, x: _log(1 + x * x) / (2 * x),
+    B.LOG_UPPER: lambda a, x: (1 + x) * _log(1 + x),
+    B.FAMILY_LOWER: _one_plus_a,
+    B.FAMILY_UPPER: _half_pi,
+    B.REVERSED_LOWER: _half_pi,
+    B.REVERSED_UPPER: _one_plus_a,
+    B.MID_REGIME_LOWER: lambda a, x: 4 * a * (1 - a * a) * x / (a + _u(x)),
+    B.MID_REGIME_UPPER: _mid_upper,
+    B.TWO_OVER_PI_LOWER: lambda a, x: _pi(x) * _pi(x) * x / (4 + 2 * _pi(x) * _u(x)),
+    B.TWO_OVER_PI_UPPER: lambda a, x: (_pi(x) + 2) * x / (2 + _pi(x) * _u(x)),
+    B.TWO_OVER_PI_LOWER_ERRATA:
+        lambda a, x: _pi(x) * _pi(x) * x / (2 + 2 * _pi(x) * _u(x)),
+}
+
+
+def reference_eval_hp(bound, x, a, digits):
+    """The fixed-point evaluation the units forms replaced."""
+    catalog._check_param(bound, a)
+    catalog._check_x(x)
+    x_hp = FixedReal(float(x), digits)
+    if x_hp.units == 0:
+        raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
+    a_hp = None if a is None else FixedReal(float(a), digits)
+    return REFERENCE_FORMS[bound](a_hp, x_hp)
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args).units
+    except (ArctanBoundsError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_entries():
+    """The suite's entries plus seeded valid parameters of every family."""
+    rng = random.Random("units-forms")
+    ranges = {B.FAMILY_LOWER: (0.0, 0.5), B.FAMILY_UPPER: (0.0, 0.5),
+              B.REVERSED_LOWER: (TWO_OVER_PI, 50.0), B.REVERSED_UPPER: (TWO_OVER_PI, 50.0),
+              B.MID_REGIME_LOWER: (0.5, TWO_OVER_PI), B.MID_REGIME_UPPER: (0.5, TWO_OVER_PI)}
+    entries = list(_suite_entries("all"))
+    for bound, (lo, hi) in ranges.items():
+        entries += [(bound, a) for a in (rng.uniform(lo, hi) for _ in range(2))
+                    if lo < a < hi]
+    entries += [(B.REVERSED_UPPER, 1e300), (B.MID_REGIME_UPPER, math.pi / 2 - 1)]
+    return entries
+
+
+def _full_range_xs(points):
+    lo, hi = math.log10(5e-324), math.log10(DBL_MAX)
+    xs = [10.0 ** (lo + (hi - lo) * i / points) for i in range(points)]
+    return xs + [5e-324, 2.0 ** -1022, 1e-300, 1e-51, 1e-50, 1e-8, 0.5, 1.0,
+                 2.1758413981537927, 1e8, 1e300, math.sqrt(DBL_MAX), DBL_MAX]
+
+
+class TestUnitsForms:
+    @pytest.mark.parametrize("digits", [20, 30, 50, 100, 320])
+    def test_equal_to_reference(self, digits):
+        for bound, a in _reference_entries():
+            for x in _full_range_xs(40):
+                got = _outcome(eval_bound_hp, bound, x, a, digits)
+                assert got == _outcome(reference_eval_hp, bound, x, a, digits), \
+                    (bound, a, x)
+
+    def test_errors_equal_to_reference(self):
+        cases = [(B.SHAFER_LOWER, x, None, 50) for x in (0.0, -1.0, math.inf, math.nan)]
+        cases += [(B.SHAFER_LOWER, 1.0, None, d) for d in (0, -3)]
+        cases += [(B.FAMILY_LOWER, 1.0, None, 50), (B.FAMILY_LOWER, 1.0, 0.6, 50),
+                  (B.SHAFER_LOWER, 1.0, 0.5, 50), (B.FAMILY_LOWER, 1.0, math.nan, 0),
+                  (B.CUBIC_LOWER, 1e-30, None, 20)]
+        for case in cases:
+            got = _outcome(eval_bound_hp, *case)
+            assert not isinstance(got, int), case
+            assert got == _outcome(reference_eval_hp, *case), case
+
+    def test_float_forms_equal_to_reference(self):
+        # bit for bit over the whole double range; NaN equals NaN
+        pack = struct.Struct("<d").pack
+        xs = _full_range_xs(4000)
+        for bound, a in _reference_entries():
+            fn, _ = float_form(bound, a)
+            for x in xs:
+                got, want = fn(a, x), REFERENCE_FORMS[bound](a, x)
+                assert (pack(got) == pack(want)
+                        or (math.isnan(got) and math.isnan(want))), (bound, a, x)

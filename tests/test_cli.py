@@ -194,6 +194,29 @@ class TestDominanceAndProfile:
         assert payload["crossovers"][0] == pytest.approx(2.17584, abs=1e-3)
         assert "strict_sign_counts" not in payload
 
+    def test_dominance_stats(self, capsys):
+        argv = ["dominance", "--bound-a", "two-over-pi-lower", "--bound-b",
+                "shafer-lower", "--grid-points", "200", "--format", "json"]
+        _, plain, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        payload = json.loads(out)
+        stats = payload.pop("stats")
+        assert set(stats) == {"dominance_s", "escalated", "checked", "escalated_steps",
+                              "bisection_steps", "package_version", "python_version",
+                              "digits", "grid"}
+        assert stats["dominance_s"] > 0
+        assert stats["digits"] == 50 and stats["grid"]["points"] == stats["checked"] == 200
+        assert stats["package_version"] == arctanbounds.__version__
+        assert 0 <= stats["escalated"] < stats["checked"]
+        assert 0 < stats["escalated_steps"] <= stats["bisection_steps"] <= 64
+        # without --stats the report carries none of it
+        assert payload == json.loads(plain)
+        assert "stats" not in plain and "escalated" not in plain
+        code, out, _ = run(capsys, argv[:-2] + ["--stats"])
+        assert code == 0
+        assert f"fixed point at {stats['escalated']} of 200 grid points" in out
+
     def test_dominance_text(self, capsys):
         code, out, _ = run(capsys, [
             "dominance", "--bound-a", "two-over-pi-upper", "--bound-b",

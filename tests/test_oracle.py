@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import struct
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from arctanbounds import (
     sweep,
 )
 from arctanbounds.catalog import bound_side
+from arctanbounds.oracle import _bisect_crossover
 from arctanbounds.cli import _suite_entries
 
 GRID = GridSpec(1e-8, 1e8, 400, "log")
@@ -232,28 +234,28 @@ def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
         if sign == 0:
             continue
         if prev is not None and signs[prev] != sign:
-            lo, hi = xs[prev], xs[i]
-            s_lo = sign_at(lo)
-            crossing = None
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                s_mid = sign_at(mid)
-                if s_mid == 0:
-                    crossing = mid
-                    break
-                if s_mid == s_lo:
-                    lo = mid
-                else:
-                    hi = mid
-                if (hi - lo) <= 1e-13 * max(1.0, abs(hi)):
-                    break
-            crossovers.append(0.5 * (lo + hi) if crossing is None else crossing)
+            crossovers.append(reference_bisect(sign_at, xs[prev], xs[i], sign_at(xs[prev])))
         prev = i
     counts = {"a_tighter": signs.count(1), "b_tighter": signs.count(-1),
               "equal": signs.count(0)}
     return regions, crossovers, counts
+
+
+def reference_bisect(sign_at, lo, hi, s_lo):
+    """Bisection on the bit patterns of two positive doubles, to relative
+    width 1e-13 or adjacent doubles."""
+    to_bits = lambda v: struct.unpack("<q", struct.pack("<d", v))[0]
+    to_float = lambda n: struct.unpack("<d", struct.pack("<q", n))[0]
+    while to_bits(hi) - to_bits(lo) > 1 and hi - lo > 1e-13 * hi:
+        mid = to_float((to_bits(lo) + to_bits(hi)) // 2)
+        s_mid = sign_at(mid)
+        if s_mid == 0:
+            return mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return to_float((to_bits(lo) + to_bits(hi)) // 2)
 
 
 def _family_pairs():
@@ -358,6 +360,14 @@ class TestDominance:
         assert report.crossovers[0] == pytest.approx(math.sqrt(u * u - 1), abs=1e-9)
         verdicts = [r.verdict for r in report.regions]
         assert verdicts == ["b", "a"]  # Shafer tighter near 0, corrected after
+
+    @pytest.mark.parametrize("lo,hi", [(1e-30, 1e-10), (1e-160, 1.0)])
+    def test_bisection_is_relative_at_any_magnitude(self, lo, hi):
+        # an absolute stopping width returned the first midpoint below ~1e-13
+        flip = 3e-20
+        sign_at = lambda x: 1 if x < flip else -1
+        for bisect in (_bisect_crossover, reference_bisect):
+            assert abs(bisect(sign_at, lo, hi, 1) - flip) <= 1e-13 * flip
 
     def test_sides_must_agree(self):
         with pytest.raises(ParamError):

@@ -3,13 +3,16 @@
 Subcommands mirror the library surface: eval, classify, enclose, find-min,
 verify, dominance, profile.  Default output is text to stdout; ``--format
 json`` (or ``--format csv`` for profile, the one report written as rows) plus
-``--output`` write machine-readable files.  ``verify --stats`` adds, to the
-JSON report, each entry's count of points evaluated in fixed point, the
-oracle and sweep phase times, and the package and Python versions.
-``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
-the counts of grid points and bisection steps decided in fixed point, the
-report's time and the same provenance.  ``enclose`` gives an outward-rounded
-bracket.
+``--output`` write machine-readable files.  ``verify`` lists the first 25
+violations of each entry and counts them all.  ``verify --stats`` adds, to
+the JSON report, each entry's count of points the sweep evaluated in fixed
+point (not the violations it settled in double and lists), the oracle and
+sweep phase times, and the package and Python versions.  ``dominance`` gives
+every grid point one exact verdict; its ``--stats`` adds the counts of grid
+points and bisection steps decided in fixed point, the report's time and the
+same provenance.  ``profile --stats`` adds the oracle and row times, the
+count of rows measured at extra digits and the same provenance.
+``enclose`` gives an outward-rounded bracket.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -43,6 +46,9 @@ SUITE_FAMILY_PARAMS = {
     cat.BoundId.MID_REGIME_LOWER: (0.55, 0.6),
     cat.BoundId.MID_REGIME_UPPER: (0.55, 0.6),
 }
+
+#: Violations listed per entry in a verify report; violation_count counts all.
+VIOLATIONS_LISTED = 25
 
 
 def _env_digits(fallback: int) -> int:
@@ -147,6 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="certified vs actual kernel error over a grid")
     _add_grid_args(p, points=2_000)
     p.add_argument("--digits", type=int, default=_env_digits(orc.DEFAULT_DIGITS))
+    p.add_argument("--stats", action="store_true",
+                   help="add the oracle and row times, the rows measured at "
+                        "extra digits and provenance to the JSON or text report")
     _add_output_args(p, rows=True)
 
     return parser
@@ -225,7 +234,7 @@ def _cmd_verify(args) -> int:
     oracle_done = time.perf_counter()
     for bound, a in _suite_entries(args.suite):
         report = orc.sweep(bound, a=a, grid=grid, digits=args.digits)
-        entry = report.to_json_dict()
+        entry = report.to_json_dict(limit=VIOLATIONS_LISTED)
         if args.stats:
             entry["escalated"] = report.escalated
         if cat.bound_is_trusted(bound):
@@ -234,8 +243,7 @@ def _cmd_verify(args) -> int:
         else:
             entry["status"] = ("known-errata-confirmed" if not report.ok
                                else "known-errata-not-reproduced")
-        if len(entry["violations"]) > 25:
-            entry["violations"] = entry["violations"][:25]
+        if report.violation_count > VIOLATIONS_LISTED:
             entry["violations_truncated"] = True
         results.append(entry)
 
@@ -321,8 +329,21 @@ def _cmd_dominance(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.stats and args.format == "csv":
+        raise ParamError("--stats needs --format json or text; CSV holds rows only")
     spec = ker.DEFAULT_KERNEL
-    prof = ker.error_profile(spec, _grid_from_args(args), digits=args.digits)
+    grid = _grid_from_args(args)
+    started = time.perf_counter()
+    if args.stats:
+        orc._oracle_on_grid(grid, args.digits)
+    oracle_done = time.perf_counter()
+    prof = ker.error_profile(spec, grid, digits=args.digits)
+    stats = {
+        "oracle_s": oracle_done - started,
+        "rows_s": time.perf_counter() - oracle_done,
+        "extra_digit_rows": prof.extra_digit_rows,
+        **_provenance(args.digits, grid),
+    }
     if args.format == "csv":
         if args.output:
             with open(args.output, "w", newline="", encoding="utf-8") as handle:
@@ -330,13 +351,21 @@ def _cmd_profile(args) -> int:
         else:
             prof.write_csv(sys.stdout)
     elif args.format == "json":
-        _emit(args, json.dumps(prof.to_json_dict(), indent=2))
+        payload = prof.to_json_dict()
+        if args.stats:
+            payload["stats"] = stats
+        _emit(args, json.dumps(payload, indent=2))
     else:
         d = prof.to_json_dict()
-        _emit(args, f"kernel a_low={spec.a_low!r} a_high={spec.a_high!r}\n"
-                    f"max certified error = {prof.max_certified!r}\n"
-                    f"max actual error    = {prof.max_actual!r}\n"
-                    f"certified everywhere: {d['certified_everywhere']}")
+        text = (f"kernel a_low={spec.a_low!r} a_high={spec.a_high!r}\n"
+                f"max certified error = {prof.max_certified!r}\n"
+                f"max actual error    = {prof.max_actual!r}\n"
+                f"certified everywhere: {d['certified_everywhere']}")
+        if args.stats:
+            text += (f"\n{stats['extra_digit_rows']} of {grid.points} rows measured "
+                     f"at extra digits; oracle {stats['oracle_s']:.3f} s, "
+                     f"rows {stats['rows_s']:.3f} s")
+        _emit(args, text)
     return 0
 
 

@@ -5,7 +5,11 @@ A value is an integer count of units of ``10**-digits``.  All primitives
 less than one unit.  The transcendental routines (arctan, log, pi) carry ten
 guard digits internally, so their results are accurate to well under one unit
 of the requested precision; arctan in particular satisfies an absolute error
-below ``10**-digits`` by several orders of magnitude.
+below ``10**-digits`` by several orders of magnitude.  arctan reduces its
+argument to [0, 1] by the reciprocal identity, then to within 1/128 of a knot
+j/64 of a table of arctan(j/64), built when first needed at a working
+precision and kept for the 16 most recent; pi is 4*arctan(1), the table's
+last entry.
 
 Python integers already provide exact floor division and an exact integer
 square root (``math.isqrt``), so no iterative refinement layer is needed.
@@ -63,21 +67,23 @@ def sqrt_units(units: int, digits: int) -> int:
 
 
 def _series_budget(digits: int) -> int:
-    # reduced arguments satisfy |t| <= 1/8 (arctan) or |z| <= ~1/500 (atanh),
-    # so the true term count is ~digits/1.8; the budget only guards bugs
+    # reduced arguments satisfy |t| <= 1/64 (arctan) or |z| <= ~1/500 (atanh),
+    # so the true term count is ~digits/3.6; the budget only guards bugs
     return 8 * digits + 64
 
 
-def _atan_reduced(t: int, scale: int, digits: int) -> int:
-    """arctan of 0 <= t <= scale/8, alternating Taylor series with
-    first-omitted-term cutoff."""
+def _atan_series(t: int, sq_num: int, sq_den: int, digits: int) -> int:
+    """arctan of t >= 0 units, at most 1/64 in value, whose square in value
+    is sq_num/sq_den: the alternating Taylor series with first-omitted-term
+    cutoff.  A rational argument with a small numerator and denominator
+    passes them squared, so each term takes a product and a quotient by small
+    integers."""
     total = term = t
-    tsq = t * t // scale
     k = 3
     sign = -1
     budget = _series_budget(digits)
     while True:
-        term = term * tsq // scale
+        term = term * sq_num // sq_den
         contrib = term // k
         if contrib == 0:
             break
@@ -89,37 +95,64 @@ def _atan_reduced(t: int, scale: int, digits: int) -> int:
     return total
 
 
+#: atan_units reduces its argument to the nearest knot j/_KNOTS of [0, 1].
+_KNOTS = 64
+
+
+@lru_cache(maxsize=16)
+def _atan_table(work: int) -> tuple[int, ...]:
+    """arctan(j/64) for j = 0..64, in units of 10**-work.
+
+    Telescoped from arctan(j/64) = arctan((j-1)/64) + arctan(64/(4096 +
+    j(j-1))), so each entry adds one series at an argument of at most 1/64.
+    Error budget: such a series has under 0.28*work terms, each off by under
+    1.4 units (the floors of the term and of its quotient by k), plus a unit
+    for the floored argument and one for the cutoff, so under 0.4*work + 3
+    units; the 64 telescoped sums stay within 26*work + 192 units of
+    10**-work.  With the ten guard digits that is below 10**-6 of a unit of
+    the requested precision up to 330 digits.
+    """
+    scale = pow10(work)
+    table = [0]
+    for j in range(1, _KNOTS + 1):
+        den = _KNOTS * _KNOTS + j * (j - 1)
+        step = _atan_series(_KNOTS * scale // den, _KNOTS * _KNOTS, den * den, work)
+        table.append(table[-1] + step)
+    return tuple(table)
+
+
 def atan_units(x_units: int, digits: int) -> int:
     """arctan of x_units/10**digits, in the same units.
 
     Reduction: odd symmetry (computed on |x| and negated, so the symmetry is
-    exact); arctan x = pi/2 - arctan(1/x) for |x| > 1; then the halving
-    identity arctan x = 2*arctan(x / (1 + sqrt(1+x^2))) until the argument is
-    at most 1/8.
+    exact); arctan x = pi/2 - arctan(1/x) for |x| > 1; then the nearest knot
+    j/64 of a table of arctan(j/64) (see _atan_table), arctan t =
+    arctan(j/64) + arctan(t'), t' = (64t - j)/(64 + jt), so |t'| <= 1/128 and
+    the series needs about work/4 terms.  The work precision carries ten
+    guard digits; the table's error and the series' few units stay far below
+    one unit of the result, which is then rounded to nearest.
     """
     if x_units == 0:
         return 0
     work = digits + _GUARD_DIGITS
-    scale = 10 ** work
-    t = abs(x_units) * 10 ** _GUARD_DIGITS
+    scale = pow10(work)
+    t = abs(x_units) * pow10(_GUARD_DIGITS)
 
-    recip = False
-    if t > scale:
-        t = scale * scale // t
-        recip = True
-
-    halvings = 0
-    eighth = scale // 8
-    while t > eighth:
-        u = math.isqrt((scale + t * t // scale) * scale)  # sqrt(1 + t^2)
-        t = t * scale // (scale + u)
-        halvings += 1
-        if halvings > 8:
-            raise PrecisionError("argument halving failed to reduce")
-
-    total = _atan_reduced(t, scale, work) << halvings
+    recip = t > scale
     if recip:
-        total = pi_units(work) // 2 - total
+        t = scale * scale // t
+
+    j = (2 * _KNOTS * t + scale) // (2 * scale)     # nearest knot, 0 <= j <= 64
+    # t' in units; at j = 0 it is t itself and no table is needed, so tiny
+    # arguments at many precisions build no tables
+    r = (_KNOTS * t - j * scale) * scale // (_KNOTS * scale + j * t) if j else t
+    r_sq = r * r // scale
+    total = (_atan_series(r, r_sq, scale, work) if r >= 0
+             else -_atan_series(-r, r_sq, scale, work))
+    if j:
+        total += _atan_table(work)[j]
+    if recip:
+        total = 2 * _atan_table(work)[_KNOTS] - total   # pi/2 = 2*arctan(1)
 
     result = _rescale(total, work, digits)
     return result if x_units > 0 else -result
@@ -127,12 +160,10 @@ def atan_units(x_units: int, digits: int) -> int:
 
 @lru_cache(maxsize=None)
 def pi_units(digits: int) -> int:
-    """pi in units of 10**-digits, as 4*arctan(1) at ten guard digits.
-
-    arctan(1) takes no reciprocal step in atan_units, so this does not recurse.
-    """
+    """pi in units of 10**-digits, as 4*arctan(1) from the arctan table at ten
+    guard digits."""
     work = digits + _GUARD_DIGITS
-    return _rescale(4 * atan_units(pow10(work), work), work, digits)
+    return _rescale(4 * _atan_table(work)[_KNOTS], work, digits)
 
 
 def log_units(y_units: int, digits: int) -> int:

@@ -115,7 +115,7 @@ class ErrorProfile:
     certification property.  Rows whose certified error is below
     10**(3-digits), which the oracle at `digits` cannot resolve, are measured
     at enough extra digits to put the oracle's error below a tenth of an ulp
-    of the certificate.
+    of the certificate; extra_digit_rows counts them.
     """
 
     spec: KernelSpec
@@ -124,6 +124,7 @@ class ErrorProfile:
     rows: list[ProfileRow]
     max_certified: float
     max_actual: float
+    extra_digit_rows: int
 
     def write_csv(self, stream: io.TextIOBase) -> None:
         writer = csv.writer(stream)
@@ -161,6 +162,7 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     max_cert = 0.0
     max_act = 0.0
     unresolved = 10.0 ** (3 - digits)
+    extra_digit_rows = 0
     oracle_vals = orc._oracle_on_grid(grid, digits)
     for x, oracle_hp in zip(grid.values(), oracle_vals):
         est = approx(spec, x)
@@ -169,6 +171,7 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
             # below 2**-53 / 10 of the certificate
             d = 18 - math.floor(math.log10(est.error_bound))
             actual = abs(float(fp.FixedReal(est.value, d) - orc.oracle_arctan(x, d)))
+            extra_digit_rows += 1
         else:
             actual = abs(float(fp.FixedReal(est.value, digits) - oracle_hp))
         ratio = math.inf if actual == 0.0 else est.error_bound / actual
@@ -176,4 +179,5 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
         max_cert = max(max_cert, est.error_bound)
         max_act = max(max_act, actual)
     return ErrorProfile(spec=spec, grid=grid, digits=digits, rows=rows,
-                        max_certified=max_cert, max_actual=max_act)
+                        max_certified=max_cert, max_actual=max_act,
+                        extra_digit_rows=extra_digit_rows)

@@ -10,23 +10,27 @@ oracle rounded to a double, cached once per grid and digits.  The point is
 settled, the inequality holding, when that margin m exceeds a proven error
 bound E: the float form's own rounding error (from the catalog), the
 rounding of the oracle's double and of the subtraction, and the fixed-point
-path's own error, for which ``10**(5-digits)`` is a floor.  A settled point
-gets the verdict the fixed-point path would give.  Stage 2 sends every other
-point to the fixed-point path (``eval_bound_hp`` at the sweep's digits, a
-straight line of integer operations per catalog entry):
-points with |m| <= E, points outside [2**-500, 2**500], non-finite float
-values, and every violation, whose report holds the fixed-point bound.  So
-verdicts, violations and the minimum margin are those of a sweep that
-evaluates every point in fixed point: the minimum is taken over exact
-margins at every point whose margin interval m -+ E could reach it.  The
-thinnest true margins (the a = 1/2 family lower bound near x = 1e-8, margin
-~ x^5/180 ~ 5.6e-43) lie far below one double ulp and always escalate; the
-default 50 sweep digits resolve every certified margin on the default grid
-with several orders to spare.  A dominance report decides the sign of the
-difference of two bounds with the same filter, the second bound taking the
-oracle's place, and gives every grid point that one exact verdict.  It
-bisects each crossover on the bit patterns of the two doubles, to a
-relative width of 1e-13 at any magnitude.
+path's own error, for which ``10**(5-digits)`` is a floor.  The point is a
+proven violation when m < -E, the symmetric use of the same bound (the
+adaptive filter of Shewchuk, 1997).  A settled point gets the verdict the
+fixed-point path would give.  A violation settled so is counted at once, and
+its fixed-point bound is computed only when the report's listing is read.
+Stage 2 sends every other point to the fixed-point path (``eval_bound_hp``
+at the sweep's digits, a straight line of integer operations per catalog
+entry): points with |m| <= E, points outside [2**-500, 2**500] and
+non-finite float values, then the settled points whose margin interval could
+reach the minimum.  Stage 1 keeps only those whose interval's low end is at
+most the lowest high end seen so far.  So verdicts, violations and the
+minimum margin are those of a sweep that evaluates every point in fixed
+point: the minimum is taken over exact margins at every point whose margin
+interval m -+ E could reach it.  The thinnest true margins (the a = 1/2
+family lower bound near x = 1e-8, margin ~ x^5/180 ~ 5.6e-43) lie far below
+one double ulp and always escalate; the default 50 sweep digits resolve
+every certified margin on the default grid with several orders to spare.  A
+dominance report decides the sign of the difference of two bounds with the
+same filter, the second bound taking the oracle's place, and gives every
+grid point that one exact verdict.  It bisects each crossover on the bit
+patterns of the two doubles, to a relative width of 1e-13 at any magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -35,11 +39,9 @@ pi/2, so one convention cannot serve both ends of the grid).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -143,10 +145,13 @@ def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
 class SweepReport:
     """Outcome of checking one bound against the oracle over a grid.
 
-    violations list (x, bound, oracle) for every non-positive margin; the
-    report is clean iff violations is empty iff min_margin > 0.  escalated
-    counts the grid points the sweep evaluated in fixed point, the candidates
-    for the minimum margin included.  rows hold
+    violation_at holds, in grid order, the index of every grid point with a
+    non-positive margin; the report is clean iff it is empty iff min_margin >
+    0.  violations lists (x, bound, oracle) for them, bound from the
+    fixed-point path, and violations_listed(n) the first n of them; a
+    violation settled in double gets its fixed-point bound only when listed.
+    escalated counts the grid points the sweep evaluated in fixed point, the
+    candidates for the minimum margin included.  rows hold
     (x, bound, oracle, margin) per grid point, all from the fixed-point path;
     margin is signed so that positive means the inequality holds at that
     point.  They are computed when first read.
@@ -157,14 +162,37 @@ class SweepReport:
     side: str
     grid: GridSpec
     digits: int
-    violations: list[tuple[float, float, float]]
+    violation_at: tuple[int, ...]
     min_margin: float
     min_margin_x: float
     escalated: int
+    #: fixed-point bound doubles of the violations evaluated so far, by index
+    _bound_at: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violation_at
+
+    @property
+    def violation_count(self) -> int:
+        return len(self.violation_at)
+
+    def violations_listed(self, limit: Optional[int] = None
+                          ) -> list[tuple[float, float, float]]:
+        """(x, bound, oracle) for the first `limit` violations, all if None."""
+        xs = self.grid.values()
+        oracle_hp = _oracle_on_grid(self.grid, self.digits)
+        listed = []
+        for i in self.violation_at[:limit]:
+            if i not in self._bound_at:
+                self._bound_at[i] = _exact_point(self.bound, self.a, self.side, xs[i],
+                                                 oracle_hp[i], self.digits)[0]
+            listed.append((xs[i], self._bound_at[i], float(oracle_hp[i])))
+        return listed
+
+    @cached_property
+    def violations(self) -> list[tuple[float, float, float]]:
+        return self.violations_listed()
 
     @cached_property
     def rows(self) -> list[tuple[float, float, float, float]]:
@@ -176,7 +204,9 @@ class SweepReport:
             rows.append((x, bound_f, float(oracle_hp), margin))
         return rows
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, limit: Optional[int] = None) -> dict:
+        """The report as JSON, listing the first `limit` violations (all if
+        None); violation_count counts every one."""
         return {
             "bound": self.bound.value,
             "a": self.a,
@@ -190,18 +220,14 @@ class SweepReport:
             },
             "trusted": cat.bound_is_trusted(self.bound),
             "violations": [
-                {"x": x, "bound": b, "oracle": o} for x, b, o in self.violations
+                {"x": x, "bound": b, "oracle": o}
+                for x, b, o in self.violations_listed(limit)
             ],
-            "violation_count": len(self.violations),
+            "violation_count": self.violation_count,
             "min_margin": self.min_margin,
             "min_margin_x": self.min_margin_x,
             "ok": self.ok,
         }
-
-    def write_csv(self, stream: io.TextIOBase) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(["x", "bound", "oracle", "margin"])
-        writer.writerows(self.rows)
 
 
 def sweep(bound: cat.BoundId, a: Optional[float] = None,
@@ -236,12 +262,18 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     four_u = 2.0 ** -51
     floor = 10.0 ** (5 - digits)
 
-    # stage 1: settle m > E in double.  A settled point's reported margin lies
-    # within rad = 2E of its estimate: E bounds the estimate's error, and as
-    # E >= 4u(o + |b|) >= 3u m it also covers the rounding of the reported
-    # margin, of the division by o and of these sums.
+    # stage 1: settle m > E (holds) and m < -E (violated) in double.  A
+    # settled point's reported margin lies within rad = 2E of its estimate: E
+    # bounds the estimate's error, and as E >= 4u(o + |b|) >= 3u|m| it also
+    # covers the rounding of the reported margin, of the division by o and of
+    # these sums.  Only a point whose low end is at most the running min_high
+    # can hold the minimum, and min_high only falls.  Every bound and arctan
+    # lie below 2x near 0, so |m| > floor puts x far above the half unit
+    # below which eval_bound_hp raises, and b is finite: listing a settled
+    # violation later never raises.
     escalate = []
-    settled = []        # (index, lowest possible reported margin)
+    violated = []
+    candidates = []     # (index, lowest possible reported margin)
     min_high = math.inf
     for i, x in enumerate(xs):
         if not float_lo <= x <= float_hi:
@@ -252,27 +284,30 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         m = o - b if lower else b - o
         e = float_error(x, b) + four_u * (o + abs(b)) + floor
         if not m > e:
-            escalate.append(i)
-            continue
+            if not m < -e:      # unsettled, or NaN
+                escalate.append(i)
+                continue
+            violated.append(i)
         rad = 2 * e
         if x > 1.0:
             m, rad = m / o, rad / o
         if m + rad < min_high:
             min_high = m + rad
-        settled.append((i, m - rad))
+        if m - rad <= min_high:
+            candidates.append((i, m - rad))
 
     # stage 2: the fixed-point path for the escalated points, then for the
-    # settled ones whose reported margin could be the smallest
+    # candidates whose reported margin could still be the smallest
     exact = {}
-    violations = []
+    bound_at = {}
     for i in escalate:
         bound_f, margin, holds = _exact_point(bound, a, side, xs[i], oracle_hp[i], digits)
         exact[i] = margin
         if not holds:
-            violations.append((xs[i], bound_f, oracle_f[i]))
+            bound_at[i] = bound_f
         if margin < min_high:
             min_high = margin
-    for i, low in settled:
+    for i, low in candidates:
         if low <= min_high:
             exact[i] = _exact_point(bound, a, side, xs[i], oracle_hp[i], digits)[1]
 
@@ -283,8 +318,9 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
             min_margin = exact[i]
             min_x = xs[i]
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
-                       violations=violations, min_margin=min_margin,
-                       min_margin_x=min_x, escalated=len(exact))
+                       violation_at=tuple(sorted(violated + list(bound_at))),
+                       min_margin=min_margin, min_margin_x=min_x,
+                       escalated=len(exact), _bound_at=bound_at)
 
 
 @dataclass(frozen=True)

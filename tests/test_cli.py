@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,9 @@ import arctanbounds
 from arctanbounds import cli
 
 VERIFY_ARGS = ["verify", "--grid-points", "300", "--format", "json"]
+#: verify --suite all --format json on the default grid, recorded before the
+#: sweep settled violations in double; the output must not move by a byte
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_default.json"
 
 
 def run(capsys, argv):
@@ -170,10 +174,17 @@ class TestVerify:
         assert sum(counts) == stats["escalated"] < stats["checked"] == 300 * len(counts)
         errata = next(i for i, e in enumerate(payload["results"])
                       if e["bound"] == "two-over-pi-lower-errata")
-        assert counts[errata] >= payload["results"][errata]["violation_count"]
+        # the errata's violations are settled in double, not in fixed point
+        assert counts[errata] < payload["results"][errata]["violation_count"] == 300
         # without --stats the report carries none of it
         assert payload == json.loads(plain)
         assert "stats" not in plain and "escalated" not in plain
+
+    def test_default_suite_matches_golden(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
+        code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json"])
+        assert code == 0
+        assert out.encode("utf-8") == VERIFY_GOLDEN.read_bytes()
 
     def test_fixed_suite_subset(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "fixed",
@@ -237,6 +248,29 @@ class TestDominanceAndProfile:
         code, out, _ = run(capsys, ["profile", "--digits", "20", "--format", "json"])
         assert code == 0
         assert json.loads(out)["certified_everywhere"] is True
+
+    def test_profile_stats(self, capsys):
+        argv = ["profile", "--digits", "20", "--grid-points", "300", "--format", "json"]
+        _, plain, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        payload = json.loads(out)
+        stats = payload.pop("stats")
+        assert set(stats) == {"oracle_s", "rows_s", "extra_digit_rows",
+                              "package_version", "python_version", "digits", "grid"}
+        assert stats["oracle_s"] > 0 and stats["rows_s"] > 0
+        assert stats["digits"] == 20 and stats["grid"]["points"] == 300
+        assert stats["package_version"] == arctanbounds.__version__
+        # certificates near 1e-22 need more than 20 digits
+        assert 0 < stats["extra_digit_rows"] < 300
+        # without --stats the report carries none of it
+        assert payload == json.loads(plain)
+        assert "stats" not in plain
+        code, out, _ = run(capsys, argv[:-2] + ["--stats"])
+        assert code == 0
+        assert f"{stats['extra_digit_rows']} of 300 rows measured at extra digits" in out
+        code, out, err = run(capsys, argv[:-2] + ["--stats", "--format", "csv"])
+        assert code == 2 and out == "" and "ParamError" in err
 
     def test_profile_csv_file(self, capsys, tmp_path):
         target = tmp_path / "profile.csv"

@@ -3,11 +3,13 @@ import random
 import struct
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arctanbounds import fixedpoint as fp
 from arctanbounds.errors import DomainError
 from arctanbounds.fixedpoint import FixedReal
 
@@ -189,6 +191,76 @@ class TestAtan:
         x = -mag if neg else mag
         hp = FixedReal(x, 30).atan()
         assert abs(float(hp) - math.atan(x)) <= 4 * math.ulp(math.atan(x))
+
+
+def reference_atan_units(x_units: int, digits: int) -> int:
+    """arctan by the halving reduction the knot table replaced: reciprocal
+    step, then arctan x = 2*arctan(x / (1 + sqrt(1+x^2))) down to 1/8, then
+    the alternating series, all at ten guard digits."""
+    if x_units == 0:
+        return 0
+    work = digits + 10
+    scale = 10 ** work
+    t = abs(x_units) * 10 ** 10
+    recip = t > scale
+    if recip:
+        t = scale * scale // t
+    halvings = 0
+    while t > scale // 8:
+        u = math.isqrt((scale + t * t // scale) * scale)
+        t = t * scale // (scale + u)
+        halvings += 1
+    total = term = t
+    tsq = t * t // scale
+    k, sign = 3, -1
+    while True:
+        term = term * tsq // scale
+        if term // k == 0:
+            break
+        total += sign * (term // k)
+        sign, k = -sign, k + 2
+    total <<= halvings
+    if recip:
+        total = reference_pi_units(work) // 2 - total
+    result = fp._rescale(total, work, digits)
+    return result if x_units > 0 else -result
+
+
+@lru_cache(maxsize=None)
+def reference_pi_units(digits: int) -> int:
+    work = digits + 10
+    return fp._rescale(4 * reference_atan_units(10 ** work, work), work, digits)
+
+
+def _table_reduction_points() -> list[float]:
+    """Doubles that exercise every branch of the knot-table reduction."""
+    rng = random.Random(20090217)
+    points = [0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+              5e-324, sys.float_info.max]
+    for j in range(65):
+        knot = j / 64
+        points += [knot, math.nextafter(knot, 0.0), math.nextafter(knot, 2.0)]
+    points += [(j + 0.5) / 64 for j in range(64)]      # rounding boundaries
+    while len(points) < 400:                           # every binade
+        v = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+        if math.isfinite(v):
+            points.append(abs(v))
+    for _ in range(100):                               # every knot, both sides of 1
+        u = rng.random()
+        points += [u, 1.0 / u] if u else [u]
+    return points + [-v for v in points]
+
+
+class TestAtanTableReduction:
+    @pytest.mark.parametrize("digits", [20, 30, 50, 100, 320])
+    def test_units_match_halving_reference(self, digits):
+        for x in _table_reduction_points():
+            x_units = fp.float_units(x, digits)
+            assert fp.atan_units(x_units, digits) == reference_atan_units(x_units, digits), x
+
+    def test_pi_matches_reference(self):
+        for digits in range(1, 331):
+            assert fp.pi_units(digits) == reference_pi_units(digits), digits
 
 
 class TestLog:

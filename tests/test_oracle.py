@@ -1,5 +1,3 @@
-import dataclasses
-import io
 import json
 import math
 import random
@@ -25,10 +23,27 @@ from arctanbounds import (
     sweep,
 )
 from arctanbounds.catalog import bound_side
-from arctanbounds.oracle import _bisect_crossover
+from arctanbounds import cli
 from arctanbounds.cli import _suite_entries
+from arctanbounds.oracle import _bisect_crossover
 
 GRID = GridSpec(1e-8, 1e8, 400, "log")
+
+
+@pytest.fixture
+def fixed_point_calls(monkeypatch) -> list:
+    """The x of every eval_bound_hp call the package makes through the
+    catalog module, as sweeps and dominance reports do (the references here
+    call the function they imported, and are not counted)."""
+    calls = []
+    original = arctanbounds.catalog.eval_bound_hp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(arctanbounds.catalog, "eval_bound_hp", counting)
+    return calls
 
 
 class TestOracle:
@@ -119,14 +134,6 @@ class TestSweep:
             # checks the abs/rel convention, not the margin's full precision
             assert margin == pytest.approx(expected, rel=1e-5, abs=1e-20)
 
-    def test_csv_rows(self):
-        report = sweep(BoundId.RATIO_LOWER, grid=GridSpec(0.1, 10, 16, "log"))
-        buffer = io.StringIO()
-        report.write_csv(buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "x,bound,oracle,margin"
-        assert len(lines) == 17
-
     def test_json_round_trip(self):
         report = sweep(BoundId.LOG_LOWER, grid=GridSpec(0.1, 10, 16, "log"))
         payload = report.to_json_dict()
@@ -197,13 +204,59 @@ class TestFilteredSweepMatchesReference:
                 continue
             rows, violations, min_margin, min_x = expected
             report = sweep(bound, a=a, grid=grid, digits=digits)
-            reference = dataclasses.replace(report, violations=violations,
-                                            min_margin=min_margin, min_margin_x=min_x)
-            assert report.to_json_dict() == reference.to_json_dict(), (bound, a)
+            reference = report.to_json_dict()
+            reference.update(
+                violations=[{"x": x, "bound": b, "oracle": o} for x, b, o in violations],
+                violation_count=len(violations), min_margin=min_margin,
+                min_margin_x=min_x, ok=not violations)
+            assert report.to_json_dict() == reference, (bound, a)
+            assert report.violations == violations, (bound, a)
             if check_rows:
                 assert report.rows == rows, (bound, a)
             escalated += report.escalated
         assert escalated <= max_share * grid.points * len(_suite_entries("all"))
+
+
+class TestSettledViolations:
+    """A margin below -E is a proven violation: counted in double, its
+    fixed-point bound computed only when the listing is read."""
+
+    def test_errata_violations_stay_in_double(self, fixed_point_calls):
+        calls = fixed_point_calls
+        report = sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, grid=DEFAULT_GRID)
+        assert report.violation_count == DEFAULT_GRID.points
+        assert len(calls) < 0.05 * DEFAULT_GRID.points
+        assert len(calls) == report.escalated
+        calls.clear()
+        listed = report.violations_listed(25)
+        assert [x for x, _, _ in listed] == list(DEFAULT_GRID.values()[:25])
+        assert len(calls) <= 25
+
+    def test_cli_lists_first_25(self, capsys, fixed_point_calls):
+        grid = GridSpec(1e-8, 1e8, 300, "log")
+        oracle = [oracle_arctan(x, 50) for x in grid.values()]
+        _, reference, _, _ = reference_sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, None,
+                                             grid, 50, oracle)
+        assert fixed_point_calls == []
+        assert cli.main(["verify", "--suite", "fixed", "--grid-points", "300",
+                         "--format", "json", "--stats"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        entry = next(e for e in payload["results"]
+                     if e["bound"] == "two-over-pi-lower-errata")
+        assert entry["violation_count"] == 300 and entry["violations_truncated"] is True
+        assert entry["violations"] == [{"x": x, "bound": b, "oracle": o}
+                                       for x, b, o in reference[:25]]
+        # the sweeps' own fixed-point points, and at most the 25 listed
+        assert len(fixed_point_calls) <= payload["stats"]["escalated"] + 25
+
+    def test_zero_units_raise_inside_sweep(self):
+        grid = GridSpec(1e-60, 1.0, 200, "log")
+        oracle = [oracle_arctan(x, 50) for x in grid.values()]
+        bound = BoundId.TWO_OVER_PI_LOWER_ERRATA
+        with pytest.raises(PrecisionError) as expected:
+            reference_sweep(bound, None, grid, 50, oracle)
+        with pytest.raises(PrecisionError, match=re.escape(str(expected.value))):
+            sweep(bound, grid=grid, digits=50)
 
 
 def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
@@ -308,15 +361,8 @@ class TestDominanceMatchesReference:
             # bit-identical, not approximately equal
             assert payload["crossovers"] == crossovers, (bound_a, bound_b, a_a, a_b)
 
-    def test_few_points_reach_fixed_point(self, monkeypatch):
-        calls = []
-        original = arctanbounds.catalog.eval_bound_hp
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(arctanbounds.catalog, "eval_bound_hp", counting)
+    def test_few_points_reach_fixed_point(self, fixed_point_calls):
+        calls = fixed_point_calls
         for bound_a, bound_b, a_a, a_b in [
                 (BoundId.SHAFER_LOWER, BoundId.TWO_OVER_PI_LOWER, None, None),
                 *_family_pairs()[::5]]:

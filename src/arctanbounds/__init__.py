@@ -19,8 +19,6 @@ from .catalog import (
 )
 from .errors import (
     ArctanBoundsError,
-    BracketError,
-    ConvergenceError,
     DomainError,
     ParamError,
     PrecisionError,
@@ -28,7 +26,6 @@ from .errors import (
 )
 from .family import (
     MinimumResult,
-    SolverConfig,
     family_ratio,
     family_ratio_at_zero,
     find_interior_minimum,
@@ -66,9 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArctanBoundsError",
     "BoundId",
-    "BracketError",
     "CertifiedValue",
-    "ConvergenceError",
     "DEFAULT_DIGITS",
     "DEFAULT_GRID",
     "DEFAULT_KERNEL",
@@ -85,7 +80,6 @@ __all__ = [
     "PrecisionError",
     "Regime",
     "SingularityError",
-    "SolverConfig",
     "SweepReport",
     "TWO_OVER_PI",
     "approx",

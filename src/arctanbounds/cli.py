@@ -123,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-min", help="interior minimum of the family ratio")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--max-iterations", type=int, default=200)
     _add_output_args(p)
 
     p = sub.add_parser("verify", help="sweep the catalog against the oracle")
@@ -200,9 +198,7 @@ def _cmd_enclose(args) -> int:
 
 
 def _cmd_find_min(args) -> int:
-    config = fam.SolverConfig(tolerance=args.tolerance,
-                              max_iterations=args.max_iterations)
-    res = fam.find_interior_minimum(args.a, config)
+    res = fam.find_interior_minimum(args.a)
     payload = {"a": args.a, "x0": res.x0, "value": res.value, "u": res.u,
                "residual": res.residual}
     if args.format == "json":
@@ -225,6 +221,7 @@ def _suite_entries(suite: str):
 
 
 def _cmd_verify(args) -> int:
+    orc.check_digits(args.digits, "sweep")     # before the timed oracle build
     grid = _grid_from_args(args)
     results = []
     failed = False
@@ -331,6 +328,7 @@ def _cmd_dominance(args) -> int:
 def _cmd_profile(args) -> int:
     if args.stats and args.format == "csv":
         raise ParamError("--stats needs --format json or text; CSV holds rows only")
+    orc.check_digits(args.digits, "error profile")    # before the timed oracle build
     spec = ker.DEFAULT_KERNEL
     grid = _grid_from_args(args)
     started = time.perf_counter()

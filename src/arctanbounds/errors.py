@@ -20,11 +20,3 @@ class SingularityError(ArctanBoundsError):
 class PrecisionError(ArctanBoundsError):
     """A high-precision routine could not meet its error target within budget."""
 
-
-class BracketError(ArctanBoundsError):
-    """Root bracketing failed to find a sign change."""
-
-
-class ConvergenceError(ArctanBoundsError):
-    """Iteration budget exhausted before reaching the residual tolerance."""
-

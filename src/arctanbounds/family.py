@@ -12,9 +12,10 @@ here expose the derivative factorization used to prove the regime split:
   both increase in x, with ranges (-1, -sqrt2/2) and (1/2, sqrt2/2).
 
 For 1/2 < a < 2/pi the gap has a single zero, which is the unique interior
-minimum of the ratio; ``find_interior_minimum`` locates it by bracketing plus
-bisection on the gap, and ``minimum_value_closed_form`` gives the minimum as
-(a+u)^2 / (u (1+a u)) with u = sqrt(1 + x0^2).
+minimum of the ratio; ``find_interior_minimum`` locates it by bisecting
+the gap's sign, each sign decided in fixed point past a derived error bound,
+and ``minimum_value_closed_form`` gives the minimum as (a+u)^2 / (u (1+a u))
+with u = sqrt(1 + x0^2).
 
 All evaluations accept floats or :class:`~arctanbounds.fixedpoint.FixedReal`.
 """
@@ -25,14 +26,9 @@ import math
 from dataclasses import dataclass
 
 from . import fixedpoint as fp
+from . import oracle as orc
 from .catalog import TWO_OVER_PI
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    ParamError,
-    SingularityError,
-)
+from .errors import DomainError, ParamError, PrecisionError, SingularityError
 
 
 def _check_positive(x) -> None:
@@ -126,24 +122,6 @@ def shafer_defect_derivative(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Settings for the interior-minimum search.
-
-    tolerance is a residual bound on the stationarity gap, not on x; the
-    bisection is therefore insensitive to the gap's local slope.
-    """
-
-    tolerance: float = 1e-12
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ParamError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ParamError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
 class MinimumResult:
     """Located interior minimum of the family ratio."""
 
@@ -153,59 +131,73 @@ class MinimumResult:
     residual: float
 
 
-def find_interior_minimum(a: float, config: SolverConfig = SolverConfig()) -> MinimumResult:
+#: Digits of the first fixed-point evaluation of the gap, and the most that
+#: _certified_gap doubles them to.
+_GAP_DIGITS = 30
+_GAP_MAX_DIGITS = 480
+
+#: Error bound, in units of 10**-d, of stationarity_gap(FixedReal(a, d),
+#: FixedReal(x, d)) for 1/2 < a < 2/pi, x > 0, d >= 20.  With e = 10**-d,
+#: A and X the unit-rounded a and x, u = sqrt(1+X^2), every operand positive,
+#: so each floor lowers a value by less than e:
+#:   S = 1 + X*X          in (u^2 - e, u^2]
+#:   U = sqrt(S)          in (u - 1.5e, u]        (sqrt's slope is 1/2 at 1)
+#:   P = 1 + A*U          in (1 + Au - 2e, 1 + Au]  (A < 0.64)
+#:   N = X + X*X*X + A*X*U  n = Xu(u+A) minus [0, (2X + u + 2)e)
+#:   M = S*P              m = u^2(1+Au) minus [0, 5u^2 e)
+#: and the quotient floor(N/M) differs from f = n/m by N/M - n/m - [0, e),
+#: where n/m - N/M <= (n-N)/M < (2X + u + 2)e/u^2 <= 5e (X < u, u >= 1) and
+#: N/M - n/m <= f(m-M)/M < 5fe/(1+Au) < 6.7e, since f < 1/A and
+#: 1/(A(1+A)) <= 4/3.  So |floor(N/M) - f| < 7e (to first order; e <= 1e-20
+#: keeps the rest below the slack), atan_units is within 0.6e, and the
+#: difference is exact: under 7.6e from g(A, X).  Rounding a and x to units
+#: moves g by at most 4e/2 + 3e/2, as |dg/da| = x^3/(u(1+au)^2) < 1/a^2 <= 4
+#: and |dg/dx| <= 3 (f' is a positive term at most 1 less one at most
+#: 1/(au) <= 2, and arctan' <= 1).  In all under 11.1e.
+_GAP_ERROR_UNITS = 12
+
+
+def _certified_gap(a: float, x: float) -> fp.FixedReal:
+    """stationarity_gap(a, x) in fixed point at the first precision, from
+    _GAP_DIGITS doubling up to _GAP_MAX_DIGITS, where its size exceeds
+    _GAP_ERROR_UNITS, so that its sign is the true gap's.  PrecisionError
+    past the cap."""
+    digits = _GAP_DIGITS
+    while digits <= _GAP_MAX_DIGITS:
+        g = stationarity_gap(fp.FixedReal(a, digits), fp.FixedReal(x, digits))
+        if abs(g.units) > _GAP_ERROR_UNITS:
+            return g
+        digits *= 2
+    raise PrecisionError(
+        f"sign of the gap at a={a!r}, x={x!r} unresolved at {_GAP_MAX_DIGITS} digits")
+
+
+def find_interior_minimum(a: float) -> MinimumResult:
     """Locate the unique interior minimum of the ratio for 1/2 < a < 2/pi.
 
-    Brackets the single sign change of the stationarity gap starting from
-    x = 1 (doubling upward while the gap is negative, halving downward while
-    it is positive; for a near 1/2 the minimum sits below 1), then bisects until
-    |gap| <= config.tolerance.
+    The gap is negative below the minimum and positive above it, and each of
+    its signs is certified by _certified_gap.  From x = 1 the search doubles
+    x while the gap is negative and halves it while it is positive until the
+    sign changes (x0 runs from 4.7e-8 at the double next above 1/2 to 2.6e15
+    at the one next below 2/pi), then bisects that bracket with the oracle's
+    crossover bisection, to relative width 1e-13.  residual is |gap(x0)|.
     """
     if not 0.5 < a < TWO_OVER_PI:
         raise ParamError(
             f"interior minimum exists only for 1/2 < a < 2/pi, got a={a!r}")
 
-    gap = lambda x: stationarity_gap(a, x)
-    x = 1.0
-    g = gap(x)
-    if g < 0:
-        lo, hi = x, x
-        for _ in range(config.max_iterations):
-            lo, hi = hi, hi * 2.0
-            if gap(hi) > 0:
-                break
-        else:
-            raise BracketError(f"no sign change of the gap above x=1 for a={a!r}")
-    elif g > 0:
-        lo, hi = x, x
-        for _ in range(config.max_iterations):
-            lo, hi = lo / 2.0, lo
-            if gap(lo) < 0:
-                break
-        else:
-            raise BracketError(f"no sign change of the gap below x=1 for a={a!r}")
-    else:
-        return _finish(a, x, 0.0)
-
-    for _ in range(config.max_iterations):
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if abs(g_mid) <= config.tolerance:
-            return _finish(a, mid, abs(g_mid))
-        if g_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"residual above {config.tolerance!r} after {config.max_iterations} bisections")
-
-
-def _finish(a: float, x0: float, residual: float) -> MinimumResult:
+    sign_at = lambda x: 1 if _certified_gap(a, x).units > 0 else -1
+    x, s = 1.0, sign_at(1.0)
+    step = 2.0 if s < 0 else 0.5
+    while sign_at(x * step) == s:
+        x *= step
+    lo, hi = sorted((x, x * step))
+    x0 = orc._bisect_crossover(sign_at, lo, hi, -1)
     return MinimumResult(
         x0=x0,
         value=family_ratio(a, x0),
         u=math.sqrt(1.0 + x0 * x0),
-        residual=residual,
+        residual=abs(float(_certified_gap(a, x0))),
     )
 
 

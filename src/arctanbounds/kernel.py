@@ -156,8 +156,7 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     Needs at least 20 digits, like the oracle: a coarser oracle cannot
     resolve the actual error against the certificate.
     """
-    if digits < 20:
-        raise ParamError("error profile needs at least 20 digits")
+    orc.check_digits(digits, "error profile")
     rows = []
     max_cert = 0.0
     max_act = 0.0

@@ -53,6 +53,13 @@ DEFAULT_DIGITS = 30
 DEFAULT_SWEEP_DIGITS = 50
 
 
+def check_digits(digits: int, what: str) -> None:
+    """Raise ParamError, naming `what`, unless digits >= 20, the fewest the
+    oracle and every report checked against it take."""
+    if digits < 20:
+        raise ParamError(f"{what} needs at least 20 digits")
+
+
 def oracle_arctan(x: float, digits: int = DEFAULT_DIGITS) -> fp.FixedReal:
     """arctan of the exact value of the double x, to `digits` decimal digits.
 
@@ -60,8 +67,7 @@ def oracle_arctan(x: float, digits: int = DEFAULT_DIGITS) -> fp.FixedReal:
     ten guard digits).  Returns a FixedReal; ``float()`` it for a correctly
     rounded double.
     """
-    if digits < 20:
-        raise ParamError("oracle mode needs at least 20 digits")
+    check_digits(digits, "oracle mode")
     if not math.isfinite(x):
         raise DomainError("oracle_arctan needs a finite argument")
     return fp.FixedReal(float(x), digits).atan()
@@ -245,8 +251,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         side = declared
     elif side != declared:
         raise ParamError(f"{bound.value} is a {declared} bound, not {side}")
-    if digits < 20:
-        raise ParamError("sweep needs at least 20 digits")
+    check_digits(digits, "sweep")
     fn, float_error = cat.float_form(bound, a)
 
     xs = grid.values()
@@ -416,8 +421,7 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
             f"dominance needs same-side bounds; {bound_a.value} is {side_a}, "
             f"{bound_b.value} is {side_b}")
     side = side_a
-    if digits < 20:
-        raise ParamError("dominance needs at least 20 digits")
+    check_digits(digits, "dominance")
     fn_a, error_a = cat.float_form(bound_a, a_a)
     fn_b, error_b = cat.float_form(bound_b, a_b)
     tighter = 1 if side == "lower" else -1     # a bigger lower bound is tighter

@@ -5,6 +5,7 @@ import pytest
 
 import arctanbounds
 from arctanbounds import cli
+from arctanbounds import oracle as orc
 
 VERIFY_ARGS = ["verify", "--grid-points", "300", "--format", "json"]
 #: verify --suite all --format json on the default grid, recorded before the
@@ -51,13 +52,21 @@ class TestBasicCommands:
         assert payload["lower"] < 0.7853982 < payload["upper"]
 
     def test_find_min_json(self, capsys):
-        code, out, _ = run(capsys, ["find-min", "--a", "0.6",
-                                    "--tolerance", "1e-12", "--format", "json"])
+        code, out, _ = run(capsys, ["find-min", "--a", "0.6", "--format", "json"])
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"a", "x0", "value", "u", "residual"}
         assert payload["residual"] <= 1e-12
         assert 1.536 < payload["value"] < 1.5708
+
+    def test_find_min_near_half(self, capsys):
+        # the gap near this minimum is of order 1e-38, far below a float
+        # residual test; x0 ~ sqrt(20(a - 1/2))
+        code, out, _ = run(capsys, ["find-min", "--a", "0.5000000001", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["x0"] == pytest.approx(4.4721361427917835e-05, rel=1e-13)
+        assert payload["residual"] <= 1e-12
 
 
 class TestErrors:
@@ -88,6 +97,16 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "ParamError" in err
+
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    def test_stats_refuse_low_digits_before_the_oracle(self, capsys, command):
+        # the digits check comes before the timed oracle-grid build
+        built = orc._oracle_on_grid.cache_info().currsize
+        code, out, err = run(capsys, [command, "--digits", "10", "--grid-points", "50",
+                                      "--stats", "--format", "json"])
+        assert code == 2 and out == ""
+        assert "ParamError" in err and "at least 20 digits" in err
+        assert orc._oracle_on_grid.cache_info().currsize == built
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--grid-points", "20"],

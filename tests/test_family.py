@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arctanbounds import family
 from arctanbounds import (
-    BracketError,
-    ConvergenceError,
     DomainError,
     FixedReal,
     ParamError,
+    PrecisionError,
     SingularityError,
-    SolverConfig,
     TWO_OVER_PI,
     family_ratio,
     family_ratio_at_zero,
@@ -206,18 +205,60 @@ class TestInteriorMinimum:
         with pytest.raises(ParamError):
             find_interior_minimum(a)
 
-    def test_budget_errors(self):
-        with pytest.raises(ConvergenceError):
-            find_interior_minimum(0.6, SolverConfig(tolerance=1e-12, max_iterations=3))
-        # a = 0.51 needs two downward bracket steps; one is not enough
-        with pytest.raises(BracketError):
-            find_interior_minimum(0.51, SolverConfig(max_iterations=1))
+    @pytest.mark.parametrize("a", [
+        *(0.5 + 10.0 ** -k for k in range(3, 13)),
+        math.nextafter(0.5, 1), math.nextafter(TWO_OVER_PI, 0),
+        0.51, 0.55, 0.6, 0.63,
+    ])
+    def test_matches_fixed_point_reference(self, a):
+        lo, hi = reference_minimum(a)
+        res = find_interior_minimum(a)
+        assert res.x0 == pytest.approx(lo, rel=1e-13)
+        assert res.residual <= 1e-12
 
-    def test_config_validation(self):
-        with pytest.raises(ParamError):
-            SolverConfig(tolerance=0.0)
-        with pytest.raises(ParamError):
-            SolverConfig(max_iterations=0)
+    def test_gap_error_bound(self):
+        # the fixed-point gap at d digits lies within _GAP_ERROR_UNITS of the
+        # gap at 3d, over the regime and the whole bracketing range
+        rng = random.Random(20261018)
+        for _ in range(300):
+            a = rng.uniform(0.5, TWO_OVER_PI)
+            x = 10 ** rng.uniform(-8, 16)
+            d = rng.choice([20, 30, 60])
+            g = stationarity_gap(FixedReal(a, d), FixedReal(x, d)).units
+            fine = stationarity_gap(FixedReal(a, 3 * d), FixedReal(x, 3 * d)).units
+            assert abs(g * 10 ** (2 * d) - fine) <= family._GAP_ERROR_UNITS * 10 ** (2 * d)
+
+    def test_unresolved_sign_raises(self, monkeypatch):
+        # at a = 1/2 + 1e-9 the last bisection steps meet gaps below the
+        # 12-unit bound at 30 digits, and the cap allows no more
+        monkeypatch.setattr(family, "_GAP_MAX_DIGITS", family._GAP_DIGITS)
+        with pytest.raises(PrecisionError):
+            find_interior_minimum(0.5 + 1e-9)
+
+
+def reference_minimum(a, digits=120):
+    """Adjacent doubles lo < hi with the gap negative at lo and positive at
+    hi: a plain bisection of the gap's sign at 120 digits, each sign many
+    orders of magnitude above the last digit."""
+    def positive(x):
+        g = stationarity_gap(FixedReal(a, digits), FixedReal(x, digits))
+        assert abs(g.units) > 10 ** 6
+        return g.units > 0
+
+    lo = hi = 1.0
+    if positive(1.0):
+        while positive(lo):
+            lo, hi = lo / 2, lo
+    else:
+        while not positive(hi):
+            lo, hi = hi, hi * 2
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2
+        if positive(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 class TestMinimumClosedForm:

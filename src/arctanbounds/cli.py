@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -34,8 +33,6 @@ from . import kernel as ker
 from . import oracle as orc
 from . import __version__
 from .errors import ArctanBoundsError, ParamError
-
-ENV_DIGITS = "ARCTANBOUNDS_DIGITS"
 
 #: Parameters swept per family bound by `verify --suite all`.
 SUITE_FAMILY_PARAMS = {
@@ -49,16 +46,6 @@ SUITE_FAMILY_PARAMS = {
 
 #: Violations listed per entry in a verify report; violation_count counts all.
 VIOLATIONS_LISTED = 25
-
-
-def _env_digits(fallback: int) -> int:
-    raw = os.environ.get(ENV_DIGITS)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParamError(f"{ENV_DIGITS} must be an integer, got {raw!r}") from None
 
 
 def _grid_from_args(args) -> orc.GridSpec:
@@ -108,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="ID", help="bound identifier, e.g. shafer-lower")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--a", type=float, default=None, help="family parameter")
-    p.add_argument("--digits", type=int, default=_env_digits(0),
+    p.add_argument("--digits", type=int, default=0,
                    help="also print a fixed-point evaluation at this many digits")
     _add_output_args(p)
 
@@ -128,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep the catalog against the oracle")
     p.add_argument("--suite", choices=["all", "fixed", "family"], default="all")
     _add_grid_args(p, points=10_000)
-    p.add_argument("--digits", type=int, default=_env_digits(orc.DEFAULT_SWEEP_DIGITS),
+    p.add_argument("--digits", type=int, default=orc.DEFAULT_SWEEP_DIGITS,
                    help="oracle digits; below 50 the thinnest margins on the "
                         "default grid are unresolvable")
     p.add_argument("--stats", action="store_true",
@@ -142,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-a", type=float, default=None)
     p.add_argument("--param-b", type=float, default=None)
     _add_grid_args(p, points=2_000)
-    p.add_argument("--digits", type=int, default=_env_digits(orc.DEFAULT_SWEEP_DIGITS))
+    p.add_argument("--digits", type=int, default=orc.DEFAULT_SWEEP_DIGITS)
     p.add_argument("--stats", action="store_true",
                    help="add fixed-point counts, the report's time and "
                         "provenance to the JSON report")
@@ -150,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="certified vs actual kernel error over a grid")
     _add_grid_args(p, points=2_000)
-    p.add_argument("--digits", type=int, default=_env_digits(orc.DEFAULT_DIGITS))
+    p.add_argument("--digits", type=int, default=orc.DEFAULT_DIGITS)
     p.add_argument("--stats", action="store_true",
                    help="add the oracle and row times, the rows measured at "
                         "extra digits and provenance to the JSON or text report")
@@ -247,8 +234,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "suite": args.suite,
         "digits": args.digits,
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
-                 "points": grid.points, "spacing": grid.spacing},
+        "grid": grid.to_json_dict(),
         "results": results,
         "ok": not failed,
     }
@@ -284,8 +270,7 @@ def _provenance(digits: int, grid: orc.GridSpec) -> dict:
         "package_version": __version__,
         "python_version": "%d.%d.%d" % sys.version_info[:3],
         "digits": digits,
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
-                 "points": grid.points, "spacing": grid.spacing},
+        "grid": grid.to_json_dict(),
     }
 
 

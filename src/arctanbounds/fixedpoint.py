@@ -66,32 +66,29 @@ def sqrt_units(units: int, digits: int) -> int:
     return math.isqrt(units * 10 ** digits)
 
 
-def _series_budget(digits: int) -> int:
-    # reduced arguments satisfy |t| <= 1/64 (arctan) or |z| <= ~1/500 (atanh),
-    # so the true term count is ~digits/3.6; the budget only guards bugs
-    return 8 * digits + 64
-
-
-def _atan_series(t: int, sq_num: int, sq_den: int, digits: int) -> int:
-    """arctan of t >= 0 units, at most 1/64 in value, whose square in value
-    is sq_num/sq_den: the alternating Taylor series with first-omitted-term
-    cutoff.  A rational argument with a small numerator and denominator
-    passes them squared, so each term takes a product and a quotient by small
-    integers."""
+def _odd_series(t: int, sq_num: int, sq_den: int, sign: int, digits: int) -> int:
+    """t + sign*t^3/3 + t^5/5 + sign*t^7/7 + ...: arctan (sign -1) or atanh
+    (sign +1) of t >= 0 units, whose square in value is sq_num/sq_den, with
+    first-omitted-term cutoff.  A rational argument with a small numerator
+    and denominator passes them squared, so each term takes a product and a
+    quotient by small integers.  Each term is floored as a positive number
+    and then signed."""
     total = term = t
     k = 3
-    sign = -1
-    budget = _series_budget(digits)
+    s = sign
+    # reduced arguments are at most 1/64 (arctan) or ~1/500 (atanh), so the
+    # true term count is ~digits/3.6; the budget only guards bugs
+    budget = 8 * digits + 64
     while True:
         term = term * sq_num // sq_den
         contrib = term // k
         if contrib == 0:
             break
-        total += sign * contrib
-        sign = -sign
+        total += s * contrib
+        s *= sign
         k += 2
         if k > budget:
-            raise PrecisionError("arctan series budget exhausted")
+            raise PrecisionError("odd power series budget exhausted")
     return total
 
 
@@ -116,7 +113,7 @@ def _atan_table(work: int) -> tuple[int, ...]:
     table = [0]
     for j in range(1, _KNOTS + 1):
         den = _KNOTS * _KNOTS + j * (j - 1)
-        step = _atan_series(_KNOTS * scale // den, _KNOTS * _KNOTS, den * den, work)
+        step = _odd_series(_KNOTS * scale // den, _KNOTS * _KNOTS, den * den, -1, work)
         table.append(table[-1] + step)
     return tuple(table)
 
@@ -147,8 +144,8 @@ def atan_units(x_units: int, digits: int) -> int:
     # arguments at many precisions build no tables
     r = (_KNOTS * t - j * scale) * scale // (_KNOTS * scale + j * t) if j else t
     r_sq = r * r // scale
-    total = (_atan_series(r, r_sq, scale, work) if r >= 0
-             else -_atan_series(-r, r_sq, scale, work))
+    total = (_odd_series(r, r_sq, scale, -1, work) if r >= 0
+             else -_odd_series(-r, r_sq, scale, -1, work))
     if j:
         total += _atan_table(work)[j]
     if recip:
@@ -188,23 +185,8 @@ def log_units(y_units: int, digits: int) -> int:
             raise PrecisionError("log reduction failed to converge")
 
     z = (t - scale) * scale // (t + scale)
-    neg = z < 0
-    z = abs(z)
-    total = term = z
-    zsq = z * z // scale
-    k = 3
-    budget = _series_budget(work)
-    while True:
-        term = term * zsq // scale
-        contrib = term // k
-        if contrib == 0:
-            break
-        total += contrib
-        k += 2
-        if k > budget:
-            raise PrecisionError("log series budget exhausted")
-
-    total = (-total if neg else total) << (doublings + 1)
+    total = _odd_series(abs(z), z * z // scale, scale, 1, work)
+    total = (-total if z < 0 else total) << (doublings + 1)
     return _rescale(total, work, digits)
 
 

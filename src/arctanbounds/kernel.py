@@ -11,11 +11,12 @@ floating-point arithmetic that computes it.  The value is the midpoint of the
 bracket and the certificate is its larger distance to an end, so
 |value - arctan x| <= error_bound holds exactly, with no ulp allowance.
 
-The default pair (1/2, 2/pi) is the best one: the a = 1/2 lower bound is the
-tighter for |x| below ~2.1758 and the a = 2/pi one above, while the a = 2/pi
-upper bound is the tighter everywhere.  The worst certified error on
-[1e-8, 1e8] is ~0.0249, and it falls to ~1e-14 at x = 1e-4 and ~1e-5 at
-x = 1e4.
+The pair is fixed at (1/2, 2/pi), the best one at every x (see KernelSpec).
+The a = 1/2 lower bound is the tighter for |x| below ~2.1758 and the a = 2/pi
+one above; the a = 2/pi upper bound is the tighter for |x| below ~2.5728 and
+the a = 1/2 one above, where (1 + 2/pi)(1/2 + u) = (pi/2)(2/pi + u).  The
+worst certified error on [1e-8, 1e8] is ~0.0249, at that upper crossover,
+and it falls to ~1e-14 at x = 1e-4 and ~1e-5 at x = 1e4.
 """
 
 from __future__ import annotations
@@ -24,29 +25,32 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import fixedpoint as fp
 from . import oracle as orc
 from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
-from .errors import DomainError, ParamError
+from .errors import DomainError
 
 _DBL_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelSpec:
-    """The kernel's two family parameters, one from each certified regime."""
+    """The kernel's two family parameters, one from each certified regime.
 
-    a_low: float = 0.5
-    a_high: float = TWO_OVER_PI
+    The pair is fixed because no other pair is tighter at any x.  With
+    u = sqrt(1+x^2) > 1, d/da[(1+a)/(a+u)] = (u-1)/(a+u)^2 > 0 and
+    (pi/2)/(a+u) falls as a grows.  So on 0 <= a <= 1/2 the lower bound
+    (1+a)x/(a+u) is largest and the upper bound (pi/2)x/(a+u) smallest at
+    a = 1/2, and on a >= 2/pi the lower bound (pi/2)x/(a+u) is largest and
+    the upper bound (1+a)x/(a+u) smallest at a = 2/pi.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.a_low <= 0.5:
-            raise ParamError(f"a_low must lie in [0, 1/2], got {self.a_low!r}")
-        # the upper limit keeps every quotient in approx a normal double
-        if not TWO_OVER_PI <= self.a_high <= 2.0:
-            raise ParamError(f"a_high must lie in [2/pi, 2], got {self.a_high!r}")
+    # init=False fields: no arguments; with slots=True, __init__ stores them,
+    # so approx reads them as fast as ordinary fields
+    a_low: float = field(default=0.5, init=False)
+    a_high: float = field(default=TWO_OVER_PI, init=False)
 
 
 DEFAULT_KERNEL = KernelSpec()
@@ -74,8 +78,8 @@ def approx(spec: KernelSpec, x: float) -> CertifiedValue:
         # Each of the four bounds is c * (ax / (a + u)), scaled outward as
         # derived beside _DOWN and _UP in catalog.py (gamma_7 < 16 u0).  Each
         # parameter double lies in its regime (the double nearest 2/pi is
-        # above 2/pi).  For 2**-1000 <= ax <= DBL_MAX and a_high <= 2, u and
-        # both quotients are finite normal doubles, so the model holds.
+        # above 2/pi).  For 2**-1000 <= ax <= DBL_MAX, u and both quotients
+        # are finite normal doubles, so the model holds.
         u = math.hypot(1.0, ax)
         a_low, a_high = spec.a_low, spec.a_high
         q_low = ax / (a_low + u)
@@ -137,12 +141,7 @@ class ErrorProfile:
             "a_low": self.spec.a_low,
             "a_high": self.spec.a_high,
             "digits": self.digits,
-            "grid": {
-                "x_min": self.grid.x_min,
-                "x_max": self.grid.x_max,
-                "points": self.grid.points,
-                "spacing": self.grid.spacing,
-            },
+            "grid": self.grid.to_json_dict(),
             "max_certified": self.max_certified,
             "max_actual": self.max_actual,
             "certified_everywhere": all(r.ratio >= 1.0 for r in self.rows),

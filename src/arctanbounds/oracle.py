@@ -28,9 +28,10 @@ family lower bound near x = 1e-8, margin ~ x^5/180 ~ 5.6e-43) lie far below
 one double ulp and always escalate; the default 50 sweep digits resolve
 every certified margin on the default grid with several orders to spare.  A
 dominance report decides the sign of the difference of two bounds with the
-same filter, the second bound taking the oracle's place, and gives every
-grid point that one exact verdict.  It bisects each crossover on the bit
-patterns of the two doubles, to a relative width of 1e-13 at any magnitude.
+same filter less its floor, the second bound taking the oracle's place, and
+gives every grid point that one exact verdict.  It bisects each crossover on
+the bit patterns of the two doubles, to a relative width of 1e-13 at any
+magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -96,6 +97,10 @@ class GridSpec:
 
     def values(self) -> tuple[float, ...]:
         return _grid_values(self)
+
+    def to_json_dict(self) -> dict:
+        return {"x_min": self.x_min, "x_max": self.x_max,
+                "points": self.points, "spacing": self.spacing}
 
 
 @lru_cache(maxsize=32)
@@ -218,12 +223,7 @@ class SweepReport:
             "a": self.a,
             "side": self.side,
             "digits": self.digits,
-            "grid": {
-                "x_min": self.grid.x_min,
-                "x_max": self.grid.x_max,
-                "points": self.grid.points,
-                "spacing": self.grid.spacing,
-            },
+            "grid": self.grid.to_json_dict(),
             "trusted": cat.bound_is_trusted(self.bound),
             "violations": [
                 {"x": x, "bound": b, "oracle": o}
@@ -237,20 +237,15 @@ class SweepReport:
 
 
 def sweep(bound: cat.BoundId, a: Optional[float] = None,
-          grid: GridSpec = DEFAULT_GRID, side: Optional[str] = None,
+          grid: GridSpec = DEFAULT_GRID,
           digits: int = DEFAULT_SWEEP_DIGITS) -> SweepReport:
     """Check one bound's containment claim at every grid point.
 
     For a lower bound, a violation is bound >= arctan; for an upper bound,
-    bound <= arctan.  `side` defaults to the catalog's declared side of the
-    bound and must agree with it when given.  The two stages are described
+    bound <= arctan; the side is the catalog's.  The two stages are described
     in the module docstring.
     """
-    declared = cat.bound_side(bound)
-    if side is None:
-        side = declared
-    elif side != declared:
-        raise ParamError(f"{bound.value} is a {declared} bound, not {side}")
+    side = cat.bound_side(bound)
     check_digits(digits, "sweep")
     fn, float_error = cat.float_form(bound, a)
 
@@ -379,12 +374,7 @@ class DominanceReport:
             "a_b": self.a_b,
             "side": self.side,
             "digits": self.digits,
-            "grid": {
-                "x_min": self.grid.x_min,
-                "x_max": self.grid.x_max,
-                "points": self.grid.points,
-                "spacing": self.grid.spacing,
-            },
+            "grid": self.grid.to_json_dict(),
             "regions": [
                 {"x_lo": r.x_lo, "x_hi": r.x_hi, "verdict": r.verdict}
                 for r in self.regions
@@ -409,9 +399,10 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
 
     sign_at(x) gives every verdict and every bisection step: +1 if A is
     strictly tighter, -1 if B is, 0 on an exact fixed-point tie.  It settles
-    the sign in double past sweep's threshold, the second bound taking the
-    oracle's place; unsettled margins, x outside the float forms' range and
-    non-finite values (whose comparison is false) go to eval_bound_hp.
+    the sign in double past sweep's threshold without its floor, the second
+    bound taking the oracle's place; unsettled margins, x outside the float
+    forms' range and non-finite values (whose comparison is false) go to
+    eval_bound_hp.
     Crossovers are bisected between adjacent non-tied points that flip.
     """
     side_a = cat.bound_side(bound_a)
@@ -426,7 +417,6 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     fn_b, error_b = cat.float_form(bound_b, a_b)
     tighter = 1 if side == "lower" else -1     # a bigger lower bound is tighter
     four_u = 2.0 ** -51
-    floor = 10.0 ** (5 - digits)
     calls = escalated = 0
 
     def sign_at(x: float) -> int:
@@ -435,8 +425,12 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
         if cat.FLOAT_FORM_MIN <= x <= cat.FLOAT_FORM_MAX:
             fa, fb = fn_a(a_a, x), fn_b(a_b, x)
             d = fa - fb
+            # fa and fb are float forms at the same double x, each within its
+            # proven error bound of the exact bound, and 4u(|fa| + |fb|) covers
+            # the rounding of d: past this, d has the exact sign of A(x) - B(x),
+            # and as no fixed-point value enters (unlike sweep) no floor is due.
             if abs(d) > (error_a(x, fa) + error_b(x, fb)
-                         + four_u * (abs(fa) + abs(fb)) + floor):
+                         + four_u * (abs(fa) + abs(fb))):
                 return tighter if d > 0 else -tighter
         escalated += 1
         d = (cat.eval_bound_hp(bound_a, x, a_a, digits=digits).units

@@ -199,8 +199,7 @@ class TestVerify:
         assert payload == json.loads(plain)
         assert "stats" not in plain and "escalated" not in plain
 
-    def test_default_suite_matches_golden(self, capsys, monkeypatch):
-        monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
+    def test_default_suite_matches_golden(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json"])
         assert code == 0
         assert out.encode("utf-8") == VERIFY_GOLDEN.read_bytes()
@@ -301,19 +300,13 @@ class TestDominanceAndProfile:
         assert len(lines) == 51
 
 
-class TestEnvDigits:
-    def test_env_sets_default_digits(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DIGITS, "25")
+class TestNoDigitsEnvironment:
+    def test_environment_is_ignored(self, capsys, monkeypatch):
+        # the digits come from --digits and its documented defaults only
+        monkeypatch.setenv("ARCTANBOUNDS_DIGITS", "abc")
+        code, out, _ = run(capsys, ["classify", "--a", "0.6"])
+        assert code == 0 and out.strip() == "InteriorMinimum"
         code, out, _ = run(capsys, ["eval", "--bound", "identity-upper",
                                     "--x", "2", "--format", "json"])
         assert code == 0
-        payload = json.loads(out)
-        assert payload["value_hp"] == "2." + "0" * 25
-
-    def test_non_integer_env_maps_to_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DIGITS, "abc")
-        code, out, err = run(capsys, ["eval", "--bound", "identity-upper",
-                                      "--x", "2", "--format", "json"])
-        assert code == 2
-        assert out == ""
-        assert "ParamError" in err and cli.ENV_DIGITS in err
+        assert "value_hp" not in json.loads(out)

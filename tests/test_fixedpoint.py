@@ -263,6 +263,61 @@ class TestAtanTableReduction:
             assert fp.pi_units(digits) == reference_pi_units(digits), digits
 
 
+def reference_log_units(y_units: int, digits: int) -> int:
+    """Natural log by the atanh loop that the shared odd-power series
+    replaced: square roots into (1 - 1/256, 1 + 1/256), then
+    ln y = 2*atanh((y-1)/(y+1)), all at ten guard digits."""
+    work = digits + 10
+    scale = 10 ** work
+    t = y_units * 10 ** 10
+    doublings = 0
+    while abs(t - scale) > scale // 256:
+        t = math.isqrt(t * scale)
+        doublings += 1
+    z = (t - scale) * scale // (t + scale)
+    neg = z < 0
+    z = abs(z)
+    total = term = z
+    zsq = z * z // scale
+    k = 3
+    while True:
+        term = term * zsq // scale
+        if term // k == 0:
+            break
+        total += term // k
+        k += 2
+    total = (-total if neg else total) << (doublings + 1)
+    return fp._rescale(total, work, digits)
+
+
+def _log_points() -> list[float]:
+    """Seeded magnitudes over [1e-30, 1e30], values near 1, and exact powers
+    of 2 and 10."""
+    rng = random.Random(20090218)
+    points = [10.0 ** rng.uniform(-30, 30) for _ in range(200)]
+    points += [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+               1 - 1 / 256, 1 + 1 / 256, 0.999, 1.001]
+    points += [1 + rng.uniform(-1e-3, 1e-3) for _ in range(20)]
+    points += [2.0 ** k for k in range(-99, 100)]
+    return points
+
+
+class TestLogSeries:
+    @pytest.mark.parametrize("digits", [20, 30, 50, 100, 320])
+    def test_units_match_atanh_reference(self, digits):
+        checked = 0
+        for y in _log_points():
+            y_units = fp.float_units(y, digits)
+            if y_units > 0:
+                assert fp.log_units(y_units, digits) == reference_log_units(y_units, digits), y
+                checked += 1
+        for k in range(-digits, 31):      # exact powers of ten, in units
+            y_units = 10 ** (digits + k)
+            assert fp.log_units(y_units, digits) == reference_log_units(y_units, digits), k
+            checked += 1
+        assert checked > 300
+
+
 class TestLog:
     def test_ln2(self):
         assert err(FixedReal(2, 40).log(), LN2) < 1e-39

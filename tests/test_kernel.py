@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from arctanbounds import (
     DEFAULT_KERNEL,
+    TWO_OVER_PI,
+    BoundId,
     DomainError,
     GridSpec,
     KernelSpec,
@@ -14,6 +17,7 @@ from arctanbounds import (
     approx,
     enclosure,
     error_profile,
+    eval_bound_hp,
     oracle_arctan,
 )
 
@@ -62,20 +66,35 @@ class TestKernelSpec:
     def test_defaults(self):
         assert DEFAULT_KERNEL.a_low == 0.5
         assert DEFAULT_KERNEL.a_high == 2 / math.pi
+        # the pair is fixed
+        assert KernelSpec() == DEFAULT_KERNEL
+        with pytest.raises(TypeError):
+            KernelSpec(a_low=0.3)
+        with pytest.raises(TypeError):
+            KernelSpec(0.5, TWO_OVER_PI)
 
-    def test_validation(self):
-        with pytest.raises(ParamError):
-            KernelSpec(a_low=0.6)
-        with pytest.raises(ParamError):
-            KernelSpec(a_low=-0.1)
-        with pytest.raises(ParamError):
-            KernelSpec(a_high=0.6)
-        with pytest.raises(ParamError):
-            KernelSpec(a_high=2.5)
-        with pytest.raises(ParamError):
-            KernelSpec(a_high=math.inf)
-        with pytest.raises(ParamError):
-            KernelSpec(a_low=math.nan)
+    def test_pair_is_tightest(self):
+        # no parameter of either certified regime gives a tighter bound at
+        # any x, so no other pair could tighten the kernel: 4800 exact
+        # comparisons in units of 10**-40
+        rng = random.Random(20090217)
+        xs = [10.0 ** (-8 + 16 * i / 199) for i in range(200)]
+
+        def units(bound, a):
+            return [eval_bound_hp(bound, x, a, digits=40).units for x in xs]
+
+        regimes = [
+            (BoundId.FAMILY_LOWER, BoundId.FAMILY_UPPER, 0.5,
+             [rng.uniform(0.0, 0.5) for _ in range(6)]),
+            (BoundId.REVERSED_LOWER, BoundId.REVERSED_UPPER, TWO_OVER_PI,
+             [rng.uniform(math.nextafter(TWO_OVER_PI, 3.0), 2.0) for _ in range(6)]),
+        ]
+        for lower, upper, edge, params in regimes:
+            best_lower, best_upper = units(lower, edge), units(upper, edge)
+            for a in params:
+                assert a != edge
+                assert all(lo <= best for lo, best in zip(units(lower, a), best_lower)), a
+                assert all(up >= best for up, best in zip(units(upper, a), best_upper)), a
 
 
 class TestApprox:
@@ -165,13 +184,6 @@ class TestErrorProfile:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,value,certified,actual,ratio"
         assert len(lines) == 25
-
-    def test_other_pair_profile(self):
-        # the widest admissible pair is certified too, just less tightly
-        spec = KernelSpec(a_low=0.0, a_high=2.0)
-        prof = error_profile(spec, SMALL_GRID)
-        assert all(r.ratio >= 1.0 for r in prof.rows)
-        assert prof.max_certified > error_profile(DEFAULT_KERNEL, SMALL_GRID).max_certified
 
     def test_needs_twenty_digits(self):
         with pytest.raises(ParamError):

@@ -96,10 +96,12 @@ class TestSweep:
         assert report.ok
         assert report.violations == []
         assert report.min_margin > 0
+        assert report.side == bound_side(BoundId.SHAFER_LOWER) == "lower"
 
     def test_identity_upper_clean(self):
         report = sweep(BoundId.IDENTITY_UPPER, grid=GRID)
         assert report.ok and report.min_margin > 0
+        assert report.side == bound_side(BoundId.IDENTITY_UPPER) == "upper"
 
     def test_errata_violations(self):
         report = sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, grid=GRID)
@@ -112,12 +114,6 @@ class TestSweep:
         dirty = sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, grid=GRID)
         assert (not clean.violations) == (clean.min_margin > 0)
         assert (not dirty.violations) == (dirty.min_margin > 0)
-
-    def test_side_must_match_catalog(self):
-        with pytest.raises(ParamError):
-            sweep(BoundId.SHAFER_LOWER, side="upper", grid=GRID)
-        report = sweep(BoundId.SHAFER_LOWER, side="lower", grid=GRID)
-        assert report.side == "lower"
 
     def test_param_validation_propagates(self):
         with pytest.raises(ParamError):
@@ -398,14 +394,23 @@ class TestDominance:
             assert reverse.b_strictly_tighter_everywhere, rival
 
     def test_corrected_vs_shafer_single_crossover(self):
-        report = dominance_report(
-            BoundId.TWO_OVER_PI_LOWER, BoundId.SHAFER_LOWER, grid=GRID)
-        assert len(report.crossovers) == 1
-        # closed form: both lowers meet where 1.5 (2/pi + u) = (pi/2)(1/2 + u)
-        u = (math.pi / 4 - 3 / math.pi) / (1.5 - math.pi / 2)
-        assert report.crossovers[0] == pytest.approx(math.sqrt(u * u - 1), abs=1e-9)
-        verdicts = [r.verdict for r in report.regions]
-        assert verdicts == ["b", "a"]  # Shafer tighter near 0, corrected after
+        # (A, B, B's parameter, the crossover's u in closed form, verdicts)
+        cases = [
+            # both lowers meet where 1.5 (2/pi + u) = (pi/2)(1/2 + u); Shafer
+            # is tighter near 0, the corrected bound after
+            (BoundId.TWO_OVER_PI_LOWER, BoundId.SHAFER_LOWER, None,
+             (math.pi / 4 - 3 / math.pi) / (1.5 - math.pi / 2), ["b", "a"]),
+            # both uppers meet where (1 + 2/pi)(1/2 + u) = (pi/2)(2/pi + u),
+            # at x ~ 2.5728; the a = 2/pi upper is tighter near 0, the
+            # a = 1/2 one after
+            (BoundId.TWO_OVER_PI_UPPER, BoundId.FAMILY_UPPER, 0.5,
+             (1 - 2 / math.pi) / (2 * (1 + 2 / math.pi - math.pi / 2)), ["a", "b"]),
+        ]
+        for bound_a, bound_b, a_b, u, verdicts in cases:
+            report = dominance_report(bound_a, bound_b, a_b=a_b, grid=GRID)
+            assert len(report.crossovers) == 1, bound_a
+            assert report.crossovers[0] == pytest.approx(math.sqrt(u * u - 1), abs=1e-9)
+            assert [r.verdict for r in report.regions] == verdicts, bound_a
 
     @pytest.mark.parametrize("lo,hi", [(1e-30, 1e-10), (1e-160, 1.0)])
     def test_bisection_is_relative_at_any_magnitude(self, lo, hi):

@@ -1,10 +1,11 @@
 """Catalog of closed-form arctan bounds, enclosure construction, and the
 monotonicity-regime classifier.
 
-All bounds share the shape ``c(a) * x / (a + sqrt(1 + x^2))`` or are classical
-one-off inequalities.  Every entry carries a validity predicate; evaluating a
-family bound outside its certified parameter range is a hard ParamError, never
-a silent number.
+Eleven entries share the shape ``c * x / (d + e*sqrt(1 + x^2))`` of the
+paper's family ``c(a) * x / (a + sqrt(1 + x^2))`` and state their constants as
+data; the other five are classical one-off inequalities.  Every family entry
+carries its certified parameter range; evaluating it outside that range is a
+hard ParamError, never a silent number.
 
 Each entry has two forms of its formula.  The float form is the closed form
 in double arithmetic; it carries a proven bound on its rounding error, which
@@ -21,13 +22,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import fixedpoint as fp
 from .errors import DomainError, ParamError, PrecisionError
 
 TWO_OVER_PI = 2.0 / math.pi
-_PI = math.pi
 _HALF_PI = 0.5 * math.pi
 
 
@@ -90,141 +90,73 @@ class Enclosure:
         return 0.5 * (self.lower + self.upper)
 
 
-# The units forms take the units of x and a (a is None for a fixed bound), the
-# scale s = 10**digits and digits.  They floor exactly where FixedReal
-# arithmetic on the closed form would, in the same order, so they return the
-# same units: sums are exact, a product is p*q // s, a quotient p*s // q, a
-# root isqrt(v*s), and an integer constant c enters as c*s, so halving pi is
-# P // 2 and dividing by 3 is T // 3 (floor(T*s / (3*s)) = floor(T/3)).  The
-# tests keep that FixedReal evaluation as their reference.  Every denominator
-# is at least s, or is 2x > 0.
+# The shape rows are the six family rows, Shafer's 3x/(1+2u) and the
+# half-angle 2x/(1+u) (the a = 1/2 and a = 1 members) and the three pi forms
+# (a = 2/pi members, but the errata is the a = 1/pi upper bound).  Their
+# constants consts(a, pi) -> (c, d, e) are evaluated on doubles once per (row,
+# a) and on FixedReal once per (row, a, digits), in caches keyed on consts:
+# a BoundId's hash is Python code.
+#
+# The units forms take the units of x, the scale s = 10**digits and digits.
+# They floor exactly where FixedReal arithmetic on the closed form would, in
+# the same order, so they return the same units: sums are exact, a product is
+# p*q // s, a quotient p*s // q, a root isqrt(v*s), and an integer constant c
+# enters as c*s, so halving pi is P // 2, dividing by 3 is T // 3
+# (floor(T*s / (3*s)) = floor(T/3)), and e = 1 gives s*u // s = u.  The tests
+# keep that FixedReal evaluation as their reference.  Every denominator is at
+# least s, or is 2x > 0.
 
-def _u_units(x, s):
-    return math.isqrt((s + x * x // s) * s)
-
-
-def _one_plus_a_member(a, x):
-    # (1+a)x/(a+u): family lower bound for a <= 1/2, reversed upper for a >= 2/pi
-    return (1 + a) * x / (a + math.sqrt(1 + x * x))
-
-
-def _one_plus_a_units(x, a, s, digits):
-    return (a + s) * x // s * s // (a + _u_units(x, s))
-
-
-def _half_pi_member(a, x):
-    # (pi/2)x/(a+u): family upper bound for a <= 1/2, reversed lower for a >= 2/pi
-    return _HALF_PI * x / (a + math.sqrt(1 + x * x))
+@lru_cache(maxsize=256)
+def _shape_fn(consts, a):
+    c, d, e = map(float, consts(a, math.pi))
+    return lambda x: c * x / (d + e * math.sqrt(1 + x * x))
 
 
-def _half_pi_units(x, a, s, digits):
-    return fp.pi_units(digits) // 2 * x // s * s // (a + _u_units(x, s))
+@lru_cache(maxsize=256)
+def _shape_constants_units(consts, a, digits):
+    a_hp = None if a is None else fp.FixedReal(float(a), digits)
+    return tuple(fp.FixedReal(v, digits).units
+                 for v in consts(a_hp, fp.FixedReal.pi(digits)))
 
 
-def _mid_lower(a, x):
-    return 4 * a * (1 - a * a) * x / (a + math.sqrt(1 + x * x))
-
-
-def _mid_lower_units(x, a, s, digits):
-    return 4 * a * (s - a * a // s) // s * x // s * s // (a + _u_units(x, s))
-
-
-def _mid_upper(a, x):
-    # upper constant max(pi/2, 1+a); the exact switch sits at a = pi/2 - 1
-    one_plus_a = 1 + a
-    c = one_plus_a if one_plus_a > _HALF_PI else _HALF_PI
-    return c * x / (a + math.sqrt(1 + x * x))
-
-
-def _mid_upper_units(x, a, s, digits):
-    one_plus_a, half_pi = a + s, fp.pi_units(digits) // 2
-    c = one_plus_a if one_plus_a > half_pi else half_pi
-    return c * x // s * s // (a + _u_units(x, s))
-
-
-def _shafer_lower(a, x):
-    # the classical 3x/(1+2u) bound is exactly the a = 1/2 family member
-    return 1.5 * x / (0.5 + math.sqrt(1 + x * x))
-
-
-def _shafer_lower_units(x, a, s, digits):
-    return _one_plus_a_units(x, s // 2, s, digits)
-
-
-def _half_angle_upper(a, x):
-    # 2x/(1+u) is exactly the a = 1 reversed-family upper bound
-    return 2.0 * x / (1.0 + math.sqrt(1 + x * x))
-
-
-def _half_angle_upper_units(x, a, s, digits):
-    return _one_plus_a_units(x, s, s, digits)
-
-
-def _ratio_lower(a, x):
+def _ratio_lower(x):
     return x / (1 + x * x)
 
 
-def _ratio_lower_units(x, a, s, digits):
+def _ratio_lower_units(x, s, digits):
     return x * s // (s + x * x // s)
 
 
-def _identity_upper(a, x):
+def _identity_upper(x):
     return x
 
 
-def _identity_upper_units(x, a, s, digits):
+def _identity_upper_units(x, s, digits):
     return x
 
 
-def _cubic_lower(a, x):
+def _cubic_lower(x):
     return x - x * x * x / 3
 
 
-def _cubic_lower_units(x, a, s, digits):
+def _cubic_lower_units(x, s, digits):
     return x - x * x // s * x // s // 3
 
 
-def _log_lower(a, x):
+def _log_lower(x):
     return math.log(1 + x * x) / (2 * x)
 
 
-def _log_lower_units(x, a, s, digits):
+def _log_lower_units(x, s, digits):
     return fp.log_units(s + x * x // s, digits) * s // (2 * x)
 
 
-def _log_upper(a, x):
+def _log_upper(x):
     return (1 + x) * math.log(1 + x)
 
 
-def _log_upper_units(x, a, s, digits):
+def _log_upper_units(x, s, digits):
     return (s + x) * fp.log_units(s + x, digits) // s
-
-
-def _two_over_pi_lower(a, x):
-    return _PI * _PI * x / (4 + 2 * _PI * math.sqrt(1 + x * x))
-
-
-def _two_over_pi_lower_units(x, a, s, digits):
-    p = fp.pi_units(digits)
-    return p * p // s * x // s * s // (4 * s + 2 * p * _u_units(x, s) // s)
-
-
-def _two_over_pi_upper(a, x):
-    return (_PI + 2) * x / (2 + _PI * math.sqrt(1 + x * x))
-
-
-def _two_over_pi_upper_units(x, a, s, digits):
-    p = fp.pi_units(digits)
-    return (p + 2 * s) * x // s * s // (2 * s + p * _u_units(x, s) // s)
-
-
-def _two_over_pi_lower_errata(a, x):
-    return _PI * _PI * x / (2 + 2 * _PI * math.sqrt(1 + x * x))
-
-
-def _two_over_pi_lower_errata_units(x, a, s, digits):
-    p = fp.pi_units(digits)
-    return p * p // s * x // s * s // (2 * s + 2 * p * _u_units(x, s) // s)
 
 
 # Float error bounds.  With unit roundoff u = 2**-53, each correctly rounded
@@ -233,7 +165,8 @@ def _two_over_pi_lower_errata_units(x, a, s, digits):
 # (Higham, Accuracy and Stability of Numerical Algorithms, Lemmas 3.1 and 3.3).
 # A sum of two positive terms with relative errors theta_j and theta_k has
 # relative error theta_max(j,k) before its own rounding.  Parameters and x
-# enter exactly; math.pi is pi(1 + theta_1) and halving it is exact.
+# enter exactly; math.pi is pi(1 + theta_1) and halving it is exact, as is
+# the shared form's product e*u where e = 1.
 #
 # The rational forms, counted as roundings n with b = B(1 + theta_n):
 #   u = sqrt(1 + x*x)      theta_2: x*x and the sum give theta_2, which the root
@@ -313,60 +246,69 @@ def _log_upper_error(x, b):
     return 8 * _U * abs(b) + 2 * _U * (1 + x)
 
 
+# The three certified ranges of the family parameter, each a test and its
+# text.  The family rows, classify_regime and the interior-minimum solver in
+# family.py read them; enclosure spells out the first and last inline, on the
+# kernel's hot path.
+class ParamRange(NamedTuple):
+    ok: Callable[[float], bool]
+    text: str
+
+
+FAMILY_RANGE = ParamRange(lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2")
+MID_REGIME_RANGE = ParamRange(lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi")
+REVERSED_RANGE = ParamRange(lambda a: a >= TWO_OVER_PI, "a >= 2/pi")
+
+
 @dataclass(frozen=True)
 class _BoundInfo:
     side: str                                   # "lower" | "upper"
-    fn: Callable[[Optional[float], float], float]
-    units: Callable[[int, Optional[int], int, int], int]    # (x, a, s, digits)
-    float_error: Callable[[float, float], float]    # (x, fn(a, x)) -> bound on its error
-    takes_param: bool = False
-    param_ok: Optional[Callable[[float], bool]] = None
-    param_range: str = ""
+    float_error: Callable[[float, float], float]    # (x, fn(x)) -> bound on its error
+    consts: Optional[Callable] = None           # (a, pi) -> (c, d, e) of c*x/(d + e*u)
+    fn: Optional[Callable[[float], float]] = None           # a one-off's float form
+    units: Optional[Callable[[int, int, int], int]] = None  # and its units form (x, s, digits)
+    param: Optional[ParamRange] = None
     trusted: bool = True                        # errata entries are swept for failure
 
 
 _CATALOG: dict[BoundId, _BoundInfo] = {
     BoundId.SHAFER_LOWER: _BoundInfo(
-        "lower", _shafer_lower, _shafer_lower_units, _relative(6)),
+        "lower", _relative(6), lambda a, pi: (1.5, 0.5, 1)),
     BoundId.HALF_ANGLE_UPPER: _BoundInfo(
-        "upper", _half_angle_upper, _half_angle_upper_units, _relative(6)),
+        "upper", _relative(6), lambda a, pi: (2, 1, 1)),
     BoundId.RATIO_LOWER: _BoundInfo(
-        "lower", _ratio_lower, _ratio_lower_units, _relative(3)),
+        "lower", _relative(3), fn=_ratio_lower, units=_ratio_lower_units),
     BoundId.IDENTITY_UPPER: _BoundInfo(
-        "upper", _identity_upper, _identity_upper_units, _relative(0)),
+        "upper", _relative(0), fn=_identity_upper, units=_identity_upper_units),
     BoundId.CUBIC_LOWER: _BoundInfo(
-        "lower", _cubic_lower, _cubic_lower_units, _cubic_error),
+        "lower", _cubic_error, fn=_cubic_lower, units=_cubic_lower_units),
     BoundId.LOG_LOWER: _BoundInfo(
-        "lower", _log_lower, _log_lower_units, _log_lower_error),
+        "lower", _log_lower_error, fn=_log_lower, units=_log_lower_units),
     BoundId.LOG_UPPER: _BoundInfo(
-        "upper", _log_upper, _log_upper_units, _log_upper_error),
+        "upper", _log_upper_error, fn=_log_upper, units=_log_upper_units),
     BoundId.FAMILY_LOWER: _BoundInfo(
-        "lower", _one_plus_a_member, _one_plus_a_units, _relative(6), True,
-        lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2"),
+        "lower", _relative(6), lambda a, pi: (1 + a, a, 1), param=FAMILY_RANGE),
     BoundId.FAMILY_UPPER: _BoundInfo(
-        "upper", _half_pi_member, _half_pi_units, _relative(6), True,
-        lambda a: 0.0 <= a <= 0.5, "0 <= a <= 1/2"),
+        "upper", _relative(6), lambda a, pi: (pi / 2, a, 1), param=FAMILY_RANGE),
     BoundId.REVERSED_LOWER: _BoundInfo(
-        "lower", _half_pi_member, _half_pi_units, _relative(6), True,
-        lambda a: a >= TWO_OVER_PI, "a >= 2/pi"),
+        "lower", _relative(6), lambda a, pi: (pi / 2, a, 1), param=REVERSED_RANGE),
     BoundId.REVERSED_UPPER: _BoundInfo(
-        "upper", _one_plus_a_member, _one_plus_a_units, _relative(6), True,
-        lambda a: a >= TWO_OVER_PI, "a >= 2/pi"),
+        "upper", _relative(6), lambda a, pi: (1 + a, a, 1), param=REVERSED_RANGE),
     BoundId.MID_REGIME_LOWER: _BoundInfo(
-        "lower", _mid_lower, _mid_lower_units, _relative(8), True,
-        lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi"),
+        "lower", _relative(8), lambda a, pi: (4 * a * (1 - a * a), a, 1),
+        param=MID_REGIME_RANGE),
+    # the upper constant is max(pi/2, 1+a); the exact switch sits at a = pi/2 - 1
     BoundId.MID_REGIME_UPPER: _BoundInfo(
-        "upper", _mid_upper, _mid_upper_units, _relative(6), True,
-        lambda a: 0.5 < a < TWO_OVER_PI, "1/2 < a < 2/pi"),
+        "upper", _relative(6), lambda a, pi: (max(pi / 2, 1 + a), a, 1),
+        param=MID_REGIME_RANGE),
     BoundId.TWO_OVER_PI_LOWER: _BoundInfo(
-        "lower", _two_over_pi_lower, _two_over_pi_lower_units, _relative(10)),
+        "lower", _relative(10), lambda a, pi: (pi * pi, 4, 2 * pi)),
     BoundId.TWO_OVER_PI_UPPER: _BoundInfo(
-        "upper", _two_over_pi_upper, _two_over_pi_upper_units, _relative(9)),
+        "upper", _relative(9), lambda a, pi: (pi + 2, 2, pi)),
     # the errata entry is *claimed* as a lower bound; sweeping it on that side
     # tests the claim that was actually made (and finds it false)
     BoundId.TWO_OVER_PI_LOWER_ERRATA: _BoundInfo(
-        "lower", _two_over_pi_lower_errata, _two_over_pi_lower_errata_units,
-        _relative(10), trusted=False),
+        "lower", _relative(10), lambda a, pi: (pi * pi, 2, 2 * pi), trusted=False),
 }
 
 
@@ -379,12 +321,12 @@ def bound_is_trusted(bound: BoundId) -> bool:
 
 
 def bound_takes_param(bound: BoundId) -> bool:
-    return _CATALOG[bound].takes_param
+    return _CATALOG[bound].param is not None
 
 
 def _check_param(bound: BoundId, a: Optional[float]) -> None:
-    info = _CATALOG[bound]
-    if not info.takes_param:
+    param = _CATALOG[bound].param
+    if param is None:
         if a is not None:
             raise ParamError(f"{bound.value} takes no family parameter")
         return
@@ -392,9 +334,9 @@ def _check_param(bound: BoundId, a: Optional[float]) -> None:
         raise ParamError(f"{bound.value} requires a family parameter")
     if not math.isfinite(a):
         raise ParamError("family parameter must be finite")
-    if not info.param_ok(a):
+    if not param.ok(a):
         raise ParamError(
-            f"a={a!r} outside the certified range {info.param_range} for {bound.value}")
+            f"a={a!r} outside the certified range {param.text} for {bound.value}")
 
 
 def _check_x(x: float) -> None:
@@ -404,29 +346,24 @@ def _check_x(x: float) -> None:
 
 def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
     """Evaluate one catalog bound at x > 0 (float arithmetic)."""
-    _check_param(bound, a)
+    fn, _ = float_form(bound, a)
     _check_x(x)
-    return _CATALOG[bound].fn(a, float(x))
+    return fn(float(x))
 
 
 def float_form(bound: BoundId, a: Optional[float]
-               ) -> tuple[Callable[[Optional[float], float], float],
-                          Callable[[float, float], float]]:
-    """The float evaluator ``fn(a, x)`` of one bound and its error bound.
+               ) -> tuple[Callable[[float], float], Callable[[float, float], float]]:
+    """The float evaluator ``fn(x)`` of one bound at parameter `a`, and its
+    error bound.
 
     Checks `a` as eval_bound does.  For FLOAT_FORM_MIN <= x <= FLOAT_FORM_MAX,
-    ``error(x, fn(a, x))`` bounds |fn(a, x) - B|, where B is the bound at the
-    exact doubles a and x; it is infinite or NaN when fn(a, x) is.  Outside
-    that range the error bound means nothing.
+    ``error(x, fn(x))`` bounds |fn(x) - B|, where B is the bound at the exact
+    doubles a and x; it is infinite or NaN when fn(x) is.  Outside that range
+    the error bound means nothing.
     """
     _check_param(bound, a)
     info = _CATALOG[bound]
-    return info.fn, info.float_error
-
-
-@lru_cache(maxsize=256)
-def _param_units(a: float, digits: int) -> int:
-    return fp.float_units(float(a), digits)
+    return info.fn or _shape_fn(info.consts, a), info.float_error
 
 
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
@@ -446,9 +383,15 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     x_units = fp.float_units(float(x), digits)
     if x_units == 0:
         raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
-    a_units = None if a is None else _param_units(a, digits)
-    units = _CATALOG[bound].units(x_units, a_units, fp.pow10(digits), digits)
-    return fp.FixedReal._raw(units, digits)
+    info = _CATALOG[bound]
+    s = fp.pow10(digits)
+    if info.consts is None:
+        return fp.FixedReal._raw(info.units(x_units, s, digits), digits)
+    c, d, e = _shape_constants_units(info.consts, a, digits)
+    u = math.isqrt((s + x_units * x_units // s) * s)
+    if e != s:      # e = 1 gives s*u // s = u; skipping it saves a division
+        u = e * u // s
+    return fp.FixedReal._raw(c * x_units // s * s // (d + u), digits)
 
 
 def classify_regime(a: float) -> Regime:
@@ -459,11 +402,11 @@ def classify_regime(a: float) -> Regime:
     """
     if not math.isfinite(a):
         raise DomainError("parameter must be finite")
-    if a <= -1 or 0 <= a <= 0.5:
+    if a <= -1 or FAMILY_RANGE.ok(a):
         return Regime.INCREASING
-    if a >= TWO_OVER_PI:
+    if REVERSED_RANGE.ok(a):
         return Regime.DECREASING
-    if 0.5 < a < TWO_OVER_PI:
+    if MID_REGIME_RANGE.ok(a):
         return Regime.INTERIOR_MINIMUM
     return Regime.UNCLASSIFIED
 
@@ -481,6 +424,7 @@ def enclosure(a: float, x: float) -> Enclosure:
     _check_x(x)
     if not math.isfinite(a):
         raise ParamError("family parameter must be finite")
+    # FAMILY_RANGE and REVERSED_RANGE, inline: this is the kernel's hot path
     if 0.0 <= a <= 0.5:
         c_lo, c_hi = 1.0 + a, _HALF_PI
     elif a >= TWO_OVER_PI:

@@ -16,12 +16,13 @@ count of rows measured at extra digits and the same provenance.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
-2 on usage or parameter errors.
+2 on usage or parameter errors, or an --output file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -66,12 +67,19 @@ def _add_output_args(p: argparse.ArgumentParser, rows: bool = False) -> None:
     p.add_argument("--output", default=None, help="write the report to a file")
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(args, text: str, newline: Optional[str] = None) -> None:
+    """Write text, newline-ended, to stdout or to --output (OSError: exit 2)."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", newline=newline, encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParamError(f"cannot write --output {args.output!r}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def _bound_arg(value: str) -> cat.BoundId:
@@ -328,11 +336,9 @@ def _cmd_profile(args) -> int:
         **_provenance(args.digits, grid),
     }
     if args.format == "csv":
-        if args.output:
-            with open(args.output, "w", newline="", encoding="utf-8") as handle:
-                prof.write_csv(handle)
-        else:
-            prof.write_csv(sys.stdout)
+        rows = io.StringIO()
+        prof.write_csv(rows)
+        _emit(args, rows.getvalue(), newline="")
     elif args.format == "json":
         payload = prof.to_json_dict()
         if args.stats:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import fixedpoint as fp
 from . import oracle as orc
-from .catalog import TWO_OVER_PI
+from .catalog import MID_REGIME_RANGE
 from .errors import DomainError, ParamError, PrecisionError, SingularityError
 
 
@@ -182,9 +182,9 @@ def find_interior_minimum(a: float) -> MinimumResult:
     at the one next below 2/pi), then bisects that bracket with the oracle's
     crossover bisection, to relative width 1e-13.  residual is |gap(x0)|.
     """
-    if not 0.5 < a < TWO_OVER_PI:
+    if not MID_REGIME_RANGE.ok(a):
         raise ParamError(
-            f"interior minimum exists only for 1/2 < a < 2/pi, got a={a!r}")
+            f"interior minimum exists only for {MID_REGIME_RANGE.text}, got a={a!r}")
 
     sign_at = lambda x: 1 if _certified_gap(a, x).units > 0 else -1
     x, s = 1.0, sign_at(1.0)
@@ -207,7 +207,7 @@ def minimum_value_closed_form(a: float, u: float) -> float:
     the mid-regime lower bound constant arises."""
     if not u > 1:
         raise DomainError(f"u = sqrt(1+x0^2) must exceed 1, got {u!r}")
-    if not 0.5 < a < TWO_OVER_PI:
+    if not MID_REGIME_RANGE.ok(a):
         raise ParamError(
-            f"closed-form minimum applies for 1/2 < a < 2/pi, got a={a!r}")
+            f"closed-form minimum applies for {MID_REGIME_RANGE.text}, got a={a!r}")
     return (a + u) ** 2 / (u * (1 + a * u))

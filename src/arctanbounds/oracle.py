@@ -279,7 +279,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         if not float_lo <= x <= float_hi:
             escalate.append(i)
             continue
-        b = fn(a, x)
+        b = fn(x)
         o = oracle_f[i]
         m = o - b if lower else b - o
         e = float_error(x, b) + four_u * (o + abs(b)) + floor
@@ -423,7 +423,7 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
         nonlocal calls, escalated
         calls += 1
         if cat.FLOAT_FORM_MIN <= x <= cat.FLOAT_FORM_MAX:
-            fa, fb = fn_a(a_a, x), fn_b(a_b, x)
+            fa, fb = fn_a(x), fn_b(x)
             d = fa - fb
             # fa and fb are float forms at the same double x, each within its
             # proven error bound of the exact bound, and 4u(|fa| + |fb|) covers

@@ -57,11 +57,17 @@ class TestEvalBound:
             (math.pi + 2) / (2 + math.pi * math.sqrt(2)), abs=1e-15)
 
     def test_corrected_lower_is_reversed_family_member(self):
-        # pi^2 x / (4 + 2 pi u) == (pi/2) x / (2/pi + u)
-        for x in [0.1, 1.0, 7.0, 250.0]:
-            direct = eval_bound(B.TWO_OVER_PI_LOWER, x)
-            family = eval_bound(B.REVERSED_LOWER, x, a=2 / math.pi)
-            assert direct == pytest.approx(family, rel=1e-14)
+        # pi^2 x / (4 + 2 pi u) == (pi/2) x / (2/pi + u),
+        # pi^2 x / (2 + 2 pi u) == (pi/2) x / (1/pi + u) (the errata is an upper bound),
+        # (pi + 2) x / (2 + pi u) == (1 + 2/pi) x / (2/pi + u)
+        pairs = [(B.TWO_OVER_PI_LOWER, B.REVERSED_LOWER, 2 / math.pi),
+                 (B.TWO_OVER_PI_LOWER_ERRATA, B.FAMILY_UPPER, 1 / math.pi),
+                 (B.TWO_OVER_PI_UPPER, B.REVERSED_UPPER, TWO_OVER_PI)]
+        for direct_id, family_id, a in pairs:
+            for x in [1e-6, 0.1, 1.0, 7.0, 250.0, 1e6]:
+                direct = eval_bound(direct_id, x)
+                family = eval_bound(family_id, x, a=a)
+                assert direct == pytest.approx(family, rel=1e-14), (direct_id, x)
 
     def test_x_domain(self):
         for bad in [0.0, -1.0, math.inf, math.nan]:
@@ -294,7 +300,7 @@ class TestFloatErrorBound:
         xs += [2.0 ** rng.uniform(lo, hi) for _ in range(60)]
         xs += [10.0 ** rng.uniform(-9, 9) for _ in range(60)]
         for x in xs:
-            b = fn(a, x)
+            b = fn(x)
             err = float_error(x, b)
             if not math.isfinite(b):
                 assert not err < math.inf, x
@@ -431,6 +437,6 @@ class TestUnitsForms:
         for bound, a in _reference_entries():
             fn, _ = float_form(bound, a)
             for x in xs:
-                got, want = fn(a, x), REFERENCE_FORMS[bound](a, x)
+                got, want = fn(x), REFERENCE_FORMS[bound](a, x)
                 assert (pack(got) == pack(want)
                         or (math.isnan(got) and math.isnan(want))), (bound, a, x)

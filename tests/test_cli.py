@@ -146,6 +146,19 @@ class TestErrors:
         assert code == 2
         assert "ParamError" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--a", "0.6"],
+        ["verify", "--grid-points", "20", "--format", "json"],
+        ["profile", "--grid-points", "20", "--format", "csv"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_maps_to_exit_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, argv + ["--output", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("ParamError: cannot write --output")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not target.parent.exists()
+
 
 class TestVerify:
     def test_suite_passes_and_flags_errata(self, capsys):

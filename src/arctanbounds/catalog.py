@@ -345,7 +345,12 @@ def _check_x(x: float) -> None:
 
 
 def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
-    """Evaluate one catalog bound at x > 0 (float arithmetic)."""
+    """Evaluate one catalog bound at x > 0 (float arithmetic).
+
+    The value carries its proven error bound (float_form) only on [2**-500,
+    2**500].  Above sqrt(DBL_MAX) ~ 1.34e154 x*x overflows: the c*x/(d + e*u)
+    bounds read 0.0, log-lower inf, and near DBL_MAX values are NaN.
+    """
     fn, _ = float_form(bound, a)
     _check_x(x)
     return fn(float(x))

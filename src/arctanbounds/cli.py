@@ -1,18 +1,19 @@
 """Command-line front end.
 
 Subcommands mirror the library surface: eval, classify, enclose, find-min,
-verify, dominance, profile.  Default output is text to stdout; ``--format
-json`` (or ``--format csv`` for profile, the one report written as rows) plus
-``--output`` write machine-readable files.  ``verify`` lists the first 25
-violations of each entry and counts them all.  ``verify --stats`` adds, to
-the JSON report, each entry's count of points the sweep evaluated in fixed
-point (not the violations it settled in double and lists), the oracle and
-sweep phase times, and the package and Python versions.  ``dominance`` gives
-every grid point one exact verdict; its ``--stats`` adds the counts of grid
-points and bisection steps decided in fixed point, the report's time and the
-same provenance.  ``profile --stats`` adds the oracle and row times, the
-count of rows measured at extra digits and the same provenance.
-``enclose`` gives an outward-rounded bracket.
+verify, dominance, profile.  Each handler returns ``(status, payload,
+text)``; ``main`` alone writes the text, or for ``--format json`` the
+payload indented alike for every command (``classify`` too), to stdout or
+to ``--output``; ``profile --format csv`` rows replace the text.  A payload
+with ``stats`` gains the provenance: package and Python versions, digits and
+grid.  ``verify`` lists the first 25 violations of each entry and counts
+them all; its ``--stats`` adds each entry's count of points the sweep
+evaluated in fixed point (not the violations it settled in double) and the
+oracle and sweep times.  ``dominance`` gives every grid point one exact
+verdict; its ``--stats`` adds the grid points and bisection steps decided in
+fixed point and the report's time.  ``profile --stats`` adds the oracle and
+row times and the rows measured at extra digits.  ``enclose`` gives an
+outward-rounded bracket.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -67,7 +68,7 @@ def _add_output_args(p: argparse.ArgumentParser, rows: bool = False) -> None:
     p.add_argument("--output", default=None, help="write the report to a file")
 
 
-def _emit(args, text: str, newline: Optional[str] = None) -> None:
+def _emit(args, text: str) -> None:
     """Write text, newline-ended, to stdout or to --output (OSError: exit 2)."""
     if not text.endswith("\n"):
         text += "\n"
@@ -75,7 +76,7 @@ def _emit(args, text: str, newline: Optional[str] = None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(args.output, "w", newline=newline, encoding="utf-8") as handle:
+        with open(args.output, "w", newline="", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise ParamError(f"cannot write --output {args.output!r}: "
@@ -154,68 +155,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, dict, str]:
     value = cat.eval_bound(args.bound, args.x, args.a)
     payload = {"bound": args.bound.value, "x": args.x, "a": args.a, "value": value}
+    text = f"{args.bound.value}(x={args.x!r}" + \
+        (f", a={args.a!r}" if args.a is not None else "") + f") = {value!r}"
     if args.digits:
         payload["value_hp"] = cat.eval_bound_hp(
             args.bound, args.x, args.a, digits=args.digits).as_decimal_string()
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        line = f"{args.bound.value}(x={args.x!r}" + \
-               (f", a={args.a!r}" if args.a is not None else "") + f") = {value!r}"
-        if "value_hp" in payload:
-            line += f"\nfixed-point [{args.digits} digits] = {payload['value_hp']}"
-        _emit(args, line)
-    return 0
+        text += f"\nfixed-point [{args.digits} digits] = {payload['value_hp']}"
+    return 0, payload, text
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, dict, str]:
     regime = cat.classify_regime(args.a)
-    if args.format == "json":
-        _emit(args, json.dumps({"a": args.a, "regime": regime.value}))
-    else:
-        _emit(args, regime.value)
-    return 0
+    return 0, {"a": args.a, "regime": regime.value}, regime.value
 
 
-def _cmd_enclose(args) -> int:
+def _cmd_enclose(args) -> tuple[int, dict, str]:
     enc = cat.enclosure(args.a, args.x)
     payload = {"a": args.a, "x": args.x, "lower": enc.lower, "upper": enc.upper,
                "half_width": enc.half_width, "midpoint": enc.midpoint}
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, f"arctan({args.x!r}) in ({enc.lower!r}, {enc.upper!r})"
-                    f"  half_width={enc.half_width!r}")
-    return 0
+    return 0, payload, (f"arctan({args.x!r}) in ({enc.lower!r}, {enc.upper!r})"
+                        f"  half_width={enc.half_width!r}")
 
 
-def _cmd_find_min(args) -> int:
+def _cmd_find_min(args) -> tuple[int, dict, str]:
     res = fam.find_interior_minimum(args.a)
     payload = {"a": args.a, "x0": res.x0, "value": res.value, "u": res.u,
                "residual": res.residual}
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, f"minimum of the ratio at a={args.a!r}: x0={res.x0!r} "
-                    f"value={res.value!r} u={res.u!r} residual={res.residual!r}")
-    return 0
+    return 0, payload, (f"minimum of the ratio at a={args.a!r}: x0={res.x0!r} "
+                        f"value={res.value!r} u={res.u!r} residual={res.residual!r}")
 
 
 def _suite_entries(suite: str):
-    fixed = [(b, None) for b in cat.BoundId
-             if not cat.bound_takes_param(b)]
+    fixed = [(b, None) for b in cat.BoundId if not cat.bound_takes_param(b)]
     family = [(b, a) for b, params in SUITE_FAMILY_PARAMS.items() for a in params]
-    if suite == "fixed":
-        return fixed
-    if suite == "family":
-        return family
-    return fixed + family
+    return {"fixed": fixed, "family": family, "all": fixed + family}[suite]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, str]:
     orc.check_digits(args.digits, "sweep")     # before the timed oracle build
     grid = _grid_from_args(args)
     results = []
@@ -246,79 +225,56 @@ def _cmd_verify(args) -> int:
         "results": results,
         "ok": not failed,
     }
+    lines = []
+    for entry in results:
+        label = entry["bound"] + (f"[a={entry['a']}]" if entry["a"] is not None else "")
+        lines.append(f"{entry['status']:>28}  {label:34s} "
+                     f"violations={entry['violation_count']:<6d} "
+                     f"min_margin={entry['min_margin']:.3e}")
+    lines.append(f"suite={args.suite} ok={not failed}")
     if args.stats:
-        payload["stats"] = {
+        stats = payload["stats"] = {
             "oracle_s": oracle_done - started,
             "sweep_s": time.perf_counter() - oracle_done,
             "escalated": sum(entry["escalated"] for entry in results),
             "checked": grid.points * len(results),
-            **_provenance(args.digits, grid),
         }
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = []
-        for entry in results:
-            label = entry["bound"] + (f"[a={entry['a']}]" if entry["a"] is not None else "")
-            lines.append(f"{entry['status']:>28}  {label:34s} "
-                         f"violations={entry['violation_count']:<6d} "
-                         f"min_margin={entry['min_margin']:.3e}")
-        lines.append(f"suite={args.suite} ok={not failed}")
-        if args.stats:
-            stats = payload["stats"]
-            lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} "
-                         f"point checks; oracle {stats['oracle_s']:.3f} s, "
-                         f"sweeps {stats['sweep_s']:.3f} s")
-        _emit(args, "\n".join(lines))
-    return 0 if not failed else 1
+        lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} "
+                     f"point checks; oracle {stats['oracle_s']:.3f} s, "
+                     f"sweeps {stats['sweep_s']:.3f} s")
+    return int(failed), payload, "\n".join(lines)
 
 
-def _provenance(digits: int, grid: orc.GridSpec) -> dict:
-    return {
-        "package_version": __version__,
-        "python_version": "%d.%d.%d" % sys.version_info[:3],
-        "digits": digits,
-        "grid": grid.to_json_dict(),
-    }
-
-
-def _cmd_dominance(args) -> int:
+def _cmd_dominance(args) -> tuple[int, dict, str]:
     grid = _grid_from_args(args)
     started = time.perf_counter()
     report = orc.dominance_report(args.bound_a, args.bound_b,
                                   a_a=args.param_a, a_b=args.param_b,
                                   grid=grid, digits=args.digits)
     payload = report.to_json_dict()
+    lines = [f"side={report.side}  A={report.bound_a.value} B={report.bound_b.value}",
+             f"points: A tighter {report.a_tighter}, B tighter {report.b_tighter}, "
+             f"equal {report.equal}"]
+    for region in report.regions:
+        lines.append(f"  [{region.x_lo:.6e}, {region.x_hi:.6e}] {region.verdict}")
+    if report.crossovers:
+        lines.append("crossovers: " + ", ".join(f"{c!r}" for c in report.crossovers))
     if args.stats:
-        payload["stats"] = {
+        stats = payload["stats"] = {
             "dominance_s": time.perf_counter() - started,
             "escalated": report.escalated,
             "checked": grid.points,
             "escalated_steps": report.escalated_steps,
             "bisection_steps": report.bisection_steps,
-            **_provenance(args.digits, grid),
         }
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = [f"side={report.side}  A={report.bound_a.value} B={report.bound_b.value}",
-                 f"points: A tighter {report.a_tighter}, B tighter {report.b_tighter}, "
-                 f"equal {report.equal}"]
-        for region in report.regions:
-            lines.append(f"  [{region.x_lo:.6e}, {region.x_hi:.6e}] {region.verdict}")
-        if report.crossovers:
-            lines.append("crossovers: " + ", ".join(f"{c!r}" for c in report.crossovers))
-        if args.stats:
-            stats = payload["stats"]
-            lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} "
-                         f"grid points and {stats['escalated_steps']} of "
-                         f"{stats['bisection_steps']} bisection steps; "
-                         f"dominance {stats['dominance_s']:.3f} s")
-        _emit(args, "\n".join(lines))
-    return 0
+        lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} "
+                     f"grid points and {stats['escalated_steps']} of "
+                     f"{stats['bisection_steps']} bisection steps; "
+                     f"dominance {stats['dominance_s']:.3f} s")
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> tuple[int, dict, str]:
     if args.stats and args.format == "csv":
         raise ParamError("--stats needs --format json or text; CSV holds rows only")
     orc.check_digits(args.digits, "error profile")    # before the timed oracle build
@@ -329,33 +285,25 @@ def _cmd_profile(args) -> int:
         orc._oracle_on_grid(grid, args.digits)
     oracle_done = time.perf_counter()
     prof = ker.error_profile(spec, grid, digits=args.digits)
-    stats = {
-        "oracle_s": oracle_done - started,
-        "rows_s": time.perf_counter() - oracle_done,
-        "extra_digit_rows": prof.extra_digit_rows,
-        **_provenance(args.digits, grid),
-    }
+    payload = prof.to_json_dict()
+    text = (f"kernel a_low={spec.a_low!r} a_high={spec.a_high!r}\n"
+            f"max certified error = {prof.max_certified!r}\n"
+            f"max actual error    = {prof.max_actual!r}\n"
+            f"certified everywhere: {payload['certified_everywhere']}")
+    if args.stats:
+        stats = payload["stats"] = {
+            "oracle_s": oracle_done - started,
+            "rows_s": time.perf_counter() - oracle_done,
+            "extra_digit_rows": prof.extra_digit_rows,
+        }
+        text += (f"\n{stats['extra_digit_rows']} of {grid.points} rows measured "
+                 f"at extra digits; oracle {stats['oracle_s']:.3f} s, "
+                 f"rows {stats['rows_s']:.3f} s")
     if args.format == "csv":
         rows = io.StringIO()
         prof.write_csv(rows)
-        _emit(args, rows.getvalue(), newline="")
-    elif args.format == "json":
-        payload = prof.to_json_dict()
-        if args.stats:
-            payload["stats"] = stats
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        d = prof.to_json_dict()
-        text = (f"kernel a_low={spec.a_low!r} a_high={spec.a_high!r}\n"
-                f"max certified error = {prof.max_certified!r}\n"
-                f"max actual error    = {prof.max_actual!r}\n"
-                f"certified everywhere: {d['certified_everywhere']}")
-        if args.stats:
-            text += (f"\n{stats['extra_digit_rows']} of {grid.points} rows measured "
-                     f"at extra digits; oracle {stats['oracle_s']:.3f} s, "
-                     f"rows {stats['rows_s']:.3f} s")
-        _emit(args, text)
-    return 0
+        text = rows.getvalue()
+    return 0, payload, text
 
 
 _HANDLERS = {
@@ -372,7 +320,17 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        status, payload, text = _HANDLERS[args.command](args)
+        if "stats" in payload:
+            payload["stats"].update(
+                package_version=__version__,
+                python_version="%d.%d.%d" % sys.version_info[:3],
+                digits=args.digits,
+                grid=_grid_from_args(args).to_json_dict())
+        if args.format == "json":
+            text = json.dumps(payload, indent=2)
+        _emit(args, text)
+        return status
     except ArctanBoundsError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

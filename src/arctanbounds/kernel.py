@@ -62,7 +62,6 @@ class CertifiedValue:
 
     value: float
     error_bound: float
-    x: float
 
 
 def approx(spec: KernelSpec, x: float) -> CertifiedValue:
@@ -98,7 +97,7 @@ def approx(spec: KernelSpec, x: float) -> CertifiedValue:
     value = 0.5 * (lower + upper)
     below, above = value - lower, upper - value
     return CertifiedValue(-value if x < 0 else value,
-                          below if below > above else above, x)
+                          below if below > above else above)
 
 
 @dataclass(frozen=True)

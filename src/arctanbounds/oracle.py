@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -159,8 +159,9 @@ class SweepReport:
     violation_at holds, in grid order, the index of every grid point with a
     non-positive margin; the report is clean iff it is empty iff min_margin >
     0.  violations lists (x, bound, oracle) for them, bound from the
-    fixed-point path, and violations_listed(n) the first n of them; a
-    violation settled in double gets its fixed-point bound only when listed.
+    fixed-point path, and violations_listed(n) the first n of them; the
+    fixed-point bound is computed when the listing is read, and only for the
+    violations listed.
     escalated counts the grid points the sweep evaluated in fixed point, the
     candidates for the minimum margin included.  rows hold
     (x, bound, oracle, margin) per grid point, all from the fixed-point path;
@@ -177,8 +178,6 @@ class SweepReport:
     min_margin: float
     min_margin_x: float
     escalated: int
-    #: fixed-point bound doubles of the violations evaluated so far, by index
-    _bound_at: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -193,13 +192,9 @@ class SweepReport:
         """(x, bound, oracle) for the first `limit` violations, all if None."""
         xs = self.grid.values()
         oracle_hp = _oracle_on_grid(self.grid, self.digits)
-        listed = []
-        for i in self.violation_at[:limit]:
-            if i not in self._bound_at:
-                self._bound_at[i] = _exact_point(self.bound, self.a, self.side, xs[i],
-                                                 oracle_hp[i], self.digits)[0]
-            listed.append((xs[i], self._bound_at[i], float(oracle_hp[i])))
-        return listed
+        return [(xs[i], _exact_point(self.bound, self.a, self.side, xs[i], oracle_hp[i],
+                                     self.digits)[0], float(oracle_hp[i]))
+                for i in self.violation_at[:limit]]
 
     @cached_property
     def violations(self) -> list[tuple[float, float, float]]:
@@ -299,12 +294,11 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     # stage 2: the fixed-point path for the escalated points, then for the
     # candidates whose reported margin could still be the smallest
     exact = {}
-    bound_at = {}
     for i in escalate:
-        bound_f, margin, holds = _exact_point(bound, a, side, xs[i], oracle_hp[i], digits)
+        _, margin, holds = _exact_point(bound, a, side, xs[i], oracle_hp[i], digits)
         exact[i] = margin
         if not holds:
-            bound_at[i] = bound_f
+            violated.append(i)
         if margin < min_high:
             min_high = margin
     for i, low in candidates:
@@ -318,9 +312,9 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
             min_margin = exact[i]
             min_x = xs[i]
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
-                       violation_at=tuple(sorted(violated + list(bound_at))),
+                       violation_at=tuple(sorted(violated)),
                        min_margin=min_margin, min_margin_x=min_x,
-                       escalated=len(exact), _bound_at=bound_at)
+                       escalated=len(exact))
 
 
 @dataclass(frozen=True)

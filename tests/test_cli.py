@@ -160,6 +160,34 @@ class TestErrors:
         assert not target.parent.exists()
 
 
+class TestOneOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--bound", "family-upper", "--x", "2", "--a", "0.25",
+         "--digits", "30", "--format", "json"],
+        ["classify", "--a", "0.6", "--format", "json"],
+        ["enclose", "--a", "0.5", "--x", "1", "--format", "json"],
+        ["find-min", "--a", "0.6", "--format", "json"],
+        ["verify", "--suite", "fixed", "--grid-points", "50", "--format", "json"],
+        ["dominance", "--bound-a", "two-over-pi-lower", "--bound-b", "shafer-lower",
+         "--grid-points", "50", "--format", "json"],
+        ["profile", "--grid-points", "50", "--format", "json"],
+        ["profile", "--grid-points", "50", "--format", "csv"],
+        ["dominance", "--bound-a", "two-over-pi-lower", "--bound-b", "shafer-lower",
+         "--grid-points", "50"],
+    ], ids=["eval", "classify", "enclose", "find-min", "verify", "dominance", "profile",
+            "profile-csv", "dominance-text"])
+    def test_stdout_equals_output_file(self, capsys, tmp_path, argv):
+        # every command writes the same bytes to stdout and to --output, and
+        # all JSON is indented alike
+        code, out, _ = run(capsys, argv)
+        target = tmp_path / "report"
+        assert run(capsys, argv + ["--output", str(target)]) == (code, "", "")
+        assert code == 0
+        assert out.encode("utf-8") == target.read_bytes()
+        if "json" in argv:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestVerify:
     def test_suite_passes_and_flags_errata(self, capsys):
         code, out, _ = run(capsys, VERIFY_ARGS)

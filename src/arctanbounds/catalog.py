@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -83,10 +84,16 @@ class Enclosure:
 
     @property
     def half_width(self) -> float:
-        return 0.5 * (self.upper - self.lower)
+        """(upper - lower) / 2 rounded up, so never below the true half width
+        (halving one subnormal step rounds to 0)."""
+        half = 0.5 * (self.upper - self.lower)
+        if Fraction(half) < (Fraction(self.upper) - Fraction(self.lower)) / 2:
+            half = math.nextafter(half, math.inf)
+        return half
 
     @property
     def midpoint(self) -> float:
+        """The double nearest (lower + upper) / 2, inside [lower, upper]."""
         return 0.5 * (self.lower + self.upper)
 
 
@@ -345,15 +352,25 @@ def _check_x(x: float) -> None:
 
 
 def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
-    """Evaluate one catalog bound at x > 0 (float arithmetic).
+    """Evaluate one catalog bound at x > 0 as a double.
 
-    The value carries its proven error bound (float_form) only on [2**-500,
-    2**500].  Above sqrt(DBL_MAX) ~ 1.34e154 x*x overflows: the c*x/(d + e*u)
-    bounds read 0.0, log-lower inf, and near DBL_MAX values are NaN.
+    On [FLOAT_FORM_MIN, FLOAT_FORM_MAX] = [2**-500, 2**500] this is the float
+    form, with its proven error bound (float_form).  Outside it, where x*x
+    underflows or overflows, it is the fixed-point value (eval_bound_hp) at
+    30 + 2|log10 x| digits, which leaves at least 30 digits of log-lower's
+    ln(1 + x^2) and of every bound's value, rounded to the nearest double:
+    -inf or inf where that overflows (cubic-lower above ~1e103).
     """
     fn, _ = float_form(bound, a)
     _check_x(x)
-    return fn(float(x))
+    x = float(x)
+    if FLOAT_FORM_MIN <= x <= FLOAT_FORM_MAX:
+        return fn(x)
+    value = eval_bound_hp(bound, x, a, digits=30 + 2 * math.ceil(abs(math.log10(x))))
+    try:
+        return float(value)
+    except OverflowError:
+        return -math.inf if value.units < 0 else math.inf
 
 
 def float_form(bound: BoundId, a: Optional[float]

@@ -8,12 +8,12 @@ to ``--output``; ``profile --format csv`` rows replace the text.  A payload
 with ``stats`` gains the provenance: package and Python versions, digits and
 grid.  ``verify`` lists the first 25 violations of each entry and counts
 them all; its ``--stats`` adds each entry's count of points the sweep
-evaluated in fixed point (not the violations it settled in double) and the
-oracle and sweep times.  ``dominance`` gives every grid point one exact
-verdict; its ``--stats`` adds the grid points and bisection steps decided in
-fixed point and the report's time.  ``profile --stats`` adds the oracle and
-row times and the rows measured at extra digits.  ``enclose`` gives an
-outward-rounded bracket.
+evaluated in fixed point (not the violations it settled in double) and of
+points its defect series settled, and the oracle and sweep times.
+``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
+the grid points and bisection steps decided in fixed point and the report's
+time.  ``profile --stats`` adds the oracle and row times and the rows
+measured at extra digits.  ``enclose`` gives an outward-rounded bracket.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -128,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle digits; below 50 the thinnest margins on the "
                         "default grid are unresolvable")
     p.add_argument("--stats", action="store_true",
-                   help="add fixed-point point counts, phase times and "
-                        "provenance to the JSON report")
+                   help="add fixed-point and defect-series point counts, phase "
+                        "times and provenance to the JSON report")
     _add_output_args(p)
 
     p = sub.add_parser("dominance", help="which of two same-side bounds is tighter where")
@@ -208,6 +208,7 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
         entry = report.to_json_dict(limit=VIOLATIONS_LISTED)
         if args.stats:
             entry["escalated"] = report.escalated
+            entry["series"] = report.series
         if cat.bound_is_trusted(bound):
             entry["status"] = "ok" if report.ok else "violation"
             failed = failed or not report.ok
@@ -237,11 +238,12 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
             "oracle_s": oracle_done - started,
             "sweep_s": time.perf_counter() - oracle_done,
             "escalated": sum(entry["escalated"] for entry in results),
+            "series": sum(entry["series"] for entry in results),
             "checked": grid.points * len(results),
         }
-        lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} "
-                     f"point checks; oracle {stats['oracle_s']:.3f} s, "
-                     f"sweeps {stats['sweep_s']:.3f} s")
+        lines.append(f"fixed point at {stats['escalated']} and defect series at "
+                     f"{stats['series']} of {stats['checked']} point checks; "
+                     f"oracle {stats['oracle_s']:.3f} s, sweeps {stats['sweep_s']:.3f} s")
     return int(failed), payload, "\n".join(lines)
 
 

@@ -4,7 +4,7 @@ The oracle evaluates arctan in integer fixed point (argument reduction plus
 an alternating Taylor series, see :mod:`arctanbounds.fixedpoint`) with an
 absolute error far below ``10**-digits``.
 
-A sweep checks a catalog bound against the oracle at every grid point in two
+A sweep checks a catalog bound against the oracle at every grid point in
 stages.  Stage 1 evaluates the bound's float form and subtracts it from the
 oracle rounded to a double, cached once per grid and digits.  The point is
 settled, the inequality holding, when that margin m exceeds a proven error
@@ -15,23 +15,33 @@ proven violation when m < -E, the symmetric use of the same bound (the
 adaptive filter of Shewchuk, 1997).  A settled point gets the verdict the
 fixed-point path would give.  A violation settled so is counted at once, and
 its fixed-point bound is computed only when the report's listing is read.
-Stage 2 sends every other point to the fixed-point path (``eval_bound_hp``
+Stage 1 keeps as minimum candidates the settled points whose margin interval
+m -+ 2E has its low end at most the lowest high end seen so far.
+
+Where the bound touches arctan (at 0 for Shafer's 3x/(1 + 2u) and every row
+with c = d + e, the margin ~ x^5/180 at a = 1/2; at infinity for the a = 2/pi
+lower rows) o and b nearly cancel and stage 1 cannot settle the point, or
+settles it with an interval wide enough to make it a candidate.  There
+stage 2 evaluates the margin directly as the row's defect series, exact
+rational coefficients rounded to doubles with a proven error bound (see
+:mod:`arctanbounds.series`), plus the same floor: ``floor / x`` for
+log-lower, whose fixed-point error grows like 1/x.  The series settles the
+point, with its interval in place of stage 1's where it is the narrower.
+Stage 3 sends every other point to the fixed-point path (``eval_bound_hp``
 at the sweep's digits, a straight line of integer operations per catalog
-entry): points with |m| <= E, points outside [2**-500, 2**500] and
-non-finite float values, then the settled points whose margin interval could
-reach the minimum.  Stage 1 keeps only those whose interval's low end is at
-most the lowest high end seen so far.  So verdicts, violations and the
-minimum margin are those of a sweep that evaluates every point in fixed
-point: the minimum is taken over exact margins at every point whose margin
-interval m -+ E could reach it.  The thinnest true margins (the a = 1/2
-family lower bound near x = 1e-8, margin ~ x^5/180 ~ 5.6e-43) lie far below
-one double ulp and always escalate; the default 50 sweep digits resolve
+entry): points neither stage settled, points outside [2**-500, 2**500] and
+non-finite float values, then the candidates whose interval could still
+reach the minimum.  So verdicts, violations and the minimum margin are those
+of a sweep that evaluates every point in fixed point: the minimum is taken
+over exact margins at every point whose margin interval could reach it.  On
+the default grid and suite 30 of the 300,000 point checks reach fixed point,
+one per entry at its minimum margin.  The default 50 sweep digits resolve
 every certified margin on the default grid with several orders to spare.  A
 dominance report decides the sign of the difference of two bounds with the
-same filter less its floor, the second bound taking the oracle's place, and
-gives every grid point that one exact verdict.  It bisects each crossover on
-the bit patterns of the two doubles, to a relative width of 1e-13 at any
-magnitude.
+stage 1 filter less its floor, the second bound taking the oracle's place,
+and gives every grid point that one exact verdict.  It bisects each
+crossover on the bit patterns of the two doubles, to a relative width of
+1e-13 at any magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -126,8 +136,11 @@ def _oracle_on_grid(grid: GridSpec, digits: int) -> tuple[fp.FixedReal, ...]:
 
 
 @lru_cache(maxsize=8)
-def _oracle_doubles_on_grid(grid: GridSpec, digits: int) -> tuple[float, ...]:
-    return tuple(float(o) for o in _oracle_on_grid(grid, digits))
+def _oracle_doubles_on_grid(grid: GridSpec, digits: int) -> memoryview:
+    """The oracle on the grid rounded to doubles, packed 8 bytes a point (a
+    float object in a tuple takes 32)."""
+    doubles = [float(o) for o in _oracle_on_grid(grid, digits)]
+    return memoryview(struct.pack(f"{len(doubles)}d", *doubles)).cast("d")
 
 
 def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
@@ -163,7 +176,8 @@ class SweepReport:
     fixed-point bound is computed when the listing is read, and only for the
     violations listed.
     escalated counts the grid points the sweep evaluated in fixed point, the
-    candidates for the minimum margin included.  rows hold
+    candidates for the minimum margin included, and series the grid points
+    the row's defect series settled.  rows hold
     (x, bound, oracle, margin) per grid point, all from the fixed-point path;
     margin is signed so that positive means the inequality holds at that
     point.  They are computed when first read.
@@ -178,6 +192,7 @@ class SweepReport:
     min_margin: float
     min_margin_x: float
     escalated: int
+    series: int
 
     @property
     def ok(self) -> bool:
@@ -237,8 +252,8 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     """Check one bound's containment claim at every grid point.
 
     For a lower bound, a violation is bound >= arctan; for an upper bound,
-    bound <= arctan; the side is the catalog's.  The two stages are described
-    in the module docstring.
+    bound <= arctan; the side is the catalog's.  The three stages are
+    described in the module docstring.
     """
     side = cat.bound_side(bound)
     check_digits(digits, "sweep")
@@ -265,33 +280,49 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     # can hold the minimum, and min_high only falls.  Every bound and arctan
     # lie below 2x near 0, so |m| > floor puts x far above the half unit
     # below which eval_bound_hp raises, and b is finite: listing a settled
-    # violation later never raises.
+    # violation later never raises.  Stage 2, the defect series, runs on the
+    # points stage 1 leaves unsettled or as candidates, in the series' domain;
+    # its E carries the floor and at least 3u|m| as well, so the same 2E holds.
     escalate = []
     violated = []
     candidates = []     # (index, lowest possible reported margin)
     min_high = math.inf
+    # imported on first use: only sweeps need the series, so importing the
+    # package (every CLI command, the kernel) does not load it
+    from . import series as ser
+    series = ser.margin_evaluator(bound, a)
+    series_lo, series_hi = (series.x_min, series.x_max) if series else (math.inf, 0.0)
+    settled_by_series = 0
     for i, x in enumerate(xs):
-        if not float_lo <= x <= float_hi:
-            escalate.append(i)
-            continue
-        b = fn(x)
         o = oracle_f[i]
-        m = o - b if lower else b - o
-        e = float_error(x, b) + four_u * (o + abs(b)) + floor
+        m = e = math.nan
+        if float_lo <= x <= float_hi:
+            b = fn(x)
+            m = o - b if lower else b - o
+            e = float_error(x, b) + four_u * (o + abs(b)) + floor
+        scale = o if x > 1.0 else 1.0
+        if m > e or m < -e:
+            if m / scale - 2 * e / scale > min_high:    # settled, not a candidate
+                if m < -e:
+                    violated.append(i)
+                continue
+        if series_lo <= x <= series_hi:
+            m_s, e_s = series.margin(x, floor)
+            if (m_s > e_s or m_s < -e_s) and not e_s >= e:
+                m, e = m_s, e_s
+                settled_by_series += 1
         if not m > e:
             if not m < -e:      # unsettled, or NaN
                 escalate.append(i)
                 continue
             violated.append(i)
-        rad = 2 * e
-        if x > 1.0:
-            m, rad = m / o, rad / o
+        m, rad = m / scale, 2 * e / scale
         if m + rad < min_high:
             min_high = m + rad
         if m - rad <= min_high:
             candidates.append((i, m - rad))
 
-    # stage 2: the fixed-point path for the escalated points, then for the
+    # stage 3: the fixed-point path for the escalated points, then for the
     # candidates whose reported margin could still be the smallest
     exact = {}
     for i in escalate:
@@ -314,7 +345,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
                        violation_at=tuple(sorted(violated)),
                        min_margin=min_margin, min_margin_x=min_x,
-                       escalated=len(exact))
+                       escalated=len(exact), series=settled_by_series)
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,29 @@ class TestEvalBound:
                 hp = float(eval_bound_hp(bound, x, a, digits=40))
                 assert hp == pytest.approx(f, rel=1e-13)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-200, math.nextafter(FLOAT_FORM_MIN, 0.0),
+                                   math.nextafter(FLOAT_FORM_MAX, math.inf), 1e154,
+                                   1e200, 1e300, sys.float_info.max])
+    def test_outside_float_range_is_fixed_point_rounded(self, x):
+        # x*x underflows or overflows here, where the float forms read 0.0,
+        # inf or nan; eval_bound gives the fixed-point value rounded to
+        # nearest, here checked at far more digits
+        for bound, a in _suite_entries("all"):
+            value = eval_bound(bound, x, a)
+            exact = eval_bound_hp(bound, x, a, digits=700)
+            try:
+                want = float(exact)
+            except OverflowError:
+                want = -math.inf if exact.units < 0 else math.inf
+            assert value == want, (bound, a, x)
+        assert eval_bound(B.FAMILY_UPPER, x, 0.25) > 0.0
+        assert eval_bound(B.LOG_LOWER, x) < 1.0
+
+    def test_float_range_ends_keep_the_float_form(self):
+        for x in (FLOAT_FORM_MIN, FLOAT_FORM_MAX):
+            for bound, a in _suite_entries("all"):
+                assert eval_bound(bound, x, a) == float_form(bound, a)[0](x), (bound, a, x)
+
 
 class TestExactSpecialCases:
     def test_shafer_is_half_family_member(self):
@@ -252,6 +275,27 @@ class TestEnclosure:
             for a, enc in zip(ENCLOSURE_PARAMS + ("best",), encs):
                 assert to_units(enc.lower, digits) < truth < to_units(enc.upper, digits), \
                     (a, x, enc)
+
+    def test_adjacent_subnormal_ends(self):
+        # 0.5 * (upper - lower) rounds one subnormal step to 0
+        for lower in (2023 * 2.0 ** -1074, 0.0, 5e-324, 2.0 ** -1022 - 2.0 ** -1074):
+            upper = math.nextafter(lower, 1.0)
+            for enc in (Enclosure(lower, upper), Enclosure(lower, lower)):
+                true_half = (Fraction(enc.upper) - Fraction(enc.lower)) / 2
+                assert Fraction(enc.half_width) >= true_half
+                assert enc.lower <= enc.midpoint <= enc.upper
+        enc = enclosure(0.5, 1e-320)
+        assert enc.upper == math.nextafter(enc.lower, 1.0) and enc.half_width > 0.0
+
+    def test_half_width_never_below_the_true_half_width(self):
+        rng = random.Random("half-width")
+        for _ in range(2000):
+            lower = 10.0 ** rng.uniform(-320, 300)
+            upper = lower * (1.0 + 10.0 ** rng.uniform(-16, 3))
+            enc = Enclosure(lower, upper)
+            assert Fraction(enc.half_width) >= (Fraction(upper) - Fraction(lower)) / 2
+            assert enc.half_width <= math.nextafter(0.5 * (upper - lower), math.inf)
+            assert lower <= enc.midpoint <= upper
 
 
 class TestBestEnclosure:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,13 @@ class TestBasicCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(0.7836116248912243, abs=1e-15)
+
+    def test_eval_above_square_overflow(self, capsys):
+        # x*x overflows above ~1.34e154; the float form used to read 0.0 here
+        code, out, _ = run(capsys, ["eval", "--bound", "family-upper", "--a", "0.25",
+                                    "--x", "1e200"])
+        assert code == 0
+        assert out == "family-upper(x=1e+200, a=0.25) = 1.5707963267948966\n"
 
     def test_eval_with_fixed_point(self, capsys):
         code, out, _ = run(capsys, ["eval", "--bound", "shafer-lower", "--x", "1",
@@ -225,13 +233,16 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         stats = payload.pop("stats")
-        assert set(stats) == {"oracle_s", "sweep_s", "escalated", "checked",
+        assert set(stats) == {"oracle_s", "sweep_s", "escalated", "series", "checked",
                               "package_version", "python_version", "digits", "grid"}
         assert stats["oracle_s"] > 0 and stats["sweep_s"] > 0
         assert stats["digits"] == 50 and stats["grid"]["points"] == 300
         assert stats["package_version"] == arctanbounds.__version__
         counts = [entry.pop("escalated") for entry in payload["results"]]
         assert sum(counts) == stats["escalated"] < stats["checked"] == 300 * len(counts)
+        series = [entry.pop("series") for entry in payload["results"]]
+        assert sum(series) == stats["series"] > 0
+        assert stats["escalated"] + stats["series"] < stats["checked"]
         errata = next(i for i, e in enumerate(payload["results"])
                       if e["bound"] == "two-over-pi-lower-errata")
         # the errata's violations are settled in double, not in fixed point
@@ -239,6 +250,19 @@ class TestVerify:
         # without --stats the report carries none of it
         assert payload == json.loads(plain)
         assert "stats" not in plain and "escalated" not in plain
+
+    def test_default_grid_escalations(self, capsys):
+        # the defect series settles the tangency points; fixed point is left
+        # with the few candidates for each entry's minimum margin
+        code, out, _ = run(capsys, ["verify", "--suite", "all", "--stats",
+                                    "--format", "json"])
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert stats["escalated"] < 1000 and stats["series"] > 10_000
+        # the text report names both counts
+        code, out, _ = run(capsys, VERIFY_ARGS[:-2] + ["--stats"])
+        assert re.match(r"fixed point at \d+ and defect series at \d+ of 9000 point "
+                        r"checks; oracle ", out.splitlines()[-1])
 
     def test_default_suite_matches_golden(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json"])

@@ -9,7 +9,8 @@ with ``stats`` gains the provenance: package and Python versions, digits and
 grid.  ``verify`` lists the first 25 violations of each entry and counts
 them all; its ``--stats`` adds each entry's count of points the sweep
 evaluated in fixed point (not the violations it settled in double) and of
-points its defect series settled, and the oracle and sweep times.
+points its defect series settled, the fixed-point oracle values computed,
+and the times of the double arctan grid and of the sweeps.
 ``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
 the grid points and bisection steps decided in fixed point and the report's
 time.  ``profile --stats`` adds the oracle and row times and the rows
@@ -201,8 +202,9 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
     failed = False
     started = time.perf_counter()
     if args.stats:
-        orc._oracle_doubles_on_grid(grid, args.digits)   # builds both caches
+        orc._fast_atan_on_grid(grid)
     oracle_done = time.perf_counter()
+    oracle_misses = orc._oracle_at.cache_info().misses
     for bound, a in _suite_entries(args.suite):
         report = orc.sweep(bound, a=a, grid=grid, digits=args.digits)
         entry = report.to_json_dict(limit=VIOLATIONS_LISTED)
@@ -240,10 +242,13 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
             "escalated": sum(entry["escalated"] for entry in results),
             "series": sum(entry["series"] for entry in results),
             "checked": grid.points * len(results),
+            "oracle_points": orc._oracle_at.cache_info().misses - oracle_misses,
         }
         lines.append(f"fixed point at {stats['escalated']} and defect series at "
                      f"{stats['series']} of {stats['checked']} point checks; "
-                     f"oracle {stats['oracle_s']:.3f} s, sweeps {stats['sweep_s']:.3f} s")
+                     f"oracle in fixed point at {stats['oracle_points']} points, "
+                     f"double arctan grid {stats['oracle_s']:.3f} s, "
+                     f"sweeps {stats['sweep_s']:.3f} s")
     return int(failed), payload, "\n".join(lines)
 
 

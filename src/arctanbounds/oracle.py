@@ -5,43 +5,47 @@ an alternating Taylor series, see :mod:`arctanbounds.fixedpoint`) with an
 absolute error far below ``10**-digits``.
 
 A sweep checks a catalog bound against the oracle at every grid point in
-stages.  Stage 1 evaluates the bound's float form and subtracts it from the
-oracle rounded to a double, cached once per grid and digits.  The point is
+stages.  Stage 1 evaluates the bound's float form and subtracts it from
+arctan in plain doubles (:mod:`arctanbounds.fastatan`, within a proven
+relative 5.25 * 2**-53 of arctan), cached once per grid.  The point is
 settled, the inequality holding, when that margin m exceeds a proven error
-bound E: the float form's own rounding error (from the catalog), the
-rounding of the oracle's double and of the subtraction, and the fixed-point
-path's own error, for which ``10**(5-digits)`` is a floor.  The point is a
-proven violation when m < -E, the symmetric use of the same bound (the
-adaptive filter of Shewchuk, 1997).  A settled point gets the verdict the
-fixed-point path would give.  A violation settled so is counted at once, and
-its fixed-point bound is computed only when the report's listing is read.
-Stage 1 keeps as minimum candidates the settled points whose margin interval
-m -+ 2E has its low end at most the lowest high end seen so far.
+bound E: the float form's own rounding error (from the catalog), the error
+of the double arctan and the rounding of the subtraction, and the
+fixed-point path's own error, for which ``10**(5-digits)`` is a floor.  The
+point is a proven violation when m < -E, the symmetric use of the same
+bound (the adaptive filter of Shewchuk, 1997).  A settled point gets the
+verdict the fixed-point path would give.  A violation settled so is counted
+at once, and its fixed-point bound is computed only when the report's
+listing is read.  Stage 1 keeps as minimum candidates the settled points
+whose margin interval m -+ 2E has its low end at most the lowest high end
+seen so far.
 
 Where the bound touches arctan (at 0 for Shafer's 3x/(1 + 2u) and every row
-with c = d + e, the margin ~ x^5/180 at a = 1/2; at infinity for the a = 2/pi
-lower rows) o and b nearly cancel and stage 1 cannot settle the point, or
-settles it with an interval wide enough to make it a candidate.  There
-stage 2 evaluates the margin directly as the row's defect series, exact
-rational coefficients rounded to doubles with a proven error bound (see
-:mod:`arctanbounds.series`), plus the same floor: ``floor / x`` for
+with c = d + e, the margin ~ x^5/180 at a = 1/2; at infinity for the
+a = 2/pi lower rows) o and b nearly cancel and stage 1 cannot settle the
+point, or settles it with an interval wide enough to make it a candidate.
+There stage 2 evaluates the margin directly as the row's defect series,
+exact rational coefficients rounded to doubles with a proven error bound
+(see :mod:`arctanbounds.series`), plus the same floor: ``floor / x`` for
 log-lower, whose fixed-point error grows like 1/x.  The series settles the
 point, with its interval in place of stage 1's where it is the narrower.
 Stage 3 sends every other point to the fixed-point path (``eval_bound_hp``
 at the sweep's digits, a straight line of integer operations per catalog
 entry): points neither stage settled, points outside [2**-500, 2**500] and
 non-finite float values, then the candidates whose interval could still
-reach the minimum.  So verdicts, violations and the minimum margin are those
-of a sweep that evaluates every point in fixed point: the minimum is taken
-over exact margins at every point whose margin interval could reach it.  On
-the default grid and suite 30 of the 300,000 point checks reach fixed point,
-one per entry at its minimum margin.  The default 50 sweep digits resolve
-every certified margin on the default grid with several orders to spare.  A
-dominance report decides the sign of the difference of two bounds with the
-stage 1 filter less its floor, the second bound taking the oracle's place,
-and gives every grid point that one exact verdict.  It bisects each
-crossover on the bit patterns of the two doubles, to a relative width of
-1e-13 at any magnitude.
+reach the minimum.  The fixed-point oracle is computed at those points and
+at the violations listed, one point at a time and cached by point and
+digits; only SweepReport.rows reads the whole grid.  So verdicts, violations
+and the minimum margin are those of a sweep that evaluates every point in
+fixed point: the minimum is taken over exact margins at every point whose
+margin interval could reach it.  On the default grid and suite 30 of the
+300,000 point checks reach fixed point, one per entry at its minimum margin.
+The default 50 sweep digits resolve every certified margin on the default
+grid with several orders to spare.  A dominance report decides the sign of
+the difference of two bounds with the stage 1 filter less its floor, the
+second bound taking the oracle's place, and gives every grid point that one
+exact verdict.  It bisects each crossover on the bit patterns of the two
+doubles, to a relative width of 1e-13 at any magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -135,11 +139,23 @@ def _oracle_on_grid(grid: GridSpec, digits: int) -> tuple[fp.FixedReal, ...]:
     return tuple(fp.FixedReal(x, digits).atan() for x in grid.values())
 
 
+@lru_cache(maxsize=1 << 14)
+def _oracle_at(x: float, digits: int) -> fp.FixedReal:
+    """The fixed-point oracle at one point, for the points a sweep evaluates
+    in fixed point and the violations it lists; its misses count them.  It
+    holds a 10k-point grid, so where a grid's points all escalate a suite's
+    sweeps share one value per point, as they shared the grid's tuple."""
+    return oracle_arctan(x, digits)
+
+
 @lru_cache(maxsize=8)
-def _oracle_doubles_on_grid(grid: GridSpec, digits: int) -> memoryview:
-    """The oracle on the grid rounded to doubles, packed 8 bytes a point (a
-    float object in a tuple takes 32)."""
-    doubles = [float(o) for o in _oracle_on_grid(grid, digits)]
+def _fast_atan_on_grid(grid: GridSpec) -> memoryview:
+    """fast_atan at every grid point in [FLOAT_FORM_MIN, FLOAT_FORM_MAX], NaN
+    outside, packed 8 bytes a point (a float object in a tuple takes 32)."""
+    # imported on first use, as sweep imports the series
+    from .fastatan import fast_atan
+    lo, hi = cat.FLOAT_FORM_MIN, cat.FLOAT_FORM_MAX
+    doubles = [fast_atan(x) if lo <= x <= hi else math.nan for x in grid.values()]
     return memoryview(struct.pack(f"{len(doubles)}d", *doubles)).cast("d")
 
 
@@ -206,10 +222,14 @@ class SweepReport:
                           ) -> list[tuple[float, float, float]]:
         """(x, bound, oracle) for the first `limit` violations, all if None."""
         xs = self.grid.values()
-        oracle_hp = _oracle_on_grid(self.grid, self.digits)
-        return [(xs[i], _exact_point(self.bound, self.a, self.side, xs[i], oracle_hp[i],
-                                     self.digits)[0], float(oracle_hp[i]))
-                for i in self.violation_at[:limit]]
+        listed = []
+        for i in self.violation_at[:limit]:
+            x = xs[i]
+            oracle_hp = _oracle_at(x, self.digits)
+            bound_f = _exact_point(self.bound, self.a, self.side, x, oracle_hp,
+                                   self.digits)[0]
+            listed.append((x, bound_f, float(oracle_hp)))
+        return listed
 
     @cached_property
     def violations(self) -> list[tuple[float, float, float]]:
@@ -260,29 +280,35 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     fn, float_error = cat.float_form(bound, a)
 
     xs = grid.values()
-    oracle_hp = _oracle_on_grid(grid, digits)
-    oracle_f = _oracle_doubles_on_grid(grid, digits)
+    oracle_f = _fast_atan_on_grid(grid)
     lower = side == "lower"
     float_lo, float_hi = cat.FLOAT_FORM_MIN, cat.FLOAT_FORM_MAX
-    # E = float_error + 4u(o + |b|) + floor: 4u(o + |b|) covers the rounding
-    # of o (half an ulp) and of o - b (at most u(o + |b|)) with room; floor
-    # covers the fixed-point path's own error, a few units of 10**-digits
-    # (10**-digits <= 10**-20 is far below u, so where that error grows with
-    # x or 1/x, for the cubic and log entries, their float bounds grow faster)
-    four_u = 2.0 ** -51
+    # E = float_error + (K + 4)u(o + |b|) + floor, K = FAST_ATAN_K: o, the
+    # double of fast_atan, is within Ku o of arctan x, and o - b rounds once,
+    # by at most u(o + |b|); floor covers the fixed-point path's own error, a
+    # few units of 10**-digits (10**-digits <= 10**-20 is far below u, so
+    # where that error grows with x or 1/x, for the cubic and log entries,
+    # their float bounds grow faster)
+    from .fastatan import FAST_ATAN_K
+    k4_u = (FAST_ATAN_K + 4) * 2.0 ** -53
     floor = 10.0 ** (5 - digits)
 
     # stage 1: settle m > E (holds) and m < -E (violated) in double.  A
-    # settled point's reported margin lies within rad = 2E of its estimate: E
-    # bounds the estimate's error, and as E >= 4u(o + |b|) >= 3u|m| it also
-    # covers the rounding of the reported margin, of the division by o and of
-    # these sums.  Only a point whose low end is at most the running min_high
+    # settled point's reported margin lies within rad = 2E of its estimate
+    # (for x > 1 both are divided by o).  The estimate m is within
+    # float_error + Ku o + u(o + |b|) + floor of the fixed-point margin, and
+    # 2E exceeds that by (K + 7)u(o + |b|) >= (K + 6)u|m|.  That covers the
+    # reported margin's three roundings (the fixed-point margin's double, the
+    # oracle's and their quotient), the division by o in place of arctan x (a
+    # relative Ku, so Ku|m|) and the two roundings of m/o - 2E/o, with u|m|
+    # to spare.  Only a point whose low end is at most the running min_high
     # can hold the minimum, and min_high only falls.  Every bound and arctan
     # lie below 2x near 0, so |m| > floor puts x far above the half unit
     # below which eval_bound_hp raises, and b is finite: listing a settled
     # violation later never raises.  Stage 2, the defect series, runs on the
     # points stage 1 leaves unsettled or as candidates, in the series' domain;
-    # its E carries the floor and at least 3u|m| as well, so the same 2E holds.
+    # its E carries the floor and at least 18u|m| > (K + 5)u|m| as well, so
+    # the same 2E holds.
     escalate = []
     violated = []
     candidates = []     # (index, lowest possible reported margin)
@@ -299,7 +325,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         if float_lo <= x <= float_hi:
             b = fn(x)
             m = o - b if lower else b - o
-            e = float_error(x, b) + four_u * (o + abs(b)) + floor
+            e = float_error(x, b) + k4_u * (o + abs(b)) + floor
         scale = o if x > 1.0 else 1.0
         if m > e or m < -e:
             if m / scale - 2 * e / scale > min_high:    # settled, not a candidate
@@ -326,7 +352,8 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     # candidates whose reported margin could still be the smallest
     exact = {}
     for i in escalate:
-        _, margin, holds = _exact_point(bound, a, side, xs[i], oracle_hp[i], digits)
+        _, margin, holds = _exact_point(bound, a, side, xs[i], _oracle_at(xs[i], digits),
+                                        digits)
         exact[i] = margin
         if not holds:
             violated.append(i)
@@ -334,7 +361,8 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
             min_high = margin
     for i, low in candidates:
         if low <= min_high:
-            exact[i] = _exact_point(bound, a, side, xs[i], oracle_hp[i], digits)[1]
+            exact[i] = _exact_point(bound, a, side, xs[i], _oracle_at(xs[i], digits),
+                                    digits)[1]
 
     min_margin = math.inf
     min_x = xs[0]

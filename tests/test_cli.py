@@ -108,13 +108,16 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["verify", "profile"])
     def test_stats_refuse_low_digits_before_the_oracle(self, capsys, command):
-        # the digits check comes before the timed oracle-grid build
-        built = orc._oracle_on_grid.cache_info().currsize
+        # the digits check comes before the timed grid build: profile's
+        # fixed-point oracle grid, verify's double arctan grid
+        built = orc._oracle_on_grid.cache_info()
+        built_doubles = orc._fast_atan_on_grid.cache_info()
         code, out, err = run(capsys, [command, "--digits", "10", "--grid-points", "50",
                                       "--stats", "--format", "json"])
         assert code == 2 and out == ""
         assert "ParamError" in err and "at least 20 digits" in err
-        assert orc._oracle_on_grid.cache_info().currsize == built
+        assert orc._oracle_on_grid.cache_info() == built
+        assert orc._fast_atan_on_grid.cache_info() == built_doubles
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--grid-points", "20"],
@@ -229,13 +232,16 @@ class TestVerify:
 
     def test_stats(self, capsys):
         _, plain, _ = run(capsys, VERIFY_ARGS)
+        orc._oracle_at.cache_clear()    # oracle_points counts what is computed
         code, out, _ = run(capsys, VERIFY_ARGS + ["--stats"])
         assert code == 0
         payload = json.loads(out)
         stats = payload.pop("stats")
         assert set(stats) == {"oracle_s", "sweep_s", "escalated", "series", "checked",
-                              "package_version", "python_version", "digits", "grid"}
+                              "oracle_points", "package_version", "python_version",
+                              "digits", "grid"}
         assert stats["oracle_s"] > 0 and stats["sweep_s"] > 0
+        assert stats["oracle_points"] > 0
         assert stats["digits"] == 50 and stats["grid"]["points"] == 300
         assert stats["package_version"] == arctanbounds.__version__
         counts = [entry.pop("escalated") for entry in payload["results"]]
@@ -263,6 +269,19 @@ class TestVerify:
         code, out, _ = run(capsys, VERIFY_ARGS[:-2] + ["--stats"])
         assert re.match(r"fixed point at \d+ and defect series at \d+ of 9000 point "
                         r"checks; oracle ", out.splitlines()[-1])
+
+    def test_default_suite_builds_no_oracle_grid(self, capsys):
+        # stage 1 reads the double arctan grid; fixed point is computed only
+        # at the points the sweeps escalate and the violations they list
+        misses = orc._oracle_on_grid.cache_info().misses
+        orc._oracle_at.cache_clear()
+        code, out, _ = run(capsys, ["verify", "--suite", "all", "--stats",
+                                    "--format", "json"])
+        assert code == 0
+        assert orc._oracle_on_grid.cache_info().misses == misses
+        payload = json.loads(out)
+        listed = sum(len(entry["violations"]) for entry in payload["results"])
+        assert 0 < payload["stats"]["oracle_points"] <= payload["stats"]["escalated"] + listed
 
     def test_default_suite_matches_golden(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json"])

@@ -7,13 +7,14 @@ data; the other five are classical one-off inequalities.  Every family entry
 carries its certified parameter range; evaluating it outside that range is a
 hard ParamError, never a silent number.
 
-Each entry has two forms of its formula.  The float form is the closed form
-in double arithmetic; it carries a proven bound on its rounding error, which
-lets a sweep settle most grid points in double precision (see
-:func:`float_form`).  The units form is a straight line of integer operations
-on units of ``10**-digits``, each product, quotient and root floored, and
-serves :func:`eval_bound_hp`, the exact stage of the sweeps and dominance
-reports (see :mod:`arctanbounds.fixedpoint`).
+Each entry's formula is written once, over a square root and a log, and
+evaluated on two number types.  The float form runs it on doubles with
+``math.sqrt`` and ``math.log``; it carries a proven bound on its rounding
+error, which lets a sweep settle most grid points in double precision (see
+:func:`float_form`).  The fixed-point form runs it on FixedReal, which floors
+each product, quotient and root to a unit of ``10**-digits``, and serves
+:func:`eval_bound_hp`, the exact stage of the sweeps and dominance reports
+(see :mod:`arctanbounds.fixedpoint`).
 """
 
 from __future__ import annotations
@@ -99,71 +100,52 @@ class Enclosure:
 
 # The shape rows are the six family rows, Shafer's 3x/(1+2u) and the
 # half-angle 2x/(1+u) (the a = 1/2 and a = 1 members) and the three pi forms
-# (a = 2/pi members, but the errata is the a = 1/pi upper bound).  Their
-# constants consts(a, pi) -> (c, d, e) are evaluated on doubles once per (row,
-# a) and on FixedReal once per (row, a, digits), in caches keyed on consts:
-# a BoundId's hash is Python code.
-#
-# The units forms take the units of x, the scale s = 10**digits and digits.
-# They floor exactly where FixedReal arithmetic on the closed form would, in
-# the same order, so they return the same units: sums are exact, a product is
-# p*q // s, a quotient p*s // q, a root isqrt(v*s), and an integer constant c
-# enters as c*s, so halving pi is P // 2, dividing by 3 is T // 3
-# (floor(T*s / (3*s)) = floor(T/3)), and e = 1 gives s*u // s = u.  The tests
-# keep that FixedReal evaluation as their reference.  Every denominator is at
-# least s, or is 2x > 0.
+# (a = 2/pi members, but the errata is the a = 1/pi upper bound).  Each form
+# takes the square root and the log to use, and the shape form its constants
+# consts(a, pi) -> (c, d, e).  A form is bound on doubles once per (row, a) and
+# on FixedReal once per (row, a, digits), in caches keyed on the form and
+# consts: a BoundId's hash is Python code.
+# The fixed-point form is the same closed form on FixedReal, which floors each
+# product, quotient and root.
+
+def _shape(sqrt, log, c, d, e):
+    return lambda x: c * x / (d + e * sqrt(1 + x * x))
+
+
+def _ratio_lower(sqrt, log):
+    return lambda x: x / (1 + x * x)
+
+
+def _identity_upper(sqrt, log):
+    return lambda x: x
+
+
+def _cubic_lower(sqrt, log):
+    return lambda x: x - x * x * x / 3
+
+
+def _log_lower(sqrt, log):
+    return lambda x: log(1 + x * x) / (2 * x)
+
+
+def _log_upper(sqrt, log):
+    return lambda x: (1 + x) * log(1 + x)
+
 
 @lru_cache(maxsize=256)
-def _shape_fn(consts, a):
-    c, d, e = map(float, consts(a, math.pi))
-    return lambda x: c * x / (d + e * math.sqrt(1 + x * x))
+def _float_fn(form, consts, a):
+    constants = () if consts is None else map(float, consts(a, math.pi))
+    return form(math.sqrt, math.log, *constants)
 
 
 @lru_cache(maxsize=256)
-def _shape_constants_units(consts, a, digits):
-    a_hp = None if a is None else fp.FixedReal(float(a), digits)
-    return tuple(fp.FixedReal(v, digits).units
-                 for v in consts(a_hp, fp.FixedReal.pi(digits)))
-
-
-def _ratio_lower(x):
-    return x / (1 + x * x)
-
-
-def _ratio_lower_units(x, s, digits):
-    return x * s // (s + x * x // s)
-
-
-def _identity_upper(x):
-    return x
-
-
-def _identity_upper_units(x, s, digits):
-    return x
-
-
-def _cubic_lower(x):
-    return x - x * x * x / 3
-
-
-def _cubic_lower_units(x, s, digits):
-    return x - x * x // s * x // s // 3
-
-
-def _log_lower(x):
-    return math.log(1 + x * x) / (2 * x)
-
-
-def _log_lower_units(x, s, digits):
-    return fp.log_units(s + x * x // s, digits) * s // (2 * x)
-
-
-def _log_upper(x):
-    return (1 + x) * math.log(1 + x)
-
-
-def _log_upper_units(x, s, digits):
-    return (s + x) * fp.log_units(s + x, digits) // s
+def _fixed_fn(form, consts, a, digits):
+    constants = ()
+    if consts is not None:
+        a_hp = None if a is None else fp.FixedReal(float(a), digits)
+        constants = (fp.FixedReal(v, digits)
+                     for v in consts(a_hp, fp.FixedReal.pi(digits)))
+    return form(fp.FixedReal.sqrt, fp.FixedReal.log, *constants)
 
 
 # Float error bounds.  With unit roundoff u = 2**-53, each correctly rounded
@@ -272,8 +254,7 @@ class _BoundInfo:
     side: str                                   # "lower" | "upper"
     float_error: Callable[[float, float], float]    # (x, fn(x)) -> bound on its error
     consts: Optional[Callable] = None           # (a, pi) -> (c, d, e) of c*x/(d + e*u)
-    fn: Optional[Callable[[float], float]] = None           # a one-off's float form
-    units: Optional[Callable[[int, int, int], int]] = None  # and its units form (x, s, digits)
+    form: Callable = _shape                     # (sqrt, log, *constants) -> x -> bound
     param: Optional[ParamRange] = None
     trusted: bool = True                        # errata entries are swept for failure
 
@@ -284,15 +265,15 @@ _CATALOG: dict[BoundId, _BoundInfo] = {
     BoundId.HALF_ANGLE_UPPER: _BoundInfo(
         "upper", _relative(6), lambda a, pi: (2, 1, 1)),
     BoundId.RATIO_LOWER: _BoundInfo(
-        "lower", _relative(3), fn=_ratio_lower, units=_ratio_lower_units),
+        "lower", _relative(3), form=_ratio_lower),
     BoundId.IDENTITY_UPPER: _BoundInfo(
-        "upper", _relative(0), fn=_identity_upper, units=_identity_upper_units),
+        "upper", _relative(0), form=_identity_upper),
     BoundId.CUBIC_LOWER: _BoundInfo(
-        "lower", _cubic_error, fn=_cubic_lower, units=_cubic_lower_units),
+        "lower", _cubic_error, form=_cubic_lower),
     BoundId.LOG_LOWER: _BoundInfo(
-        "lower", _log_lower_error, fn=_log_lower, units=_log_lower_units),
+        "lower", _log_lower_error, form=_log_lower),
     BoundId.LOG_UPPER: _BoundInfo(
-        "upper", _log_upper_error, fn=_log_upper, units=_log_upper_units),
+        "upper", _log_upper_error, form=_log_upper),
     BoundId.FAMILY_LOWER: _BoundInfo(
         "lower", _relative(6), lambda a, pi: (1 + a, a, 1), param=FAMILY_RANGE),
     BoundId.FAMILY_UPPER: _BoundInfo(
@@ -385,7 +366,7 @@ def float_form(bound: BoundId, a: Optional[float]
     """
     _check_param(bound, a)
     info = _CATALOG[bound]
-    return info.fn or _shape_fn(info.consts, a), info.float_error
+    return _float_fn(info.form, info.consts, a), info.float_error
 
 
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
@@ -394,10 +375,10 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
 
     x and a enter through their exact float values, rounded to the nearest
     unit, so the result is the bound for the precise arguments a caller's
-    doubles denote.  The entry's units form then floors each product,
-    quotient and root to a unit of 10**-digits.  Used by the sweep engine,
-    where float evaluation cannot resolve the thinnest margins.  Raises
-    PrecisionError where x rounds to zero units.
+    doubles denote.  The entry's closed form then runs on FixedReal, which
+    floors each product, quotient and root to a unit of 10**-digits.  Used by
+    the sweep engine, where float evaluation cannot resolve the thinnest
+    margins.  Raises PrecisionError where x rounds to zero units.
     """
     _check_param(bound, a)
     _check_x(x)
@@ -406,14 +387,8 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     if x_units == 0:
         raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
     info = _CATALOG[bound]
-    s = fp.pow10(digits)
-    if info.consts is None:
-        return fp.FixedReal._raw(info.units(x_units, s, digits), digits)
-    c, d, e = _shape_constants_units(info.consts, a, digits)
-    u = math.isqrt((s + x_units * x_units // s) * s)
-    if e != s:      # e = 1 gives s*u // s = u; skipping it saves a division
-        u = e * u // s
-    return fp.FixedReal._raw(c * x_units // s * s // (d + u), digits)
+    fn = _fixed_fn(info.form, info.consts, a, digits)
+    return fn(fp.FixedReal._raw(x_units, digits))
 
 
 def classify_regime(a: float) -> Regime:

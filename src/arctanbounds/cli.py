@@ -18,7 +18,8 @@ measured at extra digits.  ``enclose`` gives an outward-rounded bracket.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
-2 on usage or parameter errors, or an --output file that cannot be written.
+2 on usage or parameter errors, an ``eval`` value that does not fit a double,
+or an --output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -35,7 +37,7 @@ from . import family as fam
 from . import kernel as ker
 from . import oracle as orc
 from . import __version__
-from .errors import ArctanBoundsError, ParamError
+from .errors import ArctanBoundsError, DomainError, ParamError
 
 #: Parameters swept per family bound by `verify --suite all`.
 SUITE_FAMILY_PARAMS = {
@@ -158,6 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
     value = cat.eval_bound(args.bound, args.x, args.a)
+    if not math.isfinite(value):    # JSON has no infinity; text matches it
+        raise DomainError(f"{args.bound.value} at x={args.x!r}: the bound "
+                          f"does not fit a double")
     payload = {"bound": args.bound.value, "x": args.x, "a": args.a, "value": value}
     text = f"{args.bound.value}(x={args.x!r}" + \
         (f", a={args.a!r}" if args.a is not None else "") + f") = {value!r}"

@@ -368,7 +368,7 @@ class FixedReal:
 
 # generic dispatch: the family analysis in family.py is written once with
 # ordinary operators and evaluated either on floats or on FixedReal (the
-# catalog's bounds have separate float and integer forms instead)
+# catalog's closed forms are handed the sqrt and log of their number type)
 
 def sqrt_of(v):
     return v.sqrt() if isinstance(v, FixedReal) else math.sqrt(v)

@@ -30,15 +30,14 @@ exact rational coefficients rounded to doubles with a proven error bound
 log-lower, whose fixed-point error grows like 1/x.  The series settles the
 point, with its interval in place of stage 1's where it is the narrower.
 Stage 3 sends every other point to the fixed-point path (``eval_bound_hp``
-at the sweep's digits, a straight line of integer operations per catalog
-entry): points neither stage settled, points outside [2**-500, 2**500] and
-non-finite float values, then the candidates whose interval could still
-reach the minimum.  The fixed-point oracle is computed at those points and
-at the violations listed, one point at a time and cached by point and
-digits; only SweepReport.rows reads the whole grid.  So verdicts, violations
-and the minimum margin are those of a sweep that evaluates every point in
-fixed point: the minimum is taken over exact margins at every point whose
-margin interval could reach it.  On the default grid and suite 30 of the
+at the sweep's digits, the catalog entry's closed form on FixedReal): points
+neither stage settled, points outside [2**-500, 2**500] and non-finite float
+values, then the candidates whose interval could still reach the minimum.
+The fixed-point oracle is computed at those points and at the violations
+listed, one point at a time and cached by point and digits.  So verdicts,
+violations and the minimum margin are those of a sweep that evaluates every
+point in fixed point: the minimum is taken over exact margins at every point
+whose margin interval could reach it.  On the default grid and suite 30 of the
 300,000 point checks reach fixed point, one per entry at its minimum margin.
 The default 50 sweep digits resolve every certified margin on the default
 grid with several orders to spare.  A dominance report decides the sign of
@@ -124,8 +123,12 @@ def _grid_values(grid: GridSpec) -> tuple[float, ...]:
         lo, hi = math.log(grid.x_min), math.log(grid.x_max)
         inner = (math.exp(lo + (hi - lo) * i / (n - 1)) for i in range(1, n - 1))
     else:
+        # halves keep hi/2 - lo/2 finite for any finite ends, every step is
+        # monotone in i, and the clamp holds each point in [x_min, x_max]
         lo, hi = grid.x_min, grid.x_max
-        inner = (lo + (hi - lo) * i / (n - 1) for i in range(1, n - 1))
+        half = hi / 2 - lo / 2
+        inner = (min(max(2 * (lo / 2 + half * (i / (n - 1))), lo), hi)
+                 for i in range(1, n - 1))
     return (grid.x_min, *inner, grid.x_max)
 
 
@@ -136,6 +139,7 @@ DEFAULT_GRID = GridSpec(1e-8, 1e8, 10_000, "log")
 
 @lru_cache(maxsize=8)
 def _oracle_on_grid(grid: GridSpec, digits: int) -> tuple[fp.FixedReal, ...]:
+    """The fixed-point oracle at every grid point, for profile's rows."""
     return tuple(fp.FixedReal(x, digits).atan() for x in grid.values())
 
 
@@ -193,10 +197,8 @@ class SweepReport:
     violations listed.
     escalated counts the grid points the sweep evaluated in fixed point, the
     candidates for the minimum margin included, and series the grid points
-    the row's defect series settled.  rows hold
-    (x, bound, oracle, margin) per grid point, all from the fixed-point path;
-    margin is signed so that positive means the inequality holds at that
-    point.  They are computed when first read.
+    the row's defect series settled.  min_margin is signed so that positive
+    means the inequality holds.
     """
 
     bound: cat.BoundId
@@ -234,16 +236,6 @@ class SweepReport:
     @cached_property
     def violations(self) -> list[tuple[float, float, float]]:
         return self.violations_listed()
-
-    @cached_property
-    def rows(self) -> list[tuple[float, float, float, float]]:
-        oracle_vals = _oracle_on_grid(self.grid, self.digits)
-        rows = []
-        for x, oracle_hp in zip(self.grid.values(), oracle_vals):
-            bound_f, margin, _ = _exact_point(self.bound, self.a, self.side, x,
-                                              oracle_hp, self.digits)
-            rows.append((x, bound_f, float(oracle_hp), margin))
-        return rows
 
     def to_json_dict(self, limit: Optional[int] = None) -> dict:
         """The report as JSON, listing the first `limit` violations (all if

@@ -335,7 +335,7 @@ def margin_evaluator(bound: cat.BoundId, a: Optional[float]) -> Optional[Evaluat
     """The cached evaluator of one catalog row's defect series at parameter a,
     or None where it has none."""
     series = defect_series(bound, a)
-    # log-lower's units form divides a log good to a unit of 10**-digits by
-    # 2x, so its fixed-point error grows like 1/x, and the floor with it
+    # log-lower's fixed-point form divides a log good to a unit of
+    # 10**-digits by 2x, so its error grows like 1/x, and the floor with it
     return None if series is None else evaluator(
         series, floor_over_x=bound is cat.BoundId.LOG_LOWER)

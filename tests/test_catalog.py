@@ -356,8 +356,9 @@ class TestFloatErrorBound:
 
 
 # Reference: every bound written once with ordinary operators and evaluated
-# on floats or on FixedReal, one object per operation.  The catalog's float
-# and units forms replaced this path and must reproduce it exactly.
+# on floats or on FixedReal, one object per operation, apart from the
+# catalog's own table.  The catalog's float and fixed-point forms must
+# reproduce it exactly.
 
 def _sqrt(v):
     return v.sqrt() if isinstance(v, FixedReal) else math.sqrt(v)
@@ -416,7 +417,7 @@ REFERENCE_FORMS = {
 
 
 def reference_eval_hp(bound, x, a, digits):
-    """The fixed-point evaluation the units forms replaced."""
+    """The fixed-point evaluation, written apart from the catalog's forms."""
     catalog._check_param(bound, a)
     catalog._check_x(x)
     x_hp = FixedReal(float(x), digits)

@@ -14,6 +14,14 @@ VERIFY_ARGS = ["verify", "--grid-points", "300", "--format", "json"]
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_default.json"
 
 
+def strict_json(text):
+    """json.loads refusing NaN, Infinity and -Infinity, which RFC 8259 has
+    no place for and strict parsers reject."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -29,13 +37,13 @@ class TestBasicCommands:
     def test_classify_json(self, capsys):
         code, out, _ = run(capsys, ["classify", "--a", "-0.5", "--format", "json"])
         assert code == 0
-        assert json.loads(out) == {"a": -0.5, "regime": "Unclassified"}
+        assert strict_json(out) == {"a": -0.5, "regime": "Unclassified"}
 
     def test_eval(self, capsys):
         code, out, _ = run(capsys, ["eval", "--bound", "shafer-lower", "--x", "1",
                                     "--format", "json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["value"] == pytest.approx(0.7836116248912243, abs=1e-15)
 
     def test_eval_above_square_overflow(self, capsys):
@@ -49,20 +57,20 @@ class TestBasicCommands:
         code, out, _ = run(capsys, ["eval", "--bound", "shafer-lower", "--x", "1",
                                     "--digits", "30", "--format", "json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["value_hp"].startswith("0.7836116248912243")
 
     def test_enclose(self, capsys):
         code, out, _ = run(capsys, ["enclose", "--a", "0.5", "--x", "1",
                                     "--format", "json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["lower"] < 0.7853982 < payload["upper"]
 
     def test_find_min_json(self, capsys):
         code, out, _ = run(capsys, ["find-min", "--a", "0.6", "--format", "json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert set(payload) == {"a", "x0", "value", "u", "residual"}
         assert payload["residual"] <= 1e-12
         assert 1.536 < payload["value"] < 1.5708
@@ -72,7 +80,7 @@ class TestBasicCommands:
         # residual test; x0 ~ sqrt(20(a - 1/2))
         code, out, _ = run(capsys, ["find-min", "--a", "0.5000000001", "--format", "json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["x0"] == pytest.approx(4.4721361427917835e-05, rel=1e-13)
         assert payload["residual"] <= 1e-12
 
@@ -152,6 +160,31 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "DomainError" in err and "cubic-lower" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--bound", "cubic-lower", "--x", "1e200"],
+        ["eval", "--bound", "log-upper", "--x", "1.7e308"],
+    ], ids=["cubic-lower", "log-upper"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_eval_beyond_a_double_maps_to_exit_2(self, capsys, argv, fmt):
+        # the value is -inf or inf, which JSON cannot carry
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert code == 2 and out == ""
+        assert err.startswith("DomainError: ") and "does not fit a double" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_linear_grids_up_to_the_largest_doubles(self, capsys):
+        # (hi - lo) * i used to overflow, sending inf to the oracle
+        linear = ["--grid-spacing", "linear", "--grid-points", "5"]
+        code, out, _ = run(capsys, ["profile", "--grid-min=-1e308", "--grid-max=1e308",
+                                    "--format", "json"] + linear)
+        assert code == 0
+        assert strict_json(out)["certified_everywhere"] is True
+        code, out, err = run(capsys, ["verify", "--suite", "fixed", "--grid-min", "1",
+                                      "--grid-max", "1e308"] + linear)
+        assert code == 2 and out == ""
+        assert "finite argument" not in err
+        assert "cubic-lower" in err and "does not fit a double" in err
+
     def test_find_min_outside_regime(self, capsys):
         code, _, err = run(capsys, ["find-min", "--a", "0.4"])
         assert code == 2
@@ -196,14 +229,14 @@ class TestOneOutputPath:
         assert code == 0
         assert out.encode("utf-8") == target.read_bytes()
         if "json" in argv:
-            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            assert out == json.dumps(strict_json(out), indent=2) + "\n"
 
 
 class TestVerify:
     def test_suite_passes_and_flags_errata(self, capsys):
         code, out, _ = run(capsys, VERIFY_ARGS)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["ok"] is True
         by_bound = {}
         for entry in payload["results"]:
@@ -220,22 +253,22 @@ class TestVerify:
 
     def test_report_json_round_trips(self, capsys):
         _, out, _ = run(capsys, VERIFY_ARGS)
-        payload = json.loads(out)
-        assert json.loads(json.dumps(payload)) == payload
+        payload = strict_json(out)
+        assert strict_json(json.dumps(payload)) == payload
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, VERIFY_ARGS + ["--output", str(target)])
         assert code == 0
         assert out == ""
-        assert json.loads(target.read_text())["ok"] is True
+        assert strict_json(target.read_text())["ok"] is True
 
     def test_stats(self, capsys):
         _, plain, _ = run(capsys, VERIFY_ARGS)
         orc._oracle_at.cache_clear()    # oracle_points counts what is computed
         code, out, _ = run(capsys, VERIFY_ARGS + ["--stats"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         stats = payload.pop("stats")
         assert set(stats) == {"oracle_s", "sweep_s", "escalated", "series", "checked",
                               "oracle_points", "package_version", "python_version",
@@ -254,7 +287,7 @@ class TestVerify:
         # the errata's violations are settled in double, not in fixed point
         assert counts[errata] < payload["results"][errata]["violation_count"] == 300
         # without --stats the report carries none of it
-        assert payload == json.loads(plain)
+        assert payload == strict_json(plain)
         assert "stats" not in plain and "escalated" not in plain
 
     def test_default_grid_escalations(self, capsys):
@@ -263,7 +296,7 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--stats",
                                     "--format", "json"])
         assert code == 0
-        stats = json.loads(out)["stats"]
+        stats = strict_json(out)["stats"]
         assert stats["escalated"] < 1000 and stats["series"] > 10_000
         # the text report names both counts
         code, out, _ = run(capsys, VERIFY_ARGS[:-2] + ["--stats"])
@@ -279,7 +312,7 @@ class TestVerify:
                                     "--format", "json"])
         assert code == 0
         assert orc._oracle_on_grid.cache_info().misses == misses
-        payload = json.loads(out)
+        payload = strict_json(out)
         listed = sum(len(entry["violations"]) for entry in payload["results"])
         assert 0 < payload["stats"]["oracle_points"] <= payload["stats"]["escalated"] + listed
 
@@ -292,7 +325,7 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--suite", "fixed",
                                     "--grid-points", "120", "--format", "json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert all(entry["a"] is None for entry in payload["results"])
 
 
@@ -302,7 +335,7 @@ class TestDominanceAndProfile:
             "dominance", "--bound-a", "two-over-pi-lower", "--bound-b",
             "shafer-lower", "--grid-points", "200", "--format", "json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert len(payload["crossovers"]) == 1
         assert payload["crossovers"][0] == pytest.approx(2.17584, abs=1e-3)
         assert "strict_sign_counts" not in payload
@@ -313,7 +346,7 @@ class TestDominanceAndProfile:
         _, plain, _ = run(capsys, argv)
         code, out, _ = run(capsys, argv + ["--stats"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         stats = payload.pop("stats")
         assert set(stats) == {"dominance_s", "escalated", "checked", "escalated_steps",
                               "bisection_steps", "package_version", "python_version",
@@ -324,7 +357,7 @@ class TestDominanceAndProfile:
         assert 0 <= stats["escalated"] < stats["checked"]
         assert 0 < stats["escalated_steps"] <= stats["bisection_steps"] <= 64
         # without --stats the report carries none of it
-        assert payload == json.loads(plain)
+        assert payload == strict_json(plain)
         assert "stats" not in plain and "escalated" not in plain
         code, out, _ = run(capsys, argv[:-2] + ["--stats"])
         assert code == 0
@@ -349,14 +382,14 @@ class TestDominanceAndProfile:
         # oracle; those rows are measured at more digits
         code, out, _ = run(capsys, ["profile", "--digits", "20", "--format", "json"])
         assert code == 0
-        assert json.loads(out)["certified_everywhere"] is True
+        assert strict_json(out)["certified_everywhere"] is True
 
     def test_profile_stats(self, capsys):
         argv = ["profile", "--digits", "20", "--grid-points", "300", "--format", "json"]
         _, plain, _ = run(capsys, argv)
         code, out, _ = run(capsys, argv + ["--stats"])
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         stats = payload.pop("stats")
         assert set(stats) == {"oracle_s", "rows_s", "extra_digit_rows",
                               "package_version", "python_version", "digits", "grid"}
@@ -366,7 +399,7 @@ class TestDominanceAndProfile:
         # certificates near 1e-22 need more than 20 digits
         assert 0 < stats["extra_digit_rows"] < 300
         # without --stats the report carries none of it
-        assert payload == json.loads(plain)
+        assert payload == strict_json(plain)
         assert "stats" not in plain
         code, out, _ = run(capsys, argv[:-2] + ["--stats"])
         assert code == 0
@@ -393,4 +426,4 @@ class TestNoDigitsEnvironment:
         code, out, _ = run(capsys, ["eval", "--bound", "identity-upper",
                                     "--x", "2", "--format", "json"])
         assert code == 0
-        assert "value_hp" not in json.loads(out)
+        assert "value_hp" not in strict_json(out)

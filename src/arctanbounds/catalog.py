@@ -121,7 +121,7 @@ def _identity_upper(sqrt, log):
 
 
 def _cubic_lower(sqrt, log):
-    return lambda x: x - x * x * x / 3
+    return lambda x: x - x * (x * x / 3)
 
 
 def _log_lower(sqrt, log):
@@ -181,11 +181,14 @@ def _fixed_fn(form, consts, a, digits):
 #
 # The other three forms cancel or lose relative accuracy, so their bounds are
 # absolute.  libm's log is taken to be within two ulps, |d| <= 4u.
-#   x - x^3/3          t = x*x*x/3 is t(1 + theta_3), then one subtraction:
+#   x - x^3/3          t = x*(x*x/3), three roundings, is t(1 + theta_3),
+#                      then one subtraction:
 #                      |b - B| <= gamma_3 t + u|b|/(1-u) <= 4u t_f + 2u|b|.
 #                      Where t_f is subnormal (x below ~2**-340), b = x and
-#                      B = x - t with t < u x, inside 2u|b|; where it
-#                      overflows, b = -inf.
+#                      B = x - t with t < u x, inside 2u|b|.  Dividing x*x
+#                      before the last product keeps t_f finite as long as
+#                      t is, up to x ~ 8.14e102 (x*x*x would overflow from
+#                      ~5.64e102); past that b = -inf.
 #   ln(1+x^2)/(2x)     the two roundings of 1 + x*x move the log by at most
 #                      1.01(u x^2/(1+x^2) + u) <= 2.02u absolutely; log, then the
 #                      quotient add relative errors: |b - B| <= 1.03u/x + 6u B
@@ -224,7 +227,7 @@ def _relative(roundings: int) -> Callable[[float, float], float]:
 
 
 def _cubic_error(x, b):
-    return 4 * _U * (x * x * x / 3) + 2 * _U * abs(b)
+    return 4 * _U * (x * (x * x / 3)) + 2 * _U * abs(b)
 
 
 def _log_lower_error(x, b):

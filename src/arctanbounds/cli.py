@@ -13,8 +13,9 @@ points its defect series settled, the fixed-point oracle values computed,
 and the times of the double arctan grid and of the sweeps.
 ``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
 the grid points and bisection steps decided in fixed point and the report's
-time.  ``profile --stats`` adds the oracle and row times and the rows
-measured at extra digits.  ``enclose`` gives an outward-rounded bracket.
+time.  ``profile --stats`` adds the rows measured in fixed point, those of
+them at extra digits, and the rows' time.  ``enclose`` gives an
+outward-rounded bracket.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -151,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p, points=2_000)
     p.add_argument("--digits", type=int, default=orc.DEFAULT_DIGITS)
     p.add_argument("--stats", action="store_true",
-                   help="add the oracle and row times, the rows measured at "
-                        "extra digits and provenance to the JSON or text report")
+                   help="add the rows measured in fixed point, those at extra "
+                        "digits, the rows' time and provenance to the JSON or "
+                        "text report")
     _add_output_args(p, rows=True)
 
     return parser
@@ -289,13 +291,9 @@ def _cmd_dominance(args) -> tuple[int, dict, str]:
 def _cmd_profile(args) -> tuple[int, dict, str]:
     if args.stats and args.format == "csv":
         raise ParamError("--stats needs --format json or text; CSV holds rows only")
-    orc.check_digits(args.digits, "error profile")    # before the timed oracle build
     spec = ker.DEFAULT_KERNEL
     grid = _grid_from_args(args)
     started = time.perf_counter()
-    if args.stats:
-        orc._oracle_on_grid(grid, args.digits)
-    oracle_done = time.perf_counter()
     prof = ker.error_profile(spec, grid, digits=args.digits)
     payload = prof.to_json_dict()
     text = (f"kernel a_low={spec.a_low!r} a_high={spec.a_high!r}\n"
@@ -304,12 +302,12 @@ def _cmd_profile(args) -> tuple[int, dict, str]:
             f"certified everywhere: {payload['certified_everywhere']}")
     if args.stats:
         stats = payload["stats"] = {
-            "oracle_s": oracle_done - started,
-            "rows_s": time.perf_counter() - oracle_done,
+            "exact_rows": prof.exact_rows,
             "extra_digit_rows": prof.extra_digit_rows,
+            "rows_s": time.perf_counter() - started,
         }
-        text += (f"\n{stats['extra_digit_rows']} of {grid.points} rows measured "
-                 f"at extra digits; oracle {stats['oracle_s']:.3f} s, "
+        text += (f"\nfixed point at {stats['exact_rows']} of {grid.points} rows "
+                 f"({stats['extra_digit_rows']} at extra digits); "
                  f"rows {stats['rows_s']:.3f} s")
     if args.format == "csv":
         rows = io.StringIO()

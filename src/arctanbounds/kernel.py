@@ -26,7 +26,9 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from . import catalog as cat
 from . import fixedpoint as fp
 from . import oracle as orc
 from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
@@ -109,25 +111,55 @@ class ProfileRow:
     ratio: float
 
 
+def _row_digits(certified: float, digits: int) -> int:
+    """The digits a row is measured at: `digits`, or, for a certificate below
+    10**(3-digits), which the oracle at `digits` cannot resolve, enough to
+    put 1.5 * 10**-d, the oracle's error plus the value's rounding, below
+    2**-53 / 10 of the certificate."""
+    if 0.0 < certified < 10.0 ** (3 - digits):
+        return 18 - math.floor(math.log10(certified))
+    return digits
+
+
+def _actual(x: float, value: float, d: int) -> float:
+    """|value - arctan x| in fixed point at d digits, rounded to a double."""
+    return abs(float(fp.FixedReal(value, d) - orc.oracle_arctan(x, d)))
+
+
 @dataclass(frozen=True)
 class ErrorProfile:
     """Certified versus measured error of a kernel over a grid.
 
-    `actual` is |value - arctan x| measured against the fixed-point oracle
-    and `ratio` is certified / actual, so ratio >= 1 everywhere is the
-    certification property.  Rows whose certified error is below
-    10**(3-digits), which the oracle at `digits` cannot resolve, are measured
-    at enough extra digits to put the oracle's error below a tenth of an ulp
-    of the certificate; extra_digit_rows counts them.
+    A row's `actual` is |value - arctan x| measured in fixed point, the value
+    and the oracle at `digits`, or, where the certificate is below
+    10**(3-digits), at enough extra digits to put their error below a tenth
+    of an ulp of the certificate.  `ratio` is certified / actual, so ratio >= 1
+    everywhere is the certification property.  `rows` measures every row when
+    first read.  max_actual and certified_everywhere are what every row gives,
+    but error_profile reaches them through a proven filter in double that
+    measured only exact_rows rows in fixed point, extra_digit_rows of them at
+    extra digits.
     """
 
     spec: KernelSpec
     grid: orc.GridSpec
     digits: int
-    rows: list[ProfileRow]
     max_certified: float
     max_actual: float
+    certified_everywhere: bool
+    exact_rows: int
     extra_digit_rows: int
+
+    @cached_property
+    def rows(self) -> list[ProfileRow]:
+        """Every row, measured in fixed point when first read."""
+        rows = []
+        for x in self.grid.values():
+            est = approx(self.spec, x)
+            actual = _actual(x, est.value, _row_digits(est.error_bound, self.digits))
+            ratio = math.inf if actual == 0.0 else est.error_bound / actual
+            rows.append(ProfileRow(x, est.value, est.error_bound, actual, ratio))
+        return rows
 
     def write_csv(self, stream: io.TextIOBase) -> None:
         writer = csv.writer(stream)
@@ -143,38 +175,102 @@ class ErrorProfile:
             "grid": self.grid.to_json_dict(),
             "max_certified": self.max_certified,
             "max_actual": self.max_actual,
-            "certified_everywhere": all(r.ratio >= 1.0 for r in self.rows),
+            "certified_everywhere": self.certified_everywhere,
         }
+
+
+# The filter's error bound, in the style of the gamma_n derivations in
+# catalog.py and fastatan.py, with u = 2**-53.  At a row with FLOAT_FORM_MIN
+# <= |x| <= FLOAT_FORM_MAX, value v and certificate c, measured at d digits
+# (_row_digits): T = arctan|x|, A = ||v| - T| = |v - arctan x| (approx is
+# exactly odd), f = fast_atan(|x|) and a = |fl(|v| - f)|.
+#
+#   the subtraction   one rounding: |a - y| <= u y, y = ||v| - f| <= a/(1 - u).
+#   fast_atan         |f - T| <= K u f, K = FAST_ATAN_K, so |y - A| <= K u f.
+#   fixed point       D = |FixedReal(v, d) - oracle_arctan(x, d)| exactly:
+#                     v rounds to the nearest unit of 10**-d (half a unit);
+#                     the oracle rounds x to the nearest unit (half a unit
+#                     through 1-Lipschitz arctan) and its result to the
+#                     nearest unit (half a unit, plus the guard digits' few
+#                     units of 10**-(d+10)): |D - A| <= 1.51 * 10**-d.
+#   the double        M = float(D), correctly rounded: |M - D| <= u D, or
+#                     2**-1075 where M is subnormal.
+# With D <= y + K u f + 1.51 * 10**-d,
+#   |a - M| <= 2u a/(1 - u) + K u f (1 + u) + 1.51 * 10**-d (1 + u) + 2**-1075.
+# _row_error returns (K + 0.01)u f + 3u a + 2 * 10**-d.  Its roundings (K +
+# 0.01, the two products, libm's pow taken within two ulps, and two sums of
+# positive terms) leave each term at least (1 - 6u) of its value, which still
+# exceeds the matching term above; the surplus 0.005u f > 2**-570 (f >
+# 2**-501) covers 2**-1075 and the absolute error of a product that
+# underflows.
+#
+# Every decision below compares doubles after one rounding, which is
+# monotone: fl(a + E) < c implies a + E < c, so M < c; fl(a - E) > c implies
+# M > c.  And ratio >= 1 exactly when M <= c: M = 0 gives ratio = inf, and c
+# >= M > 0 gives c/M >= 1, whose rounding is >= 1.  If c < M, then c <= M -
+# g with g the gap below M, g/M > 2**-54 (g >= 2**-53 M for normal M, g/M >
+# 2**-52 for subnormal M), so c/M < 1 - 2**-54 rounds below 1.
+
+def _row_error(fast_atan_k: float, f: float, a: float, d: int) -> float:
+    """E >= |a - M| at a row measured at d digits, where fast_atan's error
+    is at most fast_atan_k * u * f (derived above)."""
+    return (fast_atan_k + 0.01) * 2.0 ** -53 * f + 3 * 2.0 ** -53 * a + 2 * 10.0 ** -d
 
 
 def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
                   digits: int = orc.DEFAULT_DIGITS) -> ErrorProfile:
-    """Tabulate certified and actual error of the kernel over a grid.
+    """Certified and actual error of the kernel over a grid.
 
     Needs at least 20 digits, like the oracle: a coarser oracle cannot
-    resolve the actual error against the certificate.
+    resolve the actual error against the certificate.  Each row with |x| in
+    [FLOAT_FORM_MIN, FLOAT_FORM_MAX] is estimated in double first: a =
+    |value - fast_atan(|x|)| is within a proven E of its fixed-point actual
+    M (derived above).  The row is certified when a + E < certified and
+    refuted when a - E > certified.  M is computed, as `rows` computes it,
+    only at the rows neither test settles, at the rows outside that range
+    (x = 0 among them), and at the rows whose interval a -+ E reaches the
+    largest lower end of all rows.  So max_actual and certified_everywhere
+    are those of every row.
     """
     orc.check_digits(digits, "error profile")
-    rows = []
-    max_cert = 0.0
-    max_act = 0.0
-    unresolved = 10.0 ** (3 - digits)
-    extra_digit_rows = 0
-    oracle_vals = orc._oracle_on_grid(grid, digits)
-    for x, oracle_hp in zip(grid.values(), oracle_vals):
+    # imported on first use, as sweep imports it: importing the package (every
+    # CLI command) does not build its table
+    from .fastatan import FAST_ATAN_K, fast_atan
+    lo, hi = cat.FLOAT_FORM_MIN, cat.FLOAT_FORM_MAX
+    max_cert = max_low = 0.0        # max_low: the largest lower end of an M
+    certified_everywhere = True
+    exact = []          # (x, value, d, certified) of the rows not settled
+    candidates = []     # (x, value, d, high) of settled rows that may hold max M
+    for x in grid.values():
         est = approx(spec, x)
-        if 0.0 < est.error_bound < unresolved:
-            # 1.5 * 10**-d, the oracle's error plus the value's rounding, is
-            # below 2**-53 / 10 of the certificate
-            d = 18 - math.floor(math.log10(est.error_bound))
-            actual = abs(float(fp.FixedReal(est.value, d) - orc.oracle_arctan(x, d)))
-            extra_digit_rows += 1
-        else:
-            actual = abs(float(fp.FixedReal(est.value, digits) - oracle_hp))
-        ratio = math.inf if actual == 0.0 else est.error_bound / actual
-        rows.append(ProfileRow(x, est.value, est.error_bound, actual, ratio))
-        max_cert = max(max_cert, est.error_bound)
-        max_act = max(max_act, actual)
-    return ErrorProfile(spec=spec, grid=grid, digits=digits, rows=rows,
-                        max_certified=max_cert, max_actual=max_act,
-                        extra_digit_rows=extra_digit_rows)
+        cert = est.error_bound
+        d = _row_digits(cert, digits)
+        if cert > max_cert:
+            max_cert = cert
+        ax = abs(x)
+        if lo <= ax <= hi:
+            f = fast_atan(ax)
+            a = abs(abs(est.value) - f)
+            e = _row_error(FAST_ATAN_K, f, a, d)
+            low, high = a - e, a + e
+            if high < cert or low > cert:
+                certified_everywhere = certified_everywhere and high < cert
+                if low > max_low:
+                    max_low = low
+                if high >= max_low:
+                    candidates.append((x, est.value, d, high))
+                continue
+        exact.append((x, est.value, d, cert))
+
+    actuals = [_actual(x, value, d) for x, value, d, _ in exact]
+    certified_everywhere = certified_everywhere and all(
+        m <= cert for m, (*_, cert) in zip(actuals, exact))
+    max_low = max([max_low, *actuals])
+    near_max = [row for row in candidates if row[3] >= max_low]
+    actuals += [_actual(x, value, d) for x, value, d, _ in near_max]
+    measured = exact + near_max
+    return ErrorProfile(spec=spec, grid=grid, digits=digits,
+                        max_certified=max_cert, max_actual=max(actuals),
+                        certified_everywhere=certified_everywhere,
+                        exact_rows=len(measured),
+                        extra_digit_rows=sum(d != digits for _, _, d, _ in measured))

@@ -137,12 +137,6 @@ def _grid_values(grid: GridSpec) -> tuple[float, ...]:
 DEFAULT_GRID = GridSpec(1e-8, 1e8, 10_000, "log")
 
 
-@lru_cache(maxsize=8)
-def _oracle_on_grid(grid: GridSpec, digits: int) -> tuple[fp.FixedReal, ...]:
-    """The fixed-point oracle at every grid point, for profile's rows."""
-    return tuple(fp.FixedReal(x, digits).atan() for x in grid.values())
-
-
 @lru_cache(maxsize=1 << 14)
 def _oracle_at(x: float, digits: int) -> fp.FixedReal:
     """The fixed-point oracle at one point, for the points a sweep evaluates

@@ -400,7 +400,7 @@ REFERENCE_FORMS = {
     B.HALF_ANGLE_UPPER: lambda a, x: _one_plus_a(_lift(1.0, x), x),
     B.RATIO_LOWER: lambda a, x: x / (1 + x * x),
     B.IDENTITY_UPPER: lambda a, x: x,
-    B.CUBIC_LOWER: lambda a, x: x - x * x * x / 3,
+    B.CUBIC_LOWER: lambda a, x: x - x * (x * x / 3),
     B.LOG_LOWER: lambda a, x: _log(1 + x * x) / (2 * x),
     B.LOG_UPPER: lambda a, x: (1 + x) * _log(1 + x),
     B.FAMILY_LOWER: _one_plus_a,

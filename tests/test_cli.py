@@ -1,10 +1,12 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import arctanbounds
+from arctanbounds import catalog as cat
 from arctanbounds import cli
 from arctanbounds import oracle as orc
 
@@ -12,6 +14,10 @@ VERIFY_ARGS = ["verify", "--grid-points", "300", "--format", "json"]
 #: verify --suite all --format json on the default grid, recorded before the
 #: sweep settled violations in double; the output must not move by a byte
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_default.json"
+#: profile's output, keyed by its command line, and one 200-point CSV,
+#: recorded when every row was measured in fixed point
+PROFILE_GOLDEN = Path(__file__).parent / "data" / "profile_golden.json"
+PROFILE_CSV_GOLDEN = Path(__file__).parent / "data" / "profile_200.csv"
 
 
 def strict_json(text):
@@ -115,16 +121,18 @@ class TestErrors:
         assert "ParamError" in err
 
     @pytest.mark.parametrize("command", ["verify", "profile"])
-    def test_stats_refuse_low_digits_before_the_oracle(self, capsys, command):
-        # the digits check comes before the timed grid build: profile's
-        # fixed-point oracle grid, verify's double arctan grid
-        built = orc._oracle_on_grid.cache_info()
+    def test_stats_refuse_low_digits_before_the_oracle(self, capsys, monkeypatch,
+                                                       command):
+        # the digits check comes before any oracle value, in fixed point or
+        # in verify's timed double arctan grid
+        def no_oracle(x, digits):
+            raise AssertionError("oracle_arctan called before the digits check")
+        monkeypatch.setattr(orc, "oracle_arctan", no_oracle)
         built_doubles = orc._fast_atan_on_grid.cache_info()
         code, out, err = run(capsys, [command, "--digits", "10", "--grid-points", "50",
                                       "--stats", "--format", "json"])
         assert code == 2 and out == ""
         assert "ParamError" in err and "at least 20 digits" in err
-        assert orc._oracle_on_grid.cache_info() == built
         assert orc._fast_atan_on_grid.cache_info() == built_doubles
 
     @pytest.mark.parametrize("argv", [
@@ -171,6 +179,22 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("DomainError: ") and "does not fit a double" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_eval_cubic_lower_up_to_its_own_overflow(self, capsys):
+        # x^3/3 fits a double up to x ~ 8.14e102, though x^3 overflows from
+        # ~5.64e102: the float form divides x*x by 3 before the last product
+        code, out, _ = run(capsys, ["eval", "--bound", "cubic-lower", "--x", "6e102",
+                                    "--format", "json"])
+        assert code == 0
+        value = strict_json(out)["value"]
+        exact = cat.eval_bound_hp(cat.BoundId.CUBIC_LOWER, 6e102, digits=30)
+        assert float(exact) == pytest.approx(-7.2e307, rel=1e-15)
+        error = cat.float_form(cat.BoundId.CUBIC_LOWER, None)[1](6e102, value)
+        assert abs(Fraction(value) - exact.as_fraction()) <= Fraction(error)
+        code, out, _ = run(capsys, ["eval", "--bound", "cubic-lower", "--x", "6e102"])
+        assert code == 0 and out == f"cubic-lower(x=6e+102) = {value!r}\n"
+        code, _, err = run(capsys, ["eval", "--bound", "cubic-lower", "--x", "1e200"])
+        assert code == 2 and "does not fit a double" in err
 
     def test_linear_grids_up_to_the_largest_doubles(self, capsys):
         # (hi - lo) * i used to overflow, sending inf to the oracle
@@ -306,12 +330,10 @@ class TestVerify:
     def test_default_suite_builds_no_oracle_grid(self, capsys):
         # stage 1 reads the double arctan grid; fixed point is computed only
         # at the points the sweeps escalate and the violations they list
-        misses = orc._oracle_on_grid.cache_info().misses
         orc._oracle_at.cache_clear()
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--stats",
                                     "--format", "json"])
         assert code == 0
-        assert orc._oracle_on_grid.cache_info().misses == misses
         payload = strict_json(out)
         listed = sum(len(entry["violations"]) for entry in payload["results"])
         assert 0 < payload["stats"]["oracle_points"] <= payload["stats"]["escalated"] + listed
@@ -391,21 +413,49 @@ class TestDominanceAndProfile:
         assert code == 0
         payload = strict_json(out)
         stats = payload.pop("stats")
-        assert set(stats) == {"oracle_s", "rows_s", "extra_digit_rows",
+        assert set(stats) == {"exact_rows", "extra_digit_rows", "rows_s",
                               "package_version", "python_version", "digits", "grid"}
-        assert stats["oracle_s"] > 0 and stats["rows_s"] > 0
+        assert stats["rows_s"] > 0
         assert stats["digits"] == 20 and stats["grid"]["points"] == 300
         assert stats["package_version"] == arctanbounds.__version__
-        # certificates near 1e-22 need more than 20 digits
-        assert 0 < stats["extra_digit_rows"] < 300
+        # the double filter settles most rows; at 20 digits the fixed point
+        # resolves only a few figures of the errors near x ~ 1e-5, where the
+        # certificate is tightest, so those rows are measured
+        assert 0 < stats["exact_rows"] < 30
+        assert 0 <= stats["extra_digit_rows"] <= stats["exact_rows"]
         # without --stats the report carries none of it
         assert payload == strict_json(plain)
         assert "stats" not in plain
         code, out, _ = run(capsys, argv[:-2] + ["--stats"])
         assert code == 0
-        assert f"{stats['extra_digit_rows']} of 300 rows measured at extra digits" in out
+        assert re.fullmatch(rf"fixed point at {stats['exact_rows']} of 300 rows "
+                            rf"\({stats['extra_digit_rows']} at extra digits\); "
+                            r"rows \d+\.\d{3} s", out.splitlines()[-1])
         code, out, err = run(capsys, argv[:-2] + ["--stats", "--format", "csv"])
         assert code == 2 and out == "" and "ParamError" in err
+
+    @pytest.mark.parametrize("command", sorted(json.loads(PROFILE_GOLDEN.read_text())))
+    def test_profile_matches_golden(self, capsys, command):
+        code, out, _ = run(capsys, command.split())
+        assert code == 0
+        assert out == json.loads(PROFILE_GOLDEN.read_text())[command]
+
+    def test_profile_csv_matches_golden(self, capsys):
+        code, out, _ = run(capsys, ["profile", "--digits", "20", "--grid-points", "200",
+                                    "--format", "csv"])
+        assert code == 0
+        assert out.encode("utf-8") == PROFILE_CSV_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("digits", ["30", "100"])
+    def test_profile_measures_few_rows_in_fixed_point(self, capsys, digits):
+        # on the default grid only the row of the largest actual error is
+        # measured: every other row is settled, and left out of the maximum,
+        # in double
+        code, out, _ = run(capsys, ["profile", "--digits", digits, "--stats",
+                                    "--format", "json"])
+        assert code == 0
+        stats = strict_json(out)["stats"]
+        assert 1 <= stats["exact_rows"] <= 3 and stats["extra_digit_rows"] == 0
 
     def test_profile_csv_file(self, capsys, tmp_path):
         target = tmp_path / "profile.csv"

@@ -1,6 +1,8 @@
 import math
 import random
+import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,9 @@ from arctanbounds import (
     eval_bound_hp,
     oracle_arctan,
 )
+from arctanbounds import catalog as cat
+from arctanbounds import kernel as ker
+from arctanbounds.fastatan import FAST_ATAN_K, fast_atan
 
 SMALL_GRID = GridSpec(1e-8, 1e8, 300, "log")
 DBL_MAX = sys.float_info.max
@@ -188,3 +193,92 @@ class TestErrorProfile:
     def test_needs_twenty_digits(self):
         with pytest.raises(ParamError):
             error_profile(DEFAULT_KERNEL, SMALL_GRID, digits=19)
+
+
+def _seeded_log_grid(seed: int) -> GridSpec:
+    rng = random.Random(seed)
+    return GridSpec(10 ** rng.uniform(-12, -1), 10 ** rng.uniform(1, 12),
+                    rng.randint(200, 500), "log")
+
+
+#: Seeded log grids, the widest log grid (half its rows outside the double
+#: filter's range) and a linear grid through 0 and negative x.
+FILTER_GRIDS = ([_seeded_log_grid(seed) for seed in range(4)]
+                + [GridSpec(1e-300, 1e300, 400), GridSpec(-5.0, 5.0, 201, "linear")])
+
+
+def filter_misses(prof, fast_atan_k: float) -> list[float]:
+    """The rows in the double filter's range where its E, with fast_atan's
+    error taken as fast_atan_k * u * f, fails to cover |a - actual|, an
+    exact comparison on Fractions."""
+    misses = []
+    for row in prof.rows:
+        ax = abs(row.x)
+        if not cat.FLOAT_FORM_MIN <= ax <= cat.FLOAT_FORM_MAX:
+            continue
+        f = fast_atan(ax)
+        a = abs(abs(row.value) - f)
+        d = ker._row_digits(row.certified, prof.digits)
+        e = ker._row_error(fast_atan_k, f, a, d)
+        if abs(Fraction(a) - Fraction(row.actual)) > Fraction(e):
+            misses.append(row.x)
+    return misses
+
+
+class TestProfileFilter:
+    """error_profile settles rows in double; its summary must be the one
+    every row, measured in fixed point, gives."""
+
+    @staticmethod
+    def assert_summary_of_rows(prof):
+        assert prof.max_certified == max(r.certified for r in prof.rows)
+        assert prof.max_actual == max(r.actual for r in prof.rows)
+        assert prof.certified_everywhere == all(r.ratio >= 1.0 for r in prof.rows)
+        assert 1 <= prof.exact_rows <= prof.grid.points
+
+    @pytest.mark.parametrize("digits", [20, 30, 100])
+    @pytest.mark.parametrize("grid", FILTER_GRIDS, ids=str)
+    def test_summary_equals_every_exact_row(self, grid, digits):
+        prof = error_profile(DEFAULT_KERNEL, grid, digits)
+        self.assert_summary_of_rows(prof)
+        assert prof.certified_everywhere
+
+    @pytest.mark.parametrize("scale", [0.5, 0.998])
+    def test_summary_with_refuted_rows(self, monkeypatch, scale):
+        # shrunken certificates fail at every row whose error is within that
+        # factor of the kernel's (over half of SMALL_GRID's rows): the filter
+        # refutes those rows, and leaves unsettled the few whose error lies
+        # within E of the shrunken certificate
+        def shrunk(spec, x):
+            est = approx(spec, x)
+            return ker.CertifiedValue(est.value, est.error_bound * scale)
+        monkeypatch.setattr(ker, "approx", shrunk)
+        for grid in (SMALL_GRID, FILTER_GRIDS[-1]):
+            prof = error_profile(DEFAULT_KERNEL, grid, 30)
+            self.assert_summary_of_rows(prof)
+        assert not error_profile(DEFAULT_KERNEL, SMALL_GRID, 30).certified_everywhere
+
+    def test_package_import_leaves_fastatan_unloaded(self):
+        # error_profile imports it on first use, as sweep does, so commands
+        # that never filter do not build its table at start-up
+        probe = "import sys, arctanbounds.cli; print('arctanbounds.fastatan' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "False\n"
+
+    def test_linear_grid_has_zero_and_negative_rows(self):
+        xs = FILTER_GRIDS[-1].values()
+        assert 0.0 in xs and min(xs) == -5.0
+
+    @pytest.mark.parametrize("digits", [20, 30, 100])
+    def test_error_bound_covers_every_row(self, digits):
+        for grid in FILTER_GRIDS:
+            assert filter_misses(error_profile(DEFAULT_KERNEL, grid, digits),
+                                 FAST_ATAN_K) == []
+
+    def test_error_bound_needs_the_fast_atan_term(self):
+        # without fast_atan's error the check above fails: it is not covered
+        # by the other terms
+        prof = error_profile(DEFAULT_KERNEL, SMALL_GRID, 30)
+        assert filter_misses(prof, FAST_ATAN_K) == []
+        assert len(filter_misses(prof, 0.0)) > 10

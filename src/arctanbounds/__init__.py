@@ -1,7 +1,7 @@
 """Certified closed-form bounds for the arc tangent.
 
-A catalog of classical and parameterized bounds with validity predicates, a
-regime classifier and interior-minimum solver for the underlying ratio, a
+A catalog of classical and parameterized bounds with validity predicates, an
+exact regime proof and interior-minimum solver for the underlying ratio, a
 high-precision arctan oracle with a grid-sweep verification harness, and a
 fast approximation kernel whose error is certified by enclosure width.
 """
@@ -11,11 +11,13 @@ from .catalog import (
     BoundId,
     Enclosure,
     Regime,
+    RegimeProof,
     best_enclosure,
     classify_regime,
     enclosure,
     eval_bound,
     eval_bound_hp,
+    prove_regime,
 )
 from .errors import (
     ArctanBoundsError,
@@ -27,14 +29,8 @@ from .errors import (
 from .family import (
     MinimumResult,
     family_ratio,
-    family_ratio_at_zero,
     find_interior_minimum,
-    gap_quadratic,
     minimum_value_closed_form,
-    quadratic_root_neg,
-    quadratic_root_pos,
-    shafer_defect,
-    shafer_defect_derivative,
     stationarity_gap,
 )
 from .fixedpoint import FixedReal
@@ -79,6 +75,7 @@ __all__ = [
     "ParamError",
     "PrecisionError",
     "Regime",
+    "RegimeProof",
     "SingularityError",
     "SweepReport",
     "TWO_OVER_PI",
@@ -91,15 +88,10 @@ __all__ = [
     "eval_bound",
     "eval_bound_hp",
     "family_ratio",
-    "family_ratio_at_zero",
     "find_interior_minimum",
-    "gap_quadratic",
     "minimum_value_closed_form",
     "oracle_arctan",
-    "quadratic_root_neg",
-    "quadratic_root_pos",
-    "shafer_defect",
-    "shafer_defect_derivative",
+    "prove_regime",
     "stationarity_gap",
     "sweep",
     "__version__",

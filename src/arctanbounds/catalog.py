@@ -239,9 +239,8 @@ def _log_upper_error(x, b):
 
 
 # The three certified ranges of the family parameter, each a test and its
-# text.  The family rows, classify_regime and the interior-minimum solver in
-# family.py read them; enclosure spells out the first and last inline, on the
-# kernel's hot path.
+# text, read by the family rows and the interior-minimum solver in family.py;
+# enclosure spells out the first and last inline, on the kernel's hot path.
 class ParamRange(NamedTuple):
     ok: Callable[[float], bool]
     text: str
@@ -376,12 +375,12 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
                   digits: int = 50) -> fp.FixedReal:
     """Evaluate one catalog bound in fixed point.
 
-    x and a enter through their exact float values, rounded to the nearest
-    unit, so the result is the bound for the precise arguments a caller's
-    doubles denote.  The entry's closed form then runs on FixedReal, which
-    floors each product, quotient and root to a unit of 10**-digits.  Used by
-    the sweep engine, where float evaluation cannot resolve the thinnest
-    margins.  Raises PrecisionError where x rounds to zero units.
+    x and a enter as their exact binary values rounded to the nearest unit
+    of 10**-digits: at 50 digits, a = 0.1 is the 50-digit rounding of that
+    double, whose exact expansion has 55 digits.  The entry's closed form
+    then runs on FixedReal, which floors each product, quotient and root to a
+    unit.  Used by the sweep engine, where float evaluation cannot resolve
+    the thinnest margins.  Raises PrecisionError where x rounds to zero units.
     """
     _check_param(bound, a)
     _check_x(x)
@@ -394,21 +393,71 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     return fn(fp.FixedReal._raw(x_units, digits))
 
 
-def classify_regime(a: float) -> Regime:
-    """Monotonicity regime of the family ratio for parameter a.
+@lru_cache(maxsize=1)
+def _regime_pi() -> tuple[Fraction, Fraction]:
+    """pi_units(30) -+ 1 unit, an interval that holds pi, built on first use."""
+    units, scale = fp.pi_units(30), fp.pow10(30)
+    return Fraction(units - 1, scale), Fraction(units + 1, scale)
 
-    Increasing for a <= -1 or 0 <= a <= 1/2; decreasing for a >= 2/pi; a
-    unique interior minimum for 1/2 < a < 2/pi; no claim on -1 < a < 0.
+
+@dataclass(frozen=True)
+class RegimeProof:
+    """A regime of the family ratio and the exact values that decide it:
+    h_at_one = h(1) = (2a-1)(a+1) and slope = 2a^2 - 1 of h(u) = slope*u + a,
+    its root u_star = a/(1 - 2a^2), and g_inf_sign, the sign of
+    g(inf) = 1/a - pi/2.  A field is None where it decides nothing."""
+
+    regime: Regime
+    h_at_one: Optional[Fraction] = None
+    slope: Optional[Fraction] = None
+    u_star: Optional[Fraction] = None
+    g_inf_sign: Optional[int] = None
+
+    def to_json_dict(self) -> dict:
+        """The deciding fields, each as an exact rational string."""
+        return {k: str(v) for k, v in vars(self).items() if k != "regime" and v is not None}
+
+
+def prove_regime(a: float) -> RegimeProof:
+    """Monotonicity regime of the family ratio for parameter a, proved in
+    exact rationals from the paper's derivative algebra.
+
+    With u = sqrt(1+x^2) > 1, the ratio's slope has the sign of g*(1 + a*u),
+    where the gap g (family.stationarity_gap) runs from g(0+) = 0 to
+    g(inf) = 1/a - pi/2, and sign(g') = -sign(h), h(u) = (2a^2 - 1)u + a.
+    For a <= -1, h(1) >= 0 and the slope is positive, so h > 0, g < 0 and
+    1 + a*u < 0: increasing.  On -1 < a < 0 there is no claim.  For a >= 0,
+    h(1) <= 0 (a <= 1/2, with a negative slope) gives h < 0, g > 0:
+    increasing; h(1) > 0 and a positive slope give h > 0, g < 0: decreasing.
+    With h(1) > 0 and a negative slope (never 0 at a rational a), h changes
+    sign once, at u_star, so g falls from 0, then rises to g(inf): one sign
+    change, an interior minimum, if g(inf) > 0, and none, decreasing, else.
+
+    a enters as the exact Fraction of the double, and pi as pi_units(30) -+ 1
+    unit, which separates every double from 2/pi (math.pi -+ 1 ulp cannot:
+    the nearest lies 3.9e-17 above it).  DomainError for nan or inf.
     """
     if not math.isfinite(a):
         raise DomainError("parameter must be finite")
-    if a <= -1 or FAMILY_RANGE.ok(a):
-        return Regime.INCREASING
-    if REVERSED_RANGE.ok(a):
-        return Regime.DECREASING
-    if MID_REGIME_RANGE.ok(a):
-        return Regime.INTERIOR_MINIMUM
-    return Regime.UNCLASSIFIED
+    q = Fraction(a)
+    if -1 < q < 0:
+        return RegimeProof(Regime.UNCLASSIFIED)
+    h_at_one, slope = (2 * q - 1) * (q + 1), 2 * q * q - 1
+    if q < 0 or h_at_one <= 0:
+        return RegimeProof(Regime.INCREASING, h_at_one, slope)
+    if slope > 0:
+        return RegimeProof(Regime.DECREASING, h_at_one, slope)
+    pi_lo, pi_hi = _regime_pi()     # g(inf) has the sign of 2 - a*pi
+    if 2 - q * pi_hi > 0:
+        return RegimeProof(Regime.INTERIOR_MINIMUM, h_at_one, slope, -q / slope, 1)
+    if 2 - q * pi_lo < 0:
+        return RegimeProof(Regime.DECREASING, h_at_one, slope, -q / slope, -1)
+    raise PrecisionError(f"a={a!r} lies within 10**-30 of 2/pi")
+
+
+def classify_regime(a: float) -> Regime:
+    """The monotonicity regime that prove_regime(a) proves."""
+    return prove_regime(a).regime
 
 
 def enclosure(a: float, x: float) -> Enclosure:

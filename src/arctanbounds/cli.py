@@ -29,6 +29,7 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 import time
 from typing import Optional
@@ -93,6 +94,22 @@ def _bound_arg(value: str) -> cat.BoundId:
     except ValueError:
         choices = ", ".join(b.value for b in cat.BoundId)
         raise argparse.ArgumentTypeError(f"unknown bound {value!r}; one of: {choices}")
+
+
+#: A token to read as a negative number: argparse reads -1 or -0.5 as a
+#: value, but -1e-05, -.5 or -inf as an option, failing "--a -1e-05".
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join each negative number to an --option before it, as --option=value."""
+    joined = []
+    for token in argv:
+        if joined and re.fullmatch(r"--[^=]+", joined[-1]) and _NEGATIVE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,8 +193,10 @@ def _cmd_eval(args) -> tuple[int, dict, str]:
 
 
 def _cmd_classify(args) -> tuple[int, dict, str]:
-    regime = cat.classify_regime(args.a)
-    return 0, {"a": args.a, "regime": regime.value}, regime.value
+    proof = cat.prove_regime(args.a)
+    payload = {"a": args.a, "regime": proof.regime.value,
+               "certificate": proof.to_json_dict()}
+    return 0, payload, proof.regime.value
 
 
 def _cmd_enclose(args) -> tuple[int, dict, str]:
@@ -329,7 +348,8 @@ _HANDLERS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_negative_values(sys.argv[1:] if argv is None else argv))
         status, payload, text = _HANDLERS[args.command](args)
         if "stats" in payload:
             payload["stats"].update(

@@ -1,15 +1,10 @@
 """Analysis of the parameterized ratio behind the bound family.
 
 The central object is ``family_ratio(a, x) = (a + sqrt(1+x^2)) * arctan(x) / x``
-whose monotonicity in x decides which closed-form bounds hold.  The helpers
-here expose the derivative factorization used to prove the regime split:
-
-* ``stationarity_gap`` is the bracketed factor g of the derivative; the sign
-  of d/dx family_ratio equals sign(g) * sign(1 + a*sqrt(1+x^2)).
-* ``gap_quadratic`` h(a, x) = 2a^2 u + a - u (u = sqrt(1+x^2)) is the factor
-  controlling the sign of dg/dx: h = 2u (a - r-)(a - r+).
-* ``quadratic_root_neg`` / ``quadratic_root_pos`` are those two roots in a;
-  both increase in x, with ranges (-1, -sqrt2/2) and (1/2, sqrt2/2).
+whose monotonicity in x decides which closed-form bounds hold.  The sign of
+d/dx family_ratio equals sign(g) * sign(1 + a*sqrt(1+x^2)), where g is
+``stationarity_gap``; :func:`~arctanbounds.catalog.prove_regime` decides the
+regime from g's limits and the linear factor of its derivative.
 
 For 1/2 < a < 2/pi the gap has a single zero, which is the unique interior
 minimum of the ratio; ``find_interior_minimum`` locates it by bisecting
@@ -47,17 +42,13 @@ def family_ratio(a, x):
     return (a + u) * fp.atan_of(x) / x
 
 
-def family_ratio_at_zero(a) -> float:
-    """Continuous extension of the ratio at x = 0."""
-    return 1 + a
-
-
 def stationarity_gap(a, x):
     """The sign-carrying factor of the ratio's derivative.
 
     g(a, x) = (x + x^3 + a x u) / ((1+x^2)(1 + a u)) - arctan x, u = sqrt(1+x^2).
     g vanishes exactly at critical points of the ratio; it tends to 0 at 0+
-    and to 1/a - pi/2 at infinity.
+    and to 1/a - pi/2 at infinity, and its derivative is
+    -x^2 h(u) / (u^3 (1 + a u)^2) with h(u) = (2a^2 - 1)u + a.
     """
     _check_positive(x)
     u = fp.sqrt_of(1 + x * x)
@@ -65,60 +56,6 @@ def stationarity_gap(a, x):
     if pivot == 0:
         raise SingularityError(f"1 + a*sqrt(1+x^2) vanishes at a={a!r}, x={x!r}")
     return (x + x * x * x + a * x * u) / ((1 + x * x) * pivot) - fp.atan_of(x)
-
-
-def gap_quadratic(a, x):
-    """h(a, x) = 2 a^2 u + a - u with u = sqrt(1+x^2).
-
-    Quadratic in a; its two roots are the threshold curves below.  The gap's
-    derivative satisfies sign(dg/dx) = -sign(h).
-    """
-    _check_positive(x)
-    u = fp.sqrt_of(1 + x * x)
-    return 2 * a * a * u + a - u
-
-
-def quadratic_root_neg(x):
-    """Negative root of the gap quadratic: -(1 + sqrt(9+8x^2)) / (4 sqrt(1+x^2)).
-
-    Increasing, from -1 at 0+ to -sqrt2/2 at infinity.
-    """
-    _check_positive(x)
-    s = fp.sqrt_of(9 + 8 * x * x)
-    u = fp.sqrt_of(1 + x * x)
-    return -(1 + s) / (4 * u)
-
-
-def quadratic_root_pos(x):
-    """Positive root of the gap quadratic: (sqrt(9+8x^2) - 1) / (4 sqrt(1+x^2)).
-
-    Increasing, from 1/2 at 0+ to sqrt2/2 at infinity; the interior-minimum
-    regime (1/2, 2/pi) sits inside its range.
-    """
-    _check_positive(x)
-    s = fp.sqrt_of(9 + 8 * x * x)
-    u = fp.sqrt_of(1 + x * x)
-    return (s - 1) / (4 * u)
-
-
-def shafer_defect(x: float) -> float:
-    """arctan x - 3x/(1 + 2 sqrt(1+x^2)), the defect of the classical lower bound."""
-    if x < 0:
-        raise DomainError("defect is stated for x >= 0")
-    return math.atan(x) - 3.0 * x / (1.0 + 2.0 * math.sqrt(1.0 + x * x))
-
-
-def shafer_defect_derivative(x: float) -> float:
-    """Closed-form derivative of the defect:
-    (sqrt(1+x^2) - 1)^2 / ((1+x^2)(1 + 2 sqrt(1+x^2))^2).
-
-    Vanishes only at x = 0, which is the one-line proof that the classical
-    lower bound is strict for x > 0.
-    """
-    if x < 0:
-        raise DomainError("defect derivative is stated for x >= 0")
-    u = math.sqrt(1.0 + x * x)
-    return (u - 1.0) ** 2 / ((1.0 + x * x) * (1.0 + 2.0 * u) ** 2)
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,14 @@ class CertifiedValue:
 def approx(spec: KernelSpec, x: float) -> CertifiedValue:
     """Approximate arctan x with a certified error bound, for any finite x.
 
-    Odd symmetry is applied exactly (computed on |x| and negated), and x = 0
-    returns (0, 0).  Raises DomainError for an infinite or NaN x.
+    Odd symmetry is applied exactly (computed on |x| and negated), and
+    x = +-0.0 returns (x, 0).  Raises DomainError for an infinite or NaN x.
     """
     ax = abs(x)
     if ax < _TINY:
-        lower, upper = math.nextafter(ax, 0.0), ax
-    elif ax <= _DBL_MAX:
+        # arctan x lies in [nextafter(x, 0), x]; x keeps the sign of a zero
+        return CertifiedValue(float(x), ax - math.nextafter(ax, 0.0))
+    if ax <= _DBL_MAX:
         # Each of the four bounds is c * (ax / (a + u)), scaled outward as
         # derived beside _DOWN and _UP in catalog.py (gamma_7 < 16 u0).  Each
         # parameter double lies in its regime (the double nearest 2/pi is
@@ -94,8 +95,8 @@ def approx(spec: KernelSpec, x: float) -> CertifiedValue:
     else:
         raise DomainError(f"approx needs a finite argument, got {x!r}")
     # value lies in [lower, upper], and upper <= 2 * lower (their ratio is at
-    # most (pi/2) / (1 + a_low), or they are adjacent doubles), so both
-    # differences are exact by Sterbenz's lemma
+    # most (pi/2) / (1 + a_low)), so both differences are exact by Sterbenz's
+    # lemma
     value = 0.5 * (lower + upper)
     below, above = value - lower, upper - value
     return CertifiedValue(-value if x < 0 else value,

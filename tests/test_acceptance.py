@@ -26,13 +26,9 @@ from arctanbounds import (
     eval_bound,
     family_ratio,
     find_interior_minimum,
-    gap_quadratic,
     minimum_value_closed_form,
     oracle_arctan,
-    quadratic_root_neg,
-    quadratic_root_pos,
-    shafer_defect,
-    shafer_defect_derivative,
+    prove_regime,
     stationarity_gap,
     sweep,
 )
@@ -144,24 +140,22 @@ def test_criterion_04_interior_minimum():
 
 
 def test_criterion_05_zero_curves():
-    with criterion("criterion 5: root curves annihilate the quadratic and increase"):
-        digits = 30
-        half = FixedReal(1, digits) / 2
-        sqrt_half = FixedReal(0.5, digits).sqrt()
-        tol = FixedReal("1e-12", digits)
-        prev_pos = prev_neg = None
-        for i in range(1000):
-            x = FixedReal(10 ** (-8 + 16 * i / 999), digits)
-            pos, neg = quadratic_root_pos(x), quadratic_root_neg(x)
-            assert abs(gap_quadratic(pos, x)) <= tol
-            assert abs(gap_quadratic(neg, x)) <= tol
-            if prev_pos is not None:
-                assert pos > prev_pos and neg > prev_neg
-            prev_pos, prev_neg = pos, neg
-        low_end = quadratic_root_pos(FixedReal(1e-8, digits))
-        assert abs(low_end - half) <= FixedReal("1e-12", digits)
-        high_end = quadratic_root_pos(FixedReal(1e8, digits))
-        assert abs(high_end - sqrt_half) <= FixedReal("1e-7", digits)
+    with criterion("criterion 5: the root curve u*(a) annihilates h and rises from 1 to infinity"):
+        # h(u) = (2a^2 - 1)u + a has one root u* = a/(1 - 2a^2) > 1 for each
+        # 1/2 < a < sqrt2/2; it rises from 1 at a = 1/2 to infinity at sqrt2/2
+        first = math.nextafter(0.5, 1.0)
+        last = math.nextafter(math.sqrt(0.5), 0.0)
+        assert 2 * Fraction(last) ** 2 < 1 < 2 * Fraction(math.sqrt(0.5)) ** 2
+        previous = Fraction(1)
+        for a in [first] + [first + (last - first) * i / 999 for i in range(1, 999)] + [last]:
+            proof = prove_regime(a)
+            q = Fraction(a)
+            assert 2 * q * q * proof.u_star + q - proof.u_star == 0, a
+            assert proof.u_star > previous, a
+            previous = proof.u_star
+        assert prove_regime(first).u_star - 1 < Fraction(1, 10 ** 15)
+        assert prove_regime(last).u_star > 10 ** 15
+        assert prove_regime(math.sqrt(0.5)).u_star is None
 
 
 def test_criterion_06_gap_limits():
@@ -172,13 +166,21 @@ def test_criterion_06_gap_limits():
 
 
 def test_criterion_07_defect_derivative_identity():
-    with criterion("criterion 7: closed-form defect derivative matches finite differences"):
-        h_scale = (2.0 ** -52) ** (1.0 / 3.0)
+    with criterion("criterion 7: Shafer's defect derivative is (u-1)^2/4 over a positive factor"):
+        # the regime at a = 1/2: h(1) = 0 and slope -1/2, so h < 0 on u > 1
+        # and the ratio rises from 3/2, which is arctan x > 3x/(1 + 2u)
+        proof = prove_regime(0.5)
+        assert proof.regime is Regime.INCREASING
+        assert proof.h_at_one == 0 and proof.slope == Fraction(-1, 2)
+        # the defect's derivative is Q(u) / (u^2 (1/2 + u)^2), exactly, with
+        # Q(u) = (1/2 + u)^2 - (3/2)u(1 + u/2) = (u - 1)^2 / 4
         for i in range(1000):
             x = 10 ** (-3 + 6 * i / 999)
-            h = h_scale * max(1.0, x)
-            fd = (shafer_defect(x + h) - shafer_defect(x - h)) / (2 * h)
-            assert abs(shafer_defect_derivative(x) - fd) <= 1e-8, x
+            u = Fraction(math.hypot(1.0, x))
+            q = (Fraction(1, 2) + u) ** 2 - Fraction(3, 2) * u * (1 + u / 2)
+            assert q == (u - 1) ** 2 / 4 > 0, x
+            ratio = family_ratio(FixedReal(0.5, 40), FixedReal(x, 40))
+            assert ratio > FixedReal(1.5, 40), x
 
 
 def test_criterion_08_errata_reproduction():

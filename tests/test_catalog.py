@@ -2,6 +2,7 @@ import math
 import random
 import struct
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from arctanbounds import (
     eval_bound,
     eval_bound_hp,
     oracle_arctan,
+    prove_regime,
 )
+import arctanbounds
 from arctanbounds import catalog
 from arctanbounds.catalog import FLOAT_FORM_MAX, FLOAT_FORM_MIN, float_form
 from arctanbounds.cli import _suite_entries
@@ -175,6 +178,153 @@ class TestClassifyRegime:
     def test_non_finite(self):
         with pytest.raises(DomainError):
             classify_regime(math.nan)
+
+
+def float_rule(a: float) -> Regime:
+    """classify_regime as it was before prove_regime: three float interval
+    tests on a, kept as a reference."""
+    if a <= -1 or 0.0 <= a <= 0.5:
+        return Regime.INCREASING
+    if a >= TWO_OVER_PI:
+        return Regime.DECREASING
+    if 0.5 < a < TWO_OVER_PI:
+        return Regime.INTERIOR_MINIMUM
+    return Regime.UNCLASSIFIED
+
+
+#: The regime boundaries, 1/sqrt(2) where the slope of h changes sign, and
+#: the 7 doubles around each: the double itself and three on either side.
+BOUNDARIES = (-1.0, 0.0, 0.5, math.sqrt(0.5), TWO_OVER_PI)
+def _around(c: float) -> list[float]:
+    """c and the three doubles on either side of it."""
+    doubles, below, above = [c], c, c
+    for _ in range(3):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        doubles += [below, above]
+    return doubles
+
+
+BOUNDARY_DOUBLES = [d for c in BOUNDARIES for d in _around(c)]
+
+
+#: pi truncated to 50 decimals, so pi lies in [PI_50, PI_50 + 10**-50]; the
+#: checker below takes nothing from the package.
+PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
+
+
+def check_certificate(a, regime: str, certificate: dict) -> None:
+    """Recompute, from Fraction(a) alone, every field of a regime
+    certificate given as classify's JSON strings, and derive the regime
+    again from the signs of those fields."""
+    q = Fraction(a)
+    fields = {name: Fraction(value) for name, value in certificate.items()}
+
+    def h(u):   # the paper's quadratic 2a^2 u + a - u, at u = sqrt(1+x^2)
+        return 2 * q * q * u + q - u
+
+    if -1 < q < 0:
+        assert (regime, fields) == ("Unclassified", {}), a
+        return
+    expected = {"h_at_one": h(1), "slope": h(2) - h(1)}
+    if q <= -1:
+        # h(u) >= h(1) >= 0 on u > 1, g < 0 and 1 + a*u < 0
+        assert h(1) >= 0 and expected["slope"] > 0
+        derived = "Increasing"
+    elif h(1) <= 0:
+        # 0 <= a <= 1/2: h < 0, g > 0 and 1 + a*u > 0
+        assert expected["slope"] < 0
+        derived = "Increasing"
+    elif expected["slope"] > 0:
+        derived = "Decreasing"
+    else:
+        u_star = q / (1 - 2 * q * q)
+        assert h(u_star) == 0 and u_star > 1
+        g_lo = 1 / q - (PI_50 + Fraction(1, 10 ** 50)) / 2   # g(inf) = 1/a - pi/2
+        g_hi = 1 / q - PI_50 / 2
+        assert g_lo > 0 or g_hi < 0, a
+        expected.update(u_star=u_star, g_inf_sign=1 if g_lo > 0 else -1)
+        derived = "InteriorMinimum" if g_lo > 0 else "Decreasing"
+    assert regime == derived, a
+    assert fields == expected, a
+
+
+def seeded_params(count: int, seed: int):
+    """Half drawn from U(-2, 2.5), where the regimes change; half of either
+    sign with |a| from 1e-20 to 1e300."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            yield rng.uniform(-2.0, 2.5)
+        else:
+            yield rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20.0, 300.0)
+
+
+class TestRegimeProof:
+    def test_boundary_doubles_match_float_rule(self):
+        assert len(BOUNDARY_DOUBLES) == 35
+        for a in BOUNDARY_DOUBLES + [-0.0]:
+            assert classify_regime(a) is float_rule(a), a
+
+    def test_seeded_values_match_float_rule(self):
+        # never a PrecisionError at a double: a raise fails this test
+        for a in seeded_params(100_000, 20261018):
+            assert classify_regime(a) is float_rule(a), a
+
+    def test_doubles_next_to_two_over_pi_are_decided(self):
+        # the double nearest 2/pi lies 3.9e-17 above it; pi to 10**-30
+        # separates all of its neighbours too
+        below = above = TWO_OVER_PI
+        for _ in range(2000):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            assert prove_regime(below).regime is Regime.INTERIOR_MINIMUM
+            assert prove_regime(above).regime is Regime.DECREASING
+        assert prove_regime(TWO_OVER_PI).regime is Regime.DECREASING
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, a):
+        with pytest.raises(DomainError):
+            prove_regime(a)
+
+    def test_certificates_check(self):
+        params = BOUNDARY_DOUBLES + [-3.0, -0.0, 0.3, 0.55, 0.6, 0.7, 2.0, 1e300,
+                                     -1e300, 5e-324, -5e-324]
+        params += list(seeded_params(2000, 1729))
+        for a in params:
+            proof = prove_regime(a)
+            check_certificate(a, proof.regime.value, proof.to_json_dict())
+
+    def test_certificate_holds_exact_strings(self):
+        assert prove_regime(0.5).to_json_dict() == {"h_at_one": "0", "slope": "-1/2"}
+        assert prove_regime(-0.5).to_json_dict() == {}
+        cert = prove_regime(0.6).to_json_dict()
+        assert list(cert) == ["h_at_one", "slope", "u_star", "g_inf_sign"]
+        assert Fraction(cert["h_at_one"]) == (2 * Fraction(0.6) - 1) * (Fraction(0.6) + 1)
+        assert cert["g_inf_sign"] == "1"
+        assert prove_regime(0.7).to_json_dict()["g_inf_sign"] == "-1"
+
+    def test_checker_refuses_a_wrong_field(self):
+        cert = prove_regime(0.6).to_json_dict()
+        check_certificate(0.6, "InteriorMinimum", cert)
+        for name in cert:
+            bad = dict(cert, **{name: str(Fraction(cert[name]) + Fraction(1, 10 ** 40))})
+            with pytest.raises(AssertionError):
+                check_certificate(0.6, "InteriorMinimum", bad)
+        with pytest.raises(AssertionError):
+            check_certificate(0.6, "Decreasing", cert)
+
+
+class TestPublicNames:
+    def test_all_lists_exactly_the_bound_public_names(self):
+        bound = {name for name, value in vars(arctanbounds).items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        names = arctanbounds.__all__
+        assert len(names) == len(set(names))
+        assert set(names) == bound | {"__version__"}
+        for name in names:
+            assert getattr(arctanbounds, name) is not None
+        namespace = {}
+        exec("from arctanbounds import *", namespace)
+        assert set(names) <= set(namespace)
 
 
 ENCLOSURE_PARAMS = (0.0, 0.1, 0.25, 0.5, TWO_OVER_PI, 0.7, 1.0, 2.0, 1e6, 1e300)

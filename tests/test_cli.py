@@ -43,7 +43,17 @@ class TestBasicCommands:
     def test_classify_json(self, capsys):
         code, out, _ = run(capsys, ["classify", "--a", "-0.5", "--format", "json"])
         assert code == 0
-        assert strict_json(out) == {"a": -0.5, "regime": "Unclassified"}
+        assert strict_json(out) == {"a": -0.5, "regime": "Unclassified", "certificate": {}}
+
+    @pytest.mark.parametrize("a", ["-3", "0", "0.5", "0.6", "0.7", "2", "1e300"])
+    def test_classify_json_certificate(self, capsys, a):
+        code, out, _ = run(capsys, ["classify", "--a", a, "--format", "json"])
+        assert code == 0
+        payload = strict_json(out)
+        proof = cat.prove_regime(float(a))
+        assert payload == {"a": float(a), "regime": proof.regime.value,
+                           "certificate": proof.to_json_dict()}
+        assert all(isinstance(v, str) for v in payload["certificate"].values())
 
     def test_eval(self, capsys):
         code, out, _ = run(capsys, ["eval", "--bound", "shafer-lower", "--x", "1",
@@ -226,6 +236,45 @@ class TestErrors:
         assert err.startswith("ParamError: cannot write --output")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not target.parent.exists()
+
+
+class TestNegativeValues:
+    # argparse reads -1e-05 or -inf as an option unless it is joined to the
+    # option before it; every value must parse the same in either form
+    def test_classify_exponent(self, capsys):
+        code, out, err = run(capsys, ["classify", "--a", "-1e-5"])
+        assert (code, out, err) == (0, "Unclassified\n", "")
+        assert run(capsys, ["classify", "--a=-1e-5"]) == (code, out, err)
+
+    def test_enclose_negative_x(self, capsys):
+        code, out, err = run(capsys, ["enclose", "--a", "0.5", "--x", "-1e-5"])
+        assert code == 2 and out == ""
+        assert err.startswith("DomainError: ") and err.count("\n") == 1
+
+    def test_eval_negative_parameter(self, capsys):
+        code, _, err = run(capsys, ["eval", "--bound", "family-lower", "--x", "1",
+                                    "--a", "-1e-3"])
+        assert code == 2 and err.startswith("ParamError: ") and "-0.001" in err
+
+    def test_linear_profile_from_a_negative_end(self, capsys):
+        argv = ["profile", "--grid-min", "-1e-3", "--grid-max", "1e-3",
+                "--grid-points", "5", "--grid-spacing", "linear", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["certified_everywhere"] is True
+        assert payload["grid"]["x_min"] == -1e-3
+
+    def test_negative_infinity_exits_2(self, capsys):
+        code, out, err = run(capsys, ["classify", "--a", "-inf"])
+        assert code == 2 and out == ""
+        assert err.startswith("DomainError: ")
+
+    def test_only_numbers_are_joined(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--a", "-x"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestOneOutputPath:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,17 +12,13 @@ from arctanbounds import (
     FixedReal,
     ParamError,
     PrecisionError,
+    Regime,
     SingularityError,
     TWO_OVER_PI,
     family_ratio,
-    family_ratio_at_zero,
     find_interior_minimum,
-    gap_quadratic,
     minimum_value_closed_form,
-    quadratic_root_neg,
-    quadratic_root_pos,
-    shafer_defect,
-    shafer_defect_derivative,
+    prove_regime,
     stationarity_gap,
 )
 
@@ -39,7 +36,6 @@ class TestFamilyRatio:
         for a in [-1.0, 0.0, 0.3, 0.7]:
             assert family_ratio(a, 1e-9) == pytest.approx(1 + a, abs=1e-9)
             assert family_ratio(a, 1e9) == pytest.approx(math.pi / 2, abs=1e-8)
-        assert family_ratio_at_zero(0.3) == 1.3
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -91,87 +87,93 @@ class TestStationarityGap:
                 assert (fd > 0) == (g * pivot > 0), (a, x, fd, g * pivot)
 
 
-class TestGapQuadratic:
-    def test_values_at_one(self):
-        assert gap_quadratic(1.0, 1.0) == pytest.approx(1 + math.sqrt(2), rel=1e-15)
-        assert gap_quadratic(0.0, 1.0) == pytest.approx(-math.sqrt(2), rel=1e-15)
+def h(a, u):
+    """The paper's quadratic 2a^2 u + a - u, exactly, at the double a."""
+    q = Fraction(a)
+    return 2 * q * q * u + q - u
 
-    def test_roots_annihilate_in_fixed_point(self):
-        for x in [1e-4, 0.3, 1.0, 55.0, 1e3]:
-            x_hp = FixedReal(x, 40)
-            for root in (quadratic_root_pos(x_hp), quadratic_root_neg(x_hp)):
-                assert abs(float(gap_quadratic(root, x_hp))) < 1e-20
 
-    @given(st.floats(min_value=-3, max_value=3),
-           st.floats(min_value=1e-6, max_value=1e6))
+#: Rational points u = sqrt(1+x^2) > 1 at which the algebra is checked.
+U_POINTS = [Fraction(1) + Fraction(1, 10 ** k) for k in range(1, 30, 4)] + [
+    Fraction(3, 2), Fraction(2), Fraction(10 ** 8), Fraction(10 ** 40)]
+
+
+class TestRegimeAlgebra:
+    """prove_regime's certificate against the algebra it rests on: h is
+    linear in u with root u*, and Shafer's bound is the regime at a = 1/2."""
+
+    def test_h_at_one_and_slope(self):
+        # h(1, u) = u + 1 and h(0, u) = -u: 1 + sqrt2 and -sqrt2 at x = 1
+        one, zero = prove_regime(1.0), prove_regime(0.0)
+        assert (one.h_at_one, one.slope) == (2, 1)
+        assert (zero.h_at_one, zero.slope) == (-1, -1)
+        for u in U_POINTS:
+            assert h(1.0, u) == one.slope * u + 1
+            assert h(0.0, u) == zero.slope * u
+
+    @given(st.floats(min_value=0.5, max_value=math.sqrt(0.5), exclude_min=True,
+                     exclude_max=True))
     @settings(max_examples=150)
-    def test_factorization(self, a, x):
-        # h(a, x) = 2u (a - r-)(a - r+); tolerance is relative to the natural
-        # scale 2u(1+|a|)^2 so near-root cancellation does not inflate it
-        u = math.sqrt(1 + x * x)
-        h = gap_quadratic(a, x)
-        product = 2 * u * (a - quadratic_root_neg(x)) * (a - quadratic_root_pos(x))
-        assert abs(h - product) <= 1e-12 * 2 * u * (1 + abs(a)) ** 2
+    def test_h_factors_through_its_root(self, a):
+        # h(a, u) = (2a^2 - 1)(u - u*), exactly
+        proof = prove_regime(a)
+        for u in U_POINTS:
+            assert h(a, u) == proof.slope * (u - proof.u_star)
 
+    @pytest.mark.parametrize("a", [math.nextafter(0.5, 1.0), 0.5001, 0.55, 0.6,
+                                   TWO_OVER_PI, 0.65, 0.7, 0.7071067811865475])
+    def test_root_annihilates_h(self, a):
+        proof = prove_regime(a)
+        assert h(a, proof.u_star) == 0 and proof.u_star > 1
 
-class TestRootCurves:
-    def test_values_at_one(self):
-        assert quadratic_root_pos(1.0) == pytest.approx(0.5520922915590256, abs=1e-15)
-        assert quadratic_root_neg(1.0) == pytest.approx(-0.9056456821522993, abs=1e-15)
+    def test_root_curve_values(self):
+        # the root curve in a at x = 1 (u = sqrt2) passes through a ~ 0.55209
+        u_star = prove_regime(0.5520922915590256).u_star
+        assert float(u_star) == pytest.approx(math.sqrt(2), abs=1e-15)
+        # it rises from u = 1 at a = 1/2 to infinity at a = sqrt2/2
+        assert 0 < prove_regime(math.nextafter(0.5, 1.0)).u_star - 1 < Fraction(1, 10 ** 15)
+        last = math.nextafter(math.sqrt(0.5), 0.0)
+        assert 2 * Fraction(last) ** 2 < 1 and prove_regime(last).u_star > 10 ** 15
 
-    def test_limits(self):
-        assert quadratic_root_pos(1e-8) == pytest.approx(0.5, abs=1e-12)
-        assert quadratic_root_pos(1e8) == pytest.approx(math.sqrt(2) / 2, abs=1e-7)
-        assert quadratic_root_neg(1e-8) == pytest.approx(-1.0, abs=1e-12)
-        assert quadratic_root_neg(1e8) == pytest.approx(-math.sqrt(2) / 2, abs=1e-7)
+    def test_root_curve_rises(self):
+        ends = (0.5, 0.7071067811865475)
+        previous = 1
+        for i in range(1, 200):
+            a = ends[0] + (ends[1] - ends[0]) * i / 200
+            u_star = prove_regime(a).u_star
+            assert u_star > previous
+            previous = u_star
 
-    def test_ranges_and_monotonicity_fixed_point(self):
-        # doubles cannot resolve the increments near the grid bottom, so the
-        # strictness check runs in fixed point
-        half = FixedReal(1, 30) / 2
-        sqrt_half = FixedReal(0.5, 30).sqrt()
-        prev_pos = prev_neg = None
-        for i in range(200):
-            x = FixedReal(10 ** (-8 + 16 * i / 199), 30)
-            pos, neg = quadratic_root_pos(x), quadratic_root_neg(x)
-            assert half < pos < sqrt_half
-            assert -1 < neg < -sqrt_half
-            if prev_pos is not None:
-                assert pos > prev_pos
-                assert neg > prev_neg
-            prev_pos, prev_neg = pos, neg
+    def test_negative_root_is_in_the_unclaimed_slice(self):
+        # h's other root curve, -1 < a < -sqrt2/2, decides no regime
+        proof = prove_regime(-0.9056456821522993)
+        assert proof.regime is Regime.UNCLASSIFIED and proof.to_json_dict() == {}
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            quadratic_root_pos(0.0)
-        with pytest.raises(DomainError):
-            quadratic_root_neg(-2.0)
+    def test_shafer_through_a_half(self):
+        # h(1) = 0 and slope -1/2: h = -(u-1)/2 < 0 on u > 1, so the ratio
+        # (1/2 + u) arctan(x)/x rises from 3/2, which is
+        # arctan x > 3x / (1 + 2u)
+        proof = prove_regime(0.5)
+        assert proof.regime is Regime.INCREASING
+        assert (proof.h_at_one, proof.slope, proof.u_star) == (0, Fraction(-1, 2), None)
+        for u in U_POINTS:
+            assert h(0.5, u) == -(u - 1) / 2 < 0
 
-
-class TestDefect:
-    def test_derivative_at_zero_and_one(self):
-        assert shafer_defect_derivative(0.0) == 0.0
-        assert shafer_defect_derivative(1.0) == pytest.approx(
+    def test_shafer_defect_derivative(self):
+        # the defect arctan x - 3x/(1+2u) has derivative Q(u) / (u^2 (1/2+u)^2)
+        # with Q(u) = (1/2+u)^2 - (3/2)u(1 + u/2) = (u-1)^2 / 4: zero at
+        # x = 0 only, ~0.005853 at x = 1
+        for u in U_POINTS + [Fraction(1)]:
+            q = (Fraction(1, 2) + u) ** 2 - Fraction(3, 2) * u * (1 + u / 2)
+            assert q == (u - 1) ** 2 / 4
+        u = math.sqrt(2.0)
+        assert (u - 1) ** 2 / 4 / (u * u * (0.5 + u) ** 2) == pytest.approx(
             0.005852991110277028, abs=1e-15)
 
-    def test_defect_zero_at_origin_positive_after(self):
-        assert shafer_defect(0.0) == 0.0
-        for x in [0.1, 1.0, 10.0]:
-            assert shafer_defect(x) > 0
-
-    def test_matches_finite_difference(self):
-        h_scale = (2.0 ** -52) ** (1.0 / 3.0)
-        for i in range(50):
-            x = 10 ** (-3 + 6 * i / 49)
-            h = h_scale * max(1.0, x)
-            fd = central_difference(shafer_defect, x, h)
-            assert shafer_defect_derivative(x) == pytest.approx(fd, abs=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            shafer_defect(-0.1)
-        with pytest.raises(DomainError):
-            shafer_defect_derivative(-0.1)
+    def test_shafer_defect_positive(self):
+        for x in [1e-3, 0.1, 1.0, 10.0, 1e3]:
+            ratio = family_ratio(FixedReal(0.5, 40), FixedReal(x, 40))
+            assert ratio > FixedReal(1.5, 40), x
 
 
 class TestInteriorMinimum:

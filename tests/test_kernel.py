@@ -123,6 +123,11 @@ class TestApprox:
         for x in [1e-300, 1e-7, 0.3, 1.0, 4.7, 1e5, 1e300]:
             assert approx(DEFAULT_KERNEL, -x).value == -approx(DEFAULT_KERNEL, x).value
             assert approx(DEFAULT_KERNEL, -x).error_bound == approx(DEFAULT_KERNEL, x).error_bound
+        # arctan(-0.0) is -0.0, which == cannot tell from 0.0
+        for zero in [0.0, -0.0]:
+            cv = approx(DEFAULT_KERNEL, zero)
+            assert math.copysign(1.0, cv.value) == math.copysign(1.0, zero)
+            assert cv.value == 0.0 and cv.error_bound == 0.0
 
     def test_extreme_arguments_stay_finite_and_certified(self):
         for x in [1e-300, 1e300, 1e8, 5e-324]:

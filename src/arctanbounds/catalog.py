@@ -32,6 +32,12 @@ from .errors import DomainError, ParamError, PrecisionError
 TWO_OVER_PI = 2.0 / math.pi
 _HALF_PI = 0.5 * math.pi
 
+#: Default digits of the fixed-point oracle and of kernel profiles, and of
+#: sweeps and dominance reports.  The oracle's defaults, kept here so that
+#: the CLI's parser shows them without importing the oracle.
+DEFAULT_DIGITS = 30
+DEFAULT_SWEEP_DIGITS = 50
+
 
 class Regime(Enum):
     """Monotonicity of the family ratio on (0, inf) as a function of the parameter.

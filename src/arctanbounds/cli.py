@@ -17,6 +17,13 @@ time.  ``profile --stats`` adds the rows measured in fixed point, those of
 them at extra digits, and the rows' time.  ``enclose`` gives an
 outward-rounded bracket.
 
+A process builds the parser once, on its first ``main`` call, and reuses it.
+Importing this module loads ``catalog``, ``fixedpoint`` and ``errors`` of the
+package; ``eval``, ``classify`` and ``enclose`` use no more.  Each other
+handler imports what it uses when it runs: ``find-min`` loads ``family`` (and
+``oracle``, whose crossover bisection it shares), ``verify`` and
+``dominance`` load ``oracle``, and ``profile`` loads ``kernel`` and ``oracle``.
+
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
 2 on usage or parameter errors, an ``eval`` value that does not fit a double,
@@ -26,6 +33,8 @@ or an --output file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import io
 import json
 import math
@@ -35,11 +44,26 @@ import time
 from typing import Optional
 
 from . import catalog as cat
-from . import family as fam
-from . import kernel as ker
-from . import oracle as orc
 from . import __version__
 from .errors import ArctanBoundsError, DomainError, ParamError
+
+#: The package this module was imported with.
+_PACKAGE = sys.modules[__package__]
+
+
+def _submodule(name: str):
+    """The package's submodule `name`, imported on first use.
+
+    Read from the package this module came with, as an import at the top
+    would have bound it, not from sys.modules: when the package is imported
+    afresh beside this module (its sys.modules entries dropped, as a fresh
+    import does), this module's handlers keep the modules of its own import.
+    """
+    try:
+        return getattr(_PACKAGE, name)
+    except AttributeError:
+        return importlib.import_module(f".{name}", __package__)
+
 
 #: Parameters swept per family bound by `verify --suite all`.
 SUITE_FAMILY_PARAMS = {
@@ -55,9 +79,9 @@ SUITE_FAMILY_PARAMS = {
 VIOLATIONS_LISTED = 25
 
 
-def _grid_from_args(args) -> orc.GridSpec:
-    return orc.GridSpec(args.grid_min, args.grid_max, args.grid_points,
-                        args.grid_spacing)
+def _grid_from_args(args):
+    return _submodule("oracle").GridSpec(args.grid_min, args.grid_max,
+                                         args.grid_points, args.grid_spacing)
 
 
 def _add_grid_args(p: argparse.ArgumentParser, points: int) -> None:
@@ -112,7 +136,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="arctan-bounds",
         description="Certified closed-form bounds for arctan: evaluate, "
@@ -145,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep the catalog against the oracle")
     p.add_argument("--suite", choices=["all", "fixed", "family"], default="all")
     _add_grid_args(p, points=10_000)
-    p.add_argument("--digits", type=int, default=orc.DEFAULT_SWEEP_DIGITS,
+    p.add_argument("--digits", type=int, default=cat.DEFAULT_SWEEP_DIGITS,
                    help="oracle digits; below 50 the thinnest margins on the "
                         "default grid are unresolvable")
     p.add_argument("--stats", action="store_true",
@@ -159,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-a", type=float, default=None)
     p.add_argument("--param-b", type=float, default=None)
     _add_grid_args(p, points=2_000)
-    p.add_argument("--digits", type=int, default=orc.DEFAULT_SWEEP_DIGITS)
+    p.add_argument("--digits", type=int, default=cat.DEFAULT_SWEEP_DIGITS)
     p.add_argument("--stats", action="store_true",
                    help="add fixed-point counts, the report's time and "
                         "provenance to the JSON report")
@@ -167,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="certified vs actual kernel error over a grid")
     _add_grid_args(p, points=2_000)
-    p.add_argument("--digits", type=int, default=orc.DEFAULT_DIGITS)
+    p.add_argument("--digits", type=int, default=cat.DEFAULT_DIGITS)
     p.add_argument("--stats", action="store_true",
                    help="add the rows measured in fixed point, those at extra "
                         "digits, the rows' time and provenance to the JSON or "
@@ -208,6 +235,7 @@ def _cmd_enclose(args) -> tuple[int, dict, str]:
 
 
 def _cmd_find_min(args) -> tuple[int, dict, str]:
+    fam = _submodule("family")
     res = fam.find_interior_minimum(args.a)
     payload = {"a": args.a, "x0": res.x0, "value": res.value, "u": res.u,
                "residual": res.residual}
@@ -222,6 +250,7 @@ def _suite_entries(suite: str):
 
 
 def _cmd_verify(args) -> tuple[int, dict, str]:
+    orc = _submodule("oracle")
     orc.check_digits(args.digits, "sweep")     # before the timed oracle build
     grid = _grid_from_args(args)
     results = []
@@ -279,6 +308,7 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
 
 
 def _cmd_dominance(args) -> tuple[int, dict, str]:
+    orc = _submodule("oracle")
     grid = _grid_from_args(args)
     started = time.perf_counter()
     report = orc.dominance_report(args.bound_a, args.bound_b,
@@ -310,6 +340,7 @@ def _cmd_dominance(args) -> tuple[int, dict, str]:
 def _cmd_profile(args) -> tuple[int, dict, str]:
     if args.stats and args.format == "csv":
         raise ParamError("--stats needs --format json or text; CSV holds rows only")
+    ker = _submodule("kernel")
     spec = ker.DEFAULT_KERNEL
     grid = _grid_from_args(args)
     started = time.perf_counter()

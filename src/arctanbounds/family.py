@@ -73,6 +73,11 @@ class MinimumResult:
 _GAP_DIGITS = 30
 _GAP_MAX_DIGITS = 480
 
+#: Digits of the minimum's fixed-point value.  Its relative error, under
+#: 10**-32 for every x0 >= 4.7e-8, cannot move the rounding to a double
+#: unless the ratio lies that close to the midpoint of two doubles.
+_VALUE_DIGITS = 40
+
 #: Error bound, in units of 10**-d, of stationarity_gap(FixedReal(a, d),
 #: FixedReal(x, d)) for 1/2 < a < 2/pi, x > 0, d >= 20.  With e = 10**-d,
 #: A and X the unit-rounded a and x, u = sqrt(1+X^2), every operand positive,
@@ -117,7 +122,10 @@ def find_interior_minimum(a: float) -> MinimumResult:
     x while the gap is negative and halves it while it is positive until the
     sign changes (x0 runs from 4.7e-8 at the double next above 1/2 to 2.6e15
     at the one next below 2/pi), then bisects that bracket with the oracle's
-    crossover bisection, to relative width 1e-13.  residual is |gap(x0)|.
+    crossover bisection, to relative width 1e-13.  value is the ratio at x0
+    in fixed point, rounded once to a double (the double-precision ratio
+    reads one ulp above pi/2 at the double next below 2/pi).  residual is
+    |gap(x0)|.
     """
     if not MID_REGIME_RANGE.ok(a):
         raise ParamError(
@@ -132,7 +140,8 @@ def find_interior_minimum(a: float) -> MinimumResult:
     x0 = orc._bisect_crossover(sign_at, lo, hi, -1)
     return MinimumResult(
         x0=x0,
-        value=family_ratio(a, x0),
+        value=float(family_ratio(fp.FixedReal(a, _VALUE_DIGITS),
+                                 fp.FixedReal(x0, _VALUE_DIGITS))),
         u=math.sqrt(1.0 + x0 * x0),
         residual=abs(float(_certified_gap(a, x0))),
     )

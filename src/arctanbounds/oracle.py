@@ -61,10 +61,8 @@ from typing import Optional
 
 from . import catalog as cat
 from . import fixedpoint as fp
+from .catalog import DEFAULT_DIGITS, DEFAULT_SWEEP_DIGITS
 from .errors import DomainError, ParamError
-
-DEFAULT_DIGITS = 30
-DEFAULT_SWEEP_DIGITS = 50
 
 
 def check_digits(digits: int, what: str) -> None:

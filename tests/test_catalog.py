@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import subprocess
 import sys
 import types
 from fractions import Fraction
@@ -315,6 +316,10 @@ class TestRegimeProof:
 
 class TestPublicNames:
     def test_all_lists_exactly_the_bound_public_names(self):
+        # the names of family, kernel and oracle enter vars() on first use;
+        # dir() lists them before it
+        for name in dir(arctanbounds):
+            getattr(arctanbounds, name)
         bound = {name for name, value in vars(arctanbounds).items()
                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
         names = arctanbounds.__all__
@@ -325,6 +330,30 @@ class TestPublicNames:
         namespace = {}
         exec("from arctanbounds import *", namespace)
         assert set(names) <= set(namespace)
+
+    def test_star_import_binds_each_name_from_its_home(self):
+        # in a fresh process, so that the star import binds the lazy names
+        probe = """
+import sys
+import arctanbounds
+from arctanbounds import family
+assert type(family).__name__ == "module" and "sweep" not in vars(arctanbounds)
+namespace = {}
+exec("from arctanbounds import *", namespace)
+constants = {"TWO_OVER_PI": "catalog", "DEFAULT_DIGITS": "catalog",
+             "DEFAULT_SWEEP_DIGITS": "catalog", "DEFAULT_GRID": "oracle",
+             "DEFAULT_KERNEL": "kernel"}
+for name in arctanbounds.__all__:
+    if name != "__version__":
+        value = namespace[name]
+        home = sys.modules[getattr(value, "__module__", None)
+                           or "arctanbounds." + constants[name]]
+        assert getattr(home, name) is value is getattr(arctanbounds, name), name
+print(len(arctanbounds.__all__))
+"""
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == f"{len(arctanbounds.__all__)}\n"
 
 
 ENCLOSURE_PARAMS = (0.0, 0.1, 0.25, 0.5, TWO_OVER_PI, 0.7, 1.0, 2.0, 1e6, 1e300)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -236,6 +239,92 @@ class TestErrors:
         assert err.startswith("ParamError: cannot write --output")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not target.parent.exists()
+
+
+#: Runs each command line of the JSON list in argv[1] through one process's
+#: cli.main and prints [status, stdout, stderr] for each, as JSON.
+CLI_SEQUENCE = """
+import contextlib, io, json, sys
+from arctanbounds import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_in_fresh_process(argvs):
+    env = dict(os.environ, PYTHONPATH=str(Path(arctanbounds.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", CLI_SEQUENCE, json.dumps(argvs)],
+                            capture_output=True, text=True, check=True, env=env)
+    return json.loads(result.stdout)
+
+
+def without_times(result):
+    """A [status, stdout, stderr] result with the seconds in its JSON stats
+    dropped, since no two runs take the same time."""
+    code, out, err = result
+    if '"stats"' in out:
+        payload = json.loads(out)
+        payload["stats"] = {k: v for k, v in payload["stats"].items()
+                            if not k.endswith("_s")}
+        out = json.dumps(payload, indent=2)
+    return [code, out, err]
+
+
+class TestReusedParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_between_calls(self):
+        # each command after the first reuses the parser of a command that
+        # set what it leaves unset, and must print what it prints alone
+        argvs = [
+            ["eval", "--bound", "family-upper", "--x", "2", "--a", "0.3",
+             "--digits", "40", "--format", "json"],
+            ["eval", "--bound", "shafer-lower", "--x", "2", "--format", "json"],
+            ["verify", "--suite", "fixed", "--grid-points", "200", "--stats",
+             "--format", "json"],
+            ["verify", "--suite", "fixed", "--grid-points", "200", "--format", "json"],
+            ["eval", "--bound", "nonsense", "--x", "1"],
+            ["classify", "--a"],
+            ["classify", "--a", "0.6"],
+        ]
+        together = run_in_fresh_process(argvs)
+        alone = [run_in_fresh_process([argv])[0] for argv in argvs]
+        assert [code for code, _, _ in together] == [0, 0, 0, 0, 2, 2, 0]
+        assert [without_times(r) for r in together] == [without_times(r) for r in alone]
+        assert '"a": null' in together[1][1] and '"stats"' not in together[3][1]
+
+
+class TestHandlerModules:
+    def test_handlers_keep_the_modules_imported_with_them(self):
+        # after a fresh import of the package beside it, a cli module still
+        # calls the family module it was imported with, as a top-level
+        # import would have bound it
+        probe = """
+import contextlib, io, sys
+import arctanbounds.cli as cli, arctanbounds.family as family
+for name in [m for m in sys.modules if m.split(".")[0] == "arctanbounds"]:
+    del sys.modules[name]
+import arctanbounds.family
+assert arctanbounds.family is not family
+solve, calls = family.find_interior_minimum, []
+family.find_interior_minimum = lambda a: calls.append(a) or solve(a)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["find-min", "--a", "0.6"]) == 0
+print(calls)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(arctanbounds.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True, env=env)
+        assert result.stdout == "[0.6]\n"
 
 
 class TestNegativeValues:

@@ -176,6 +176,15 @@ class TestRegimeAlgebra:
             assert ratio > FixedReal(1.5, 40), x
 
 
+#: Parameters whose minimum is checked against reference_minimum: 1/2 + 10^-k,
+#: both ends of the regime, and four inside it.
+REFERENCE_PARAMS = [
+    *(0.5 + 10.0 ** -k for k in range(3, 13)),
+    math.nextafter(0.5, 1), math.nextafter(TWO_OVER_PI, 0),
+    0.51, 0.55, 0.6, 0.63,
+]
+
+
 class TestInteriorMinimum:
     @pytest.mark.parametrize("a", [0.51, 0.55, 0.6, 0.63])
     def test_converges_with_certified_value(self, a):
@@ -207,16 +216,21 @@ class TestInteriorMinimum:
         with pytest.raises(ParamError):
             find_interior_minimum(a)
 
-    @pytest.mark.parametrize("a", [
-        *(0.5 + 10.0 ** -k for k in range(3, 13)),
-        math.nextafter(0.5, 1), math.nextafter(TWO_OVER_PI, 0),
-        0.51, 0.55, 0.6, 0.63,
-    ])
+    @pytest.mark.parametrize("a", REFERENCE_PARAMS)
     def test_matches_fixed_point_reference(self, a):
         lo, hi = reference_minimum(a)
         res = find_interior_minimum(a)
         assert res.x0 == pytest.approx(lo, rel=1e-13)
         assert res.residual <= 1e-12
+
+    @pytest.mark.parametrize("a", REFERENCE_PARAMS)
+    def test_value_is_the_rounded_ratio(self, a):
+        # the double of the ratio at x0, not the ratio in double: that reads
+        # 1.5707963267948968, one ulp above pi/2, next below 2/pi
+        res = find_interior_minimum(a)
+        exact = family_ratio(FixedReal(a, 120), FixedReal(res.x0, 120))
+        assert res.value == float(exact)
+        assert res.value <= math.pi / 2
 
     def test_gap_error_bound(self):
         # the fixed-point gap at d digits lies within _GAP_ERROR_UNITS of the

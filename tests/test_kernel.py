@@ -271,6 +271,36 @@ class TestProfileFilter:
                                 text=True, check=True)
         assert result.stdout == "False\n"
 
+    def test_commands_load_only_what_they_use(self):
+        # classify, enclose and eval need catalog and fixedpoint alone; the
+        # other modules and the lazy public names load on first use
+        probe = """
+import contextlib, io, sys
+import arctanbounds, arctanbounds.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("arctanbounds"))
+
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["classify", "--a", "0.6"], ["enclose", "--a", "0.5", "--x", "1"],
+                 ["eval", "--bound", "family-upper", "--x", "2", "--a", "0.3",
+                  "--digits", "30"]):
+        assert cli.main(argv) == 0
+print(loaded())
+print("sweep" in vars(arctanbounds))
+from arctanbounds import *
+print(loaded())
+"""
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        eager = ["arctanbounds", "arctanbounds.catalog", "arctanbounds.cli",
+                 "arctanbounds.errors", "arctanbounds.fixedpoint"]
+        after_star = sorted(eager + ["arctanbounds.family", "arctanbounds.kernel",
+                                     "arctanbounds.oracle"])
+        assert result.stdout.splitlines() == [str(eager), str(eager), "False",
+                                              str(after_star)]
+
     def test_linear_grid_has_zero_and_negative_rows(self):
         xs = FILTER_GRIDS[-1].values()
         assert 0.0 in xs and min(xs) == -5.0

@@ -10,11 +10,11 @@ hard ParamError, never a silent number.
 Each entry's formula is written once, over a square root and a log, and
 evaluated on two number types.  The float form runs it on doubles with
 ``math.sqrt`` and ``math.log``; it carries a proven bound on its rounding
-error, which lets a sweep settle most grid points in double precision (see
-:func:`float_form`).  The fixed-point form runs it on FixedReal, which floors
-each product, quotient and root to a unit of ``10**-digits``, and serves
-:func:`eval_bound_hp`, the exact stage of the sweeps and dominance reports
-(see :mod:`arctanbounds.fixedpoint`).
+error at every positive double, which lets a sweep settle most grid points
+in double precision (see :func:`float_form`).  The fixed-point form runs
+it on FixedReal, which floors each product, quotient and root to a unit of
+``10**-digits``, and serves :func:`eval_bound_hp`, the exact stage of the
+sweeps and dominance reports (see :mod:`arctanbounds.fixedpoint`).
 """
 
 from __future__ import annotations
@@ -180,10 +180,22 @@ def _fixed_fn(form, consts, a, digits):
 #                          n = 4 + 5 + 1 = 10 (also the errata's c = 2)
 #   (pi+2)x / (2 + pi u)   numerator theta_3; pi u theta_4, plus 2 theta_5:
 #                          n = 3 + 5 + 1 = 9
-# Since gamma_n/(1 - gamma_n) < (n+1)u for n <= 10, |b - B| <= (n+1) u b.  For
-# 2**-500 <= x <= 2**500 every intermediate is a positive normal double (x*x
-# lies in [2**-1000, 2**1000] and no denominator is below 1), so the model holds
-# and b > 0.  Outside that range callers must not use these bounds.
+# Since gamma_n/(1 - gamma_n) < (n+1)u for n <= 10, |b - B| <= (n+1) u b
+# where every intermediate is a normal double.  The bound holds for every
+# double x > 0:
+#   x*x underflows     below x = 2**-511 it is subnormal or 0, and 1 + x*x
+#                      rounds to 1 = (1 + x^2)(1 + d), |d| <= x^2 < u: the
+#                      model holds for the sum, and u = 1 exactly.
+#   subnormal values   each constant c is at least 1 and each denominator at
+#                      least 1, so only c*x (x below 2**-1022) and the
+#                      quotient (tiny x or a huge a) can be subnormal.  Each
+#                      then rounds by an absolute 2**-1075 at most, and the
+#                      quotient does not enlarge the numerator's: the bound
+#                      adds _UNDERFLOW = 2**-1072 for both and for the
+#                      rounding of its own product c*b where that underflows.
+#   x*x overflows      from x = 2**512 (math.sqrt(DBL_MAX) rounds to 2**512)
+#                      the root is inf and the forms read 0 or NaN: the
+#                      bound is inf, so no caller settles a point there.
 #
 # The other three forms cancel or lose relative accuracy, so their bounds are
 # absolute.  libm's log is taken to be within two ulps, |d| <= 4u.
@@ -191,7 +203,8 @@ def _fixed_fn(form, consts, a, digits):
 #                      then one subtraction:
 #                      |b - B| <= gamma_3 t + u|b|/(1-u) <= 4u t_f + 2u|b|.
 #                      Where t_f is subnormal (x below ~2**-340), b = x and
-#                      B = x - t with t < u x, inside 2u|b|.  Dividing x*x
+#                      B = x - t with t < u x, inside 2u|b|, or inside
+#                      _UNDERFLOW where 2u|b| underflows too.  Dividing x*x
 #                      before the last product keeps t_f finite as long as
 #                      t is, up to x ~ 8.14e102 (x*x*x would overflow from
 #                      ~5.64e102); past that b = -inf.
@@ -199,17 +212,20 @@ def _fixed_fn(form, consts, a, digits):
 #                      1.01(u x^2/(1+x^2) + u) <= 2.02u absolutely; log, then the
 #                      quotient add relative errors: |b - B| <= 1.03u/x + 6u B
 #                      <= 4u/x + 8u|b|.  The 1/x term is real: for x below
-#                      ~1e-8, 1 + x*x rounds to 1 and b = 0.
+#                      ~1e-8, 1 + x*x rounds to 1 and b = 0.  From x = 2**512
+#                      b and the bound are inf or NaN.
 #   (1+x) ln(1+x)      1 + x is (1+x)(1 + d), whose log is ln(1+x) + e with
 #                      |e| <= 1.01u; that d, the log's and the product's
 #                      roundings make a relative factor within 6.01u:
-#                      |b - B| <= 7u B + 1.02u(1+x) <= 8u|b| + 2u(1+x).
+#                      |b - B| <= 7u B + 1.02u(1+x) <= 8u|b| + 2u(1+x); b is 0
+#                      or above u, and inf with its bound where it overflows.
 # The constants carry enough slack to cover the rounding of the error bound's
 # own evaluation.
 
 _U = 2.0 ** -53
+_UNDERFLOW = 2.0 ** -1072
 
-#: The float error bounds hold for x in [FLOAT_FORM_MIN, FLOAT_FORM_MAX].
+#: eval_bound's float range: outside it, it rounds the fixed-point value.
 FLOAT_FORM_MIN = 2.0 ** -500
 FLOAT_FORM_MAX = 2.0 ** 500
 
@@ -228,12 +244,13 @@ _TINY = 2.0 ** -1000
 
 
 def _relative(roundings: int) -> Callable[[float, float], float]:
-    c = (roundings + 1) * _U
-    return lambda x, b: c * b
+    # from x = 2**512, x*x overflows
+    c, eta, top = (roundings + 1) * _U, _UNDERFLOW, 2.0 ** 512
+    return lambda x, b: c * b + eta if x < top else math.inf
 
 
 def _cubic_error(x, b):
-    return 4 * _U * (x * (x * x / 3)) + 2 * _U * abs(b)
+    return 4 * _U * (x * (x * x / 3)) + 2 * _U * abs(b) + _UNDERFLOW
 
 
 def _log_lower_error(x, b):
@@ -345,7 +362,8 @@ def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
 
     On [FLOAT_FORM_MIN, FLOAT_FORM_MAX] = [2**-500, 2**500] this is the float
     form, with its proven error bound (float_form).  Outside it, where x*x
-    underflows or overflows, it is the fixed-point value (eval_bound_hp) at
+    underflows or overflows and a form may read 0 or lose its relative
+    accuracy, it is the fixed-point value (eval_bound_hp) at
     30 + 2|log10 x| digits, which leaves at least 30 digits of log-lower's
     ln(1 + x^2) and of every bound's value, rounded to the nearest double:
     -inf or inf where that overflows (cubic-lower above ~1e103).
@@ -367,10 +385,10 @@ def float_form(bound: BoundId, a: Optional[float]
     """The float evaluator ``fn(x)`` of one bound at parameter `a`, and its
     error bound.
 
-    Checks `a` as eval_bound does.  For FLOAT_FORM_MIN <= x <= FLOAT_FORM_MAX,
+    Checks `a` as eval_bound does.  For every double x > 0,
     ``error(x, fn(x))`` bounds |fn(x) - B|, where B is the bound at the exact
-    doubles a and x; it is infinite or NaN when fn(x) is.  Outside that range
-    the error bound means nothing.
+    doubles a and x; it is infinite or NaN when fn(x) is, and infinite from
+    x = 2**512, where x*x overflows.
     """
     _check_param(bound, a)
     info = _CATALOG[bound]
@@ -378,7 +396,7 @@ def float_form(bound: BoundId, a: Optional[float]
 
 
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
-                  digits: int = 50) -> fp.FixedReal:
+                  digits: int = DEFAULT_SWEEP_DIGITS) -> fp.FixedReal:
     """Evaluate one catalog bound in fixed point.
 
     x and a enter as their exact binary values rounded to the nearest unit

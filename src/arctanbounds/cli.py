@@ -20,9 +20,9 @@ outward-rounded bracket.
 A process builds the parser once, on its first ``main`` call, and reuses it.
 Importing this module loads ``catalog``, ``fixedpoint`` and ``errors`` of the
 package; ``eval``, ``classify`` and ``enclose`` use no more.  Each other
-handler imports what it uses when it runs: ``find-min`` loads ``family`` (and
-``oracle``, whose crossover bisection it shares), ``verify`` and
-``dominance`` load ``oracle``, and ``profile`` loads ``kernel`` and ``oracle``.
+handler imports what it uses when it runs: ``find-min`` loads ``family``
+alone, ``verify`` and ``dominance`` load ``oracle``, and ``profile`` loads
+``kernel`` and ``oracle``.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),

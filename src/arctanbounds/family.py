@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from . import fixedpoint as fp
-from . import oracle as orc
 from .catalog import MID_REGIME_RANGE
 from .errors import DomainError, ParamError, PrecisionError, SingularityError
 
@@ -121,11 +120,11 @@ def find_interior_minimum(a: float) -> MinimumResult:
     its signs is certified by _certified_gap.  From x = 1 the search doubles
     x while the gap is negative and halves it while it is positive until the
     sign changes (x0 runs from 4.7e-8 at the double next above 1/2 to 2.6e15
-    at the one next below 2/pi), then bisects that bracket with the oracle's
-    crossover bisection, to relative width 1e-13.  value is the ratio at x0
-    in fixed point, rounded once to a double (the double-precision ratio
-    reads one ulp above pi/2 at the double next below 2/pi).  residual is
-    |gap(x0)|.
+    at the one next below 2/pi), then bisects that bracket on the bit
+    patterns of its doubles (fixedpoint._bisect_crossover), to relative
+    width 1e-13.  value is the ratio at x0 in fixed point, rounded once to a
+    double (the double-precision ratio reads one ulp above pi/2 at the double
+    next below 2/pi).  residual is |gap(x0)|.
     """
     if not MID_REGIME_RANGE.ok(a):
         raise ParamError(
@@ -137,7 +136,7 @@ def find_interior_minimum(a: float) -> MinimumResult:
     while sign_at(x * step) == s:
         x *= step
     lo, hi = sorted((x, x * step))
-    x0 = orc._bisect_crossover(sign_at, lo, hi, -1)
+    x0 = fp._bisect_crossover(sign_at, lo, hi, -1)
     return MinimumResult(
         x0=x0,
         value=float(family_ratio(fp.FixedReal(a, _VALUE_DIGITS),

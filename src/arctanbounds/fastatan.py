@@ -20,8 +20,9 @@ polynomial's 1/k.  They are computed when the module is first imported,
 which the first sweep or profile does, so importing the package does not
 pay for them.
 
-For FLOAT_FORM_MIN <= x <= FLOAT_FORM_MAX, |fast_atan(x) - arctan x| <=
-K u fast_atan(x), with u = 2**-53 and K = FAST_ATAN_K, derived below.
+For every double x > 0, subnormals and DBL_MAX included, |fast_atan(x) -
+arctan x| <= K u fast_atan(x), with u = 2**-53 and K = FAST_ATAN_K, derived
+below (and fast_atan(0) = 0).
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from . import fixedpoint as fp
 
 # The error bound, in the style of catalog.py's gamma_n table.  Each correctly
 # rounded operation on normal doubles returns (exact)(1 + d), |d| <= u, and
-# 64t is exact.  For 2**-500 <= x <= 2**500, t >= 2**-500 and t*t >=
-# 2**-1000 are normal; only r*s and its product with h can be subnormal, for
-# t below 2**-340, and there their absolute error 2**-1075 is below 2**-500
-# u |r|, too small to move any figure below.  d, e and theta are each a new
-# rounding error below.
+# 64t is exact.  The derivation first takes 2**-500 <= x <= 2**500: there
+# t >= 2**-500 and t*t >= 2**-1000 are normal; only r*s and its product with
+# h can be subnormal, for t below 2**-340, and there their absolute error
+# 2**-1075 is below 2**-500 u |r|, too small to move any figure below.  d, e
+# and theta are each a new rounding error below.
 #
 #   the constants     _KNOTS[j] = A_j(1 + d) with A_j = arctan(j/64): the
 #                     table is within 26*_WORK + 192 units of 10**-_WORK
@@ -79,11 +80,23 @@ from . import fixedpoint as fp
 #                     t <= tmax = min(1, (j + 1/2)/64) grows with j faster than
 #                     K_t falls: the largest bound is at j = 64, where P <= 0,
 #                     K_t <= 2 + 4.504/127 and K <= 5.036 (at j = 2, 2.115).
+#   x < 2**-500       subnormals included: t = r = x, s = fl(r*r) <= 2**-1000
+#                     and r*s < 2**-1500 rounds to 0, so p = r + -0 = r and
+#                     fast_atan(x) = 0.0 + p = x exactly, within x^3/3 <
+#                     2**-1000 x of arctan x: K < 2**-1000.
+#   x > 2**500        t = fl(1/x) < 2**-500 (1/x is subnormal from x = 2**1022,
+#                     and fl(1/DBL_MAX) = 2**-1024 is finite), so v = t as
+#                     above, and v lies within 2**-1075 + u/x + 1/(3x^3) <
+#                     2**-550 of V = arctan(1/x).  _HALF_PI_HI - v rounds to
+#                     _HALF_PI_HI (v is far below half its ulp, 2**-53), and
+#                     so does its sum with _HALF_PI_LO (|_HALF_PI_LO| < 6.2e-17):
+#                     fast_atan(x) = _HALF_PI_HI, within |pi/2 - _HALF_PI_HI|
+#                     + V < 0.36u R of R = arctan x.
 # So the error is at most 5.036u of arctan x, and 5.036u/(1 - 5.036u) of
 # fast_atan(x); FAST_ATAN_K rounds that up with room.
 
-#: |fast_atan(x) - arctan x| <= FAST_ATAN_K * 2**-53 * fast_atan(x) on
-#: [FLOAT_FORM_MIN, FLOAT_FORM_MAX].
+#: |fast_atan(x) - arctan x| <= FAST_ATAN_K * 2**-53 * fast_atan(x) for
+#: every double x > 0.
 FAST_ATAN_K = 5.25
 
 #: Digits of the fixed-point table the constants are rounded from.
@@ -104,8 +117,8 @@ _C3, _C5, _C7, _C9 = -1 / 3, 1 / 5, -1 / 7, 1 / 9
 
 
 def fast_atan(x: float) -> float:
-    """arctan x for FLOAT_FORM_MIN <= x <= FLOAT_FORM_MAX, within
-    FAST_ATAN_K * 2**-53 of the result, relatively."""
+    """arctan x for every double x > 0, within FAST_ATAN_K * 2**-53 of the
+    result, relatively."""
     t = 1.0 / x if x > 1.0 else x
     if t < 0.015625:
         r, knot = t, 0.0

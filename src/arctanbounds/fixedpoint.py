@@ -9,7 +9,9 @@ below ``10**-digits`` by several orders of magnitude.  arctan reduces its
 argument to [0, 1] by the reciprocal identity, then to within 1/128 of a knot
 j/64 of a table of arctan(j/64), built when first needed at a working
 precision and kept for the 16 most recent; pi is 4*arctan(1), the table's
-last entry.
+last entry.  Beside ``float_units``, a double's exact entry into fixed point,
+sits the bisection of a sign change between two positive doubles on their
+bit patterns, shared by dominance crossovers and the family's minimum.
 
 Python integers already provide exact floor division and an exact integer
 square root (``math.isqrt``), so no iterative refinement layer is needed.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,6 +60,37 @@ def float_units(value: float, digits: int) -> int:
     it, in units of 10**-digits rounded to nearest."""
     num, den = value.as_integer_ratio()
     return _round_div(num * pow10(digits), den)
+
+
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<q")
+
+
+def _bits(x: float) -> int:
+    return _BITS.unpack(_DOUBLE.pack(x))[0]
+
+
+def _from_bits(bits: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(bits))[0]
+
+
+def _bisect_crossover(sign_at, lo: float, hi: float, s_lo: int) -> float:
+    """A point within relative width 1e-13 of where sign_at leaves s_lo, for
+    0 < lo < hi.  Bisects the IEEE bit patterns, whose order is the numeric
+    order of positive doubles, so every step halves the doubles in between
+    and at most 64 steps reach adjacent doubles, at any magnitude."""
+    lo_bits, hi_bits = _bits(lo), _bits(hi)
+    while hi_bits - lo_bits > 1 and hi - lo > 1e-13 * hi:
+        mid_bits = (lo_bits + hi_bits) // 2
+        mid = _from_bits(mid_bits)
+        s_mid = sign_at(mid)
+        if s_mid == 0:
+            return mid
+        if s_mid == s_lo:
+            lo, lo_bits = mid, mid_bits
+        else:
+            hi, hi_bits = mid, mid_bits
+    return _from_bits((lo_bits + hi_bits) // 2)
 
 
 def sqrt_units(units: int, digits: int) -> int:

@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import catalog as cat
 from . import fixedpoint as fp
 from . import oracle as orc
 from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
@@ -181,13 +180,15 @@ class ErrorProfile:
 
 
 # The filter's error bound, in the style of the gamma_n derivations in
-# catalog.py and fastatan.py, with u = 2**-53.  At a row with FLOAT_FORM_MIN
-# <= |x| <= FLOAT_FORM_MAX, value v and certificate c, measured at d digits
-# (_row_digits): T = arctan|x|, A = ||v| - T| = |v - arctan x| (approx is
-# exactly odd), f = fast_atan(|x|) and a = |fl(|v| - f)|.
+# catalog.py and fastatan.py, with u = 2**-53.  At a row x with value v and
+# certificate c, measured at d digits (_row_digits): T = arctan|x|, A = ||v| -
+# T| = |v - arctan x| (approx is exactly odd), f = fast_atan(|x|) and a =
+# |fl(|v| - f)|.
 #
-#   the subtraction   one rounding: |a - y| <= u y, y = ||v| - f| <= a/(1 - u).
-#   fast_atan         |f - T| <= K u f, K = FAST_ATAN_K, so |y - A| <= K u f.
+#   the subtraction   one rounding: |a - y| <= u y, y = ||v| - f| <= a/(1 - u)
+#                     (exact where y is subnormal).
+#   fast_atan         |f - T| <= K u f, K = FAST_ATAN_K, for every double |x|
+#                     (f = T = 0 at x = 0), so |y - A| <= K u f.
 #   fixed point       D = |FixedReal(v, d) - oracle_arctan(x, d)| exactly:
 #                     v rounds to the nearest unit of 10**-d (half a unit);
 #                     the oracle rounds x to the nearest unit (half a unit
@@ -198,12 +199,14 @@ class ErrorProfile:
 #                     2**-1075 where M is subnormal.
 # With D <= y + K u f + 1.51 * 10**-d,
 #   |a - M| <= 2u a/(1 - u) + K u f (1 + u) + 1.51 * 10**-d (1 + u) + 2**-1075.
-# _row_error returns (K + 0.01)u f + 3u a + 2 * 10**-d.  Its roundings (K +
-# 0.01, the two products, libm's pow taken within two ulps, and two sums of
-# positive terms) leave each term at least (1 - 6u) of its value, which still
-# exceeds the matching term above; the surplus 0.005u f > 2**-570 (f >
-# 2**-501) covers 2**-1075 and the absolute error of a product that
-# underflows.
+# _row_error returns (K + 0.01)u f + 3u a + 2 * 10**-d + 2**-1071.  Its
+# roundings (K + 0.01, the two products, libm's pow taken within two ulps, and
+# three sums of positive terms) leave each term at least (1 - 6u) of its
+# value, which still exceeds the matching term above, where the term is
+# normal.  Where a product or the pow underflows it loses an absolute 2**-1075
+# or 2**-1073 at most, the doubled pow 2**-1072, and with M's 2**-1075 that
+# is below 2**-1071: the last term covers them at any f, tiny and subnormal
+# rows included.
 #
 # Every decision below compares doubles after one rounding, which is
 # monotone: fl(a + E) < c implies a + E < c, so M < c; fl(a - E) > c implies
@@ -215,7 +218,8 @@ class ErrorProfile:
 def _row_error(fast_atan_k: float, f: float, a: float, d: int) -> float:
     """E >= |a - M| at a row measured at d digits, where fast_atan's error
     is at most fast_atan_k * u * f (derived above)."""
-    return (fast_atan_k + 0.01) * 2.0 ** -53 * f + 3 * 2.0 ** -53 * a + 2 * 10.0 ** -d
+    return ((fast_atan_k + 0.01) * 2.0 ** -53 * f + 3 * 2.0 ** -53 * a + 2 * 10.0 ** -d
+            + 2.0 ** -1071)
 
 
 def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
@@ -223,21 +227,19 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     """Certified and actual error of the kernel over a grid.
 
     Needs at least 20 digits, like the oracle: a coarser oracle cannot
-    resolve the actual error against the certificate.  Each row with |x| in
-    [FLOAT_FORM_MIN, FLOAT_FORM_MAX] is estimated in double first: a =
-    |value - fast_atan(|x|)| is within a proven E of its fixed-point actual
-    M (derived above).  The row is certified when a + E < certified and
-    refuted when a - E > certified.  M is computed, as `rows` computes it,
-    only at the rows neither test settles, at the rows outside that range
-    (x = 0 among them), and at the rows whose interval a -+ E reaches the
-    largest lower end of all rows.  So max_actual and certified_everywhere
-    are those of every row.
+    resolve the actual error against the certificate.  Each row is estimated
+    in double first: a = |value - fast_atan(|x|)| is within a proven E of its
+    fixed-point actual M (derived above).  The row is certified when
+    a + E < certified and refuted when a - E > certified.  M is computed, as
+    `rows` computes it, only at the rows neither test settles (x = 0 among
+    them, where the certificate is 0), and at the rows whose interval a -+ E
+    reaches the largest lower end of all rows.  So max_actual and
+    certified_everywhere are those of every row.
     """
     orc.check_digits(digits, "error profile")
     # imported on first use, as sweep imports it: importing the package (every
     # CLI command) does not build its table
     from .fastatan import FAST_ATAN_K, fast_atan
-    lo, hi = cat.FLOAT_FORM_MIN, cat.FLOAT_FORM_MAX
     max_cert = max_low = 0.0        # max_low: the largest lower end of an M
     certified_everywhere = True
     exact = []          # (x, value, d, certified) of the rows not settled
@@ -248,19 +250,17 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
         d = _row_digits(cert, digits)
         if cert > max_cert:
             max_cert = cert
-        ax = abs(x)
-        if lo <= ax <= hi:
-            f = fast_atan(ax)
-            a = abs(abs(est.value) - f)
-            e = _row_error(FAST_ATAN_K, f, a, d)
-            low, high = a - e, a + e
-            if high < cert or low > cert:
-                certified_everywhere = certified_everywhere and high < cert
-                if low > max_low:
-                    max_low = low
-                if high >= max_low:
-                    candidates.append((x, est.value, d, high))
-                continue
+        f = fast_atan(abs(x))
+        a = abs(abs(est.value) - f)
+        e = _row_error(FAST_ATAN_K, f, a, d)
+        low, high = a - e, a + e
+        if high < cert or low > cert:
+            certified_everywhere = certified_everywhere and high < cert
+            if low > max_low:
+                max_low = low
+            if high >= max_low:
+                candidates.append((x, est.value, d, high))
+            continue
         exact.append((x, est.value, d, cert))
 
     actuals = [_actual(x, value, d) for x, value, d, _ in exact]

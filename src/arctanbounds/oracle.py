@@ -5,20 +5,21 @@ an alternating Taylor series, see :mod:`arctanbounds.fixedpoint`) with an
 absolute error far below ``10**-digits``.
 
 A sweep checks a catalog bound against the oracle at every grid point in
-stages.  Stage 1 evaluates the bound's float form and subtracts it from
+stages, after checking that the grid's first point, its smallest, is
+positive.  Stage 1 evaluates the bound's float form and subtracts it from
 arctan in plain doubles (:mod:`arctanbounds.fastatan`, within a proven
-relative 5.25 * 2**-53 of arctan), cached once per grid.  The point is
-settled, the inequality holding, when that margin m exceeds a proven error
-bound E: the float form's own rounding error (from the catalog), the error
-of the double arctan and the rounding of the subtraction, and the
-fixed-point path's own error, for which ``10**(5-digits)`` is a floor.  The
-point is a proven violation when m < -E, the symmetric use of the same
-bound (the adaptive filter of Shewchuk, 1997).  A settled point gets the
-verdict the fixed-point path would give.  A violation settled so is counted
-at once, and its fixed-point bound is computed only when the report's
-listing is read.  Stage 1 keeps as minimum candidates the settled points
-whose margin interval m -+ 2E has its low end at most the lowest high end
-seen so far.
+relative 5.25 * 2**-53 of arctan at every positive double), cached once per
+grid.  The point is settled, the inequality holding, when that margin m
+exceeds a proven error bound E: the float form's own rounding error (from
+the catalog), the error of the double arctan and the rounding of the
+subtraction, and the fixed-point path's own error, for which
+``10**(5-digits)`` is a floor.  The point is a proven violation when
+m < -E, the symmetric use of the same bound (the adaptive filter of
+Shewchuk, 1997).  A settled point gets the verdict the fixed-point path
+would give.  A violation settled so is counted at once, and its fixed-point
+bound is computed only when the report's listing is read.  Stage 1 keeps as
+minimum candidates the settled points whose margin interval m -+ 2E has its
+low end at most the lowest high end seen so far.
 
 Where the bound touches arctan (at 0 for Shafer's 3x/(1 + 2u) and every row
 with c = d + e, the margin ~ x^5/180 at a = 1/2; at infinity for the
@@ -31,9 +32,10 @@ log-lower, whose fixed-point error grows like 1/x.  The series settles the
 point, with its interval in place of stage 1's where it is the narrower.
 Stage 3 sends every other point to the fixed-point path (``eval_bound_hp``
 at the sweep's digits, the catalog entry's closed form on FixedReal): points
-neither stage settled, points outside [2**-500, 2**500] and non-finite float
-values, then the candidates whose interval could still reach the minimum.
-The fixed-point oracle is computed at those points and at the violations
+neither stage settled, among them the points where a float form or its
+error bound is not finite (x*x overflows from x = 2**512, where the shape
+and ratio forms read 0 or NaN), then the candidates whose interval could
+still reach the minimum.  The fixed-point oracle is computed at those points and at the violations
 listed, one point at a time and cached by point and digits.  So verdicts,
 violations and the minimum margin are those of a sweep that evaluates every
 point in fixed point: the minimum is taken over exact margins at every point
@@ -54,7 +56,7 @@ pi/2, so one convention cannot serve both ends of the grid).
 from __future__ import annotations
 
 import math
-import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -145,14 +147,12 @@ def _oracle_at(x: float, digits: int) -> fp.FixedReal:
 
 
 @lru_cache(maxsize=8)
-def _fast_atan_on_grid(grid: GridSpec) -> memoryview:
-    """fast_atan at every grid point in [FLOAT_FORM_MIN, FLOAT_FORM_MAX], NaN
-    outside, packed 8 bytes a point (a float object in a tuple takes 32)."""
+def _fast_atan_on_grid(grid: GridSpec) -> array:
+    """fast_atan at every grid point, packed 8 bytes a point (a float object
+    in a tuple takes 32)."""
     # imported on first use, as sweep imports the series
     from .fastatan import fast_atan
-    lo, hi = cat.FLOAT_FORM_MIN, cat.FLOAT_FORM_MAX
-    doubles = [fast_atan(x) if lo <= x <= hi else math.nan for x in grid.values()]
-    return memoryview(struct.pack(f"{len(doubles)}d", *doubles)).cast("d")
+    return array("d", map(fast_atan, grid.values()))
 
 
 def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
@@ -264,15 +264,18 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     fn, float_error = cat.float_form(bound, a)
 
     xs = grid.values()
+    cat._check_x(xs[0])     # the smallest point; fast_atan is proven for x > 0
     oracle_f = _fast_atan_on_grid(grid)
     lower = side == "lower"
-    float_lo, float_hi = cat.FLOAT_FORM_MIN, cat.FLOAT_FORM_MAX
     # E = float_error + (K + 4)u(o + |b|) + floor, K = FAST_ATAN_K: o, the
     # double of fast_atan, is within Ku o of arctan x, and o - b rounds once,
     # by at most u(o + |b|); floor covers the fixed-point path's own error, a
     # few units of 10**-digits (10**-digits <= 10**-20 is far below u, so
     # where that error grows with x or 1/x, for the cubic and log entries,
-    # their float bounds grow faster)
+    # their float bounds grow faster).  Where floor underflows (digits above
+    # 328) or o, b and m are subnormal, float_error is at least 2**-1072
+    # (catalog._UNDERFLOW; the log rows' far more), which covers those few
+    # units and the absolute 2**-1075 of each rounding that underflows.
     from .fastatan import FAST_ATAN_K
     k4_u = (FAST_ATAN_K + 4) * 2.0 ** -53
     floor = 10.0 ** (5 - digits)
@@ -305,11 +308,9 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     settled_by_series = 0
     for i, x in enumerate(xs):
         o = oracle_f[i]
-        m = e = math.nan
-        if float_lo <= x <= float_hi:
-            b = fn(x)
-            m = o - b if lower else b - o
-            e = float_error(x, b) + k4_u * (o + abs(b)) + floor
+        b = fn(x)
+        m = o - b if lower else b - o
+        e = float_error(x, b) + k4_u * (o + abs(b)) + floor
         scale = o if x > 1.0 else 1.0
         if m > e or m < -e:
             if m / scale - 2 * e / scale > min_high:    # settled, not a candidate
@@ -437,9 +438,9 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     sign_at(x) gives every verdict and every bisection step: +1 if A is
     strictly tighter, -1 if B is, 0 on an exact fixed-point tie.  It settles
     the sign in double past sweep's threshold without its floor, the second
-    bound taking the oracle's place; unsettled margins, x outside the float
-    forms' range and non-finite values (whose comparison is false) go to
-    eval_bound_hp.
+    bound taking the oracle's place; unsettled margins and non-finite values
+    or error bounds (whose comparison is false) go to eval_bound_hp.  The
+    grid's first point, its smallest, must be positive.
     Crossovers are bisected between adjacent non-tied points that flip.
     """
     side_a = cat.bound_side(bound_a)
@@ -459,22 +460,22 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     def sign_at(x: float) -> int:
         nonlocal calls, escalated
         calls += 1
-        if cat.FLOAT_FORM_MIN <= x <= cat.FLOAT_FORM_MAX:
-            fa, fb = fn_a(x), fn_b(x)
-            d = fa - fb
-            # fa and fb are float forms at the same double x, each within its
-            # proven error bound of the exact bound, and 4u(|fa| + |fb|) covers
-            # the rounding of d: past this, d has the exact sign of A(x) - B(x),
-            # and as no fixed-point value enters (unlike sweep) no floor is due.
-            if abs(d) > (error_a(x, fa) + error_b(x, fb)
-                         + four_u * (abs(fa) + abs(fb))):
-                return tighter if d > 0 else -tighter
+        fa, fb = fn_a(x), fn_b(x)
+        d = fa - fb
+        # fa and fb are float forms at the same double x, each within its
+        # proven error bound of the exact bound, and 4u(|fa| + |fb|) covers
+        # the rounding of d (exact where d is subnormal): past this, d has the
+        # exact sign of A(x) - B(x), and as no fixed-point value enters
+        # (unlike sweep) no floor is due.
+        if abs(d) > error_a(x, fa) + error_b(x, fb) + four_u * (abs(fa) + abs(fb)):
+            return tighter if d > 0 else -tighter
         escalated += 1
         d = (cat.eval_bound_hp(bound_a, x, a_a, digits=digits).units
              - cat.eval_bound_hp(bound_b, x, a_b, digits=digits).units)
         return 0 if d == 0 else (tighter if d > 0 else -tighter)
 
     xs = grid.values()
+    cat._check_x(xs[0])
     signs = [sign_at(x) for x in xs]
     grid_escalated = escalated
     regions = []
@@ -490,7 +491,7 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
         if sign == 0:
             continue
         if prev is not None and signs[prev] != sign:
-            crossovers.append(_bisect_crossover(sign_at, xs[prev], xs[i], signs[prev]))
+            crossovers.append(fp._bisect_crossover(sign_at, xs[prev], xs[i], signs[prev]))
         prev = i
 
     return DominanceReport(
@@ -499,34 +500,3 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
         a_tighter=signs.count(1), b_tighter=signs.count(-1), equal=signs.count(0),
         escalated=grid_escalated, bisection_steps=calls - len(xs),
         escalated_steps=escalated - grid_escalated)
-
-
-_DOUBLE = struct.Struct("<d")
-_BITS = struct.Struct("<q")
-
-
-def _bits(x: float) -> int:
-    return _BITS.unpack(_DOUBLE.pack(x))[0]
-
-
-def _from_bits(bits: int) -> float:
-    return _DOUBLE.unpack(_BITS.pack(bits))[0]
-
-
-def _bisect_crossover(sign_at, lo: float, hi: float, s_lo: int) -> float:
-    """A point within relative width 1e-13 of where sign_at leaves s_lo, for
-    0 < lo < hi.  Bisects the IEEE bit patterns, whose order is the numeric
-    order of positive doubles, so every step halves the doubles in between
-    and at most 64 steps reach adjacent doubles, at any magnitude."""
-    lo_bits, hi_bits = _bits(lo), _bits(hi)
-    while hi_bits - lo_bits > 1 and hi - lo > 1e-13 * hi:
-        mid_bits = (lo_bits + hi_bits) // 2
-        mid = _from_bits(mid_bits)
-        s_mid = sign_at(mid)
-        if s_mid == 0:
-            return mid
-        if s_mid == s_lo:
-            lo, lo_bits = mid, mid_bits
-        else:
-            hi, hi_bits = mid, mid_bits
-    return _from_bits((lo_bits + hi_bits) // 2)

@@ -31,7 +31,7 @@ import arctanbounds
 from arctanbounds import catalog
 from arctanbounds.catalog import FLOAT_FORM_MAX, FLOAT_FORM_MIN, float_form
 from arctanbounds.cli import _suite_entries
-from arctanbounds.fixedpoint import FixedReal
+from arctanbounds.fixedpoint import FixedReal, _bits, _from_bits
 
 B = BoundId
 
@@ -522,12 +522,18 @@ class TestFloatErrorBound:
         xs = [FLOAT_FORM_MIN, FLOAT_FORM_MAX, 1e-8, 1.0, 1e8]
         xs += [2.0 ** rng.uniform(lo, hi) for _ in range(60)]
         xs += [10.0 ** rng.uniform(-9, 9) for _ in range(60)]
+        # every positive double: subnormals, where x*x underflows, and from
+        # 2**512, where it overflows
+        xs += [5e-324, 2.0 ** -1022, math.nextafter(2.0 ** 512, 0.0), 2.0 ** 512, DBL_MAX]
+        xs += [_from_bits(rng.randint(1, _bits(DBL_MAX))) for _ in range(60)]
+        xs += [_from_bits(rng.randint(1, _bits(2.0 ** -1022))) for _ in range(20)]
         for x in xs:
             b = fn(x)
             err = float_error(x, b)
             if not math.isfinite(b):
                 assert not err < math.inf, x
-                continue
+            if not err < math.inf:
+                continue        # an infinite or NaN bound claims nothing
             digits = 40 + max(0, -math.floor(math.log10(x)))
             exact = eval_bound_hp(bound, x, a, digits=digits).as_fraction()
             slack = Fraction(100, 10 ** digits)

@@ -326,6 +326,28 @@ print(calls)
                                 text=True, check=True, env=env)
         assert result.stdout == "[0.6]\n"
 
+    @pytest.mark.parametrize("argv,own", [
+        (["find-min", "--a", "0.6"], ["family"]),
+        (["verify", "--suite", "fixed", "--grid-points", "200"],
+         ["fastatan", "oracle", "series"]),
+    ], ids=["find-min", "verify"])
+    def test_commands_load_only_their_modules(self, argv, own):
+        # find-min needs no oracle, and verify no family: the crossover
+        # bisection they share lives in fixedpoint
+        probe = """
+import contextlib, io, sys
+import arctanbounds.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "arctanbounds"))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(arctanbounds.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                                text=True, check=True, env=env)
+        eager = ["catalog", "cli", "errors", "fixedpoint"]
+        loaded = ["arctanbounds"] + [f"arctanbounds.{m}" for m in sorted(eager + own)]
+        assert result.stdout == f"{loaded}\n"
+
 
 class TestNegativeValues:
     # argparse reads -1e-05 or -inf as an option unless it is joined to the

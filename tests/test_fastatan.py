@@ -10,8 +10,8 @@ and to pi/2 and its remainder; that is checked against an 80-digit table.
 
     PYTHONPATH=src python tests/test_fastatan.py 1000000
 
-checks that many seeded random bit-pattern doubles in [2**-500, 2**500] and
-prints the largest error in units of u f.
+checks that many seeded random bit-pattern positive finite doubles,
+subnormals included, and prints the largest error in units of u f.
 """
 
 from __future__ import annotations
@@ -23,20 +23,20 @@ from fractions import Fraction
 
 import pytest
 
-from arctanbounds import catalog as cat
 from arctanbounds import fastatan as fa
 from arctanbounds import fixedpoint as fp
-from arctanbounds.oracle import _bits, _from_bits
+from arctanbounds.fixedpoint import _bits, _from_bits
 
 U = Fraction(1, 2 ** 53)
+DBL_MAX = sys.float_info.max
 
 
 def random_points(count: int, seed: int) -> list[float]:
-    """Seeded doubles whose bit patterns are uniform over [2**-500, 2**500]:
-    every binade equally often."""
+    """Seeded doubles whose bit patterns are uniform over the positive finite
+    doubles, from 2**-1074 to DBL_MAX: every binade equally often, and the
+    subnormals as often as one binade."""
     rng = random.Random(seed)
-    lo, hi = _bits(cat.FLOAT_FORM_MIN), _bits(cat.FLOAT_FORM_MAX)
-    return [_from_bits(rng.randint(lo, hi)) for _ in range(count)]
+    return [_from_bits(rng.randint(1, _bits(DBL_MAX))) for _ in range(count)]
 
 
 def _beside(x: float) -> list[float]:
@@ -44,12 +44,14 @@ def _beside(x: float) -> list[float]:
 
 
 #: The doubles beside every knot j/64 and every midpoint (j +- 1/2)/64, with
-#: their reciprocals (x > 1 reduces to t = 1/x); 1 and its neighbours; the
-#: powers of two across the range.
+#: their reciprocals (x > 1 reduces to t = 1/x); 1 and its neighbours; every
+#: power of two and its neighbours, from the smallest subnormal to DBL_MAX,
+#: where 1/x turns subnormal (2**1022) and where x*x and r*s underflow.
 EDGE_POINTS = sorted({y for j in range(129) for y in _beside(j / 128)
                       if 0.0 < y}
                      | {y for j in range(1, 129) for y in _beside(128 / j)}
-                     | {2.0 ** k for k in range(-500, 501)})
+                     | {y for k in range(-1074, 1024) for y in _beside(2.0 ** k)
+                        if 0.0 < y < math.inf})
 
 
 def error_units(x: float) -> Fraction:
@@ -94,6 +96,13 @@ class TestErrorBound:
 
     def test_random_bit_patterns(self):
         assert bound_failures(random_points(20_000, seed=12)) == []
+
+    def test_tiny_and_huge_arguments(self):
+        # below 2**-500 the result is x itself, above 2**500 the double of pi/2
+        for x in [5e-324, 2.0 ** -1022, 1e-300, math.nextafter(2.0 ** -500, 0.0)]:
+            assert fa.fast_atan(x) == x
+        for x in [math.nextafter(2.0 ** 500, math.inf), 2.0 ** 1022, DBL_MAX]:
+            assert fa.fast_atan(x) == fa._HALF_PI_HI
 
 
 class TestMutations:

@@ -22,7 +22,6 @@ from arctanbounds import (
     eval_bound_hp,
     oracle_arctan,
 )
-from arctanbounds import catalog as cat
 from arctanbounds import kernel as ker
 from arctanbounds.fastatan import FAST_ATAN_K, fast_atan
 
@@ -206,22 +205,21 @@ def _seeded_log_grid(seed: int) -> GridSpec:
                     rng.randint(200, 500), "log")
 
 
-#: Seeded log grids, the widest log grid (half its rows outside the double
-#: filter's range) and a linear grid through 0 and negative x.
+#: Seeded log grids, [1e-300, 1e300], a log grid over every positive double
+#: (subnormal rows, rows below 2**-1000 where approx returns x, and rows from
+#: 2**512, where x*x overflows) and a linear grid through 0 and negative x.
 FILTER_GRIDS = ([_seeded_log_grid(seed) for seed in range(4)]
-                + [GridSpec(1e-300, 1e300, 400), GridSpec(-5.0, 5.0, 201, "linear")])
+                + [GridSpec(1e-300, 1e300, 400), GridSpec(5e-324, sys.float_info.max, 300),
+                   GridSpec(-5.0, 5.0, 201, "linear")])
 
 
 def filter_misses(prof, fast_atan_k: float) -> list[float]:
-    """The rows in the double filter's range where its E, with fast_atan's
-    error taken as fast_atan_k * u * f, fails to cover |a - actual|, an
-    exact comparison on Fractions."""
+    """The rows where the double filter's E, with fast_atan's error taken as
+    fast_atan_k * u * f, fails to cover |a - actual|, an exact comparison on
+    Fractions."""
     misses = []
     for row in prof.rows:
-        ax = abs(row.x)
-        if not cat.FLOAT_FORM_MIN <= ax <= cat.FLOAT_FORM_MAX:
-            continue
-        f = fast_atan(ax)
+        f = fast_atan(abs(row.x))
         a = abs(abs(row.value) - f)
         d = ker._row_digits(row.certified, prof.digits)
         e = ker._row_error(fast_atan_k, f, a, d)

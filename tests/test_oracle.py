@@ -25,7 +25,7 @@ from arctanbounds import (
 from arctanbounds.catalog import bound_side
 from arctanbounds import cli
 from arctanbounds.cli import _suite_entries
-from arctanbounds.oracle import _bisect_crossover
+from arctanbounds.fixedpoint import _bisect_crossover
 
 GRID = GridSpec(1e-8, 1e8, 400, "log")
 DBL_MAX = 1.7976931348623157e308
@@ -136,6 +136,20 @@ class TestSweep:
             sweep(BoundId.FAMILY_LOWER, a=0.7, grid=GRID)
         with pytest.raises(ParamError):
             sweep(BoundId.FAMILY_LOWER, grid=GRID)  # missing a
+
+    @pytest.mark.parametrize("x_min", [-1.0, 0.0])
+    def test_grids_from_a_non_positive_point_raise(self, x_min):
+        # the float forms and fast_atan are proven for x > 0 only: a grid that
+        # starts there is refused, naming that point, by every suite entry and
+        # every dominance pair
+        grid = GridSpec(x_min, 2.0, 41, "linear")
+        message = re.escape(f"bounds are stated for x > 0, got {x_min!r}")
+        for bound, a in _suite_entries("all"):
+            with pytest.raises(DomainError, match=message):
+                sweep(bound, a=a, grid=grid)
+        for pair in DOMINANCE_PAIRS:
+            with pytest.raises(DomainError, match=message):
+                dominance_report(*pair, grid=grid)
 
     def test_json_round_trip(self):
         report = sweep(BoundId.LOG_LOWER, grid=GridSpec(0.1, 10, 16, "log"))
@@ -442,6 +456,22 @@ class TestDominance:
         report = dominance_report(BoundId.TWO_OVER_PI_UPPER, BoundId.IDENTITY_UPPER,
                                   grid=GridSpec(1e-40, 1e300, 300, "log"))
         assert report.a_strictly_tighter_everywhere
+
+    def test_extreme_grid_matches_fixed_point_at_400_digits(self, capsys):
+        # the float forms settle x = 1e-300 in double, and x from 2**512 goes
+        # to fixed point: every verdict and the crossover of the command are
+        # those of a sign loop in fixed point at 400 digits, where x = 1e-300
+        # has 10**100 units
+        assert cli.main(["dominance", "--bound-a", "shafer-lower", "--bound-b",
+                         "two-over-pi-lower", "--grid-min", "1e-300", "--grid-max",
+                         "1e300", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        regions, crossovers, counts = reference_dominance(
+            BoundId.SHAFER_LOWER, BoundId.TWO_OVER_PI_LOWER, None, None,
+            GridSpec(1e-300, 1e300, 2000, "log"), 400)
+        assert payload["counts"] == counts
+        assert payload["regions"] == regions
+        assert payload["crossovers"] == crossovers
 
     def test_json_round_trip(self):
         report = dominance_report(

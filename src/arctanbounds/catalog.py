@@ -14,7 +14,8 @@ error at every positive double, which lets a sweep settle most grid points
 in double precision (see :func:`float_form`).  The fixed-point form runs
 it on FixedReal, which floors each product, quotient and root to a unit of
 ``10**-digits``, and serves :func:`eval_bound_hp`, the exact stage of the
-sweeps and dominance reports (see :mod:`arctanbounds.fixedpoint`).
+sweeps and dominance reports (see :mod:`arctanbounds.fixedpoint`), and
+:func:`eval_bound`, the bound rounded once to a double.
 """
 
 from __future__ import annotations
@@ -225,10 +226,6 @@ def _fixed_fn(form, consts, a, digits):
 _U = 2.0 ** -53
 _UNDERFLOW = 2.0 ** -1072
 
-#: eval_bound's float range: outside it, it rounds the fixed-point value.
-FLOAT_FORM_MIN = 2.0 ** -500
-FLOAT_FORM_MAX = 2.0 ** 500
-
 # Outward-rounded family ends (enclosure here, approx in kernel.py).  An end
 # c * (x / (a + u)), c = 1 + a or pi/2, u = hypot(1, x), carries six roundings
 # of relative size u0 = 2**-53: c, hypot twice (one ulp; a >= 0 keeps it
@@ -358,22 +355,23 @@ def _check_x(x: float) -> None:
 
 
 def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
-    """Evaluate one catalog bound at x > 0 as a double.
+    """Evaluate one catalog bound at x > 0 as a double: the fixed-point value
+    (eval_bound_hp) rounded once to the nearest double, -inf or inf where that
+    overflows (cubic-lower above ~1e103).
 
-    On [FLOAT_FORM_MIN, FLOAT_FORM_MAX] = [2**-500, 2**500] this is the float
-    form, with its proven error bound (float_form).  Outside it, where x*x
-    underflows or overflows and a form may read 0 or lose its relative
-    accuracy, it is the fixed-point value (eval_bound_hp) at
-    30 + 2|log10 x| digits, which leaves at least 30 digits of log-lower's
-    ln(1 + x^2) and of every bound's value, rounded to the nearest double:
-    -inf or inf where that overflows (cubic-lower above ~1e103).
+    It runs at 30 + 2|log10 x| digits, enough for 30 digits of x and of
+    log-lower's ln(1 + x^2), and again with the shortfall added while the
+    value has fewer than 30 significant digits, zero units counting as one:
+    cubic-lower near its zero at sqrt(3), reversed-lower at a huge a.  No
+    bound is 0 at a double x > 0, so the loop ends.
     """
-    fn, _ = float_form(bound, a)
+    _check_param(bound, a)
     _check_x(x)
-    x = float(x)
-    if FLOAT_FORM_MIN <= x <= FLOAT_FORM_MAX:
-        return fn(x)
-    value = eval_bound_hp(bound, x, a, digits=30 + 2 * math.ceil(abs(math.log10(x))))
+    digits = 30 + 2 * math.ceil(abs(math.log10(x)))
+    value = eval_bound_hp(bound, x, a, digits=digits)
+    while (shortfall := 30 - len(str(abs(value.units)))) > 0:
+        digits += shortfall
+        value = eval_bound_hp(bound, x, a, digits=digits)
     try:
         return float(value)
     except OverflowError:
@@ -417,13 +415,6 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     return fn(fp.FixedReal._raw(x_units, digits))
 
 
-@lru_cache(maxsize=1)
-def _regime_pi() -> tuple[Fraction, Fraction]:
-    """pi_units(30) -+ 1 unit, an interval that holds pi, built on first use."""
-    units, scale = fp.pi_units(30), fp.pow10(30)
-    return Fraction(units - 1, scale), Fraction(units + 1, scale)
-
-
 @dataclass(frozen=True)
 class RegimeProof:
     """A regime of the family ratio and the exact values that decide it:
@@ -457,9 +448,10 @@ def prove_regime(a: float) -> RegimeProof:
     sign once, at u_star, so g falls from 0, then rises to g(inf): one sign
     change, an interior minimum, if g(inf) > 0, and none, decreasing, else.
 
-    a enters as the exact Fraction of the double, and pi as pi_units(30) -+ 1
-    unit, which separates every double from 2/pi (math.pi -+ 1 ulp cannot:
-    the nearest lies 3.9e-17 above it).  DomainError for nan or inf.
+    a enters as the exact Fraction of the double, and pi as
+    fixedpoint.pi_bracket(30), pi_units(30) -+ 1 unit, which separates every
+    double from 2/pi (math.pi -+ 1 ulp cannot: the nearest lies 3.9e-17
+    above it).  DomainError for nan or inf.
     """
     if not math.isfinite(a):
         raise DomainError("parameter must be finite")
@@ -471,7 +463,7 @@ def prove_regime(a: float) -> RegimeProof:
         return RegimeProof(Regime.INCREASING, h_at_one, slope)
     if slope > 0:
         return RegimeProof(Regime.DECREASING, h_at_one, slope)
-    pi_lo, pi_hi = _regime_pi()     # g(inf) has the sign of 2 - a*pi
+    pi_lo, pi_hi = fp.pi_bracket(30)    # g(inf) has the sign of 2 - a*pi
     if 2 - q * pi_hi > 0:
         return RegimeProof(Regime.INTERIOR_MINIMUM, h_at_one, slope, -q / slope, 1)
     if 2 - q * pi_lo < 0:

@@ -197,6 +197,14 @@ def pi_units(digits: int) -> int:
     return _rescale(4 * _atan_table(work)[_KNOTS], work, digits)
 
 
+@lru_cache(maxsize=None)
+def pi_bracket(digits: int) -> tuple[Fraction, Fraction]:
+    """pi_units(digits) -+ 1 unit as Fractions, an interval that holds pi:
+    pi_units is off by well under one unit (see _atan_table)."""
+    units, scale = pi_units(digits), pow10(digits)
+    return Fraction(units - 1, scale), Fraction(units + 1, scale)
+
+
 def log_units(y_units: int, digits: int) -> int:
     """Natural log of y_units/10**digits, in the same units.
 

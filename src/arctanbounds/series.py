@@ -16,11 +16,10 @@ model in the sense of Makino and Berz, 2003):
   reversed-lower at the double nearest 2/pi.
 
 A shape row's coefficients come from its own ``consts(Fraction(a), pi)`` in
-the catalog, with pi the rational interval pi_units(50) -+ 1 unit (its error
-is below one unit, see fixedpoint._atan_table).  So every C_k is an interval
-of Fractions, a point for the rows without pi and ~1e-50 wide for the rest;
-where the row is tangent the leading ones contain 0.  The one-offs' series
-are written out below.
+the catalog, with pi the interval fixedpoint.pi_bracket(50), pi_units(50) -+ 1
+unit.  So every C_k is an interval of Fractions, a point for the rows without
+pi and ~1e-50 wide for the rest; where the row is tangent the leading ones
+contain 0.  The one-offs' series are written out below.
 
 A series keeps C_0 .. C_4 (M = 5), each rounded to the nearest double c_k.
 With j <= 2 the index of the first one whose interval excludes 0, it
@@ -54,7 +53,7 @@ from typing import Callable, NamedTuple, Optional
 from . import catalog as cat
 from . import fixedpoint as fp
 
-#: pi as the interval pi_units(_PI_DIGITS) -+ 1 unit.
+#: pi as the interval fixedpoint.pi_bracket(_PI_DIGITS).
 _PI_DIGITS = 50
 #: Coefficients built and kept per row, C_0 .. C_{M-1}.
 _TERMS = 5
@@ -165,12 +164,6 @@ class Evaluator(NamedTuple):
     margin: Callable[[float, float], tuple[float, float]]
 
 
-@lru_cache(maxsize=1)
-def _pi() -> _Interval:
-    units, scale = fp.pi_units(_PI_DIGITS), fp.pow10(_PI_DIGITS)
-    return _Interval(Fraction(units - 1, scale), Fraction(units + 1, scale))
-
-
 def _reciprocal(h: list, n: int) -> list:
     """The first n coefficients of 1/h for a power series h, h[0] != 0."""
     inv = 1 / h[0]
@@ -221,7 +214,8 @@ _ONE_OFFS = {
 def _shape_series(consts, a: Optional[float], sign: int) -> Optional[Series]:
     """The series of a shape row's margin, or None where the row touches
     arctan neither at 0 nor at infinity."""
-    c, d, e = map(_Interval.of, consts(None if a is None else Fraction(a), _pi()))
+    pi = _Interval(*fp.pi_bracket(_PI_DIGITS))
+    c, d, e = map(_Interval.of, consts(None if a is None else Fraction(a), pi))
     if d.lo < 0 or e.lo <= 0:
         return None
     # at 0: D/x = arctan(x)/x - c / (d + e sqrt(1+t)); on |t| = 1/2,
@@ -237,7 +231,7 @@ def _shape_series(consts, a: Optional[float], sign: int) -> Optional[Series]:
     # on |s| = 1/2, Re sqrt(1+s^2) >= sqrt(3)/2
     ratio, slope = c / e, d / e
     first = ratio * slope - 1
-    if (not (_pi() / 2 - ratio).contains_zero()
+    if (not (pi / 2 - ratio).contains_zero()
             or max(-first.lo, first.hi) > Fraction(1, 2 ** 50)):
         return None
     floor = _RE_SQRT_S - max(abs(slope.lo), abs(slope.hi)) / 2
@@ -248,7 +242,7 @@ def _shape_series(consts, a: Optional[float], sign: int) -> Optional[Series]:
     for k, r in enumerate(_sqrt_1p((_TERMS + 1) // 2)):
         if 0 < 2 * k < _TERMS:
             h[2 * k] = _Interval.of(r)
-    atan = [_pi() / 2] + [-_Interval.of(v) for v in _atan_odd(_TERMS)[1:]]
+    atan = [pi / 2] + [-_Interval.of(v) for v in _atan_odd(_TERMS)[1:]]
     bound = [ratio * gk for gk in _reciprocal(h, _TERMS)]
     k_bound = max(abs(ratio.lo), abs(ratio.hi)) / floor
     return Series("s", tuple(sign * (at - b) for at, b in zip(atan, bound)), 1 + k_bound)

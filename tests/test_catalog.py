@@ -29,11 +29,37 @@ from arctanbounds import (
 )
 import arctanbounds
 from arctanbounds import catalog
-from arctanbounds.catalog import FLOAT_FORM_MAX, FLOAT_FORM_MIN, float_form
+from arctanbounds.catalog import float_form
 from arctanbounds.cli import _suite_entries
 from arctanbounds.fixedpoint import FixedReal, _bits, _from_bits
 
 B = BoundId
+
+
+#: Tiny and huge doubles, most of them where x*x underflows or overflows in
+#: double.
+_TINY_AND_HUGE_XS = [5e-324, 1e-200, math.nextafter(2.0 ** -500, 0.0),
+                     math.nextafter(2.0 ** 500, math.inf), 1e154, 1e200, 1e300,
+                     sys.float_info.max]
+
+
+def _rounded_once_xs():
+    """200 seeded bit-pattern doubles over all positive finite doubles, a
+    few named points, and the 30 doubles on each side of the double nearest
+    sqrt(3), cubic-lower's zero."""
+    rng = random.Random("rounded-once")
+    top = _bits(sys.float_info.max)
+    xs = [_from_bits(rng.randint(1, top)) for _ in range(200)]
+    xs += [1.0, 1e-10, 1e-8] + _TINY_AND_HUGE_XS     # 5e-324 and DBL_MAX among them
+    below = above = 1.7320508075688772
+    xs.append(below)
+    for _ in range(30):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        xs += [below, above]
+    return xs
+
+
+_ROUNDED_ONCE_XS = _rounded_once_xs()
 
 
 class TestEvalBound:
@@ -115,28 +141,35 @@ class TestEvalBound:
                 hp = float(eval_bound_hp(bound, x, a, digits=40))
                 assert hp == pytest.approx(f, rel=1e-13)
 
-    @pytest.mark.parametrize("x", [5e-324, 1e-200, math.nextafter(FLOAT_FORM_MIN, 0.0),
-                                   math.nextafter(FLOAT_FORM_MAX, math.inf), 1e154,
-                                   1e200, 1e300, sys.float_info.max])
-    def test_outside_float_range_is_fixed_point_rounded(self, x):
-        # x*x underflows or overflows here, where the float forms read 0.0,
-        # inf or nan; eval_bound gives the fixed-point value rounded to
-        # nearest, here checked at far more digits
-        for bound, a in _suite_entries("all"):
-            value = eval_bound(bound, x, a)
-            exact = eval_bound_hp(bound, x, a, digits=700)
+    @pytest.mark.parametrize("bound,a", _suite_entries("all"),
+                             ids=lambda v: getattr(v, "value", repr(v)))
+    def test_is_the_exact_bound_rounded_once(self, bound, a):
+        # eval_bound is the double nearest the bound, here checked against a
+        # fixed-point value at 90 more digits, with no tolerance
+        for x in _ROUNDED_ONCE_XS:
+            exact = eval_bound_hp(bound, x, a,
+                                  digits=120 + 2 * math.ceil(abs(math.log10(x))))
             try:
                 want = float(exact)
             except OverflowError:
                 want = -math.inf if exact.units < 0 else math.inf
-            assert value == want, (bound, a, x)
-        assert eval_bound(B.FAMILY_UPPER, x, 0.25) > 0.0
-        assert eval_bound(B.LOG_LOWER, x) < 1.0
+            assert eval_bound(bound, x, a) == want, (bound, a, x)
 
-    def test_float_range_ends_keep_the_float_form(self):
-        for x in (FLOAT_FORM_MIN, FLOAT_FORM_MAX):
-            for bound, a in _suite_entries("all"):
-                assert eval_bound(bound, x, a) == float_form(bound, a)[0](x), (bound, a, x)
+    @pytest.mark.parametrize("a", [1e300, sys.float_info.max])
+    @pytest.mark.parametrize("x", [1.0, 1e10])
+    def test_huge_parameter_is_rounded_once(self, x, a):
+        # reversed-lower's (pi/2)x/(a + u) lies so far below 10**-30 that
+        # 30 + 2|log10 x| digits leave it zero units
+        exact = eval_bound_hp(B.REVERSED_LOWER, x, a,
+                              digits=430 + 2 * math.ceil(math.log10(x)))
+        assert eval_bound(B.REVERSED_LOWER, x, a) == float(exact) > 0.0
+
+    def test_tiny_and_huge_x_keep_their_values(self):
+        # where x*x underflows or overflows in double, the value is still the
+        # bound's, neither 0 nor nan
+        for x in _TINY_AND_HUGE_XS:
+            assert eval_bound(B.FAMILY_UPPER, x, 0.25) > 0.0
+            assert eval_bound(B.LOG_LOWER, x) < 1.0
 
 
 class TestExactSpecialCases:
@@ -518,8 +551,8 @@ class TestFloatErrorBound:
         # digits that its own error is far below the float error bound
         fn, float_error = float_form(bound, a)
         rng = random.Random(f"float-error-{bound.value}-{a}")
-        lo, hi = math.log2(FLOAT_FORM_MIN), math.log2(FLOAT_FORM_MAX)
-        xs = [FLOAT_FORM_MIN, FLOAT_FORM_MAX, 1e-8, 1.0, 1e8]
+        lo, hi = -500.0, 500.0
+        xs = [2.0 ** -500, 2.0 ** 500, 1e-8, 1.0, 1e8]
         xs += [2.0 ** rng.uniform(lo, hi) for _ in range(60)]
         xs += [10.0 ** rng.uniform(-9, 9) for _ in range(60)]
         # every positive double: subnormals, where x*x underflows, and from

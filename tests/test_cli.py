@@ -62,8 +62,16 @@ class TestBasicCommands:
         code, out, _ = run(capsys, ["eval", "--bound", "shafer-lower", "--x", "1",
                                     "--format", "json"])
         assert code == 0
-        payload = strict_json(out)
-        assert payload["value"] == pytest.approx(0.7836116248912243, abs=1e-15)
+        # the double nearest the bound 0.78361162489122432754...
+        assert strict_json(out)["value"] == 0.7836116248912244
+
+    def test_eval_where_c_times_x_overflows_a_double(self, capsys):
+        # (1 + a) * x overflows in double, yet the bound lies within a
+        # relative 1e-150 of x
+        code, out, _ = run(capsys, ["eval", "--bound", "reversed-upper", "--a", "1e300",
+                                    "--x", "1e150", "--format", "json"])
+        assert code == 0
+        assert strict_json(out)["value"] == 1e150
 
     def test_eval_above_square_overflow(self, capsys):
         # x*x overflows above ~1.34e154; the float form used to read 0.0 here
@@ -195,7 +203,7 @@ class TestErrors:
 
     def test_eval_cubic_lower_up_to_its_own_overflow(self, capsys):
         # x^3/3 fits a double up to x ~ 8.14e102, though x^3 overflows from
-        # ~5.64e102: the float form divides x*x by 3 before the last product
+        # ~5.64e102
         code, out, _ = run(capsys, ["eval", "--bound", "cubic-lower", "--x", "6e102",
                                     "--format", "json"])
         assert code == 0

@@ -262,6 +262,14 @@ class TestAtanTableReduction:
         for digits in range(1, 331):
             assert fp.pi_units(digits) == reference_pi_units(digits), digits
 
+    def test_pi_bracket_holds_pi(self):
+        # the catalog's regime proof reads it at 30 digits and the defect
+        # series at 50; pi here is the halving reference's at 100 digits
+        pi = Fraction(reference_pi_units(100), 10 ** 100)
+        for digits in (30, 50):
+            lo, hi = fp.pi_bracket(digits)
+            assert lo < pi < hi and hi - lo == Fraction(2, 10 ** digits), digits
+
 
 def reference_log_units(y_units: int, digits: int) -> int:
     """Natural log by the atanh loop that the shared odd-power series

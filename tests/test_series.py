@@ -148,7 +148,7 @@ def test_pi_rows_lead_with_intervals_about_zero():
 
 def test_nothing_built_at_import():
     code = ("import arctanbounds, arctanbounds.series as s, arctanbounds.fixedpoint as fp;"
-            "print(s.defect_series.cache_info().currsize, s._pi.cache_info().currsize,"
+            "print(s.defect_series.cache_info().currsize, fp.pi_bracket.cache_info().currsize,"
             " fp.pi_units.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout

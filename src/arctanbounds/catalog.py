@@ -13,8 +13,9 @@ evaluated on two number types.  The float form runs it on doubles with
 error at every positive double, which lets a sweep settle most grid points
 in double precision (see :func:`float_form`).  The fixed-point form runs
 it on FixedReal, which floors each product, quotient and root to a unit of
-``10**-digits``, and serves :func:`eval_bound_hp`, the exact stage of the
-sweeps and dominance reports (see :mod:`arctanbounds.fixedpoint`), and
+``10**-digits`` and carries a bound on its distance from the exact value,
+and serves :func:`eval_bound_hp`, the exact stage of the sweeps and
+dominance reports (see :mod:`arctanbounds.fixedpoint`), and
 :func:`eval_bound`, the bound rounded once to a double.
 """
 
@@ -33,11 +34,16 @@ from .errors import DomainError, ParamError, PrecisionError
 TWO_OVER_PI = 2.0 / math.pi
 _HALF_PI = 0.5 * math.pi
 
-#: Default digits of the fixed-point oracle and of kernel profiles, and of
-#: sweeps and dominance reports.  The oracle's defaults, kept here so that
-#: the CLI's parser shows them without importing the oracle.
+#: Default digits of the fixed-point oracle and of kernel profiles, and the
+#: starting digits of sweeps and dominance reports.  The oracle's defaults,
+#: kept here so that the CLI's parser shows them without importing the oracle.
 DEFAULT_DIGITS = 30
 DEFAULT_SWEEP_DIGITS = 50
+#: The most digits a point is evaluated at again, doubling from the starting
+#: digits.  The thinnest margin at a double, x**5/180 at x = 2**-1074, is
+#: about 1.6e-1619, which a few units of 10**-1620 resolve; every doubling
+#: from 20 digits or more passes 2048 before it passes this cap.
+MAX_DIGITS = 4096
 
 
 class Regime(Enum):
@@ -113,7 +119,7 @@ class Enclosure:
 # on FixedReal once per (row, a, digits), in caches keyed on the form and
 # consts: a BoundId's hash is Python code.
 # The fixed-point form is the same closed form on FixedReal, which floors each
-# product, quotient and root.
+# product, quotient and root and carries the radius of each.
 
 def _shape(sqrt, log, c, d, e):
     return lambda x: c * x / (d + e * sqrt(1 + x * x))
@@ -143,6 +149,15 @@ def _log_upper(sqrt, log):
 def _float_fn(form, consts, a):
     constants = () if consts is None else map(float, consts(a, math.pi))
     return form(math.sqrt, math.log, *constants)
+
+
+def _larger(p, q):
+    """max(p, q); PrecisionError for two balls that their radii do not
+    separate, which for max(pi/2, 1 + a) happens only below 18 digits: every
+    double lies 4.9e-17 or more from pi/2 - 1."""
+    if isinstance(p, fp.FixedReal) and abs(p.units - q.units) <= p.err + q.err:
+        raise PrecisionError("max of two balls that overlap")
+    return max(p, q)
 
 
 @lru_cache(maxsize=256)
@@ -309,7 +324,7 @@ _CATALOG: dict[BoundId, _BoundInfo] = {
         param=MID_REGIME_RANGE),
     # the upper constant is max(pi/2, 1+a); the exact switch sits at a = pi/2 - 1
     BoundId.MID_REGIME_UPPER: _BoundInfo(
-        "upper", _relative(6), lambda a, pi: (max(pi / 2, 1 + a), a, 1),
+        "upper", _relative(6), lambda a, pi: (_larger(pi / 2, 1 + a), a, 1),
         param=MID_REGIME_RANGE),
     BoundId.TWO_OVER_PI_LOWER: _BoundInfo(
         "lower", _relative(10), lambda a, pi: (pi * pi, 4, 2 * pi)),
@@ -354,28 +369,37 @@ def _check_x(x: float) -> None:
         raise DomainError(f"bounds are stated for x > 0, got {x!r}")
 
 
-def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
-    """Evaluate one catalog bound at x > 0 as a double: the fixed-point value
-    (eval_bound_hp) rounded once to the nearest double, -inf or inf where that
-    overflows (cubic-lower above ~1e103).
+def _double(units: int, scale: int) -> float:
+    """units/scale rounded to the nearest double, -inf or inf past DBL_MAX."""
+    try:
+        return units / scale
+    except OverflowError:
+        return -math.inf if units < 0 else math.inf
 
-    It runs at 30 + 2|log10 x| digits, enough for 30 digits of x and of
-    log-lower's ln(1 + x^2), and again with the shortfall added while the
-    value has fewer than 30 significant digits, zero units counting as one:
-    cubic-lower near its zero at sqrt(3), reversed-lower at a huge a.  No
-    bound is 0 at a double x > 0, so the loop ends.
+
+def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
+    """Evaluate one catalog bound at x > 0 as a double: the exact bound at
+    the doubles x and a rounded once to the nearest double, -inf or inf
+    where that overflows (cubic-lower above ~1e103).
+
+    It runs eval_bound_hp at 30 + 2|log10 x| digits, and again at twice the
+    digits until both ends of the value's ball round to the same double,
+    which the exact value then rounds to as well: cubic-lower near its zero
+    at sqrt(3) and reversed-lower at a huge a take more passes.
+    PrecisionError past MAX_DIGITS.
     """
     _check_param(bound, a)
     _check_x(x)
     digits = 30 + 2 * math.ceil(abs(math.log10(x)))
-    value = eval_bound_hp(bound, x, a, digits=digits)
-    while (shortfall := 30 - len(str(abs(value.units)))) > 0:
-        digits += shortfall
+    while True:
         value = eval_bound_hp(bound, x, a, digits=digits)
-    try:
-        return float(value)
-    except OverflowError:
-        return -math.inf if value.units < 0 else math.inf
+        low = _double(value.units - value.err, value.scale)
+        if low == _double(value.units + value.err, value.scale):
+            return low
+        if 2 * digits > MAX_DIGITS:
+            raise PrecisionError(f"{bound.value} at x={x!r} does not round to one "
+                                 f"double at {digits} digits")
+        digits *= 2
 
 
 def float_form(bound: BoundId, a: Optional[float]
@@ -395,24 +419,24 @@ def float_form(bound: BoundId, a: Optional[float]
 
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
                   digits: int = DEFAULT_SWEEP_DIGITS) -> fp.FixedReal:
-    """Evaluate one catalog bound in fixed point.
+    """Evaluate one catalog bound in fixed point, as a ball that holds the
+    exact bound at the doubles x and a.
 
     x and a enter as their exact binary values rounded to the nearest unit
-    of 10**-digits: at 50 digits, a = 0.1 is the 50-digit rounding of that
-    double, whose exact expansion has 55 digits.  The entry's closed form
-    then runs on FixedReal, which floors each product, quotient and root to a
-    unit.  Used by the sweep engine, where float evaluation cannot resolve
-    the thinnest margins.  Raises PrecisionError where x rounds to zero units.
+    of 10**-digits, with radius 1 where that rounds: at 50 digits, a = 0.1
+    is the 50-digit rounding of that double, whose exact expansion has 55
+    digits.  The entry's closed form then runs on FixedReal balls.  Used by
+    the sweep engine, where float evaluation cannot resolve the thinnest
+    margins.  PrecisionError where x rounds to zero units, or where the
+    radii reach a pole of the form.
     """
     _check_param(bound, a)
     _check_x(x)
-    fp.check_digits(digits)
-    x_units = fp.float_units(float(x), digits)
-    if x_units == 0:
+    x_hp = fp.FixedReal(float(x), digits)
+    if x_hp.units == 0:
         raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
     info = _CATALOG[bound]
-    fn = _fixed_fn(info.form, info.consts, a, digits)
-    return fn(fp.FixedReal._raw(x_units, digits))
+    return _fixed_fn(info.form, info.consts, a, digits)(x_hp)
 
 
 @dataclass(frozen=True)
@@ -448,8 +472,8 @@ def prove_regime(a: float) -> RegimeProof:
     sign once, at u_star, so g falls from 0, then rises to g(inf): one sign
     change, an interior minimum, if g(inf) > 0, and none, decreasing, else.
 
-    a enters as the exact Fraction of the double, and pi as
-    fixedpoint.pi_bracket(30), pi_units(30) -+ 1 unit, which separates every
+    a enters as the exact Fraction of the double, and pi as the ends of the
+    ball FixedReal.pi(30), pi_units(30) -+ 1 unit, which separates every
     double from 2/pi (math.pi -+ 1 ulp cannot: the nearest lies 3.9e-17
     above it).  DomainError for nan or inf.
     """
@@ -463,7 +487,7 @@ def prove_regime(a: float) -> RegimeProof:
         return RegimeProof(Regime.INCREASING, h_at_one, slope)
     if slope > 0:
         return RegimeProof(Regime.DECREASING, h_at_one, slope)
-    pi_lo, pi_hi = fp.pi_bracket(30)    # g(inf) has the sign of 2 - a*pi
+    pi_lo, pi_hi = fp.FixedReal.pi(30).ends()    # g(inf) has the sign of 2 - a*pi
     if 2 - q * pi_hi > 0:
         return RegimeProof(Regime.INTERIOR_MINIMUM, h_at_one, slope, -q / slope, 1)
     if 2 - q * pi_lo < 0:

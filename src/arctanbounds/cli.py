@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["all", "fixed", "family"], default="all")
     _add_grid_args(p, points=10_000)
     p.add_argument("--digits", type=int, default=cat.DEFAULT_SWEEP_DIGITS,
-                   help="oracle digits; below 50 the thinnest margins on the "
-                        "default grid are unresolvable")
+                   help="starting digits of the fixed-point checks, doubled "
+                        "where a margin lies within its error bound (at least 20)")
     p.add_argument("--stats", action="store_true",
                    help="add fixed-point and defect-series point counts, phase "
                         "times and provenance to the JSON report")

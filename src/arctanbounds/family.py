@@ -8,7 +8,7 @@ regime from g's limits and the linear factor of its derivative.
 
 For 1/2 < a < 2/pi the gap has a single zero, which is the unique interior
 minimum of the ratio; ``find_interior_minimum`` locates it by bisecting
-the gap's sign, each sign decided in fixed point past a derived error bound,
+the gap's sign, each sign decided in fixed point past the value's radius,
 and ``minimum_value_closed_form`` gives the minimum as (a+u)^2 / (u (1+a u))
 with u = sqrt(1 + x0^2).
 
@@ -77,36 +77,16 @@ _GAP_MAX_DIGITS = 480
 #: unless the ratio lies that close to the midpoint of two doubles.
 _VALUE_DIGITS = 40
 
-#: Error bound, in units of 10**-d, of stationarity_gap(FixedReal(a, d),
-#: FixedReal(x, d)) for 1/2 < a < 2/pi, x > 0, d >= 20.  With e = 10**-d,
-#: A and X the unit-rounded a and x, u = sqrt(1+X^2), every operand positive,
-#: so each floor lowers a value by less than e:
-#:   S = 1 + X*X          in (u^2 - e, u^2]
-#:   U = sqrt(S)          in (u - 1.5e, u]        (sqrt's slope is 1/2 at 1)
-#:   P = 1 + A*U          in (1 + Au - 2e, 1 + Au]  (A < 0.64)
-#:   N = X + X*X*X + A*X*U  n = Xu(u+A) minus [0, (2X + u + 2)e)
-#:   M = S*P              m = u^2(1+Au) minus [0, 5u^2 e)
-#: and the quotient floor(N/M) differs from f = n/m by N/M - n/m - [0, e),
-#: where n/m - N/M <= (n-N)/M < (2X + u + 2)e/u^2 <= 5e (X < u, u >= 1) and
-#: N/M - n/m <= f(m-M)/M < 5fe/(1+Au) < 6.7e, since f < 1/A and
-#: 1/(A(1+A)) <= 4/3.  So |floor(N/M) - f| < 7e (to first order; e <= 1e-20
-#: keeps the rest below the slack), atan_units is within 0.6e, and the
-#: difference is exact: under 7.6e from g(A, X).  Rounding a and x to units
-#: moves g by at most 4e/2 + 3e/2, as |dg/da| = x^3/(u(1+au)^2) < 1/a^2 <= 4
-#: and |dg/dx| <= 3 (f' is a positive term at most 1 less one at most
-#: 1/(au) <= 2, and arctan' <= 1).  In all under 11.1e.
-_GAP_ERROR_UNITS = 12
-
 
 def _certified_gap(a: float, x: float) -> fp.FixedReal:
     """stationarity_gap(a, x) in fixed point at the first precision, from
-    _GAP_DIGITS doubling up to _GAP_MAX_DIGITS, where its size exceeds
-    _GAP_ERROR_UNITS, so that its sign is the true gap's.  PrecisionError
-    past the cap."""
+    _GAP_DIGITS doubling up to _GAP_MAX_DIGITS, where its size exceeds its
+    radius, so that its sign is the true gap's.  PrecisionError past the
+    cap."""
     digits = _GAP_DIGITS
     while digits <= _GAP_MAX_DIGITS:
         g = stationarity_gap(fp.FixedReal(a, digits), fp.FixedReal(x, digits))
-        if abs(g.units) > _GAP_ERROR_UNITS:
+        if abs(g.units) > g.err:
             return g
         digits *= 2
     raise PrecisionError(

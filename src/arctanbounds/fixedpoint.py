@@ -1,17 +1,18 @@
-"""Integer-scaled fixed-point arithmetic with error-bounded elementary functions.
+"""Integer-scaled fixed-point balls with error-bounded elementary functions.
 
-A value is an integer count of units of ``10**-digits``.  All primitives
-(multiply, divide, square root) round toward minus infinity and are off by
-less than one unit.  The transcendental routines (arctan, log, pi) carry ten
-guard digits internally, so their results are accurate to well under one unit
-of the requested precision; arctan in particular satisfies an absolute error
-below ``10**-digits`` by several orders of magnitude.  arctan reduces its
+A value is an integer count of units of ``10**-digits`` and a radius of
+``err`` units that bounds its distance from the exact value of the
+expression it came from (midpoint-radius "ball" arithmetic, as in
+Johansson's Arb).  Multiply, divide and square root round toward minus
+infinity, the transcendental routines (arctan, log, pi) to nearest after
+ten guard digits; each adds to the radius the unit that rounding costs and
+what its operands' radii carry through its slope.  arctan reduces its
 argument to [0, 1] by the reciprocal identity, then to within 1/128 of a knot
 j/64 of a table of arctan(j/64), built when first needed at a working
 precision and kept for the 16 most recent; pi is 4*arctan(1), the table's
-last entry.  Beside ``float_units``, a double's exact entry into fixed point,
-sits the bisection of a sign change between two positive doubles on their
-bit patterns, shared by dominance crossovers and the family's minimum.
+last entry.  Beside them sits the bisection of a sign change between two
+positive doubles on their bit patterns, shared by dominance crossovers and
+the family's minimum.
 
 Python integers already provide exact floor division and an exact integer
 square root (``math.isqrt``), so no iterative refinement layer is needed.
@@ -49,17 +50,16 @@ def _round_div(n: int, d: int) -> int:
     return -((-2 * n + d) // (2 * d))
 
 
+def _nearest(n: int, d: int) -> tuple[int, int]:
+    """n/d rounded to nearest (d > 0), and its radius: 0 if exact, else 1."""
+    q = _round_div(n, d)
+    return q, int(q * d != n)
+
+
 def _rescale(units: int, from_digits: int, to_digits: int) -> int:
     if to_digits >= from_digits:
         return units * 10 ** (to_digits - from_digits)
     return _round_div(units, 10 ** (from_digits - to_digits))
-
-
-def float_units(value: float, digits: int) -> int:
-    """The exact binary value of a finite float, as Fraction(value) would give
-    it, in units of 10**-digits rounded to nearest."""
-    num, den = value.as_integer_ratio()
-    return _round_div(num * pow10(digits), den)
 
 
 _DOUBLE = struct.Struct("<d")
@@ -161,7 +161,8 @@ def atan_units(x_units: int, digits: int) -> int:
     arctan(j/64) + arctan(t'), t' = (64t - j)/(64 + jt), so |t'| <= 1/128 and
     the series needs about work/4 terms.  The work precision carries ten
     guard digits; the table's error and the series' few units stay far below
-    one unit of the result, which is then rounded to nearest.
+    one unit of the result, which is then rounded to nearest: the result is
+    within one unit of arctan for digits below 10**7.
     """
     if x_units == 0:
         return 0
@@ -192,31 +193,35 @@ def atan_units(x_units: int, digits: int) -> int:
 @lru_cache(maxsize=None)
 def pi_units(digits: int) -> int:
     """pi in units of 10**-digits, as 4*arctan(1) from the arctan table at ten
-    guard digits."""
+    guard digits: within one unit of pi, as atan_units is of arctan."""
     work = digits + _GUARD_DIGITS
     return _rescale(4 * _atan_table(work)[_KNOTS], work, digits)
 
 
-@lru_cache(maxsize=None)
-def pi_bracket(digits: int) -> tuple[Fraction, Fraction]:
-    """pi_units(digits) -+ 1 unit as Fractions, an interval that holds pi:
-    pi_units is off by well under one unit (see _atan_table)."""
-    units, scale = pi_units(digits), pow10(digits)
-    return Fraction(units - 1, scale), Fraction(units + 1, scale)
-
-
 def log_units(y_units: int, digits: int) -> int:
-    """Natural log of y_units/10**digits, in the same units.
+    """Natural log of y_units/10**digits, in the same units."""
+    return _log(y_units, digits)[0]
 
-    Reduction: repeated square roots pull the argument into (1 - 1/256,
-    1 + 1/256), then ln y = 2*atanh((y-1)/(y+1)) by the odd atanh series.
-    Each square root doubles the final error, bounded by the guard digits.
-    """
+
+# Reduction: k repeated square roots pull the argument into (1 - 1/256,
+# 1 + 1/256), then ln y = 2**(k+1) * atanh((y-1)/(y+1)) by the odd atanh
+# series, at w = digits + 10 digits.  Error lemma, in units of 10**-w, with
+# m = max(1, 1/y): each floored root costs under 10**-w / y**(2**-j) <=
+# m/10**w relatively and halves what came before, so the k-th root is within
+# a relative 2.01m/10**w of y**(2**-k), which moves the log by 2**k * 2.03m
+# units; the floored quotient moves atanh by under 1.01 units, and the
+# series (z <= 1/511, so under 0.2w terms, each off by under 2 units, and a
+# tail under 2) by under 0.4w + 2.  So the sum before rounding is within
+# 2**(k+1) * (0.4w + 4 + 1.02m) <= 2**(k+1) * (w + 5) * m units of
+# 2**(k+1) atanh, and the rounding to digits adds half a unit.
+def _log(y_units: int, digits: int) -> tuple[int, int]:
+    """log_units and its radius, in units, from the lemma above."""
     if y_units <= 0:
         raise DomainError("log of a non-positive value")
     work = digits + _GUARD_DIGITS
     scale = 10 ** work
     t = y_units * 10 ** _GUARD_DIGITS
+    spread = (work + 5) * max(1, -(-scale // t))
 
     doublings = 0
     window = scale // 256
@@ -229,7 +234,9 @@ def log_units(y_units: int, digits: int) -> int:
     z = (t - scale) * scale // (t + scale)
     total = _odd_series(abs(z), z * z // scale, scale, 1, work)
     total = (-total if z < 0 else total) << (doublings + 1)
-    return _rescale(total, work, digits)
+    guard = pow10(_GUARD_DIGITS)    # the radius: ceil(spread * 2**(k+1) / guard + 1/2)
+    return (_rescale(total, work, digits),
+            -(-((spread << (doublings + 2)) + guard) // (2 * guard)))
 
 
 def _comparison(op):
@@ -240,56 +247,67 @@ def _comparison(op):
 
 
 class FixedReal:
-    """An immutable fixed-point real: ``units * 10**-digits``.
+    """An immutable fixed-point ball: ``units * 10**-digits``, within ``err``
+    units of the exact value of the expression it came from.
 
     Mixed arithmetic with ints is exact; floats and Fractions are converted
     through their exact rational value (a float contributes the real number
-    it actually stores, not its decimal spelling).  Two FixedReal operands
-    must carry the same precision; mixing precisions raises ValueError rather
-    than silently degrading.  Comparisons with ints, floats, Fractions and
-    FixedReals of any precision are exact, and the hash is that of the
-    rational units/10**digits, so FixedReal(0.5, 30) == 0.5 and both hash
-    alike, while FixedReal(0.1, 30) != 0.1.
+    it actually stores, not its decimal spelling), rounded to the nearest
+    unit.  Two FixedReal operands must carry the same precision; mixing
+    precisions raises ValueError rather than silently degrading.
+    Comparisons with ints, floats, Fractions and FixedReals of any precision
+    are exact on the centre, and the hash is that of the rational
+    units/10**digits, so FixedReal(0.5, 30) == 0.5 and both hash alike,
+    while FixedReal(0.1, 30) != 0.1.  A divisor, or the argument of sqrt or
+    log, whose ball reaches 0 raises PrecisionError.
     """
 
-    __slots__ = ("units", "digits")
+    __slots__ = ("units", "digits", "err", "scale")
 
     def __init__(self, value: "int | float | str | Fraction | FixedReal" = 0, digits: int = 30):
         check_digits(digits)
+        err = 0
         if isinstance(value, FixedReal):
-            units = _rescale(value.units, value.digits, digits)
+            units, err = _nearest(value.units * pow10(digits), value.scale)
+            err += -(-value.err * pow10(digits) // value.scale)
         elif isinstance(value, int):
             units = value * 10 ** digits
         elif isinstance(value, float):
             if not math.isfinite(value):
                 raise DomainError("cannot represent a non-finite float")
-            units = float_units(value, digits)
+            num, den = value.as_integer_ratio()
+            units, err = _nearest(num * pow10(digits), den)
         elif isinstance(value, (Fraction, str)):
             frac = Fraction(value)
-            units = _round_div(frac.numerator * 10 ** digits, frac.denominator)
+            units, err = _nearest(frac.numerator * 10 ** digits, frac.denominator)
         else:
             raise TypeError(f"cannot build FixedReal from {type(value).__name__}")
-        self.units = units
-        self.digits = digits
+        self.units, self.digits, self.err, self.scale = units, digits, err, pow10(digits)
 
     @classmethod
-    def _raw(cls, units: int, digits: int) -> "FixedReal":
+    def _raw(cls, units: int, digits: int, err: int = 0) -> "FixedReal":
         obj = object.__new__(cls)
-        obj.units = units
-        obj.digits = digits
+        obj.units, obj.digits, obj.err, obj.scale = units, digits, err, pow10(digits)
+        return obj
+
+    def _new(self, units: int, err: int) -> "FixedReal":
+        """A ball at the precision of self."""
+        obj = object.__new__(FixedReal)
+        obj.units, obj.digits, obj.err, obj.scale = units, self.digits, err, self.scale
         return obj
 
     @classmethod
     def pi(cls, digits: int) -> "FixedReal":
-        return cls._raw(pi_units(digits), digits)
+        return cls._raw(pi_units(digits), digits, 1)
 
-    @property
-    def scale(self) -> int:
-        return pow10(self.digits)
+    def ends(self) -> tuple[Fraction, Fraction]:
+        """The ball as an interval of Fractions, which holds the exact value."""
+        return (Fraction(self.units - self.err, self.scale),
+                Fraction(self.units + self.err, self.scale))
 
     def _coerce(self, other):
         if type(other) is int:
-            return FixedReal._raw(other * pow10(self.digits), self.digits)
+            return self._new(other * self.scale, 0)
         if isinstance(other, FixedReal):
             if other.digits != self.digits:
                 raise ValueError(
@@ -301,12 +319,15 @@ class FixedReal:
         return None
 
     # arithmetic -----------------------------------------------------------
+    # With centres U, V, radii e, f and exact values u, v: |uv - UV| <=
+    # |U|f + |V|e + ef, and |u/v - U/V| <= (e|V| + |U|f) / (|V|(|V| - f)) for
+    # f < |V|; a floored result adds one unit where it is inexact.
 
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FixedReal._raw(self.units + rhs.units, self.digits)
+        return self._new(self.units + rhs.units, self.err + rhs.err)
 
     __radd__ = __add__
 
@@ -314,43 +335,41 @@ class FixedReal:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FixedReal._raw(self.units - rhs.units, self.digits)
+        return self._new(self.units - rhs.units, self.err + rhs.err)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FixedReal._raw(rhs.units - self.units, self.digits)
+        return self._new(rhs.units - self.units, self.err + rhs.err)
 
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return FixedReal._raw(self.units * rhs.units // self.scale, self.digits)
+        scale = self.scale
+        u, v, e, f = self.units, rhs.units, self.err, rhs.err
+        units, rem = divmod(u * v, scale)
+        err = 1 if rem else 0
+        if e or f:
+            err -= (-abs(u) * f - abs(v) * e - e * f) // scale
+        return self._new(units, err)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if rhs.units == 0:
-            raise ZeroDivisionError("fixed-point division by zero")
-        return FixedReal._raw(self.units * self.scale // rhs.units, self.digits)
+        return NotImplemented if rhs is None else _quotient(self, rhs)
 
     def __rtruediv__(self, other):
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if self.units == 0:
-            raise ZeroDivisionError("fixed-point division by zero")
-        return FixedReal._raw(rhs.units * self.scale // self.units, self.digits)
+        return NotImplemented if rhs is None else _quotient(rhs, self)
 
     def __neg__(self):
-        return FixedReal._raw(-self.units, self.digits)
+        return self._new(-self.units, self.err)
 
     def __abs__(self):
-        return FixedReal._raw(abs(self.units), self.digits)
+        return self._new(abs(self.units), self.err)
 
     # comparisons ----------------------------------------------------------
 
@@ -380,15 +399,28 @@ class FixedReal:
         return hash(Fraction(self.units, self.scale))
 
     # elementary functions -------------------------------------------------
+    # For exact values v within e of the centre V > e: |sqrt v - sqrt V| <=
+    # e / sqrt V, |ln v - ln V| <= e / (V - e), and |atan v - atan V| <= e.
 
     def sqrt(self) -> "FixedReal":
-        return FixedReal._raw(sqrt_units(self.units, self.digits), self.digits)
+        root = sqrt_units(self.units, self.digits)
+        err = int(root * root != self.units * self.scale)
+        if self.err:
+            if not root:
+                raise PrecisionError("square root of a ball that reaches 0")
+            err += -(-self.err * self.scale // root)
+        return self._new(root, err)
 
     def atan(self) -> "FixedReal":
-        return FixedReal._raw(atan_units(self.units, self.digits), self.digits)
+        return self._new(atan_units(self.units, self.digits), self.err + 1)
 
     def log(self) -> "FixedReal":
-        return FixedReal._raw(log_units(self.units, self.digits), self.digits)
+        if 0 < self.units <= self.err:
+            raise PrecisionError("log of a ball that reaches 0")
+        units, err = _log(self.units, self.digits)
+        if self.err:
+            err += -(-self.err * self.scale // (self.units - self.err))
+        return self._new(units, err)
 
     # conversions ----------------------------------------------------------
 
@@ -406,6 +438,18 @@ class FixedReal:
 
     def __repr__(self) -> str:
         return f"FixedReal('{self.as_decimal_string()}', digits={self.digits})"
+
+
+def _quotient(num: FixedReal, den: FixedReal) -> FixedReal:
+    mag = abs(den.units)
+    if mag <= den.err:
+        if not den.err:
+            raise ZeroDivisionError("fixed-point division by zero")
+        raise PrecisionError("fixed-point division by a ball that reaches 0")
+    scale = num.scale
+    units, rem = divmod(num.units * scale, den.units)
+    spread = (num.err * mag + abs(num.units) * den.err) * scale
+    return num._new(units, -(-spread // (mag * (mag - den.err))) + (rem != 0))
 
 
 # generic dispatch: the family analysis in family.py is written once with

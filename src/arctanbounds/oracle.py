@@ -1,56 +1,56 @@
 """High-precision arctan reference and the grid-sweep verification engine.
 
 The oracle evaluates arctan in integer fixed point (argument reduction plus
-an alternating Taylor series, see :mod:`arctanbounds.fixedpoint`) with an
-absolute error far below ``10**-digits``.
+an alternating Taylor series, see :mod:`arctanbounds.fixedpoint`), as a
+ball within two units of ``10**-digits`` of arctan at the exact double.
 
-A sweep checks a catalog bound against the oracle at every grid point in
+A sweep checks a catalog bound against arctan at every grid point in
 stages, after checking that the grid's first point, its smallest, is
-positive.  Stage 1 evaluates the bound's float form and subtracts it from
-arctan in plain doubles (:mod:`arctanbounds.fastatan`, within a proven
-relative 5.25 * 2**-53 of arctan at every positive double), cached once per
-grid.  The point is settled, the inequality holding, when that margin m
-exceeds a proven error bound E: the float form's own rounding error (from
-the catalog), the error of the double arctan and the rounding of the
-subtraction, and the fixed-point path's own error, for which
-``10**(5-digits)`` is a floor.  The point is a proven violation when
-m < -E, the symmetric use of the same bound (the adaptive filter of
-Shewchuk, 1997).  A settled point gets the verdict the fixed-point path
-would give.  A violation settled so is counted at once, and its fixed-point
-bound is computed only when the report's listing is read.  Stage 1 keeps as
-minimum candidates the settled points whose margin interval m -+ 2E has its
-low end at most the lowest high end seen so far.
+positive.  Every verdict is the true one at the exact double x.  Stage 1
+evaluates the bound's float form and subtracts it from arctan in plain
+doubles (:mod:`arctanbounds.fastatan`, within a proven relative
+5.25 * 2**-53 of arctan at every positive double), cached once per grid.
+The point is settled, the inequality holding, when that margin m exceeds a
+proven error bound E: the float form's own rounding error (from the
+catalog), the error of the double arctan and the rounding of the
+subtraction.  The point is a proven violation when m < -E, the symmetric
+use of the same bound (the adaptive filter of Shewchuk, 1997).  A violation
+settled so is counted at once, and its fixed-point bound is computed only
+when the report's listing is read.  Stage 1 keeps as minimum candidates the
+settled points whose margin interval m -+ 2E has its low end at most the
+lowest high end seen so far.
 
 Where the bound touches arctan (at 0 for Shafer's 3x/(1 + 2u) and every row
 with c = d + e, the margin ~ x^5/180 at a = 1/2; at infinity for the
 a = 2/pi lower rows) o and b nearly cancel and stage 1 cannot settle the
 point, or settles it with an interval wide enough to make it a candidate.
 There stage 2 evaluates the margin directly as the row's defect series,
-exact rational coefficients rounded to doubles with a proven error bound
-(see :mod:`arctanbounds.series`), plus the same floor: ``floor / x`` for
-log-lower, whose fixed-point error grows like 1/x.  The series settles the
-point, with its interval in place of stage 1's where it is the narrower.
-Stage 3 sends every other point to the fixed-point path (``eval_bound_hp``
-at the sweep's digits, the catalog entry's closed form on FixedReal): points
+exact coefficients rounded to doubles with a proven error bound (see
+:mod:`arctanbounds.series`).  The series settles the point, with its
+interval in place of stage 1's where it is the narrower.  Stage 3 sends
+every other point to the fixed-point path (``eval_bound_hp``, the catalog
+entry's closed form on FixedReal balls, against the oracle's ball): points
 neither stage settled, among them the points where a float form or its
 error bound is not finite (x*x overflows from x = 2**512, where the shape
 and ratio forms read 0 or NaN), then the candidates whose interval could
-still reach the minimum.  The fixed-point oracle is computed at those points and at the violations
-listed, one point at a time and cached by point and digits.  So verdicts,
-violations and the minimum margin are those of a sweep that evaluates every
-point in fixed point: the minimum is taken over exact margins at every point
-whose margin interval could reach it.  On the default grid and suite 30 of the
-300,000 point checks reach fixed point, one per entry at its minimum margin.
-The default 50 sweep digits resolve every certified margin on the default
-grid with several orders to spare.  A dominance report decides the sign of
-the difference of two bounds with the stage 1 filter less its floor, the
-second bound taking the oracle's place, and gives every grid point that one
-exact verdict.  It bisects each crossover on the bit patterns of the two
+still reach the minimum.  There a point is decided where the two centres
+lie further apart than the two radii, at the sweep's digits or at twice
+them and so on (see _exact_point).  The fixed-point oracle is computed at
+those points and at the violations listed, one point at a time and cached
+by point and digits.  So verdicts are the exact ones, and min_margin lies
+within its point's two radii of the smallest exact margin.  On the default
+grid and suite 30 of the 300,000 point checks reach fixed point, one per
+entry at its minimum margin, all at 50 digits.  A dominance report decides
+the sign of the difference of two bounds with the stage 1 filter, the
+second bound taking the oracle's place, and gives every grid point that
+one verdict.  It bisects each crossover on the bit patterns of the two
 doubles, to a relative width of 1e-13 at any magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
-pi/2, so one convention cannot serve both ends of the grid).
+pi/2, so one convention cannot serve both ends of the grid).  A positive
+margin that rounds to 0.0 raises DomainError, as a bound or margin that
+overflows does, so a report is clean exactly when min_margin > 0.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import Optional
 from . import catalog as cat
 from . import fixedpoint as fp
 from .catalog import DEFAULT_DIGITS, DEFAULT_SWEEP_DIGITS
-from .errors import DomainError, ParamError
+from .errors import DomainError, ParamError, PrecisionError
 
 
 def check_digits(digits: int, what: str) -> None:
@@ -77,9 +77,10 @@ def check_digits(digits: int, what: str) -> None:
 def oracle_arctan(x: float, digits: int = DEFAULT_DIGITS) -> fp.FixedReal:
     """arctan of the exact value of the double x, to `digits` decimal digits.
 
-    The absolute error is below 10**-digits (the internal computation carries
-    ten guard digits).  Returns a FixedReal; ``float()`` it for a correctly
-    rounded double.
+    Returns a FixedReal ball of radius 2 units of 10**-digits: one for x
+    rounded to a unit (none where that is exact), one for arctan (the
+    internal computation carries ten guard digits).  ``float()`` it for a
+    correctly rounded double of the centre.
     """
     check_digits(digits, "oracle mode")
     if not math.isfinite(x):
@@ -160,18 +161,34 @@ def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
 
 
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
-                 oracle_hp: fp.FixedReal, digits: int) -> tuple[float, float, bool]:
-    """(bound, reported margin, holds) at x from the fixed-point path: the
-    bound's double, the margin as reported, and whether it is positive.
-    Raises DomainError where the bound or the margin does not fit a double."""
-    bound_hp = cat.eval_bound_hp(bound, x, a, digits=digits)
-    diff = oracle_hp.units - bound_hp.units
+                 digits: int) -> tuple[float, float, float, bool]:
+    """(bound, oracle, reported margin, holds) at x from the fixed-point
+    path, the first two the doubles of the centres, at the first of
+    `digits`, twice them and so on where the centres lie further apart than
+    the two radii; PrecisionError past catalog.MAX_DIGITS.  DomainError
+    where the bound or the margin does not fit a double."""
+    while True:
+        try:
+            bound_hp = cat.eval_bound_hp(bound, x, a, digits=digits)
+            oracle_hp = _oracle_at(x, digits)
+            diff = oracle_hp.units - bound_hp.units
+            if abs(diff) > oracle_hp.err + bound_hp.err:
+                break
+        except PrecisionError:      # x is zero units, or a radius reaches a pole
+            pass
+        if 2 * digits > cat.MAX_DIGITS:
+            raise PrecisionError(f"{bound.value} at x={x!r}: the margin is "
+                                 f"unresolved at {digits} digits")
+        digits *= 2
     if side == "upper":
         diff = -diff
     # float(FixedReal) divides the units by the scale, correctly rounded
     try:
-        margin = _reported_margin(x, diff / bound_hp.scale, float(oracle_hp))
-        return float(bound_hp), margin, diff > 0
+        oracle_f = float(oracle_hp)
+        margin = _reported_margin(x, diff / bound_hp.scale, oracle_f)
+        if diff > 0 and margin == 0.0:      # a certified margin that underflows
+            raise OverflowError
+        return float(bound_hp), oracle_f, margin, diff > 0
     except OverflowError:
         raise DomainError(f"{bound.value} at x={x!r}: the bound or its margin "
                           f"does not fit a double") from None
@@ -182,11 +199,11 @@ class SweepReport:
     """Outcome of checking one bound against the oracle over a grid.
 
     violation_at holds, in grid order, the index of every grid point with a
-    non-positive margin; the report is clean iff it is empty iff min_margin >
-    0.  violations lists (x, bound, oracle) for them, bound from the
-    fixed-point path, and violations_listed(n) the first n of them; the
-    fixed-point bound is computed when the listing is read, and only for the
-    violations listed.
+    non-positive exact margin; the report is clean iff it is empty iff
+    min_margin > 0.  violations lists (x, bound, oracle) for them, the
+    doubles of the fixed-point centres, and violations_listed(n) the first n
+    of them; the fixed-point bound is computed when the listing is read, and
+    only for the violations listed.
     escalated counts the grid points the sweep evaluated in fixed point, the
     candidates for the minimum margin included, and series the grid points
     the row's defect series settled.  min_margin is signed so that positive
@@ -218,11 +235,8 @@ class SweepReport:
         xs = self.grid.values()
         listed = []
         for i in self.violation_at[:limit]:
-            x = xs[i]
-            oracle_hp = _oracle_at(x, self.digits)
-            bound_f = _exact_point(self.bound, self.a, self.side, x, oracle_hp,
-                                   self.digits)[0]
-            listed.append((x, bound_f, float(oracle_hp)))
+            listed.append((xs[i], *_exact_point(self.bound, self.a, self.side, xs[i],
+                                                self.digits)[:2]))
         return listed
 
     @cached_property
@@ -267,35 +281,28 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     cat._check_x(xs[0])     # the smallest point; fast_atan is proven for x > 0
     oracle_f = _fast_atan_on_grid(grid)
     lower = side == "lower"
-    # E = float_error + (K + 4)u(o + |b|) + floor, K = FAST_ATAN_K: o, the
-    # double of fast_atan, is within Ku o of arctan x, and o - b rounds once,
-    # by at most u(o + |b|); floor covers the fixed-point path's own error, a
-    # few units of 10**-digits (10**-digits <= 10**-20 is far below u, so
-    # where that error grows with x or 1/x, for the cubic and log entries,
-    # their float bounds grow faster).  Where floor underflows (digits above
-    # 328) or o, b and m are subnormal, float_error is at least 2**-1072
-    # (catalog._UNDERFLOW; the log rows' far more), which covers those few
-    # units and the absolute 2**-1075 of each rounding that underflows.
+    # E = float_error + (K + 4)u(o + |b|), K = FAST_ATAN_K: o, the double of
+    # fast_atan, is within Ku o of arctan x, and o - b rounds once, by at most
+    # u(o + |b|), so m is within E of the exact margin at the double x.  Where
+    # o, b and m are subnormal, float_error is at least 2**-1072
+    # (catalog._UNDERFLOW; the log rows' far more), which covers the absolute
+    # 2**-1075 of each rounding that underflows.
     from .fastatan import FAST_ATAN_K
     k4_u = (FAST_ATAN_K + 4) * 2.0 ** -53
-    floor = 10.0 ** (5 - digits)
 
     # stage 1: settle m > E (holds) and m < -E (violated) in double.  A
-    # settled point's reported margin lies within rad = 2E of its estimate
-    # (for x > 1 both are divided by o).  The estimate m is within
-    # float_error + Ku o + u(o + |b|) + floor of the fixed-point margin, and
-    # 2E exceeds that by (K + 7)u(o + |b|) >= (K + 6)u|m|.  That covers the
-    # reported margin's three roundings (the fixed-point margin's double, the
-    # oracle's and their quotient), the division by o in place of arctan x (a
-    # relative Ku, so Ku|m|) and the two roundings of m/o - 2E/o, with u|m|
-    # to spare.  Only a point whose low end is at most the running min_high
-    # can hold the minimum, and min_high only falls.  Every bound and arctan
-    # lie below 2x near 0, so |m| > floor puts x far above the half unit
-    # below which eval_bound_hp raises, and b is finite: listing a settled
-    # violation later never raises.  Stage 2, the defect series, runs on the
-    # points stage 1 leaves unsettled or as candidates, in the series' domain;
-    # its E carries the floor and at least 18u|m| > (K + 5)u|m| as well, so
-    # the same 2E holds.
+    # settled point's exact margin as reported (for x > 1 divided by
+    # arctan x) lies within rad = 2E of its estimate (for x > 1 divided by
+    # o): 2E exceeds E by (K + 4)u(o + |b|) >= (K + 4)u|m|, which covers the
+    # division by o in place of arctan x (a relative Ku, so Ku|m|) and the
+    # three roundings of m/o -+ 2E/o, with u|m| to spare.  Only a point whose
+    # low end is at most the running min_high can hold the minimum, and
+    # min_high only falls.  A settled violation's margin is at least a
+    # subnormal step below 0, and b is finite, so listing it later resolves
+    # below catalog.MAX_DIGITS.  Stage 2, the defect series, runs on the
+    # points stage 1 leaves unsettled or as candidates, in the series'
+    # domain; its E carries at least 18u|m| > (K + 4)u|m| as well, so the
+    # same 2E holds.
     escalate = []
     violated = []
     candidates = []     # (index, lowest possible reported margin)
@@ -310,7 +317,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         o = oracle_f[i]
         b = fn(x)
         m = o - b if lower else b - o
-        e = float_error(x, b) + k4_u * (o + abs(b)) + floor
+        e = float_error(x, b) + k4_u * (o + abs(b))
         scale = o if x > 1.0 else 1.0
         if m > e or m < -e:
             if m / scale - 2 * e / scale > min_high:    # settled, not a candidate
@@ -318,7 +325,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
                     violated.append(i)
                 continue
         if series_lo <= x <= series_hi:
-            m_s, e_s = series.margin(x, floor)
+            m_s, e_s = series.margin(x)
             if (m_s > e_s or m_s < -e_s) and not e_s >= e:
                 m, e = m_s, e_s
                 settled_by_series += 1
@@ -337,8 +344,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     # candidates whose reported margin could still be the smallest
     exact = {}
     for i in escalate:
-        _, margin, holds = _exact_point(bound, a, side, xs[i], _oracle_at(xs[i], digits),
-                                        digits)
+        _, _, margin, holds = _exact_point(bound, a, side, xs[i], digits)
         exact[i] = margin
         if not holds:
             violated.append(i)
@@ -346,8 +352,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
             min_high = margin
     for i, low in candidates:
         if low <= min_high:
-            exact[i] = _exact_point(bound, a, side, xs[i], _oracle_at(xs[i], digits),
-                                    digits)[1]
+            exact[i] = _exact_point(bound, a, side, xs[i], digits)[2]
 
     min_margin = math.inf
     min_x = xs[0]
@@ -436,9 +441,9 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     """Partition the grid by which of two same-side bounds is tighter.
 
     sign_at(x) gives every verdict and every bisection step: +1 if A is
-    strictly tighter, -1 if B is, 0 on an exact fixed-point tie.  It settles
-    the sign in double past sweep's threshold without its floor, the second
-    bound taking the oracle's place; unsettled margins and non-finite values
+    strictly tighter, -1 if B is, 0 on a tie of the fixed-point centres.  It
+    settles the sign in double past sweep's threshold, the second bound
+    taking the oracle's place; unsettled margins and non-finite values
     or error bounds (whose comparison is false) go to eval_bound_hp.  The
     grid's first point, its smallest, must be positive.
     Crossovers are bisected between adjacent non-tied points that flip.
@@ -465,8 +470,7 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
         # fa and fb are float forms at the same double x, each within its
         # proven error bound of the exact bound, and 4u(|fa| + |fb|) covers
         # the rounding of d (exact where d is subnormal): past this, d has the
-        # exact sign of A(x) - B(x), and as no fixed-point value enters
-        # (unlike sweep) no floor is due.
+        # exact sign of A(x) - B(x).
         if abs(d) > error_a(x, fa) + error_b(x, fb) + four_u * (abs(fa) + abs(fb)):
             return tighter if d > 0 else -tighter
         escalated += 1

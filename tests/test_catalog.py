@@ -164,12 +164,49 @@ class TestEvalBound:
                               digits=430 + 2 * math.ceil(math.log10(x)))
         assert eval_bound(B.REVERSED_LOWER, x, a) == float(exact) > 0.0
 
+    def test_huge_parameter_takes_five_passes(self, monkeypatch):
+        # 30, 60, 120, 240 and 480 digits: the value, ~1.6e-300, is zero
+        # units until the last; a pass that added the shortfall took ten
+        digits = []
+        evaluate = catalog.eval_bound_hp
+
+        def counted(bound, x, a=None, **kwargs):
+            digits.append(kwargs["digits"])
+            return evaluate(bound, x, a, **kwargs)
+
+        monkeypatch.setattr(catalog, "eval_bound_hp", counted)
+        assert eval_bound(B.REVERSED_LOWER, 1.0, 1e300) > 0.0
+        assert digits == [30, 60, 120, 240, 480]
+
     def test_tiny_and_huge_x_keep_their_values(self):
         # where x*x underflows or overflows in double, the value is still the
         # bound's, neither 0 nor nan
         for x in _TINY_AND_HUGE_XS:
             assert eval_bound(B.FAMILY_UPPER, x, 0.25) > 0.0
             assert eval_bound(B.LOG_LOWER, x) < 1.0
+
+
+#: Doubles from 2**-166, the binade where 50 digits first give x units, to
+#: DBL_MAX, by their bit patterns: exponent field, then mantissa, so that
+#: every binade is drawn alike.
+_DOUBLES = st.tuples(st.integers(1023 - 166, 2046), st.integers(0, 2 ** 52 - 1)).map(
+    lambda fields: _from_bits(fields[0] << 52 | fields[1]))
+
+
+@given(_DOUBLES)
+@settings(max_examples=60, deadline=None)
+def test_ball_holds_the_bound(x):
+    # eval_bound_hp at 50 digits, -+ its radius, holds the value at
+    # 120 + 2*ceil(|log10 x|) digits, for every suite entry
+    fine = 120 + 2 * math.ceil(abs(math.log10(x)))
+    for bound, a in _suite_entries("all"):
+        try:
+            ball = eval_bound_hp(bound, x, a, digits=50)
+        except PrecisionError:      # the radii reach a pole of the form
+            continue
+        value = eval_bound_hp(bound, x, a, digits=fine)
+        off = abs(value.units - ball.units * 10 ** (fine - 50))
+        assert off <= ball.err * 10 ** (fine - 50) - value.err, (bound, a, x)
 
 
 class TestExactSpecialCases:

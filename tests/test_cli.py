@@ -181,9 +181,11 @@ class TestErrors:
 
     def test_extreme_verify_grids_map_to_exit_2(self, capsys):
         base = ["verify", "--suite", "fixed", "--grid-max", "1e300", "--grid-points", "200"]
+        # Shafer's certified margin at x = 1e-300, ~x**5/180, rounds to 0.0
+        # in a double
         code, out, err = run(capsys, base + ["--grid-min", "1e-300"])
         assert code == 2 and out == ""
-        assert "PrecisionError" in err
+        assert "DomainError" in err and "shafer-lower at x=1e-300" in err
         # cubic-lower's bound -x^3/3 does not fit a double above ~1e103
         code, out, err = run(capsys, base + ["--grid-min", "1e-40"])
         assert code == 2 and out == ""
@@ -510,6 +512,43 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json"])
         assert code == 0
         assert out.encode("utf-8") == VERIFY_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("digits", ["20", "30"])
+    def test_fewer_digits_keep_the_golden_verdicts(self, capsys, digits):
+        # margins within the radii at the starting digits are evaluated again
+        # at more digits, so 20 and 30 give the golden's verdicts and minimum
+        # points (at 30 digits family-lower[a=0.5] once read 449 violations)
+        code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json",
+                                    "--digits", digits])
+        assert code == 0
+        rows = [[e["bound"], e["a"], e["status"], e["violation_count"], e["min_margin_x"]]
+                for e in strict_json(out)["results"]]
+        golden = [[e["bound"], e["a"], e["status"], e["violation_count"], e["min_margin_x"]]
+                  for e in json.loads(VERIFY_GOLDEN.read_text(encoding="utf-8"))["results"]]
+        assert rows == golden
+
+    def test_family_suite_at_thirty_digits(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "family", "--digits", "30",
+                                    "--format", "json", "--stats"])
+        assert code == 0
+        payload = strict_json(out)
+        entry = next(e for e in payload["results"]
+                     if e["bound"] == "family-lower" and e["a"] == 0.5)
+        assert entry["status"] == "ok" and entry["min_margin"] > 0
+        assert payload["stats"]["escalated"] == 20
+
+    def test_tiny_to_large_grid(self, capsys):
+        # x = 1e-60 is zero units at 50 digits; such points are evaluated
+        # again at more digits
+        code, out, _ = run(capsys, ["verify", "--suite", "all", "--grid-min", "1e-60",
+                                    "--grid-max", "1e100", "--grid-points", "200",
+                                    "--format", "json"])
+        assert code == 0
+        for entry in strict_json(out)["results"]:
+            if entry["trusted"]:
+                assert entry["status"] == "ok" and entry["min_margin"] > 0, entry["bound"]
+            else:
+                assert entry["status"] == "known-errata-confirmed"
 
     def test_fixed_suite_subset(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "fixed",

@@ -233,20 +233,23 @@ class TestInteriorMinimum:
         assert res.value <= math.pi / 2
 
     def test_gap_error_bound(self):
-        # the fixed-point gap at d digits lies within _GAP_ERROR_UNITS of the
-        # gap at 3d, over the regime and the whole bracketing range
+        # the fixed-point gap's ball at d digits meets the gap's ball at 3d,
+        # over the regime and the whole bracketing range, and its radius
+        # stays within the 12 units a hand-derived lemma once gave it
         rng = random.Random(20261018)
         for _ in range(300):
             a = rng.uniform(0.5, TWO_OVER_PI)
             x = 10 ** rng.uniform(-8, 16)
             d = rng.choice([20, 30, 60])
-            g = stationarity_gap(FixedReal(a, d), FixedReal(x, d)).units
-            fine = stationarity_gap(FixedReal(a, 3 * d), FixedReal(x, 3 * d)).units
-            assert abs(g * 10 ** (2 * d) - fine) <= family._GAP_ERROR_UNITS * 10 ** (2 * d)
+            g = stationarity_gap(FixedReal(a, d), FixedReal(x, d))
+            fine = stationarity_gap(FixedReal(a, 3 * d), FixedReal(x, 3 * d))
+            assert (abs(g.units * 10 ** (2 * d) - fine.units)
+                    <= g.err * 10 ** (2 * d) + fine.err)
+            assert g.err <= 12
 
     def test_unresolved_sign_raises(self, monkeypatch):
-        # at a = 1/2 + 1e-9 the last bisection steps meet gaps below the
-        # 12-unit bound at 30 digits, and the cap allows no more
+        # at a = 1/2 + 1e-9 the last bisection steps meet gaps within their
+        # radius at 30 digits, and the cap allows no more
         monkeypatch.setattr(family, "_GAP_MAX_DIGITS", family._GAP_DIGITS)
         with pytest.raises(PrecisionError):
             find_interior_minimum(0.5 + 1e-9)

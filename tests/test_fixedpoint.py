@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arctanbounds import fixedpoint as fp
-from arctanbounds.errors import DomainError
+from arctanbounds.errors import DomainError, PrecisionError
 from arctanbounds.fixedpoint import FixedReal
 
 # 50-digit references, independent of the code under test
@@ -255,19 +255,19 @@ class TestAtanTableReduction:
     @pytest.mark.parametrize("digits", [20, 30, 50, 100, 320])
     def test_units_match_halving_reference(self, digits):
         for x in _table_reduction_points():
-            x_units = fp.float_units(x, digits)
+            x_units = FixedReal(x, digits).units
             assert fp.atan_units(x_units, digits) == reference_atan_units(x_units, digits), x
 
     def test_pi_matches_reference(self):
         for digits in range(1, 331):
             assert fp.pi_units(digits) == reference_pi_units(digits), digits
 
-    def test_pi_bracket_holds_pi(self):
-        # the catalog's regime proof reads it at 30 digits and the defect
-        # series at 50; pi here is the halving reference's at 100 digits
-        pi = Fraction(reference_pi_units(100), 10 ** 100)
-        for digits in (30, 50):
-            lo, hi = fp.pi_bracket(digits)
+    def test_pi_ball_holds_pi(self):
+        # the catalog's regime proof reads its ends at 30 digits and the
+        # defect series at 100; pi here is the halving reference's at 130
+        pi = Fraction(reference_pi_units(130), 10 ** 130)
+        for digits in (20, 30, 50, 100):
+            lo, hi = FixedReal.pi(digits).ends()
             assert lo < pi < hi and hi - lo == Fraction(2, 10 ** digits), digits
 
 
@@ -315,7 +315,7 @@ class TestLogSeries:
     def test_units_match_atanh_reference(self, digits):
         checked = 0
         for y in _log_points():
-            y_units = fp.float_units(y, digits)
+            y_units = FixedReal(y, digits).units
             if y_units > 0:
                 assert fp.log_units(y_units, digits) == reference_log_units(y_units, digits), y
                 checked += 1
@@ -344,3 +344,120 @@ class TestLog:
             FixedReal(0, 30).log()
         with pytest.raises(DomainError):
             FixedReal(-2, 30).log()
+
+
+def _ball_operands(digits: int) -> list[tuple[FixedReal, Fraction]]:
+    """(ball, exact value) pairs: seeded doubles of both signs over 1e-5 to
+    1e5, Fractions, and dyadic Fractions that enter exactly, as fresh balls,
+    and the same as balls carrying radii from two earlier operations."""
+    rng = random.Random(f"balls-{digits}")
+    values = [rng.choice((-1, 1)) * 10 ** rng.uniform(-5, 5) for _ in range(40)]
+    values += [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(20)]
+    values += [Fraction(rng.randint(1, 999), 2 ** rng.randint(0, 12)) for _ in range(20)]
+    fresh = [(FixedReal(v, digits), Fraction(v)) for v in values]
+    return fresh + [(b * 3 / 7 + b, e * 3 / 7 + e) for b, e in fresh]
+
+
+def _round_fraction(value: Fraction, digits: int) -> int:
+    return round(value * 10 ** digits)
+
+
+class TestBallRadius:
+    """Each rule's ball holds the exact value, and for some operands the
+    exact value lies outside the ball shrunk by one unit, so no rule's
+    radius can lose a unit.  Exact values are Fractions, or for sqrt, log,
+    arctan and pi independent references 40 digits finer."""
+
+    @staticmethod
+    def check(pairs, slack=Fraction(0)):
+        needed = False
+        for ball, exact in pairs:
+            off = abs(exact - ball.as_fraction()) * ball.scale
+            assert off + slack * ball.scale <= ball.err, (ball, ball.err, exact)
+            needed = needed or off - slack * ball.scale > ball.err - 1
+        assert needed
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_construction(self, digits):
+        rng = random.Random(f"construct-{digits}")
+        doubles = [10 ** rng.uniform(-30, 30) for _ in range(50)] + [0.5, 3.0, 1e-25]
+        fractions = [Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9))
+                     for _ in range(50)]
+        pairs = [(FixedReal(v, digits), Fraction(v)) for v in doubles]
+        pairs += [(FixedReal(q, digits), q) for q in fractions]
+        pairs += [(FixedReal(str(v), digits), Fraction(str(v))) for v in doubles]
+        # rescaled balls, from finer and to finer digits
+        pairs += [(FixedReal(FixedReal(q, digits + 7), digits), q) for q in fractions]
+        pairs += [(FixedReal(b, digits + 5), e) for b, e in _ball_operands(digits)]
+        self.check(pairs)
+        assert FixedReal(3, digits).err == FixedReal(0.5, digits).err == 0
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_add_subtract_and_negate(self, digits):
+        ops = _ball_operands(digits)
+        pairs = [(b + c, e + f) for (b, e), (c, f) in zip(ops, ops[1:])]
+        pairs += [(b - c, e - f) for (b, e), (c, f) in zip(ops, ops[3:])]
+        pairs += [(7 - b, 7 - e) for b, e in ops] + [(b + 0.1, e + Fraction(0.1)) for b, e in ops]
+        pairs += [(-b, -e) for b, e in ops]
+        self.check(pairs)
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_multiply(self, digits):
+        ops = _ball_operands(digits)
+        pairs = [(b * c, e * f) for (b, e), (c, f) in zip(ops, ops[1:])]
+        pairs += [(b * b, e * e) for b, e in ops] + [(-3 * b, -3 * e) for b, e in ops]
+        self.check(pairs)
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_divide(self, digits):
+        ops = _ball_operands(digits)
+        pairs = [(b / c, e / f) for (b, e), (c, f) in zip(ops, ops[1:])]
+        pairs += [(1 / b, 1 / e) for b, e in ops] + [(b / 3, e / 3) for b, e in ops]
+        self.check(pairs)
+
+    def test_divisor_reaching_zero_raises(self):
+        with pytest.raises(PrecisionError):
+            FixedReal(1, 30) / FixedReal._raw(2, 30, 2)
+        with pytest.raises(ZeroDivisionError):
+            FixedReal(1, 30) / FixedReal._raw(0, 30, 0)
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_sqrt(self, digits):
+        # exactly, by squares: sqrt(e) lies in [lo, hi] iff lo^2 <= e <= hi^2
+        def within(ball, e, radius):
+            lo, hi = (Fraction(ball.units + s * radius, ball.scale) for s in (-1, 1))
+            return radius >= 0 and max(lo, 0) ** 2 <= e <= hi ** 2
+
+        needed = False
+        for b, e in _ball_operands(digits):
+            root = abs(b).sqrt()
+            assert within(root, abs(e), root.err), (b, e)
+            needed = needed or not within(root, abs(e), root.err - 1)
+        assert needed
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_log(self, digits):
+        fine = digits + 40
+        pairs = []
+        for b, e in _ball_operands(digits):
+            b, e = abs(b), abs(e)
+            if b.units > b.err:
+                ref = reference_log_units(_round_fraction(e, fine), fine)
+                pairs.append((b.log(), Fraction(ref, 10 ** fine)))
+        self.check(pairs, slack=Fraction(10 ** 10, 10 ** fine))
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_atan_and_the_oracle(self, digits):
+        fine = digits + 40
+        pairs = []
+        for b, e in _ball_operands(digits):
+            ref = reference_atan_units(_round_fraction(e, fine), fine)
+            pairs.append((b.atan(), Fraction(ref, 10 ** fine)))
+        self.check(pairs, slack=Fraction(3, 10 ** fine))
+        # the oracle's radius: a unit for rounding x, unless exact, and one for arctan
+        assert [FixedReal(x, digits).atan().err for x in (0.1, 0.5, 3.0, 1e-7)] == [2, 1, 1, 2]
+
+    def test_pi(self):
+        pairs = [(FixedReal.pi(d), Fraction(reference_pi_units(d + 40), 10 ** (d + 40)))
+                 for d in range(1, 120)]
+        self.check(pairs, slack=Fraction(1, 10 ** 150))

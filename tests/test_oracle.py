@@ -179,38 +179,98 @@ def reference_sweep(bound, a, grid, digits, oracle):
     return violations, min_margin, min_x
 
 
+def resolving_digits(x: float) -> int:
+    """Digits at which every suite entry's margin at x is many radii wide:
+    the thinnest margins are ~x**5/180 near 0 and ~1/x**2 near infinity.  A
+    power of two, so that few arctan tables are built."""
+    e = math.floor(math.log10(x))
+    return 1 << (39 + (-6 * e if e < 0 else 2 * e)).bit_length()
+
+
+def resolved_sweep(bound, a, grid, oracle):
+    """Every grid point through the fixed-point path at resolving_digits(x),
+    with `oracle` its oracle values there, each margin more than 10**6 times
+    the two radii: (violation indices, min margin, min_margin_x) of the
+    exact margins.  OverflowError where the sweep raises DomainError: a bound
+    that does not fit a double, or a smallest margin that is positive and
+    rounds to 0.0."""
+    side = bound_side(bound)
+    violations, margins = [], []
+    for i, x in enumerate(grid.values()):
+        oracle_hp = oracle[x]
+        bound_hp = eval_bound_hp(bound, x, a, digits=oracle_hp.digits)
+        diff = oracle_hp.units - bound_hp.units
+        if side == "upper":
+            diff = -diff
+        assert abs(diff) > 10 ** 6 * (oracle_hp.err + bound_hp.err), (bound, a, x)
+        float(bound_hp)
+        margin = diff / bound_hp.scale
+        margins.append(margin if x <= 1.0 else margin / float(oracle_hp))
+        if diff < 0:
+            violations.append(i)
+    min_margin = min(margins)
+    if min_margin == 0.0 and not violations:
+        raise OverflowError("the smallest margin rounds to 0.0")
+    return violations, min_margin, grid.values()[margins.index(min_margin)]
+
+
+def certified_radius(bound, a, x, digits):
+    """The two radii, as a reported margin, where the sweep decides x: at
+    `digits` or at twice them and so on, past the radii."""
+    while True:
+        try:
+            bound_hp = eval_bound_hp(bound, x, a, digits=digits)
+            oracle_hp = oracle_arctan(x, digits)
+            if abs(oracle_hp.units - bound_hp.units) > oracle_hp.err + bound_hp.err:
+                radius = (oracle_hp.err + bound_hp.err) / 10 ** digits
+                return radius if x <= 1.0 else radius / float(oracle_hp)
+        except PrecisionError:
+            pass
+        digits *= 2
+
+
 WIDE_GRID = GridSpec(1e-8, 1e8, 2000, "log")
-#: (grid, digits, most escalated share allowed)
+#: (grid, digits, most escalated share allowed, against resolved_sweep).
+#: Where a margin lies within a unit of 10**-digits, reference_sweep at the
+#: sweep's digits reads it as a violation; those cases are checked against
+#: resolved_sweep instead: the same verdicts and min_margin_x, and
+#: min_margin within the radii where the sweep decided it.
 FILTER_CASES = [
-    (WIDE_GRID, 20, 0.3),
-    (WIDE_GRID, 30, 0.3),
-    (WIDE_GRID, 50, 0.3),
-    # x rounds to zero units at 1e-300, so every entry raises PrecisionError
-    (GridSpec(1e-300, 1e300, 200, "log"), 50, 1.0),
-    # past the float forms' range guard, and x*x overflow above ~1.3e154; the
-    # fixed-point path reports resolution artifacts as violations out there,
-    # every violation escalates, and cubic-lower's bound overflows a double
-    (GridSpec(1e-40, 1e300, 200, "log"), 50, 1.0),
+    (WIDE_GRID, 20, 0.3, True),
+    (WIDE_GRID, 30, 0.3, True),
+    (WIDE_GRID, 50, 0.3, False),
+    # x = 1e-300 is zero units at 50 digits; where a certified margin rounds
+    # to 0.0 in a double, the sweep raises DomainError
+    (GridSpec(1e-300, 1e300, 200, "log"), 50, 1.0, True),
+    # past the float forms' range guard, and x*x overflow above ~1.3e154;
+    # cubic-lower's bound overflows a double
+    (GridSpec(1e-40, 1e300, 200, "log"), 50, 1.0, True),
     # margins a few ulps apart, so only exact values can order them
-    (GridSpec(0.5, 0.5 * (1 + 1e-14), 40, "linear"), 50, 1.0),
-    (GridSpec(1e3, 1e3 * (1 + 1e-14), 40, "linear"), 50, 1.0),
+    (GridSpec(0.5, 0.5 * (1 + 1e-14), 40, "linear"), 50, 1.0, False),
+    (GridSpec(1e3, 1e3 * (1 + 1e-14), 40, "linear"), 50, 1.0, False),
 ]
 
 
 class TestFilteredSweepMatchesReference:
-    @pytest.mark.parametrize("grid,digits,max_share", FILTER_CASES,
+    @pytest.mark.parametrize("grid,digits,max_share,resolved", FILTER_CASES,
                              ids=["wide-20", "wide-30", "wide-50", "extreme-50",
                                   "huge-50", "near-ties-0.5", "near-ties-1e3"])
-    def test_every_suite_entry(self, grid, digits, max_share):
-        oracle = [oracle_arctan(x, digits) for x in grid.values()]
+    def test_every_suite_entry(self, grid, digits, max_share, resolved):
+        if resolved:
+            oracle = {x: oracle_arctan(x, resolving_digits(x)) for x in grid.values()}
+        else:
+            oracle = [oracle_arctan(x, digits) for x in grid.values()]
         escalated = 0
         for bound, a in _suite_entries("all"):
             try:
-                expected = reference_sweep(bound, a, grid, digits, oracle)
+                if resolved:
+                    expected = resolved_sweep(bound, a, grid, oracle)
+                else:
+                    expected = reference_sweep(bound, a, grid, digits, oracle)
             except (ArithmeticError, ArctanBoundsError) as exc:
                 # the fixed-point path fails where x rounds to zero units
-                # (PrecisionError) or the bound overflows a double (a bare
-                # OverflowError here); the sweep raises a package error
+                # (PrecisionError) or a bound or margin does not fit a double
+                # (OverflowError here); the sweep raises a package error
                 if isinstance(exc, ArctanBoundsError):
                     with pytest.raises(type(exc), match=re.escape(str(exc))):
                         sweep(bound, a=a, grid=grid, digits=digits)
@@ -220,6 +280,13 @@ class TestFilteredSweepMatchesReference:
                 continue
             violations, min_margin, min_x = expected
             report = sweep(bound, a=a, grid=grid, digits=digits)
+            escalated += report.escalated
+            if resolved:
+                assert list(report.violation_at) == violations, (bound, a)
+                assert report.min_margin_x == min_x, (bound, a)
+                assert abs(report.min_margin - min_margin) <= (
+                    certified_radius(bound, a, min_x, digits) + 4 * math.ulp(min_margin))
+                continue
             reference = report.to_json_dict()
             reference.update(
                 violations=[{"x": x, "bound": b, "oracle": o} for x, b, o in violations],
@@ -227,7 +294,6 @@ class TestFilteredSweepMatchesReference:
                 min_margin_x=min_x, ok=not violations)
             assert report.to_json_dict() == reference, (bound, a)
             assert report.violations == violations, (bound, a)
-            escalated += report.escalated
         assert escalated <= max_share * grid.points * len(_suite_entries("all"))
 
 
@@ -263,14 +329,15 @@ class TestSettledViolations:
         # the sweeps' own fixed-point points, and at most the 25 listed
         assert len(fixed_point_calls) <= payload["stats"]["escalated"] + 25
 
-    def test_zero_units_raise_inside_sweep(self):
+    def test_tiny_x_resolves_inside_sweep(self):
+        # x = 1e-60 is zero units at 50 digits: the sweep evaluates such a
+        # point again at more digits, and the listing reads those values
         grid = GridSpec(1e-60, 1.0, 200, "log")
-        oracle = [oracle_arctan(x, 50) for x in grid.values()]
-        bound = BoundId.TWO_OVER_PI_LOWER_ERRATA
-        with pytest.raises(PrecisionError) as expected:
-            reference_sweep(bound, None, grid, 50, oracle)
-        with pytest.raises(PrecisionError, match=re.escape(str(expected.value))):
-            sweep(bound, grid=grid, digits=50)
+        report = sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, grid=grid, digits=50)
+        assert report.violation_count == grid.points
+        x, bound, oracle = report.violations_listed(1)[0]
+        assert x == 1e-60 and oracle == float(oracle_arctan(x, 200))
+        assert bound == float(eval_bound_hp(BoundId.TWO_OVER_PI_LOWER_ERRATA, x, digits=200))
 
 
 def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
@@ -481,6 +548,49 @@ class TestDominance:
         assert json.loads(json.dumps(payload)) == payload
         assert set(payload["counts"]) == {"a_tighter", "b_tighter", "equal"}
         assert "strict_sign_counts" not in payload
+
+
+class TestExactPoint:
+    """The fixed-point path decides a point only where the centres of the
+    bound and the oracle lie further apart than their two radii."""
+
+    @pytest.mark.parametrize("gap,digits_seen", [(0, [50, 100]), (1, [50])])
+    def test_decides_only_past_both_radii(self, monkeypatch, gap, digits_seen):
+        # a bound 3 units wide whose centre lies the two radii (plus `gap`
+        # units) below the oracle's at 50 digits, and far below it at 100
+        from arctanbounds import oracle as orc
+        from arctanbounds.fixedpoint import FixedReal
+        seen = []
+
+        def ball(bound, x, a=None, digits=50):
+            seen.append(digits)
+            o = oracle_arctan(x, digits)
+            below = o.err + 3 + gap if digits == 50 else 10 ** (digits - 10)
+            return FixedReal._raw(o.units - below, digits, 3)
+
+        monkeypatch.setattr(arctanbounds.catalog, "eval_bound_hp", ball)
+        holds = orc._exact_point(BoundId.SHAFER_LOWER, None, "lower", 0.5, 50)[3]
+        assert holds and seen == digits_seen
+
+    def test_unresolved_past_the_cap_raises(self, monkeypatch):
+        from arctanbounds import oracle as orc
+        from arctanbounds.fixedpoint import FixedReal
+        seen = []
+
+        def ball(bound, x, a=None, digits=50):
+            seen.append(digits)
+            return FixedReal._raw(oracle_arctan(x, digits).units, digits, 1)
+
+        monkeypatch.setattr(arctanbounds.catalog, "eval_bound_hp", ball)
+        with pytest.raises(PrecisionError, match="unresolved at 3200 digits"):
+            orc._exact_point(BoundId.SHAFER_LOWER, None, "lower", 0.5, 50)
+        assert seen == [50, 100, 200, 400, 800, 1600, 3200]
+
+    def test_family_upper_to_1e300(self):
+        # the true margins out there are ~1e-53 and below; at 50 digits their
+        # fixed-point values once read as 147 violations
+        report = sweep(BoundId.FAMILY_UPPER, 0.1, GridSpec(1e-40, 1e300, 200, "log"))
+        assert report.ok and report.min_margin > 0
 
 
 class TestFamilySweepMatrix:

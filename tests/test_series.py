@@ -61,21 +61,20 @@ def misses(evaluator, rows):
     """The points whose exact margin lies outside the series' interval,
     compared exactly, with no slack."""
     for x, exact in rows:
-        m, e = evaluator.margin(x, 0.0)
+        m, e = evaluator.margin(x)
         if abs(exact - Fraction(m)) > Fraction(e):
             yield x
 
 
 def mutated(bound, a, k, shift=Fraction(0), tail=None):
-    """The row's evaluator with coefficient k moved by `shift`, or with the
-    tail constant replaced."""
+    """The row's evaluator with coefficient k's ball moved by `shift`, or
+    with the tail constant replaced."""
     series = ser.defect_series(bound, a)
     coefficients = list(series.coefficients)
-    c = coefficients[k]
-    coefficients[k] = ser._Interval(c.lo + shift, c.hi + shift)
+    coefficients[k] = coefficients[k] + shift
     series = series._replace(coefficients=tuple(coefficients),
                              tail=series.tail if tail is None else tail)
-    return ser.evaluator(series, floor_over_x=bound is BoundId.LOG_LOWER)
+    return ser.evaluator(series)
 
 
 def test_rows_with_series():
@@ -113,18 +112,19 @@ def test_leading_coefficient_off_fails(exact_margins):
     for (bound, a), rows in exact_margins.items():
         series = ser.defect_series(bound, a)
         k = next(k for k, c in enumerate(series.coefficients)
-                 if not c.contains_zero() and abs(c.lo) > 2.0 ** -20)
-        lead = float(series.coefficients[k].lo)
+                 if not ser._has_zero(c) and abs(c.ends()[0]) > 2.0 ** -20)
+        lead = float(series.coefficients[k].ends()[0])
         shift = Fraction(64 * math.ulp(lead))
         assert any(misses(mutated(bound, a, k, shift=shift), rows)), (bound, a)
 
 
-def test_log_lower_floor_grows_like_one_over_x():
-    evaluator = ser.margin_evaluator(BoundId.LOG_LOWER, None)
-    shafer = ser.margin_evaluator(BoundId.SHAFER_LOWER, None)
-    x, floor = 1e-8, 1e-45
-    assert evaluator.margin(x, floor)[1] >= floor / x
-    assert shafer.margin(x, floor)[1] - shafer.margin(x, 0.0)[1] == floor
+def test_log_lower_radius_grows_like_one_over_x():
+    # log-lower's fixed-point form divides a log good to a unit by 2x, so its
+    # radius grows like 1/x, while Shafer's stays a few units
+    for x in (1e-4, 1e-8):
+        radius = eval_bound_hp(BoundId.LOG_LOWER, x, digits=50).err
+        assert 0.5 / x <= radius <= 4 / x
+        assert eval_bound_hp(BoundId.SHAFER_LOWER, x, digits=50).err <= 4
 
 
 def test_domains():
@@ -136,19 +136,21 @@ def test_domains():
     assert ser.margin_evaluator(BoundId.TWO_OVER_PI_LOWER_ERRATA, None) is None
 
 
-def test_pi_rows_lead_with_intervals_about_zero():
+def test_pi_rows_lead_with_balls_about_zero():
     for bound, a in [(BoundId.TWO_OVER_PI_UPPER, None), (BoundId.TWO_OVER_PI_LOWER, None)]:
-        lead = ser.defect_series(bound, a).coefficients[0]
-        assert lead.lo < 0 < lead.hi and lead.hi - lead.lo < Fraction(1, 10 ** 48)
-    # rows without pi have exact points
-    for c in ser.defect_series(BoundId.FAMILY_LOWER, 0.1).coefficients:
-        assert c.lo == c.hi
-    assert ser.defect_series(BoundId.SHAFER_LOWER, None).coefficients[2].lo == Fraction(1, 180)
+        lo, hi = ser.defect_series(bound, a).coefficients[0].ends()
+        assert lo < 0 < hi and hi - lo < Fraction(1, 10 ** 98)
+    # every ball is under a hundred units of 1e-100 wide
+    for bound, a in [(BoundId.FAMILY_LOWER, 0.1), (BoundId.SHAFER_LOWER, None)]:
+        for c in ser.defect_series(bound, a).coefficients:
+            assert c.digits == 100 and c.err < 100
+    lo, hi = ser.defect_series(BoundId.SHAFER_LOWER, None).coefficients[2].ends()
+    assert lo <= Fraction(1, 180) <= hi
 
 
 def test_nothing_built_at_import():
     code = ("import arctanbounds, arctanbounds.series as s, arctanbounds.fixedpoint as fp;"
-            "print(s.defect_series.cache_info().currsize, fp.pi_bracket.cache_info().currsize,"
+            "print(s.defect_series.cache_info().currsize, fp._atan_table.cache_info().currsize,"
             " fp.pi_units.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout

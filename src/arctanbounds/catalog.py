@@ -85,30 +85,38 @@ class BoundId(Enum):
     TWO_OVER_PI_LOWER_ERRATA = "two-over-pi-lower-errata"  # pi^2 x / (2 + 2*pi*u): NOT a bound
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """A certified two-sided bracket for arctan at a point."""
+class Enclosure(NamedTuple("_Ends", [("lower", float), ("upper", float)])):
+    """A certified two-sided bracket for arctan at a point: an immutable
+    named pair of finite doubles, lower <= upper, equal to the plain tuple."""
 
-    lower: float
-    upper: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ParamError(f"inverted enclosure: {self.lower} > {self.upper}")
+    def __new__(cls, lower: float, upper: float):
+        if not -math.inf < lower <= upper < math.inf:
+            raise ParamError(f"inverted or non-finite enclosure: {lower!r}, {upper!r}")
+        return tuple.__new__(cls, (lower, upper))
+
+    _make = classmethod(lambda cls, ends: cls(*ends))     # so _replace checks too
 
     @property
     def half_width(self) -> float:
         """(upper - lower) / 2 rounded up, so never below the true half width
-        (halving one subnormal step rounds to 0)."""
-        half = 0.5 * (self.upper - self.lower)
-        if Fraction(half) < (Fraction(self.upper) - Fraction(self.lower)) / 2:
+        (halving one subnormal step rounds to 0); halved first where the
+        difference overflows."""
+        lower, upper = self
+        diff = upper - lower
+        half = 0.5 * diff if diff < math.inf else 0.5 * upper - 0.5 * lower
+        if Fraction(half) < (Fraction(upper) - Fraction(lower)) / 2:
             half = math.nextafter(half, math.inf)
         return half
 
     @property
     def midpoint(self) -> float:
-        """The double nearest (lower + upper) / 2, inside [lower, upper]."""
-        return 0.5 * (self.lower + self.upper)
+        """The double nearest (lower + upper) / 2, inside [lower, upper];
+        halved first where the sum overflows."""
+        lower, upper = self
+        mid = 0.5 * (lower + upper)
+        return mid if abs(mid) < math.inf else 0.5 * lower + 0.5 * upper
 
 
 # The shape rows are the six family rows, Shafer's 3x/(1+2u) and the
@@ -500,6 +508,27 @@ def classify_regime(a: float) -> Regime:
     return prove_regime(a).regime
 
 
+def _ends(a: float, x: float, u: float) -> tuple[float, float]:
+    """The outward-rounded family ends at parameter a, for a double x > 0
+    and u = hypot(1, x); ParamError for an a without a two-sided bracket."""
+    if not math.isfinite(a):
+        raise ParamError("family parameter must be finite")
+    # FAMILY_RANGE and REVERSED_RANGE, inline: this is the kernel's hot path
+    if 0.0 <= a <= 0.5:
+        c_lo, c_hi = 1.0 + a, _HALF_PI
+    elif a >= TWO_OVER_PI:
+        c_lo, c_hi = _HALF_PI, 1.0 + a
+    else:
+        raise ParamError(
+            f"no two-sided enclosure for a={a!r}; need 0 <= a <= 1/2 or a >= 2/pi")
+    if x < _TINY:
+        return math.nextafter(x, 0.0), x
+    q = x / (a + u)
+    if q < 2.0 ** -1022:
+        return 0.0, x
+    return c_lo * q * _DOWN, c_hi * q * _UP
+
+
 def enclosure(a: float, x: float) -> Enclosure:
     """Two-sided family enclosure of arctan x at parameter a, rounded outward.
 
@@ -511,30 +540,25 @@ def enclosure(a: float, x: float) -> Enclosure:
     or negative, have no certified two-sided bracket and raise.
     """
     _check_x(x)
-    if not math.isfinite(a):
-        raise ParamError("family parameter must be finite")
-    # FAMILY_RANGE and REVERSED_RANGE, inline: this is the kernel's hot path
-    if 0.0 <= a <= 0.5:
-        c_lo, c_hi = 1.0 + a, _HALF_PI
-    elif a >= TWO_OVER_PI:
-        c_lo, c_hi = _HALF_PI, 1.0 + a
-    else:
-        raise ParamError(
-            f"no two-sided enclosure for a={a!r}; need 0 <= a <= 1/2 or a >= 2/pi")
-    x = float(x)
-    if x < _TINY:
-        return Enclosure(math.nextafter(x, 0.0), x)
-    q = x / (a + math.hypot(1.0, x))
-    if q < 2.0 ** -1022:
-        return Enclosure(0.0, x)
-    return Enclosure(c_lo * q * _DOWN, c_hi * q * _UP)
+    return Enclosure(*_ends(a, float(x), math.hypot(1.0, x)))
 
 
 def best_enclosure(x: float, params: Iterable[float]) -> Enclosure:
     """Pointwise-best enclosure over several parameters: max of the lowers,
-    min of the uppers.  Containment is preserved since every constituent
-    brackets arctan x."""
-    parts = [enclosure(a, x) for a in params]
-    if not parts:
+    min of the uppers, bit for bit those of enclosure(a, x), in one pass
+    with one hypot.  Containment is preserved since every constituent
+    brackets arctan x.  Errors come as enclosure raises them, in the order
+    of params; ParamError for none, or where the max exceeds the min."""
+    lower, upper, u = -math.inf, math.inf, None
+    for a in params:
+        if u is None:       # x is checked as enclosure checks it, once
+            _check_x(x)
+            x, u = float(x), math.hypot(1.0, x)
+        lo, hi = _ends(a, x, u)
+        if not lo <= hi:
+            raise ParamError(f"inverted enclosure at a={a!r}: {lo!r} > {hi!r}")
+        lower = lo if lo > lower else lower
+        upper = hi if hi < upper else upper
+    if u is None:
         raise ParamError("best_enclosure needs at least one parameter")
-    return Enclosure(max(p.lower for p in parts), min(p.upper for p in parts))
+    return Enclosure(lower, upper)

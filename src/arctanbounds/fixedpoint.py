@@ -205,15 +205,16 @@ def log_units(y_units: int, digits: int) -> int:
 
 # Reduction: k repeated square roots pull the argument into (1 - 1/256,
 # 1 + 1/256), then ln y = 2**(k+1) * atanh((y-1)/(y+1)) by the odd atanh
-# series, at w = digits + 10 digits.  Error lemma, in units of 10**-w, with
-# m = max(1, 1/y): each floored root costs under 10**-w / y**(2**-j) <=
-# m/10**w relatively and halves what came before, so the k-th root is within
-# a relative 2.01m/10**w of y**(2**-k), which moves the log by 2**k * 2.03m
-# units; the floored quotient moves atanh by under 1.01 units, and the
-# series (z <= 1/511, so under 0.2w terms, each off by under 2 units, and a
-# tail under 2) by under 0.4w + 2.  So the sum before rounding is within
-# 2**(k+1) * (0.4w + 4 + 1.02m) <= 2**(k+1) * (w + 5) * m units of
-# 2**(k+1) atanh, and the rounding to digits adds half a unit.
+# series, at w = digits + 10 digits.  Error lemma, in units of 10**-w: root
+# j, t_j = isqrt(t_{j-1} * 10**w), lies under a unit below the exact root, a
+# relative 1/t_j <= 10**-10 that moves its log by under 1.01 c_j units,
+# c_j = ceil(10**w / t_j) (about 1/y**(2**-j) for y < 1, else 1); later
+# roots halve that and the factor 2**k of ln y doubles it back: 1.01 R in
+# all, R = sum of 2**j c_j.  The floored quotient moves atanh by under 1.01 units,
+# and the series (z <= 1/511, so under 0.2w terms, each off by under 2
+# units, and a tail under 2) by under 0.4w + 2.  So the sum before rounding
+# is within 2**(k+1) * (0.4w + 3.01) + 1.01 R <= 2**(k+1) * (w + 3) + 2R
+# units of ln y, and the rounding to digits adds half a unit.
 def _log(y_units: int, digits: int) -> tuple[int, int]:
     """log_units and its radius, in units, from the lemma above."""
     if y_units <= 0:
@@ -221,22 +222,22 @@ def _log(y_units: int, digits: int) -> tuple[int, int]:
     work = digits + _GUARD_DIGITS
     scale = 10 ** work
     t = y_units * 10 ** _GUARD_DIGITS
-    spread = (work + 5) * max(1, -(-scale // t))
 
-    doublings = 0
+    doublings = charge = 0      # charge: R of the lemma
     window = scale // 256
     while abs(t - scale) > window:
         t = math.isqrt(t * scale)
         doublings += 1
+        charge += -(-scale // t) << doublings
         if doublings > 120:
             raise PrecisionError("log reduction failed to converge")
 
     z = (t - scale) * scale // (t + scale)
     total = _odd_series(abs(z), z * z // scale, scale, 1, work)
     total = (-total if z < 0 else total) << (doublings + 1)
-    guard = pow10(_GUARD_DIGITS)    # the radius: ceil(spread * 2**(k+1) / guard + 1/2)
-    return (_rescale(total, work, digits),
-            -(-((spread << (doublings + 2)) + guard) // (2 * guard)))
+    guard = pow10(_GUARD_DIGITS)    # the radius: ceil(bound / guard + 1/2)
+    bound = ((work + 3) << (doublings + 1)) + 2 * charge
+    return _rescale(total, work, digits), -(-(2 * bound + guard) // (2 * guard))
 
 
 def _comparison(op):

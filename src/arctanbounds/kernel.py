@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import fixedpoint as fp
 from . import oracle as orc
@@ -57,9 +58,8 @@ class KernelSpec:
 DEFAULT_KERNEL = KernelSpec()
 
 
-@dataclass(frozen=True, slots=True)
-class CertifiedValue:
-    """Approximation plus its certified absolute error bound."""
+class CertifiedValue(NamedTuple):
+    """Approximation plus its certified absolute error bound, a named pair."""
 
     value: float
     error_bound: float

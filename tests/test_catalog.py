@@ -536,6 +536,45 @@ class TestEnclosure:
         enc = enclosure(0.5, 1e-320)
         assert enc.upper == math.nextafter(enc.lower, 1.0) and enc.half_width > 0.0
 
+    def test_ends_near_dbl_max(self):
+        # the sum overflows, so the midpoint halves first; likewise the
+        # difference for the half width, which still rounds up
+        enc = Enclosure(1e308, 1.7e308)
+        assert enc.midpoint == 1.35e308 and enc.lower <= enc.midpoint <= enc.upper
+        enc = Enclosure(-1.7e308, 1.7e308)
+        assert (enc.half_width, enc.midpoint) == (1.7e308, 0.0)
+        enc = Enclosure(-DBL_MAX, DBL_MAX)
+        assert (enc.half_width, enc.midpoint) == (DBL_MAX, 0.0)
+        rng = random.Random("huge-ends")
+        for _ in range(200):
+            lower = -10.0 ** rng.uniform(307, 308.25)
+            upper = _from_bits(rng.randint(_bits(1e307), _bits(DBL_MAX)))
+            enc = Enclosure(lower, upper)
+            true_half = (Fraction(upper) - Fraction(lower)) / 2
+            assert true_half <= Fraction(enc.half_width) and enc.half_width < math.inf
+            assert Fraction(math.nextafter(enc.half_width, 0.0)) < true_half
+            assert lower <= enc.midpoint <= upper
+
+    @pytest.mark.parametrize("ends", [(0.0, math.inf), (-math.inf, 1.0), (math.inf, math.inf),
+                                      (-math.inf, -math.inf), (math.nan, 1.0), (0.0, math.nan)])
+    def test_non_finite_ends_rejected(self, ends):
+        with pytest.raises(ParamError):
+            Enclosure(*ends)
+
+    def test_an_immutable_named_pair(self):
+        enc = enclosure(0.5, 1.0)
+        lo, hi = enc
+        assert (lo, hi) == (enc.lower, enc.upper) and enc == (lo, hi)
+        assert Enclosure(upper=hi, lower=lo) == enc and type(enc) is Enclosure
+        assert hash(enc) == hash((lo, hi)) and {enc: 1}[Enclosure(lo, hi)] == 1
+        assert repr(enc) == f"Enclosure(lower={lo!r}, upper={hi!r})"
+        for name in ("lower", "upper", "width"):
+            with pytest.raises(AttributeError):
+                setattr(enc, name, 0.0)
+        assert enc._replace(upper=1.0) == (lo, 1.0)
+        with pytest.raises(ParamError):
+            enc._replace(lower=2.0)
+
     def test_half_width_never_below_the_true_half_width(self):
         rng = random.Random("half-width")
         for _ in range(2000):
@@ -571,9 +610,32 @@ class TestBestEnclosure:
                 assert best.lower >= enc.lower
                 assert best.upper <= enc.upper
 
+    @given(st.integers(1, _bits(DBL_MAX)).map(_from_bits),
+           st.lists(st.one_of(st.floats(0.0, 0.5),
+                              st.floats(min_value=TWO_OVER_PI, allow_infinity=False)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @example(x=1e-320, params=[0.0, 1e300])
+    @example(x=DBL_MAX, params=[0.5, TWO_OVER_PI])
+    def test_best_matches_its_parts_bit_for_bit(self, x, params):
+        parts = [enclosure(a, x) for a in params]
+        low, high = max(p.lower for p in parts), min(p.upper for p in parts)
+        if low > high:
+            with pytest.raises(ParamError):
+                best_enclosure(x, params)
+            return
+        best = best_enclosure(x, iter(params))
+        assert type(best) is Enclosure and best == Enclosure(low, high)
+        assert [_bits(v) for v in best] == [_bits(low), _bits(high)]
+
     def test_empty_params(self):
         with pytest.raises(ParamError):
             best_enclosure(1.0, [])
+        # no parameter, so no enclosure is asked for and x is not checked
+        with pytest.raises(ParamError):
+            best_enclosure(-1.0, iter(()))
+        with pytest.raises(DomainError):
+            best_enclosure(-1.0, [0.6])
 
     def test_bad_param_propagates(self):
         with pytest.raises(ParamError):

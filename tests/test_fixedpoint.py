@@ -446,6 +446,20 @@ class TestBallRadius:
                 pairs.append((b.log(), Fraction(ref, 10 ** fine)))
         self.check(pairs, slack=Fraction(10 ** 10, 10 ** fine))
 
+    def test_log_from_1e_minus_40_to_1e40(self):
+        # each square root is charged about 1/y**(2**-j): at y = 1e-40 the
+        # radius is about 4e10 units.  The 90-digit reference's own roots
+        # are off by up to ~2e10 of its units there
+        rng = random.Random("log-range")
+        ys = [Fraction(10) ** k for k in range(-40, 41)]
+        ys += [Fraction(10 ** rng.uniform(-40, 40)) for _ in range(80)]
+        pairs = []
+        for y in ys:
+            ref = reference_log_units(_round_fraction(y, 90), 90)
+            pairs.append((FixedReal(y, 50).log(), Fraction(ref, 10 ** 90)))
+        self.check(pairs, slack=Fraction(10 ** 12, 10 ** 90))
+        assert FixedReal(Fraction(1, 10 ** 40), 50).log().err < 10 ** 12
+
     @pytest.mark.parametrize("digits", [20, 30, 50])
     def test_atan_and_the_oracle(self, digits):
         fine = digits + 40

@@ -106,6 +106,16 @@ class TestApprox:
         cv = approx(DEFAULT_KERNEL, 0.0)
         assert cv.value == 0.0 and cv.error_bound == 0.0
 
+    def test_an_immutable_named_pair(self):
+        cv = approx(DEFAULT_KERNEL, 1.0)
+        value, bound = cv
+        assert cv == (value, bound) == (cv.value, cv.error_bound)
+        assert hash(cv) == hash((value, bound)) and {cv: 1}[(value, bound)] == 1
+        assert repr(cv) == f"CertifiedValue(value={value!r}, error_bound={bound!r})"
+        for name in ("value", "error_bound", "other"):
+            with pytest.raises(AttributeError):
+                setattr(cv, name, 0.0)
+
     def test_value_and_bound_at_one(self):
         cv = approx(DEFAULT_KERNEL, 1.0)
         assert cv.value == pytest.approx(0.790819165857514, rel=1e-12)

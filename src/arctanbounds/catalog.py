@@ -302,6 +302,10 @@ class _BoundInfo:
     form: Callable = _shape                     # (sqrt, log, *constants) -> x -> bound
     param: Optional[ParamRange] = None
     trusted: bool = True                        # errata entries are swept for failure
+    # a one-off without a log as x N(u) / D(u), u = sqrt(1 + x^2), D > 0 for
+    # u >= 1: (N, D), each rational coefficients from the lowest power; the
+    # comparison polynomials of dominance reports (algebra.py) are built on it
+    rational: Optional[tuple] = None
 
 
 _CATALOG: dict[BoundId, _BoundInfo] = {
@@ -310,11 +314,12 @@ _CATALOG: dict[BoundId, _BoundInfo] = {
     BoundId.HALF_ANGLE_UPPER: _BoundInfo(
         "upper", _relative(6), lambda a, pi: (2, 1, 1)),
     BoundId.RATIO_LOWER: _BoundInfo(
-        "lower", _relative(3), form=_ratio_lower),
+        "lower", _relative(3), form=_ratio_lower, rational=((1,), (0, 0, 1))),
     BoundId.IDENTITY_UPPER: _BoundInfo(
-        "upper", _relative(0), form=_identity_upper),
+        "upper", _relative(0), form=_identity_upper, rational=((1,), (1,))),
+    # x - x^3/3 = x (4 - u^2) / 3
     BoundId.CUBIC_LOWER: _BoundInfo(
-        "lower", _cubic_error, form=_cubic_lower),
+        "lower", _cubic_error, form=_cubic_lower, rational=((4, 0, -1), (3,))),
     BoundId.LOG_LOWER: _BoundInfo(
         "lower", _log_lower_error, form=_log_lower),
     BoundId.LOG_UPPER: _BoundInfo(

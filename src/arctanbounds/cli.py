@@ -12,17 +12,19 @@ evaluated in fixed point (not the violations it settled in double) and of
 points its defect series settled, the fixed-point oracle values computed,
 and the times of the double arctan grid and of the sweeps.
 ``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
-the grid points and bisection steps decided in fixed point and the report's
-time.  ``profile --stats`` adds the rows measured in fixed point, those of
-them at extra digits, and the rows' time.  ``enclose`` gives an
-outward-rounded bracket.
+the report's time and its method: for two rows without a log the degree of
+the comparison polynomial, its roots' brackets, the grid points at a
+bracket's end and the digits of pi, for a log row the grid points and
+bisection steps decided in fixed point.  ``profile --stats`` adds the rows
+measured in fixed point, those of them at extra digits, and the rows' time.
+``enclose`` gives an outward-rounded bracket.
 
 A process builds the parser once, on its first ``main`` call, and reuses it.
 Importing this module loads ``catalog``, ``fixedpoint`` and ``errors`` of the
 package; ``eval``, ``classify`` and ``enclose`` use no more.  Each other
 handler imports what it uses when it runs: ``find-min`` loads ``family``
-alone, ``verify`` and ``dominance`` load ``oracle``, and ``profile`` loads
-``kernel`` and ``oracle``.
+alone, ``verify`` loads ``oracle``, ``dominance`` ``oracle`` and ``algebra``,
+and ``profile`` ``kernel`` and ``oracle``.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -188,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p, points=2_000)
     p.add_argument("--digits", type=int, default=cat.DEFAULT_SWEEP_DIGITS)
     p.add_argument("--stats", action="store_true",
-                   help="add fixed-point counts, the report's time and "
-                        "provenance to the JSON report")
+                   help="add how the verdicts were reached, the report's "
+                        "time and provenance to the JSON report")
     _add_output_args(p)
 
     p = sub.add_parser("profile", help="certified vs actual kernel error over a grid")
@@ -323,17 +325,31 @@ def _cmd_dominance(args) -> tuple[int, dict, str]:
     if report.crossovers:
         lines.append("crossovers: " + ", ".join(f"{c!r}" for c in report.crossovers))
     if args.stats:
-        stats = payload["stats"] = {
-            "dominance_s": time.perf_counter() - started,
-            "escalated": report.escalated,
-            "checked": grid.points,
-            "escalated_steps": report.escalated_steps,
-            "bisection_steps": report.bisection_steps,
-        }
-        lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} "
-                     f"grid points and {stats['escalated_steps']} of "
-                     f"{stats['bisection_steps']} bisection steps; "
-                     f"dominance {stats['dominance_s']:.3f} s")
+        stats = payload["stats"] = {"dominance_s": time.perf_counter() - started,
+                                    "method": report.method, "checked": grid.points}
+        if report.method == "algebra":
+            stats.update({
+                "degree": report.degree,
+                # a root past DBL_MAX has inf for its upper end: null in JSON
+                "brackets": [[lo, hi if hi < math.inf else None]
+                             for lo, hi in report.brackets],
+                "bracket_points": report.bracket_points,
+                "pi_digits": report.pi_digits,
+            })
+            lines.append(f"algebra: degree {report.degree}, roots "
+                         f"{len(report.brackets)}, {report.bracket_points} of "
+                         f"{grid.points} grid points at a bracket end, pi to "
+                         f"{report.pi_digits} digits; dominance {stats['dominance_s']:.3f} s")
+        else:
+            stats.update({
+                "escalated": report.escalated,
+                "escalated_steps": report.escalated_steps,
+                "bisection_steps": report.bisection_steps,
+            })
+            lines.append(f"filter: fixed point at {stats['escalated']} of "
+                         f"{stats['checked']} grid points and "
+                         f"{stats['escalated_steps']} of {stats['bisection_steps']} "
+                         f"bisection steps; dominance {stats['dominance_s']:.3f} s")
     return 0, payload, "\n".join(lines)
 
 

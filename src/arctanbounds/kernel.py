@@ -208,6 +208,18 @@ class ErrorProfile:
 # is below 2**-1071: the last term covers them at any f, tiny and subnormal
 # rows included.
 #
+# Below |x| = 2**-1000, measured at d >= 324 digits, E = 0.  There approx
+# returns v = x with c = |x| - nextafter(|x|, 0), from 2**-1074 to 2**-1052,
+# and fast_atan(x) == x (fastatan.py's proof from 2**-500 down; checked on
+# 10**4 random doubles below 2**-1000), so f = |v| and a = 0 exactly.  T lies
+# in (|x| - |x|^3/3, |x|), so A < |x|^3/3 < 2**-3000.  With d >= 324,
+# D <= A + 1.51 * 10**-d < 2**-1075, half the least subnormal, so M, D
+# rounded to the nearest double, is 0 = a.  _row_digits gives d >= 335 for
+# these certificates, or the report's digits where those are 320 or more;
+# only 320 to 323 take the terms above.  The terms would charge fast_atan
+# (K + 0.01)u f = 2.63 * 2**-52 |x| and underflow 2**-1071, more than a
+# subnormal row's whole certificate c = 2**-1074.
+#
 # Every decision below compares doubles after one rounding, which is
 # monotone: fl(a + E) < c implies a + E < c, so M < c; fl(a - E) > c implies
 # M > c.  And ratio >= 1 exactly when M <= c: M = 0 gives ratio = inf, and c
@@ -217,7 +229,10 @@ class ErrorProfile:
 
 def _row_error(fast_atan_k: float, f: float, a: float, d: int) -> float:
     """E >= |a - M| at a row measured at d digits, where fast_atan's error
-    is at most fast_atan_k * u * f (derived above)."""
+    is at most fast_atan_k * u * f (derived above); 0 below 2**-1000, where
+    f = |x|, at d >= 324."""
+    if f < _TINY and d >= 324:
+        return 0.0
     return ((fast_atan_k + 0.01) * 2.0 ** -53 * f + 3 * 2.0 ** -53 * a + 2 * 10.0 ** -d
             + 2.0 ** -1071)
 

@@ -35,16 +35,24 @@ error bound is not finite (x*x overflows from x = 2**512, where the shape
 and ratio forms read 0 or NaN), then the candidates whose interval could
 still reach the minimum.  There a point is decided where the two centres
 lie further apart than the two radii, at the sweep's digits or at twice
-them and so on (see _exact_point).  The fixed-point oracle is computed at
+them and so on (see _separated).  The fixed-point oracle is computed at
 those points and at the violations listed, one point at a time and cached
 by point and digits.  So verdicts are the exact ones, and min_margin lies
 within its point's two radii of the smallest exact margin.  On the default
 grid and suite 30 of the 300,000 point checks reach fixed point, one per
-entry at its minimum margin, all at 50 digits.  A dominance report decides
-the sign of the difference of two bounds with the stage 1 filter, the
-second bound taking the oracle's place, and gives every grid point that
-one verdict.  It bisects each crossover on the bit patterns of the two
-doubles, to a relative width of 1e-13 at any magnitude.
+entry at its minimum margin, all at 50 digits.
+
+A dominance report gives every grid point the exact sign of the difference
+of two bounds.  For two rows without a log it is the sign of a polynomial
+in u = sqrt(1 + x^2) with coefficients in Q[pi] (see
+:mod:`arctanbounds.algebra`): its roots, each bracketed by two doubles, cut
+the grid, which is read by bisection, with no pass over its points and no
+fixed-point evaluation; a crossover is the double nearest a root where the
+sign changes.  A pair with a log row decides the sign with the stage 1
+filter, the second bound taking the oracle's place, and elsewhere on the
+two rows' fixed-point balls decided past both radii as stage 3 decides a
+point (see _separated); it bisects each crossover on the bit patterns of
+the two doubles, to a relative width of 1e-13 at any magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -56,7 +64,9 @@ overflows does, so a report is clean exactly when min_margin > 0.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -130,7 +140,13 @@ def _grid_values(grid: GridSpec) -> tuple[float, ...]:
         half = hi / 2 - lo / 2
         inner = (min(max(2 * (lo / 2 + half * (i / (n - 1))), lo), hi)
                  for i in range(1, n - 1))
-    return (grid.x_min, *inner, grid.x_max)
+    values = (grid.x_min, *inner, grid.x_max)
+    # the points are rounded, and on a range of a few ulps a log grid's inner
+    # point can fall below x_min or out of order; dominance reads the grid by
+    # bisection, so it is sorted
+    if any(map(operator.gt, values, values[1:])):
+        values = tuple(sorted(values))
+    return values
 
 
 #: Default verification grid: both limiting regimes (x -> 0 and x -> inf) are
@@ -160,26 +176,34 @@ def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
     return margin if x <= 1.0 else margin / oracle_value
 
 
+def _separated(balls, digits: int, what: str):
+    """The pair balls(d) of FixedReal balls at the first of d = digits, twice
+    them and so on whose centres lie further apart than the two radii, so
+    that their order is the exact one.  A PrecisionError from balls (a point
+    that is zero units, a radius that reaches a pole) counts as undecided;
+    PrecisionError, naming `what`, past catalog.MAX_DIGITS."""
+    while True:
+        try:
+            p, q = balls(digits)
+            if abs(p.units - q.units) > p.err + q.err:
+                return p, q
+        except PrecisionError:
+            pass
+        if 2 * digits > cat.MAX_DIGITS:
+            raise PrecisionError(f"{what} is unresolved at {digits} digits")
+        digits *= 2
+
+
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
                  digits: int) -> tuple[float, float, float, bool]:
     """(bound, oracle, reported margin, holds) at x from the fixed-point
-    path, the first two the doubles of the centres, at the first of
-    `digits`, twice them and so on where the centres lie further apart than
-    the two radii; PrecisionError past catalog.MAX_DIGITS.  DomainError
-    where the bound or the margin does not fit a double."""
-    while True:
-        try:
-            bound_hp = cat.eval_bound_hp(bound, x, a, digits=digits)
-            oracle_hp = _oracle_at(x, digits)
-            diff = oracle_hp.units - bound_hp.units
-            if abs(diff) > oracle_hp.err + bound_hp.err:
-                break
-        except PrecisionError:      # x is zero units, or a radius reaches a pole
-            pass
-        if 2 * digits > cat.MAX_DIGITS:
-            raise PrecisionError(f"{bound.value} at x={x!r}: the margin is "
-                                 f"unresolved at {digits} digits")
-        digits *= 2
+    path, the first two the doubles of the centres, decided by _separated
+    from `digits`.  DomainError where the bound or the margin does not fit
+    a double."""
+    bound_hp, oracle_hp = _separated(
+        lambda d: (cat.eval_bound_hp(bound, x, a, digits=d), _oracle_at(x, d)),
+        digits, f"{bound.value} at x={x!r}: the margin")
+    diff = oracle_hp.units - bound_hp.units
     if side == "upper":
         diff = -diff
     # float(FixedReal) divides the units by the scale, correctly rounded
@@ -378,11 +402,20 @@ class DominanceReport:
     """Pointwise tightness comparison of two same-side bounds.
 
     Each grid point has one verdict, the exact sign of the difference of the
-    two bounds: "a" or "b" where that bound is strictly tighter, "equal" only
-    where both fixed-point values agree to the unit.  Regions, crossovers and
-    counts all come from it.  escalated counts the grid points, and
-    escalated_steps the bisection_steps, whose sign the fixed-point path
-    decided.
+    two bounds at the double x: "a" or "b" where that bound is strictly
+    tighter, "equal" where the two are equal, which between two rows
+    without a log happens at every point when P == 0 (identical rows) and
+    otherwise only at a root of P that is a grid point.  Regions, crossovers
+    and counts all come from it.
+
+    method is "algebra" for two rows without a log and "filter" for a pair
+    with a log row.  An algebra report gives degree, the degree of P (-1
+    where P == 0), brackets, one (lo, hi) pair of doubles per root of P
+    (see algebra.Comparison), bracket_points, the grid points that are a
+    bracket's end and so decided by an exact sign there, and pi_digits, the
+    most digits of pi a sign took.  A filter report gives escalated, the
+    grid points, and escalated_steps, of its bisection_steps, whose sign the
+    fixed-point path decided.
     """
 
     bound_a: cat.BoundId
@@ -397,9 +430,14 @@ class DominanceReport:
     a_tighter: int
     b_tighter: int
     equal: int
-    escalated: int
-    bisection_steps: int
-    escalated_steps: int
+    method: str
+    degree: Optional[int] = None
+    brackets: tuple[tuple[float, float], ...] = ()
+    bracket_points: int = 0
+    pi_digits: int = 0
+    escalated: int = 0
+    bisection_steps: int = 0
+    escalated_steps: int = 0
 
     @property
     def a_strictly_tighter_everywhere(self) -> bool:
@@ -440,13 +478,15 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
                      digits: int = DEFAULT_SWEEP_DIGITS) -> DominanceReport:
     """Partition the grid by which of two same-side bounds is tighter.
 
-    sign_at(x) gives every verdict and every bisection step: +1 if A is
-    strictly tighter, -1 if B is, 0 on a tie of the fixed-point centres.  It
-    settles the sign in double past sweep's threshold, the second bound
-    taking the oracle's place; unsettled margins and non-finite values
-    or error bounds (whose comparison is false) go to eval_bound_hp.  The
-    grid's first point, its smallest, must be positive.
-    Crossovers are bisected between adjacent non-tied points that flip.
+    The grid's first point, its smallest, must be positive.  For two rows
+    without a log the signs come from the roots of the comparison
+    polynomial P (see algebra): the grid is read by bisection at the edges
+    of its sign, and a crossover is the double nearest a root of P where
+    the sign changes, strictly inside the grid's range.  A pair with a log
+    row takes the float filter of a sweep, the second bound in the oracle's
+    place, and the fixed-point path where that cannot settle a point
+    (decided past both radii, see _separated), and bisects each crossover
+    between adjacent non-tied grid points that flip.
     """
     side_a = cat.bound_side(bound_a)
     side_b = cat.bound_side(bound_b)
@@ -454,32 +494,86 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
         raise ParamError(
             f"dominance needs same-side bounds; {bound_a.value} is {side_a}, "
             f"{bound_b.value} is {side_b}")
-    side = side_a
     check_digits(digits, "dominance")
+    cat._check_param(bound_a, a_a)
+    cat._check_param(bound_b, a_b)
+    xs = grid.values()
+    cat._check_x(xs[0])
+    tighter = 1 if side_a == "lower" else -1     # a bigger lower bound is tighter
+    # imported on first use, as sweep imports the series
+    from . import algebra as alg
+    p = alg.comparison_polynomial(cat._CATALOG[bound_a], a_a, cat._CATALOG[bound_b], a_b)
+    if p is None:
+        fields = _filtered_signs(bound_a, bound_b, a_a, a_b, xs, digits, tighter)
+    else:
+        fields = _algebraic_signs(alg.Comparison(p), xs, tighter)
+    return DominanceReport(bound_a=bound_a, bound_b=bound_b, a_a=a_a, a_b=a_b,
+                           side=side_a, grid=grid, digits=digits, **fields)
+
+
+def _algebraic_signs(comparison, xs: tuple[float, ...], tighter: int) -> dict:
+    """The report's fields from the sign of P: each run of grid points
+    between two edges has one sign, found by bisect, with no pass over the
+    grid."""
+    cuts = [0, *(bisect_right(xs, edge) for edge in comparison.edges), len(xs)]
+    counts = {1: 0, -1: 0, 0: 0}
+    regions = []
+    for start, stop, sign in zip(cuts, cuts[1:], comparison.signs):
+        if start >= stop:
+            continue
+        verdict = _VERDICT[tighter * sign]
+        counts[tighter * sign] += stop - start
+        if regions and regions[-1].verdict == verdict:
+            regions[-1] = DominanceRegion(regions[-1].x_lo, xs[stop - 1], verdict)
+        else:
+            regions.append(DominanceRegion(xs[start], xs[stop - 1], verdict))
+    x_min, x_max = xs[0], xs[-1]
+    ends = {end for bracket in comparison.brackets for end in bracket}
+    return dict(
+        regions=regions,
+        crossovers=[c for lo, hi, c in comparison.crossovers
+                    if x_min <= lo and hi <= x_max and x_min < c < x_max],
+        a_tighter=counts[1], b_tighter=counts[-1], equal=counts[0],
+        method="algebra", degree=comparison.degree,
+        brackets=tuple(comparison.brackets),
+        bracket_points=sum(bisect_right(xs, e) - bisect_left(xs, e) for e in ends),
+        pi_digits=comparison.pi_digits)
+
+
+def _filtered_signs(bound_a: cat.BoundId, bound_b: cat.BoundId,
+                    a_a: Optional[float], a_b: Optional[float],
+                    xs: tuple[float, ...], digits: int, tighter: int) -> dict:
+    """The report's fields from sign_at(x), for a pair with a log row: +1
+    if A is strictly tighter, -1 if B is, 0 only for a row against itself.
+    It settles the sign in double past sweep's threshold; unsettled margins
+    and non-finite values or error bounds (whose comparison is false) go to
+    the fixed-point path."""
     fn_a, error_a = cat.float_form(bound_a, a_a)
     fn_b, error_b = cat.float_form(bound_b, a_b)
-    tighter = 1 if side == "lower" else -1     # a bigger lower bound is tighter
+    identical = bound_a is bound_b      # no log row takes a parameter
     four_u = 2.0 ** -51
     calls = escalated = 0
 
     def sign_at(x: float) -> int:
         nonlocal calls, escalated
         calls += 1
+        if identical:
+            return 0
         fa, fb = fn_a(x), fn_b(x)
-        d = fa - fb
+        diff = fa - fb
         # fa and fb are float forms at the same double x, each within its
         # proven error bound of the exact bound, and 4u(|fa| + |fb|) covers
-        # the rounding of d (exact where d is subnormal): past this, d has the
-        # exact sign of A(x) - B(x).
-        if abs(d) > error_a(x, fa) + error_b(x, fb) + four_u * (abs(fa) + abs(fb)):
-            return tighter if d > 0 else -tighter
+        # the rounding of diff (exact where it is subnormal): past this, diff
+        # has the exact sign of A(x) - B(x).
+        if abs(diff) > error_a(x, fa) + error_b(x, fb) + four_u * (abs(fa) + abs(fb)):
+            return tighter if diff > 0 else -tighter
         escalated += 1
-        d = (cat.eval_bound_hp(bound_a, x, a_a, digits=digits).units
-             - cat.eval_bound_hp(bound_b, x, a_b, digits=digits).units)
-        return 0 if d == 0 else (tighter if d > 0 else -tighter)
+        ball_a, ball_b = _separated(
+            lambda d: (cat.eval_bound_hp(bound_a, x, a_a, digits=d),
+                       cat.eval_bound_hp(bound_b, x, a_b, digits=d)),
+            digits, f"{bound_a.value} against {bound_b.value} at x={x!r}: the sign")
+        return tighter if ball_a.units > ball_b.units else -tighter
 
-    xs = grid.values()
-    cat._check_x(xs[0])
     signs = [sign_at(x) for x in xs]
     grid_escalated = escalated
     regions = []
@@ -498,9 +592,8 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
             crossovers.append(fp._bisect_crossover(sign_at, xs[prev], xs[i], signs[prev]))
         prev = i
 
-    return DominanceReport(
-        bound_a=bound_a, bound_b=bound_b, a_a=a_a, a_b=a_b, side=side,
-        grid=grid, digits=digits, regions=regions, crossovers=crossovers,
-        a_tighter=signs.count(1), b_tighter=signs.count(-1), equal=signs.count(0),
+    return dict(
+        regions=regions, crossovers=crossovers, a_tighter=signs.count(1),
+        b_tighter=signs.count(-1), equal=signs.count(0), method="filter",
         escalated=grid_escalated, bisection_steps=calls - len(xs),
         escalated_steps=escalated - grid_escalated)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -340,7 +341,9 @@ print(calls)
         (["find-min", "--a", "0.6"], ["family"]),
         (["verify", "--suite", "fixed", "--grid-points", "200"],
          ["fastatan", "oracle", "series"]),
-    ], ids=["find-min", "verify"])
+        (["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
+          "--grid-points", "200"], ["algebra", "oracle"]),
+    ], ids=["find-min", "verify", "dominance"])
     def test_commands_load_only_their_modules(self, argv, own):
         # find-min needs no oracle, and verify no family: the crossover
         # bisection they share lives in fixedpoint
@@ -577,20 +580,60 @@ class TestDominanceAndProfile:
         assert code == 0
         payload = strict_json(out)
         stats = payload.pop("stats")
-        assert set(stats) == {"dominance_s", "escalated", "checked", "escalated_steps",
-                              "bisection_steps", "package_version", "python_version",
-                              "digits", "grid"}
+        assert set(stats) == {"dominance_s", "method", "checked", "degree", "brackets",
+                              "bracket_points", "pi_digits", "package_version",
+                              "python_version", "digits", "grid"}
         assert stats["dominance_s"] > 0
         assert stats["digits"] == 50 and stats["grid"]["points"] == stats["checked"] == 200
         assert stats["package_version"] == arctanbounds.__version__
-        assert 0 <= stats["escalated"] < stats["checked"]
-        assert 0 < stats["escalated_steps"] <= stats["bisection_steps"] <= 64
+        # both rows are shapes: P is linear in u, with one root, the crossover
+        assert stats["method"] == "algebra" and stats["degree"] == 1
+        (lo, hi), = stats["brackets"]
+        assert math.nextafter(lo, math.inf) == hi
+        assert payload["crossovers"] in ([lo], [hi])
+        assert stats["bracket_points"] == 0
+        assert stats["pi_digits"] == 30
         # without --stats the report carries none of it
         assert payload == strict_json(plain)
-        assert "stats" not in plain and "escalated" not in plain
+        assert "stats" not in plain and "brackets" not in plain
         code, out, _ = run(capsys, argv[:-2] + ["--stats"])
         assert code == 0
-        assert f"fixed point at {stats['escalated']} of 200 grid points" in out
+        assert "algebra: degree 1, roots 1, 0 of 200 grid points at a bracket end" in out
+
+    def test_dominance_stats_of_a_log_pair(self, capsys):
+        argv = ["dominance", "--bound-a", "two-over-pi-upper", "--bound-b", "log-upper",
+                "--grid-points", "200", "--format", "json", "--stats"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        stats = strict_json(out)["stats"]
+        assert set(stats) == {"dominance_s", "method", "checked", "escalated",
+                              "escalated_steps", "bisection_steps", "package_version",
+                              "python_version", "digits", "grid"}
+        assert stats["method"] == "filter"
+        assert 0 < stats["escalated"] < stats["checked"] == 200
+        assert stats["escalated_steps"] == stats["bisection_steps"] == 0
+        code, out, _ = run(capsys, argv[:-3] + ["--stats"])
+        assert f"filter: fixed point at {stats['escalated']} of 200 grid points" in out
+
+    def test_dominance_stats_past_the_doubles(self, capsys):
+        # the two rows cross at u ~ 2.1e308, past DBL_MAX: that bracket's
+        # upper end is inf, null in JSON, and no grid point sees the crossing
+        full = ["--grid-min", "5e-324", "--grid-max", "1.7976931348623157e308",
+                "--format", "json", "--stats"]
+        code, out, _ = run(capsys, ["dominance", "--bound-a", "family-lower", "--param-a",
+                                    "0.5", "--bound-b", "reversed-lower", "--param-b",
+                                    "1e307", *full])
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["stats"]["brackets"] == [[1.7976931348623157e308, None]]
+        assert payload["crossovers"] == [] and payload["counts"]["a_tighter"] == 2000
+        # two roots or none: Descartes' rule bisects, and finds none
+        code, out, _ = run(capsys, ["dominance", "--bound-a", "two-over-pi-lower-errata",
+                                    "--bound-b", "cubic-lower", *full])
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["stats"]["degree"] == 3 and payload["stats"]["brackets"] == []
+        assert payload["counts"]["a_tighter"] == 2000
 
     def test_dominance_text(self, capsys):
         code, out, _ = run(capsys, [

@@ -24,6 +24,7 @@ from arctanbounds import (
 )
 from arctanbounds import kernel as ker
 from arctanbounds.fastatan import FAST_ATAN_K, fast_atan
+from arctanbounds.fixedpoint import _bits, _from_bits
 
 SMALL_GRID = GridSpec(1e-8, 1e8, 300, "log")
 DBL_MAX = sys.float_info.max
@@ -318,6 +319,22 @@ print(loaded())
         for grid in FILTER_GRIDS:
             assert filter_misses(error_profile(DEFAULT_KERNEL, grid, digits),
                                  FAST_ATAN_K) == []
+
+    def test_tiny_rows_settle_in_double(self):
+        # below 2**-1000 fast_atan(x) == x, so the estimate is 0, and the
+        # measured error rounds to 0 at the digits such a row takes: E = 0.
+        # It used to leave 71 of these 2000 rows to fixed point
+        rng = random.Random(1000)
+        top = _bits(2.0 ** -1000)
+        for bits in (rng.randrange(1, top) for _ in range(10_000)):
+            assert fast_atan(_from_bits(bits)) == _from_bits(bits)
+        grid = GridSpec(5e-324, sys.float_info.max, 2000)
+        for digits in (30, 100):
+            assert error_profile(DEFAULT_KERNEL, grid, digits).exact_rows == 1
+        # at 320 to 323 digits the one-subnormal certificates are measured at
+        # the report's digits, and E keeps its terms
+        assert filter_misses(error_profile(DEFAULT_KERNEL, FILTER_GRIDS[5], 322),
+                             FAST_ATAN_K) == []
 
     def test_error_bound_needs_the_fast_atan_term(self):
         # without fast_atan's error the check above fails: it is not covered

@@ -6,6 +6,8 @@ import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arctanbounds.catalog
 from arctanbounds import (
@@ -25,7 +27,7 @@ from arctanbounds import (
 from arctanbounds.catalog import bound_side
 from arctanbounds import cli
 from arctanbounds.cli import _suite_entries
-from arctanbounds.fixedpoint import _bisect_crossover
+from arctanbounds.fixedpoint import FixedReal, _bisect_crossover
 
 GRID = GridSpec(1e-8, 1e8, 400, "log")
 DBL_MAX = 1.7976931348623157e308
@@ -104,6 +106,15 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 10, "log")
         with pytest.raises(ParamError):
             GridSpec(1.0, 2.0, 10, "cubic")
+
+    def test_narrow_log_grid_is_sorted(self):
+        # its inner points, rounded, came out of order; dominance reads a grid
+        # by bisection
+        grid = GridSpec(2.7596842767200224e+88, 2.75968427672005e+88, 29, "log")
+        xs = grid.values()
+        assert list(xs) == sorted(xs) and len(xs) == 29
+        report = dominance_report(BoundId.TWO_OVER_PI_LOWER, BoundId.SHAFER_LOWER, grid=grid)
+        assert report.a_tighter == 29
 
 
 class TestSweep:
@@ -340,18 +351,48 @@ class TestSettledViolations:
         assert bound == float(eval_bound_hp(BoundId.TWO_OVER_PI_LOWER_ERRATA, x, digits=200))
 
 
+def _ball(bound, a, x, digits):
+    """The row's fixed-point ball at a double x, or at a Fraction x from the
+    catalog's closed form on FixedReal, as eval_bound_hp builds it."""
+    if isinstance(x, float):
+        return eval_bound_hp(bound, x, a, digits=digits)
+    info = arctanbounds.catalog._CATALOG[bound]
+    x_hp = FixedReal(Fraction(x), digits)
+    if x_hp.units == 0:
+        raise PrecisionError("zero units")
+    return arctanbounds.catalog._fixed_fn(info.form, info.consts, a, digits)(x_hp)
+
+
+def exact_sign(bound_a, a_a, bound_b, a_b, x, digits):
+    """The exact sign of A(x) - B(x) at a double or Fraction x > 0: the two
+    rows' fixed-point balls at `digits`, twice them and so on until they
+    separate, and 0 for a row against itself.  Independent of the
+    comparison polynomial and its roots."""
+    if (bound_a, a_a) == (bound_b, a_b):
+        return 0
+    while True:
+        try:
+            p, q = _ball(bound_a, a_a, x, digits), _ball(bound_b, a_b, x, digits)
+            if abs(p.units - q.units) > p.err + q.err:
+                return 1 if p.units > q.units else -1
+        except PrecisionError:
+            pass
+        digits *= 2
+        assert digits <= 2 * arctanbounds.catalog.MAX_DIGITS, (bound_a, bound_b, x)
+
+
 def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
-    """Every sign from the fixed-point path, at each grid point and each
-    bisection step: the loop that dominance_report's float filter replaced.
-    Returns the report's regions, crossovers and counts as JSON."""
-    side = bound_side(bound_a)
+    """Every verdict from exact_sign at each grid point.  A crossover is
+    bisected on the bit patterns to relative width 1e-13 between flipping
+    grid points for a pair with a log row, as dominance_report's filter
+    does; for two rows without a log it is the double nearest the root: an
+    end of the pair of adjacent doubles the bisection closes on, chosen by
+    the exact sign at their midpoint.  Returns the report's regions,
+    crossovers and counts as JSON."""
+    tighter = 1 if bound_side(bound_a) == "lower" else -1
 
     def sign_at(x):
-        diff = (eval_bound_hp(bound_a, x, a_a, digits=digits).units
-                - eval_bound_hp(bound_b, x, a_b, digits=digits).units)
-        if side == "upper":
-            diff = -diff
-        return (diff > 0) - (diff < 0)
+        return tighter * exact_sign(bound_a, a_a, bound_b, a_b, x, digits)
 
     xs = grid.values()
     signs = [sign_at(x) for x in xs]
@@ -362,17 +403,40 @@ def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
             regions[-1]["x_hi"] = x
         else:
             regions.append({"x_lo": x, "x_hi": x, "verdict": names[sign]})
+    logs = {BoundId.LOG_LOWER, BoundId.LOG_UPPER}
     crossovers = []
     prev = None
     for i, sign in enumerate(signs):
         if sign == 0:
             continue
         if prev is not None and signs[prev] != sign:
-            crossovers.append(reference_bisect(sign_at, xs[prev], xs[i], sign_at(xs[prev])))
+            if logs & {bound_a, bound_b}:
+                crossovers.append(reference_bisect(sign_at, xs[prev], xs[i], signs[prev]))
+            else:
+                lo, hi = reference_bracket(sign_at, xs[prev], xs[i], signs[prev])
+                mid = sign_at((Fraction(lo) + Fraction(hi)) / 2)
+                crossovers.append(hi if mid == signs[prev] else lo)
         prev = i
     counts = {"a_tighter": signs.count(1), "b_tighter": signs.count(-1),
               "equal": signs.count(0)}
     return regions, crossovers, counts
+
+
+def reference_bracket(sign_at, lo, hi, s_lo):
+    """The adjacent doubles between lo and hi where sign_at leaves s_lo, or
+    (x, x) where it is 0 at x."""
+    to_bits = lambda v: struct.unpack("<q", struct.pack("<d", v))[0]
+    to_float = lambda n: struct.unpack("<d", struct.pack("<q", n))[0]
+    while to_bits(hi) - to_bits(lo) > 1:
+        mid = to_float((to_bits(lo) + to_bits(hi)) // 2)
+        s_mid = sign_at(mid)
+        if s_mid == 0:
+            return mid, mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def reference_bisect(sign_at, lo, hi, s_lo):
@@ -442,20 +506,28 @@ class TestDominanceMatchesReference:
             # bit-identical, not approximately equal
             assert payload["crossovers"] == crossovers, (bound_a, bound_b, a_a, a_b)
 
-    def test_few_points_reach_fixed_point(self, fixed_point_calls):
+    def test_no_fixed_point_without_a_log_row(self, fixed_point_calls):
+        # two rows without a log take their signs from the roots of P alone;
+        # a log pair sends few points to the fixed-point path
         calls = fixed_point_calls
         for bound_a, bound_b, a_a, a_b in [
                 (BoundId.SHAFER_LOWER, BoundId.TWO_OVER_PI_LOWER, None, None),
                 *_family_pairs()[::5]]:
             calls.clear()
             dominance_report(bound_a, bound_b, a_a, a_b, grid=DEFAULT_GRID)
-            # two calls per point that reaches the fixed-point path
-            assert len(calls) / 2 < 0.05 * DEFAULT_GRID.points, (bound_a, bound_b)
+            assert calls == [], (bound_a, bound_b)
+        calls.clear()
+        dominance_report(BoundId.TWO_OVER_PI_UPPER, BoundId.LOG_UPPER, grid=DEFAULT_GRID)
+        # two calls per point that reaches the fixed-point path
+        assert 0 < len(calls) / 2 < 0.05 * DEFAULT_GRID.points
 
 
 class TestDominance:
-    def test_reflexive_is_all_equal(self):
-        report = dominance_report(BoundId.SHAFER_LOWER, BoundId.SHAFER_LOWER, grid=GRID)
+    @pytest.mark.parametrize("bound", [BoundId.SHAFER_LOWER, BoundId.LOG_UPPER],
+                             ids=lambda bound: bound.value)
+    def test_reflexive_is_all_equal(self, bound):
+        # a log row against itself is never refined: its balls never separate
+        report = dominance_report(bound, bound, grid=GRID)
         assert report.equal == GRID.points
         assert report.a_tighter == report.b_tighter == 0
         assert report.crossovers == []
@@ -514,21 +586,31 @@ class TestDominance:
             dominance_report(BoundId.SHAFER_LOWER, BoundId.RATIO_LOWER,
                              grid=GRID, digits=19)
 
-    def test_zero_units_raise_precision_error(self):
-        # at 50 digits x = 1e-300 rounds to zero units; the report's wide
-        # fixed-point values used to overflow the old relative tie band
-        with pytest.raises(PrecisionError):
-            dominance_report(BoundId.TWO_OVER_PI_UPPER, BoundId.IDENTITY_UPPER,
-                             grid=GridSpec(1e-300, 1e300, 300, "log"))
+    def test_zero_units_are_decided(self):
+        # x = 1e-300 is zero units at 50 digits; the pair takes its signs from
+        # the roots of P, and a log pair decides its fixed-point signs past
+        # both radii at more digits
+        grid = GridSpec(1e-300, 1e300, 300, "log")
         report = dominance_report(BoundId.TWO_OVER_PI_UPPER, BoundId.IDENTITY_UPPER,
-                                  grid=GridSpec(1e-40, 1e300, 300, "log"))
-        assert report.a_strictly_tighter_everywhere
+                                  grid=grid)
+        assert report.a_tighter == 300 and report.a_strictly_tighter_everywhere
+        for log_row, rival in [(BoundId.LOG_LOWER, BoundId.SHAFER_LOWER),
+                               (BoundId.LOG_UPPER, BoundId.IDENTITY_UPPER)]:
+            report = dominance_report(log_row, rival, grid=grid)
+            assert report.method == "filter"
+            assert report.b_strictly_tighter_everywhere, log_row
+
+    def test_ties_of_centres_are_refined(self):
+        # shafer-lower > ratio-lower at every x > 0 by about 2x^3/3, below
+        # 10**-320 here: the old sign loop read 7 a, 70 b and 123 equal
+        report = dominance_report(BoundId.SHAFER_LOWER, BoundId.RATIO_LOWER,
+                                  grid=GridSpec(1e-300, 1e-100, 200, "log"), digits=320)
+        assert report.a_tighter == 200
 
     def test_extreme_grid_matches_fixed_point_at_400_digits(self, capsys):
-        # the float forms settle x = 1e-300 in double, and x from 2**512 goes
-        # to fixed point: every verdict and the crossover of the command are
-        # those of a sign loop in fixed point at 400 digits, where x = 1e-300
-        # has 10**100 units
+        # every verdict and the crossover of the command are those of the
+        # exact sign, the fixed-point balls from 400 digits (where x = 1e-300
+        # has 10**100 units) until they separate
         assert cli.main(["dominance", "--bound-a", "shafer-lower", "--bound-b",
                          "two-over-pi-lower", "--grid-min", "1e-300", "--grid-max",
                          "1e300", "--format", "json"]) == 0
@@ -548,6 +630,116 @@ class TestDominance:
         assert json.loads(json.dumps(payload)) == payload
         assert set(payload["counts"]) == {"a_tighter", "b_tighter", "equal"}
         assert "strict_sign_counts" not in payload
+
+
+#: The 14 rows without a log, by side.
+ALGEBRAIC_ROWS = {side: [b for b in BoundId if bound_side(b) == side
+                         and b not in (BoundId.LOG_LOWER, BoundId.LOG_UPPER)]
+                  for side in ("lower", "upper")}
+
+
+def _param(bound):
+    """Parameters drawn from the row's certified range."""
+    param = arctanbounds.catalog._CATALOG[bound].param
+    if param is None:
+        return st.none()
+    if param is arctanbounds.catalog.FAMILY_RANGE:
+        return st.floats(0.0, 0.5)
+    if param is arctanbounds.catalog.MID_REGIME_RANGE:
+        return st.floats(0.5, TWO_OVER_PI, exclude_min=True, exclude_max=True)
+    return st.one_of(st.floats(TWO_OVER_PI, 4.0), st.floats(4.0, 1e6))
+
+
+@st.composite
+def algebraic_pairs(draw):
+    rows = ALGEBRAIC_ROWS[draw(st.sampled_from(["lower", "upper"]))]
+    bound_a, bound_b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+    return bound_a, draw(_param(bound_a)), bound_b, draw(_param(bound_b))
+
+
+def identical_rows(bound_a, a_a, bound_b, a_b) -> bool:
+    """The pairs of rows without a log that are one bound: a row against
+    itself, and the two members that Shafer's and the half-angle bound are."""
+    members = {(BoundId.SHAFER_LOWER, None): (BoundId.FAMILY_LOWER, 0.5),
+               (BoundId.HALF_ANGLE_UPPER, None): (BoundId.REVERSED_UPPER, 1.0)}
+    row_a, row_b = members.get((bound_a, a_a), (bound_a, a_a)), members.get(
+        (bound_b, a_b), (bound_b, a_b))
+    return row_a == row_b
+
+
+class TestExactDominance:
+    """dominance_report for rows without a log against exact_sign, the rows'
+    fixed-point balls from 120 digits until they separate: independent of
+    the comparison polynomial's roots."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(algebraic_pairs(), st.floats(-300.0, 3.0), st.floats(0.0, 40.0),
+           st.integers(2, 40))
+    def test_verdicts_match_fixed_point_at_120_digits(self, pair, low, decades, points):
+        x_min = 10.0 ** low
+        x_max = min(x_min * 10.0 ** decades, 1e300)
+        if not x_min < x_max:
+            x_max = 2 * x_min
+        grid = GridSpec(x_min, x_max, points, "log")
+        bound_a, a_a, bound_b, a_b = pair
+        report = dominance_report(bound_a, bound_b, a_a, a_b, grid=grid)
+        assert report.method == "algebra"
+        payload = report.to_json_dict()
+        if identical_rows(*pair):
+            assert report.equal == points and not report.crossovers
+            return
+        tighter = 1 if report.side == "lower" else -1
+        names = {1: "a", -1: "b"}
+        verdicts = [region["verdict"] for region in payload["regions"]
+                    for x in grid.values() if region["x_lo"] <= x <= region["x_hi"]]
+        assert len(verdicts) == points
+        for x, verdict in zip(grid.values(), verdicts):
+            assert verdict == names[tighter * exact_sign(*pair, x, 120)], (pair, x)
+        for c in report.crossovers:
+            # the sign changes across each reported crossover
+            assert x_min < c < x_max
+            below = exact_sign(*pair, math.nextafter(c, 0.0), 120)
+            above = exact_sign(*pair, math.nextafter(c, math.inf), 120)
+            assert below == -above != 0, (pair, c)
+
+    def test_crossovers_change_sign_on_bench_pairs(self):
+        rng = random.Random("crossover-signs")
+        for _ in range(8):
+            pair = (BoundId.FAMILY_LOWER, rng.uniform(0.0, 0.5),
+                    BoundId.REVERSED_LOWER, rng.uniform(TWO_OVER_PI, 2.0))
+            for bound_a, a_a, bound_b, a_b in [pair, (BoundId.FAMILY_UPPER, pair[1],
+                                                      BoundId.REVERSED_UPPER, pair[3])]:
+                report = dominance_report(bound_a, bound_b, a_a, a_b, grid=GRID)
+                for c in report.crossovers:
+                    below = exact_sign(bound_a, a_a, bound_b, a_b, math.nextafter(c, 0.0), 120)
+                    above = exact_sign(bound_a, a_a, bound_b, a_b,
+                                       math.nextafter(c, math.inf), 120)
+                    assert below == -above != 0
+
+    def test_zero_polynomial_only_for_identical_rows(self):
+        from arctanbounds import algebra
+        # the suite's parameters, and the doubles next to the identical ones
+        params = {None: [None], arctanbounds.catalog.FAMILY_RANGE: [
+                      0.0, 0.25, math.nextafter(0.5, 0.0), 0.5],
+                  arctanbounds.catalog.MID_REGIME_RANGE: [0.55, 0.6],
+                  arctanbounds.catalog.REVERSED_RANGE: [
+                      TWO_OVER_PI, math.nextafter(1.0, 0.0), 1.0, 2.0]}
+        zero = []
+        for side, rows in ALGEBRAIC_ROWS.items():
+            members = [(b, a) for b in rows
+                       for a in params[arctanbounds.catalog._CATALOG[b].param]]
+            for bound_a, a_a in members:
+                for bound_b, a_b in members:
+                    p = algebra.comparison_polynomial(
+                        arctanbounds.catalog._CATALOG[bound_a], a_a,
+                        arctanbounds.catalog._CATALOG[bound_b], a_b)
+                    if p == ():
+                        zero.append((bound_a, a_a, bound_b, a_b))
+                    assert (p == ()) == identical_rows(bound_a, a_a, bound_b, a_b)
+        assert (BoundId.SHAFER_LOWER, None, BoundId.FAMILY_LOWER, 0.5) in zero
+        report = dominance_report(BoundId.SHAFER_LOWER, BoundId.FAMILY_LOWER, a_b=0.5,
+                                  grid=GRID)
+        assert report.equal == GRID.points and report.degree == -1
 
 
 class TestExactPoint:

@@ -8,7 +8,10 @@ and cubic-lower x (4 - u^2) / 3.  So for x > 0 the sign of A(x) - B(x) is
 that of P(u) = N_A D_B - N_B D_A on (1, inf): linear for two shape rows and
 for a shape row against identity-upper, quadratic against ratio-lower, cubic
 against cubic-lower, and (u^2 - 1)(u^2 - 3) for ratio-lower against
-cubic-lower.  Its coefficients lie in Q[pi].
+cubic-lower.  Its coefficients lie in Q[pi].  The same machinery serves a
+shape row's slope polynomial (d + e u)^2 - c u (d u + e), a quadratic in u
+with the sign of the derivative of the row's margin to arctan, whose roots
+cut a sweep's grid into monotone pieces (see oracle).
 
 Signs.  An element of Q[pi] is zero exactly when its rational coefficients
 all are, since pi is transcendental: P == 0 is an exact test.  Any other sign
@@ -254,6 +257,17 @@ def comparison_polynomial(row_a, a_a: Optional[float], row_b,
     return _sub(_mul(num_a, den_b), _mul(num_b, den_a))
 
 
+def slope_polynomial(row, a: Optional[float]) -> Optional[tuple]:
+    """Q(u) = (d + e u)^2 - c u (d u + e) for a shape row c x / (d + e u) (its
+    _BoundInfo entry) at a checked parameter, a tuple of QPi coefficients;
+    None for a one-off.  With u' = x/u, the derivative of arctan x minus the
+    row is Q(u) / (u^2 (d + e u)^2), so on x > 0 it has Q's sign."""
+    if row.consts is None:
+        return None
+    c, d, e = map(QPi.lift, row.consts(None if a is None else Fraction(a), PI))
+    return _trim((d * d, 2 * d * e - c * e, e * e - c * d))
+
+
 def _variations(p, sign) -> int:
     signs = [s for s in map(sign, p) if s]
     return sum(s != r for s, r in zip(signs, signs[1:]))
@@ -377,7 +391,8 @@ def _in_q(coeffs):
 
 class Comparison:
     """The sign of A(x) - B(x) on x > 0 for two rows without a log, from the
-    roots of P (see the module docstring).
+    roots of P (see the module docstring); or that of any other polynomial
+    P(u) with QPi coefficients, such as a slope polynomial.
 
     degree is P's degree, -1 where P == 0 (identical rows).  brackets holds,
     in increasing order, one (lo, hi) per distinct root of P with u > 1:

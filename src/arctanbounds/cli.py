@@ -7,10 +7,11 @@ payload indented alike for every command (``classify`` too), to stdout or
 to ``--output``; ``profile --format csv`` rows replace the text.  A payload
 with ``stats`` gains the provenance: package and Python versions, digits and
 grid.  ``verify`` lists the first 25 violations of each entry and counts
-them all; its ``--stats`` adds each entry's count of points the sweep
-evaluated in fixed point (not the violations it settled in double) and of
-points its defect series settled, the fixed-point oracle values computed,
-and the times of the double arctan grid and of the sweeps.
+them all; its ``--stats`` adds each entry's count of the monotone pieces
+its sweep cut the grid into, of the points it evaluated in fixed point (a
+violation between the ends of its run is not among them) and of the
+points its double filter read, the fixed-point oracle values computed,
+and the sweeps' time.
 ``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
 the report's time and its method: for two rows without a log the degree of
 the comparison polynomial, its roots' brackets, the grid points at a
@@ -178,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting digits of the fixed-point checks, doubled "
                         "where a margin lies within its error bound (at least 20)")
     p.add_argument("--stats", action="store_true",
-                   help="add fixed-point and defect-series point counts, phase "
-                        "times and provenance to the JSON report")
+                   help="add the monotone pieces, the fixed-point and filtered "
+                        "point counts, the sweeps' time and provenance to the "
+                        "JSON report")
     _add_output_args(p)
 
     p = sub.add_parser("dominance", help="which of two same-side bounds is tighter where")
@@ -253,21 +255,18 @@ def _suite_entries(suite: str):
 
 def _cmd_verify(args) -> tuple[int, dict, str]:
     orc = _submodule("oracle")
-    orc.check_digits(args.digits, "sweep")     # before the timed oracle build
+    orc.check_digits(args.digits, "sweep")
     grid = _grid_from_args(args)
     results = []
     failed = False
     started = time.perf_counter()
-    if args.stats:
-        orc._fast_atan_on_grid(grid)
-    oracle_done = time.perf_counter()
     oracle_misses = orc._oracle_at.cache_info().misses
     for bound, a in _suite_entries(args.suite):
         report = orc.sweep(bound, a=a, grid=grid, digits=args.digits)
         entry = report.to_json_dict(limit=VIOLATIONS_LISTED)
         if args.stats:
-            entry["escalated"] = report.escalated
-            entry["series"] = report.series
+            entry.update(pieces=report.pieces, escalated=report.escalated,
+                         filtered=report.filtered)
         if cat.bound_is_trusted(bound):
             entry["status"] = "ok" if report.ok else "violation"
             failed = failed or not report.ok
@@ -294,18 +293,17 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
     lines.append(f"suite={args.suite} ok={not failed}")
     if args.stats:
         stats = payload["stats"] = {
-            "oracle_s": oracle_done - started,
-            "sweep_s": time.perf_counter() - oracle_done,
+            "sweep_s": time.perf_counter() - started,
+            "pieces": sum(entry["pieces"] for entry in results),
             "escalated": sum(entry["escalated"] for entry in results),
-            "series": sum(entry["series"] for entry in results),
+            "filtered": sum(entry["filtered"] for entry in results),
             "checked": grid.points * len(results),
             "oracle_points": orc._oracle_at.cache_info().misses - oracle_misses,
         }
-        lines.append(f"fixed point at {stats['escalated']} and defect series at "
-                     f"{stats['series']} of {stats['checked']} point checks; "
-                     f"oracle in fixed point at {stats['oracle_points']} points, "
-                     f"double arctan grid {stats['oracle_s']:.3f} s, "
-                     f"sweeps {stats['sweep_s']:.3f} s")
+        lines.append(f"fixed point at {stats['escalated']} and double filter at "
+                     f"{stats['filtered']} of {stats['checked']} point checks in "
+                     f"{stats['pieces']} monotone pieces; oracle in fixed point at "
+                     f"{stats['oracle_points']} points, sweeps {stats['sweep_s']:.3f} s")
     return int(failed), payload, "\n".join(lines)
 
 

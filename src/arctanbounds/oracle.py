@@ -4,43 +4,52 @@ The oracle evaluates arctan in integer fixed point (argument reduction plus
 an alternating Taylor series, see :mod:`arctanbounds.fixedpoint`), as a
 ball within two units of ``10**-digits`` of arctan at the exact double.
 
-A sweep checks a catalog bound against arctan at every grid point in
-stages, after checking that the grid's first point, its smallest, is
-positive.  Every verdict is the true one at the exact double x.  Stage 1
-evaluates the bound's float form and subtracts it from arctan in plain
-doubles (:mod:`arctanbounds.fastatan`, within a proven relative
-5.25 * 2**-53 of arctan at every positive double), cached once per grid.
-The point is settled, the inequality holding, when that margin m exceeds a
-proven error bound E: the float form's own rounding error (from the
-catalog), the error of the double arctan and the rounding of the
-subtraction.  The point is a proven violation when m < -E, the symmetric
-use of the same bound (the adaptive filter of Shewchuk, 1997).  A violation
-settled so is counted at once, and its fixed-point bound is computed only
-when the report's listing is read.  Stage 1 keeps as minimum candidates the
-settled points whose margin interval m -+ 2E has its low end at most the
-lowest high end seen so far.
+A sweep checks a catalog bound against arctan at every grid point, after
+checking that the grid's first point, its smallest, is positive.  Every
+verdict is the true one at the exact double x, and it comes from the
+monotone pieces of the margin M (arctan minus the bound for a lower bound,
+the bound minus arctan for an upper one; positive where the bound holds).
+The five one-offs' M rises on all of (0, inf): M' is 2x^2/(1+x^2)^2
+(ratio), x^2/(1+x^2) (identity), x^4/(1+x^2) (cubic), ln(1+x^2)/(2x^2)
+(log-lower) and ln(1+x) + x^2/(1+x^2) (log-upper).  For a shape row
+c x/(d + e u), u = sqrt(1 + x^2), M' has the sign of +-Q(u),
+Q(u) = (d + e u)^2 - c u (d u + e), built from the row's own consts(a, pi)
+in Q[pi] and cut at its roots by :mod:`arctanbounds.algebra`'s isolator.
+The grid is cut at the brackets of those roots and at x = 1, where the
+reported margin changes (below).
 
-Where the bound touches arctan (at 0 for Shafer's 3x/(1 + 2u) and every row
-with c = d + e, the margin ~ x^5/180 at a = 1/2; at infinity for the
-a = 2/pi lower rows) o and b nearly cancel and stage 1 cannot settle the
-point, or settles it with an interval wide enough to make it a candidate.
-There stage 2 evaluates the margin directly as the row's defect series,
-exact coefficients rounded to doubles with a proven error bound (see
-:mod:`arctanbounds.series`).  The series settles the point, with its
-interval in place of stage 1's where it is the narrower.  Stage 3 sends
-every other point to the fixed-point path (``eval_bound_hp``, the catalog
-entry's closed form on FixedReal balls, against the oracle's ball): points
-neither stage settled, among them the points where a float form or its
-error bound is not finite (x*x overflows from x = 2**512, where the shape
-and ratio forms read 0 or NaN), then the candidates whose interval could
-still reach the minimum.  There a point is decided where the two centres
-lie further apart than the two radii, at the sweep's digits or at twice
-them and so on (see _separated).  The fixed-point oracle is computed at
-those points and at the violations listed, one point at a time and cached
-by point and digits.  So verdicts are the exact ones, and min_margin lies
+On each piece the fixed-point path (``eval_bound_hp``, the catalog entry's
+closed form on FixedReal balls, against the oracle's ball) evaluates M at
+the two ends.  There a point is decided where the two centres lie further
+apart than the two radii, at the sweep's digits or at twice them and so
+on (see _separated).  M being monotone, its violations are one run at one
+end of the piece, found from the ends' signs and between them by bisection
+on exact signs; a violation's fixed-point bound is computed again only when
+the report's listing is read.  The smallest reported margin of a piece lies
+at an end for x <= 1, and above it where M > 0 falls or M <= 0 rises,
+since arctan rises; on a falling piece the run of points that share the
+end's double is bisected to its first point.  On the other pieces above
+x = 1, M(p)/arctan(q) (or M(q)/arctan(p)) from the balls at the ends p and
+q bounds every ratio below, and the piece is skipped where that bound
+clears the smallest margin found.  Otherwise its points are read in the
+double filter: the bound's float form is subtracted from arctan in plain
+doubles (:mod:`arctanbounds.fastatan`, within a proven relative
+5.25 * 2**-53 of arctan at every positive double, shared by the pieces
+that span the same points), and the margin m is settled when it exceeds a
+proven error bound E, or lies below -E (the adaptive filter of Shewchuk,
+1997): the float form's own rounding error (from the catalog), the error
+of the double arctan and the rounding of the subtraction.  The filter
+evaluates in fixed point the
+points it cannot settle (where a float form or its error bound is not
+finite, x*x overflowing from x = 2**512) and those whose interval
+m -+ 2E could still reach the minimum.  A tangency (M -> 0 at 0 or at
+infinity) falls in a piece whose minimum is an end, so no point near one
+reaches the filter.  The fixed-point oracle is computed at the points
+evaluated and at the violations listed, one point at a time and cached by
+point and digits.  So verdicts are the exact ones, and min_margin lies
 within its point's two radii of the smallest exact margin.  On the default
-grid and suite 30 of the 300,000 point checks reach fixed point, one per
-entry at its minimum margin, all at 50 digits.
+grid and suite 147 of the 300,000 point checks reach fixed point, 4 to 7
+per entry, and the filter reads 99 points, all of the errata's.
 
 A dominance report gives every grid point the exact sign of the difference
 of two bounds.  For two rows without a log it is the sign of a polynomial
@@ -48,17 +57,18 @@ in u = sqrt(1 + x^2) with coefficients in Q[pi] (see
 :mod:`arctanbounds.algebra`): its roots, each bracketed by two doubles, cut
 the grid, which is read by bisection, with no pass over its points and no
 fixed-point evaluation; a crossover is the double nearest a root where the
-sign changes.  A pair with a log row decides the sign with the stage 1
-filter, the second bound taking the oracle's place, and elsewhere on the
-two rows' fixed-point balls decided past both radii as stage 3 decides a
-point (see _separated); it bisects each crossover on the bit patterns of
+sign changes.  A pair with a log row decides the sign with the sweep's
+double filter, the second bound taking the oracle's place, and elsewhere on
+the two rows' fixed-point balls decided past both radii as a sweep decides
+a point (see _separated); it bisects each crossover on the bit patterns of
 the two doubles, to a relative width of 1e-13 at any magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
 pi/2, so one convention cannot serve both ends of the grid).  A positive
 margin that rounds to 0.0 raises DomainError, as a bound or margin that
-overflows does, so a report is clean exactly when min_margin > 0.
+overflows does, so a report is clean exactly when min_margin > 0; the
+error names the first grid point that raises one.
 """
 
 from __future__ import annotations
@@ -68,13 +78,14 @@ import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import catalog as cat
 from . import fixedpoint as fp
 from .catalog import DEFAULT_DIGITS, DEFAULT_SWEEP_DIGITS
-from .errors import DomainError, ParamError, PrecisionError
+from .errors import ArctanBoundsError, DomainError, ParamError, PrecisionError
 
 
 def check_digits(digits: int, what: str) -> None:
@@ -157,19 +168,21 @@ DEFAULT_GRID = GridSpec(1e-8, 1e8, 10_000, "log")
 @lru_cache(maxsize=1 << 14)
 def _oracle_at(x: float, digits: int) -> fp.FixedReal:
     """The fixed-point oracle at one point, for the points a sweep evaluates
-    in fixed point and the violations it lists; its misses count them.  It
-    holds a 10k-point grid, so where a grid's points all escalate a suite's
-    sweeps share one value per point, as they shared the grid's tuple."""
+    in fixed point and the violations it lists; its misses count them.  A
+    suite's sweeps share the values at the ends of their pieces, and where a
+    grid's points all reach fixed point, one value per point."""
     return oracle_arctan(x, digits)
 
 
 @lru_cache(maxsize=8)
-def _fast_atan_on_grid(grid: GridSpec) -> array:
-    """fast_atan at every grid point, packed 8 bytes a point (a float object
-    in a tuple takes 32)."""
-    # imported on first use, as sweep imports the series
+def _fast_atan_on_grid(grid: GridSpec, start: int, stop: int) -> array:
+    """fast_atan at the grid points start..stop-1, packed 8 bytes a point (a
+    float object in a tuple takes 32): built when a piece of a sweep first
+    reaches the double filter, and shared by the suite's sweeps whose
+    pieces span the same points."""
+    # imported on first use: only the double filter reads it
     from .fastatan import fast_atan
-    return array("d", map(fast_atan, grid.values()))
+    return array("d", map(fast_atan, grid.values()[start:stop]))
 
 
 def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
@@ -194,12 +207,23 @@ def _separated(balls, digits: int, what: str):
         digits *= 2
 
 
+class _Point(NamedTuple):
+    """The fixed-point path at one point: the doubles of the bound's and the
+    oracle's centres, the reported margin, whether the inequality holds, and
+    the two balls, which share their digits."""
+
+    bound: float
+    oracle: float
+    margin: float
+    holds: bool
+    bound_hp: fp.FixedReal
+    oracle_hp: fp.FixedReal
+
+
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
-                 digits: int) -> tuple[float, float, float, bool]:
-    """(bound, oracle, reported margin, holds) at x from the fixed-point
-    path, the first two the doubles of the centres, decided by _separated
-    from `digits`.  DomainError where the bound or the margin does not fit
-    a double."""
+                 digits: int) -> _Point:
+    """The fixed-point path at x, decided by _separated from `digits`.
+    DomainError where the bound or the margin does not fit a double."""
     bound_hp, oracle_hp = _separated(
         lambda d: (cat.eval_bound_hp(bound, x, a, digits=d), _oracle_at(x, d)),
         digits, f"{bound.value} at x={x!r}: the margin")
@@ -212,7 +236,7 @@ def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
         margin = _reported_margin(x, diff / bound_hp.scale, oracle_f)
         if diff > 0 and margin == 0.0:      # a certified margin that underflows
             raise OverflowError
-        return float(bound_hp), oracle_f, margin, diff > 0
+        return _Point(float(bound_hp), oracle_f, margin, diff > 0, bound_hp, oracle_hp)
     except OverflowError:
         raise DomainError(f"{bound.value} at x={x!r}: the bound or its margin "
                           f"does not fit a double") from None
@@ -228,10 +252,10 @@ class SweepReport:
     doubles of the fixed-point centres, and violations_listed(n) the first n
     of them; the fixed-point bound is computed when the listing is read, and
     only for the violations listed.
-    escalated counts the grid points the sweep evaluated in fixed point, the
-    candidates for the minimum margin included, and series the grid points
-    the row's defect series settled.  min_margin is signed so that positive
-    means the inequality holds.
+    pieces counts the grid's runs on which the margin is monotone (see
+    sweep), escalated the grid points the sweep evaluated in fixed point,
+    and filtered the grid points its double filter read.  min_margin is
+    signed so that positive means the inequality holds.
     """
 
     bound: cat.BoundId
@@ -243,7 +267,8 @@ class SweepReport:
     min_margin: float
     min_margin_x: float
     escalated: int
-    series: int
+    pieces: int
+    filtered: int
 
     @property
     def ok(self) -> bool:
@@ -288,106 +313,225 @@ class SweepReport:
         }
 
 
+@lru_cache(maxsize=64)
+def _monotone_pieces(bound: cat.BoundId, a: Optional[float]
+                     ) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """(edges, slopes) of a bound at a checked parameter: its exact margin M
+    rises (slope 1) or falls (-1) on the doubles x <= edges[0], on
+    edges[k - 1] < x <= edges[k] and on x > edges[-1], slopes[k] on the k-th
+    of these.  A one-off's M rises on all of (0, inf).  A shape row's M' has
+    the sign of its slope polynomial Q (algebra.slope_polynomial), negated
+    for an upper bound; an edge is the lower end of the bracket of a root of
+    Q where Q changes sign, so M is monotone on the grid points on each
+    side of it."""
+    info = cat._CATALOG[bound]
+    # imported on first use: importing the package does not load it
+    from . import algebra as alg
+    q = alg.slope_polynomial(info, a)
+    if q is None:
+        return (), (1,)
+    comparison = alg.Comparison(q)
+    side = 1 if info.side == "lower" else -1
+    # Q's sign before its first root and after each (a 0 is the sign at a
+    # root that is a double, which either side may take); Q == 0 would make
+    # M constant
+    signs = [s for s in comparison.signs if s] or [1]
+    edges, slopes = [], [side * signs[0]]
+    for (lo, _), before, after in zip(comparison.brackets, signs, signs[1:]):
+        if after != before:
+            edges.append(lo)
+            slopes.append(side * after)
+    return tuple(edges), tuple(slopes)
+
+
+def _first_index(lo: int, hi: int, pred) -> int:
+    """The first index in (lo, hi] where pred holds, pred being false at lo
+    and true from that index to hi."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class _ExactPoints(dict):
+    """The fixed-point path at the grid points a sweep reads, by index, each
+    evaluated on first use."""
+
+    def __init__(self, bound: cat.BoundId, a: Optional[float], side: str,
+                 grid: GridSpec, digits: int):
+        super().__init__()
+        self.bound, self.a, self.side, self.grid, self.digits = bound, a, side, grid, digits
+        self.xs = grid.values()
+
+    def _evaluate(self, i: int) -> _Point:
+        point = self[i] = _exact_point(self.bound, self.a, self.side, self.xs[i],
+                                       self.digits)
+        return point
+
+    def __missing__(self, i: int) -> _Point:
+        try:
+            return self._evaluate(i)
+        except ArctanBoundsError as error:
+            raise self._first_failure(i, error) from None
+
+    def _first_failure(self, i: int, error: ArctanBoundsError) -> ArctanBoundsError:
+        """The error of the first grid point that raises one, `error` being
+        that of i.  The points whose margin underflows or is unresolved, or
+        whose bound outgrows a double, lie at the grid's ends (the margin
+        vanishes at 0 and at infinity, and |bound| is monotone at large x),
+        and a sweep evaluates the grid's first point first: so between the
+        nearest evaluated point below i and i they are a run that ends at
+        i, found by bisection."""
+        lo = max((k for k in self if k < i), default=-1)
+        while i - lo > 1:
+            mid = (lo + i) // 2
+            try:
+                self._evaluate(mid)
+                lo = mid
+            except ArctanBoundsError as exc:
+                i, error = mid, exc
+        return error
+
+    def run_start(self, start: int, last: int) -> int:
+        """The first of the points start..last whose reported margin is the
+        double at last, on a run where the margins do not rise."""
+        value = self[last].margin
+        if last == start or self[last - 1].margin != value:
+            return last
+        if self[start].margin == value:
+            return start
+        return _first_index(start, last - 1, lambda i: self[i].margin == value)
+
+    def filtered_minimum(self, start: int, stop: int, min_high: float) -> float:
+        """The double filter on the points start..stop-1, all x > 1, of one
+        sign: the points it cannot settle, and then those whose reported
+        margin could be the smallest, at most min_high, are evaluated in
+        fixed point.  Returns the smallest of min_high and their margins."""
+        from .fastatan import FAST_ATAN_K
+        fn, float_error = cat.float_form(self.bound, self.a)
+        lower = self.side == "lower"
+        # E = float_error + (K + 4)u(o + |b|), K = FAST_ATAN_K: o, the double
+        # of fast_atan, is within Ku o of arctan x, and o - b rounds once, by
+        # at most u(o + |b|), so m is within E of the exact margin at the
+        # double x.  A settled point's exact margin as reported, divided by
+        # arctan x, lies within rad = 2E/o of m/o: 2E exceeds E by
+        # (K + 4)u(o + |b|) >= (K + 4)u|m|, which covers the division by o in
+        # place of arctan x (a relative Ku, so Ku|m|) and the three roundings
+        # of m/o -+ 2E/o, with u|m| to spare.  Only a point whose low end is
+        # at most the running min_high can hold the minimum, and min_high
+        # only falls.
+        k4_u = (FAST_ATAN_K + 4) * 2.0 ** -53
+        unsettled, candidates = [], []
+        for i, x, o in zip(range(start, stop), self.xs[start:stop],
+                           _fast_atan_on_grid(self.grid, start, stop)):
+            b = fn(x)
+            m = o - b if lower else b - o
+            e = float_error(x, b) + k4_u * (o + abs(b))
+            if not abs(m) > e:      # unsettled, or NaN: x*x overflows from 2**512
+                unsettled.append(i)
+                continue
+            m, rad = m / o, 2 * e / o
+            if m + rad < min_high:
+                min_high = m + rad
+            if m - rad <= min_high:
+                candidates.append((i, m - rad))
+        for i in unsettled:
+            min_high = min(min_high, self[i].margin)
+        for i, low in candidates:
+            if low <= min_high:
+                min_high = min(min_high, self[i].margin)
+        return min_high
+
+
+def _lowest_ratio(first: _Point, last: _Point, positive: bool, lower: bool) -> Fraction:
+    """A lower bound of the reported margins M(x)/arctan x on the grid
+    points x > 1 from first to last, where M is monotone and of one sign.
+    From the ends' balls, M(x)/arctan x is at least M(first)/arctan(last)
+    where M > 0 rises, and M(last)/arctan(first) where M <= 0 falls; less
+    2**-50 of it, which covers the three roundings of a reported margin (of
+    the margin, of arctan and of their quotient), so that no point past the
+    bound can share the double of a point below it."""
+    at_m, at_atan = (first, last) if positive else (last, first)
+    b, o = at_m.bound_hp, at_m.oracle_hp
+    diff = o.units - b.units if lower else b.units - o.units
+    atan = at_atan.oracle_hp
+    atan_end = atan.units + atan.err if positive else atan.units - atan.err
+    ratio = Fraction(diff - b.err - o.err, o.scale) / Fraction(atan_end, atan.scale)
+    return ratio - abs(ratio) / 2 ** 50
+
+
 def sweep(bound: cat.BoundId, a: Optional[float] = None,
           grid: GridSpec = DEFAULT_GRID,
           digits: int = DEFAULT_SWEEP_DIGITS) -> SweepReport:
     """Check one bound's containment claim at every grid point.
 
     For a lower bound, a violation is bound >= arctan; for an upper bound,
-    bound <= arctan; the side is the catalog's.  The three stages are
-    described in the module docstring.
+    bound <= arctan; the side is the catalog's.  The grid is cut into the
+    pieces on which the margin is monotone, which decide the verdicts (see
+    the module docstring).
     """
     side = cat.bound_side(bound)
     check_digits(digits, "sweep")
-    fn, float_error = cat.float_form(bound, a)
-
+    cat._check_param(bound, a)
     xs = grid.values()
-    cat._check_x(xs[0])     # the smallest point; fast_atan is proven for x > 0
-    oracle_f = _fast_atan_on_grid(grid)
-    lower = side == "lower"
-    # E = float_error + (K + 4)u(o + |b|), K = FAST_ATAN_K: o, the double of
-    # fast_atan, is within Ku o of arctan x, and o - b rounds once, by at most
-    # u(o + |b|), so m is within E of the exact margin at the double x.  Where
-    # o, b and m are subnormal, float_error is at least 2**-1072
-    # (catalog._UNDERFLOW; the log rows' far more), which covers the absolute
-    # 2**-1075 of each rounding that underflows.
-    from .fastatan import FAST_ATAN_K
-    k4_u = (FAST_ATAN_K + 4) * 2.0 ** -53
-
-    # stage 1: settle m > E (holds) and m < -E (violated) in double.  A
-    # settled point's exact margin as reported (for x > 1 divided by
-    # arctan x) lies within rad = 2E of its estimate (for x > 1 divided by
-    # o): 2E exceeds E by (K + 4)u(o + |b|) >= (K + 4)u|m|, which covers the
-    # division by o in place of arctan x (a relative Ku, so Ku|m|) and the
-    # three roundings of m/o -+ 2E/o, with u|m| to spare.  Only a point whose
-    # low end is at most the running min_high can hold the minimum, and
-    # min_high only falls.  A settled violation's margin is at least a
-    # subnormal step below 0, and b is finite, so listing it later resolves
-    # below catalog.MAX_DIGITS.  Stage 2, the defect series, runs on the
-    # points stage 1 leaves unsettled or as candidates, in the series'
-    # domain; its E carries at least 18u|m| > (K + 4)u|m| as well, so the
-    # same 2E holds.
-    escalate = []
+    cat._check_x(xs[0])     # the smallest point
+    edges, slopes = _monotone_pieces(bound, a)
+    cuts = [bisect_right(xs, edge) for edge in edges]
+    ends = sorted({0, bisect_right(xs, 1.0), *cuts, len(xs)})
+    exact = _ExactPoints(bound, a, side, grid, digits)
     violated = []
-    candidates = []     # (index, lowest possible reported margin)
-    min_high = math.inf
-    # imported on first use: only sweeps need the series, so importing the
-    # package (every CLI command, the kernel) does not load it
-    from . import series as ser
-    series = ser.margin_evaluator(bound, a)
-    series_lo, series_hi = (series.x_min, series.x_max) if series else (math.inf, 0.0)
-    settled_by_series = 0
-    for i, x in enumerate(xs):
-        o = oracle_f[i]
-        b = fn(x)
-        m = o - b if lower else b - o
-        e = float_error(x, b) + k4_u * (o + abs(b))
-        scale = o if x > 1.0 else 1.0
-        if m > e or m < -e:
-            if m / scale - 2 * e / scale > min_high:    # settled, not a candidate
-                if m < -e:
-                    violated.append(i)
-                continue
-        if series_lo <= x <= series_hi:
-            m_s, e_s = series.margin(x)
-            if (m_s > e_s or m_s < -e_s) and not e_s >= e:
-                m, e = m_s, e_s
-                settled_by_series += 1
-        if not m > e:
-            if not m < -e:      # unsettled, or NaN
-                escalate.append(i)
-                continue
-            violated.append(i)
-        m, rad = m / scale, 2 * e / scale
-        if m + rad < min_high:
-            min_high = m + rad
-        if m - rad <= min_high:
-            candidates.append((i, m - rad))
+    end_parts, loose_parts = [], []
+    pieces = 0
+    for start, stop in zip(ends, ends[1:]):
+        if start == stop:
+            continue
+        pieces += 1
+        rising = slopes[bisect_right(cuts, start)] > 0
+        # M is monotone on the piece, so it holds on one run of it and is
+        # violated on the other: found from the exact signs at the two ends,
+        # and between them by bisection
+        first_holds, last_holds = exact[start].holds, exact[stop - 1].holds
+        split = stop if first_holds == last_holds else _first_index(
+            start, stop - 1, lambda i: exact[i].holds == last_holds)
+        for lo, hi, holds in ((start, split, first_holds), (split, stop, last_holds)):
+            if not holds:
+                violated.extend(range(lo, hi))
+        # the run of the smallest margins: the violated one, if any
+        lo, hi, positive = ((start, split, False) if not first_holds else
+                            (split, stop, False) if not last_holds else
+                            (start, stop, True))
+        # the reported margin is M for x <= 1 and M/arctan x above, where it
+        # keeps M's direction where M > 0 falls or M <= 0 rises
+        if xs[start] <= 1.0 or rising != positive:
+            end_parts.append((lo, hi, rising))
+        else:
+            loose_parts.append((lo, hi, positive))
 
-    # stage 3: the fixed-point path for the escalated points, then for the
-    # candidates whose reported margin could still be the smallest
-    exact = {}
-    for i in escalate:
-        _, _, margin, holds = _exact_point(bound, a, side, xs[i], digits)
-        exact[i] = margin
-        if not holds:
-            violated.append(i)
-        if margin < min_high:
-            min_high = margin
-    for i, low in candidates:
-        if low <= min_high:
-            exact[i] = _exact_point(bound, a, side, xs[i], digits)[2]
+    # a loose part is read in the double filter unless its lowest ratio clears
+    # the smallest reported margin found
+    best = min(point.margin for point in exact.values())
+    filtered = 0
+    for lo, hi, positive in loose_parts:
+        if _lowest_ratio(exact[lo], exact[hi - 1], positive, side == "lower") > best:
+            continue
+        filtered += hi - lo
+        best = exact.filtered_minimum(lo, hi, best)
 
-    min_margin = math.inf
-    min_x = xs[0]
-    for i in sorted(exact):
-        if exact[i] < min_margin:
-            min_margin = exact[i]
-            min_x = xs[i]
+    # every grid point whose reported margin can be the smallest is now
+    # evaluated, but on a falling part the run of points that share its
+    # last point's double
+    min_margin = min(point.margin for point in exact.values())
+    first = min(i for i, point in exact.items() if point.margin == min_margin)
+    for lo, hi, rising in end_parts:
+        if not rising and lo < first and exact[hi - 1].margin == min_margin:
+            first = min(first, exact.run_start(lo, hi - 1))
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
-                       violation_at=tuple(sorted(violated)),
-                       min_margin=min_margin, min_margin_x=min_x,
-                       escalated=len(exact), series=settled_by_series)
+                       violation_at=tuple(violated),
+                       min_margin=exact[first].margin, min_margin_x=xs[first],
+                       escalated=len(exact), pieces=pieces, filtered=filtered)
 
 
 @dataclass(frozen=True)
@@ -500,7 +644,7 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     xs = grid.values()
     cat._check_x(xs[0])
     tighter = 1 if side_a == "lower" else -1     # a bigger lower bound is tighter
-    # imported on first use, as sweep imports the series
+    # imported on first use, as sweep imports it
     from . import algebra as alg
     p = alg.comparison_polynomial(cat._CATALOG[bound_a], a_a, cat._CATALOG[bound_b], a_b)
     if p is None:

@@ -102,3 +102,45 @@ class TestComparison:
         report = dominance_report(BoundId.TWO_OVER_PI_LOWER, BoundId.SHAFER_LOWER, grid=grid)
         assert report.bracket_points == 1
         assert report.regions[0].x_lo == report.regions[0].x_hi == lo
+
+
+def test_slope_polynomial_is_the_margins_derivative():
+    # Q(u) / (u^2 (d + e u)^2) against a central difference of arctan x minus
+    # the row at 120 digits, for every shape row of the suite: the sweep's
+    # pieces rest on Q's sign
+    from arctanbounds import eval_bound_hp, oracle_arctan
+    from arctanbounds.catalog import _CATALOG
+    from arctanbounds.cli import _suite_entries
+
+    scale = 10 ** 130
+    pi = Fraction(oracle_arctan(1.0, 130).units * 4, scale)
+
+    def at_pi(v):
+        return Fraction(sum(n * pi ** k for k, n in enumerate(v.nums)), v.den)
+
+    def defect(bound, a, x):
+        return (oracle_arctan(x, 120).as_fraction()
+                - eval_bound_hp(bound, x, a, digits=120).as_fraction())
+
+    rows = 0
+    for bound, a in _suite_entries("all"):
+        row = _CATALOG[bound]
+        q = algebra.slope_polynomial(row, a)
+        if row.consts is None:
+            assert q is None, bound
+            continue
+        rows += 1
+        c, d, e = (at_pi(QPi.lift(v)) for v in
+                   row.consts(None if a is None else Fraction(a), PI))
+        q = [at_pi(v) for v in q]
+        for x in (0.01, 0.5, 1.0, 1.4394762380858963, 3.0, 100.0, 1e5):
+            lo, hi = x * (1 - 2.0 ** -30), x * (1 + 2.0 ** -30)
+            mid = (Fraction(lo) + Fraction(hi)) / 2
+            u = Fraction(math.isqrt((1 + mid * mid).numerator * scale ** 2
+                                    // (1 + mid * mid).denominator), scale)
+            exact = (sum(c_k * u ** k for k, c_k in enumerate(q))
+                     / (u * u * (d + e * u) ** 2))
+            slope = ((defect(bound, a, hi) - defect(bound, a, lo))
+                     / (Fraction(hi) - Fraction(lo)))
+            assert abs(slope - exact) < Fraction(1, 10 ** 12) / (u * u), (bound, a, x)
+    assert rows == 25      # the suite's 30 entries less the five one-offs

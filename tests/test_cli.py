@@ -340,7 +340,7 @@ print(calls)
     @pytest.mark.parametrize("argv,own", [
         (["find-min", "--a", "0.6"], ["family"]),
         (["verify", "--suite", "fixed", "--grid-points", "200"],
-         ["fastatan", "oracle", "series"]),
+         ["algebra", "fastatan", "oracle"]),
         (["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
           "--grid-points", "200"], ["algebra", "oracle"]),
     ], ids=["find-min", "verify", "dominance"])
@@ -467,38 +467,43 @@ class TestVerify:
         assert code == 0
         payload = strict_json(out)
         stats = payload.pop("stats")
-        assert set(stats) == {"oracle_s", "sweep_s", "escalated", "series", "checked",
+        assert set(stats) == {"sweep_s", "pieces", "escalated", "filtered", "checked",
                               "oracle_points", "package_version", "python_version",
                               "digits", "grid"}
-        assert stats["oracle_s"] > 0 and stats["sweep_s"] > 0
+        assert stats["sweep_s"] > 0
         assert stats["oracle_points"] > 0
         assert stats["digits"] == 50 and stats["grid"]["points"] == 300
         assert stats["package_version"] == arctanbounds.__version__
-        counts = [entry.pop("escalated") for entry in payload["results"]]
-        assert sum(counts) == stats["escalated"] < stats["checked"] == 300 * len(counts)
-        series = [entry.pop("series") for entry in payload["results"]]
-        assert sum(series) == stats["series"] > 0
-        assert stats["escalated"] + stats["series"] < stats["checked"]
+        counts = {key: [entry.pop(key) for entry in payload["results"]]
+                  for key in ("pieces", "escalated", "filtered")}
+        for key, values in counts.items():
+            assert sum(values) == stats[key], key
+        # every entry has one piece at least, below 1 and above it
+        assert all(2 <= n <= 4 for n in counts["pieces"])
+        assert stats["escalated"] + stats["filtered"] < stats["checked"] == 300 * len(
+            payload["results"])
         errata = next(i for i, e in enumerate(payload["results"])
                       if e["bound"] == "two-over-pi-lower-errata")
-        # the errata's violations are settled in double, not in fixed point
-        assert counts[errata] < payload["results"][errata]["violation_count"] == 300
+        # the errata's violations are one run per piece, not evaluated one by one
+        assert counts["escalated"][errata] < payload["results"][errata]["violation_count"] == 300
         # without --stats the report carries none of it
         assert payload == strict_json(plain)
         assert "stats" not in plain and "escalated" not in plain
 
     def test_default_grid_escalations(self, capsys):
-        # the defect series settles the tangency points; fixed point is left
-        # with the few candidates for each entry's minimum margin
+        # the monotone pieces decide each entry from a few points in fixed
+        # point: a fallback to reading every point would fail here
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--stats",
                                     "--format", "json"])
         assert code == 0
-        stats = strict_json(out)["stats"]
-        assert stats["escalated"] < 1000 and stats["series"] > 10_000
-        # the text report names both counts
+        payload = strict_json(out)
+        stats = payload["stats"]
+        assert all(entry["escalated"] <= 15 for entry in payload["results"])
+        assert stats["filtered"] < 0.01 * stats["checked"]
+        # the text report names the counts
         code, out, _ = run(capsys, VERIFY_ARGS[:-2] + ["--stats"])
-        assert re.match(r"fixed point at \d+ and defect series at \d+ of 9000 point "
-                        r"checks; oracle ", out.splitlines()[-1])
+        assert re.match(r"fixed point at \d+ and double filter at \d+ of 9000 point "
+                        r"checks in \d+ monotone pieces; oracle ", out.splitlines()[-1])
 
     def test_default_suite_builds_no_oracle_grid(self, capsys):
         # stage 1 reads the double arctan grid; fixed point is computed only
@@ -538,7 +543,7 @@ class TestVerify:
         entry = next(e for e in payload["results"]
                      if e["bound"] == "family-lower" and e["a"] == 0.5)
         assert entry["status"] == "ok" and entry["min_margin"] > 0
-        assert payload["stats"]["escalated"] == 20
+        assert payload["stats"]["escalated"] == 102
 
     def test_tiny_to_large_grid(self, capsys):
         # x = 1e-60 is zero units at 50 digits; such points are evaluated

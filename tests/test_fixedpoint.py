@@ -263,8 +263,8 @@ class TestAtanTableReduction:
             assert fp.pi_units(digits) == reference_pi_units(digits), digits
 
     def test_pi_ball_holds_pi(self):
-        # the catalog's regime proof reads its ends at 30 digits and the
-        # defect series at 100; pi here is the halving reference's at 130
+        # the catalog's regime proof reads its ends at 30 digits, and the
+        # algebra's signs from 30 up; pi here is the halving reference's at 130
         pi = Fraction(reference_pi_units(130), 10 ** 130)
         for digits in (20, 30, 50, 100):
             lo, hi = FixedReal.pi(digits).ends()

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import random
@@ -740,6 +741,196 @@ class TestExactDominance:
         report = dominance_report(BoundId.SHAFER_LOWER, BoundId.FAMILY_LOWER, a_b=0.5,
                                   grid=GRID)
         assert report.equal == GRID.points and report.degree == -1
+
+
+def margin_change(bound, a, x1, x2, digits=120) -> int:
+    """The sign of M(x2) - M(x1), M the exact margin (positive where the
+    bound holds), from the rows' and the oracle's balls at `digits` and
+    twice them until the difference's ball excludes 0."""
+    upper = bound_side(bound) == "upper"
+    while True:
+        b1, b2 = (eval_bound_hp(bound, x, a, digits=digits) for x in (x1, x2))
+        o1, o2 = oracle_arctan(x1, digits), oracle_arctan(x2, digits)
+        diff = (o2.units - b2.units) - (o1.units - b1.units)
+        if abs(diff) > b1.err + b2.err + o1.err + o2.err:
+            return (-1 if upper else 1) * (1 if diff > 0 else -1)
+        assert digits < 2000, (bound, a, x1, x2)
+        digits *= 2
+
+
+@st.composite
+def rows_and_params(draw):
+    """A catalog row with the suite's parameter or one drawn from its range."""
+    bound = draw(st.sampled_from(list(BoundId)))
+    suite = [a for b, a in _suite_entries("all") if b is bound]
+    return bound, draw(st.one_of(st.sampled_from(suite), _param(bound)))
+
+
+class TestMonotonePieces:
+    """The pieces a sweep cuts the grid into, against the exact margins at
+    120 digits and more: independent of the slope polynomial's roots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows_and_params(), st.floats(-6.0, 6.0), st.integers(10, 40))
+    def test_margins_order_as_their_piece_says(self, row, exponent, bits):
+        from arctanbounds.oracle import _monotone_pieces
+        bound, a = row
+        edges, slopes = _monotone_pieces(bound, a)
+        assert len(slopes) == len(edges) + 1
+        assert all(s != t for s, t in zip(slopes, slopes[1:]))
+        # two nearby doubles inside one piece
+        x1 = 10.0 ** exponent
+        x2 = x1 * (1 + 2.0 ** -bits)
+        piece = bisect.bisect_left(edges, x1)
+        if piece == bisect.bisect_left(edges, x2):
+            assert margin_change(bound, a, x1, x2) == slopes[piece], (bound, a, x1)
+        # and on both sides of each edge, whose bracket holds a root of the
+        # slope polynomial: the margin turns there
+        for k, edge in enumerate(edges):
+            if 1e-100 < edge < 1e100:
+                above = math.nextafter(edge, math.inf)
+                assert margin_change(bound, a, edge * (1 - 2.0 ** -bits), edge) == slopes[k]
+                assert margin_change(bound, a, above, above * (1 + 2.0 ** -bits)) == (
+                    slopes[k + 1]), (bound, a, edge)
+
+    def test_pieces_of_the_paper_rows(self):
+        from arctanbounds.oracle import _monotone_pieces
+        # the one-offs' margins rise on all of (0, inf), and so do
+        # family-lower's for a <= 1/2 (the paper's threshold) and
+        # mid-regime-lower's (its slope polynomial is a perfect square);
+        # family-upper's rise, then fall to 0, and the errata's fall first
+        for bound in (BoundId.RATIO_LOWER, BoundId.IDENTITY_UPPER, BoundId.CUBIC_LOWER,
+                      BoundId.LOG_LOWER, BoundId.LOG_UPPER, BoundId.SHAFER_LOWER):
+            assert _monotone_pieces(bound, None) == ((), (1,)), bound
+        for a in (0.0, 0.1, 0.25, 0.5):
+            assert _monotone_pieces(BoundId.FAMILY_LOWER, a) == ((), (1,))
+            assert _monotone_pieces(BoundId.FAMILY_UPPER, a)[1] == (1, -1)
+        for a in (0.55, 0.6):
+            assert _monotone_pieces(BoundId.MID_REGIME_LOWER, a) == ((), (1,))
+        assert _monotone_pieces(BoundId.TWO_OVER_PI_LOWER_ERRATA, None)[1] == (-1, 1)
+
+
+class TestPieceMinimum:
+    def test_ties_inside_a_loose_piece(self):
+        # past x = 1 two-over-pi-upper's margin rises, but its ratio to
+        # arctan falls by about an ulp over this grid, so the piece is read
+        # in the double filter: points 2 to 39 share one double, and the
+        # first of them is reported, as by the reference
+        grid = GridSpec(21157275.09932036, 21157275.127642065, 40, "log")
+        oracle = [oracle_arctan(x, 50) for x in grid.values()]
+        for bound, a in _suite_entries("all"):
+            violations, min_margin, min_x = reference_sweep(bound, a, grid, 50, oracle)
+            report = sweep(bound, a=a, grid=grid)
+            assert report.violations == violations, (bound, a)
+            assert (report.min_margin, report.min_margin_x) == (min_margin, min_x), (bound, a)
+
+    def test_skipped_pieces_bound_every_ratio(self):
+        # a loose piece above x = 1 (M > 0 rising or M <= 0 falling) is skipped
+        # when _lowest_ratio, from the balls at its two ends, clears the
+        # smallest margin found: it must lie below every reported margin of it
+        from arctanbounds.oracle import _exact_point, _lowest_ratio, _monotone_pieces
+        grid = GridSpec(1.5, 1e8, 60, "log")
+        xs = grid.values()
+        checked = 0
+        for bound, a in _suite_entries("all"):
+            side = bound_side(bound)
+            edges, slopes = _monotone_pieces(bound, a)
+            points = [_exact_point(bound, a, side, x, 50) for x in xs]
+            # runs of one slope and one sign
+            runs = {}
+            for i, x in enumerate(xs):
+                runs.setdefault((bisect.bisect_left(edges, x), points[i].holds), []).append(i)
+            for (piece, holds), run in runs.items():
+                if (slopes[piece] > 0) != holds:
+                    continue
+                lowest = _lowest_ratio(points[run[0]], points[run[-1]], holds,
+                                       side == "lower")
+                assert all(lowest < points[i].margin for i in run), (bound, a, piece)
+                checked += 1
+        # the eight entries whose margin falls to 0 at infinity have no loose
+        # piece here; each of the other 22 has one
+        assert checked == 22
+
+
+class TestPieceSweep:
+    """sweep against the fixed-point path at every grid point: the verdicts,
+    the smallest reported margin and its first point, and the first point
+    that raises an error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows_and_params(), st.floats(-6.0, 6.0), st.floats(0.0, 6.0),
+           st.integers(2, 30))
+    def test_random_grids_match_the_per_point_path(self, row, low, decades, points):
+        from arctanbounds.oracle import _exact_point
+        bound, a = row
+        x_min = 10.0 ** low
+        x_max = x_min * 10.0 ** decades
+        if not x_min < x_max:
+            x_max = 2 * x_min
+        grid = GridSpec(x_min, x_max, points, "log")
+        side = bound_side(bound)
+        exact = [_exact_point(bound, a, side, x, 50) for x in grid.values()]
+        margins = [p.margin for p in exact]
+        report = sweep(bound, a=a, grid=grid)
+        assert list(report.violation_at) == [i for i, p in enumerate(exact) if not p.holds]
+        assert report.min_margin == min(margins), (bound, a)
+        assert report.min_margin_x == grid.values()[margins.index(min(margins))], (bound, a)
+
+    @pytest.mark.parametrize("bound,a,grid,max_digits,error", [
+        # x^3/3 outgrows a double from x = 8.1e102
+        (BoundId.CUBIC_LOWER, None, GridSpec(1e102, 1e103, 40, "linear"), None,
+         DomainError),
+        # family-upper's margin falls like 1/x: below 10**-100 from x = 1e100
+        (BoundId.FAMILY_UPPER, 0.25, GridSpec(1e10, 1e200, 40, "log"), 100,
+         PrecisionError),
+    ], ids=["overflow", "unresolved"])
+    def test_first_failing_point_is_named(self, monkeypatch, bound, a, grid, max_digits,
+                                          error):
+        from arctanbounds.oracle import _exact_point
+        if max_digits is not None:
+            monkeypatch.setattr(arctanbounds.catalog, "MAX_DIGITS", max_digits)
+        side = bound_side(bound)
+        for i, x in enumerate(grid.values()):
+            try:
+                _exact_point(bound, a, side, x, 50)
+            except error as exc:
+                message = str(exc)
+                break
+        # strictly inside the grid, so the sweep finds it by bisection
+        assert 0 < i < grid.points - 1 and f"x={x!r}:" in message
+        with pytest.raises(error, match=re.escape(message)):
+            sweep(bound, a=a, grid=grid)
+
+    def test_fast_atan_grid_only_for_filtered_pieces(self, monkeypatch):
+        # the double filter's grid is built for the pieces that reach it, all
+        # above x = 1; on the default grid only the errata's does
+        from arctanbounds import oracle as orc
+        built = []
+        original = orc._fast_atan_on_grid
+
+        def recording(grid, start, stop):
+            built.append((start, stop))
+            return original(grid, start, stop)
+
+        monkeypatch.setattr(orc, "_fast_atan_on_grid", recording)
+        xs = DEFAULT_GRID.values()
+        for bound, a in _suite_entries("all"):
+            built.clear()
+            report = sweep(bound, a=a)
+            assert sum(stop - start for start, stop in built) == report.filtered, (bound, a)
+            assert all(xs[start] > 1.0 for start, _ in built), (bound, a)
+            assert (report.filtered > 0) == (bound is BoundId.TWO_OVER_PI_LOWER_ERRATA)
+
+    def test_pieces_cut_at_slope_roots_and_at_one(self):
+        # shafer-lower's margin rises everywhere; the errata's falls up to
+        # x = 1.4394762380858963 and rises after
+        below_one = GridSpec(1e-8, 0.5, 50, "log")
+        assert sweep(BoundId.SHAFER_LOWER, grid=below_one).pieces == 1
+        assert sweep(BoundId.SHAFER_LOWER, grid=GRID).pieces == 2
+        assert sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, grid=below_one).pieces == 1
+        assert sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, grid=GRID).pieces == 3
+        above_root = GridSpec(1.5, 1e8, 50, "log")
+        assert sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, grid=above_root).pieces == 1
 
 
 class TestExactPoint:

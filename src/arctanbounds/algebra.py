@@ -16,11 +16,12 @@ cut a sweep's grid into monotone pieces (see oracle).
 Signs.  An element of Q[pi] is zero exactly when its rational coefficients
 all are, since pi is transcendental: P == 0 is an exact test.  Any other sign
 is decided on the ends of FixedReal.pi(d), from d = 30, doubling d until the
-interval of values excludes 0 (PrecisionError past catalog.MAX_DIGITS; 3000
-random pairs of catalog rows took 30 or 60 digits).  At u = sqrt(q), where
-q = 1 + x^2 is an exact Fraction for any double or dyadic x, P(u) is
-E + O sqrt(q) with E and O in Q[pi] (P's even and odd parts at q); where E and
-O differ in sign its sign is E's times that of E^2 - q O^2.
+interval of values excludes 0 (fixedpoint.refine, PrecisionError past
+fixedpoint.MAX_DIGITS; 3000 random pairs of catalog rows took 30 or 60
+digits).  At u = sqrt(q), where q = 1 + x^2 is an exact Fraction for any
+double or dyadic x, P(u) is E + O sqrt(q) with E and O in Q[pi] (P's even and
+odd parts at q); where E and O differ in sign its sign is E's times that of
+E^2 - q O^2.
 
 Roots.  With t = u - 1, T(t) = P(1 + t) loses its factors t (roots at u = 1,
 that is x = 0); where it has a multiple root it is divided by its gcd with
@@ -45,7 +46,6 @@ from functools import lru_cache
 from typing import Optional
 
 from . import fixedpoint as fp
-from .catalog import MAX_DIGITS
 from .errors import PrecisionError
 
 #: The digits of pi the first decision of a sign takes.
@@ -145,15 +145,15 @@ def _pi_powers(digits: int, top: int) -> tuple[tuple[int, int, int], ...]:
 
 def _decide(nums: list[int]) -> tuple[int, int]:
     """The sign of sum(nums[k] * pi**k), not all zero, and the digits of pi
-    that decided it."""
+    that decided it, under fixedpoint.refine."""
     while nums and not nums[-1]:
         nums = nums[:-1]
     if len(nums) <= 1:
         return (nums[0] > 0) - (nums[0] < 0) if nums else 0, 0
-    digits = _FIRST_PI_DIGITS
-    while True:
+
+    def sign_at(digits: int) -> tuple[int, int]:
         # the sum times scale**top: each term lies between n_k times the k-th
-        # powers of the two ends
+        # powers of the two ends; the sign is 0 where they bracket 0
         low = high = 0
         for n, (w, lo_k, hi_k) in zip(nums, _pi_powers(digits, len(nums) - 1)):
             if n > 0:
@@ -162,11 +162,10 @@ def _decide(nums: list[int]) -> tuple[int, int]:
             elif n < 0:
                 low += n * w * hi_k
                 high += n * w * lo_k
-        if low > 0 or high < 0:
-            return (1 if low > 0 else -1), digits
-        if 2 * digits > MAX_DIGITS:
-            raise PrecisionError(f"a sign in Q[pi] is unresolved at {digits} digits of pi")
-        digits *= 2
+        return (low > 0) - (high < 0), digits
+
+    return fp.refine(sign_at, _FIRST_PI_DIGITS, lambda r: r[0],
+                     lambda: "a sign in Q[pi]")
 
 
 def sign(q: QPi) -> int:

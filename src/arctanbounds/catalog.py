@@ -39,11 +39,6 @@ _HALF_PI = 0.5 * math.pi
 #: kept here so that the CLI's parser shows them without importing the oracle.
 DEFAULT_DIGITS = 30
 DEFAULT_SWEEP_DIGITS = 50
-#: The most digits a point is evaluated at again, doubling from the starting
-#: digits.  The thinnest margin at a double, x**5/180 at x = 2**-1074, is
-#: about 1.6e-1619, which a few units of 10**-1620 resolve; every doubling
-#: from 20 digits or more passes 2048 before it passes this cap.
-MAX_DIGITS = 4096
 
 
 class Regime(Enum):
@@ -163,7 +158,7 @@ def _larger(p, q):
     """max(p, q); PrecisionError for two balls that their radii do not
     separate, which for max(pi/2, 1 + a) happens only below 18 digits: every
     double lies 4.9e-17 or more from pi/2 - 1."""
-    if isinstance(p, fp.FixedReal) and abs(p.units - q.units) <= p.err + q.err:
+    if isinstance(p, fp.FixedReal) and not fp.separated((p, q)):
         raise PrecisionError("max of two balls that overlap")
     return max(p, q)
 
@@ -395,24 +390,20 @@ def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
     the doubles x and a rounded once to the nearest double, -inf or inf
     where that overflows (cubic-lower above ~1e103).
 
-    It runs eval_bound_hp at 30 + 2|log10 x| digits, and again at twice the
-    digits until both ends of the value's ball round to the same double,
-    which the exact value then rounds to as well: cubic-lower near its zero
-    at sqrt(3) and reversed-lower at a huge a take more passes.
-    PrecisionError past MAX_DIGITS.
+    It runs eval_bound_hp from 30 + 2|log10 x| digits under
+    fixedpoint.refine, until both ends of the value's ball round to the
+    same double, which the exact value then rounds to as well: cubic-lower
+    near its zero at sqrt(3) and reversed-lower at a huge a take more
+    passes.  PrecisionError past fixedpoint.MAX_DIGITS.
     """
     _check_param(bound, a)
     _check_x(x)
-    digits = 30 + 2 * math.ceil(abs(math.log10(x)))
-    while True:
-        value = eval_bound_hp(bound, x, a, digits=digits)
-        low = _double(value.units - value.err, value.scale)
-        if low == _double(value.units + value.err, value.scale):
-            return low
-        if 2 * digits > MAX_DIGITS:
-            raise PrecisionError(f"{bound.value} at x={x!r} does not round to one "
-                                 f"double at {digits} digits")
-        digits *= 2
+    value = fp.refine(
+        lambda d: eval_bound_hp(bound, x, a, digits=d),
+        30 + 2 * math.ceil(abs(math.log10(x))),
+        lambda v: _double(v.units - v.err, v.scale) == _double(v.units + v.err, v.scale),
+        lambda: f"the double of {bound.value} at x={x!r}")
+    return _double(value.units, value.scale)
 
 
 def float_form(bound: BoundId, a: Optional[float]

@@ -47,6 +47,7 @@ import time
 from typing import Optional
 
 from . import catalog as cat
+from . import fixedpoint as fp
 from . import __version__
 from .errors import ArctanBoundsError, DomainError, ParamError
 
@@ -209,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
+    if args.digits > fp.MAX_DIGITS:
+        raise ParamError(f"eval needs at most {fp.MAX_DIGITS} digits")
     value = cat.eval_bound(args.bound, args.x, args.a)
     if not math.isfinite(value):    # JSON has no infinity; text matches it
         raise DomainError(f"{args.bound.value} at x={args.x!r}: the bound "

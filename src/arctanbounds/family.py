@@ -8,9 +8,9 @@ regime from g's limits and the linear factor of its derivative.
 
 For 1/2 < a < 2/pi the gap has a single zero, which is the unique interior
 minimum of the ratio; ``find_interior_minimum`` locates it by bisecting
-the gap's sign, each sign decided in fixed point past the value's radius,
-and ``minimum_value_closed_form`` gives the minimum as (a+u)^2 / (u (1+a u))
-with u = sqrt(1 + x0^2).
+the gap's sign, each sign decided in fixed point past the value's radius
+(see fixedpoint.refine), and ``minimum_value_closed_form`` gives the
+minimum as (a+u)^2 / (u (1+a u)) with u = sqrt(1 + x0^2).
 
 All evaluations accept floats or :class:`~arctanbounds.fixedpoint.FixedReal`.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import fixedpoint as fp
 from .catalog import MID_REGIME_RANGE
-from .errors import DomainError, ParamError, PrecisionError, SingularityError
+from .errors import DomainError, ParamError, SingularityError
 
 
 def _check_positive(x) -> None:
@@ -67,11 +67,6 @@ class MinimumResult:
     residual: float
 
 
-#: Digits of the first fixed-point evaluation of the gap, and the most that
-#: _certified_gap doubles them to.
-_GAP_DIGITS = 30
-_GAP_MAX_DIGITS = 480
-
 #: Digits of the minimum's fixed-point value.  Its relative error, under
 #: 10**-32 for every x0 >= 4.7e-8, cannot move the rounding to a double
 #: unless the ratio lies that close to the midpoint of two doubles.
@@ -79,18 +74,14 @@ _VALUE_DIGITS = 40
 
 
 def _certified_gap(a: float, x: float) -> fp.FixedReal:
-    """stationarity_gap(a, x) in fixed point at the first precision, from
-    _GAP_DIGITS doubling up to _GAP_MAX_DIGITS, where its size exceeds its
-    radius, so that its sign is the true gap's.  PrecisionError past the
-    cap."""
-    digits = _GAP_DIGITS
-    while digits <= _GAP_MAX_DIGITS:
-        g = stationarity_gap(fp.FixedReal(a, digits), fp.FixedReal(x, digits))
-        if abs(g.units) > g.err:
-            return g
-        digits *= 2
-    raise PrecisionError(
-        f"sign of the gap at a={a!r}, x={x!r} unresolved at {_GAP_MAX_DIGITS} digits")
+    """stationarity_gap(a, x) in fixed point from 30 digits, refined
+    (fixedpoint.refine) until its size exceeds its radius, so that its sign
+    is the true gap's.  At a double the gap is never 0: arctan x is
+    transcendental (Lindemann) and the rest of the gap algebraic."""
+    return fp.refine(
+        lambda d: stationarity_gap(fp.FixedReal(a, d), fp.FixedReal(x, d)),
+        30, lambda g: abs(g.units) > g.err,
+        lambda: f"the sign of the gap at a={a!r}, x={x!r}")
 
 
 def find_interior_minimum(a: float) -> MinimumResult:

@@ -22,13 +22,13 @@ On each piece the fixed-point path (``eval_bound_hp``, the catalog entry's
 closed form on FixedReal balls, against the oracle's ball) evaluates M at
 the two ends.  There a point is decided where the two centres lie further
 apart than the two radii, at the sweep's digits or at twice them and so
-on (see _separated).  M being monotone, its violations are one run at one
-end of the piece, found from the ends' signs and between them by bisection
-on exact signs; a violation's fixed-point bound is computed again only when
-the report's listing is read.  The smallest reported margin of a piece lies
-at an end for x <= 1, and above it where M > 0 falls or M <= 0 rises,
-since arctan rises; on a falling piece the run of points that share the
-end's double is bisected to its first point.  On the other pieces above
+on (see fixedpoint.refine).  M being monotone, its violations are one run
+at one end of the piece, found from the ends' signs and between them by
+bisection on exact signs; a violation's fixed-point bound is computed again
+only when the report's listing is read.  The smallest reported margin of a
+piece lies at an end for x <= 1, and above it where M > 0 falls or M <= 0
+rises, since arctan rises; on a falling piece the run of points that share
+the end's double is bisected to its first point.  On the other pieces above
 x = 1, M(p)/arctan(q) (or M(q)/arctan(p)) from the balls at the ends p and
 q bounds every ratio below, and the piece is skipped where that bound
 clears the smallest margin found.  Otherwise its points are read in the
@@ -60,8 +60,8 @@ fixed-point evaluation; a crossover is the double nearest a root where the
 sign changes.  A pair with a log row decides the sign with the sweep's
 double filter, the second bound taking the oracle's place, and elsewhere on
 the two rows' fixed-point balls decided past both radii as a sweep decides
-a point (see _separated); it bisects each crossover on the bit patterns of
-the two doubles, to a relative width of 1e-13 at any magnitude.
+a point (see fixedpoint.refine); it bisects each crossover on the bit
+patterns of the two doubles, to a relative width of 1e-13 at any magnitude.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -85,14 +85,14 @@ from typing import NamedTuple, Optional
 from . import catalog as cat
 from . import fixedpoint as fp
 from .catalog import DEFAULT_DIGITS, DEFAULT_SWEEP_DIGITS
-from .errors import ArctanBoundsError, DomainError, ParamError, PrecisionError
+from .errors import ArctanBoundsError, DomainError, ParamError
 
 
 def check_digits(digits: int, what: str) -> None:
-    """Raise ParamError, naming `what`, unless digits >= 20, the fewest the
-    oracle and every report checked against it take."""
-    if digits < 20:
-        raise ParamError(f"{what} needs at least 20 digits")
+    """Raise ParamError, naming `what`, unless 20 <= digits <= MAX_DIGITS:
+    the fewest the oracle takes, and the most that fixedpoint.refine does."""
+    if not 20 <= digits <= fp.MAX_DIGITS:
+        raise ParamError(f"{what} needs at least 20 digits and at most {fp.MAX_DIGITS}")
 
 
 def oracle_arctan(x: float, digits: int = DEFAULT_DIGITS) -> fp.FixedReal:
@@ -189,24 +189,6 @@ def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
     return margin if x <= 1.0 else margin / oracle_value
 
 
-def _separated(balls, digits: int, what: str):
-    """The pair balls(d) of FixedReal balls at the first of d = digits, twice
-    them and so on whose centres lie further apart than the two radii, so
-    that their order is the exact one.  A PrecisionError from balls (a point
-    that is zero units, a radius that reaches a pole) counts as undecided;
-    PrecisionError, naming `what`, past catalog.MAX_DIGITS."""
-    while True:
-        try:
-            p, q = balls(digits)
-            if abs(p.units - q.units) > p.err + q.err:
-                return p, q
-        except PrecisionError:
-            pass
-        if 2 * digits > cat.MAX_DIGITS:
-            raise PrecisionError(f"{what} is unresolved at {digits} digits")
-        digits *= 2
-
-
 class _Point(NamedTuple):
     """The fixed-point path at one point: the doubles of the bound's and the
     oracle's centres, the reported margin, whether the inequality holds, and
@@ -222,11 +204,11 @@ class _Point(NamedTuple):
 
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
                  digits: int) -> _Point:
-    """The fixed-point path at x, decided by _separated from `digits`.
-    DomainError where the bound or the margin does not fit a double."""
-    bound_hp, oracle_hp = _separated(
+    """The fixed-point path at x, separated by fixedpoint.refine from
+    `digits`.  DomainError where the bound or the margin does not fit a double."""
+    bound_hp, oracle_hp = fp.refine(
         lambda d: (cat.eval_bound_hp(bound, x, a, digits=d), _oracle_at(x, d)),
-        digits, f"{bound.value} at x={x!r}: the margin")
+        digits, fp.separated, lambda: f"{bound.value} at x={x!r}: the margin")
     diff = oracle_hp.units - bound_hp.units
     if side == "upper":
         diff = -diff
@@ -629,8 +611,8 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     the sign changes, strictly inside the grid's range.  A pair with a log
     row takes the float filter of a sweep, the second bound in the oracle's
     place, and the fixed-point path where that cannot settle a point
-    (decided past both radii, see _separated), and bisects each crossover
-    between adjacent non-tied grid points that flip.
+    (decided past both radii, see fixedpoint.refine), and bisects each
+    crossover between adjacent non-tied grid points that flip.
     """
     side_a = cat.bound_side(bound_a)
     side_b = cat.bound_side(bound_b)
@@ -712,10 +694,11 @@ def _filtered_signs(bound_a: cat.BoundId, bound_b: cat.BoundId,
         if abs(diff) > error_a(x, fa) + error_b(x, fb) + four_u * (abs(fa) + abs(fb)):
             return tighter if diff > 0 else -tighter
         escalated += 1
-        ball_a, ball_b = _separated(
+        ball_a, ball_b = fp.refine(
             lambda d: (cat.eval_bound_hp(bound_a, x, a_a, digits=d),
                        cat.eval_bound_hp(bound_b, x, a_b, digits=d)),
-            digits, f"{bound_a.value} against {bound_b.value} at x={x!r}: the sign")
+            digits, fp.separated,
+            lambda: f"{bound_a.value} against {bound_b.value} at x={x!r}: the sign")
         return tighter if ball_a.units > ball_b.units else -tighter
 
     signs = [sign_at(x) for x in xs]

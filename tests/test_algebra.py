@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from arctanbounds import GridSpec, PrecisionError, algebra
+from arctanbounds import GridSpec, PrecisionError, algebra, fixedpoint
 from arctanbounds.algebra import PI, Comparison, QPi, _decide
 
 
@@ -43,7 +43,7 @@ class TestQPi:
         assert PI / 2 < Fraction(1.5707963267948968)
 
     def test_unresolved_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(algebra, "MAX_DIGITS", 100)
+        monkeypatch.setattr(fixedpoint, "MAX_DIGITS", 100)
         with pytest.raises(PrecisionError):
             decide(PI - Fraction(314159265358979323846264338327950288419716939937510582097494459,
                                  10 ** 62))

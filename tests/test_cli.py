@@ -135,6 +135,29 @@ class TestErrors:
         assert code == 2
         assert "ParamError" in err
 
+    #: a command of each path to the digit cap: verify, dominance and profile
+    #: through the oracle's check, eval's fixed-point value through its own
+    CAPPED_DIGITS = {
+        "verify": ["verify", "--suite", "fixed", "--grid-points", "2"],
+        "dominance": ["dominance", "--bound-a", "log-lower", "--bound-b",
+                      "shafer-lower", "--grid-points", "2"],
+        "profile": ["profile", "--grid-points", "2"],
+        "eval": ["eval", "--bound", "shafer-lower", "--x", "1"],
+    }
+
+    @pytest.mark.parametrize("command", CAPPED_DIGITS)
+    def test_digits_past_the_cap_map_to_exit_2(self, capsys, command):
+        # they once ran for seconds to minutes at 20,000 digits and more
+        code, out, err = run(capsys, self.CAPPED_DIGITS[command] + ["--digits", "4097"])
+        assert code == 2 and out == ""
+        assert err.startswith("ParamError") and "at most 4096" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", CAPPED_DIGITS)
+    def test_digits_at_the_cap_run(self, capsys, command):
+        code, out, err = run(capsys, self.CAPPED_DIGITS[command] + ["--digits", "4096"])
+        assert code == 0 and out and err == ""
+
     def test_profile_below_oracle_digits_maps_to_exit_2(self, capsys):
         code, out, err = run(capsys, ["profile", "--grid-points", "20",
                                       "--digits", "5", "--format", "json"])

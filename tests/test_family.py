@@ -1,12 +1,14 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arctanbounds import family
+from arctanbounds import family, fixedpoint
 from arctanbounds import (
     DomainError,
     FixedReal,
@@ -183,6 +185,10 @@ REFERENCE_PARAMS = [
     math.nextafter(0.5, 1), math.nextafter(TWO_OVER_PI, 0),
     0.51, 0.55, 0.6, 0.63,
 ]
+#: find_interior_minimum's x0, value, u and residual at REFERENCE_PARAMS, as
+#: repr strings, recorded before the gap's signs went through
+#: fixedpoint.refine
+FIND_MIN_GOLDEN = Path(__file__).parent / "data" / "find_min_golden.json"
 
 
 class TestInteriorMinimum:
@@ -224,6 +230,16 @@ class TestInteriorMinimum:
         assert res.residual <= 1e-12
 
     @pytest.mark.parametrize("a", REFERENCE_PARAMS)
+    def test_matches_the_golden(self, a):
+        # every field to the last bit: one gap sign that moved, or a sign
+        # decided at other digits, moves x0 or the residual
+        golden = {row.pop("a"): row for row in
+                  json.loads(FIND_MIN_GOLDEN.read_text(encoding="utf-8"))}
+        res = find_interior_minimum(a)
+        assert {field: repr(getattr(res, field)) for field in golden[repr(a)]} \
+            == golden[repr(a)]
+
+    @pytest.mark.parametrize("a", REFERENCE_PARAMS)
     def test_value_is_the_rounded_ratio(self, a):
         # the double of the ratio at x0, not the ratio in double: that reads
         # 1.5707963267948968, one ulp above pi/2, next below 2/pi
@@ -250,7 +266,7 @@ class TestInteriorMinimum:
     def test_unresolved_sign_raises(self, monkeypatch):
         # at a = 1/2 + 1e-9 the last bisection steps meet gaps within their
         # radius at 30 digits, and the cap allows no more
-        monkeypatch.setattr(family, "_GAP_MAX_DIGITS", family._GAP_DIGITS)
+        monkeypatch.setattr(fixedpoint, "MAX_DIGITS", 30)
         with pytest.raises(PrecisionError):
             find_interior_minimum(0.5 + 1e-9)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arctanbounds import fixedpoint as fp
@@ -475,3 +475,52 @@ class TestBallRadius:
         pairs = [(FixedReal.pi(d), Fraction(reference_pi_units(d + 40), 10 ** (d + 40)))
                  for d in range(1, 120)]
         self.check(pairs, slack=Fraction(1, 10 ** 150))
+
+
+class TestRefine:
+    """refine against the doubling sequence, written out independently: the
+    digits start << k for k >= 0 that do not pass MAX_DIGITS."""
+
+    @given(start=st.one_of(st.integers(1, fp.MAX_DIGITS),
+                           st.sampled_from([fp.MAX_DIGITS >> k for k in range(13)])),
+           accept=st.integers(0, 13),
+           raises=st.sets(st.integers(0, 13), max_size=4))
+    @example(start=fp.MAX_DIGITS // 2, accept=13, raises=set())
+    @example(start=fp.MAX_DIGITS // 8, accept=3, raises={2})
+    @example(start=3, accept=0, raises={0, 1})
+    @settings(max_examples=200, deadline=None)
+    def test_refine_follows_the_doubling_sequence(self, start, accept, raises):
+        # evaluate raises PrecisionError at the indices in `raises`, and
+        # decided accepts a value from index `accept` on
+        sequence = [start << k for k in range(14) if start << k <= fp.MAX_DIGITS]
+        calls, values = [], []
+
+        def evaluate(d):
+            calls.append(d)
+            if len(calls) - 1 in raises:
+                raise PrecisionError("a ball that reaches a pole")
+            values.append(object())
+            return values[-1]
+
+        decided = lambda value: len(calls) - 1 >= accept
+        first = next((i for i in range(accept, len(sequence)) if i not in raises), None)
+        if first is None:
+            with pytest.raises(PrecisionError) as info:
+                fp.refine(evaluate, start, decided, lambda: "a test sign")
+            assert str(info.value) == f"a test sign is unresolved at {sequence[-1]} digits"
+            assert calls == sequence
+        else:
+            assert fp.refine(evaluate, start, decided, lambda: "a test sign") is values[-1]
+            assert calls == sequence[:first + 1]
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(fp, "MAX_DIGITS", 30)
+        calls = []
+        with pytest.raises(PrecisionError, match="^x is unresolved at 30 digits$"):
+            fp.refine(calls.append, 15, lambda value: False, lambda: "x")
+        assert calls == [15, 30]
+
+    def test_separated(self):
+        p, q = FixedReal._raw(10, 30, 2), FixedReal._raw(14, 30, 1)
+        assert fp.separated((p, q)) and fp.separated((q, p))
+        assert not fp.separated((p, FixedReal._raw(13, 30, 1)))

@@ -379,7 +379,7 @@ def exact_sign(bound_a, a_a, bound_b, a_b, x, digits):
         except PrecisionError:
             pass
         digits *= 2
-        assert digits <= 2 * arctanbounds.catalog.MAX_DIGITS, (bound_a, bound_b, x)
+        assert digits <= 2 * arctanbounds.fixedpoint.MAX_DIGITS, (bound_a, bound_b, x)
 
 
 def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
@@ -888,7 +888,7 @@ class TestPieceSweep:
                                           error):
         from arctanbounds.oracle import _exact_point
         if max_digits is not None:
-            monkeypatch.setattr(arctanbounds.catalog, "MAX_DIGITS", max_digits)
+            monkeypatch.setattr(arctanbounds.fixedpoint, "MAX_DIGITS", max_digits)
         side = bound_side(bound)
         for i, x in enumerate(grid.values()):
             try:

@@ -5,19 +5,23 @@ verify, dominance, profile.  Each handler returns ``(status, payload,
 text)``; ``main`` alone writes the text, or for ``--format json`` the
 payload indented alike for every command (``classify`` too), to stdout or
 to ``--output``; ``profile --format csv`` rows replace the text.  A payload
-with ``stats`` gains the provenance: package and Python versions, digits and
-grid.  ``verify`` lists the first 25 violations of each entry and counts
-them all; its ``--stats`` adds each entry's count of the monotone pieces
-its sweep cut the grid into, of the points it evaluated in fixed point (a
-violation between the ends of its run is not among them) and of the
-points its double filter read, the fixed-point oracle values computed,
-and the sweeps' time.
+with ``stats`` gains the provenance: package and Python versions, and for a
+command with a grid its digits and grid.  ``verify`` lists the first 25
+violations of each entry and counts them all; its ``--stats`` adds each
+entry's count of the monotone pieces its sweep cut the grid into, of the
+points it evaluated in fixed point (a violation between the ends of its run
+is not among them) and of the points its double filter read, the
+fixed-point oracle values computed, and the sweeps' time.
 ``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
 the report's time and its method: for two rows without a log the degree of
 the comparison polynomial, its roots' brackets, the grid points at a
 bracket's end and the digits of pi, for a log row the grid points and
 bisection steps decided in fixed point.  ``profile --stats`` adds the rows
 measured in fixed point, those of them at extra digits, and the rows' time.
+``find-min --stats`` adds the solve's time, the fixed-point evaluations of
+the gap and their most digits, the certified bracket of x0, the signs of the
+search read from it and those decided in fixed point, and the digits a sign
+starts from.
 ``enclose`` gives an outward-rounded bracket.
 
 A process builds the parser once, on its first ``main`` call, and reuses it.
@@ -171,6 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-min", help="interior minimum of the family ratio")
     p.add_argument("--a", type=float, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="add the fixed-point gap evaluations, the certified "
+                        "bracket, the search's steps, the solve's time and "
+                        "provenance to the JSON or text report")
     _add_output_args(p)
 
     p = sub.add_parser("verify", help="sweep the catalog against the oracle")
@@ -243,11 +251,29 @@ def _cmd_enclose(args) -> tuple[int, dict, str]:
 
 def _cmd_find_min(args) -> tuple[int, dict, str]:
     fam = _submodule("family")
+    started = time.perf_counter()
     res = fam.find_interior_minimum(args.a)
+    solve_s = time.perf_counter() - started
     payload = {"a": args.a, "x0": res.x0, "value": res.value, "u": res.u,
                "residual": res.residual}
-    return 0, payload, (f"minimum of the ratio at a={args.a!r}: x0={res.x0!r} "
-                        f"value={res.value!r} u={res.u!r} residual={res.residual!r}")
+    text = (f"minimum of the ratio at a={args.a!r}: x0={res.x0!r} "
+            f"value={res.value!r} u={res.u!r} residual={res.residual!r}")
+    if args.stats:
+        payload["stats"] = {
+            "solve_s": solve_s,
+            "gap_evals": res.gap_evals,
+            "max_digits": res.max_digits,
+            "bracket": list(res.bracket),
+            "read_steps": res.read_steps,
+            "evaluated_steps": res.evaluated_steps,
+            "digits": fam.GAP_DIGITS,
+        }
+        p, q = res.bracket
+        text += (f"\ngap in fixed point at {res.gap_evals} evaluations, up to "
+                 f"{res.max_digits} digits; bracket [{p!r}, {q!r}]; search read "
+                 f"{res.read_steps} of {res.read_steps + res.evaluated_steps} "
+                 f"signs from it; solve {solve_s:.3f} s")
+    return 0, payload, text
 
 
 def _suite_entries(suite: str):
@@ -400,11 +426,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             _join_negative_values(sys.argv[1:] if argv is None else argv))
         status, payload, text = _HANDLERS[args.command](args)
         if "stats" in payload:
-            payload["stats"].update(
-                package_version=__version__,
-                python_version="%d.%d.%d" % sys.version_info[:3],
-                digits=args.digits,
-                grid=_grid_from_args(args).to_json_dict())
+            stats = payload["stats"]
+            stats.update(package_version=__version__,
+                         python_version="%d.%d.%d" % sys.version_info[:3])
+            if "grid_points" in args:
+                stats.update(digits=args.digits,
+                             grid=_grid_from_args(args).to_json_dict())
         if args.format == "json":
             text = json.dumps(payload, indent=2)
         _emit(args, text)

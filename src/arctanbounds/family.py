@@ -7,10 +7,12 @@ d/dx family_ratio equals sign(g) * sign(1 + a*sqrt(1+x^2)), where g is
 regime from g's limits and the linear factor of its derivative.
 
 For 1/2 < a < 2/pi the gap has a single zero, which is the unique interior
-minimum of the ratio; ``find_interior_minimum`` locates it by bisecting
-the gap's sign, each sign decided in fixed point past the value's radius
-(see fixedpoint.refine), and ``minimum_value_closed_form`` gives the
-minimum as (a+u)^2 / (u (1+a u)) with u = sqrt(1 + x0^2).
+minimum of the ratio.  ``find_interior_minimum`` guesses it in double,
+certifies a bracket of doubles around it by signs of the gap, each
+decided in fixed point past the value's radius (see fixedpoint.refine),
+and then bisects the gap's sign, reading it from the bracket outside it;
+``minimum_value_closed_form`` gives the minimum as (a+u)^2 / (u (1+a u))
+with u = sqrt(1 + x0^2).
 
 All evaluations accept floats or :class:`~arctanbounds.fixedpoint.FixedReal`.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import fixedpoint as fp
 from .catalog import MID_REGIME_RANGE
@@ -65,6 +68,17 @@ class MinimumResult:
     value: float
     u: float
     residual: float
+    #: Doubles p < q with the gap certified negative at p and positive at q,
+    #: so its zero lies between; x0, within relative 1e-13 of the zero,
+    #: need not.
+    bracket: tuple[float, float]
+    #: Fixed-point evaluations of the gap, at every digits tried, and the
+    #: most digits one took.
+    gap_evals: int
+    max_digits: int
+    #: Signs of the search from x = 1 read from the bracket, and certified.
+    read_steps: int
+    evaluated_steps: int
 
 
 #: Digits of the minimum's fixed-point value.  Its relative error, under
@@ -72,48 +86,176 @@ class MinimumResult:
 #: unless the ratio lies that close to the midpoint of two doubles.
 _VALUE_DIGITS = 40
 
+#: Digits at which each sign of the gap is first tried.
+GAP_DIGITS = 30
 
-def _certified_gap(a: float, x: float) -> fp.FixedReal:
-    """stationarity_gap(a, x) in fixed point from 30 digits, refined
+
+def _certified_gap(a: float, x: float, digits: list) -> fp.FixedReal:
+    """stationarity_gap(a, x) in fixed point from GAP_DIGITS, refined
     (fixedpoint.refine) until its size exceeds its radius, so that its sign
     is the true gap's.  At a double the gap is never 0: arctan x is
-    transcendental (Lindemann) and the rest of the gap algebraic."""
-    return fp.refine(
-        lambda d: stationarity_gap(fp.FixedReal(a, d), fp.FixedReal(x, d)),
-        30, lambda g: abs(g.units) > g.err,
-        lambda: f"the sign of the gap at a={a!r}, x={x!r}")
+    transcendental (Lindemann) and the rest of the gap algebraic.  Appends
+    the digits of every evaluation to digits."""
+    def evaluate(d):
+        digits.append(d)
+        return stationarity_gap(fp.FixedReal(a, d), fp.FixedReal(x, d))
+    return fp.refine(evaluate, GAP_DIGITS, lambda g: abs(g.units) > g.err,
+                     lambda: f"the sign of the gap at a={a!r}, x={x!r}")
+
+
+# The guess of x0.  With theta = arctan x the gap is -F(theta) / (a + cos theta),
+#   F = theta (a + cos theta) - sin theta (1 + a cos theta).
+# Up to x = 1, F / theta^3 = (a - 1/2) P(t) + Q(t) in t = theta^2, with the
+# power series P and Q below (Q(0) = 0): no term cancels as a -> 1/2, where
+# x0 ~ sqrt(20 (a - 1/2)).  Above it, with e = pi/2 - theta = arctan(1/x),
+#   F = H(e) - tau,  tau = 1 - a pi/2,
+#   H = 2 sin^2(e/2) + (pi/2) sin e - a (e + sin e cos e) - e sin e,
+#   H' = cos e (pi/2 - e - 2a cos e),
+# with tau to about an ulp as a -> 2/pi (exact rational arithmetic), where
+# x0 ~ 1/e -> inf.
+# Newton's method starts below the root, at the root of the first two
+# terms of F / theta^3 (convex in t) or of H's linear part (H is concave),
+# and so rises to it.
+_SERIES_TERMS = 12      # the first term omitted is under 2**-60 at x = 1
+_P = tuple((-1) ** (k + 1) * 4 ** k / math.factorial(2 * k + 1)
+           for k in range(1, _SERIES_TERMS + 1))
+_Q = tuple((-1) ** (k + 1) * (4 ** k - 4 * k) / (2 * math.factorial(2 * k + 1))
+           for k in range(1, _SERIES_TERMS + 1))
+#: theta^2 at x = 1.
+_T_AT_ONE = math.pi ** 2 / 16
+#: pi/2 to 2**-106, as the exact sum of two doubles.
+_HALF_PI = Fraction(math.pi / 2) + Fraction(6.123233995736766e-17)
+_NEWTON_STEPS = 12     # a guard: 8 steps reached the root at every a tried
+_ULP = 2.0 ** -52
+
+
+def _series(coefficients, t: float) -> tuple[float, float]:
+    """The power series in t with these coefficients, and its derivative."""
+    value = slope = 0.0
+    for c in reversed(coefficients):
+        slope = slope * t + value
+        value = value * t + c
+    return value, slope
+
+
+def _guess_minimum(a: float) -> tuple[float, int]:
+    """x0 in double, by Newton's method on F, and an estimate of its error
+    in ulps: an ulp of each of F's terms over F's slope (the step at which
+    Newton stops), carried to x."""
+    d = a - 0.5     # exact, as 1/2 < a < 1
+
+    def scaled(t):  # F / theta^3, its t-derivative and its terms' size
+        (p, p_slope), (q, q_slope) = _series(_P, t), _series(_Q, t)
+        return d * p + q, d * p_slope + q_slope, abs(d * p) + abs(q)
+
+    if scaled(_T_AT_ONE)[0] <= 0:
+        t = 20 * d / (1 + 4 * d)
+        for _ in range(_NEWTON_STEPS):
+            value, slope, size = scaled(t)
+            step, noise = value / slope, _ULP * size / abs(slope)
+            t = min(t - step, _T_AT_ONE)
+            if abs(step) <= noise:
+                break
+        theta = math.sqrt(t)
+        # dx / x = dt / (theta sin 2 theta)
+        return math.tan(theta), _ulps(noise / _ULP / (theta * math.sin(2 * theta)))
+    tau = float(1 - Fraction(a) * _HALF_PI)
+    e = tau / (math.pi / 2 - 2 * a)
+    for _ in range(_NEWTON_STEPS):
+        s, c = math.sin(e), math.cos(e)
+        terms = (2 * math.sin(e / 2) ** 2, math.pi / 2 * s, -a * (e + s * c), -e * s, -tau)
+        slope = c * (math.pi / 2 - e - 2 * a * c)
+        step, noise = math.fsum(terms) / slope, _ULP * sum(map(abs, terms)) / abs(slope)
+        e = min(e - step, math.pi / 4)
+        if abs(step) <= noise:
+            break
+    # dx / x = 2 de / sin 2e
+    return 1 / math.tan(e), _ulps(2 * noise / _ULP / math.sin(2 * e))
+
+
+def _ulps(relative_error: float) -> int:
+    """A relative error in ulps of 2**-52, rounded up, and at least 1."""
+    return max(1, math.ceil(relative_error))
+
+
+def _certified_bracket(sign_at, guess: float, ulps: int) -> tuple[float, float]:
+    """Doubles p < q with sign_at(p) < 0 < sign_at(q): guess's bit pattern
+    less and plus ulps, each moved outward, twice as far each time, until
+    its sign is the one sought.  A point whose sign is the other side's
+    becomes that side's end, since sign_at changes sign once."""
+    centre = fp._bits(guess)
+    p = q = None
+    step = ulps
+    while p is None:
+        x = fp._from_bits(centre - step)
+        if sign_at(x) < 0:
+            p = x
+        else:
+            q, step = x, 2 * step
+    step = ulps
+    while q is None:
+        x = fp._from_bits(centre + step)
+        if sign_at(x) > 0:
+            q = x
+        else:
+            p, step = x, 2 * step
+    return p, q
 
 
 def find_interior_minimum(a: float) -> MinimumResult:
     """Locate the unique interior minimum of the ratio for 1/2 < a < 2/pi.
 
     The gap is negative below the minimum and positive above it, and each of
-    its signs is certified by _certified_gap.  From x = 1 the search doubles
-    x while the gap is negative and halves it while it is positive until the
-    sign changes (x0 runs from 4.7e-8 at the double next above 1/2 to 2.6e15
-    at the one next below 2/pi), then bisects that bracket on the bit
-    patterns of its doubles (fixedpoint._bisect_crossover), to relative
-    width 1e-13.  value is the ratio at x0 in fixed point, rounded once to a
-    double (the double-precision ratio reads one ulp above pi/2 at the double
-    next below 2/pi).  residual is |gap(x0)|.
+    its signs is certified by _certified_gap.  A double guess of x0 (Newton
+    on the gap's numerator in theta = arctan x, free of cancellation at both
+    ends of the regime) and its error estimate set where the certified
+    bracket p < x0 < q starts (_certified_bracket).  The search then runs
+    from x = 1, doubling x while the gap is negative and halving it while it
+    is positive until the sign changes (x0 runs from 4.7e-8 at the double
+    next above 1/2 to 2.6e15 at the one next below 2/pi), and bisects that
+    interval on the bit patterns of its doubles (fixedpoint._bisect_crossover)
+    to relative width 1e-13.  It reads the sign at x <= p or x >= q from the
+    bracket and certifies it only strictly between them; every sign it reads
+    is the gap's, so x0 is the one a search certifying every sign finds.
+    value is the ratio at x0 in fixed point, rounded once to a double (the
+    double-precision ratio reads one ulp above pi/2 at the double next below
+    2/pi).  residual is |gap(x0)|.
     """
     if not MID_REGIME_RANGE.ok(a):
         raise ParamError(
             f"interior minimum exists only for {MID_REGIME_RANGE.text}, got a={a!r}")
 
-    sign_at = lambda x: 1 if _certified_gap(a, x).units > 0 else -1
+    digits = []
+    certified_sign = lambda x: 1 if _certified_gap(a, x, digits).units > 0 else -1
+    p, q = _certified_bracket(certified_sign, *_guess_minimum(a))
+    evaluated = read = 0
+
+    def sign_at(x):
+        nonlocal evaluated, read
+        if p < x < q:
+            evaluated += 1
+            return certified_sign(x)
+        read += 1
+        return -1 if x <= p else 1
+
     x, s = 1.0, sign_at(1.0)
     step = 2.0 if s < 0 else 0.5
     while sign_at(x * step) == s:
         x *= step
     lo, hi = sorted((x, x * step))
     x0 = fp._bisect_crossover(sign_at, lo, hi, -1)
+    residual = abs(float(_certified_gap(a, x0, digits)))
     return MinimumResult(
         x0=x0,
         value=float(family_ratio(fp.FixedReal(a, _VALUE_DIGITS),
                                  fp.FixedReal(x0, _VALUE_DIGITS))),
         u=math.sqrt(1.0 + x0 * x0),
-        residual=abs(float(_certified_gap(a, x0))),
+        residual=residual,
+        bracket=(p, q),
+        gap_evals=len(digits),
+        max_digits=max(digits),
+        read_steps=read,
+        evaluated_steps=evaluated,
     )
 
 

@@ -12,6 +12,7 @@ import pytest
 import arctanbounds
 from arctanbounds import catalog as cat
 from arctanbounds import cli
+from arctanbounds import find_interior_minimum
 from arctanbounds import oracle as orc
 
 VERIFY_ARGS = ["verify", "--grid-points", "300", "--format", "json"]
@@ -102,6 +103,37 @@ class TestBasicCommands:
         assert set(payload) == {"a", "x0", "value", "u", "residual"}
         assert payload["residual"] <= 1e-12
         assert 1.536 < payload["value"] < 1.5708
+
+    def test_find_min_stats(self, capsys):
+        argv = ["find-min", "--a", "0.6", "--format", "json"]
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        payload = strict_json(out)
+        stats = payload.pop("stats")
+        assert set(stats) == {"solve_s", "gap_evals", "max_digits", "bracket",
+                              "read_steps", "evaluated_steps", "digits",
+                              "package_version", "python_version"}
+        assert stats["solve_s"] > 0
+        assert stats["digits"] == 30 <= stats["max_digits"]
+        assert stats["package_version"] == arctanbounds.__version__
+        assert stats["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+        res = find_interior_minimum(0.6)
+        assert stats["bracket"] == list(res.bracket)
+        p, q = stats["bracket"]
+        assert p < q and abs(payload["x0"] - p) <= 1e-13 * q
+        # the bracket and the residual take a sign each; the search reads
+        # most of its signs from the bracket
+        assert 3 <= stats["gap_evals"] <= 10
+        assert stats["evaluated_steps"] < stats["read_steps"]
+        # without --stats the report carries none of it
+        code, plain, _ = run(capsys, argv)
+        assert strict_json(plain) == payload
+        code, out, _ = run(capsys, argv[:-2] + ["--stats"])
+        text = (f"gap in fixed point at {stats['gap_evals']} evaluations, up to "
+                f"{stats['max_digits']} digits; bracket [{p!r}, {q!r}]; search read "
+                f"{stats['read_steps']} of "
+                f"{stats['read_steps'] + stats['evaluated_steps']} signs from it; solve ")
+        assert code == 0 and out.splitlines()[1].startswith(text)
 
     def test_find_min_near_half(self, capsys):
         # the gap near this minimum is of order 1e-38, far below a float
@@ -362,11 +394,12 @@ print(calls)
 
     @pytest.mark.parametrize("argv,own", [
         (["find-min", "--a", "0.6"], ["family"]),
+        (["find-min", "--a", "0.6", "--stats", "--format", "json"], ["family"]),
         (["verify", "--suite", "fixed", "--grid-points", "200"],
          ["algebra", "fastatan", "oracle"]),
         (["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
           "--grid-points", "200"], ["algebra", "oracle"]),
-    ], ids=["find-min", "verify", "dominance"])
+    ], ids=["find-min", "find-min-stats", "verify", "dominance"])
     def test_commands_load_only_their_modules(self, argv, own):
         # find-min needs no oracle, and verify no family: the crossover
         # bisection they share lives in fixedpoint

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,8 +265,9 @@ class TestInteriorMinimum:
             assert g.err <= 12
 
     def test_unresolved_sign_raises(self, monkeypatch):
-        # at a = 1/2 + 1e-9 the last bisection steps meet gaps within their
-        # radius at 30 digits, and the cap allows no more
+        # at a = 1/2 + 1e-9 the bracket's first ends, a few ulps from x0,
+        # meet gaps within their radius at 30 digits, and the cap allows no
+        # more
         monkeypatch.setattr(fixedpoint, "MAX_DIGITS", 30)
         with pytest.raises(PrecisionError):
             find_interior_minimum(0.5 + 1e-9)
@@ -294,6 +296,95 @@ def reference_minimum(a, digits=120):
         else:
             lo = mid
     return lo, hi
+
+
+def reference_search(a):
+    """find_interior_minimum's x0, value, u and residual by its search with
+    every sign certified: doubling or halving from x = 1, then
+    _bisect_crossover.  Its gap evaluations go through
+    family.stationarity_gap, where a test can count them."""
+    def gap(x):
+        return fixedpoint.refine(
+            lambda d: family.stationarity_gap(FixedReal(a, d), FixedReal(x, d)),
+            30, lambda g: abs(g.units) > g.err, lambda: f"the gap at x={x!r}")
+
+    def sign_at(x):
+        return 1 if gap(x).units > 0 else -1
+
+    x, s = 1.0, sign_at(1.0)
+    step = 2.0 if s < 0 else 0.5
+    while sign_at(x * step) == s:
+        x *= step
+    lo, hi = sorted((x, x * step))
+    x0 = fixedpoint._bisect_crossover(sign_at, lo, hi, -1)
+    return (x0, float(family_ratio(FixedReal(a, 40), FixedReal(x0, 40))),
+            math.sqrt(1.0 + x0 * x0), abs(float(gap(x0))))
+
+
+def fields(res):
+    return res.x0, res.value, res.u, res.residual
+
+
+#: Parameters near each end of the regime: the doubles within 1e-9 of it.
+NEAR_THE_ENDS = st.one_of(
+    st.floats(min_value=0.5, max_value=0.5 + 1e-9, exclude_min=True),
+    st.floats(min_value=TWO_OVER_PI - 1e-9, max_value=TWO_OVER_PI, exclude_max=True))
+
+
+class TestBracketedSearch:
+    """find_interior_minimum reads most signs of its search from a certified
+    bracket of x0; it must find what the search certifying every sign finds,
+    with fewer fixed-point evaluations of the gap."""
+
+    @given(st.one_of(st.floats(min_value=0.5, max_value=TWO_OVER_PI,
+                               exclude_min=True, exclude_max=True),
+                     NEAR_THE_ENDS))
+    @settings(deadline=None)
+    def test_matches_the_search_certifying_every_sign(self, a):
+        assert fields(find_interior_minimum(a)) == reference_search(a)
+
+    def test_matches_on_seeded_parameters(self):
+        rng = random.Random(20261019)
+        for _ in range(1000):
+            a = rng.uniform(0.5, TWO_OVER_PI)
+            assert fields(find_interior_minimum(a)) == reference_search(a), a
+
+    def test_evaluation_budget(self, monkeypatch):
+        calls = []
+        gap = family.stationarity_gap
+
+        def counting(a, x):
+            if isinstance(x, FixedReal):
+                calls.append(x.digits)
+            return gap(a, x)
+        monkeypatch.setattr(family, "stationarity_gap", counting)
+
+        def evaluations(solve, a):
+            calls.clear()
+            res = solve(a)
+            return len(calls), res
+
+        for a in REFERENCE_PARAMS:
+            count, res = evaluations(find_interior_minimum, a)
+            assert (res.gap_evals, res.max_digits) == (count, max(calls))
+            assert count <= evaluations(reference_search, a)[0], a
+        rng = random.Random(20261020)
+        counts = [evaluations(find_interior_minimum,
+                              rng.uniform(0.501, TWO_OVER_PI - 0.001))[0]
+                  for _ in range(200)]
+        assert statistics.median(counts) <= 10
+
+    @pytest.mark.parametrize("a", REFERENCE_PARAMS)
+    def test_bracket_is_sound(self, a):
+        # the gap at 120 digits is negative at p and positive at q, each far
+        # past its radius, and the adjacent doubles around x0 lie between
+        res = find_interior_minimum(a)
+        p, q = res.bracket
+        gaps = [stationarity_gap(FixedReal(a, 120), FixedReal(x, 120)) for x in (p, q)]
+        assert gaps[0].units < -10 ** 6 * gaps[0].err
+        assert gaps[1].units > 10 ** 6 * gaps[1].err
+        lo, hi = reference_minimum(a)
+        assert p <= lo < hi <= q
 
 
 class TestMinimumClosedForm:

@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import fixedpoint as fp
 from . import oracle as orc
@@ -35,6 +35,7 @@ from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
 from .errors import DomainError
 
 _DBL_MAX = sys.float_info.max
+_new_pair = tuple.__new__   # what CertifiedValue(value, error_bound) calls, in C
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +75,7 @@ def approx(spec: KernelSpec, x: float) -> CertifiedValue:
     ax = abs(x)
     if ax < _TINY:
         # arctan x lies in [nextafter(x, 0), x]; x keeps the sign of a zero
-        return CertifiedValue(float(x), ax - math.nextafter(ax, 0.0))
+        return _new_pair(CertifiedValue, (float(x), ax - math.nextafter(ax, 0.0)))
     if ax <= _DBL_MAX:
         # Each of the four bounds is c * (ax / (a + u)), scaled outward as
         # derived beside _DOWN and _UP in catalog.py (gamma_7 < 16 u0).  Each
@@ -98,8 +99,8 @@ def approx(spec: KernelSpec, x: float) -> CertifiedValue:
     # lemma
     value = 0.5 * (lower + upper)
     below, above = value - lower, upper - value
-    return CertifiedValue(-value if x < 0 else value,
-                          below if below > above else above)
+    return _new_pair(CertifiedValue, (-value if x < 0 else value,
+                                      below if below > above else above))
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,8 @@ class ErrorProfile:
 #                     2**-1075 where M is subnormal.
 # With D <= y + K u f + 1.51 * 10**-d,
 #   |a - M| <= 2u a/(1 - u) + K u f (1 + u) + 1.51 * 10**-d (1 + u) + 2**-1075.
-# _row_error returns (K + 0.01)u f + 3u a + 2 * 10**-d + 2**-1071.  Its
+# _row_error's E is (((K + 0.01)u f + 3u a) + 2 * 10**-d) + 2**-1071 in that
+# order; scaling K + 0.01 by u and 10**-d by 2 is exact.  Its
 # roundings (K + 0.01, the two products, libm's pow taken within two ulps, and
 # three sums of positive terms) leave each term at least (1 - 6u) of its
 # value, which still exceeds the matching term above, where the term is
@@ -227,14 +229,13 @@ class ErrorProfile:
 # g with g the gap below M, g/M > 2**-54 (g >= 2**-53 M for normal M, g/M >
 # 2**-52 for subnormal M), so c/M < 1 - 2**-54 rounds below 1.
 
-def _row_error(fast_atan_k: float, f: float, a: float, d: int) -> float:
-    """E >= |a - M| at a row measured at d digits, where fast_atan's error
-    is at most fast_atan_k * u * f (derived above); 0 below 2**-1000, where
-    f = |x|, at d >= 324."""
-    if f < _TINY and d >= 324:
-        return 0.0
-    return ((fast_atan_k + 0.01) * 2.0 ** -53 * f + 3 * 2.0 ** -53 * a + 2 * 10.0 ** -d
-            + 2.0 ** -1071)
+def _row_error(fast_atan_k: float, d: int) -> Callable[[float, float], float]:
+    """E(f, a) >= |a - M| at the rows measured at d digits, where fast_atan's
+    error is at most fast_atan_k * u * f (derived above); 0 below 2**-1000,
+    where f = |x|, at d >= 324."""
+    c_f, c_a, c_d = (fast_atan_k + 0.01) * 2.0 ** -53, 3 * 2.0 ** -53, 2 * 10.0 ** -d
+    tiny = _TINY if d >= 324 else 0.0
+    return lambda f, a: 0.0 if f < tiny else c_f * f + c_a * a + c_d + 2.0 ** -1071
 
 
 def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
@@ -255,28 +256,29 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     # imported on first use, as sweep imports it: importing the package (every
     # CLI command) does not build its table
     from .fastatan import FAST_ATAN_K, fast_atan
+    # only the rare rows below _row_digits' threshold leave the report's digits
+    threshold, error = 10.0 ** (3 - digits), _row_error(FAST_ATAN_K, digits)
     max_cert = max_low = 0.0        # max_low: the largest lower end of an M
     certified_everywhere = True
     exact = []          # (x, value, d, certified) of the rows not settled
     candidates = []     # (x, value, d, high) of settled rows that may hold max M
     for x in grid.values():
-        est = approx(spec, x)
-        cert = est.error_bound
-        d = _row_digits(cert, digits)
+        value, cert = approx(spec, x)
         if cert > max_cert:
             max_cert = cert
         f = fast_atan(abs(x))
-        a = abs(abs(est.value) - f)
-        e = _row_error(FAST_ATAN_K, f, a, d)
+        a = abs(abs(value) - f)
+        d = _row_digits(cert, digits) if cert < threshold else digits
+        e = (error if d == digits else _row_error(FAST_ATAN_K, d))(f, a)
         low, high = a - e, a + e
         if high < cert or low > cert:
             certified_everywhere = certified_everywhere and high < cert
             if low > max_low:
                 max_low = low
             if high >= max_low:
-                candidates.append((x, est.value, d, high))
+                candidates.append((x, value, d, high))
             continue
-        exact.append((x, est.value, d, cert))
+        exact.append((x, value, d, cert))
 
     actuals = [_actual(x, value, d) for x, value, d, _ in exact]
     certified_everywhere = certified_everywhere and all(

@@ -143,7 +143,8 @@ def _grid_values(grid: GridSpec) -> tuple[float, ...]:
     n = grid.points
     if grid.spacing == "log":
         lo, hi = math.log(grid.x_min), math.log(grid.x_max)
-        inner = (math.exp(lo + (hi - lo) * i / (n - 1)) for i in range(1, n - 1))
+        span, last, exp = hi - lo, n - 1, math.exp
+        inner = [exp(lo + span * i / last) for i in range(1, last)]
     else:
         # halves keep hi/2 - lo/2 finite for any finite ends, every step is
         # monotone in i, and the clamp holds each point in [x_min, x_max]

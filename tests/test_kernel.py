@@ -113,6 +113,7 @@ class TestApprox:
         assert cv == (value, bound) == (cv.value, cv.error_bound)
         assert hash(cv) == hash((value, bound)) and {cv: 1}[(value, bound)] == 1
         assert repr(cv) == f"CertifiedValue(value={value!r}, error_bound={bound!r})"
+        assert type(cv) is type(approx(DEFAULT_KERNEL, -1e-310)) is ker.CertifiedValue
         for name in ("value", "error_bound", "other"):
             with pytest.raises(AttributeError):
                 setattr(cv, name, 0.0)
@@ -224,6 +225,17 @@ FILTER_GRIDS = ([_seeded_log_grid(seed) for seed in range(4)]
                    GridSpec(-5.0, 5.0, 201, "linear")])
 
 
+def _session_grid(seed: int) -> GridSpec:
+    """2000 log points from 1e-8 to 1e8, each end moved by up to half a decade,
+    as the benchmark's analysis sessions profile them."""
+    rng = random.Random(seed)
+    return GridSpec(1e-8 * 10 ** rng.uniform(-0.5, 0.5), 1e8 * 10 ** rng.uniform(-0.5, 0.5),
+                    2000, "log")
+
+
+SESSION_GRIDS = [_session_grid(seed) for seed in range(3)]
+
+
 def filter_misses(prof, fast_atan_k: float) -> list[float]:
     """The rows where the double filter's E, with fast_atan's error taken as
     fast_atan_k * u * f, fails to cover |a - actual|, an exact comparison on
@@ -233,7 +245,7 @@ def filter_misses(prof, fast_atan_k: float) -> list[float]:
         f = fast_atan(abs(row.x))
         a = abs(abs(row.value) - f)
         d = ker._row_digits(row.certified, prof.digits)
-        e = ker._row_error(fast_atan_k, f, a, d)
+        e = ker._row_error(fast_atan_k, d)(f, a)
         if abs(Fraction(a) - Fraction(row.actual)) > Fraction(e):
             misses.append(row.x)
     return misses
@@ -250,12 +262,20 @@ class TestProfileFilter:
         assert prof.certified_everywhere == all(r.ratio >= 1.0 for r in prof.rows)
         assert 1 <= prof.exact_rows <= prof.grid.points
 
-    @pytest.mark.parametrize("digits", [20, 30, 100])
+    @pytest.mark.parametrize("digits", [20, 30, 100, 320, 330])
     @pytest.mark.parametrize("grid", FILTER_GRIDS, ids=str)
     def test_summary_equals_every_exact_row(self, grid, digits):
         prof = error_profile(DEFAULT_KERNEL, grid, digits)
         self.assert_summary_of_rows(prof)
         assert prof.certified_everywhere
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    @pytest.mark.parametrize("grid", SESSION_GRIDS, ids=str)
+    def test_session_shaped_grids(self, grid, digits):
+        prof = error_profile(DEFAULT_KERNEL, grid, digits)
+        self.assert_summary_of_rows(prof)
+        assert prof.certified_everywhere
+        assert filter_misses(prof, FAST_ATAN_K) == []
 
     @pytest.mark.parametrize("scale", [0.5, 0.998])
     def test_summary_with_refuted_rows(self, monkeypatch, scale):
@@ -314,7 +334,7 @@ print(loaded())
         xs = FILTER_GRIDS[-1].values()
         assert 0.0 in xs and min(xs) == -5.0
 
-    @pytest.mark.parametrize("digits", [20, 30, 100])
+    @pytest.mark.parametrize("digits", [20, 30, 100, 320, 330])
     def test_error_bound_covers_every_row(self, digits):
         for grid in FILTER_GRIDS:
             assert filter_misses(error_profile(DEFAULT_KERNEL, grid, digits),

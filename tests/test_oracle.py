@@ -98,6 +98,41 @@ class TestGridSpec:
         assert all(math.isfinite(x) and grid.x_min <= x <= grid.x_max for x in xs)
         assert all(a <= b for a, b in zip(xs, xs[1:]))
 
+    @staticmethod
+    def closed_form(grid):
+        """The grid's points from their formulas, sorted only where they come
+        out of order."""
+        lo, hi, n = grid.x_min, grid.x_max, grid.points
+        if grid.spacing == "log":
+            lo, hi = math.log(lo), math.log(hi)
+            inner = [math.exp(lo + (hi - lo) * i / (n - 1)) for i in range(1, n - 1)]
+        else:
+            inner = [min(max(2 * (lo / 2 + (hi / 2 - lo / 2) * (i / (n - 1))), lo), hi)
+                     for i in range(1, n - 1)]
+        values = (grid.x_min, *inner, grid.x_max)
+        return values if list(values) == sorted(values) else tuple(sorted(values))
+
+    def test_values_match_the_closed_form(self):
+        def few_ulps(x, ulps):      # [x - ulps ulps, x + ulps ulps]
+            lo = hi = x
+            for _ in range(ulps):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+            return lo, hi
+
+        rng = random.Random(26)
+        # the grids around 1e88 and 1e-200 come out of order before the sort
+        grids = [GridSpec(*few_ulps(x, ulps), n, "log") for x in (1.0, 1e88, 1e-200)
+                 for ulps in (2, 8) for n in (5, 29, 2000)]
+        grids += [GridSpec(5e-324, DBL_MAX, 2000, "log"),
+                  GridSpec(-1e308, 1e308, 5, "linear"), GridSpec(-1e308, 1e308, 2000, "linear")]
+        for _ in range(40):
+            x_min = 10 ** rng.uniform(-300, 300)
+            x_max = x_min * 10 ** rng.uniform(1e-14, 20)
+            grids.append(GridSpec(x_min, min(x_max, DBL_MAX), rng.randint(2, 3000), "log"))
+        for grid in grids:
+            # repr tells every double apart, -0.0 from 0.0 among them
+            assert list(map(repr, grid.values())) == list(map(repr, self.closed_form(grid))), grid
+
     def test_validation(self):
         with pytest.raises(ParamError):
             GridSpec(1.0, 2.0, 1)

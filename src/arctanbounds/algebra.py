@@ -191,11 +191,15 @@ def _mul(p, q) -> tuple:
     return _trim(out)
 
 
-def _sub(p, q) -> tuple:
+def _add(p, q) -> tuple:
     n = max(len(p), len(q))
     zero = QPi(())
-    return _trim((p[k] if k < len(p) else zero) - (q[k] if k < len(q) else zero)
+    return _trim((p[k] if k < len(p) else zero) + (q[k] if k < len(q) else zero)
                  for k in range(n))
+
+
+def _sub(p, q) -> tuple:
+    return _add(p, tuple(-c for c in q))
 
 
 def _shift(p, h) -> tuple:
@@ -227,14 +231,54 @@ def _pseudo_divide(a, b) -> tuple[tuple, tuple]:
     return _trim(quot), tuple(rem)
 
 
+#: The prime and the value of pi of _coprime_mod.
+_MOD, _PI_MOD = 2 ** 61 - 1, 3
+
+
+def _coprime_mod(p) -> bool:
+    """Whether p and p' are coprime mod _MOD with pi = _PI_MOD, where p's
+    leading coefficient stays nonzero.  Then their resultant, a polynomial
+    in pi, is nonzero there, so it is not the zero polynomial, and p has no
+    multiple root: pi is transcendental.  The catalog's denominators are
+    powers of two, which _MOD does not divide."""
+    a = [sum(n * _PI_MOD ** k for k, n in enumerate(c.nums)) * pow(c.den, -1, _MOD) % _MOD
+         for c in p]
+    b = [k * v % _MOD for k, v in enumerate(a)][1:]
+    while a[-1] and b:      # Euclid's algorithm mod _MOD
+        while len(a) >= len(b):
+            top, shift = a[-1] * pow(b[-1], -1, _MOD) % _MOD, len(a) - len(b)
+            a = [(v - top * b[i - shift]) % _MOD if i >= shift else v
+                 for i, v in enumerate(a[:-1])]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def _squarefree(p) -> tuple:
     """p divided by gcd(p, p'): the same distinct roots, each simple."""
-    if len(p) <= 2:
+    if len(p) <= 2 or _coprime_mod(p):
         return p
     a, b = p, _derivative(p)
     while b:
         a, b = b, _pseudo_divide(a, b)[1]
     return p if len(a) == 1 else _pseudo_divide(p, a)[0]
+
+
+def _rational_form(row, a: Optional[float]) -> Optional[tuple]:
+    """(N, D) of a catalog row x N(u) / D(u) (its _BoundInfo entry) at a
+    checked parameter, each QPi coefficients from the lowest power; None
+    for a log row."""
+    if row.consts is not None:
+        c, d, e = row.consts(None if a is None else Fraction(a), PI)
+        return (QPi.lift(c),), (QPi.lift(d), QPi.lift(e))
+    if row.rational is not None:
+        return tuple(tuple(map(QPi.lift, part)) for part in row.rational)
+    return None
+
+
+def _poly(*coeffs) -> tuple:
+    return tuple(map(QPi.lift, coeffs))
 
 
 def comparison_polynomial(row_a, a_a: Optional[float], row_b,
@@ -243,17 +287,31 @@ def comparison_polynomial(row_a, a_a: Optional[float], row_b,
     for two catalog rows (their _BoundInfo entries) at checked parameters:
     a tuple of QPi coefficients, empty where the rows are identical, or None
     where a row has a log."""
-    forms = []
-    for row, a in ((row_a, a_a), (row_b, a_b)):
-        if row.consts is not None:
-            c, d, e = row.consts(None if a is None else Fraction(a), PI)
-            forms.append(((QPi.lift(c),), (QPi.lift(d), QPi.lift(e))))
-        elif row.rational is not None:
-            forms.append(tuple(tuple(map(QPi.lift, part)) for part in row.rational))
-        else:
-            return None
-    (num_a, den_a), (num_b, den_b) = forms
+    form_a, form_b = _rational_form(row_a, a_a), _rational_form(row_b, a_b)
+    if form_a is None or form_b is None:
+        return None
+    (num_a, den_a), (num_b, den_b) = form_a, form_b
     return _sub(_mul(num_a, den_b), _mul(num_b, den_a))
+
+
+def log_pair_polynomial(row, a: Optional[float]) -> tuple:
+    """A polynomial in u whose roots with u > 1 hold every zero on x > 0 of
+    h', h(0+) = 0, h having the sign of the log row on the side of the row
+    B = x N(u) / D(u) minus B.  With W = N'D - N D', log-lower gives
+    h = ln(1 + x^2) - 2x B, h' = 2x P / (u^2 D^2) and returns
+    P = D^2 - 2u^2 N D - u (u^2 - 1) W; log-upper gives h = ln(1 + x) -
+    B / (1 + x), h' = (E + x O) / (u D^2 (1 + x)^2) with E = u D^2 - u N D -
+    (u^2 - 1) W and O = E + u N D, and returns E^2 - (u^2 - 1) O^2."""
+    num, den = _rational_form(row, a)
+    nd = _mul(num, den)
+    w = _sub(_mul(_derivative(num), den), _mul(num, _derivative(den)))
+    dd = _mul(den, den)
+    if row.side == "lower":
+        return _sub(_sub(dd, _mul(_poly(0, 0, 2), nd)), _mul(_poly(0, -1, 0, 1), w))
+    und = _mul(_poly(0, 1), nd)
+    even = _sub(_sub(_mul(_poly(0, 1), dd), und), _mul(_poly(-1, 0, 1), w))
+    odd = _add(even, und)
+    return _sub(_mul(even, even), _mul(_poly(-1, 0, 1), _mul(odd, odd)))
 
 
 def slope_polynomial(row, a: Optional[float]) -> Optional[tuple]:

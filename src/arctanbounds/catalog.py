@@ -7,16 +7,12 @@ data; the other five are classical one-off inequalities.  Every family entry
 carries its certified parameter range; evaluating it outside that range is a
 hard ParamError, never a silent number.
 
-Each entry's formula is written once, over a square root and a log, and
-evaluated on two number types.  The float form runs it on doubles with
-``math.sqrt`` and ``math.log``; it carries a proven bound on its rounding
-error at every positive double, which lets a sweep settle most grid points
-in double precision (see :func:`float_form`).  The fixed-point form runs
-it on FixedReal, which floors each product, quotient and root to a unit of
-``10**-digits`` and carries a bound on its distance from the exact value,
-and serves :func:`eval_bound_hp`, the exact stage of the sweeps and
-dominance reports (see :mod:`arctanbounds.fixedpoint`), and
-:func:`eval_bound`, the bound rounded once to a double.
+Each entry's formula is written once, as a closed form on FixedReal, which
+floors each product, quotient and root to a unit of ``10**-digits`` and
+carries a bound on its distance from the exact value.  It serves
+:func:`eval_bound_hp`, the exact stage of the sweeps and dominance reports
+(see :mod:`arctanbounds.fixedpoint`), and :func:`eval_bound`, the bound
+rounded once to a double.
 """
 
 from __future__ import annotations
@@ -116,42 +112,13 @@ class Enclosure(NamedTuple("_Ends", [("lower", float), ("upper", float)])):
 
 # The shape rows are the six family rows, Shafer's 3x/(1+2u) and the
 # half-angle 2x/(1+u) (the a = 1/2 and a = 1 members) and the three pi forms
-# (a = 2/pi members, but the errata is the a = 1/pi upper bound).  Each form
-# takes the square root and the log to use, and the shape form its constants
-# consts(a, pi) -> (c, d, e).  A form is bound on doubles once per (row, a) and
-# on FixedReal once per (row, a, digits), in caches keyed on the form and
-# consts: a BoundId's hash is Python code.
-# The fixed-point form is the same closed form on FixedReal, which floors each
-# product, quotient and root and carries the radius of each.
+# (a = 2/pi members, but the errata is the a = 1/pi upper bound).  Their form
+# takes consts(a, pi) -> (c, d, e), bound once per (row, a, digits) in caches
+# keyed on the form and consts (a BoundId's hash is Python code); a one-off's
+# form is the bound itself.
 
-def _shape(sqrt, log, c, d, e):
-    return lambda x: c * x / (d + e * sqrt(1 + x * x))
-
-
-def _ratio_lower(sqrt, log):
-    return lambda x: x / (1 + x * x)
-
-
-def _identity_upper(sqrt, log):
-    return lambda x: x
-
-
-def _cubic_lower(sqrt, log):
-    return lambda x: x - x * (x * x / 3)
-
-
-def _log_lower(sqrt, log):
-    return lambda x: log(1 + x * x) / (2 * x)
-
-
-def _log_upper(sqrt, log):
-    return lambda x: (1 + x) * log(1 + x)
-
-
-@lru_cache(maxsize=256)
-def _float_fn(form, consts, a):
-    constants = () if consts is None else map(float, consts(a, math.pi))
-    return form(math.sqrt, math.log, *constants)
+def _shape(c, d, e):
+    return lambda x: c * x / (d + e * (1 + x * x).sqrt())
 
 
 def _larger(p, q):
@@ -164,85 +131,15 @@ def _larger(p, q):
 
 
 @lru_cache(maxsize=256)
+def _fixed_consts(consts, a, digits):
+    a_hp = None if a is None else fp.FixedReal(float(a), digits)
+    return tuple(fp.FixedReal(v, digits) for v in consts(a_hp, fp.FixedReal.pi(digits)))
+
+
+@lru_cache(maxsize=256)
 def _fixed_fn(form, consts, a, digits):
-    constants = ()
-    if consts is not None:
-        a_hp = None if a is None else fp.FixedReal(float(a), digits)
-        constants = (fp.FixedReal(v, digits)
-                     for v in consts(a_hp, fp.FixedReal.pi(digits)))
-    return form(fp.FixedReal.sqrt, fp.FixedReal.log, *constants)
+    return form if consts is None else form(*_fixed_consts(consts, a, digits))
 
-
-# Float error bounds.  With unit roundoff u = 2**-53, each correctly rounded
-# operation on normal doubles returns (exact)(1 + d), |d| <= u, and a product
-# or quotient of n such factors is 1 + theta_n, |theta_n| <= gamma_n = nu/(1-nu)
-# (Higham, Accuracy and Stability of Numerical Algorithms, Lemmas 3.1 and 3.3).
-# A sum of two positive terms with relative errors theta_j and theta_k has
-# relative error theta_max(j,k) before its own rounding.  Parameters and x
-# enter exactly; math.pi is pi(1 + theta_1) and halving it is exact, as is
-# the shared form's product e*u where e = 1.
-#
-# The rational forms, counted as roundings n with b = B(1 + theta_n):
-#   u = sqrt(1 + x*x)      theta_2: x*x and the sum give theta_2, which the root
-#                          halves to theta_1, plus the root's own rounding
-#   a + u (a >= 0)         theta_3
-#   (1+a)x / (a+u)         numerator theta_2, quotient: n = 2 + 3 + 1 = 6
-#   (pi/2)x / (a+u)        numerator theta_2 (pi, product): n = 6
-#   4a(1-a^2)x / (a+u)     1 - a^2 theta_2 (a^2/(1-a^2) < 1 for a < 2/pi, so
-#                          the square's rounding stays within u), times 4a
-#                          theta_3, times x theta_4: n = 4 + 3 + 1 = 8
-#   max(pi/2, 1+a)x/(a+u)  the larger of two theta_1 values is theta_1 of the
-#                          larger: n = 2 + 3 + 1 = 6
-#   x / (1 + x*x)          n = 0 + 2 + 1 = 3
-#   x                      exact
-#   pi^2 x / (c + 2 pi u)  numerator theta_4; 2 pi u theta_4, plus c theta_5:
-#                          n = 4 + 5 + 1 = 10 (also the errata's c = 2)
-#   (pi+2)x / (2 + pi u)   numerator theta_3; pi u theta_4, plus 2 theta_5:
-#                          n = 3 + 5 + 1 = 9
-# Since gamma_n/(1 - gamma_n) < (n+1)u for n <= 10, |b - B| <= (n+1) u b
-# where every intermediate is a normal double.  The bound holds for every
-# double x > 0:
-#   x*x underflows     below x = 2**-511 it is subnormal or 0, and 1 + x*x
-#                      rounds to 1 = (1 + x^2)(1 + d), |d| <= x^2 < u: the
-#                      model holds for the sum, and u = 1 exactly.
-#   subnormal values   each constant c is at least 1 and each denominator at
-#                      least 1, so only c*x (x below 2**-1022) and the
-#                      quotient (tiny x or a huge a) can be subnormal.  Each
-#                      then rounds by an absolute 2**-1075 at most, and the
-#                      quotient does not enlarge the numerator's: the bound
-#                      adds _UNDERFLOW = 2**-1072 for both and for the
-#                      rounding of its own product c*b where that underflows.
-#   x*x overflows      from x = 2**512 (math.sqrt(DBL_MAX) rounds to 2**512)
-#                      the root is inf and the forms read 0 or NaN: the
-#                      bound is inf, so no caller settles a point there.
-#
-# The other three forms cancel or lose relative accuracy, so their bounds are
-# absolute.  libm's log is taken to be within two ulps, |d| <= 4u.
-#   x - x^3/3          t = x*(x*x/3), three roundings, is t(1 + theta_3),
-#                      then one subtraction:
-#                      |b - B| <= gamma_3 t + u|b|/(1-u) <= 4u t_f + 2u|b|.
-#                      Where t_f is subnormal (x below ~2**-340), b = x and
-#                      B = x - t with t < u x, inside 2u|b|, or inside
-#                      _UNDERFLOW where 2u|b| underflows too.  Dividing x*x
-#                      before the last product keeps t_f finite as long as
-#                      t is, up to x ~ 8.14e102 (x*x*x would overflow from
-#                      ~5.64e102); past that b = -inf.
-#   ln(1+x^2)/(2x)     the two roundings of 1 + x*x move the log by at most
-#                      1.01(u x^2/(1+x^2) + u) <= 2.02u absolutely; log, then the
-#                      quotient add relative errors: |b - B| <= 1.03u/x + 6u B
-#                      <= 4u/x + 8u|b|.  The 1/x term is real: for x below
-#                      ~1e-8, 1 + x*x rounds to 1 and b = 0.  From x = 2**512
-#                      b and the bound are inf or NaN.
-#   (1+x) ln(1+x)      1 + x is (1+x)(1 + d), whose log is ln(1+x) + e with
-#                      |e| <= 1.01u; that d, the log's and the product's
-#                      roundings make a relative factor within 6.01u:
-#                      |b - B| <= 7u B + 1.02u(1+x) <= 8u|b| + 2u(1+x); b is 0
-#                      or above u, and inf with its bound where it overflows.
-# The constants carry enough slack to cover the rounding of the error bound's
-# own evaluation.
-
-_U = 2.0 ** -53
-_UNDERFLOW = 2.0 ** -1072
 
 # Outward-rounded family ends (enclosure here, approx in kernel.py).  An end
 # c * (x / (a + u)), c = 1 + a or pi/2, u = hypot(1, x), carries six roundings
@@ -256,24 +153,6 @@ _DOWN, _UP = 1.0 - 2.0 ** -49, 1.0 + 2.0 ** -49
 #: Below this, arctan x = x - x^3/3 + ... lies strictly between x and the
 #: next double toward zero: x^3/3 is far below one subnormal step.
 _TINY = 2.0 ** -1000
-
-
-def _relative(roundings: int) -> Callable[[float, float], float]:
-    # from x = 2**512, x*x overflows
-    c, eta, top = (roundings + 1) * _U, _UNDERFLOW, 2.0 ** 512
-    return lambda x, b: c * b + eta if x < top else math.inf
-
-
-def _cubic_error(x, b):
-    return 4 * _U * (x * (x * x / 3)) + 2 * _U * abs(b) + _UNDERFLOW
-
-
-def _log_lower_error(x, b):
-    return 4 * _U / x + 8 * _U * abs(b)
-
-
-def _log_upper_error(x, b):
-    return 8 * _U * abs(b) + 2 * _U * (1 + x)
 
 
 # The three certified ranges of the family parameter, each a test and its
@@ -292,9 +171,8 @@ REVERSED_RANGE = ParamRange(lambda a: a >= TWO_OVER_PI, "a >= 2/pi")
 @dataclass(frozen=True)
 class _BoundInfo:
     side: str                                   # "lower" | "upper"
-    float_error: Callable[[float, float], float]    # (x, fn(x)) -> bound on its error
     consts: Optional[Callable] = None           # (a, pi) -> (c, d, e) of c*x/(d + e*u)
-    form: Callable = _shape                     # (sqrt, log, *constants) -> x -> bound
+    form: Callable = _shape                     # (*constants) -> x -> bound, or x -> bound
     param: Optional[ParamRange] = None
     trusted: bool = True                        # errata entries are swept for failure
     # a one-off without a log as x N(u) / D(u), u = sqrt(1 + x^2), D > 0 for
@@ -305,43 +183,43 @@ class _BoundInfo:
 
 _CATALOG: dict[BoundId, _BoundInfo] = {
     BoundId.SHAFER_LOWER: _BoundInfo(
-        "lower", _relative(6), lambda a, pi: (1.5, 0.5, 1)),
+        "lower", lambda a, pi: (1.5, 0.5, 1)),
     BoundId.HALF_ANGLE_UPPER: _BoundInfo(
-        "upper", _relative(6), lambda a, pi: (2, 1, 1)),
+        "upper", lambda a, pi: (2, 1, 1)),
     BoundId.RATIO_LOWER: _BoundInfo(
-        "lower", _relative(3), form=_ratio_lower, rational=((1,), (0, 0, 1))),
+        "lower", form=lambda x: x / (1 + x * x), rational=((1,), (0, 0, 1))),
     BoundId.IDENTITY_UPPER: _BoundInfo(
-        "upper", _relative(0), form=_identity_upper, rational=((1,), (1,))),
+        "upper", form=lambda x: x, rational=((1,), (1,))),
     # x - x^3/3 = x (4 - u^2) / 3
     BoundId.CUBIC_LOWER: _BoundInfo(
-        "lower", _cubic_error, form=_cubic_lower, rational=((4, 0, -1), (3,))),
+        "lower", form=lambda x: x - x * (x * x / 3), rational=((4, 0, -1), (3,))),
     BoundId.LOG_LOWER: _BoundInfo(
-        "lower", _log_lower_error, form=_log_lower),
+        "lower", form=lambda x: (1 + x * x).log() / (2 * x)),
     BoundId.LOG_UPPER: _BoundInfo(
-        "upper", _log_upper_error, form=_log_upper),
+        "upper", form=lambda x: (1 + x) * (1 + x).log()),
     BoundId.FAMILY_LOWER: _BoundInfo(
-        "lower", _relative(6), lambda a, pi: (1 + a, a, 1), param=FAMILY_RANGE),
+        "lower", lambda a, pi: (1 + a, a, 1), param=FAMILY_RANGE),
     BoundId.FAMILY_UPPER: _BoundInfo(
-        "upper", _relative(6), lambda a, pi: (pi / 2, a, 1), param=FAMILY_RANGE),
+        "upper", lambda a, pi: (pi / 2, a, 1), param=FAMILY_RANGE),
     BoundId.REVERSED_LOWER: _BoundInfo(
-        "lower", _relative(6), lambda a, pi: (pi / 2, a, 1), param=REVERSED_RANGE),
+        "lower", lambda a, pi: (pi / 2, a, 1), param=REVERSED_RANGE),
     BoundId.REVERSED_UPPER: _BoundInfo(
-        "upper", _relative(6), lambda a, pi: (1 + a, a, 1), param=REVERSED_RANGE),
+        "upper", lambda a, pi: (1 + a, a, 1), param=REVERSED_RANGE),
     BoundId.MID_REGIME_LOWER: _BoundInfo(
-        "lower", _relative(8), lambda a, pi: (4 * a * (1 - a * a), a, 1),
+        "lower", lambda a, pi: (4 * a * (1 - a * a), a, 1),
         param=MID_REGIME_RANGE),
     # the upper constant is max(pi/2, 1+a); the exact switch sits at a = pi/2 - 1
     BoundId.MID_REGIME_UPPER: _BoundInfo(
-        "upper", _relative(6), lambda a, pi: (_larger(pi / 2, 1 + a), a, 1),
+        "upper", lambda a, pi: (_larger(pi / 2, 1 + a), a, 1),
         param=MID_REGIME_RANGE),
     BoundId.TWO_OVER_PI_LOWER: _BoundInfo(
-        "lower", _relative(10), lambda a, pi: (pi * pi, 4, 2 * pi)),
+        "lower", lambda a, pi: (pi * pi, 4, 2 * pi)),
     BoundId.TWO_OVER_PI_UPPER: _BoundInfo(
-        "upper", _relative(9), lambda a, pi: (pi + 2, 2, pi)),
+        "upper", lambda a, pi: (pi + 2, 2, pi)),
     # the errata entry is *claimed* as a lower bound; sweeping it on that side
     # tests the claim that was actually made (and finds it false)
     BoundId.TWO_OVER_PI_LOWER_ERRATA: _BoundInfo(
-        "lower", _relative(10), lambda a, pi: (pi * pi, 2, 2 * pi), trusted=False),
+        "lower", lambda a, pi: (pi * pi, 2, 2 * pi), trusted=False),
 }
 
 
@@ -406,21 +284,6 @@ def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
     return _double(value.units, value.scale)
 
 
-def float_form(bound: BoundId, a: Optional[float]
-               ) -> tuple[Callable[[float], float], Callable[[float, float], float]]:
-    """The float evaluator ``fn(x)`` of one bound at parameter `a`, and its
-    error bound.
-
-    Checks `a` as eval_bound does.  For every double x > 0,
-    ``error(x, fn(x))`` bounds |fn(x) - B|, where B is the bound at the exact
-    doubles a and x; it is infinite or NaN when fn(x) is, and infinite from
-    x = 2**512, where x*x overflows.
-    """
-    _check_param(bound, a)
-    info = _CATALOG[bound]
-    return _float_fn(info.form, info.consts, a), info.float_error
-
-
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
                   digits: int = DEFAULT_SWEEP_DIGITS) -> fp.FixedReal:
     """Evaluate one catalog bound in fixed point, as a ball that holds the
@@ -430,9 +293,8 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     of 10**-digits, with radius 1 where that rounds: at 50 digits, a = 0.1
     is the 50-digit rounding of that double, whose exact expansion has 55
     digits.  The entry's closed form then runs on FixedReal balls.  Used by
-    the sweep engine, where float evaluation cannot resolve the thinnest
-    margins.  PrecisionError where x rounds to zero units, or where the
-    radii reach a pole of the form.
+    the sweeps and dominance reports.  PrecisionError where x rounds to
+    zero units, or where the radii reach a pole of the form.
     """
     _check_param(bound, a)
     _check_x(x)

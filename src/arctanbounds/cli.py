@@ -8,16 +8,16 @@ to ``--output``; ``profile --format csv`` rows replace the text.  A payload
 with ``stats`` gains the provenance: package and Python versions, and for a
 command with a grid its digits and grid.  ``verify`` lists the first 25
 violations of each entry and counts them all; its ``--stats`` adds each
-entry's count of the monotone pieces its sweep cut the grid into, of the
+entry's count of the monotone pieces its sweep cut the grid into and of the
 points it evaluated in fixed point (a violation between the ends of its run
-is not among them) and of the points its double filter read, the
-fixed-point oracle values computed, and the sweeps' time.
+is not among them), the fixed-point oracle values computed, and the sweeps'
+time.
 ``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
-the report's time and its method: for two rows without a log the degree of
-the comparison polynomial, its roots' brackets, the grid points at a
-bracket's end and the digits of pi, for a log row the grid points and
-bisection steps decided in fixed point.  ``profile --stats`` adds the rows
-measured in fixed point, those of them at extra digits, and the rows' time.
+the report's time, its method, the degree of the polynomial whose roots cut
+the grid, their brackets and the digits of pi, and the grid points at a
+bracket's end, or for a log row the grid points and bisection steps decided
+in fixed point.  ``profile --stats`` adds the rows measured in fixed point,
+those of them at extra digits, and the rows' time.
 ``find-min --stats`` adds the solve's time, the fixed-point evaluations of
 the gap and their most digits, the certified bracket of x0, the signs of the
 search read from it and those decided in fixed point, and the digits a sign
@@ -28,8 +28,8 @@ A process builds the parser once, on its first ``main`` call, and reuses it.
 Importing this module loads ``catalog``, ``fixedpoint`` and ``errors`` of the
 package; ``eval``, ``classify`` and ``enclose`` use no more.  Each other
 handler imports what it uses when it runs: ``find-min`` loads ``family``
-alone, ``verify`` loads ``oracle``, ``dominance`` ``oracle`` and ``algebra``,
-and ``profile`` ``kernel`` and ``oracle``.
+alone, ``verify`` and ``dominance`` ``oracle`` and ``algebra``, and
+``profile`` ``kernel``, ``oracle`` and ``fastatan``.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),
@@ -188,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting digits of the fixed-point checks, doubled "
                         "where a margin lies within its error bound (at least 20)")
     p.add_argument("--stats", action="store_true",
-                   help="add the monotone pieces, the fixed-point and filtered "
-                        "point counts, the sweeps' time and provenance to the "
-                        "JSON report")
+                   help="add the monotone pieces, the fixed-point point "
+                        "counts, the sweeps' time and provenance to the JSON "
+                        "report")
     _add_output_args(p)
 
     p = sub.add_parser("dominance", help="which of two same-side bounds is tighter where")
@@ -294,8 +294,7 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
         report = orc.sweep(bound, a=a, grid=grid, digits=args.digits)
         entry = report.to_json_dict(limit=VIOLATIONS_LISTED)
         if args.stats:
-            entry.update(pieces=report.pieces, escalated=report.escalated,
-                         filtered=report.filtered)
+            entry.update(pieces=report.pieces, escalated=report.escalated)
         if cat.bound_is_trusted(bound):
             entry["status"] = "ok" if report.ok else "violation"
             failed = failed or not report.ok
@@ -325,14 +324,13 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
             "sweep_s": time.perf_counter() - started,
             "pieces": sum(entry["pieces"] for entry in results),
             "escalated": sum(entry["escalated"] for entry in results),
-            "filtered": sum(entry["filtered"] for entry in results),
             "checked": grid.points * len(results),
             "oracle_points": orc._oracle_at.cache_info().misses - oracle_misses,
         }
-        lines.append(f"fixed point at {stats['escalated']} and double filter at "
-                     f"{stats['filtered']} of {stats['checked']} point checks in "
-                     f"{stats['pieces']} monotone pieces; oracle in fixed point at "
-                     f"{stats['oracle_points']} points, sweeps {stats['sweep_s']:.3f} s")
+        lines.append(f"fixed point at {stats['escalated']} of {stats['checked']} point "
+                     f"checks in {stats['pieces']} monotone pieces; oracle in fixed "
+                     f"point at {stats['oracle_points']} points, sweeps "
+                     f"{stats['sweep_s']:.3f} s")
     return int(failed), payload, "\n".join(lines)
 
 
@@ -352,31 +350,24 @@ def _cmd_dominance(args) -> tuple[int, dict, str]:
     if report.crossovers:
         lines.append("crossovers: " + ", ".join(f"{c!r}" for c in report.crossovers))
     if args.stats:
-        stats = payload["stats"] = {"dominance_s": time.perf_counter() - started,
-                                    "method": report.method, "checked": grid.points}
+        stats = payload["stats"] = {
+            "dominance_s": time.perf_counter() - started,
+            "method": report.method, "checked": grid.points, "degree": report.degree,
+            # a root past DBL_MAX has inf for its upper end: null in JSON
+            "brackets": [[lo, hi if hi < math.inf else None] for lo, hi in report.brackets],
+        }
+        roots = f"degree {report.degree}, roots {len(report.brackets)}"
+        pi = f"pi to {report.pi_digits} digits; dominance {stats['dominance_s']:.3f} s"
         if report.method == "algebra":
-            stats.update({
-                "degree": report.degree,
-                # a root past DBL_MAX has inf for its upper end: null in JSON
-                "brackets": [[lo, hi if hi < math.inf else None]
-                             for lo, hi in report.brackets],
-                "bracket_points": report.bracket_points,
-                "pi_digits": report.pi_digits,
-            })
-            lines.append(f"algebra: degree {report.degree}, roots "
-                         f"{len(report.brackets)}, {report.bracket_points} of "
-                         f"{grid.points} grid points at a bracket end, pi to "
-                         f"{report.pi_digits} digits; dominance {stats['dominance_s']:.3f} s")
+            stats.update(bracket_points=report.bracket_points, pi_digits=report.pi_digits)
+            lines.append(f"algebra: {roots}, {report.bracket_points} of {grid.points} "
+                         f"grid points at a bracket end, {pi}")
         else:
-            stats.update({
-                "escalated": report.escalated,
-                "escalated_steps": report.escalated_steps,
-                "bisection_steps": report.bisection_steps,
-            })
-            lines.append(f"filter: fixed point at {stats['escalated']} of "
-                         f"{stats['checked']} grid points and "
-                         f"{stats['escalated_steps']} of {stats['bisection_steps']} "
-                         f"bisection steps; dominance {stats['dominance_s']:.3f} s")
+            stats.update(pi_digits=report.pi_digits, escalated=report.escalated,
+                         bisection_steps=report.bisection_steps)
+            lines.append(f"monotone pieces: {roots}, fixed point at {report.escalated} "
+                         f"of {grid.points} grid points and {report.bisection_steps} "
+                         f"bisection steps, {pi}")
     return 0, payload, "\n".join(lines)
 
 

@@ -486,8 +486,7 @@ def _quotient(num: FixedReal, den: FixedReal) -> FixedReal:
 
 
 # generic dispatch: the family analysis in family.py is written once with
-# ordinary operators and evaluated either on floats or on FixedReal (the
-# catalog's closed forms are handed the sqrt and log of their number type)
+# ordinary operators and evaluated either on floats or on FixedReal
 
 def sqrt_of(v):
     return v.sqrt() if isinstance(v, FixedReal) else math.sqrt(v)

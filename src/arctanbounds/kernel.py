@@ -180,8 +180,8 @@ class ErrorProfile:
         }
 
 
-# The filter's error bound, in the style of the gamma_n derivations in
-# catalog.py and fastatan.py, with u = 2**-53.  At a row x with value v and
+# The filter's error bound, in the style of the gamma_n derivation in
+# fastatan.py, with u = 2**-53.  At a row x with value v and
 # certificate c, measured at d digits (_row_digits): T = arctan|x|, A = ||v| -
 # T| = |v - arctan x| (approx is exactly odd), f = fast_atan(|x|) and a =
 # |fl(|v| - f)|.

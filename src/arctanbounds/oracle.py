@@ -9,59 +9,46 @@ checking that the grid's first point, its smallest, is positive.  Every
 verdict is the true one at the exact double x, and it comes from the
 monotone pieces of the margin M (arctan minus the bound for a lower bound,
 the bound minus arctan for an upper one; positive where the bound holds).
-The five one-offs' M rises on all of (0, inf): M' is 2x^2/(1+x^2)^2
-(ratio), x^2/(1+x^2) (identity), x^4/(1+x^2) (cubic), ln(1+x^2)/(2x^2)
-(log-lower) and ln(1+x) + x^2/(1+x^2) (log-upper).  For a shape row
-c x/(d + e u), u = sqrt(1 + x^2), M' has the sign of +-Q(u),
-Q(u) = (d + e u)^2 - c u (d u + e), built from the row's own consts(a, pi)
-in Q[pi] and cut at its roots by :mod:`arctanbounds.algebra`'s isolator.
-The grid is cut at the brackets of those roots and at x = 1, where the
-reported margin changes (below).
+A one-off's M rises on all of (0, inf); a shape row's M' has the sign of
++-Q(u), u = sqrt(1 + x^2), Q from algebra.slope_polynomial, and the grid is
+cut at the brackets of Q's roots and at x = 1, where the reported margin
+changes (below).  On each piece M is evaluated in fixed point
+(``eval_bound_hp`` against the oracle's ball) at the two ends, decided
+where the centres lie further apart than the two radii, at the sweep's
+digits or at twice them and so on (see fixedpoint.refine).  Its violations
+are one run at one end, found from the ends' signs and by bisection
+between them; a violation's bound is computed again only when listed.
 
-On each piece the fixed-point path (``eval_bound_hp``, the catalog entry's
-closed form on FixedReal balls, against the oracle's ball) evaluates M at
-the two ends.  There a point is decided where the two centres lie further
-apart than the two radii, at the sweep's digits or at twice them and so
-on (see fixedpoint.refine).  M being monotone, its violations are one run
-at one end of the piece, found from the ends' signs and between them by
-bisection on exact signs; a violation's fixed-point bound is computed again
-only when the report's listing is read.  The smallest reported margin of a
-piece lies at an end for x <= 1, and above it where M > 0 falls or M <= 0
-rises, since arctan rises; on a falling piece the run of points that share
-the end's double is bisected to its first point.  On the other pieces above
-x = 1, M(p)/arctan(q) (or M(q)/arctan(p)) from the balls at the ends p and
-q bounds every ratio below, and the piece is skipped where that bound
-clears the smallest margin found.  Otherwise its points are read in the
-double filter: the bound's float form is subtracted from arctan in plain
-doubles (:mod:`arctanbounds.fastatan`, within a proven relative
-5.25 * 2**-53 of arctan at every positive double, shared by the pieces
-that span the same points), and the margin m is settled when it exceeds a
-proven error bound E, or lies below -E (the adaptive filter of Shewchuk,
-1997): the float form's own rounding error (from the catalog), the error
-of the double arctan and the rounding of the subtraction.  The filter
-evaluates in fixed point the
-points it cannot settle (where a float form or its error bound is not
-finite, x*x overflowing from x = 2**512) and those whose interval
-m -+ 2E could still reach the minimum.  A tangency (M -> 0 at 0 or at
-infinity) falls in a piece whose minimum is an end, so no point near one
-reaches the filter.  The fixed-point oracle is computed at the points
-evaluated and at the violations listed, one point at a time and cached by
-point and digits.  So verdicts are the exact ones, and min_margin lies
-within its point's two radii of the smallest exact margin.  On the default
-grid and suite 147 of the 300,000 point checks reach fixed point, 4 to 7
-per entry, and the filter reads 99 points, all of the errata's.
+The smallest reported margin of a piece lies at an end for x <= 1, and
+above it where M > 0 falls or M <= 0 rises, since arctan rises; on a
+falling piece the run of points that share the end's double is bisected
+to its first point.  On the other pieces R = M/arctan x has the slope of
+S = (1 + x^2) M' arctan x - M, where S(0+) = 0 and
+S' = ((1 + x^2) M')' arctan x: of one sign for a one-off, whose R rises on
+(0, inf), and for a shape row that of -+((2d^2 - e^2) u + d e), which
+changes at most once.  So the smallest R lies at an end unless S goes from
+- to + inside the piece, where bisection on S's exact sign finds its zero.
+A piece is skipped where M(p)/arctan(q) (or M(q)/arctan(p)), a lower bound
+of every ratio on it, exceeds the smallest margin found; otherwise its
+points are evaluated inward from the ends of R's monotone runs until one's
+ratio bound clears it.  Points that share the smallest double are ordered
+by their doubles once fixed, at more digits where the balls leave them
+open, then by index.  The oracle is computed, and cached, only at the
+points evaluated and the violations listed.  So verdicts are the exact
+ones, and min_margin lies within its point's two radii of the smallest
+exact margin.
 
 A dominance report gives every grid point the exact sign of the difference
 of two bounds.  For two rows without a log it is the sign of a polynomial
-in u = sqrt(1 + x^2) with coefficients in Q[pi] (see
-:mod:`arctanbounds.algebra`): its roots, each bracketed by two doubles, cut
-the grid, which is read by bisection, with no pass over its points and no
-fixed-point evaluation; a crossover is the double nearest a root where the
-sign changes.  A pair with a log row decides the sign with the sweep's
-double filter, the second bound taking the oracle's place, and elsewhere on
-the two rows' fixed-point balls decided past both radii as a sweep decides
-a point (see fixedpoint.refine); it bisects each crossover on the bit
-patterns of the two doubles, to a relative width of 1e-13 at any magnitude.
+P in u with coefficients in Q[pi] (see :mod:`arctanbounds.algebra`): the
+brackets of its roots cut the grid, which is read by bisection with no
+fixed-point evaluation, and a crossover is the double nearest a root where
+the sign changes.  A pair with a log row has the sign of an h with
+h(0+) = 0, monotone between the roots of algebra.log_pair_polynomial: the
+first piece takes h's sign at its last grid point, every other the signs
+at its ends and by bisection between them, decided on the two rows'
+fixed-point balls, as are the crossovers, bisected on the bit patterns to a
+relative width of 1e-13.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -75,10 +62,8 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
@@ -175,21 +160,6 @@ def _oracle_at(x: float, digits: int) -> fp.FixedReal:
     return oracle_arctan(x, digits)
 
 
-@lru_cache(maxsize=8)
-def _fast_atan_on_grid(grid: GridSpec, start: int, stop: int) -> array:
-    """fast_atan at the grid points start..stop-1, packed 8 bytes a point (a
-    float object in a tuple takes 32): built when a piece of a sweep first
-    reaches the double filter, and shared by the suite's sweeps whose
-    pieces span the same points."""
-    # imported on first use: only the double filter reads it
-    from .fastatan import fast_atan
-    return array("d", map(fast_atan, grid.values()[start:stop]))
-
-
-def _reported_margin(x: float, margin: float, oracle_value: float) -> float:
-    return margin if x <= 1.0 else margin / oracle_value
-
-
 class _Point(NamedTuple):
     """The fixed-point path at one point: the doubles of the bound's and the
     oracle's centres, the reported margin, whether the inequality holds, and
@@ -203,20 +173,30 @@ class _Point(NamedTuple):
     oracle_hp: fp.FixedReal
 
 
+def _fixed(balls: tuple[fp.FixedReal, fp.FixedReal], x: float) -> bool:
+    """Whether every value in the balls (bound, oracle) gives the reported
+    margin one double: that of M, and for x > 1 that of arctan x too."""
+    b, o = balls
+    ends = [(o.units - b.units, b.err + o.err)] + [(o.units, o.err)] * (x > 1.0)
+    return all(cat._double(v - r, b.scale) == cat._double(v + r, b.scale) for v, r in ends)
+
+
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
-                 digits: int) -> _Point:
+                 digits: int, fixed: bool = False) -> _Point:
     """The fixed-point path at x, separated by fixedpoint.refine from
-    `digits`.  DomainError where the bound or the margin does not fit a double."""
+    `digits`, and with `fixed` until the reported margin's double is too.
+    DomainError where the bound or the margin does not fit a double."""
     bound_hp, oracle_hp = fp.refine(
         lambda d: (cat.eval_bound_hp(bound, x, a, digits=d), _oracle_at(x, d)),
-        digits, fp.separated, lambda: f"{bound.value} at x={x!r}: the margin")
+        digits, lambda balls: fp.separated(balls) and (not fixed or _fixed(balls, x)),
+        lambda: f"{bound.value} at x={x!r}: the margin")
     diff = oracle_hp.units - bound_hp.units
     if side == "upper":
         diff = -diff
     # float(FixedReal) divides the units by the scale, correctly rounded
     try:
         oracle_f = float(oracle_hp)
-        margin = _reported_margin(x, diff / bound_hp.scale, oracle_f)
+        margin = diff / bound_hp.scale if x <= 1.0 else diff / bound_hp.scale / oracle_f
         if diff > 0 and margin == 0.0:      # a certified margin that underflows
             raise OverflowError
         return _Point(float(bound_hp), oracle_f, margin, diff > 0, bound_hp, oracle_hp)
@@ -236,9 +216,9 @@ class SweepReport:
     of them; the fixed-point bound is computed when the listing is read, and
     only for the violations listed.
     pieces counts the grid's runs on which the margin is monotone (see
-    sweep), escalated the grid points the sweep evaluated in fixed point,
-    and filtered the grid points its double filter read.  min_margin is
-    signed so that positive means the inequality holds.
+    sweep) and escalated the grid points the sweep evaluated in fixed
+    point.  min_margin is signed so that positive means the inequality
+    holds.
     """
 
     bound: cat.BoundId
@@ -251,7 +231,6 @@ class SweepReport:
     min_margin_x: float
     escalated: int
     pieces: int
-    filtered: int
 
     @property
     def ok(self) -> bool:
@@ -339,6 +318,15 @@ def _first_index(lo: int, hi: int, pred) -> int:
     return hi
 
 
+def _split(start: int, stop: int, sign) -> tuple[int, object, object]:
+    """(split, first, last): a monotone function's signs sign(i) are first
+    on start..split-1 and last on split..stop-1, bisected between the ends."""
+    first, last = sign(start), sign(stop - 1)
+    split = stop if first == last else _first_index(start, stop - 1,
+                                                    lambda i: sign(i) == last)
+    return split, first, last
+
+
 class _ExactPoints(dict):
     """The fixed-point path at the grid points a sweep reads, by index, each
     evaluated on first use."""
@@ -348,6 +336,7 @@ class _ExactPoints(dict):
         super().__init__()
         self.bound, self.a, self.side, self.grid, self.digits = bound, a, side, grid, digits
         self.xs = grid.values()
+        self.fixed_margins = {}
 
     def _evaluate(self, i: int) -> _Point:
         point = self[i] = _exact_point(self.bound, self.a, self.side, self.xs[i],
@@ -378,72 +367,89 @@ class _ExactPoints(dict):
                 i, error = mid, exc
         return error
 
+    def fixed_margin(self, i: int) -> float:
+        """The reported margin at i, at more digits where its balls leave
+        its double open."""
+        if i not in self.fixed_margins:
+            point, x = self[i], self.xs[i]
+            if not _fixed((point.bound_hp, point.oracle_hp), x):
+                point = _exact_point(self.bound, self.a, self.side, x,
+                                     2 * point.bound_hp.digits, fixed=True)
+            self.fixed_margins[i] = point.margin
+        return self.fixed_margins[i]
+
     def run_start(self, start: int, last: int) -> int:
-        """The first of the points start..last whose reported margin is the
-        double at last, on a run where the margins do not rise."""
-        value = self[last].margin
-        if last == start or self[last - 1].margin != value:
+        """The first of the points start..last whose fixed margin is that at
+        last, on a run where the fixed margins do not rise."""
+        value = self.fixed_margin(last)
+        if last == start or self.fixed_margin(last - 1) != value:
             return last
-        if self[start].margin == value:
+        if self.fixed_margin(start) == value:
             return start
-        return _first_index(start, last - 1, lambda i: self[i].margin == value)
+        return _first_index(start, last - 1, lambda i: self.fixed_margin(i) == value)
 
-    def filtered_minimum(self, start: int, stop: int, min_high: float) -> float:
-        """The double filter on the points start..stop-1, all x > 1, of one
-        sign: the points it cannot settle, and then those whose reported
-        margin could be the smallest, at most min_high, are evaluated in
-        fixed point.  Returns the smallest of min_high and their margins."""
-        from .fastatan import FAST_ATAN_K
-        fn, float_error = cat.float_form(self.bound, self.a)
-        lower = self.side == "lower"
-        # E = float_error + (K + 4)u(o + |b|), K = FAST_ATAN_K: o, the double
-        # of fast_atan, is within Ku o of arctan x, and o - b rounds once, by
-        # at most u(o + |b|), so m is within E of the exact margin at the
-        # double x.  A settled point's exact margin as reported, divided by
-        # arctan x, lies within rad = 2E/o of m/o: 2E exceeds E by
-        # (K + 4)u(o + |b|) >= (K + 4)u|m|, which covers the division by o in
-        # place of arctan x (a relative Ku, so Ku|m|) and the three roundings
-        # of m/o -+ 2E/o, with u|m| to spare.  Only a point whose low end is
-        # at most the running min_high can hold the minimum, and min_high
-        # only falls.
-        k4_u = (FAST_ATAN_K + 4) * 2.0 ** -53
-        unsettled, candidates = [], []
-        for i, x, o in zip(range(start, stop), self.xs[start:stop],
-                           _fast_atan_on_grid(self.grid, start, stop)):
-            b = fn(x)
-            m = o - b if lower else b - o
-            e = float_error(x, b) + k4_u * (o + abs(b))
-            if not abs(m) > e:      # unsettled, or NaN: x*x overflows from 2**512
-                unsettled.append(i)
-                continue
-            m, rad = m / o, 2 * e / o
-            if m + rad < min_high:
-                min_high = m + rad
-            if m - rad <= min_high:
-                candidates.append((i, m - rad))
-        for i in unsettled:
-            min_high = min(min_high, self[i].margin)
-        for i, low in candidates:
-            if low <= min_high:
-                min_high = min(min_high, self[i].margin)
-        return min_high
+    def slope_sign(self, i: int) -> int:
+        """The sign at grid point i of a shape row's S, which M/arctan x has
+        in its slope: +-(B - F arctan x), + for a lower bound, with
+        F = (1 + x^2) B' = c u (d u + e) / (d + e u)^2, past the radius."""
+        point, x, consts = self[i], self.xs[i], cat._CATALOG[self.bound].consts
+
+        def ball(digits: int) -> fp.FixedReal:
+            bound_hp, oracle_hp = (
+                (point.bound_hp, point.oracle_hp) if digits == point.bound_hp.digits
+                else (cat.eval_bound_hp(self.bound, x, self.a, digits=digits),
+                      _oracle_at(x, digits)))
+            c, d, e = cat._fixed_consts(consts, self.a, digits)
+            x_hp = fp.FixedReal(x, digits)
+            u = (1 + x_hp * x_hp).sqrt()
+            return bound_hp - c * u * (d * u + e) / ((d + e * u) * (d + e * u)) * oracle_hp
+
+        s = fp.refine(ball, point.bound_hp.digits, lambda v: abs(v.units) > v.err,
+                      lambda: f"{self.bound.value} at x={x!r}: the slope of the margin")
+        return 1 if (s.units > 0) == (self.side == "lower") else -1
+
+    def loose_minimum(self, lo: int, hi: int, positive: bool, best: float) -> float:
+        """The smallest of best and the reported margins at the points
+        lo..hi-1, all x > 1, where M is monotone and positive or not, read
+        inward from the ends of R's monotone runs (see the module docstring)."""
+
+        def scan(i: int, step: int, stop: int) -> int:     # the index it stops at
+            nonlocal best
+            while (i - stop) * step < 0:
+                point = self[i]
+                best = min(best, point.margin)
+                if _lowest_ratio(point, point, positive, self.side == "lower") > best:
+                    break
+                i += step
+            return i
+
+        if cat._CATALOG[self.bound].consts is not None and (
+                self.slope_sign(lo) < 0 < self.slope_sign(hi - 1)):
+            k = _first_index(lo, hi - 1, lambda i: self.slope_sign(i) > 0)
+            scan(k - 1, -1, lo - 1)
+            scan(k, 1, hi)
+        else:
+            scan(hi - 1, -1, scan(lo, 1, hi))
+        return best
 
 
-def _lowest_ratio(first: _Point, last: _Point, positive: bool, lower: bool) -> Fraction:
+def _lowest_ratio(first: _Point, last: _Point, positive: bool, lower: bool) -> float:
     """A lower bound of the reported margins M(x)/arctan x on the grid
     points x > 1 from first to last, where M is monotone and of one sign.
     From the ends' balls, M(x)/arctan x is at least M(first)/arctan(last)
     where M > 0 rises, and M(last)/arctan(first) where M <= 0 falls; less
     2**-50 of it, which covers the three roundings of a reported margin (of
     the margin, of arctan and of their quotient), so that no point past the
-    bound can share the double of a point below it."""
+    bound can share the double of a point below it; a double, rounded down."""
     at_m, at_atan = (first, last) if positive else (last, first)
     b, o = at_m.bound_hp, at_m.oracle_hp
-    diff = o.units - b.units if lower else b.units - o.units
+    low = (o.units - b.units if lower else b.units - o.units) - b.err - o.err
     atan = at_atan.oracle_hp
     atan_end = atan.units + atan.err if positive else atan.units - atan.err
-    ratio = Fraction(diff - b.err - o.err, o.scale) / Fraction(atan_end, atan.scale)
-    return ratio - abs(ratio) / 2 ** 50
+    # low/o.scale over atan_end/atan.scale, times (2**50 -+ 1)/2**50; the
+    # integer quotient is correctly rounded
+    return math.nextafter(low * atan.scale * ((1 << 50) - (1 if low > 0 else -1))
+                          / (o.scale * atan_end << 50), -math.inf)
 
 
 def sweep(bound: cat.BoundId, a: Optional[float] = None,
@@ -474,11 +480,8 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         pieces += 1
         rising = slopes[bisect_right(cuts, start)] > 0
         # M is monotone on the piece, so it holds on one run of it and is
-        # violated on the other: found from the exact signs at the two ends,
-        # and between them by bisection
-        first_holds, last_holds = exact[start].holds, exact[stop - 1].holds
-        split = stop if first_holds == last_holds else _first_index(
-            start, stop - 1, lambda i: exact[i].holds == last_holds)
+        # violated on the other
+        split, first_holds, last_holds = _split(start, stop, lambda i: exact[i].holds)
         for lo, hi, holds in ((start, split, first_holds), (split, stop, last_holds)):
             if not holds:
                 violated.extend(range(lo, hi))
@@ -493,28 +496,27 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         else:
             loose_parts.append((lo, hi, positive))
 
-    # a loose part is read in the double filter unless its lowest ratio clears
-    # the smallest reported margin found
+    # a loose part is read from its own monotone runs unless its lowest
+    # ratio clears the smallest reported margin found
     best = min(point.margin for point in exact.values())
-    filtered = 0
     for lo, hi, positive in loose_parts:
-        if _lowest_ratio(exact[lo], exact[hi - 1], positive, side == "lower") > best:
-            continue
-        filtered += hi - lo
-        best = exact.filtered_minimum(lo, hi, best)
+        if _lowest_ratio(exact[lo], exact[hi - 1], positive, side == "lower") <= best:
+            best = exact.loose_minimum(lo, hi, positive, best)
 
     # every grid point whose reported margin can be the smallest is now
     # evaluated, but on a falling part the run of points that share its
-    # last point's double
+    # last point's double; ties are ordered by their fixed margins
     min_margin = min(point.margin for point in exact.values())
-    first = min(i for i, point in exact.items() if point.margin == min_margin)
+    tied = {i for i, point in exact.items() if point.margin == min_margin}
     for lo, hi, rising in end_parts:
-        if not rising and lo < first and exact[hi - 1].margin == min_margin:
-            first = min(first, exact.run_start(lo, hi - 1))
+        if not rising and exact[hi - 1].margin == min_margin:
+            tied.add(exact.run_start(lo, hi - 1))
+    first = min(tied) if len(tied) == 1 else min(
+        tied, key=lambda i: (exact.fixed_margin(i), i))
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
                        violation_at=tuple(violated),
                        min_margin=exact[first].margin, min_margin_x=xs[first],
-                       escalated=len(exact), pieces=pieces, filtered=filtered)
+                       escalated=len(exact), pieces=pieces)
 
 
 @dataclass(frozen=True)
@@ -535,14 +537,13 @@ class DominanceReport:
     otherwise only at a root of P that is a grid point.  Regions, crossovers
     and counts all come from it.
 
-    method is "algebra" for two rows without a log and "filter" for a pair
-    with a log row.  An algebra report gives degree, the degree of P (-1
-    where P == 0), brackets, one (lo, hi) pair of doubles per root of P
-    (see algebra.Comparison), bracket_points, the grid points that are a
-    bracket's end and so decided by an exact sign there, and pi_digits, the
-    most digits of pi a sign took.  A filter report gives escalated, the
-    grid points, and escalated_steps, of its bisection_steps, whose sign the
-    fixed-point path decided.
+    method is "algebra" for two rows without a log and "monotone" for a
+    pair with a log row.  degree is that of the polynomial whose roots cut
+    the grid, P or algebra.log_pair_polynomial (-1 where P == 0), brackets
+    one (lo, hi) pair of doubles per root (see algebra.Comparison), and
+    pi_digits the most digits of pi a sign took.  bracket_points counts the
+    grid points at a bracket's end; escalated the grid points, and
+    bisection_steps the crossovers' signs, decided in fixed point.
     """
 
     bound_a: cat.BoundId
@@ -564,7 +565,6 @@ class DominanceReport:
     pi_digits: int = 0
     escalated: int = 0
     bisection_steps: int = 0
-    escalated_steps: int = 0
 
     @property
     def a_strictly_tighter_everywhere(self) -> bool:
@@ -610,10 +610,9 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     polynomial P (see algebra): the grid is read by bisection at the edges
     of its sign, and a crossover is the double nearest a root of P where
     the sign changes, strictly inside the grid's range.  A pair with a log
-    row takes the float filter of a sweep, the second bound in the oracle's
-    place, and the fixed-point path where that cannot settle a point
-    (decided past both radii, see fixedpoint.refine), and bisects each
-    crossover between adjacent non-tied grid points that flip.
+    row reads the grid on the pieces where the difference is monotone, with
+    fixed-point signs decided past both radii (see fixedpoint.refine), and
+    bisects each crossover between adjacent grid points that flip.
     """
     side_a = cat.bound_side(bound_a)
     side_b = cat.bound_side(bound_b)
@@ -629,23 +628,27 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     tighter = 1 if side_a == "lower" else -1     # a bigger lower bound is tighter
     # imported on first use, as sweep imports it
     from . import algebra as alg
-    p = alg.comparison_polynomial(cat._CATALOG[bound_a], a_a, cat._CATALOG[bound_b], a_b)
-    if p is None:
-        fields = _filtered_signs(bound_a, bound_b, a_a, a_b, xs, digits, tighter)
-    else:
+    rows = cat._CATALOG[bound_a], cat._CATALOG[bound_b]
+    p = alg.comparison_polynomial(rows[0], a_a, rows[1], a_b)
+    if p is not None:
         fields = _algebraic_signs(alg.Comparison(p), xs, tighter)
+    elif bound_a is bound_b:    # a log row against itself; none takes a parameter
+        fields = dict(**_regions([(0, len(xs), 0)], xs, tighter), crossovers=[],
+                      method="monotone")
+    else:
+        row, a = (rows[1], a_b) if bound_a in _LOG_ROWS else (rows[0], a_a)
+        fields = _log_pair_signs(alg.Comparison(alg.log_pair_polynomial(row, a)),
+                                 bound_a, bound_b, a_a, a_b, xs, digits, tighter)
     return DominanceReport(bound_a=bound_a, bound_b=bound_b, a_a=a_a, a_b=a_b,
                            side=side_a, grid=grid, digits=digits, **fields)
 
 
-def _algebraic_signs(comparison, xs: tuple[float, ...], tighter: int) -> dict:
-    """The report's fields from the sign of P: each run of grid points
-    between two edges has one sign, found by bisect, with no pass over the
-    grid."""
-    cuts = [0, *(bisect_right(xs, edge) for edge in comparison.edges), len(xs)]
+def _regions(runs, xs: tuple[float, ...], tighter: int) -> dict:
+    """The report's regions and counts from runs (start, stop, sign) of the
+    grid's indices in order, sign that of A - B."""
     counts = {1: 0, -1: 0, 0: 0}
     regions = []
-    for start, stop, sign in zip(cuts, cuts[1:], comparison.signs):
+    for start, stop, sign in runs:
         if start >= stop:
             continue
         verdict = _VERDICT[tighter * sign]
@@ -654,74 +657,61 @@ def _algebraic_signs(comparison, xs: tuple[float, ...], tighter: int) -> dict:
             regions[-1] = DominanceRegion(regions[-1].x_lo, xs[stop - 1], verdict)
         else:
             regions.append(DominanceRegion(xs[start], xs[stop - 1], verdict))
+    return dict(regions=regions, a_tighter=counts[1], b_tighter=counts[-1],
+                equal=counts[0])
+
+
+def _algebraic_signs(comparison, xs: tuple[float, ...], tighter: int) -> dict:
+    """The report's fields from the sign of P: each run of grid points
+    between two edges has one sign, found by bisect, with no pass over the
+    grid."""
+    cuts = [0, *(bisect_right(xs, edge) for edge in comparison.edges), len(xs)]
     x_min, x_max = xs[0], xs[-1]
     ends = {end for bracket in comparison.brackets for end in bracket}
     return dict(
-        regions=regions,
+        **_regions(zip(cuts, cuts[1:], comparison.signs), xs, tighter),
         crossovers=[c for lo, hi, c in comparison.crossovers
                     if x_min <= lo and hi <= x_max and x_min < c < x_max],
-        a_tighter=counts[1], b_tighter=counts[-1], equal=counts[0],
         method="algebra", degree=comparison.degree,
         brackets=tuple(comparison.brackets),
         bracket_points=sum(bisect_right(xs, e) - bisect_left(xs, e) for e in ends),
         pi_digits=comparison.pi_digits)
 
 
-def _filtered_signs(bound_a: cat.BoundId, bound_b: cat.BoundId,
+_LOG_ROWS = (cat.BoundId.LOG_LOWER, cat.BoundId.LOG_UPPER)
+
+
+def _log_pair_signs(comparison, bound_a: cat.BoundId, bound_b: cat.BoundId,
                     a_a: Optional[float], a_b: Optional[float],
                     xs: tuple[float, ...], digits: int, tighter: int) -> dict:
-    """The report's fields from sign_at(x), for a pair with a log row: +1
-    if A is strictly tighter, -1 if B is, 0 only for a row against itself.
-    It settles the sign in double past sweep's threshold; unsettled margins
-    and non-finite values or error bounds (whose comparison is false) go to
-    the fixed-point path."""
-    fn_a, error_a = cat.float_form(bound_a, a_a)
-    fn_b, error_b = cat.float_form(bound_b, a_b)
-    identical = bound_a is bound_b      # no log row takes a parameter
-    four_u = 2.0 ** -51
-    calls = escalated = 0
+    """The report's fields for a pair with a log row: the brackets of the
+    comparison of its algebra.log_pair_polynomial cut the grid into pieces
+    where A - B has the sign of a monotone h, with h(0+) = 0 (see the module
+    docstring)."""
 
     def sign_at(x: float) -> int:
-        nonlocal calls, escalated
-        calls += 1
-        if identical:
-            return 0
-        fa, fb = fn_a(x), fn_b(x)
-        diff = fa - fb
-        # fa and fb are float forms at the same double x, each within its
-        # proven error bound of the exact bound, and 4u(|fa| + |fb|) covers
-        # the rounding of diff (exact where it is subnormal): past this, diff
-        # has the exact sign of A(x) - B(x).
-        if abs(diff) > error_a(x, fa) + error_b(x, fb) + four_u * (abs(fa) + abs(fb)):
-            return tighter if diff > 0 else -tighter
-        escalated += 1
+        """The exact sign of A(x) - B(x), from both rows' fixed-point balls."""
         ball_a, ball_b = fp.refine(
             lambda d: (cat.eval_bound_hp(bound_a, x, a_a, digits=d),
                        cat.eval_bound_hp(bound_b, x, a_b, digits=d)),
             digits, fp.separated,
             lambda: f"{bound_a.value} against {bound_b.value} at x={x!r}: the sign")
-        return tighter if ball_a.units > ball_b.units else -tighter
+        return 1 if ball_a.units > ball_b.units else -1
 
-    signs = [sign_at(x) for x in xs]
-    grid_escalated = escalated
-    regions = []
-    start = 0
-    for i in range(1, len(xs) + 1):
-        if i == len(xs) or signs[i] != signs[start]:
-            regions.append(DominanceRegion(xs[start], xs[i - 1], _VERDICT[signs[start]]))
-            start = i
-
-    crossovers = []
-    prev = None
-    for i, sign in enumerate(signs):
-        if sign == 0:
-            continue
-        if prev is not None and signs[prev] != sign:
-            crossovers.append(fp._bisect_crossover(sign_at, xs[prev], xs[i], signs[prev]))
-        prev = i
-
-    return dict(
-        regions=regions, crossovers=crossovers, a_tighter=signs.count(1),
-        b_tighter=signs.count(-1), equal=signs.count(0), method="filter",
-        escalated=grid_escalated, bisection_steps=calls - len(xs),
-        escalated_steps=escalated - grid_escalated)
+    sign, steps = lru_cache(maxsize=None)(lambda i: sign_at(xs[i])), []
+    cuts = [0, *(bisect_right(xs, lo) for lo, _ in comparison.brackets), len(xs)]
+    runs = []
+    for k, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        if start < stop:
+            split, first, last = (stop, sign(stop - 1), 0) if k == 0 else _split(
+                start, stop, sign)
+            runs += [run for run in ((start, split, first), (split, stop, last))
+                     if run[0] < run[1]]
+    crossovers = [fp._bisect_crossover(lambda x: steps.append(x) or sign_at(x),
+                                       xs[stop - 1], xs[start], before)
+                  for (_, stop, before), (start, _, after) in zip(runs, runs[1:])
+                  if before != after]
+    return dict(**_regions(runs, xs, tighter), crossovers=crossovers,
+                method="monotone", degree=comparison.degree,
+                brackets=tuple(comparison.brackets), pi_digits=comparison.pi_digits,
+                escalated=sign.cache_info().currsize, bisection_steps=len(steps))

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,9 @@ VERIFY_ARGS = ["verify", "--grid-points", "300", "--format", "json"]
 #: verify --suite all --format json on the default grid, recorded before the
 #: sweep settled violations in double; the output must not move by a byte
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_default.json"
+#: verify --suite all on [1e7, 1e8], as the double filter of loose pieces
+#: reported it
+VERIFY_1E7_1E8 = Path(__file__).parent / "data" / "verify_1e7_1e8.json"
 #: profile's output, keyed by its command line, and one 200-point CSV,
 #: recorded when every row was measured in fixed point
 PROFILE_GOLDEN = Path(__file__).parent / "data" / "profile_golden.json"
@@ -200,17 +202,14 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["verify", "profile"])
     def test_stats_refuse_low_digits_before_the_oracle(self, capsys, monkeypatch,
                                                        command):
-        # the digits check comes before any oracle value, in fixed point or
-        # in verify's timed double arctan grid
+        # the digits check comes before any oracle value
         def no_oracle(x, digits):
             raise AssertionError("oracle_arctan called before the digits check")
         monkeypatch.setattr(orc, "oracle_arctan", no_oracle)
-        built_doubles = orc._fast_atan_on_grid.cache_info()
         code, out, err = run(capsys, [command, "--digits", "10", "--grid-points", "50",
                                       "--stats", "--format", "json"])
         assert code == 2 and out == ""
         assert "ParamError" in err and "at least 20 digits" in err
-        assert orc._fast_atan_on_grid.cache_info() == built_doubles
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--grid-points", "20"],
@@ -266,10 +265,9 @@ class TestErrors:
                                     "--format", "json"])
         assert code == 0
         value = strict_json(out)["value"]
-        exact = cat.eval_bound_hp(cat.BoundId.CUBIC_LOWER, 6e102, digits=30)
-        assert float(exact) == pytest.approx(-7.2e307, rel=1e-15)
-        error = cat.float_form(cat.BoundId.CUBIC_LOWER, None)[1](6e102, value)
-        assert abs(Fraction(value) - exact.as_fraction()) <= Fraction(error)
+        # both ends of the ball round to one double, the exact bound's
+        lo, hi = cat.eval_bound_hp(cat.BoundId.CUBIC_LOWER, 6e102, digits=30).ends()
+        assert float(lo) == float(hi) == value == pytest.approx(-7.2e307, rel=1e-15)
         code, out, _ = run(capsys, ["eval", "--bound", "cubic-lower", "--x", "6e102"])
         assert code == 0 and out == f"cubic-lower(x=6e+102) = {value!r}\n"
         code, _, err = run(capsys, ["eval", "--bound", "cubic-lower", "--x", "1e200"])
@@ -396,7 +394,7 @@ print(calls)
         (["find-min", "--a", "0.6"], ["family"]),
         (["find-min", "--a", "0.6", "--stats", "--format", "json"], ["family"]),
         (["verify", "--suite", "fixed", "--grid-points", "200"],
-         ["algebra", "fastatan", "oracle"]),
+         ["algebra", "oracle"]),
         (["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
           "--grid-points", "200"], ["algebra", "oracle"]),
     ], ids=["find-min", "find-min-stats", "verify", "dominance"])
@@ -523,7 +521,7 @@ class TestVerify:
         assert code == 0
         payload = strict_json(out)
         stats = payload.pop("stats")
-        assert set(stats) == {"sweep_s", "pieces", "escalated", "filtered", "checked",
+        assert set(stats) == {"sweep_s", "pieces", "escalated", "checked",
                               "oracle_points", "package_version", "python_version",
                               "digits", "grid"}
         assert stats["sweep_s"] > 0
@@ -531,12 +529,12 @@ class TestVerify:
         assert stats["digits"] == 50 and stats["grid"]["points"] == 300
         assert stats["package_version"] == arctanbounds.__version__
         counts = {key: [entry.pop(key) for entry in payload["results"]]
-                  for key in ("pieces", "escalated", "filtered")}
+                  for key in ("pieces", "escalated")}
         for key, values in counts.items():
             assert sum(values) == stats[key], key
         # every entry has one piece at least, below 1 and above it
         assert all(2 <= n <= 4 for n in counts["pieces"])
-        assert stats["escalated"] + stats["filtered"] < stats["checked"] == 300 * len(
+        assert stats["escalated"] < stats["checked"] == 300 * len(
             payload["results"])
         errata = next(i for i, e in enumerate(payload["results"])
                       if e["bound"] == "two-over-pi-lower-errata")
@@ -555,15 +553,15 @@ class TestVerify:
         payload = strict_json(out)
         stats = payload["stats"]
         assert all(entry["escalated"] <= 15 for entry in payload["results"])
-        assert stats["filtered"] < 0.01 * stats["checked"]
+        assert stats["escalated"] < 0.001 * stats["checked"]
         # the text report names the counts
         code, out, _ = run(capsys, VERIFY_ARGS[:-2] + ["--stats"])
-        assert re.match(r"fixed point at \d+ and double filter at \d+ of 9000 point "
-                        r"checks in \d+ monotone pieces; oracle ", out.splitlines()[-1])
+        assert re.match(r"fixed point at \d+ of 9000 point checks in \d+ monotone "
+                        r"pieces; oracle ", out.splitlines()[-1])
 
     def test_default_suite_builds_no_oracle_grid(self, capsys):
-        # stage 1 reads the double arctan grid; fixed point is computed only
-        # at the points the sweeps escalate and the violations they list
+        # fixed point is computed only at the points the sweeps evaluate and
+        # the violations they list
         orc._oracle_at.cache_clear()
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--stats",
                                     "--format", "json"])
@@ -576,6 +574,38 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json"])
         assert code == 0
         assert out.encode("utf-8") == VERIFY_GOLDEN.read_bytes()
+
+    def test_one_decade_above_1e7_from_a_few_points(self, capsys):
+        # the reported margins' own monotone pieces settle each entry from a
+        # few points in fixed point, where the double filter read all
+        # 300,000 point checks and evaluated 20,067; the report is the same
+        argv = ["verify", "--suite", "all", "--grid-min", "1e7", "--grid-max", "1e8",
+                "--format", "json"]
+        code, plain, _ = run(capsys, argv)
+        assert code == 0
+        assert plain.encode("utf-8") == VERIFY_1E7_1E8.read_bytes()
+        code, out, _ = run(capsys, argv + ["--stats"])
+        payload = strict_json(out)
+        assert payload.pop("stats")["escalated"] < 300
+        for entry in payload["results"]:
+            del entry["pieces"], entry["escalated"]
+        assert payload == strict_json(plain)
+
+    def test_twenty_digits_order_ties_by_their_fixed_margins(self, capsys):
+        # at 40 digits (20, doubled) reversed-lower[a=2/pi]'s margins share
+        # one centre of ~10 units from point 680 on; more digits order them,
+        # and the last point is the minimum, as at 50 digits
+        argv = ["verify", "--suite", "family", "--grid-min", "7.877056469476179e+21",
+                "--grid-max", "3.997866023592105e+22", "--grid-points", "700",
+                "--format", "json"]
+        reports = []
+        for digits in ("20", "50"):
+            code, out, _ = run(capsys, argv + ["--digits", digits])
+            assert code == 0
+            reports.append([(e["bound"], e["a"], e["violation_count"], e["min_margin_x"])
+                            for e in strict_json(out)["results"]])
+        assert reports[0] == reports[1]
+        assert ("reversed-lower", cat.TWO_OVER_PI, 0, 3.997866023592105e+22) in reports[0]
 
     @pytest.mark.parametrize("digits", ["20", "30"])
     def test_fewer_digits_keep_the_golden_verdicts(self, capsys, digits):
@@ -667,14 +697,40 @@ class TestDominanceAndProfile:
         code, out, _ = run(capsys, argv)
         assert code == 0
         stats = strict_json(out)["stats"]
-        assert set(stats) == {"dominance_s", "method", "checked", "escalated",
-                              "escalated_steps", "bisection_steps", "package_version",
-                              "python_version", "digits", "grid"}
-        assert stats["method"] == "filter"
-        assert 0 < stats["escalated"] < stats["checked"] == 200
-        assert stats["escalated_steps"] == stats["bisection_steps"] == 0
+        assert set(stats) == {"dominance_s", "method", "checked", "degree", "brackets",
+                              "pi_digits", "escalated", "bisection_steps",
+                              "package_version", "python_version", "digits", "grid"}
+        assert stats["method"] == "monotone" and stats["degree"] == 8
+        assert 0 < stats["escalated"] <= 2 and stats["checked"] == 200
+        assert stats["bisection_steps"] == 0
         code, out, _ = run(capsys, argv[:-3] + ["--stats"])
-        assert f"filter: fixed point at {stats['escalated']} of 200 grid points" in out
+        assert (f"monotone pieces: degree 8, roots {len(stats['brackets'])}, fixed point "
+                f"at {stats['escalated']} of 200 grid points") in out
+
+    @pytest.mark.parametrize("argv,regions,crossovers,most", [
+        (["--bound-a", "log-lower", "--bound-b", "shafer-lower"],
+         [{"x_lo": 1e-300, "x_hi": 1e300, "verdict": "b"}], [], 1),
+        (["--bound-a", "cubic-lower", "--bound-b", "log-lower", "--digits", "400"],
+         [{"x_lo": 1e-300, "x_hi": 0.09923286228833275, "verdict": "a"},
+          {"x_lo": 10.077306820945022, "x_hi": 1e300, "verdict": "b"}],
+         [1.4859812905016057], 3),
+    ], ids=["log-lower-shafer", "cubic-log-lower"])
+    def test_log_pairs_on_the_whole_range(self, capsys, argv, regions, crossovers, most):
+        # the double filter decided 219 and 245 of these 300 points in fixed
+        # point; the pieces where the difference is monotone decide a few,
+        # with the same regions, counts and crossovers
+        code, out, _ = run(capsys, ["dominance", *argv, "--grid-min", "1e-300",
+                                    "--grid-max", "1e300", "--grid-points", "300",
+                                    "--format", "json", "--stats"])
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["stats"]["method"] == "monotone"
+        assert payload["stats"]["escalated"] <= most < 20
+        assert payload["regions"] == regions
+        assert payload["crossovers"] == crossovers
+        a_tighter = 0 if len(regions) == 1 else 150
+        assert payload["counts"] == {"a_tighter": a_tighter, "b_tighter": 300 - a_tighter,
+                                     "equal": 0}
 
     def test_dominance_stats_past_the_doubles(self, capsys):
         # the two rows cross at u ~ 2.1e308, past DBL_MAX: that bracket's

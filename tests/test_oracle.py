@@ -1,10 +1,14 @@
 import bisect
 import json
 import math
+import os
 import random
 import re
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -544,7 +548,7 @@ class TestDominanceMatchesReference:
 
     def test_no_fixed_point_without_a_log_row(self, fixed_point_calls):
         # two rows without a log take their signs from the roots of P alone;
-        # a log pair sends few points to the fixed-point path
+        # a log pair decides the sign at the ends of its monotone pieces
         calls = fixed_point_calls
         for bound_a, bound_b, a_a, a_b in [
                 (BoundId.SHAFER_LOWER, BoundId.TWO_OVER_PI_LOWER, None, None),
@@ -553,9 +557,11 @@ class TestDominanceMatchesReference:
             dominance_report(bound_a, bound_b, a_a, a_b, grid=DEFAULT_GRID)
             assert calls == [], (bound_a, bound_b)
         calls.clear()
-        dominance_report(BoundId.TWO_OVER_PI_UPPER, BoundId.LOG_UPPER, grid=DEFAULT_GRID)
-        # two calls per point that reaches the fixed-point path
-        assert 0 < len(calls) / 2 < 0.05 * DEFAULT_GRID.points
+        report = dominance_report(BoundId.TWO_OVER_PI_UPPER, BoundId.LOG_UPPER,
+                                  grid=DEFAULT_GRID)
+        # two calls per point that reaches the fixed-point path: the last,
+        # whose sign the one piece from 0 takes
+        assert report.escalated == 1 and len(calls) == 2
 
 
 class TestDominance:
@@ -633,7 +639,7 @@ class TestDominance:
         for log_row, rival in [(BoundId.LOG_LOWER, BoundId.SHAFER_LOWER),
                                (BoundId.LOG_UPPER, BoundId.IDENTITY_UPPER)]:
             report = dominance_report(log_row, rival, grid=grid)
-            assert report.method == "filter"
+            assert report.method == "monotone" and report.escalated == 1
             assert report.b_strictly_tighter_everywhere, log_row
 
     def test_ties_of_centres_are_refined(self):
@@ -778,6 +784,42 @@ class TestExactDominance:
         assert report.equal == GRID.points and report.degree == -1
 
 
+@st.composite
+def log_pairs(draw):
+    """A log row against a row on its side, itself included, in either order,
+    with a parameter from the other row's range."""
+    side = draw(st.sampled_from(["lower", "upper"]))
+    log_row = BoundId.LOG_LOWER if side == "lower" else BoundId.LOG_UPPER
+    row = draw(st.sampled_from([b for b in BoundId if bound_side(b) == side]))
+    a = draw(_param(row))
+    return (log_row, None, row, a) if draw(st.booleans()) else (row, a, log_row, None)
+
+
+class TestLogPairDominance:
+    """dominance_report for pairs with a log row against reference_dominance:
+    the exact sign at every grid point from the rows' fixed-point balls, and
+    each crossover bisected on those signs, independent of the pieces."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_pairs(), st.floats(-300.0, 300.0), st.floats(0.0, 600.0),
+           st.integers(2, 30))
+    def test_log_pairs_match_fixed_point_signs(self, pair, low, decades, points):
+        x_min = 10.0 ** low
+        x_max = 10.0 ** min(low + decades, 300.0)
+        if not x_min < x_max:
+            x_max = 2 * x_min
+        grid = GridSpec(x_min, x_max, points, "log")
+        bound_a, a_a, bound_b, a_b = pair
+        report = dominance_report(bound_a, bound_b, a_a, a_b, grid=grid)
+        assert report.method == "monotone"
+        regions, crossovers, counts = reference_dominance(bound_a, bound_b, a_a, a_b,
+                                                          grid, 50)
+        payload = report.to_json_dict()
+        assert payload["counts"] == counts, pair
+        assert payload["regions"] == regions, pair
+        assert payload["crossovers"] == crossovers, pair
+
+
 def margin_change(bound, a, x1, x2, digits=120) -> int:
     """The sign of M(x2) - M(x1), M the exact margin (positive where the
     bound holds), from the rows' and the oracle's balls at `digits` and
@@ -893,13 +935,15 @@ class TestPieceSweep:
     that raises an error."""
 
     @settings(max_examples=100, deadline=None)
-    @given(rows_and_params(), st.floats(-6.0, 6.0), st.floats(0.0, 6.0),
-           st.integers(2, 30))
+    @given(rows_and_params(), st.floats(-6.0, 6.0),
+           st.one_of(st.floats(0.0, 6.0), st.floats(0.0, 100.0)), st.integers(2, 30))
     def test_random_grids_match_the_per_point_path(self, row, low, decades, points):
+        # grids above 1 as wide as [1, 1e100], where the reported margins of
+        # the loose pieces flatten to a few ulps
         from arctanbounds.oracle import _exact_point
         bound, a = row
         x_min = 10.0 ** low
-        x_max = x_min * 10.0 ** decades
+        x_max = min(x_min * 10.0 ** decades, 1e100)
         if not x_min < x_max:
             x_max = 2 * x_min
         grid = GridSpec(x_min, x_max, points, "log")
@@ -936,25 +980,20 @@ class TestPieceSweep:
         with pytest.raises(error, match=re.escape(message)):
             sweep(bound, a=a, grid=grid)
 
-    def test_fast_atan_grid_only_for_filtered_pieces(self, monkeypatch):
-        # the double filter's grid is built for the pieces that reach it, all
-        # above x = 1; on the default grid only the errata's does
-        from arctanbounds import oracle as orc
-        built = []
-        original = orc._fast_atan_on_grid
-
-        def recording(grid, start, stop):
-            built.append((start, stop))
-            return original(grid, start, stop)
-
-        monkeypatch.setattr(orc, "_fast_atan_on_grid", recording)
-        xs = DEFAULT_GRID.values()
-        for bound, a in _suite_entries("all"):
-            built.clear()
-            report = sweep(bound, a=a)
-            assert sum(stop - start for start, stop in built) == report.filtered, (bound, a)
-            assert all(xs[start] > 1.0 for start, _ in built), (bound, a)
-            assert (report.filtered > 0) == (bound is BoundId.TWO_OVER_PI_LOWER_ERRATA)
+    def test_sweeps_leave_fastatan_unloaded(self):
+        # every piece is read in fixed point: no sweep of the default suite
+        # imports the double arctan
+        probe = """
+import sys
+from arctanbounds import cli, oracle
+for bound, a in cli._suite_entries("all"):
+    oracle.sweep(bound, a=a)
+print("arctanbounds.fastatan" in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(arctanbounds.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True, env=env)
+        assert result.stdout == "False\n"
 
     def test_pieces_cut_at_slope_roots_and_at_one(self):
         # shafer-lower's margin rises everywhere; the errata's falls up to

@@ -29,6 +29,7 @@ from .errors import DomainError, ParamError, PrecisionError
 
 TWO_OVER_PI = 2.0 / math.pi
 _HALF_PI = 0.5 * math.pi
+_INF = math.inf
 
 #: Default digits of the fixed-point oracle and of kernel profiles, and the
 #: starting digits of sweeps and dominance reports.  The oracle's defaults,
@@ -83,9 +84,9 @@ class Enclosure(NamedTuple("_Ends", [("lower", float), ("upper", float)])):
     __slots__ = ()
 
     def __new__(cls, lower: float, upper: float):
-        if not -math.inf < lower <= upper < math.inf:
+        if not -_INF < lower <= upper < _INF:
             raise ParamError(f"inverted or non-finite enclosure: {lower!r}, {upper!r}")
-        return tuple.__new__(cls, (lower, upper))
+        return _new_pair(cls, (lower, upper))
 
     _make = classmethod(lambda cls, ends: cls(*ends))     # so _replace checks too
 
@@ -150,6 +151,10 @@ def _fixed_fn(form, consts, a, digits):
 # |theta| <= gamma_7 ~ 7 u0 < 16 u0: below an exact lower bound and above an
 # exact upper one, as long as u, the quotient and the product are normal.
 _DOWN, _UP = 1.0 - 2.0 ** -49, 1.0 + 2.0 ** -49
+#: The call Enclosure(lower, upper) makes once its check passes, and
+#: CertifiedValue(value, error_bound) makes outright: enclosure,
+#: best_enclosure and kernel.approx build their pairs with it, in C.
+_new_pair = tuple.__new__
 #: Below this, arctan x = x - x^3/3 + ... lies strictly between x and the
 #: next double toward zero: x^3/3 is far below one subnormal step.
 _TINY = 2.0 ** -1000
@@ -396,9 +401,18 @@ def enclosure(a: float, x: float) -> Enclosure:
     It is [nextafter(x, 0), x] below 2**-1000, and [0, x] where x/(a+u) is
     subnormal (only a huge a does that).  Parameters in the gap (1/2, 2/pi),
     or negative, have no certified two-sided bracket and raise.
+
+    x and the finished ends are checked inline, as _check_x and Enclosure
+    check them (a failed check calls that helper, which raises), and the
+    pair is built once, in C, by tuple.__new__: beyond the checks a call
+    costs one hypot and _ends.
     """
-    _check_x(x)
-    return Enclosure(*_ends(a, float(x), math.hypot(1.0, x)))
+    if not math.isfinite(x) or x <= 0:
+        _check_x(x)
+    lo, hi = _ends(a, float(x), math.hypot(1.0, x))
+    if not -_INF < lo <= hi < _INF:
+        Enclosure(lo, hi)
+    return _new_pair(Enclosure, (lo, hi))
 
 
 def best_enclosure(x: float, params: Iterable[float]) -> Enclosure:
@@ -406,11 +420,14 @@ def best_enclosure(x: float, params: Iterable[float]) -> Enclosure:
     min of the uppers, bit for bit those of enclosure(a, x), in one pass
     with one hypot.  Containment is preserved since every constituent
     brackets arctan x.  Errors come as enclosure raises them, in the order
-    of params; ParamError for none, or where the max exceeds the min."""
-    lower, upper, u = -math.inf, math.inf, None
+    of params; ParamError for none, or where the max exceeds the min.  As
+    in enclosure, x and the finished ends are checked inline and the pair
+    is built once, by tuple.__new__."""
+    lower, upper, u = -_INF, _INF, None
     for a in params:
         if u is None:       # x is checked as enclosure checks it, once
-            _check_x(x)
+            if not math.isfinite(x) or x <= 0:
+                _check_x(x)
             x, u = float(x), math.hypot(1.0, x)
         lo, hi = _ends(a, x, u)
         if not lo <= hi:
@@ -419,4 +436,6 @@ def best_enclosure(x: float, params: Iterable[float]) -> Enclosure:
         upper = hi if hi < upper else upper
     if u is None:
         raise ParamError("best_enclosure needs at least one parameter")
-    return Enclosure(lower, upper)
+    if not -_INF < lower <= upper < _INF:
+        Enclosure(lower, upper)
+    return _new_pair(Enclosure, (lower, upper))

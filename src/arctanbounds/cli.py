@@ -22,7 +22,10 @@ those of them at extra digits, and the rows' time.
 the gap and their most digits, the certified bracket of x0, the signs of the
 search read from it and those decided in fixed point, and the digits a sign
 starts from.
-``enclose`` gives an outward-rounded bracket.
+``enclose`` gives an outward-rounded bracket; its ``--stats`` adds the
+call's time and the branch its ends come from: ``family``, the closed
+forms, ``tiny`` below ``x = 2**-1000``, or ``subnormal`` where ``x/(a+u)``
+is.
 
 A process builds the parser once, on its first ``main`` call, and reuses it.
 Importing this module loads ``catalog``, ``fixedpoint`` and ``errors`` of the
@@ -171,6 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enclose", help="two-sided enclosure of arctan at a point")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="add the enclosure's time, the branch its ends come "
+                        "from and provenance to the JSON or text report")
     _add_output_args(p)
 
     p = sub.add_parser("find-min", help="interior minimum of the family ratio")
@@ -242,11 +248,21 @@ def _cmd_classify(args) -> tuple[int, dict, str]:
 
 
 def _cmd_enclose(args) -> tuple[int, dict, str]:
+    started = time.perf_counter()
     enc = cat.enclosure(args.a, args.x)
+    enclose_s = time.perf_counter() - started
     payload = {"a": args.a, "x": args.x, "lower": enc.lower, "upper": enc.upper,
                "half_width": enc.half_width, "midpoint": enc.midpoint}
-    return 0, payload, (f"arctan({args.x!r}) in ({enc.lower!r}, {enc.upper!r})"
-                        f"  half_width={enc.half_width!r}")
+    text = (f"arctan({args.x!r}) in ({enc.lower!r}, {enc.upper!r})"
+            f"  half_width={enc.half_width!r}")
+    if args.stats:
+        # read from x and the ends, as enclosure chose them: a family lower
+        # end is at least 2**-1022, so 0 marks the subnormal branch
+        branch = ("tiny" if args.x < cat._TINY
+                  else "subnormal" if enc.lower == 0.0 else "family")
+        payload["stats"] = {"enclose_s": enclose_s, "branch": branch}
+        text += f"\n{branch} branch; enclose {enclose_s * 1e6:.1f} us"
+    return 0, payload, text
 
 
 def _cmd_find_min(args) -> tuple[int, dict, str]:

@@ -31,11 +31,10 @@ from typing import Callable, NamedTuple
 
 from . import fixedpoint as fp
 from . import oracle as orc
-from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
+from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI, _new_pair
 from .errors import DomainError
 
 _DBL_MAX = sys.float_info.max
-_new_pair = tuple.__new__   # what CertifiedValue(value, error_bound) calls, in C
 
 
 @dataclass(frozen=True, slots=True)

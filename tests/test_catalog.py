@@ -640,6 +640,160 @@ class TestBestEnclosure:
             best_enclosure(1.0, [0.5, 0.6])
 
 
+# enclosure and best_enclosure through their helpers, as the reference that
+# the inline checks and the pairs built in place are compared with: the x
+# check of _check_x, the ends of _ends, then Enclosure(lower, upper) through
+# its validating constructor.
+def _reference_check_x(x):
+    if not math.isfinite(x) or x <= 0:
+        raise DomainError(f"bounds are stated for x > 0, got {x!r}")
+
+
+def _reference_ends(a, x, u):
+    if not math.isfinite(a):
+        raise ParamError("family parameter must be finite")
+    if 0.0 <= a <= 0.5:
+        c_lo, c_hi = 1.0 + a, 0.5 * math.pi
+    elif a >= 2.0 / math.pi:
+        c_lo, c_hi = 0.5 * math.pi, 1.0 + a
+    else:
+        raise ParamError(
+            f"no two-sided enclosure for a={a!r}; need 0 <= a <= 1/2 or a >= 2/pi")
+    if x < 2.0 ** -1000:
+        return math.nextafter(x, 0.0), x
+    q = x / (a + u)
+    if q < 2.0 ** -1022:
+        return 0.0, x
+    return c_lo * q * (1.0 - 2.0 ** -49), c_hi * q * (1.0 + 2.0 ** -49)
+
+
+def reference_enclosure(a, x):
+    _reference_check_x(x)
+    return Enclosure(*_reference_ends(a, float(x), math.hypot(1.0, x)))
+
+
+def reference_best_enclosure(x, params):
+    lower, upper, u = -math.inf, math.inf, None
+    for a in params:
+        if u is None:
+            _reference_check_x(x)
+            x, u = float(x), math.hypot(1.0, x)
+        lo, hi = _reference_ends(a, x, u)
+        if not lo <= hi:
+            raise ParamError(f"inverted enclosure at a={a!r}: {lo!r} > {hi!r}")
+        lower = lo if lo > lower else lower
+        upper = hi if hi < upper else upper
+    if u is None:
+        raise ParamError("best_enclosure needs at least one parameter")
+    return Enclosure(lower, upper)
+
+
+def _enclosure_outcome(fn, *args):
+    """The type and the ends' bits of fn's pair, or its exception's class and
+    message."""
+    try:
+        enc = fn(*args)
+    except ArctanBoundsError as exc:
+        return type(exc), str(exc)
+    return type(enc), [_bits(v) for v in enc]
+
+
+#: The parameters the bit-identity tests run at: the certified ones above,
+#: and the doubles next to 1/2 and 2/pi, two of which lie in the gap.
+_IDENTITY_PARAMS = ENCLOSURE_PARAMS + (
+    math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+    math.nextafter(TWO_OVER_PI, 0.0), math.nextafter(TWO_OVER_PI, 1.0))
+_IDENTITY_BEST_PARAMS = ([0.5, TWO_OVER_PI], [TWO_OVER_PI, 0.5], [1e300],
+                         [0.0, 0.25, 1.0, 1e6], list(_IDENTITY_PARAMS))
+
+
+def _identity_xs():
+    """A seeded stream of 1000 bit-pattern doubles in each magnitude band
+    enclosure's arithmetic depends on (below 1e-8, to the kernel's switch
+    abscissa, to 1e8, to sqrt(DBL_MAX), above), and the edges: subnormals,
+    2**-1022, 2**-1000 and sqrt(DBL_MAX) with their neighbours, DBL_MAX."""
+    rng = random.Random("enclosure-identity")
+    square_max = math.sqrt(DBL_MAX)
+    edges = (5e-324, 1e-8, 2.1758413981537927, 1e8, square_max, DBL_MAX)
+    xs = []
+    for lo, hi in zip(edges, edges[1:]):
+        xs += [_from_bits(rng.randint(_bits(lo), _bits(hi))) for _ in range(1000)]
+    tiny = 2.0 ** -1000
+    xs += [5e-324, 1e-320, 2.0 ** -1022, math.nextafter(tiny, 0.0), tiny,
+           math.nextafter(tiny, 1.0), math.nextafter(square_max, 0.0), square_max,
+           math.nextafter(square_max, math.inf), DBL_MAX]
+    return xs
+
+
+class TestEnclosureBitIdentity:
+    def test_stream_and_edges_match_the_reference(self):
+        xs = _identity_xs()
+        assert len(xs) == 5010
+        for a in _IDENTITY_PARAMS:
+            for x in xs:
+                assert _enclosure_outcome(enclosure, a, x) == \
+                    _enclosure_outcome(reference_enclosure, a, x), (a, x)
+        for params in _IDENTITY_BEST_PARAMS:
+            for x in xs:
+                assert _enclosure_outcome(best_enclosure, x, params) == \
+                    _enclosure_outcome(reference_best_enclosure, x, params), (params, x)
+
+    @given(st.integers(1, _bits(DBL_MAX)).map(_from_bits),
+           st.sampled_from(_IDENTITY_PARAMS),
+           st.lists(st.sampled_from(_IDENTITY_PARAMS), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_bit_patterns_match_the_reference(self, x, a, params):
+        assert _enclosure_outcome(enclosure, a, x) == _enclosure_outcome(reference_enclosure, a, x)
+        assert _enclosure_outcome(best_enclosure, x, params) == \
+            _enclosure_outcome(reference_best_enclosure, x, params)
+
+
+_X_MESSAGE = "bounds are stated for x > 0, got {}"
+_GAP_MESSAGE = "no two-sided enclosure for a={}; need 0 <= a <= 1/2 or a >= 2/pi"
+
+
+class TestEnclosureErrors:
+    # the class and message of every rejection, and which check comes first
+    @pytest.mark.parametrize("x", [0.0, -0.0, -3.0, math.nan, math.inf, -math.inf])
+    def test_bad_x(self, x):
+        with pytest.raises(DomainError) as info:
+            enclosure(0.5, x)
+        assert str(info.value) == _X_MESSAGE.format(repr(x))
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter(self, a):
+        with pytest.raises(ParamError) as info:
+            enclosure(a, 1.0)
+        assert str(info.value) == "family parameter must be finite"
+
+    @pytest.mark.parametrize("a", [0.51, -0.1, math.nextafter(TWO_OVER_PI, 0.0)])
+    def test_parameter_without_a_bracket(self, a):
+        with pytest.raises(ParamError) as info:
+            enclosure(a, 1.0)
+        assert str(info.value) == _GAP_MESSAGE.format(repr(a))
+
+    @pytest.mark.parametrize("a", [math.nan, 0.51])
+    def test_bad_x_is_reported_before_a_bad_parameter(self, a):
+        with pytest.raises(DomainError) as info:
+            enclosure(a, -1.0)
+        assert str(info.value) == _X_MESSAGE.format("-1.0")
+
+    def test_best_enclosure_order(self):
+        for x in (1.0, -1.0, math.nan):
+            with pytest.raises(ParamError) as info:
+                best_enclosure(x, [])
+            assert str(info.value) == "best_enclosure needs at least one parameter"
+        with pytest.raises(DomainError) as info:
+            best_enclosure(-1.0, [0.5, 0.51])
+        assert str(info.value) == _X_MESSAGE.format("-1.0")
+        with pytest.raises(ParamError) as info:
+            best_enclosure(1.0, [0.5, 0.51])
+        assert str(info.value) == _GAP_MESSAGE.format("0.51")
+        with pytest.raises(ParamError) as info:
+            best_enclosure(1.0, [0.5, math.inf])
+        assert str(info.value) == "family parameter must be finite"
+
+
 class TestBallErrorBound:
     @pytest.mark.parametrize("bound,a", _suite_entries("all"),
                              ids=lambda v: getattr(v, "value", repr(v)))

@@ -98,6 +98,40 @@ class TestBasicCommands:
         payload = strict_json(out)
         assert payload["lower"] < 0.7853982 < payload["upper"]
 
+    def test_enclose_without_stats_is_unchanged(self, capsys):
+        argv = ["enclose", "--a", "0.5", "--x", "1"]
+        assert run(capsys, argv) == (
+            0, "arctan(1.0) in (0.7836116248912228, 0.8205961746752783)"
+               "  half_width=0.01849227489202776\n", "")
+        assert run(capsys, argv + ["--format", "json"]) == (
+            0, '{\n  "a": 0.5,\n  "x": 1.0,\n  "lower": 0.7836116248912228,\n'
+               '  "upper": 0.8205961746752783,\n  "half_width": 0.01849227489202776,\n'
+               '  "midpoint": 0.8021038997832506\n}\n', "")
+
+    @pytest.mark.parametrize("a,x,branch", [
+        (0.5, 1.0, "family"), (cat.TWO_OVER_PI, sys.float_info.max, "family"),
+        (0.0, 2.0 ** -1000, "family"), (0.5, math.nextafter(2.0 ** -1000, 0.0), "tiny"),
+        (0.0, 5e-324, "tiny"), (1e300, 1e-10, "subnormal"),
+    ])
+    def test_enclose_stats(self, capsys, a, x, branch):
+        argv = ["enclose", "--a", repr(a), "--x", repr(x), "--format", "json"]
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        payload = strict_json(out)
+        stats = payload.pop("stats")
+        assert set(stats) == {"enclose_s", "branch", "package_version", "python_version"}
+        assert stats["branch"] == branch and 0 < stats["enclose_s"] < 1
+        assert stats["package_version"] == arctanbounds.__version__
+        assert stats["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+        assert [payload["lower"], payload["upper"]] == list(cat.enclosure(a, x))
+        # without --stats the report carries none of it
+        code, plain, _ = run(capsys, argv)
+        assert strict_json(plain) == payload
+        code, out, _ = run(capsys, argv[:-2] + ["--stats"])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2
+        assert re.fullmatch(rf"{branch} branch; enclose \d+\.\d us", lines[1])
+
     def test_find_min_json(self, capsys):
         code, out, _ = run(capsys, ["find-min", "--a", "0.6", "--format", "json"])
         assert code == 0
@@ -393,11 +427,12 @@ print(calls)
     @pytest.mark.parametrize("argv,own", [
         (["find-min", "--a", "0.6"], ["family"]),
         (["find-min", "--a", "0.6", "--stats", "--format", "json"], ["family"]),
+        (["enclose", "--a", "0.5", "--x", "1", "--stats", "--format", "json"], []),
         (["verify", "--suite", "fixed", "--grid-points", "200"],
          ["algebra", "oracle"]),
         (["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
           "--grid-points", "200"], ["algebra", "oracle"]),
-    ], ids=["find-min", "find-min-stats", "verify", "dominance"])
+    ], ids=["find-min", "find-min-stats", "enclose-stats", "verify", "dominance"])
     def test_commands_load_only_their_modules(self, argv, own):
         # find-min needs no oracle, and verify no family: the crossover
         # bisection they share lives in fixedpoint

@@ -10,8 +10,7 @@ for a shape row against identity-upper, quadratic against ratio-lower, cubic
 against cubic-lower, and (u^2 - 1)(u^2 - 3) for ratio-lower against
 cubic-lower.  Its coefficients lie in Q[pi].  The same machinery serves a
 shape row's slope polynomial (d + e u)^2 - c u (d u + e), a quadratic in u
-with the sign of the derivative of the row's margin to arctan, whose roots
-cut a sweep's grid into monotone pieces (see oracle).
+with the sign of the derivative of the row's margin to arctan.
 
 Signs.  An element of Q[pi] is zero exactly when its rational coefficients
 all are, since pi is transcendental: P == 0 is an exact test.  Any other sign
@@ -31,11 +30,12 @@ and Akritas, SYMSAC 1976): a sign variation count of 0 or 1 settles an
 interval, and (0, 1) and, through t -> 1/t, (1, inf) are halved until each
 does.  Each root then gets a bracket of two adjacent doubles in x, or a single
 double where it is one: a Newton guess in double, then exact signs of S at
-doubles, galloping out from the guess and bisecting the bit patterns.  A
-bracket is accepted only where S has opposite exact signs at its two ends (or
-0 at its double), and the brackets only if they are disjoint, so each holds
-exactly one of the roots counted.  A root beyond the doubles gets (0, 2**-1074)
-or (DBL_MAX, inf).
+doubles, galloping out from the guess and bisecting the bit patterns between
+the doubles next outside x = sqrt(t (t + 2)) at the interval's ends
+(fixedpoint.x_of).  A bracket is accepted only where S has opposite exact
+signs at its two ends (or 0 at its double), and the brackets only if they are
+disjoint, so each holds exactly one of the roots counted.  A root beyond the
+doubles gets (0, 2**-1074) or (DBL_MAX, inf).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .errors import PrecisionError
 #: The digits of pi the first decision of a sign takes.
 _FIRST_PI_DIGITS = 30
 _ZERO = Fraction(0)
-_DBL_MAX = math.nextafter(math.inf, 0.0)
 
 
 def _fraction(v) -> Fraction:
@@ -360,16 +359,6 @@ def _positive_roots(s, sign) -> list:
     return _roots_01(s, _ZERO, one, sign) + at_one + high
 
 
-def _x_of(t: Fraction, up: bool) -> float:
-    """A double below (or, with up, above) x = sqrt(t (t + 2)), within a few
-    ulps: from 2**-50 relative room, at least 0.0 and at most inf."""
-    try:
-        x = math.sqrt(float(t)) * math.sqrt(float(t) + 2.0)
-    except OverflowError:       # t, so x, past DBL_MAX
-        return math.inf if up else _DBL_MAX
-    return min(x * (1 + 2.0 ** -50), math.inf) if up else x * (1 - 2.0 ** -50)
-
-
 def _approx(q: QPi) -> Fraction:
     """q at a 30-digit rational pi, for the Newton guess."""
     pi = Fraction(fp.pi_units(_FIRST_PI_DIGITS), fp.pow10(_FIRST_PI_DIGITS))
@@ -523,8 +512,9 @@ class Comparison:
         """(a, b) for the root of s in (lo, hi), s's sign being left below
         it: adjacent doubles where s has the signs left and -left, or (p, p)
         where it is 0 at the double p."""
-        lo_bits = fp._bits(0.0 if lo == 0 else _x_of(lo, up=False))
-        hi_bits = fp._bits(math.inf if hi is None else _x_of(hi, up=True))
+        lo_bits = fp._bits(fp.x_of(lo.numerator, lo.denominator, up=False))
+        hi_bits = fp._bits(math.inf if hi is None else
+                           fp.x_of(hi.numerator, hi.denominator, up=True))
         guess = _newton(s, lo, hi, left)
         probe, step = (-1 if guess is None else fp._bits(guess)), 1
         while hi_bits - lo_bits > 1:

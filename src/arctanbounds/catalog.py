@@ -137,6 +137,28 @@ def _fixed_consts(consts, a, digits):
     return tuple(fp.FixedReal(v, digits) for v in consts(a_hp, fp.FixedReal.pi(digits)))
 
 
+def _times(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    ends = p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1]
+    return min(ends), max(ends)
+
+
+def _slope_bounds(consts, a, digits) -> tuple[list[int], list[int]]:
+    """Two integer quadratics in v, coefficients from v^0, between which
+    10**(2 digits) Q(1 + v) lies for v >= 0, Q(u) = (d + e u)^2 -
+    c u (d u + e) the slope polynomial of a shape row, from the balls of its
+    constants at `digits` (_fixed_consts): Q(1 + v) = A v^2 + (2A + B) v +
+    (A + B + C) with A = e^2 - c d, B = e (2d - c) and C = d^2, each
+    coefficient an exact interval of the balls' ends, and low takes its
+    lower end, high its upper."""
+    c, d, e = ((k.units - k.err, k.units + k.err)
+               for k in _fixed_consts(consts, a, digits))
+    ee, cd = _times(e, e), _times(c, d)
+    big_a = ee[0] - cd[1], ee[1] - cd[0]
+    big_b = _times(e, (2 * d[0] - c[1], 2 * d[1] - c[0]))
+    coeffs = [(big_a, big_b, _times(d, d)), (big_a, big_a, big_b), (big_a,)]
+    return [sum(k[0] for k in t) for t in coeffs], [sum(k[1] for k in t) for t in coeffs]
+
+
 @lru_cache(maxsize=256)
 def _fixed_fn(form, consts, a, digits):
     return form if consts is None else form(*_fixed_consts(consts, a, digits))
@@ -279,14 +301,19 @@ def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
     near its zero at sqrt(3) and reversed-lower at a huge a take more
     passes.  PrecisionError past fixedpoint.MAX_DIGITS.
     """
+    value = _settled_ball(bound, x, a)
+    return _double(value.units, value.scale)
+
+
+def _settled_ball(bound: BoundId, x: float, a: Optional[float]) -> fp.FixedReal:
+    """The ball eval_bound rounds, at the digits that settled its double."""
     _check_param(bound, a)
     _check_x(x)
-    value = fp.refine(
+    return fp.refine(
         lambda d: eval_bound_hp(bound, x, a, digits=d),
         30 + 2 * math.ceil(abs(math.log10(x))),
         lambda v: _double(v.units - v.err, v.scale) == _double(v.units + v.err, v.scale),
         lambda: f"the double of {bound.value} at x={x!r}")
-    return _double(value.units, value.scale)
 
 
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,

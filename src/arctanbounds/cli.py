@@ -25,13 +25,18 @@ starts from.
 ``enclose`` gives an outward-rounded bracket; its ``--stats`` adds the
 call's time and the branch its ends come from: ``family``, the closed
 forms, ``tiny`` below ``x = 2**-1000``, or ``subnormal`` where ``x/(a+u)``
-is.
+is.  ``eval --stats`` adds the evaluation's time and the digits at which
+its double settled (``digits``; ``--digits`` sets only the extra
+fixed-point value), and ``classify --stats`` the proof's time and the test
+of ``prove_regime`` that returned: ``unclassified`` for ``-1 < a < 0``,
+``h_at_one`` (``a <= -1`` or ``h(1) <= 0``: increasing), ``slope`` (a positive
+slope of ``h``: decreasing) or ``g_inf`` (the sign of ``g(inf)``).
 
 A process builds the parser once, on its first ``main`` call, and reuses it.
 Importing this module loads ``catalog``, ``fixedpoint`` and ``errors`` of the
 package; ``eval``, ``classify`` and ``enclose`` use no more.  Each other
 handler imports what it uses when it runs: ``find-min`` loads ``family``
-alone, ``verify`` and ``dominance`` ``oracle`` and ``algebra``, and
+alone, ``verify`` ``oracle``, ``dominance`` ``oracle`` and ``algebra``, and
 ``profile`` ``kernel``, ``oracle`` and ``fastatan``.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
@@ -165,10 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None, help="family parameter")
     p.add_argument("--digits", type=int, default=0,
                    help="also print a fixed-point evaluation at this many digits")
+    p.add_argument("--stats", action="store_true",
+                   help="add the evaluation's time, the digits that settled "
+                        "its double and provenance to the JSON or text report")
     _add_output_args(p)
 
     p = sub.add_parser("classify", help="monotonicity regime of a parameter")
     p.add_argument("--a", type=float, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="add the proof's time, the test that decided it and "
+                        "provenance to the JSON or text report")
     _add_output_args(p)
 
     p = sub.add_parser("enclose", help="two-sided enclosure of arctan at a point")
@@ -226,7 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args) -> tuple[int, dict, str]:
     if args.digits > fp.MAX_DIGITS:
         raise ParamError(f"eval needs at most {fp.MAX_DIGITS} digits")
-    value = cat.eval_bound(args.bound, args.x, args.a)
+    started = time.perf_counter()
+    ball = cat._settled_ball(args.bound, args.x, args.a)
+    value = cat._double(ball.units, ball.scale)
+    eval_s = time.perf_counter() - started
     if not math.isfinite(value):    # JSON has no infinity; text matches it
         raise DomainError(f"{args.bound.value} at x={args.x!r}: the bound "
                           f"does not fit a double")
@@ -237,14 +251,33 @@ def _cmd_eval(args) -> tuple[int, dict, str]:
         payload["value_hp"] = cat.eval_bound_hp(
             args.bound, args.x, args.a, digits=args.digits).as_decimal_string()
         text += f"\nfixed-point [{args.digits} digits] = {payload['value_hp']}"
+    if args.stats:
+        payload["stats"] = {"eval_s": eval_s, "digits": ball.digits}
+        text += f"\nsettled at {ball.digits} digits; eval {eval_s * 1e6:.1f} us"
     return 0, payload, text
 
 
+def _decided_by(proof) -> str:
+    """The test of prove_regime that returned its regime."""
+    if proof.regime is cat.Regime.UNCLASSIFIED:
+        return "unclassified"
+    if proof.g_inf_sign is not None:
+        return "g_inf"
+    return "slope" if proof.regime is cat.Regime.DECREASING else "h_at_one"
+
+
 def _cmd_classify(args) -> tuple[int, dict, str]:
+    started = time.perf_counter()
     proof = cat.prove_regime(args.a)
+    classify_s = time.perf_counter() - started
     payload = {"a": args.a, "regime": proof.regime.value,
                "certificate": proof.to_json_dict()}
-    return 0, payload, proof.regime.value
+    text = proof.regime.value
+    if args.stats:
+        decided_by = _decided_by(proof)
+        payload["stats"] = {"classify_s": classify_s, "decided_by": decided_by}
+        text += f"\ndecided by {decided_by}; classify {classify_s * 1e6:.1f} us"
+    return 0, payload, text
 
 
 def _cmd_enclose(args) -> tuple[int, dict, str]:

@@ -12,8 +12,10 @@ j/64 of a table of arctan(j/64), built when first needed at a working
 precision and kept for the 16 most recent; pi is 4*arctan(1), the table's
 last entry.  Beside them sit the bisection of a sign change between two
 positive doubles on their bit patterns (dominance crossovers, the family's
-minimum) and :func:`refine`, which doubles the digits of every sign the
-package certifies until no radius hides it.
+minimum), the runs of a grid of doubles x on which a quadratic in
+v = sqrt(1 + x^2) - 1 with interval coefficients keeps one sign (a sweep's
+monotone pieces), and :func:`refine`, which doubles the digits of every
+sign the package certifies until no radius hides it.
 
 Python integers already provide exact floor division and an exact integer
 square root (``math.isqrt``), so division and roots need no Newton iteration.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -104,6 +107,93 @@ def _bits(x: float) -> int:
 
 def _from_bits(bits: int) -> float:
     return _DOUBLE.unpack(_BITS.pack(bits))[0]
+
+
+_DBL_MAX = math.nextafter(math.inf, 0.0)
+
+
+def x_of(num: int, den: int, up: bool) -> float:
+    """The largest double at most (or, with up, the smallest at least)
+    x = sqrt(t (t + 2)), the x >= 0 whose sqrt(1 + x^2) is 1 + t, for
+    t = num/den >= 0, den > 0; DBL_MAX or inf past the doubles.  From
+    math.isqrt on integers, so exact at every magnitude, subnormal results
+    included."""
+    n, d = num * (num + 2 * den), den * den     # x^2 = n/d
+    if not n:
+        return 0.0
+    # m = floor(x * 2**-e), with 53 bits where x is normal
+    e = max((n.bit_length() - d.bit_length() + 2) // 2 - 54, -1074)
+    num, den = (n << -2 * e, d) if e < 0 else (n, d << 2 * e)
+    m = math.isqrt(num // den)
+    shift = max(m.bit_length() - 53, 0)
+    exact = m * m * den == num and not m & ((1 << shift) - 1)
+    m, e = m >> shift, e + shift
+    try:
+        return math.ldexp(m + (up and not exact), e)
+    except OverflowError:
+        return math.inf if up else _DBL_MAX
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _positive_roots(c0: int, c1: int, c2: int) -> list[tuple[tuple, tuple, bool]]:
+    """(lo, hi, changes) for each root v > 0 of c2 v^2 + c1 v + c0, integer
+    coefficients: rationals lo <= hi, each (num, den) with den > 0, between
+    which it lies, and whether the sign changes there (not at a double
+    root).  The roots are q/c2 and c0/q, q = -(c1 + sgn(c1) r)/2, free of
+    cancellation, r = sqrt(c1^2 - 4 c2 c0) between math.isqrt's floor and
+    that plus one; each of one sign."""
+    if not c2:
+        return [(_ratio(-c0, c1),) * 2 + (True,)] if c0 * c1 < 0 else []
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    sign = 1 if c1 >= 0 else -1
+    twice_q = [-(c1 + sign * r) for r in (root, root + (root * root != disc))]
+    roots = [[_ratio(m, 2 * c2) for m in twice_q]]
+    if c0 and disc:     # else the other root is 0, or this one again
+        roots.append([_ratio(2 * c0, m) for m in twice_q])
+    brackets = []
+    for (p, q), (r, s) in roots:
+        if p > 0:
+            brackets.append(((p, q), (r, s), disc > 0) if p * s <= r * q
+                            else ((r, s), (p, q), disc > 0))
+    return brackets
+
+
+def sign_runs(low: list[int], high: list[int], xs: tuple[float, ...]
+              ) -> list[tuple[int, int, int]]:
+    """(start, stop, sign) in order, covering the positive doubles xs in
+    increasing order, for the quadratics T(v) = sum(t[k] v**k) between the
+    integer ones low and high, coefficients from v^0, at v = sqrt(1 + x^2)
+    - 1: every such T has the sign +-1 on the hull of the points
+    start..stop-1, or the sign is 0 where low <= 0 <= high leaves it open.
+    T is positive where low is and negative where high is.  The bracket of
+    each root of low and high holds the points from the double next above
+    its lower end to that next below its upper end (x_of), and the points
+    outside every bracket and on one side of each have low's and high's
+    signs at 0+, changed at each root below them where the sign changes."""
+    marks = []      # (first double in, last double in, changes, of high)
+    for poly, is_high in ((low, False), (high, True)):
+        for lo, hi, changes in _positive_roots(*poly):
+            marks.append((x_of(*lo, up=True), x_of(*hi, up=False), changes, is_high))
+    at_zero = [next((1 if k > 0 else -1 for k in poly if k), 0) for poly in (low, high)]
+    cuts = sorted({0, len(xs), *(bisect_left(xs, m[0]) for m in marks),
+                   *(bisect_right(xs, m[1]) for m in marks)})
+    runs = []
+    for start, stop in zip(cuts, cuts[1:]):
+        x, signs = xs[start], at_zero[:]
+        for first, last, changes, is_high in marks:
+            if first <= x <= last:
+                signs = [0, 0]
+                break
+            if x > last and changes:
+                signs[is_high] = -signs[is_high]
+        runs.append((start, stop, 1 if signs[0] > 0 else -1 if signs[1] < 0 else 0))
+    return runs
 
 
 def _bisect_crossover(sign_at, lo: float, hi: float, s_lo: int) -> float:

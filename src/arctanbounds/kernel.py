@@ -248,8 +248,9 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     a + E < certified and refuted when a - E > certified.  M is computed, as
     `rows` computes it, only at the rows neither test settles (x = 0 among
     them, where the certificate is 0), and at the rows whose interval a -+ E
-    reaches the largest lower end of all rows.  So max_actual and
-    certified_everywhere are those of every row.
+    reaches the largest lower end of all rows, but where E = 0: there M = a
+    (below 2**-1000, derived above).  So max_actual and certified_everywhere
+    are those of every row.
     """
     orc.check_digits(digits, "error profile")
     # imported on first use, as sweep imports it: importing the package (every
@@ -258,6 +259,7 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     # only the rare rows below _row_digits' threshold leave the report's digits
     threshold, error = 10.0 ** (3 - digits), _row_error(FAST_ATAN_K, digits)
     max_cert = max_low = 0.0        # max_low: the largest lower end of an M
+    max_known = 0.0     # the largest M of the rows where E = 0, so M = a
     certified_everywhere = True
     exact = []          # (x, value, d, certified) of the rows not settled
     candidates = []     # (x, value, d, high) of settled rows that may hold max M
@@ -274,7 +276,9 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
             certified_everywhere = certified_everywhere and high < cert
             if low > max_low:
                 max_low = low
-            if high >= max_low:
+            if not e:       # measured already: its M is a
+                max_known = max(max_known, a)
+            elif high >= max_low:
                 candidates.append((x, value, d, high))
             continue
         exact.append((x, value, d, cert))
@@ -287,7 +291,7 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     actuals += [_actual(x, value, d) for x, value, d, _ in near_max]
     measured = exact + near_max
     return ErrorProfile(spec=spec, grid=grid, digits=digits,
-                        max_certified=max_cert, max_actual=max(actuals),
+                        max_certified=max_cert, max_actual=max([max_known, *actuals]),
                         certified_everywhere=certified_everywhere,
                         exact_rows=len(measured),
                         extra_digit_rows=sum(d != digits for _, _, d, _ in measured))

@@ -9,10 +9,18 @@ checking that the grid's first point, its smallest, is positive.  Every
 verdict is the true one at the exact double x, and it comes from the
 monotone pieces of the margin M (arctan minus the bound for a lower bound,
 the bound minus arctan for an upper one; positive where the bound holds).
-A one-off's M rises on all of (0, inf); a shape row's M' has the sign of
-+-Q(u), u = sqrt(1 + x^2), Q from algebra.slope_polynomial, and the grid is
-cut at the brackets of Q's roots and at x = 1, where the reported margin
-changes (below).  On each piece M is evaluated in fixed point
+A one-off's M rises on all of (0, inf).  A shape row's M' has the sign of
++-Q(u), u = sqrt(1 + x^2), Q(u) = (d + e u)^2 - c u (d u + e), and for
+v = u - 1 >= 0 Q(1 + v) lies between two integer quadratics built from the
+balls of c, d and e at the sweep's digits (interval arithmetic; Moore,
+Kearfott and Cloud, 2009): Q > 0 where the lower one is positive, Q < 0
+where the upper one is negative.  The brackets of their roots, from
+math.isqrt and mapped exactly to doubles of x, cut the grid into runs of
+one sign of Q, and runs where the balls leave it open; the digits double
+until each of those holds one double (see _monotone_pieces).  No root of Q
+is isolated, and a cut where Q keeps its sign only splits a monotone run
+in two.  The grid is cut again at x = 1, where the reported margin changes
+(below).  On each piece M is evaluated in fixed point
 (``eval_bound_hp`` against the oracle's ball) at the two ends, decided
 where the centres lie further apart than the two radii, at the sweep's
 digits or at twice them and so on (see fixedpoint.refine).  Its violations
@@ -275,35 +283,28 @@ class SweepReport:
         }
 
 
-@lru_cache(maxsize=64)
-def _monotone_pieces(bound: cat.BoundId, a: Optional[float]
-                     ) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """(edges, slopes) of a bound at a checked parameter: its exact margin M
-    rises (slope 1) or falls (-1) on the doubles x <= edges[0], on
-    edges[k - 1] < x <= edges[k] and on x > edges[-1], slopes[k] on the k-th
-    of these.  A one-off's M rises on all of (0, inf).  A shape row's M' has
-    the sign of its slope polynomial Q (algebra.slope_polynomial), negated
-    for an upper bound; an edge is the lower end of the bracket of a root of
-    Q where Q changes sign, so M is monotone on the grid points on each
-    side of it."""
+def _monotone_pieces(bound: cat.BoundId, a: Optional[float], xs: tuple[float, ...],
+                     digits: int) -> list[tuple[int, int, int]]:
+    """(start, stop, slope) in order, covering the grid xs of a bound at a
+    checked parameter: its exact margin M rises (slope 1) or falls (-1) on
+    the points start..stop-1, or they share one double (slope 0).  A
+    one-off's M rises on all of (0, inf).  A shape row's M' has the sign of
+    Q (algebra.slope_polynomial), negated for an upper bound, read by
+    fixedpoint.sign_runs from catalog._slope_bounds at `digits`, twice them
+    and so on (fixedpoint.refine) until the points where the balls leave
+    Q's sign open share one double in each run: the stretches around Q's
+    zeros that no ball resolves (A = 0 for two-over-pi-lower, Q(1) = 0
+    where c = d + e, the double root of a perfect square) shrink to x = 0,
+    to infinity or to that root."""
     info = cat._CATALOG[bound]
-    # imported on first use: importing the package does not load it
-    from . import algebra as alg
-    q = alg.slope_polynomial(info, a)
-    if q is None:
-        return (), (1,)
-    comparison = alg.Comparison(q)
+    if info.consts is None:
+        return [(0, len(xs), 1)]
     side = 1 if info.side == "lower" else -1
-    # Q's sign before its first root and after each (a 0 is the sign at a
-    # root that is a double, which either side may take); Q == 0 would make
-    # M constant
-    signs = [s for s in comparison.signs if s] or [1]
-    edges, slopes = [], [side * signs[0]]
-    for (lo, _), before, after in zip(comparison.brackets, signs, signs[1:]):
-        if after != before:
-            edges.append(lo)
-            slopes.append(side * after)
-    return tuple(edges), tuple(slopes)
+    runs = fp.refine(
+        lambda d: fp.sign_runs(*cat._slope_bounds(info.consts, a, d), xs), digits,
+        lambda runs: all(xs[i] == xs[j - 1] for i, j, sign in runs if not sign),
+        lambda: f"{bound.value}: the sign of its margin's slope")
+    return [(i, j, side * sign) for i, j, sign in runs]
 
 
 def _first_index(lo: int, hi: int, pred) -> int:
@@ -467,18 +468,16 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     cat._check_param(bound, a)
     xs = grid.values()
     cat._check_x(xs[0])     # the smallest point
-    edges, slopes = _monotone_pieces(bound, a)
-    cuts = [bisect_right(xs, edge) for edge in edges]
-    ends = sorted({0, bisect_right(xs, 1.0), *cuts, len(xs)})
+    # the monotone pieces, cut again at x = 1, where the reported margin changes
+    one = bisect_right(xs, 1.0)
+    pieces = [(lo, hi, slope)
+              for start, stop, slope in _monotone_pieces(bound, a, xs, digits)
+              for lo, hi in ((start, min(stop, one)), (max(start, one), stop)) if lo < hi]
     exact = _ExactPoints(bound, a, side, grid, digits)
     violated = []
     end_parts, loose_parts = [], []
-    pieces = 0
-    for start, stop in zip(ends, ends[1:]):
-        if start == stop:
-            continue
-        pieces += 1
-        rising = slopes[bisect_right(cuts, start)] > 0
+    for start, stop, slope in pieces:
+        rising = slope > 0
         # M is monotone on the piece, so it holds on one run of it and is
         # violated on the other
         split, first_holds, last_holds = _split(start, stop, lambda i: exact[i].holds)
@@ -490,8 +489,9 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
                             (split, stop, False) if not last_holds else
                             (start, stop, True))
         # the reported margin is M for x <= 1 and M/arctan x above, where it
-        # keeps M's direction where M > 0 falls or M <= 0 rises
-        if xs[start] <= 1.0 or rising != positive:
+        # keeps M's direction where M > 0 falls or M <= 0 rises; a piece of one
+        # double has one margin
+        if xs[start] <= 1.0 or not slope or rising != positive:
             end_parts.append((lo, hi, rising))
         else:
             loose_parts.append((lo, hi, positive))
@@ -516,7 +516,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
                        violation_at=tuple(violated),
                        min_margin=exact[first].margin, min_margin_x=xs[first],
-                       escalated=len(exact), pieces=pieces)
+                       escalated=len(exact), pieces=len(pieces))
 
 
 @dataclass(frozen=True)

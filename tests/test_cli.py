@@ -132,6 +132,65 @@ class TestBasicCommands:
         assert code == 0 and len(lines) == 2
         assert re.fullmatch(rf"{branch} branch; enclose \d+\.\d us", lines[1])
 
+    @pytest.mark.parametrize("argv,digits", [
+        (["--bound", "shafer-lower", "--x", "1"], 30),
+        (["--bound", "family-lower", "--a", "0.25", "--x", "1e-20"], 70),
+        # the value reads 0 units until the digits pass x's exponent
+        (["--bound", "reversed-lower", "--a", "1e300", "--x", "1"], 480),
+    ])
+    def test_eval_stats(self, capsys, argv, digits):
+        argv = ["eval", *argv, "--format", "json"]
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        payload = strict_json(out)
+        stats = payload.pop("stats")
+        assert set(stats) == {"eval_s", "digits", "package_version", "python_version"}
+        assert stats["digits"] == digits and 0 < stats["eval_s"] < 10
+        assert stats["package_version"] == arctanbounds.__version__
+        assert stats["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+        # without --stats the report carries none of it
+        code, plain, _ = run(capsys, argv)
+        assert strict_json(plain) == payload
+        code, text, _ = run(capsys, argv[:-2])
+        code, out, _ = run(capsys, argv[:-2] + ["--stats"])
+        lines = out.splitlines()
+        assert code == 0 and lines[:-1] == text.splitlines()
+        assert re.fullmatch(rf"settled at {digits} digits; eval \d+\.\d us", lines[-1])
+
+    def test_eval_without_stats_is_unchanged(self, capsys):
+        argv = ["eval", "--bound", "shafer-lower", "--x", "1", "--digits", "40"]
+        assert run(capsys, argv) == (
+            0, "shafer-lower(x=1.0) = 0.7836116248912244\nfixed-point [40 digits] = "
+               "0.7836116248912243275443046207511697816311\n", "")
+        assert run(capsys, argv[:-2] + ["--format", "json"]) == (
+            0, '{\n  "bound": "shafer-lower",\n  "x": 1.0,\n  "a": null,\n'
+               '  "value": 0.7836116248912244\n}\n', "")
+
+    @pytest.mark.parametrize("a,regime,decided_by", [
+        (-0.5, "Unclassified", "unclassified"), (-2.0, "Increasing", "h_at_one"),
+        (0.3, "Increasing", "h_at_one"), (0.5, "Increasing", "h_at_one"),
+        (0.8, "Decreasing", "slope"), (0.6, "InteriorMinimum", "g_inf"),
+        (cat.TWO_OVER_PI, "Decreasing", "g_inf"),
+    ])
+    def test_classify_stats(self, capsys, a, regime, decided_by):
+        argv = ["classify", "--a", repr(a), "--format", "json"]
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        payload = strict_json(out)
+        stats = payload.pop("stats")
+        assert set(stats) == {"classify_s", "decided_by", "package_version",
+                              "python_version"}
+        assert stats["decided_by"] == decided_by and 0 < stats["classify_s"] < 1
+        assert payload["regime"] == regime
+        # without --stats the report carries none of it
+        code, plain, _ = run(capsys, argv)
+        assert strict_json(plain) == payload
+        assert run(capsys, argv[:-2]) == (0, regime + "\n", "")
+        code, out, _ = run(capsys, argv[:-2] + ["--stats"])
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == regime and len(lines) == 2
+        assert re.fullmatch(rf"decided by {decided_by}; classify \d+\.\d us", lines[1])
+
     def test_find_min_json(self, capsys):
         code, out, _ = run(capsys, ["find-min", "--a", "0.6", "--format", "json"])
         assert code == 0
@@ -428,11 +487,13 @@ print(calls)
         (["find-min", "--a", "0.6"], ["family"]),
         (["find-min", "--a", "0.6", "--stats", "--format", "json"], ["family"]),
         (["enclose", "--a", "0.5", "--x", "1", "--stats", "--format", "json"], []),
-        (["verify", "--suite", "fixed", "--grid-points", "200"],
-         ["algebra", "oracle"]),
+        (["eval", "--bound", "shafer-lower", "--x", "1", "--stats"], []),
+        (["classify", "--a", "0.6", "--stats", "--format", "json"], []),
+        (["verify", "--suite", "fixed", "--grid-points", "200"], ["oracle"]),
         (["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
           "--grid-points", "200"], ["algebra", "oracle"]),
-    ], ids=["find-min", "find-min-stats", "enclose-stats", "verify", "dominance"])
+    ], ids=["find-min", "find-min-stats", "enclose-stats", "eval-stats", "classify-stats",
+            "verify", "dominance"])
     def test_commands_load_only_their_modules(self, argv, own):
         # find-min needs no oracle, and verify no family: the crossover
         # bisection they share lives in fixedpoint
@@ -664,7 +725,9 @@ class TestVerify:
         entry = next(e for e in payload["results"]
                      if e["bound"] == "family-lower" and e["a"] == 0.5)
         assert entry["status"] == "ok" and entry["min_margin"] > 0
-        assert payload["stats"]["escalated"] == 102
+        # each mid-regime-lower entry's double root of Q cuts its rising run
+        # in two, whose two new ends are evaluated: 102 without that cut
+        assert payload["stats"]["escalated"] == 106
 
     def test_tiny_to_large_grid(self, capsys):
         # x = 1e-60 is zero units at 50 digits; such points are evaluated
@@ -858,6 +921,14 @@ class TestDominanceAndProfile:
         assert code == 0
         stats = strict_json(out)["stats"]
         assert 1 <= stats["exact_rows"] <= 3 and stats["extra_digit_rows"] == 0
+
+    def test_profile_tiny_band_measures_no_row(self, capsys):
+        # below 2**-1000 a row's filter interval is one point, its actual
+        # error; every row here used to be measured in fixed point
+        code, out, _ = run(capsys, ["profile", "--grid-min", "5e-324", "--grid-max",
+                                    "1e-310", "--stats"])
+        assert code == 0
+        assert out.splitlines()[-1].startswith("fixed point at 0 of 2000 rows (0 at extra")
 
     def test_profile_csv_file(self, capsys, tmp_path):
         target = tmp_path / "profile.csv"

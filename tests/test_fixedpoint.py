@@ -477,6 +477,58 @@ class TestBallRadius:
         self.check(pairs, slack=Fraction(1, 10 ** 150))
 
 
+class TestXOf:
+    """x_of(num, den, up): the double next below (or above) x = sqrt(t (t + 2)),
+    t = num/den, exactly, at every magnitude."""
+
+    @staticmethod
+    def check(t: Fraction) -> None:
+        square = t * (t + 2)
+        below = fp.x_of(t.numerator, t.denominator, up=False)
+        above = fp.x_of(t.numerator, t.denominator, up=True)
+        assert below <= above <= math.nextafter(below, math.inf)
+        if below < math.inf:
+            assert Fraction(below) ** 2 <= square
+        if above < math.inf:
+            assert Fraction(above) ** 2 >= square
+        # tight: the next doubles out lie on the other side, and a double x
+        # is both ends
+        if below < sys.float_info.max:
+            assert Fraction(math.nextafter(below, math.inf)) ** 2 > square
+        if above > 0:
+            assert Fraction(math.nextafter(above, 0.0)) ** 2 < square
+        assert (below == above) == (Fraction(below) ** 2 == square)
+
+    def test_seeded_magnitudes(self):
+        rng = random.Random(29)
+        for _ in range(3000):
+            t = Fraction(rng.randrange(1, 10 ** 30), 10 ** 30) * Fraction(10) ** rng.randint(-700, 700)
+            self.check(t)
+
+    @pytest.mark.parametrize("t,ends", [
+        (Fraction(0), (0.0, 0.0)),
+        (Fraction(1, 4), (0.75, 0.75)),                 # u = 5/4, x = 3/4 exactly
+        (Fraction(1, 2 ** 2200), (0.0, 5e-324)),        # below every subnormal
+        (Fraction(10) ** 400, (sys.float_info.max, math.inf)),
+    ])
+    def test_edges(self, t, ends):
+        self.check(t)
+        assert (fp.x_of(t.numerator, t.denominator, up=False),
+                fp.x_of(t.numerator, t.denominator, up=True)) == ends
+
+    def test_doubles_are_their_own_ends(self):
+        # the triples (4^i - 4^j, 2^(i+j+1), 4^i + 4^j) make x a double with
+        # 1 + x^2 a rational square: both ends are x
+        for i in range(1, 27):
+            for j in range(i):
+                b = 2 ** (i + j + 1)
+                x = Fraction(4 ** i - 4 ** j, b)
+                t = Fraction(4 ** i + 4 ** j, b) - 1
+                assert Fraction(float(x)) == x
+                assert fp.x_of(t.numerator, t.denominator, up=False) == float(x)
+                assert fp.x_of(t.numerator, t.denominator, up=True) == float(x)
+
+
 class TestRefine:
     """refine against the doubling sequence, written out independently: the
     digits start << k for k >= 0 that do not pass MAX_DIGITS."""

@@ -356,6 +356,17 @@ print(loaded())
         assert filter_misses(error_profile(DEFAULT_KERNEL, FILTER_GRIDS[5], 322),
                              FAST_ATAN_K) == []
 
+    @pytest.mark.parametrize("digits", [20, 30, 100, 322, 330])
+    def test_rows_below_2_to_the_minus_1000_are_measured_in_double(self, digits):
+        # there E = 0 and M = a exactly: no such row is measured in fixed
+        # point, not even as a candidate for the largest M (every one was)
+        grid = GridSpec(5e-324, 1e-310, 2000)
+        prof = error_profile(DEFAULT_KERNEL, grid, digits)
+        assert prof.exact_rows == prof.extra_digit_rows == 0
+        assert prof.max_certified == max(r.certified for r in prof.rows)
+        assert prof.max_actual == max(r.actual for r in prof.rows) == 0.0
+        assert prof.certified_everywhere == all(r.ratio >= 1.0 for r in prof.rows)
+
     def test_error_bound_needs_the_fast_atan_term(self):
         # without fast_atan's error the check above fails: it is not covered
         # by the other terms

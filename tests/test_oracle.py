@@ -843,48 +843,282 @@ def rows_and_params(draw):
     return bound, draw(st.one_of(st.sampled_from(suite), _param(bound)))
 
 
+def check_runs(pieces, xs) -> None:
+    """The runs cover the grid in order; a run of slope 0 holds one double."""
+    assert [p[0] for p in pieces] == [0] + [p[1] for p in pieces[:-1]]
+    assert pieces[-1][1] == len(xs)
+    for start, stop, slope in pieces:
+        assert start < stop and slope in (-1, 0, 1)
+        assert slope or xs[start] == xs[stop - 1], (start, stop)
+
+
+def monotone_runs(pieces, xs):
+    """The runs of two doubles or more."""
+    return [(start, stop, slope) for start, stop, slope in pieces
+            if xs[start] != xs[stop - 1]]
+
+
 class TestMonotonePieces:
     """The pieces a sweep cuts the grid into, against the exact margins at
     120 digits and more: independent of the slope polynomial's roots."""
 
     @settings(max_examples=60, deadline=None)
-    @given(rows_and_params(), st.floats(-6.0, 6.0), st.integers(10, 40))
-    def test_margins_order_as_their_piece_says(self, row, exponent, bits):
+    @given(rows_and_params(), st.floats(-6.0, 6.0), st.integers(10, 40),
+           st.floats(0.0, 4.0), st.integers(2, 12))
+    def test_margins_order_as_their_piece_says(self, row, exponent, bits, decades, points):
         from arctanbounds.oracle import _monotone_pieces
         bound, a = row
-        edges, slopes = _monotone_pieces(bound, a)
-        assert len(slopes) == len(edges) + 1
-        assert all(s != t for s, t in zip(slopes, slopes[1:]))
-        # two nearby doubles inside one piece
-        x1 = 10.0 ** exponent
-        x2 = x1 * (1 + 2.0 ** -bits)
-        piece = bisect.bisect_left(edges, x1)
-        if piece == bisect.bisect_left(edges, x2):
-            assert margin_change(bound, a, x1, x2) == slopes[piece], (bound, a, x1)
-        # and on both sides of each edge, whose bracket holds a root of the
-        # slope polynomial: the margin turns there
-        for k, edge in enumerate(edges):
-            if 1e-100 < edge < 1e100:
-                above = math.nextafter(edge, math.inf)
-                assert margin_change(bound, a, edge * (1 - 2.0 ** -bits), edge) == slopes[k]
-                assert margin_change(bound, a, above, above * (1 + 2.0 ** -bits)) == (
-                    slopes[k + 1]), (bound, a, edge)
+        x_min = 10.0 ** exponent
+        grid = GridSpec(x_min, max(x_min * 10.0 ** decades, 2 * x_min), points, "log")
+        xs = grid.values()
+        pieces = _monotone_pieces(bound, a, xs, 50)
+        check_runs(pieces, xs)
+        for start, stop, slope in monotone_runs(pieces, xs):
+            assert slope in (-1, 1)
+            # the run's ends, its first two points and its last two, where a
+            # cut between runs of opposite slopes has the margin turn, and two
+            # nearby doubles inside its hull
+            x1 = xs[start]
+            x2 = x1 * (1 + 2.0 ** -bits)
+            pairs = [(x1, xs[stop - 1]), (x1, xs[start + 1]), (xs[stop - 2], xs[stop - 1])]
+            if x2 <= xs[stop - 1]:
+                pairs.append((x1, x2))
+            for p, q in pairs:
+                if p != q:
+                    assert margin_change(bound, a, p, q) == slope, (bound, a, p, q)
 
     def test_pieces_of_the_paper_rows(self):
         from arctanbounds.oracle import _monotone_pieces
         # the one-offs' margins rise on all of (0, inf), and so do
-        # family-lower's for a <= 1/2 (the paper's threshold) and
-        # mid-regime-lower's (its slope polynomial is a perfect square);
-        # family-upper's rise, then fall to 0, and the errata's fall first
-        for bound in (BoundId.RATIO_LOWER, BoundId.IDENTITY_UPPER, BoundId.CUBIC_LOWER,
-                      BoundId.LOG_LOWER, BoundId.LOG_UPPER, BoundId.SHAFER_LOWER):
-            assert _monotone_pieces(bound, None) == ((), (1,)), bound
-        for a in (0.0, 0.1, 0.25, 0.5):
-            assert _monotone_pieces(BoundId.FAMILY_LOWER, a) == ((), (1,))
-            assert _monotone_pieces(BoundId.FAMILY_UPPER, a)[1] == (1, -1)
-        for a in (0.55, 0.6):
-            assert _monotone_pieces(BoundId.MID_REGIME_LOWER, a) == ((), (1,))
-        assert _monotone_pieces(BoundId.TWO_OVER_PI_LOWER_ERRATA, None)[1] == (-1, 1)
+        # family-lower's for a <= 1/2 (the paper's threshold); every run of
+        # mid-regime-lower's rises (its slope polynomial is a perfect square,
+        # whose double root may cut a run in two); family-upper's rise, then
+        # fall to 0, and the errata's fall first
+        for grid in (DEFAULT_GRID, GridSpec(1e-64, 1e102, 2000, "log")):
+            xs = grid.values()
+            n = len(xs)
+
+            def pieces(bound, a=None):
+                found = _monotone_pieces(bound, a, xs, 50)
+                check_runs(found, xs)
+                return found
+
+            for bound in (BoundId.RATIO_LOWER, BoundId.IDENTITY_UPPER, BoundId.CUBIC_LOWER,
+                          BoundId.LOG_LOWER, BoundId.LOG_UPPER, BoundId.SHAFER_LOWER):
+                assert pieces(bound) == [(0, n, 1)], bound
+            for a in (0.0, 0.1, 0.25, 0.5):
+                assert pieces(BoundId.FAMILY_LOWER, a) == [(0, n, 1)]
+                assert [s for *_, s in pieces(BoundId.FAMILY_UPPER, a)] == [1, -1]
+            for a in (0.55, 0.6):
+                assert {s for *_, s in pieces(BoundId.MID_REGIME_LOWER, a)} == {1}
+            assert [s for *_, s in pieces(BoundId.TWO_OVER_PI_LOWER_ERRATA)] == [-1, 1]
+
+    def test_structural_zeros_refine_off_the_grid(self, monkeypatch):
+        # the balls never settle A = 0 (two-over-pi-lower), Q(1) = 0
+        # (two-over-pi-upper, c = d + e) or the double root of
+        # mid-regime-lower; the stretches they leave open shrink off the
+        # grid's points as the digits double
+        from arctanbounds import oracle as orc
+        seen = []
+        bounds = arctanbounds.catalog._slope_bounds
+        monkeypatch.setattr(arctanbounds.catalog, "_slope_bounds",
+                            lambda consts, a, digits: (seen.append(digits)
+                                                       or bounds(consts, a, digits)))
+        wide = GridSpec(5e-324, DBL_MAX, 3000, "log").values()
+        for bound, a, xs, digits in [
+                (BoundId.TWO_OVER_PI_LOWER, None, DEFAULT_GRID.values(), [50]),
+                # the open stretch past x ~ 10**digits, from DBL_MAX up at 400
+                (BoundId.TWO_OVER_PI_LOWER, None, wide, [50, 100, 200, 400]),
+                # that below x ~ 10**(-digits/2), under 5e-324 at 800
+                (BoundId.TWO_OVER_PI_UPPER, None, wide, [50, 100, 200, 400, 800]),
+                (BoundId.MID_REGIME_LOWER, 0.6, wide, [50])]:
+            seen.clear()
+            pieces = orc._monotone_pieces(bound, a, xs, 50)
+            check_runs(pieces, xs)
+            assert seen == digits, bound
+            assert all(slope for *_, slope in pieces), bound
+
+
+def exact_slope_sign(c: Fraction, d: Fraction, e: Fraction, x: float) -> int:
+    """The sign of Q(u) = (d + e u)^2 - c u (d u + e) at u = sqrt(1 + x^2):
+    Q = E + F u with E = (e^2 - c d) u^2 + d^2 and F = e (2d - c) rational."""
+    q = 1 + Fraction(x) ** 2
+    big_e, big_f = (e * e - c * d) * q + d * d, e * (2 * d - c)
+    sign_e, sign_f = (big_e > 0) - (big_e < 0), (big_f > 0) - (big_f < 0)
+    if sign_e * sign_f >= 0:
+        return sign_e or sign_f
+    norm = big_e * big_e - big_f * big_f * q
+    return sign_e if norm > 0 else sign_f if norm < 0 else 0
+
+
+def slope_bounds(balls):
+    """catalog._slope_bounds of the balls (c, d, e) given."""
+    return arctanbounds.catalog._slope_bounds(lambda a, pi: balls, None, 4)
+
+
+class TestSlopeRuns:
+    """fixedpoint's _positive_roots and sign_runs on catalog._slope_bounds of
+    wide balls and on grids that hold the doubles at the brackets' ends,
+    where the sweep's grids rarely go."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(*[st.integers(-10**6, 10**6)] * 3),
+        # k (q v - p)(s v - r): rational roots, a double one where they meet
+        st.builds(lambda k, p, q, r, t: (k * p * r, -k * (p * t + q * r), k * q * t),
+                  st.integers(-30, 30), st.integers(-300, 300), st.integers(1, 300),
+                  st.integers(-300, 300), st.integers(1, 300)),
+        st.builds(lambda k, p, q: (k * p * p, -2 * k * p * q, k * q * q),
+                  st.integers(-30, 30), st.integers(-300, 300), st.integers(1, 300))))
+    def test_root_brackets_hold_each_root(self, coeffs):
+        from arctanbounds.fixedpoint import _positive_roots
+        c0, c1, c2 = coeffs
+
+        def sign_at(v: Fraction) -> int:
+            value = c2 * v * v + c1 * v + c0
+            return (value > 0) - (value < 0)
+
+        brackets = _positive_roots(c0, c1, c2)
+        roots = None
+        if c2 and c1 * c1 - 4 * c2 * c0 >= 0:
+            # the distinct real roots, at 60 digits: their count above 0
+            disc = Fraction(c1 * c1 - 4 * c2 * c0)
+            r = Fraction(math.isqrt(int(disc * 10 ** 120)), 10 ** 60)
+            roots = len({v for v in ((-c1 - r) / (2 * c2), (-c1 + r) / (2 * c2))
+                         if v > Fraction(1, 10 ** 50)})
+        elif not c2:
+            roots = int(c0 * c1 < 0)
+        ends = []
+        for (p, q), (r, t), changes in brackets:
+            lo, hi = Fraction(p, q), Fraction(r, t)
+            assert 0 < lo <= hi and q > 0 and t > 0
+            if lo == hi:
+                # the sign changes there unless the root is double
+                assert sign_at(lo) == 0
+                step = lo / 10 ** 15
+                assert changes == (sign_at(lo - step) != sign_at(lo + step)), coeffs
+            else:
+                assert sign_at(lo) * sign_at(hi) < 0 and changes
+            ends.append((lo, hi))
+        # one bracket per distinct root, disjoint
+        assert len(set(ends)) == len(ends)
+        assert all(a[1] < b[0] or b[1] < a[0] for a, b in zip(ends, ends[1:]))
+        if roots is not None:
+            assert len(brackets) == roots, (coeffs, brackets)
+
+    @pytest.mark.parametrize("consts,signs", [
+        # mid-regime-lower at a = 0.55: Q = ((1 - 2a^2) u - a)^2, its double
+        # root at u = 110/79, where Q keeps its sign and the run is cut
+        (("1.5345", "0.55", "1"), {1}),
+        # c d = e^2, so A = 0 and Q(1 + v) = 0.040625 - 0.35 v
+        (("1.6", "0.625", "1"), {1, -1}),
+    ], ids=["double-root", "linear"])
+    def test_exact_balls(self, consts, signs):
+        from arctanbounds.fixedpoint import sign_runs
+        balls = tuple(FixedReal(v, 4) for v in consts)
+        assert not any(k.err for k in balls)
+        xs = GridSpec(1e-3, 1e3, 400, "log").values()
+        runs = sign_runs(*slope_bounds(balls), xs)
+        # cut in two at the root, which lies between two grid points
+        assert {sign for *_, sign in runs} == signs and len(runs) == 2
+        exact = [Fraction(v) for v in consts]
+        for start, stop, sign in runs:
+            assert all(exact_slope_sign(*exact, x) == sign for x in xs[start:stop])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4 * 10**4), st.integers(0, 3000)),
+                    min_size=3, max_size=3),
+           st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40), st.randoms())
+    def test_slope_runs_hold_for_every_constant_in_the_balls(self, balls, points, rnd):
+        # balls c, d, e at 4 digits, up to 3000 units wide, so that the
+        # brackets hold grid points; the grid holds every bracket end's
+        # double and its neighbours
+        from arctanbounds.fixedpoint import _positive_roots, sign_runs
+        c, d, e = (FixedReal._raw(units, 4, err) for units, err in balls)
+        xs = set(points)
+        bounds = slope_bounds((c, d, e))
+        for poly in bounds:
+            for lo, hi, _ in _positive_roots(*poly):
+                for end, up in ((lo, True), (hi, False)):
+                    x = arctanbounds.fixedpoint.x_of(*end, up)
+                    if 0 < x < math.inf:
+                        xs |= {x, math.nextafter(x, 0), math.nextafter(x, math.inf)}
+        xs = tuple(sorted(xs))
+        runs = sign_runs(*bounds, xs)
+        assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
+        assert runs[-1][1] == len(xs)
+        corners = [[Fraction(k.units + s * k.err, 10 ** 4) for s in (-1, 1)]
+                   for k in (c, d, e)]
+        for _ in range(6):
+            # a corner of the box of constants, or a point inside it
+            consts = [rnd.choice(ends) if rnd.random() < 0.5
+                      else ends[0] + (ends[1] - ends[0]) * Fraction(rnd.randrange(101), 100)
+                      for ends in corners]
+            for start, stop, sign in runs:
+                if sign:
+                    for x in xs[start:stop]:
+                        assert exact_slope_sign(*consts, x) == sign, (consts, x)
+
+
+@st.composite
+def sweep_grids(draw):
+    """Log grids from tiny to huge doubles, a few points to a few hundred."""
+    low = draw(st.floats(-300.0, 300.0))
+    decades = draw(st.floats(0.0, 600.0))
+    x_min = 10.0 ** low
+    x_max = 10.0 ** min(low + decades, 300.0)
+    if not x_min < x_max:
+        x_max = 2 * x_min
+    return GridSpec(x_min, x_max, draw(st.integers(2, 300)), "log")
+
+
+class TestPiecesAgainstTheExactSlope:
+    """The sweep's runs, from balls, against the exact signs of the slope
+    polynomial Q in Q[pi] (algebra.Comparison) and the margins at 120
+    digits: no run of two doubles or more straddles a root where Q changes
+    sign, Q has the run's slope there, and the margins order as it says."""
+
+    @staticmethod
+    def check(bound, a, grid):
+        from arctanbounds import algebra
+        from arctanbounds.catalog import _CATALOG
+        from arctanbounds.oracle import _monotone_pieces
+        xs = grid.values()
+        pieces = _monotone_pieces(bound, a, xs, 50)
+        check_runs(pieces, xs)
+        poly = algebra.slope_polynomial(_CATALOG[bound], a)
+        comparison = None if poly is None else algebra.Comparison(poly)
+        side = 1 if bound_side(bound) == "lower" else -1
+        for start, stop, slope in monotone_runs(pieces, xs):
+            first, last = xs[start], xs[stop - 1]
+            if comparison is None:
+                assert slope == 1, bound
+            else:
+                for lo, hi, _ in comparison.crossovers:
+                    below = first <= lo if lo < hi else first < lo
+                    above = last >= hi if lo < hi else last > hi
+                    assert not (below and above), (bound, a, first, last, lo, hi)
+                edges = comparison.edges
+                signs = set(comparison.signs[bisect.bisect_left(edges, first):
+                                             bisect.bisect_left(edges, last) + 1])
+                assert signs - {0} == {side * slope}, (bound, a, first, last)
+            # from 120 digits past the first point's leading zeros
+            digits = 120 + max(0, -math.floor(math.log10(first)))
+            for p, q in ((first, last), (first, xs[start + 1]), (xs[stop - 2], last)):
+                if p != q:
+                    assert margin_change(bound, a, p, q, digits) == slope, (bound, a, p, q)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(1e-64, 1e102, 10_000, "log"),
+                                      GridSpec(1.5, 1e8, 60, "log")],
+                             ids=["default", "1e-64-1e102", "1.5-1e8"])
+    def test_runs_match_the_exact_slope_polynomial(self, grid):
+        for bound, a in _suite_entries("all"):
+            self.check(bound, a, grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows_and_params(), sweep_grids())
+    def test_drawn_runs_match_the_exact_slope_polynomial(self, row, grid):
+        self.check(*row, grid)
 
 
 class TestPieceMinimum:
@@ -911,22 +1145,25 @@ class TestPieceMinimum:
         checked = 0
         for bound, a in _suite_entries("all"):
             side = bound_side(bound)
-            edges, slopes = _monotone_pieces(bound, a)
+            pieces = _monotone_pieces(bound, a, xs, 50)
             points = [_exact_point(bound, a, side, x, 50) for x in xs]
             # runs of one slope and one sign
             runs = {}
-            for i, x in enumerate(xs):
-                runs.setdefault((bisect.bisect_left(edges, x), points[i].holds), []).append(i)
+            for piece, (start, stop, _) in enumerate(pieces):
+                for i in range(start, stop):
+                    runs.setdefault((piece, points[i].holds), []).append(i)
             for (piece, holds), run in runs.items():
-                if (slopes[piece] > 0) != holds:
+                slope = pieces[piece][2]
+                if not slope or (slope > 0) != holds:
                     continue
                 lowest = _lowest_ratio(points[run[0]], points[run[-1]], holds,
                                        side == "lower")
                 assert all(lowest < points[i].margin for i in run), (bound, a, piece)
                 checked += 1
         # the eight entries whose margin falls to 0 at infinity have no loose
-        # piece here; each of the other 22 has one
-        assert checked == 22
+        # piece here; each of the other 22 has one, and mid-regime-lower[a=0.6]
+        # two: the double root of its Q, at x ~ 1.895, cuts its rising run
+        assert checked == 23
 
 
 class TestPieceSweep:

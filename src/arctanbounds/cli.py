@@ -19,9 +19,8 @@ bracket's end, or for a log row the grid points and bisection steps decided
 in fixed point.  ``profile --stats`` adds the rows measured in fixed point,
 those of them at extra digits, and the rows' time.
 ``find-min --stats`` adds the solve's time, the fixed-point evaluations of
-the gap and their most digits, the certified bracket of x0, the signs of the
-search read from it and those decided in fixed point, and the digits a sign
-starts from.
+the gap and their most digits, the certified bracket of which x0 is an
+end, and the digits a sign starts from.
 ``enclose`` gives an outward-rounded bracket; its ``--stats`` adds the
 call's time and the branch its ends come from: ``family``, the closed
 forms, ``tiny`` below ``x = 2**-1000``, or ``subnormal`` where ``x/(a+u)``
@@ -194,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--stats", action="store_true",
                    help="add the fixed-point gap evaluations, the certified "
-                        "bracket, the search's steps, the solve's time and "
-                        "provenance to the JSON or text report")
+                        "bracket, the solve's time and provenance to the JSON "
+                        "or text report")
     _add_output_args(p)
 
     p = sub.add_parser("verify", help="sweep the catalog against the oracle")
@@ -216,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-a", type=float, default=None)
     p.add_argument("--param-b", type=float, default=None)
     _add_grid_args(p, points=2_000)
-    p.add_argument("--digits", type=int, default=cat.DEFAULT_SWEEP_DIGITS)
+    # not an option: every verdict is exact, and its signs start here
+    p.set_defaults(digits=cat.DEFAULT_SWEEP_DIGITS)
     p.add_argument("--stats", action="store_true",
                    help="add how the verdicts were reached, the report's "
                         "time and provenance to the JSON report")
@@ -313,15 +313,12 @@ def _cmd_find_min(args) -> tuple[int, dict, str]:
             "gap_evals": res.gap_evals,
             "max_digits": res.max_digits,
             "bracket": list(res.bracket),
-            "read_steps": res.read_steps,
-            "evaluated_steps": res.evaluated_steps,
             "digits": fam.GAP_DIGITS,
         }
         p, q = res.bracket
         text += (f"\ngap in fixed point at {res.gap_evals} evaluations, up to "
-                 f"{res.max_digits} digits; bracket [{p!r}, {q!r}]; search read "
-                 f"{res.read_steps} of {res.read_steps + res.evaluated_steps} "
-                 f"signs from it; solve {solve_s:.3f} s")
+                 f"{res.max_digits} digits; bracket [{p!r}, {q!r}]; "
+                 f"solve {solve_s:.3f} s")
     return 0, payload, text
 
 
@@ -388,8 +385,7 @@ def _cmd_dominance(args) -> tuple[int, dict, str]:
     grid = _grid_from_args(args)
     started = time.perf_counter()
     report = orc.dominance_report(args.bound_a, args.bound_b,
-                                  a_a=args.param_a, a_b=args.param_b,
-                                  grid=grid, digits=args.digits)
+                                  a_a=args.param_a, a_b=args.param_b, grid=grid)
     payload = report.to_json_dict()
     lines = [f"side={report.side}  A={report.bound_a.value} B={report.bound_b.value}",
              f"points: A tighter {report.a_tighter}, B tighter {report.b_tighter}, "

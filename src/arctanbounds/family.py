@@ -10,7 +10,7 @@ For 1/2 < a < 2/pi the gap has a single zero, which is the unique interior
 minimum of the ratio.  ``find_interior_minimum`` guesses it in double,
 certifies a bracket of doubles around it by signs of the gap, each
 decided in fixed point past the value's radius (see fixedpoint.refine),
-and then bisects the gap's sign, reading it from the bracket outside it;
+and reports the bracket's end where the gap is smaller;
 ``minimum_value_closed_form`` gives the minimum as (a+u)^2 / (u (1+a u))
 with u = sqrt(1 + x0^2).
 
@@ -69,16 +69,12 @@ class MinimumResult:
     u: float
     residual: float
     #: Doubles p < q with the gap certified negative at p and positive at q,
-    #: so its zero lies between; x0, within relative 1e-13 of the zero,
-    #: need not.
+    #: so its zero lies between; x0 is one of them.
     bracket: tuple[float, float]
     #: Fixed-point evaluations of the gap, at every digits tried, and the
     #: most digits one took.
     gap_evals: int
     max_digits: int
-    #: Signs of the search from x = 1 read from the bracket, and certified.
-    read_steps: int
-    evaluated_steps: int
 
 
 #: Digits of the minimum's fixed-point value.  Its relative error, under
@@ -90,17 +86,43 @@ _VALUE_DIGITS = 40
 GAP_DIGITS = 30
 
 
+def _gap_at(a: float, x: float, d: int, digits: list) -> fp.FixedReal:
+    """stationarity_gap(a, x) in fixed point at d digits; appends d to
+    digits."""
+    digits.append(d)
+    return stationarity_gap(fp.FixedReal(a, d), fp.FixedReal(x, d))
+
+
 def _certified_gap(a: float, x: float, digits: list) -> fp.FixedReal:
     """stationarity_gap(a, x) in fixed point from GAP_DIGITS, refined
     (fixedpoint.refine) until its size exceeds its radius, so that its sign
     is the true gap's.  At a double the gap is never 0: arctan x is
     transcendental (Lindemann) and the rest of the gap algebraic.  Appends
     the digits of every evaluation to digits."""
-    def evaluate(d):
-        digits.append(d)
-        return stationarity_gap(fp.FixedReal(a, d), fp.FixedReal(x, d))
-    return fp.refine(evaluate, GAP_DIGITS, lambda g: abs(g.units) > g.err,
+    return fp.refine(lambda d: _gap_at(a, x, d, digits), GAP_DIGITS,
+                     lambda g: abs(g.units) > g.err,
                      lambda: f"the sign of the gap at a={a!r}, x={x!r}")
+
+
+def _nearer_end(a: float, ends, digits: list):
+    """The end (x, gap ball) of the bracket ((p, g_p), (q, g_q)) whose gap
+    is the smaller in magnitude: p where gap(p) + gap(q) > 0, as the gap is
+    negative at p and positive at q.  That sign is read from the two balls,
+    at the digits of the finer, where their centres' sum exceeds their
+    radii's, and otherwise from both gaps again at twice the digits and so
+    on.  The sum is never 0: arctan p + arctan q, the argument of the
+    algebraic (1 + ip)(1 + iq), is transcendental (Lindemann), the rest
+    algebraic."""
+    (p, g_p), (q, g_q) = ends
+    start = max(g_p.digits, g_q.digits)
+
+    def gaps(d):
+        if d == start:
+            return fp.FixedReal(g_p, d), fp.FixedReal(g_q, d)
+        return _gap_at(a, p, d, digits), _gap_at(a, q, d, digits)
+    g_p, g_q = fp.refine(gaps, start, lambda balls: fp.separated((-balls[0], balls[1])),
+                         lambda: f"the smaller gap at a={a!r}, x={p!r} and {q!r}")
+    return (p, g_p) if -g_p.units < g_q.units else (q, g_q)
 
 
 # The guess of x0.  With theta = arctan x the gap is -F(theta) / (a + cos theta),
@@ -178,28 +200,21 @@ def _ulps(relative_error: float) -> int:
     return max(1, math.ceil(relative_error))
 
 
-def _certified_bracket(sign_at, guess: float, ulps: int) -> tuple[float, float]:
-    """Doubles p < q with sign_at(p) < 0 < sign_at(q): guess's bit pattern
-    less and plus ulps, each moved outward, twice as far each time, until
-    its sign is the one sought.  A point whose sign is the other side's
-    becomes that side's end, since sign_at changes sign once."""
-    centre = fp._bits(guess)
-    p = q = None
-    step = ulps
-    while p is None:
-        x = fp._from_bits(centre - step)
-        if sign_at(x) < 0:
-            p = x
-        else:
-            q, step = x, 2 * step
-    step = ulps
-    while q is None:
-        x = fp._from_bits(centre + step)
-        if sign_at(x) > 0:
-            q = x
-        else:
-            p, step = x, 2 * step
-    return p, q
+def _certified_bracket(gap_at, guess: float, ulps: int):
+    """Doubles p < q with the gap's ball gap_at(x) certified negative at p
+    and positive at q, as ((p, ball), (q, ball)): guess's bit pattern less
+    and plus ulps, each moved outward, twice as far each time, until its
+    sign is the one sought.  A point whose sign is the other side's becomes
+    that side's end, since the gap changes sign once."""
+    centre, ends = fp._bits(guess), {}
+    for side in (-1, 1):
+        step = ulps
+        while side not in ends:
+            x = fp._from_bits(centre + side * step)
+            gap = gap_at(x)
+            ends[1 if gap.units > 0 else -1] = x, gap
+            step *= 2
+    return ends[-1], ends[1]
 
 
 def find_interior_minimum(a: float) -> MinimumResult:
@@ -209,53 +224,30 @@ def find_interior_minimum(a: float) -> MinimumResult:
     its signs is certified by _certified_gap.  A double guess of x0 (Newton
     on the gap's numerator in theta = arctan x, free of cancellation at both
     ends of the regime) and its error estimate set where the certified
-    bracket p < x0 < q starts (_certified_bracket).  The search then runs
-    from x = 1, doubling x while the gap is negative and halving it while it
-    is positive until the sign changes (x0 runs from 4.7e-8 at the double
-    next above 1/2 to 2.6e15 at the one next below 2/pi), and bisects that
-    interval on the bit patterns of its doubles (fixedpoint._bisect_crossover)
-    to relative width 1e-13.  It reads the sign at x <= p or x >= q from the
-    bracket and certifies it only strictly between them; every sign it reads
-    is the gap's, so x0 is the one a search certifying every sign finds.
-    value is the ratio at x0 in fixed point, rounded once to a double (the
-    double-precision ratio reads one ulp above pi/2 at the double next below
-    2/pi).  residual is |gap(x0)|.
+    bracket p < q of the gap's zero starts (_certified_bracket).  x0 is the
+    end of the bracket where the gap is the smaller in magnitude
+    (_nearer_end), mostly decided on the bracket's own balls, and residual
+    that ball's centre in magnitude as a double; so the zero lies within
+    the bracket's width of x0.  value is the ratio at x0 in fixed point,
+    rounded once to a double (the double-precision ratio reads one ulp
+    above pi/2 at the double next below 2/pi).
     """
     if not MID_REGIME_RANGE.ok(a):
         raise ParamError(
             f"interior minimum exists only for {MID_REGIME_RANGE.text}, got a={a!r}")
 
     digits = []
-    certified_sign = lambda x: 1 if _certified_gap(a, x, digits).units > 0 else -1
-    p, q = _certified_bracket(certified_sign, *_guess_minimum(a))
-    evaluated = read = 0
-
-    def sign_at(x):
-        nonlocal evaluated, read
-        if p < x < q:
-            evaluated += 1
-            return certified_sign(x)
-        read += 1
-        return -1 if x <= p else 1
-
-    x, s = 1.0, sign_at(1.0)
-    step = 2.0 if s < 0 else 0.5
-    while sign_at(x * step) == s:
-        x *= step
-    lo, hi = sorted((x, x * step))
-    x0 = fp._bisect_crossover(sign_at, lo, hi, -1)
-    residual = abs(float(_certified_gap(a, x0, digits)))
+    ends = _certified_bracket(lambda x: _certified_gap(a, x, digits), *_guess_minimum(a))
+    x0, gap = _nearer_end(a, ends, digits)
     return MinimumResult(
         x0=x0,
         value=float(family_ratio(fp.FixedReal(a, _VALUE_DIGITS),
                                  fp.FixedReal(x0, _VALUE_DIGITS))),
         u=math.sqrt(1.0 + x0 * x0),
-        residual=residual,
-        bracket=(p, q),
+        residual=abs(float(gap)),
+        bracket=(ends[0][0], ends[1][0]),
         gap_evals=len(digits),
         max_digits=max(digits),
-        read_steps=read,
-        evaluated_steps=evaluated,
     )
 
 

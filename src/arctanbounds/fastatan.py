@@ -1,8 +1,8 @@
 """arctan in plain doubles, with a proven relative error bound.
 
-``fast_atan(x)`` serves the first stage of a sweep and the filter of an
-error profile, which need a double near arctan x with a known error at
-every grid point, not a correctly rounded one.  It reduces the argument by
+``fast_atan(x)`` serves the filter of an error profile, which needs a
+double near arctan x with a known error at every row, not a correctly
+rounded one.  It reduces the argument by
 a table (Muller et al., *Handbook of Floating-Point Arithmetic*, 2018):
 
 1. for x > 1, arctan x = pi/2 - arctan(1/x), with pi/2 the pair of doubles
@@ -17,8 +17,8 @@ The 65 knot values arctan(j/64) are fixedpoint._atan_table at _WORK digits,
 each rounded once to the nearest double, and pi/2 = 2*arctan(1) is split
 from the same table, so the module brings no constant of its own beyond the
 polynomial's 1/k.  They are computed when the module is first imported,
-which the first sweep or profile does, so importing the package does not
-pay for them.
+which the first profile does, so importing the package does not pay for
+them.
 
 For every double x > 0, subnormals and DBL_MAX included, |fast_atan(x) -
 arctan x| <= K u fast_atan(x), with u = 2**-53 and K = FAST_ATAN_K, derived

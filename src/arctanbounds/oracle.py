@@ -552,7 +552,6 @@ class DominanceReport:
     a_b: Optional[float]
     side: str
     grid: GridSpec
-    digits: int
     regions: list[DominanceRegion]
     crossovers: list[float]
     a_tighter: int
@@ -581,7 +580,6 @@ class DominanceReport:
             "a_a": self.a_a,
             "a_b": self.a_b,
             "side": self.side,
-            "digits": self.digits,
             "grid": self.grid.to_json_dict(),
             "regions": [
                 {"x_lo": r.x_lo, "x_hi": r.x_hi, "verdict": r.verdict}
@@ -601,8 +599,7 @@ _VERDICT = {1: "a", -1: "b", 0: "equal"}
 
 def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
                      a_a: Optional[float] = None, a_b: Optional[float] = None,
-                     grid: GridSpec = DEFAULT_GRID,
-                     digits: int = DEFAULT_SWEEP_DIGITS) -> DominanceReport:
+                     grid: GridSpec = DEFAULT_GRID) -> DominanceReport:
     """Partition the grid by which of two same-side bounds is tighter.
 
     The grid's first point, its smallest, must be positive.  For two rows
@@ -611,8 +608,9 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     of its sign, and a crossover is the double nearest a root of P where
     the sign changes, strictly inside the grid's range.  A pair with a log
     row reads the grid on the pieces where the difference is monotone, with
-    fixed-point signs decided past both radii (see fixedpoint.refine), and
-    bisects each crossover between adjacent grid points that flip.
+    fixed-point signs decided past both radii from DEFAULT_SWEEP_DIGITS
+    (see fixedpoint.refine), and bisects each crossover between adjacent
+    grid points that flip.
     """
     side_a = cat.bound_side(bound_a)
     side_b = cat.bound_side(bound_b)
@@ -620,7 +618,6 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
         raise ParamError(
             f"dominance needs same-side bounds; {bound_a.value} is {side_a}, "
             f"{bound_b.value} is {side_b}")
-    check_digits(digits, "dominance")
     cat._check_param(bound_a, a_a)
     cat._check_param(bound_b, a_b)
     xs = grid.values()
@@ -638,9 +635,9 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     else:
         row, a = (rows[1], a_b) if bound_a in _LOG_ROWS else (rows[0], a_a)
         fields = _log_pair_signs(alg.Comparison(alg.log_pair_polynomial(row, a)),
-                                 bound_a, bound_b, a_a, a_b, xs, digits, tighter)
+                                 bound_a, bound_b, a_a, a_b, xs, tighter)
     return DominanceReport(bound_a=bound_a, bound_b=bound_b, a_a=a_a, a_b=a_b,
-                           side=side_a, grid=grid, digits=digits, **fields)
+                           side=side_a, grid=grid, **fields)
 
 
 def _regions(runs, xs: tuple[float, ...], tighter: int) -> dict:
@@ -683,7 +680,7 @@ _LOG_ROWS = (cat.BoundId.LOG_LOWER, cat.BoundId.LOG_UPPER)
 
 def _log_pair_signs(comparison, bound_a: cat.BoundId, bound_b: cat.BoundId,
                     a_a: Optional[float], a_b: Optional[float],
-                    xs: tuple[float, ...], digits: int, tighter: int) -> dict:
+                    xs: tuple[float, ...], tighter: int) -> dict:
     """The report's fields for a pair with a log row: the brackets of the
     comparison of its algebra.log_pair_polynomial cut the grid into pieces
     where A - B has the sign of a monotone h, with h(0+) = 0 (see the module
@@ -694,7 +691,7 @@ def _log_pair_signs(comparison, bound_a: cat.BoundId, bound_b: cat.BoundId,
         ball_a, ball_b = fp.refine(
             lambda d: (cat.eval_bound_hp(bound_a, x, a_a, digits=d),
                        cat.eval_bound_hp(bound_b, x, a_b, digits=d)),
-            digits, fp.separated,
+            DEFAULT_SWEEP_DIGITS, fp.separated,
             lambda: f"{bound_a.value} against {bound_b.value} at x={x!r}: the sign")
         return 1 if ball_a.units > ball_b.units else -1
 

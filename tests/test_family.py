@@ -187,8 +187,8 @@ REFERENCE_PARAMS = [
     0.51, 0.55, 0.6, 0.63,
 ]
 #: find_interior_minimum's x0, value, u and residual at REFERENCE_PARAMS, as
-#: repr strings, recorded before the gap's signs went through
-#: fixedpoint.refine
+#: repr strings, recorded when x0 became an end of the certified bracket
+#: (each value as before, bit for bit)
 FIND_MIN_GOLDEN = Path(__file__).parent / "data" / "find_min_golden.json"
 
 
@@ -298,56 +298,51 @@ def reference_minimum(a, digits=120):
     return lo, hi
 
 
-def reference_search(a):
-    """find_interior_minimum's x0, value, u and residual by its search with
-    every sign certified: doubling or halving from x = 1, then
-    _bisect_crossover.  Its gap evaluations go through
-    family.stationarity_gap, where a test can count them."""
-    def gap(x):
-        return fixedpoint.refine(
-            lambda d: family.stationarity_gap(FixedReal(a, d), FixedReal(x, d)),
-            30, lambda g: abs(g.units) > g.err, lambda: f"the gap at x={x!r}")
-
-    def sign_at(x):
-        return 1 if gap(x).units > 0 else -1
-
-    x, s = 1.0, sign_at(1.0)
-    step = 2.0 if s < 0 else 0.5
-    while sign_at(x * step) == s:
-        x *= step
-    lo, hi = sorted((x, x * step))
-    x0 = fixedpoint._bisect_crossover(sign_at, lo, hi, -1)
-    return (x0, float(family_ratio(FixedReal(a, 40), FixedReal(x0, 40))),
-            math.sqrt(1.0 + x0 * x0), abs(float(gap(x0))))
-
-
-def fields(res):
-    return res.x0, res.value, res.u, res.residual
-
-
 #: Parameters near each end of the regime: the doubles within 1e-9 of it.
 NEAR_THE_ENDS = st.one_of(
     st.floats(min_value=0.5, max_value=0.5 + 1e-9, exclude_min=True),
     st.floats(min_value=TWO_OVER_PI - 1e-9, max_value=TWO_OVER_PI, exclude_max=True))
 
 
-class TestBracketedSearch:
-    """find_interior_minimum reads most signs of its search from a certified
-    bracket of x0; it must find what the search certifying every sign finds,
-    with fewer fixed-point evaluations of the gap."""
+def check_the_ends(a):
+    """find_interior_minimum(a) against the gap at 120 digits at its
+    bracket's ends alone: negative at p and positive at q, each far past its
+    radius, x0 the end where it is the smaller in magnitude, and residual
+    that gap's size to within the radius of a ball from 30 digits."""
+    res = find_interior_minimum(a)
+    p, q = res.bracket
+    gap_p, gap_q = (stationarity_gap(FixedReal(a, 120), FixedReal(x, 120)) for x in (p, q))
+    assert p < q, a
+    assert gap_p.units < -10 ** 6 * gap_p.err and gap_q.units > 10 ** 6 * gap_q.err, a
+    nearer = gap_p if -gap_p.units < gap_q.units else gap_q
+    assert res.x0 == (p if nearer is gap_p else q), a
+    assert abs(res.residual - abs(float(nearer))) <= 20e-30 + math.ulp(res.residual), a
+
+
+class TestCertifiedBracket:
+    """find_interior_minimum certifies a bracket p < q of the gap's zero and
+    reports x0 as the end where the gap is the smaller in magnitude."""
 
     @given(st.one_of(st.floats(min_value=0.5, max_value=TWO_OVER_PI,
                                exclude_min=True, exclude_max=True),
                      NEAR_THE_ENDS))
     @settings(deadline=None)
-    def test_matches_the_search_certifying_every_sign(self, a):
-        assert fields(find_interior_minimum(a)) == reference_search(a)
+    def test_x0_is_the_end_with_the_smaller_gap(self, a):
+        check_the_ends(a)
 
-    def test_matches_on_seeded_parameters(self):
+    def test_the_ends_on_seeded_parameters(self):
         rng = random.Random(20261019)
         for _ in range(1000):
-            a = rng.uniform(0.5, TWO_OVER_PI)
-            assert fields(find_interior_minimum(a)) == reference_search(a), a
+            check_the_ends(rng.uniform(0.5, TWO_OVER_PI))
+
+    @pytest.mark.parametrize("a", [0.5000022644731787, 0.500001000744279])
+    def test_an_open_order_is_refined(self, a):
+        # at 30 digits the gaps at these brackets' ends, -155 and +161 units
+        # and -29 and +33, within 8 units each, leave open which is the
+        # smaller: both are evaluated again at 60
+        res = find_interior_minimum(a)
+        assert (res.gap_evals, res.max_digits) == (4, 60)
+        check_the_ends(a)
 
     def test_evaluation_budget(self, monkeypatch):
         calls = []
@@ -359,20 +354,18 @@ class TestBracketedSearch:
             return gap(a, x)
         monkeypatch.setattr(family, "stationarity_gap", counting)
 
-        def evaluations(solve, a):
+        def evaluations(a):
             calls.clear()
-            res = solve(a)
-            return len(calls), res
+            res = find_interior_minimum(a)
+            assert (res.gap_evals, res.max_digits) == (len(calls), max(calls)), a
+            return len(calls)
 
         for a in REFERENCE_PARAMS:
-            count, res = evaluations(find_interior_minimum, a)
-            assert (res.gap_evals, res.max_digits) == (count, max(calls))
-            assert count <= evaluations(reference_search, a)[0], a
+            evaluations(a)
         rng = random.Random(20261020)
-        counts = [evaluations(find_interior_minimum,
-                              rng.uniform(0.501, TWO_OVER_PI - 0.001))[0]
+        counts = [evaluations(rng.uniform(0.501, TWO_OVER_PI - 0.001))
                   for _ in range(200)]
-        assert statistics.median(counts) <= 10
+        assert statistics.median(counts) <= 2
 
     @pytest.mark.parametrize("a", REFERENCE_PARAMS)
     def test_bracket_is_sound(self, a):

@@ -522,7 +522,8 @@ DOMINANCE_PAIRS = [
     (BoundId.CUBIC_LOWER, BoundId.LOG_LOWER, None, None),
     *_family_pairs(),
 ]
-#: (grid, digits); at 320 digits x = 1e-300 still has 10**20 units
+#: (grid, the reference's starting digits); at 320 digits x = 1e-300 still
+#: has 10**20 units
 DOMINANCE_GRIDS = [
     (GridSpec(1e-8, 1e8, 400, "log"), 50),
     (GridSpec(1.0049e-08, 9.9627e+07, 300, "log"), 50),
@@ -539,8 +540,8 @@ class TestDominanceMatchesReference:
         for bound_a, bound_b, a_a, a_b in DOMINANCE_PAIRS:
             regions, crossovers, counts = reference_dominance(
                 bound_a, bound_b, a_a, a_b, grid, digits)
-            payload = dominance_report(bound_a, bound_b, a_a, a_b, grid=grid,
-                                       digits=digits).to_json_dict()
+            payload = dominance_report(bound_a, bound_b, a_a, a_b,
+                                       grid=grid).to_json_dict()
             assert payload["counts"] == counts, (bound_a, bound_b, a_a, a_b)
             assert payload["regions"] == regions, (bound_a, bound_b, a_a, a_b)
             # bit-identical, not approximately equal
@@ -623,11 +624,6 @@ class TestDominance:
         with pytest.raises(ParamError):
             dominance_report(BoundId.SHAFER_LOWER, BoundId.IDENTITY_UPPER, grid=GRID)
 
-    def test_needs_twenty_digits(self):
-        with pytest.raises(ParamError):
-            dominance_report(BoundId.SHAFER_LOWER, BoundId.RATIO_LOWER,
-                             grid=GRID, digits=19)
-
     def test_zero_units_are_decided(self):
         # x = 1e-300 is zero units at 50 digits; the pair takes its signs from
         # the roots of P, and a log pair decides its fixed-point signs past
@@ -646,7 +642,7 @@ class TestDominance:
         # shafer-lower > ratio-lower at every x > 0 by about 2x^3/3, below
         # 10**-320 here: the old sign loop read 7 a, 70 b and 123 equal
         report = dominance_report(BoundId.SHAFER_LOWER, BoundId.RATIO_LOWER,
-                                  grid=GridSpec(1e-300, 1e-100, 200, "log"), digits=320)
+                                  grid=GridSpec(1e-300, 1e-100, 200, "log"))
         assert report.a_tighter == 200
 
     def test_extreme_grid_matches_fixed_point_at_400_digits(self, capsys):

@@ -206,24 +206,31 @@ class _BoundInfo:
     # u >= 1: (N, D), each rational coefficients from the lowest power; the
     # comparison polynomials of dominance reports (algebra.py) are built on it
     rational: Optional[tuple] = None
+    # the margin rises on all of (0, inf): a one-off's, by its derivative
+    # certificate, or a shape row's whose slope polynomial Q is a square for
+    # every parameter, (u - 1)^2 / 4 for Shafer's and ((1 - 2a^2) u - a)^2
+    # for mid-regime-lower's; a sweep reads it as one rising run
+    rises: bool = False
 
 
 _CATALOG: dict[BoundId, _BoundInfo] = {
     BoundId.SHAFER_LOWER: _BoundInfo(
-        "lower", lambda a, pi: (1.5, 0.5, 1)),
+        "lower", lambda a, pi: (1.5, 0.5, 1), rises=True),
     BoundId.HALF_ANGLE_UPPER: _BoundInfo(
         "upper", lambda a, pi: (2, 1, 1)),
     BoundId.RATIO_LOWER: _BoundInfo(
-        "lower", form=lambda x: x / (1 + x * x), rational=((1,), (0, 0, 1))),
+        "lower", form=lambda x: x / (1 + x * x), rational=((1,), (0, 0, 1)),
+        rises=True),
     BoundId.IDENTITY_UPPER: _BoundInfo(
-        "upper", form=lambda x: x, rational=((1,), (1,))),
+        "upper", form=lambda x: x, rational=((1,), (1,)), rises=True),
     # x - x^3/3 = x (4 - u^2) / 3
     BoundId.CUBIC_LOWER: _BoundInfo(
-        "lower", form=lambda x: x - x * (x * x / 3), rational=((4, 0, -1), (3,))),
+        "lower", form=lambda x: x - x * (x * x / 3), rational=((4, 0, -1), (3,)),
+        rises=True),
     BoundId.LOG_LOWER: _BoundInfo(
-        "lower", form=lambda x: (1 + x * x).log() / (2 * x)),
+        "lower", form=lambda x: (1 + x * x).log() / (2 * x), rises=True),
     BoundId.LOG_UPPER: _BoundInfo(
-        "upper", form=lambda x: (1 + x) * (1 + x).log()),
+        "upper", form=lambda x: (1 + x) * (1 + x).log(), rises=True),
     BoundId.FAMILY_LOWER: _BoundInfo(
         "lower", lambda a, pi: (1 + a, a, 1), param=FAMILY_RANGE),
     BoundId.FAMILY_UPPER: _BoundInfo(
@@ -234,7 +241,7 @@ _CATALOG: dict[BoundId, _BoundInfo] = {
         "upper", lambda a, pi: (1 + a, a, 1), param=REVERSED_RANGE),
     BoundId.MID_REGIME_LOWER: _BoundInfo(
         "lower", lambda a, pi: (4 * a * (1 - a * a), a, 1),
-        param=MID_REGIME_RANGE),
+        param=MID_REGIME_RANGE, rises=True),
     # the upper constant is max(pi/2, 1+a); the exact switch sits at a = pi/2 - 1
     BoundId.MID_REGIME_UPPER: _BoundInfo(
         "upper", lambda a, pi: (_larger(pi / 2, 1 + a), a, 1),

@@ -9,9 +9,10 @@ with ``stats`` gains the provenance: package and Python versions, and for a
 command with a grid its digits and grid.  ``verify`` lists the first 25
 violations of each entry and counts them all; its ``--stats`` adds each
 entry's count of the monotone pieces its sweep cut the grid into and of the
-points it evaluated in fixed point (a violation between the ends of its run
-is not among them), the fixed-point oracle values computed, and the sweeps'
-time.
+points at which it evaluated the bound in fixed point (the far end of a
+piece where the bound holds, and a violation between the ends of its run,
+are not among them), the fixed-point oracle values computed, and the
+sweeps' time.
 ``dominance`` gives every grid point one exact verdict; its ``--stats`` adds
 the report's time, its method, the degree of the polynomial whose roots cut
 the grid, their brackets and the digits of pi, and the grid points at a

@@ -27,6 +27,7 @@ import math
 import operator
 import struct
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -164,7 +165,7 @@ def _positive_roots(c0: int, c1: int, c2: int) -> list[tuple[tuple, tuple, bool]
     return brackets
 
 
-def sign_runs(low: list[int], high: list[int], xs: tuple[float, ...]
+def sign_runs(low: list[int], high: list[int], xs: Sequence[float]
               ) -> list[tuple[int, int, int]]:
     """(start, stop, sign) in order, covering the positive doubles xs in
     increasing order, for the quadratics T(v) = sum(t[k] v**k) between the

@@ -9,23 +9,28 @@ checking that the grid's first point, its smallest, is positive.  Every
 verdict is the true one at the exact double x, and it comes from the
 monotone pieces of the margin M (arctan minus the bound for a lower bound,
 the bound minus arctan for an upper one; positive where the bound holds).
-A one-off's M rises on all of (0, inf).  A shape row's M' has the sign of
-+-Q(u), u = sqrt(1 + x^2), Q(u) = (d + e u)^2 - c u (d u + e), and for
-v = u - 1 >= 0 Q(1 + v) lies between two integer quadratics built from the
-balls of c, d and e at the sweep's digits (interval arithmetic; Moore,
-Kearfott and Cloud, 2009): Q > 0 where the lower one is positive, Q < 0
-where the upper one is negative.  The brackets of their roots, from
-math.isqrt and mapped exactly to doubles of x, cut the grid into runs of
-one sign of Q, and runs where the balls leave it open; the digits double
-until each of those holds one double (see _monotone_pieces).  No root of Q
-is isolated, and a cut where Q keeps its sign only splits a monotone run
-in two.  The grid is cut again at x = 1, where the reported margin changes
-(below).  On each piece M is evaluated in fixed point
-(``eval_bound_hp`` against the oracle's ball) at the two ends, decided
-where the centres lie further apart than the two radii, at the sweep's
-digits or at twice them and so on (see fixedpoint.refine).  Its violations
-are one run at one end, found from the ends' signs and by bisection
-between them; a violation's bound is computed again only when listed.
+M rises on all of (0, inf) for a row the catalog marks rises: a one-off,
+or a shape row whose slope polynomial Q (below) is a square.  Another
+shape row's M' has the sign of +-Q(u), u = sqrt(1 + x^2),
+Q(u) = (d + e u)^2 - c u (d u + e), and for v = u - 1 >= 0 Q(1 + v) lies
+between two integer quadratics built from the balls of c, d and e at the
+sweep's digits (interval arithmetic; Moore, Kearfott and Cloud, 2009):
+Q > 0 where the lower one is positive, Q < 0 where the upper one is
+negative.  The brackets of their roots, from math.isqrt and mapped exactly
+to doubles of x, cut the grid into runs of one sign of Q, and runs where
+the balls leave it open; the digits double until each of those holds one
+double (see _monotone_pieces).  No root of Q is isolated, and a cut where
+Q keeps its sign only splits a monotone run in two.  The grid is cut again
+at x = 1, where the reported margin changes (below).  M is evaluated in
+fixed point (``eval_bound_hp`` against the oracle's ball), decided where
+the centres lie further apart than the two radii, at the sweep's digits or
+at twice them and so on (see fixedpoint.refine): first at the grid's two
+ends, where the points that raise an error lie, then on each piece at its
+near end, where M is smallest (its first point where M rises, its last
+where M falls).  Where M holds there, it holds on the whole piece, whose
+other end is not evaluated.  Otherwise its violations are one run at one
+end, found from the ends' signs and by bisection between them; a
+violation's bound is computed again only when listed.
 
 The smallest reported margin of a piece lies at an end for x <= 1, and
 above it where M > 0 falls or M <= 0 rises, since arctan rises; on a
@@ -37,14 +42,15 @@ S' = ((1 + x^2) M')' arctan x: of one sign for a one-off, whose R rises on
 changes at most once.  So the smallest R lies at an end unless S goes from
 - to + inside the piece, where bisection on S's exact sign finds its zero.
 A piece is skipped where M(p)/arctan(q) (or M(q)/arctan(p)), a lower bound
-of every ratio on it, exceeds the smallest margin found; otherwise its
-points are evaluated inward from the ends of R's monotone runs until one's
-ratio bound clears it.  Points that share the smallest double are ordered
-by their doubles once fixed, at more digits where the balls leave them
-open, then by index.  The oracle is computed, and cached, only at the
-points evaluated and the violations listed.  So verdicts are the exact
-ones, and min_margin lies within its point's two radii of the smallest
-exact margin.
+of every ratio on it, exceeds the smallest margin found; a piece where M
+holds reads arctan alone at q.  Otherwise its points are evaluated inward
+from the ends of R's monotone runs until one's ratio bound clears it.
+Points that share the smallest double are ordered by their doubles once
+fixed, at more digits where the balls leave them open, then by index.  The
+oracle is computed, and cached, only at the points evaluated, those
+arctan-only ends and the violations listed, and a grid's points only where
+read (GridSpec.values).  So verdicts are the exact ones, and min_margin
+lies within its point's two radii of the smallest exact margin.
 
 A dominance report gives every grid point the exact sign of the difference
 of two bounds.  For two rows without a log it is the sign of a polynomial
@@ -70,7 +76,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
@@ -116,6 +124,8 @@ class GridSpec:
             raise ParamError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         if self.points < 2:
             raise ParamError("a grid needs at least 2 points")
+        if self.points > sys.maxsize:
+            raise ParamError(f"a grid holds at most {sys.maxsize} points")
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ParamError("grid endpoints must be finite")
         if not self.x_min < self.x_max:
@@ -123,7 +133,19 @@ class GridSpec:
         if self.spacing == "log" and self.x_min <= 0:
             raise ParamError("log spacing needs x_min > 0")
 
-    def values(self) -> tuple[float, ...]:
+    def values(self) -> Sequence[float]:
+        """The grid's points in increasing order, as a read-only sequence
+        (len, indices, slices, iteration).  Point i is computed when it is
+        read, from its closed form: exp(log x_min + span i / (n - 1)), span
+        = log x_max - log x_min, for a log grid, and for a linear one the
+        steps x_min/2 + (x_max/2 - x_min/2) (i / (n - 1)), doubled and
+        clamped to [x_min, x_max]; x_min and x_max are its ends.  A linear
+        grid is sorted by construction, each step being a monotone
+        rounding, and so is a log grid whose log-step exceeds 2**-30 and
+        whose x_min is normal: adjacent points then differ by 2**21 ulps or
+        more, which no exp that errs by less reorders.  Any other log grid
+        is built whole, as a tuple, sorted where its rounded points come out
+        of order; dominance reads a grid by bisection."""
         return _grid_values(self)
 
     def to_json_dict(self) -> dict:
@@ -131,24 +153,54 @@ class GridSpec:
                 "points": self.points, "spacing": self.spacing}
 
 
+class _GridPoints(Sequence):
+    """A grid's points, sorted by construction, each computed by point(i)
+    when read; the ends are x_min and x_max."""
+
+    __slots__ = ("_n", "_last", "_ends", "_point")
+
+    def __init__(self, grid: GridSpec, point):
+        self._n, self._last = grid.points, grid.points - 1
+        self._ends, self._point = (grid.x_min, grid.x_max), point
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if type(i) is int and 0 < i < self._last:     # an inner point, as read most
+            return self._point(i)
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(self._n))))
+        k = operator.index(i)
+        k += self._n if k < 0 else 0
+        if 0 < k < self._last:
+            return self._point(k)
+        if k == 0 or k == self._last:
+            return self._ends[k > 0]
+        raise IndexError(f"grid index {i} out of range")
+
+    def __iter__(self):
+        yield self._ends[0]
+        yield from map(self._point, range(1, self._n - 1))
+        yield self._ends[1]
+
+
 @lru_cache(maxsize=32)
-def _grid_values(grid: GridSpec) -> tuple[float, ...]:
-    n = grid.points
-    if grid.spacing == "log":
-        lo, hi = math.log(grid.x_min), math.log(grid.x_max)
-        span, last, exp = hi - lo, n - 1, math.exp
-        inner = [exp(lo + span * i / last) for i in range(1, last)]
-    else:
+def _grid_values(grid: GridSpec) -> Sequence[float]:
+    lo, hi, last = grid.x_min, grid.x_max, grid.points - 1
+    if grid.spacing == "linear":
         # halves keep hi/2 - lo/2 finite for any finite ends, every step is
         # monotone in i, and the clamp holds each point in [x_min, x_max]
-        lo, hi = grid.x_min, grid.x_max
         half = hi / 2 - lo / 2
-        inner = (min(max(2 * (lo / 2 + half * (i / (n - 1))), lo), hi)
-                 for i in range(1, n - 1))
-    values = (grid.x_min, *inner, grid.x_max)
-    # the points are rounded, and on a range of a few ulps a log grid's inner
-    # point can fall below x_min or out of order; dominance reads the grid by
-    # bisection, so it is sorted
+        return _GridPoints(grid, lambda i: min(max(2 * (lo / 2 + half * (i / last)), lo), hi))
+    log_lo, exp = math.log(lo), math.exp
+    span = math.log(hi) - log_lo
+    points = _GridPoints(grid, lambda i: exp(log_lo + span * i / last))
+    if span / last > 2.0 ** -30 and lo >= sys.float_info.min:
+        return points
+    # on a range of a few ulps a rounded inner point can fall below x_min or
+    # out of order
+    values = tuple(points)
     if any(map(operator.gt, values, values[1:])):
         values = tuple(sorted(values))
     return values
@@ -224,9 +276,11 @@ class SweepReport:
     of them; the fixed-point bound is computed when the listing is read, and
     only for the violations listed.
     pieces counts the grid's runs on which the margin is monotone (see
-    sweep) and escalated the grid points the sweep evaluated in fixed
-    point.  min_margin is signed so that positive means the inequality
-    holds.
+    sweep) and escalated the grid points at which the sweep evaluated the
+    bound in fixed point: the grid's ends, the near end of each piece and
+    the points that decide its violations or its smallest ratio, but not
+    the far end of a piece where the bound holds.  min_margin is signed so
+    that positive means the inequality holds.
     """
 
     bound: cat.BoundId
@@ -283,21 +337,22 @@ class SweepReport:
         }
 
 
-def _monotone_pieces(bound: cat.BoundId, a: Optional[float], xs: tuple[float, ...],
+def _monotone_pieces(bound: cat.BoundId, a: Optional[float], xs: Sequence[float],
                      digits: int) -> list[tuple[int, int, int]]:
     """(start, stop, slope) in order, covering the grid xs of a bound at a
     checked parameter: its exact margin M rises (slope 1) or falls (-1) on
-    the points start..stop-1, or they share one double (slope 0).  A
-    one-off's M rises on all of (0, inf).  A shape row's M' has the sign of
-    Q (algebra.slope_polynomial), negated for an upper bound, read by
+    the points start..stop-1, or they share one double (slope 0).  A row
+    the catalog marks rises (the one-offs, Shafer's, whose Q is
+    (u - 1)^2 / 4, and mid-regime-lower's, ((1 - 2a^2) u - a)^2) is one
+    rising run.  Another shape row's M' has the sign of Q
+    (algebra.slope_polynomial), negated for an upper bound, read by
     fixedpoint.sign_runs from catalog._slope_bounds at `digits`, twice them
     and so on (fixedpoint.refine) until the points where the balls leave
     Q's sign open share one double in each run: the stretches around Q's
     zeros that no ball resolves (A = 0 for two-over-pi-lower, Q(1) = 0
-    where c = d + e, the double root of a perfect square) shrink to x = 0,
-    to infinity or to that root."""
+    where c = d + e) shrink to x = 0 or to infinity."""
     info = cat._CATALOG[bound]
-    if info.consts is None:
+    if info.rises:
         return [(0, len(xs), 1)]
     side = 1 if info.side == "lower" else -1
     runs = fp.refine(
@@ -355,9 +410,9 @@ class _ExactPoints(dict):
         that of i.  The points whose margin underflows or is unresolved, or
         whose bound outgrows a double, lie at the grid's ends (the margin
         vanishes at 0 and at infinity, and |bound| is monotone at large x),
-        and a sweep evaluates the grid's first point first: so between the
-        nearest evaluated point below i and i they are a run that ends at
-        i, found by bisection."""
+        and a sweep evaluates the grid's first point, then its last, before
+        any other: so between the nearest evaluated point below i and i
+        they are a run that ends at i, found by bisection."""
         lo = max((k for k in self if k < i), default=-1)
         while i - lo > 1:
             mid = (lo + i) // 2
@@ -419,7 +474,8 @@ class _ExactPoints(dict):
             while (i - stop) * step < 0:
                 point = self[i]
                 best = min(best, point.margin)
-                if _lowest_ratio(point, point, positive, self.side == "lower") > best:
+                if _lowest_ratio(point, point.oracle_hp, positive,
+                                 self.side == "lower") > best:
                     break
                 i += step
             return i
@@ -434,18 +490,17 @@ class _ExactPoints(dict):
         return best
 
 
-def _lowest_ratio(first: _Point, last: _Point, positive: bool, lower: bool) -> float:
+def _lowest_ratio(at_m: _Point, atan: fp.FixedReal, positive: bool, lower: bool) -> float:
     """A lower bound of the reported margins M(x)/arctan x on the grid
-    points x > 1 from first to last, where M is monotone and of one sign.
-    From the ends' balls, M(x)/arctan x is at least M(first)/arctan(last)
-    where M > 0 rises, and M(last)/arctan(first) where M <= 0 falls; less
-    2**-50 of it, which covers the three roundings of a reported margin (of
-    the margin, of arctan and of their quotient), so that no point past the
-    bound can share the double of a point below it; a double, rounded down."""
-    at_m, at_atan = (first, last) if positive else (last, first)
+    points x > 1 from first to last, where M is monotone and of one sign,
+    from the balls of M at one end and of arctan at the other: M(x)/arctan x
+    is at least M(first)/arctan(last) where M > 0 rises, and
+    M(last)/arctan(first) where M <= 0 falls; less 2**-50 of it, which
+    covers the three roundings of a reported margin (of the margin, of
+    arctan and of their quotient), so that no point past the bound can share
+    the double of a point below it; a double, rounded down."""
     b, o = at_m.bound_hp, at_m.oracle_hp
     low = (o.units - b.units if lower else b.units - o.units) - b.err - o.err
-    atan = at_atan.oracle_hp
     atan_end = atan.units + atan.err if positive else atan.units - atan.err
     # low/o.scale over atan_end/atan.scale, times (2**50 -+ 1)/2**50; the
     # integer quotient is correctly rounded
@@ -474,13 +529,20 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
               for start, stop, slope in _monotone_pieces(bound, a, xs, digits)
               for lo, hi in ((start, min(stop, one)), (max(start, one), stop)) if lo < hi]
     exact = _ExactPoints(bound, a, side, grid, digits)
+    # the grid's ends first: the points that raise an error are a run at one
+    # of them (see _ExactPoints._first_failure)
+    exact[0], exact[len(xs) - 1]
     violated = []
     end_parts, loose_parts = [], []
     for start, stop, slope in pieces:
-        rising = slope > 0
+        rising = slope >= 0
         # M is monotone on the piece, so it holds on one run of it and is
-        # violated on the other
-        split, first_holds, last_holds = _split(start, stop, lambda i: exact[i].holds)
+        # violated on the other; where it holds at the end where it is
+        # smallest, it holds on the whole piece, whose other end is not read
+        if exact[start if rising else stop - 1].holds:
+            split, first_holds, last_holds = stop, True, True
+        else:
+            split, first_holds, last_holds = _split(start, stop, lambda i: exact[i].holds)
         for lo, hi, holds in ((start, split, first_holds), (split, stop, last_holds)):
             if not holds:
                 violated.extend(range(lo, hi))
@@ -497,10 +559,14 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
             loose_parts.append((lo, hi, positive))
 
     # a loose part is read from its own monotone runs unless its lowest
-    # ratio clears the smallest reported margin found
+    # ratio clears the smallest reported margin found: M at the end where it
+    # is smallest, evaluated, and arctan at the other, where a held part's
+    # bound is not evaluated
     best = min(point.margin for point in exact.values())
     for lo, hi, positive in loose_parts:
-        if _lowest_ratio(exact[lo], exact[hi - 1], positive, side == "lower") <= best:
+        at_m, atan = ((exact[lo], _oracle_at(xs[hi - 1], digits)) if positive else
+                      (exact[hi - 1], exact[lo].oracle_hp))
+        if _lowest_ratio(at_m, atan, positive, side == "lower") <= best:
             best = exact.loose_minimum(lo, hi, positive, best)
 
     # every grid point whose reported margin can be the smallest is now
@@ -640,7 +706,7 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
                            side=side_a, grid=grid, **fields)
 
 
-def _regions(runs, xs: tuple[float, ...], tighter: int) -> dict:
+def _regions(runs, xs: Sequence[float], tighter: int) -> dict:
     """The report's regions and counts from runs (start, stop, sign) of the
     grid's indices in order, sign that of A - B."""
     counts = {1: 0, -1: 0, 0: 0}
@@ -658,7 +724,7 @@ def _regions(runs, xs: tuple[float, ...], tighter: int) -> dict:
                 equal=counts[0])
 
 
-def _algebraic_signs(comparison, xs: tuple[float, ...], tighter: int) -> dict:
+def _algebraic_signs(comparison, xs: Sequence[float], tighter: int) -> dict:
     """The report's fields from the sign of P: each run of grid points
     between two edges has one sign, found by bisect, with no pass over the
     grid."""
@@ -680,7 +746,7 @@ _LOG_ROWS = (cat.BoundId.LOG_LOWER, cat.BoundId.LOG_UPPER)
 
 def _log_pair_signs(comparison, bound_a: cat.BoundId, bound_b: cat.BoundId,
                     a_a: Optional[float], a_b: Optional[float],
-                    xs: tuple[float, ...], tighter: int) -> dict:
+                    xs: Sequence[float], tighter: int) -> dict:
     """The report's fields for a pair with a log row: the brackets of the
     comparison of its algebra.log_pair_polynomial cut the grid into pieces
     where A - B has the sign of a monotone h, with h(0+) = 0 (see the module

@@ -342,6 +342,17 @@ class TestErrors:
         assert "DomainError" in err and "cubic-lower" in err
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "family"],
+        ["dominance", "--bound-a", "shafer-lower", "--bound-b", "ratio-lower"],
+        ["profile"],
+    ], ids=lambda argv: argv[0])
+    def test_grids_past_an_index_map_to_exit_2(self, capsys, argv):
+        # a grid's points are read by index, so their count must fit one
+        code, out, err = run(capsys, argv + ["--grid-points", "99999999999999999999"])
+        assert code == 2 and out == ""
+        assert err == f"ParamError: a grid holds at most {sys.maxsize} points\n"
+
+    @pytest.mark.parametrize("argv", [
         ["eval", "--bound", "cubic-lower", "--x", "1e200"],
         ["eval", "--bound", "log-upper", "--x", "1.7e308"],
     ], ids=["cubic-lower", "log-upper"])
@@ -726,9 +737,26 @@ class TestVerify:
         entry = next(e for e in payload["results"]
                      if e["bound"] == "family-lower" and e["a"] == 0.5)
         assert entry["status"] == "ok" and entry["min_margin"] > 0
-        # each mid-regime-lower entry's double root of Q cuts its rising run
-        # in two, whose two new ends are evaluated: 102 without that cut
-        assert payload["stats"]["escalated"] == 106
+        # the bound is evaluated at the grid's two ends and at the end of each
+        # held piece where its margin is smallest; a loose piece above x = 1
+        # reads arctan alone at its other end, unless its lowest ratio falls
+        # below the smallest margin found
+        assert payload["stats"]["escalated"] == 62
+
+    def test_default_suite_budget(self, capsys, monkeypatch):
+        # the bound is evaluated in fixed point at 97 grid points of the
+        # default suite's 300,000 checks, and no row marked rises reads the
+        # slope polynomial's balls
+        consts = []
+        slope_bounds = cat._slope_bounds
+        monkeypatch.setattr(cat, "_slope_bounds", lambda *args: (
+            consts.append(args[0]) or slope_bounds(*args)))
+        code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json",
+                                    "--stats"])
+        assert code == 0
+        assert strict_json(out)["stats"]["escalated"] <= 97
+        rising = {info.consts for info in cat._CATALOG.values() if info.rises}
+        assert consts and not rising.intersection(consts)
 
     def test_tiny_to_large_grid(self, capsys):
         # x = 1e-60 is zero units at 50 digits; such points are evaluated

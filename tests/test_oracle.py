@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,7 +86,7 @@ class TestGridSpec:
 
     def test_linear(self):
         xs = GridSpec(0.0, 1.0, 5, "linear").values()
-        assert xs == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert tuple(xs) == (0.0, 0.25, 0.5, 0.75, 1.0)
 
     @pytest.mark.parametrize("grid", [
         GridSpec(-1e308, 1e308, 5, "linear"),
@@ -127,15 +128,40 @@ class TestGridSpec:
         # the grids around 1e88 and 1e-200 come out of order before the sort
         grids = [GridSpec(*few_ulps(x, ulps), n, "log") for x in (1.0, 1e88, 1e-200)
                  for ulps in (2, 8) for n in (5, 29, 2000)]
-        grids += [GridSpec(5e-324, DBL_MAX, 2000, "log"),
-                  GridSpec(-1e308, 1e308, 5, "linear"), GridSpec(-1e308, 1e308, 2000, "linear")]
+        grids += [GridSpec(5e-324, DBL_MAX, 2000, "log"), GridSpec(1e-300, DBL_MAX, 3001, "log"),
+                  GridSpec(-1e308, 1e308, 5, "linear"), GridSpec(-1e308, 1e308, 2000, "linear"),
+                  GridSpec(-3.0, 7.0, 1001, "linear")]
         for _ in range(40):
             x_min = 10 ** rng.uniform(-300, 300)
             x_max = x_min * 10 ** rng.uniform(1e-14, 20)
             grids.append(GridSpec(x_min, min(x_max, DBL_MAX), rng.randint(2, 3000), "log"))
         for grid in grids:
-            # repr tells every double apart, -0.0 from 0.0 among them
-            assert list(map(repr, grid.values())) == list(map(repr, self.closed_form(grid))), grid
+            xs, expected = grid.values(), list(map(repr, self.closed_form(grid)))
+            n = len(expected)
+            # repr tells every double apart, -0.0 from 0.0 among them; point
+            # i is read alone, from either end, in slices and in a pass
+            assert len(xs) == n and list(map(repr, xs)) == expected, grid
+            assert [repr(xs[i]) for i in range(n)] == expected, grid
+            assert [repr(xs[i]) for i in range(-n, 0)] == expected, grid
+            for cut in (slice(None), slice(1, -1), slice(None, None, 7), slice(-3, None),
+                        slice(n // 2, 2, -3), slice(5, 2)):
+                assert list(map(repr, xs[cut])) == expected[cut], (grid, cut)
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    xs[i]
+
+    def test_a_million_point_sweep_builds_no_grid(self):
+        # a sweep reads a few dozen points of the grid, each computed when
+        # read; the 10**6 points would take about 32 MB as a tuple
+        grid = GridSpec(1e-8, 1e8, 10 ** 6, "log")
+        tracemalloc.start()
+        try:
+            reports = [sweep(bound, a, grid) for bound, a in _suite_entries("family")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(report.ok for report in reports)
+        assert peak < 1 << 20
 
     def test_validation(self):
         with pytest.raises(ParamError):
@@ -886,10 +912,9 @@ class TestMonotonePieces:
     def test_pieces_of_the_paper_rows(self):
         from arctanbounds.oracle import _monotone_pieces
         # the one-offs' margins rise on all of (0, inf), and so do
-        # family-lower's for a <= 1/2 (the paper's threshold); every run of
-        # mid-regime-lower's rises (its slope polynomial is a perfect square,
-        # whose double root may cut a run in two); family-upper's rise, then
-        # fall to 0, and the errata's fall first
+        # family-lower's for a <= 1/2 (the paper's threshold) and
+        # mid-regime-lower's (its slope polynomial is a perfect square);
+        # family-upper's rise, then fall to 0, and the errata's fall first
         for grid in (DEFAULT_GRID, GridSpec(1e-64, 1e102, 2000, "log")):
             xs = grid.values()
             n = len(xs)
@@ -906,14 +931,38 @@ class TestMonotonePieces:
                 assert pieces(BoundId.FAMILY_LOWER, a) == [(0, n, 1)]
                 assert [s for *_, s in pieces(BoundId.FAMILY_UPPER, a)] == [1, -1]
             for a in (0.55, 0.6):
-                assert {s for *_, s in pieces(BoundId.MID_REGIME_LOWER, a)} == {1}
+                assert pieces(BoundId.MID_REGIME_LOWER, a) == [(0, n, 1)]
             assert [s for *_, s in pieces(BoundId.TWO_OVER_PI_LOWER_ERRATA)] == [-1, 1]
 
+    def test_rises_marks_the_one_offs_and_the_squares(self):
+        catalog = arctanbounds.catalog._CATALOG
+        one_offs = {bound for bound, info in catalog.items() if info.consts is None}
+        rises = {bound for bound, info in catalog.items() if info.rises}
+        assert rises == one_offs | {BoundId.SHAFER_LOWER, BoundId.MID_REGIME_LOWER}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([bound for bound, info in arctanbounds.catalog._CATALOG.items()
+                            if info.rises and info.consts]).flatmap(
+        lambda bound: st.tuples(st.just(bound), _param(bound))))
+    def test_rises_rows_have_a_square_slope_polynomial(self, row):
+        # Q(u) = (e^2 - c d) u^2 + e (2d - c) u + d^2 at the exact constants
+        # of the double a: a zero discriminant, c (c e^2 - 4 d e^2 + 4 d^3),
+        # and a leading coefficient >= 0 make Q a square, so a lower bound's
+        # margin rises on all of (0, inf)
+        bound, a = row
+        info = arctanbounds.catalog._CATALOG[bound]
+        # these rows' constants are rational in a, with no pi
+        c, d, e = map(Fraction, info.consts(None if a is None else Fraction(a), None))
+        assert info.rises and info.side == "lower"
+        assert c * (c * e * e - 4 * d * e * e + 4 * d ** 3) == 0, (bound, a)
+        assert e * e - c * d >= 0, (bound, a)
+
     def test_structural_zeros_refine_off_the_grid(self, monkeypatch):
-        # the balls never settle A = 0 (two-over-pi-lower), Q(1) = 0
-        # (two-over-pi-upper, c = d + e) or the double root of
-        # mid-regime-lower; the stretches they leave open shrink off the
-        # grid's points as the digits double
+        # the balls never settle A = 0 (two-over-pi-lower) or Q(1) = 0
+        # (two-over-pi-upper, c = d + e); the stretches they leave open
+        # shrink off the grid's points as the digits double.  The double
+        # root of mid-regime-lower's square Q is never read: the catalog
+        # marks the row rises, one rising run with no slope bounds
         from arctanbounds import oracle as orc
         seen = []
         bounds = arctanbounds.catalog._slope_bounds
@@ -927,12 +976,13 @@ class TestMonotonePieces:
                 (BoundId.TWO_OVER_PI_LOWER, None, wide, [50, 100, 200, 400]),
                 # that below x ~ 10**(-digits/2), under 5e-324 at 800
                 (BoundId.TWO_OVER_PI_UPPER, None, wide, [50, 100, 200, 400, 800]),
-                (BoundId.MID_REGIME_LOWER, 0.6, wide, [50])]:
+                (BoundId.MID_REGIME_LOWER, 0.6, wide, [])]:
             seen.clear()
             pieces = orc._monotone_pieces(bound, a, xs, 50)
             check_runs(pieces, xs)
             assert seen == digits, bound
             assert all(slope for *_, slope in pieces), bound
+        assert pieces == [(0, len(wide), 1)]
 
 
 def exact_slope_sign(c: Fraction, d: Fraction, e: Fraction, x: float) -> int:
@@ -1152,14 +1202,15 @@ class TestPieceMinimum:
                 slope = pieces[piece][2]
                 if not slope or (slope > 0) != holds:
                     continue
-                lowest = _lowest_ratio(points[run[0]], points[run[-1]], holds,
+                at_m, at_atan = (run[0], run[-1]) if holds else (run[-1], run[0])
+                lowest = _lowest_ratio(points[at_m], points[at_atan].oracle_hp, holds,
                                        side == "lower")
                 assert all(lowest < points[i].margin for i in run), (bound, a, piece)
                 checked += 1
         # the eight entries whose margin falls to 0 at infinity have no loose
-        # piece here; each of the other 22 has one, and mid-regime-lower[a=0.6]
-        # two: the double root of its Q, at x ~ 1.895, cuts its rising run
-        assert checked == 23
+        # piece here; each of the other 22 has one (mid-regime-lower's square
+        # Q leaves its run whole)
+        assert checked == 22
 
 
 class TestPieceSweep:

@@ -115,11 +115,20 @@ class Enclosure(NamedTuple("_Ends", [("lower", float), ("upper", float)])):
 # half-angle 2x/(1+u) (the a = 1/2 and a = 1 members) and the three pi forms
 # (a = 2/pi members, but the errata is the a = 1/pi upper bound).  Their form
 # takes consts(a, pi) -> (c, d, e), bound once per (row, a, digits) in caches
-# keyed on the form and consts (a BoundId's hash is Python code); a one-off's
-# form is the bound itself.
+# keyed on the form and consts (a BoundId's hash is Python code), and takes
+# the balls of x and u = sqrt(1 + x^2), built once per (x, digits) for every
+# shape row evaluated there (_point_balls); a one-off's form is the bound
+# itself, on the ball of x alone.
 
 def _shape(c, d, e):
-    return lambda x: c * x / (d + e * (1 + x * x).sqrt())
+    return lambda x, u: c * x / (d + e * u)
+
+
+@lru_cache(maxsize=256)
+def _point_balls(x: float, digits: int) -> tuple[fp.FixedReal, fp.FixedReal]:
+    """The balls of the double x and of u = sqrt(1 + x^2) at `digits`."""
+    x_hp = fp.FixedReal(x, digits)
+    return x_hp, (1 + x_hp * x_hp).sqrt()
 
 
 def _larger(p, q):
@@ -199,7 +208,7 @@ REVERSED_RANGE = ParamRange(lambda a: a >= TWO_OVER_PI, "a >= 2/pi")
 class _BoundInfo:
     side: str                                   # "lower" | "upper"
     consts: Optional[Callable] = None           # (a, pi) -> (c, d, e) of c*x/(d + e*u)
-    form: Callable = _shape                     # (*constants) -> x -> bound, or x -> bound
+    form: Callable = _shape                     # (*constants) -> (x, u) -> bound, or x -> bound
     param: Optional[ParamRange] = None
     trusted: bool = True                        # errata entries are swept for failure
     # a one-off without a log as x N(u) / D(u), u = sqrt(1 + x^2), D > 0 for
@@ -337,11 +346,12 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     """
     _check_param(bound, a)
     _check_x(x)
-    x_hp = fp.FixedReal(float(x), digits)
-    if x_hp.units == 0:
-        raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
     info = _CATALOG[bound]
-    return _fixed_fn(info.form, info.consts, a, digits)(x_hp)
+    balls = ((fp.FixedReal(float(x), digits),) if info.consts is None
+             else _point_balls(float(x), digits))
+    if balls[0].units == 0:
+        raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
+    return _fixed_fn(info.form, info.consts, a, digits)(*balls)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ of ``prove_regime`` that returned: ``unclassified`` for ``-1 < a < 0``,
 ``h_at_one`` (``a <= -1`` or ``h(1) <= 0``: increasing), ``slope`` (a positive
 slope of ``h``: decreasing) or ``g_inf`` (the sign of ``g(inf)``).
 
-A process builds the parser once, on its first ``main`` call, and reuses it.
+A process builds the parser of a command on the command's first ``main``
+call, and reuses it.  A command line that does not start with a command, or
+that leaves arguments over, is read by the parser of all the commands, built
+and reused likewise, so its help, errors and exit status are the same.
 Importing this module loads ``catalog``, ``fixedpoint`` and ``errors`` of the
 package; ``eval``, ``classify`` and ``enclose`` use no more.  Each other
 handler imports what it uses when it runs: ``find-min`` loads ``family``
@@ -107,7 +110,9 @@ def _add_grid_args(p: argparse.ArgumentParser, points: int) -> None:
     p.add_argument("--grid-spacing", choices=["log", "linear"], default="log")
 
 
-def _add_output_args(p: argparse.ArgumentParser, rows: bool = False) -> None:
+def _add_report_args(p: argparse.ArgumentParser, stats: str, rows: bool = False) -> None:
+    """--stats with help `stats`, then --format and --output."""
+    p.add_argument("--stats", action="store_true", help=stats)
     formats = ["text", "json", "csv"] if rows else ["text", "json"]
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--output", default=None, help="write the report to a file")
@@ -139,78 +144,64 @@ def _bound_arg(value: str) -> cat.BoundId:
 #: A token to read as a negative number: argparse reads -1 or -0.5 as a
 #: value, but -1e-05, -.5 or -inf as an option, failing "--a -1e-05".
 _NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+#: An --option that a value may be joined to.
+_LONG_OPTION = re.compile(r"--[^=]+")
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Join each negative number to an --option before it, as --option=value."""
     joined = []
     for token in argv:
-        if joined and re.fullmatch(r"--[^=]+", joined[-1]) and _NEGATIVE.match(token):
+        if joined and _LONG_OPTION.fullmatch(joined[-1]) and _NEGATIVE.match(token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
     return joined
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one in the process; parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="arctan-bounds",
-        description="Certified closed-form bounds for arctan: evaluate, "
-                    "classify, verify, compare, and profile.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate one catalog bound at a point")
+def _eval_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", type=_bound_arg, required=True,
                    metavar="ID", help="bound identifier, e.g. shafer-lower")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--a", type=float, default=None, help="family parameter")
     p.add_argument("--digits", type=int, default=0,
                    help="also print a fixed-point evaluation at this many digits")
-    p.add_argument("--stats", action="store_true",
-                   help="add the evaluation's time, the digits that settled "
+    _add_report_args(p, "add the evaluation's time, the digits that settled "
                         "its double and provenance to the JSON or text report")
-    _add_output_args(p)
 
-    p = sub.add_parser("classify", help="monotonicity regime of a parameter")
+
+def _classify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--stats", action="store_true",
-                   help="add the proof's time, the test that decided it and "
+    _add_report_args(p, "add the proof's time, the test that decided it and "
                         "provenance to the JSON or text report")
-    _add_output_args(p)
 
-    p = sub.add_parser("enclose", help="two-sided enclosure of arctan at a point")
+
+def _enclose_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--stats", action="store_true",
-                   help="add the enclosure's time, the branch its ends come "
+    _add_report_args(p, "add the enclosure's time, the branch its ends come "
                         "from and provenance to the JSON or text report")
-    _add_output_args(p)
 
-    p = sub.add_parser("find-min", help="interior minimum of the family ratio")
+
+def _find_min_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--stats", action="store_true",
-                   help="add the fixed-point gap evaluations, the certified "
+    _add_report_args(p, "add the fixed-point gap evaluations, the certified "
                         "bracket, the solve's time and provenance to the JSON "
                         "or text report")
-    _add_output_args(p)
 
-    p = sub.add_parser("verify", help="sweep the catalog against the oracle")
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=["all", "fixed", "family"], default="all")
     _add_grid_args(p, points=10_000)
     p.add_argument("--digits", type=int, default=cat.DEFAULT_SWEEP_DIGITS,
                    help="starting digits of the fixed-point checks, doubled "
                         "where a margin lies within its error bound (at least 20)")
-    p.add_argument("--stats", action="store_true",
-                   help="add the monotone pieces, the fixed-point point "
+    _add_report_args(p, "add the monotone pieces, the fixed-point point "
                         "counts, the sweeps' time and provenance to the JSON "
                         "report")
-    _add_output_args(p)
 
-    p = sub.add_parser("dominance", help="which of two same-side bounds is tighter where")
+
+def _dominance_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound-a", type=_bound_arg, required=True, metavar="ID")
     p.add_argument("--bound-b", type=_bound_arg, required=True, metavar="ID")
     p.add_argument("--param-a", type=float, default=None)
@@ -218,21 +209,52 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p, points=2_000)
     # not an option: every verdict is exact, and its signs start here
     p.set_defaults(digits=cat.DEFAULT_SWEEP_DIGITS)
-    p.add_argument("--stats", action="store_true",
-                   help="add how the verdicts were reached, the report's "
+    _add_report_args(p, "add how the verdicts were reached, the report's "
                         "time and provenance to the JSON report")
-    _add_output_args(p)
 
-    p = sub.add_parser("profile", help="certified vs actual kernel error over a grid")
+
+def _profile_options(p: argparse.ArgumentParser) -> None:
     _add_grid_args(p, points=2_000)
     p.add_argument("--digits", type=int, default=cat.DEFAULT_DIGITS)
-    p.add_argument("--stats", action="store_true",
-                   help="add the rows measured in fixed point, those at extra "
+    _add_report_args(p, "add the rows measured in fixed point, those at extra "
                         "digits, the rows' time and provenance to the JSON or "
-                        "text report")
-    _add_output_args(p, rows=True)
+                        "text report", rows=True)
 
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    every later one in the process; parse_args keeps no state between calls."""
+    parser = argparse.ArgumentParser(
+        prog="arctan-bounds",
+        description="Certified closed-form bounds for arctan: evaluate, "
+                    "classify, verify, compare, and profile.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, add_options, _) in _COMMANDS.items():
+        add_options(sub.add_parser(command, help=help_text))
     return parser
+
+
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """One command's parser alone, built and shared as build_parser's is,
+    with the prog, options and messages of build_parser's for it."""
+    parser = argparse.ArgumentParser(prog=f"arctan-bounds {command}")
+    _COMMANDS[command][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]):
+    """argv's command and options, from the command's own parser where argv
+    starts with a command and leaves no argument over, else from
+    build_parser, whose help, errors and exit statuses they then are."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return argv[0], args
+    args = build_parser().parse_args(argv)
+    return args.command, args
 
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
@@ -446,22 +468,26 @@ def _cmd_profile(args) -> tuple[int, dict, str]:
     return 0, payload, text
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "enclose": _cmd_enclose,
-    "find-min": _cmd_find_min,
-    "verify": _cmd_verify,
-    "dominance": _cmd_dominance,
-    "profile": _cmd_profile,
+#: Each command's help line, the function that adds its options and its
+#: handler, in the order build_parser lists them.
+_COMMANDS = {
+    "eval": ("evaluate one catalog bound at a point", _eval_options, _cmd_eval),
+    "classify": ("monotonicity regime of a parameter", _classify_options, _cmd_classify),
+    "enclose": ("two-sided enclosure of arctan at a point", _enclose_options, _cmd_enclose),
+    "find-min": ("interior minimum of the family ratio", _find_min_options, _cmd_find_min),
+    "verify": ("sweep the catalog against the oracle", _verify_options, _cmd_verify),
+    "dominance": ("which of two same-side bounds is tighter where", _dominance_options,
+                  _cmd_dominance),
+    "profile": ("certified vs actual kernel error over a grid", _profile_options,
+                _cmd_profile),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(
+        command, args = _parse(
             _join_negative_values(sys.argv[1:] if argv is None else argv))
-        status, payload, text = _HANDLERS[args.command](args)
+        status, payload, text = _COMMANDS[command][2](args)
         if "stats" in payload:
             stats = payload["stats"]
             stats.update(package_version=__version__,

@@ -456,8 +456,7 @@ class _ExactPoints(dict):
                 else (cat.eval_bound_hp(self.bound, x, self.a, digits=digits),
                       _oracle_at(x, digits)))
             c, d, e = cat._fixed_consts(consts, self.a, digits)
-            x_hp = fp.FixedReal(x, digits)
-            u = (1 + x_hp * x_hp).sqrt()
+            u = cat._point_balls(x, digits)[1]
             return bound_hp - c * u * (d * u + e) / ((d + e * u) * (d + e * u)) * oracle_hp
 
         s = fp.refine(ball, point.bound_hp.digits, lambda v: abs(v.units) > v.err,

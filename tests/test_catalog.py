@@ -923,6 +923,37 @@ class TestUnitsForms:
                 assert got == _outcome(reference_eval_hp, bound, x, a, digits), \
                     (bound, a, x)
 
+    #: each shape row's parameter range, as _check_param admits it
+    SHAPE_PARAMS = {
+        B.FAMILY_LOWER: st.floats(0.0, 0.5), B.FAMILY_UPPER: st.floats(0.0, 0.5),
+        B.REVERSED_LOWER: st.floats(TWO_OVER_PI, 1e6),
+        B.REVERSED_UPPER: st.floats(TWO_OVER_PI, 1e6),
+        B.MID_REGIME_LOWER: st.floats(0.5, TWO_OVER_PI, exclude_min=True, exclude_max=True),
+        B.MID_REGIME_UPPER: st.floats(0.5, TWO_OVER_PI, exclude_min=True, exclude_max=True),
+    }
+
+    @given(x=st.floats(min_value=5e-324, max_value=DBL_MAX), digits=st.integers(20, 120),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shape_rows_at_a_point_match_fresh_balls(self, x, digits, data):
+        # every shape row evaluated at one (x, digits) reads the balls of x
+        # and u = sqrt(1 + x^2) built once for the point, and must give the
+        # closed form on balls built afresh, in units and radius alike
+        def ball(evaluate, bound, a):
+            try:
+                value = evaluate(bound, x, a, digits)
+                return value.units, value.err
+            except (ArctanBoundsError, ArithmeticError) as exc:
+                return type(exc), str(exc)
+
+        for bound, info in catalog._CATALOG.items():
+            if info.consts is None:
+                continue
+            a = None if info.param is None else data.draw(self.SHAPE_PARAMS[bound],
+                                                          label=bound.value)
+            assert ball(eval_bound_hp, bound, a) == ball(reference_eval_hp, bound, a), \
+                (bound, a)
+
     def test_errors_equal_to_reference(self):
         cases = [(B.SHAFER_LOWER, x, None, 50) for x in (0.0, -1.0, math.inf, math.nan)]
         cases += [(B.SHAFER_LOWER, 1.0, None, d) for d in (0, -3)]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arctanbounds
 from arctanbounds import catalog as cat
@@ -412,10 +416,13 @@ class TestErrors:
 
 
 #: Runs each command line of the JSON list in argv[1] through one process's
-#: cli.main and prints [status, stdout, stderr] for each, as JSON.
+#: cli.main and prints [status, stdout, stderr] for each, as JSON; with
+#: "full" in argv[2], main reads every command line with build_parser.
 CLI_SEQUENCE = """
 import contextlib, io, json, sys
 from arctanbounds import cli
+if sys.argv[2:] == ["full"]:
+    cli._parse = lambda argv: ((args := cli.build_parser().parse_args(argv)).command, args)
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -429,9 +436,10 @@ print(json.dumps(results))
 """
 
 
-def run_in_fresh_process(argvs):
+def run_in_fresh_process(argvs, full_parser=False):
     env = dict(os.environ, PYTHONPATH=str(Path(arctanbounds.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", CLI_SEQUENCE, json.dumps(argvs)],
+    mode = ["full"] if full_parser else []
+    result = subprocess.run([sys.executable, "-c", CLI_SEQUENCE, json.dumps(argvs), *mode],
                             capture_output=True, text=True, check=True, env=env)
     return json.loads(result.stdout)
 
@@ -452,6 +460,12 @@ class TestReusedParser:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    def test_command_parsers_are_built_once(self):
+        for command in COMMANDS:
+            parser = cli._command_parser(command)
+            assert parser is cli._command_parser(command)
+            assert parser.prog == f"arctan-bounds {command}"
+
     def test_no_state_between_calls(self):
         # each command after the first reuses the parser of a command that
         # set what it leaves unset, and must print what it prints alone
@@ -465,12 +479,127 @@ class TestReusedParser:
             ["eval", "--bound", "nonsense", "--x", "1"],
             ["classify", "--a"],
             ["classify", "--a", "0.6"],
+            # left over: read by the full parser, then by classify's again
+            ["classify", "--a", "0.6", "0.7"],
+            ["classify", "--a", "0.7", "--stats", "--format", "json"],
         ]
         together = run_in_fresh_process(argvs)
         alone = [run_in_fresh_process([argv])[0] for argv in argvs]
-        assert [code for code, _, _ in together] == [0, 0, 0, 0, 2, 2, 0]
+        assert [code for code, _, _ in together] == [0, 0, 0, 0, 2, 2, 0, 2, 0]
         assert [without_times(r) for r in together] == [without_times(r) for r in alone]
         assert '"a": null' in together[1][1] and '"stats"' not in together[3][1]
+
+
+COMMANDS = ["eval", "classify", "enclose", "find-min", "verify", "dominance", "profile"]
+
+#: Command lines of each command that its own parser and build_parser's must
+#: read alike: one that runs, a missing required option or value, a bad
+#: float and arguments left over; PARITY_CASES adds -h, a bad choice, a word
+#: after the line that runs and an option before it.
+PARITY_ARGVS = {
+    "eval": [["eval", "--bound", "family-upper", "--x", "2", "--a", "0.3", "--digits", "40",
+              "--format", "json"],
+             ["eval", "--x", "1"], ["eval", "--bound", "shafer-lower", "--x", "abc"],
+             ["eval", "--bound", "shafer-lower", "--x", "1", "--digits", "50", "60"]],
+    "classify": [["classify", "--a", "-1e-5", "--stats", "--format", "json"],
+                 ["classify"], ["classify", "--a", "abc"], ["classify", "--a", "0.6", "x"]],
+    "enclose": [["enclose", "--a", "0.5", "--x", "1", "--stats", "--format", "json"],
+                ["enclose", "--a", "0.5"], ["enclose", "--a", "0.5", "--x", "1e"],
+                ["enclose", "--a", "0.5", "--x", "1", "--", "2"]],
+    "find-min": [["find-min", "--a", "0.6", "--format", "json"],
+                 ["find-min", "--a"], ["find-min", "--a", "0..6"],
+                 ["find-min", "--a", "0.6", "--bogus"]],
+    "verify": [["verify", "--suite", "fixed", "--grid-points", "50", "--stats",
+                "--format", "json"],
+               ["verify", "--digits"], ["verify", "--grid-min", "abc"], ["verify", "fixed"]],
+    "dominance": [["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
+                   "--grid-points", "50", "--stats", "--format", "json"],
+                  ["dominance", "--bound-a", "shafer-lower"],
+                  ["dominance", "--bound-a", "family-lower", "--bound-b", "shafer-lower",
+                   "--param-a", "abc"],
+                  ["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
+                   "--grid-points", "50", "--digits", "50"]],
+    "profile": [["profile", "--grid-points", "20", "--format", "csv"],
+                ["profile", "--output"], ["profile", "--grid-max", "1e8e"],
+                ["profile", "--grid-points", "20", "--format", "csv", "--stats", "extra"]],
+}
+PARITY_CASES = {command: argvs + [[command, "-h"], [command, "--format", "xml"],
+                                  argvs[0] + ["extra"], ["--stats", *argvs[0]]]
+                for command, argvs in PARITY_ARGVS.items()}
+
+#: Options, values and words that drawn command lines are made of.
+PARITY_TOKENS = ["--a", "0.6", "-1e-5", "--x", "2", "abc", "--bound", "--bound-a",
+                 "--bound-b", "shafer-lower", "two-over-pi-lower", "--param-a", "--suite",
+                 "fixed", "--grid-points", "3", "--grid-min", "--grid-spacing", "--digits",
+                 "--format", "json", "csv", "--stats", "--output", "-h", "--", "--st",
+                 "--a=0.5", "-x", "verify"]
+
+
+class TestCommandParsers:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_command_reads_as_the_full_parser(self, command):
+        # exit status, stdout and stderr, help and usage errors included,
+        # are those of build_parser for every command line
+        argvs = PARITY_CASES[command]
+        own = run_in_fresh_process(argvs)
+        full = run_in_fresh_process(argvs, full_parser=True)
+        assert [without_times(r) for r in own] == [without_times(r) for r in full]
+        codes = [code for code, _, _ in own]
+        assert codes[0] == 0 and codes[-4:] == [0, 2, 2, 2] and set(codes[1:-4]) == {2}
+        assert own[-4][1].startswith(f"usage: arctan-bounds {command} [-h]")
+        assert own[-2][2].endswith("arctan-bounds: error: unrecognized arguments: extra\n")
+        assert own[-1][2].endswith("arctan-bounds: error: unrecognized arguments: --stats\n")
+
+    def test_a_cold_command_builds_one_parser(self):
+        probe = """
+import argparse, contextlib, io
+from arctanbounds import cli
+progs, init = [], argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    progs.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--suite", "fixed", "--grid-points", "20"]) == 0
+    assert cli.main(["verify", "--suite", "fixed", "--grid-points", "30"]) == 0
+print(progs)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(arctanbounds.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True, env=env)
+        assert result.stdout == "['arctan-bounds verify']\n"
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        for command in COMMANDS:
+            assert re.search(rf"^    {command} +\S", out, re.MULTILINE), command
+
+    @given(st.lists(st.sampled_from(PARITY_TOKENS), max_size=8), st.sampled_from(
+        COMMANDS + ["", "ver", "-h", "--stats"]))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_command_lines_parse_as_the_full_parser(self, tokens, first):
+        # each drawn line gives the namespace build_parser gives it, or
+        # exits with the same status, stdout and stderr
+        argv = cli._join_negative_values(([first] if first else []) + tokens)
+
+        def outcome(parse):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    command, args = parse(argv)
+                except SystemExit as exc:
+                    return exc.code, out.getvalue(), err.getvalue()
+            return command, {k: v for k, v in vars(args).items() if k != "command"}
+
+        def full(argv):
+            args = cli.build_parser().parse_args(argv)
+            return args.command, args
+
+        assert outcome(cli._parse) == outcome(full)
 
 
 class TestHandlerModules:

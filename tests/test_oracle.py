@@ -426,7 +426,8 @@ def _ball(bound, a, x, digits):
     x_hp = FixedReal(Fraction(x), digits)
     if x_hp.units == 0:
         raise PrecisionError("zero units")
-    return arctanbounds.catalog._fixed_fn(info.form, info.consts, a, digits)(x_hp)
+    balls = (x_hp,) if info.consts is None else (x_hp, (1 + x_hp * x_hp).sqrt())
+    return arctanbounds.catalog._fixed_fn(info.form, info.consts, a, digits)(*balls)
 
 
 def exact_sign(bound_a, a_a, bound_b, a_b, x, digits):

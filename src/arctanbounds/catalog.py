@@ -216,9 +216,14 @@ class _BoundInfo:
     # comparison polynomials of dominance reports (algebra.py) are built on it
     rational: Optional[tuple] = None
     # the margin rises on all of (0, inf): a one-off's, by its derivative
-    # certificate, or a shape row's whose slope polynomial Q is a square for
-    # every parameter, (u - 1)^2 / 4 for Shafer's and ((1 - 2a^2) u - a)^2
-    # for mid-regime-lower's; a sweep reads it as one rising run
+    # certificate, or a shape row's whose slope polynomial Q, negated for an
+    # upper bound, is >= 0 on u >= 1 over the whole certified range: a
+    # square, (u - 1)^2 / 4 for Shafer's and ((1 - 2a^2) u - a)^2 for
+    # mid-regime-lower's, or Q(1 + v) with coefficients of one sign, which
+    # by Descartes' rule has no root v > 0: (0, (1 - 2a)(1 + a), 1 - a - a^2)
+    # for c = 1 + a (family-lower, all >= 0; reversed-upper, all <= 0; and
+    # half-angle-upper, its a = 1), and (0, pi^2 - 2 pi - 8, pi^2 - 2 pi - 4)
+    # for two-over-pi-upper; a sweep reads it as one rising run
     rises: bool = False
 
 
@@ -226,7 +231,7 @@ _CATALOG: dict[BoundId, _BoundInfo] = {
     BoundId.SHAFER_LOWER: _BoundInfo(
         "lower", lambda a, pi: (1.5, 0.5, 1), rises=True),
     BoundId.HALF_ANGLE_UPPER: _BoundInfo(
-        "upper", lambda a, pi: (2, 1, 1)),
+        "upper", lambda a, pi: (2, 1, 1), rises=True),
     BoundId.RATIO_LOWER: _BoundInfo(
         "lower", form=lambda x: x / (1 + x * x), rational=((1,), (0, 0, 1)),
         rises=True),
@@ -241,13 +246,13 @@ _CATALOG: dict[BoundId, _BoundInfo] = {
     BoundId.LOG_UPPER: _BoundInfo(
         "upper", form=lambda x: (1 + x) * (1 + x).log(), rises=True),
     BoundId.FAMILY_LOWER: _BoundInfo(
-        "lower", lambda a, pi: (1 + a, a, 1), param=FAMILY_RANGE),
+        "lower", lambda a, pi: (1 + a, a, 1), param=FAMILY_RANGE, rises=True),
     BoundId.FAMILY_UPPER: _BoundInfo(
         "upper", lambda a, pi: (pi / 2, a, 1), param=FAMILY_RANGE),
     BoundId.REVERSED_LOWER: _BoundInfo(
         "lower", lambda a, pi: (pi / 2, a, 1), param=REVERSED_RANGE),
     BoundId.REVERSED_UPPER: _BoundInfo(
-        "upper", lambda a, pi: (1 + a, a, 1), param=REVERSED_RANGE),
+        "upper", lambda a, pi: (1 + a, a, 1), param=REVERSED_RANGE, rises=True),
     BoundId.MID_REGIME_LOWER: _BoundInfo(
         "lower", lambda a, pi: (4 * a * (1 - a * a), a, 1),
         param=MID_REGIME_RANGE, rises=True),
@@ -258,7 +263,7 @@ _CATALOG: dict[BoundId, _BoundInfo] = {
     BoundId.TWO_OVER_PI_LOWER: _BoundInfo(
         "lower", lambda a, pi: (pi * pi, 4, 2 * pi)),
     BoundId.TWO_OVER_PI_UPPER: _BoundInfo(
-        "upper", lambda a, pi: (pi + 2, 2, pi)),
+        "upper", lambda a, pi: (pi + 2, 2, pi), rises=True),
     # the errata entry is *claimed* as a lower bound; sweeping it on that side
     # tests the claim that was actually made (and finds it false)
     BoundId.TWO_OVER_PI_LOWER_ERRATA: _BoundInfo(

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -165,33 +163,35 @@ def _positive_roots(c0: int, c1: int, c2: int) -> list[tuple[tuple, tuple, bool]
     return brackets
 
 
-def sign_runs(low: list[int], high: list[int], xs: Sequence[float]
+def sign_runs(low: list[int], high: list[int], n: int, cut
               ) -> list[tuple[int, int, int]]:
-    """(start, stop, sign) in order, covering the positive doubles xs in
-    increasing order, for the quadratics T(v) = sum(t[k] v**k) between the
-    integer ones low and high, coefficients from v^0, at v = sqrt(1 + x^2)
-    - 1: every such T has the sign +-1 on the hull of the points
-    start..stop-1, or the sign is 0 where low <= 0 <= high leaves it open.
-    T is positive where low is and negative where high is.  The bracket of
-    each root of low and high holds the points from the double next above
-    its lower end to that next below its upper end (x_of), and the points
-    outside every bracket and on one side of each have low's and high's
-    signs at 0+, changed at each root below them where the sign changes."""
-    marks = []      # (first double in, last double in, changes, of high)
+    """(start, stop, sign) in order, covering the indices 0..n-1 of positive
+    doubles in increasing order, for the quadratics T(v) = sum(t[k] v**k)
+    between the integer ones low and high, coefficients from v^0, at
+    v = sqrt(1 + x^2) - 1: every such T has the sign +-1 on the hull of the
+    points start..stop-1, or the sign is 0 where low <= 0 <= high leaves it
+    open.  The points are read through cut(t, right), the index of the
+    first point above the double t (right) or at least t.  T is positive
+    where low is and negative where high is.  The bracket of each root of
+    low and high holds the points from the double next above its lower end
+    to that next below its upper end (x_of), and the points outside every
+    bracket and on one side of each have low's and high's signs at 0+,
+    changed at each root below them where the sign changes."""
+    marks = []      # (first index in, first index past, changes, of high)
     for poly, is_high in ((low, False), (high, True)):
         for lo, hi, changes in _positive_roots(*poly):
-            marks.append((x_of(*lo, up=True), x_of(*hi, up=False), changes, is_high))
+            marks.append((cut(x_of(*lo, up=True), False), cut(x_of(*hi, up=False), True),
+                          changes, is_high))
     at_zero = [next((1 if k > 0 else -1 for k in poly if k), 0) for poly in (low, high)]
-    cuts = sorted({0, len(xs), *(bisect_left(xs, m[0]) for m in marks),
-                   *(bisect_right(xs, m[1]) for m in marks)})
+    cuts = sorted({0, n, *(m[0] for m in marks), *(m[1] for m in marks)})
     runs = []
     for start, stop in zip(cuts, cuts[1:]):
-        x, signs = xs[start], at_zero[:]
-        for first, last, changes, is_high in marks:
-            if first <= x <= last:
+        signs = at_zero[:]
+        for first, past, changes, is_high in marks:
+            if first <= start < past:
                 signs = [0, 0]
                 break
-            if x > last and changes:
+            if start >= past and changes:
                 signs[is_high] = -signs[is_high]
         runs.append((start, stop, 1 if signs[0] > 0 else -1 if signs[1] < 0 else 0))
     return runs

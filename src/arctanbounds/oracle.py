@@ -10,8 +10,10 @@ verdict is the true one at the exact double x, and it comes from the
 monotone pieces of the margin M (arctan minus the bound for a lower bound,
 the bound minus arctan for an upper one; positive where the bound holds).
 M rises on all of (0, inf) for a row the catalog marks rises: a one-off,
-or a shape row whose slope polynomial Q (below) is a square.  Another
-shape row's M' has the sign of +-Q(u), u = sqrt(1 + x^2),
+or a shape row whose slope polynomial Q (below), negated for an upper
+bound, is a square or, at v = u - 1, has coefficients of one sign and so
+no root v > 0 (Descartes' rule of signs).  Another shape row's M' has
+the sign of +-Q(u), u = sqrt(1 + x^2),
 Q(u) = (d + e u)^2 - c u (d u + e), and for v = u - 1 >= 0 Q(1 + v) lies
 between two integer quadratics built from the balls of c, d and e at the
 sweep's digits (interval arithmetic; Moore, Kearfott and Cloud, 2009):
@@ -19,8 +21,11 @@ Q > 0 where the lower one is positive, Q < 0 where the upper one is
 negative.  The brackets of their roots, from math.isqrt and mapped exactly
 to doubles of x, cut the grid into runs of one sign of Q, and runs where
 the balls leave it open; the digits double until each of those holds one
-double (see _monotone_pieces).  No root of Q is isolated, and a cut where
-Q keeps its sign only splits a monotone run in two.  The grid is cut again
+double (see _monotone_pieces).  A cut, the first grid point at or above a
+double, is read from the inverse of the grid's closed form and corrected
+against its points (_cut), with no search of the grid.  No root of Q is
+isolated, and a cut where Q keeps its sign only splits a monotone run in
+two.  The grid is cut again
 at x = 1, where the reported margin changes (below).  M is evaluated in
 fixed point (``eval_bound_hp`` against the oracle's ball), decided where
 the centres lie further apart than the two radii, at the sweep's digits or
@@ -29,8 +34,8 @@ ends, where the points that raise an error lie, then on each piece at its
 near end, where M is smallest (its first point where M rises, its last
 where M falls).  Where M holds there, it holds on the whole piece, whose
 other end is not evaluated.  Otherwise its violations are one run at one
-end, found from the ends' signs and by bisection between them; a
-violation's bound is computed again only when listed.
+end, found from the ends' signs and by bisection between them, and kept
+as that run; a violation's bound is computed again only when listed.
 
 The smallest reported margin of a piece lies at an end for x <= 1, and
 above it where M > 0 falls or M <= 0 rises, since arctan rises; on a
@@ -55,14 +60,13 @@ lies within its point's two radii of the smallest exact margin.
 A dominance report gives every grid point the exact sign of the difference
 of two bounds.  For two rows without a log it is the sign of a polynomial
 P in u with coefficients in Q[pi] (see :mod:`arctanbounds.algebra`): the
-brackets of its roots cut the grid, which is read by bisection with no
-fixed-point evaluation, and a crossover is the double nearest a root where
-the sign changes.  A pair with a log row has the sign of an h with
-h(0+) = 0, monotone between the roots of algebra.log_pair_polynomial: the
-first piece takes h's sign at its last grid point, every other the signs
-at its ends and by bisection between them, decided on the two rows'
-fixed-point balls, as are the crossovers, bisected on the bit patterns to a
-relative width of 1e-13.
+brackets of its roots cut the grid, with no fixed-point evaluation, and
+a crossover is the double nearest a root where the sign changes.  A pair
+with a log row has the sign of an h with h(0+) = 0, monotone between the
+roots of algebra.log_pair_polynomial: the first piece takes h's sign at
+its last grid point, every other the signs at its ends and by bisection
+between them, decided on the two rows' fixed-point balls, as are the
+crossovers, bisected on the bit patterns to a relative width of 1e-13.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -80,7 +84,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import chain, islice
 from typing import NamedTuple, Optional
 
 from . import catalog as cat
@@ -141,11 +146,14 @@ class GridSpec:
         steps x_min/2 + (x_max/2 - x_min/2) (i / (n - 1)), doubled and
         clamped to [x_min, x_max]; x_min and x_max are its ends.  A linear
         grid is sorted by construction, each step being a monotone
-        rounding, and so is a log grid whose log-step exceeds 2**-30 and
-        whose x_min is normal: adjacent points then differ by 2**21 ulps or
-        more, which no exp that errs by less reorders.  Any other log grid
-        is built whole, as a tuple, sorted where its rounded points come out
-        of order; dominance reads a grid by bisection."""
+        rounding, and so is a log grid whose x_min is normal and whose
+        log-step exceeds 2**-47 (span + |log| + 1), |log| the larger of
+        |log x_min| and |log x_max|: the points' logs then lie within a
+        sixteenth of a step of their exact values (see _grid_values).  Any
+        other log grid is built whole, as a tuple, sorted where its rounded
+        points come out of order.  A sweep or dominance report cuts a grid
+        where its points pass a value (_cut): an indexed grid from the
+        inverse of its closed form, a tuple by bisection."""
         return _grid_values(self)
 
     def to_json_dict(self) -> dict:
@@ -153,15 +161,21 @@ class GridSpec:
                 "points": self.points, "spacing": self.spacing}
 
 
+#: The steps from its closed form's guess within which a cut of an indexed
+#: grid is sought.
+_WALK = 2
+
+
 class _GridPoints(Sequence):
     """A grid's points, sorted by construction, each computed by point(i)
-    when read; the ends are x_min and x_max."""
+    when read; the ends are x_min and x_max.  index(t) is the inverse of the
+    closed form, the real i at which it passes t."""
 
-    __slots__ = ("_n", "_last", "_ends", "_point")
+    __slots__ = ("_n", "_last", "_ends", "_point", "_index")
 
-    def __init__(self, grid: GridSpec, point):
+    def __init__(self, grid: GridSpec, point, index):
         self._n, self._last = grid.points, grid.points - 1
-        self._ends, self._point = (grid.x_min, grid.x_max), point
+        self._ends, self._point, self._index = (grid.x_min, grid.x_max), point, index
 
     def __len__(self) -> int:
         return self._n
@@ -184,6 +198,33 @@ class _GridPoints(Sequence):
         yield from map(self._point, range(1, self._n - 1))
         yield self._ends[1]
 
+    def cut(self, t: float, right: bool) -> int:
+        """bisect_right(self, t) with right, else bisect_left(self, t): the
+        index of the first point above t, or at least t.  Read from index(t)
+        and bisected within _WALK steps of it, where the points on either
+        side of that window bracket t; only a grid whose rounded points
+        repeat (a linear one with steps below an ulp) is bisected whole."""
+        before = operator.le if right else operator.lt     # a point before the cut
+        if not before(self._ends[0], t):
+            return 0
+        if before(self._ends[1], t):
+            return self._n
+        # the cut lies in [1, last]: the point before it is before t, its own is not
+        k = min(max(math.ceil(self._index(t)), 1), self._last)
+        lo, hi = max(k - _WALK, 1), min(k + _WALK, self._last)
+        find = bisect_right if right else bisect_left
+        if before(self[lo - 1], t) and not before(self[hi], t):
+            return find(self, t, lo, hi)
+        return find(self, t, 1, self._last)
+
+
+def _cut(xs: Sequence[float], t: float, right: bool = False) -> int:
+    """bisect_right(xs, t) with right, else bisect_left(xs, t), for a grid's
+    points xs: by _GridPoints.cut where they are indexed."""
+    if type(xs) is _GridPoints:
+        return xs.cut(t, right)
+    return (bisect_right if right else bisect_left)(xs, t)
+
 
 @lru_cache(maxsize=32)
 def _grid_values(grid: GridSpec) -> Sequence[float]:
@@ -192,11 +233,24 @@ def _grid_values(grid: GridSpec) -> Sequence[float]:
         # halves keep hi/2 - lo/2 finite for any finite ends, every step is
         # monotone in i, and the clamp holds each point in [x_min, x_max]
         half = hi / 2 - lo / 2
-        return _GridPoints(grid, lambda i: min(max(2 * (lo / 2 + half * (i / last)), lo), hi))
-    log_lo, exp = math.log(lo), math.exp
-    span = math.log(hi) - log_lo
-    points = _GridPoints(grid, lambda i: exp(log_lo + span * i / last))
-    if span / last > 2.0 ** -30 and lo >= sys.float_info.min:
+        return _GridPoints(grid, lambda i: min(max(2 * (lo / 2 + half * (i / last)), lo), hi),
+                           lambda t: (t / 2 - lo / 2) / half * last if half else 1.0)
+    log, exp = math.log, math.exp
+    log_lo, log_hi = log(lo), log(hi)
+    span = log_hi - log_lo
+    points = _GridPoints(grid, lambda i: exp(log_lo + span * i / last),
+                         lambda t: (log(t) - log_lo) * last / span)
+    # Each rounding errs by at most 2**-53 relatively, and log and exp by an
+    # ulp.  So log_lo + span i / last, whose exact line is log_lo + S i / n
+    # (S = span, n = last), errs by at most 2**-52 S (the product and the
+    # quotient) + 2**-53 L (the sum, L = max(|log_lo|, |log_hi|)); exp of it
+    # by a relative 2**-52 where x_min is normal, 2**-51 in log; and the ends
+    # lie within 2**-52 (L + S) of theirs.  Each point's log is within
+    # r = 2**-51 (S + L + 1) of the line, so points a step S/n > 16 r
+    # apart keep their order, and the closed form's inverse, which errs
+    # by as little, lands within a fraction of a step of each cut.
+    if lo >= sys.float_info.min and span / last > 2.0 ** -47 * (
+            span + max(abs(log_lo), abs(log_hi)) + 1):
         return points
     # on a range of a few ulps a rounded inner point can fall below x_min or
     # out of order
@@ -269,12 +323,13 @@ def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
 class SweepReport:
     """Outcome of checking one bound against the oracle over a grid.
 
-    violation_at holds, in grid order, the index of every grid point with a
-    non-positive exact margin; the report is clean iff it is empty iff
-    min_margin > 0.  violations lists (x, bound, oracle) for them, the
-    doubles of the fixed-point centres, and violations_listed(n) the first n
-    of them; the fixed-point bound is computed when the listing is read, and
-    only for the violations listed.
+    violation_runs holds, in grid order, the runs of indices (ranges) of
+    the grid points with a non-positive exact margin, at most one a piece;
+    the report is clean iff it is empty iff min_margin > 0.
+    violation_count counts their points, violations lists (x, bound,
+    oracle) for them, the doubles of the fixed-point centres, and
+    violations_listed(n) the first n of them; the fixed-point bound is
+    computed when the listing is read, and only for the violations listed.
     pieces counts the grid's runs on which the margin is monotone (see
     sweep) and escalated the grid points at which the sweep evaluated the
     bound in fixed point: the grid's ends, the near end of each piece and
@@ -288,7 +343,7 @@ class SweepReport:
     side: str
     grid: GridSpec
     digits: int
-    violation_at: tuple[int, ...]
+    violation_runs: tuple[range, ...]
     min_margin: float
     min_margin_x: float
     escalated: int
@@ -296,18 +351,18 @@ class SweepReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violation_at
+        return not self.violation_runs
 
     @property
     def violation_count(self) -> int:
-        return len(self.violation_at)
+        return sum(map(len, self.violation_runs))
 
     def violations_listed(self, limit: Optional[int] = None
                           ) -> list[tuple[float, float, float]]:
         """(x, bound, oracle) for the first `limit` violations, all if None."""
         xs = self.grid.values()
         listed = []
-        for i in self.violation_at[:limit]:
+        for i in islice(chain.from_iterable(self.violation_runs), limit):
             listed.append((xs[i], *_exact_point(self.bound, self.a, self.side, xs[i],
                                                 self.digits)[:2]))
         return listed
@@ -342,21 +397,24 @@ def _monotone_pieces(bound: cat.BoundId, a: Optional[float], xs: Sequence[float]
     """(start, stop, slope) in order, covering the grid xs of a bound at a
     checked parameter: its exact margin M rises (slope 1) or falls (-1) on
     the points start..stop-1, or they share one double (slope 0).  A row
-    the catalog marks rises (the one-offs, Shafer's, whose Q is
-    (u - 1)^2 / 4, and mid-regime-lower's, ((1 - 2a^2) u - a)^2) is one
-    rising run.  Another shape row's M' has the sign of Q
-    (algebra.slope_polynomial), negated for an upper bound, read by
-    fixedpoint.sign_runs from catalog._slope_bounds at `digits`, twice them
-    and so on (fixedpoint.refine) until the points where the balls leave
-    Q's sign open share one double in each run: the stretches around Q's
-    zeros that no ball resolves (A = 0 for two-over-pi-lower, Q(1) = 0
-    where c = d + e) shrink to x = 0 or to infinity."""
+    the catalog marks rises (the one-offs, and the shape rows whose Q,
+    negated for an upper bound, is a square or has coefficients >= 0 at
+    u = 1 + v; see catalog._BoundInfo) is one rising run.  Another shape
+    row's M' has the sign of Q (algebra.slope_polynomial),
+    negated for an upper bound, read by fixedpoint.sign_runs from
+    catalog._slope_bounds at `digits`, twice them and so on
+    (fixedpoint.refine) until the points where the balls leave Q's sign
+    open share one double in each run: the stretches around Q's zeros
+    that no ball resolves (A = 0 for two-over-pi-lower, Q(1) = 0 for
+    mid-regime-upper where c = 1 + a = d + e) shrink to x = 0 or to
+    infinity.  sign_runs reads the grid through its cuts (_cut)."""
     info = cat._CATALOG[bound]
     if info.rises:
         return [(0, len(xs), 1)]
     side = 1 if info.side == "lower" else -1
     runs = fp.refine(
-        lambda d: fp.sign_runs(*cat._slope_bounds(info.consts, a, d), xs), digits,
+        lambda d: fp.sign_runs(*cat._slope_bounds(info.consts, a, d), len(xs),
+                               partial(_cut, xs)), digits,
         lambda runs: all(xs[i] == xs[j - 1] for i, j, sign in runs if not sign),
         lambda: f"{bound.value}: the sign of its margin's slope")
     return [(i, j, side * sign) for i, j, sign in runs]
@@ -523,7 +581,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     xs = grid.values()
     cat._check_x(xs[0])     # the smallest point
     # the monotone pieces, cut again at x = 1, where the reported margin changes
-    one = bisect_right(xs, 1.0)
+    one = _cut(xs, 1.0, right=True)
     pieces = [(lo, hi, slope)
               for start, stop, slope in _monotone_pieces(bound, a, xs, digits)
               for lo, hi in ((start, min(stop, one)), (max(start, one), stop)) if lo < hi]
@@ -543,8 +601,8 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         else:
             split, first_holds, last_holds = _split(start, stop, lambda i: exact[i].holds)
         for lo, hi, holds in ((start, split, first_holds), (split, stop, last_holds)):
-            if not holds:
-                violated.extend(range(lo, hi))
+            if not holds and lo < hi:
+                violated.append(range(lo, hi))
         # the run of the smallest margins: the violated one, if any
         lo, hi, positive = ((start, split, False) if not first_holds else
                             (split, stop, False) if not last_holds else
@@ -579,7 +637,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     first = min(tied) if len(tied) == 1 else min(
         tied, key=lambda i: (exact.fixed_margin(i), i))
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
-                       violation_at=tuple(violated),
+                       violation_runs=tuple(violated),
                        min_margin=exact[first].margin, min_margin_x=xs[first],
                        escalated=len(exact), pieces=len(pieces))
 
@@ -725,9 +783,9 @@ def _regions(runs, xs: Sequence[float], tighter: int) -> dict:
 
 def _algebraic_signs(comparison, xs: Sequence[float], tighter: int) -> dict:
     """The report's fields from the sign of P: each run of grid points
-    between two edges has one sign, found by bisect, with no pass over the
+    between two edges has one sign, found by _cut, with no pass over the
     grid."""
-    cuts = [0, *(bisect_right(xs, edge) for edge in comparison.edges), len(xs)]
+    cuts = [0, *(_cut(xs, edge, right=True) for edge in comparison.edges), len(xs)]
     x_min, x_max = xs[0], xs[-1]
     ends = {end for bracket in comparison.brackets for end in bracket}
     return dict(
@@ -736,7 +794,7 @@ def _algebraic_signs(comparison, xs: Sequence[float], tighter: int) -> dict:
                     if x_min <= lo and hi <= x_max and x_min < c < x_max],
         method="algebra", degree=comparison.degree,
         brackets=tuple(comparison.brackets),
-        bracket_points=sum(bisect_right(xs, e) - bisect_left(xs, e) for e in ends),
+        bracket_points=sum(_cut(xs, e, right=True) - _cut(xs, e) for e in ends),
         pi_digits=comparison.pi_digits)
 
 
@@ -761,7 +819,7 @@ def _log_pair_signs(comparison, bound_a: cat.BoundId, bound_b: cat.BoundId,
         return 1 if ball_a.units > ball_b.units else -1
 
     sign, steps = lru_cache(maxsize=None)(lambda i: sign_at(xs[i])), []
-    cuts = [0, *(bisect_right(xs, lo) for lo, _ in comparison.brackets), len(xs)]
+    cuts = [0, *(_cut(xs, lo, right=True) for lo, _ in comparison.brackets), len(xs)]
     runs = []
     for k, (start, stop) in enumerate(zip(cuts, cuts[1:])):
         if start < stop:

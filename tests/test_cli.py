@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -720,6 +721,38 @@ class TestOneOutputPath:
             assert out == json.dumps(strict_json(out), indent=2) + "\n"
 
 
+DBL_MAX = 1.7976931348623157e308
+
+#: json.dumps' leaves: ints past 2**63 and the floats it writes unlike
+#: repr, and strings with escapes, control and non-ASCII characters.
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 63, 2 ** 200).map(lambda k: -k),
+    st.integers(2 ** 63, 2 ** 200), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e16, DBL_MAX, math.nan, math.inf, -math.inf]),
+    st.text(), st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600a')))
+#: Keys of every type json.dumps writes, str or not.
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(allow_nan=True), st.booleans(),
+                      st.none())
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=25))
+    def test_json_text_matches_json_dumps(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("payload", [
+        {"x": {1, 2}}, [b"bytes"], {"c": 1j}, [object()], {(1, 2): 0}, {b"k": 0},
+        [type("Shown", (), {"__str__": lambda self: "1", "__repr__": lambda self: "1"})()]])
+    def test_types_json_rejects_raise_type_error(self, payload):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            cli._json_text(payload)
+
+
 class TestVerify:
     def test_suite_passes_and_flags_errata(self, capsys):
         code, out, _ = run(capsys, VERIFY_ARGS)
@@ -874,18 +907,40 @@ class TestVerify:
 
     def test_default_suite_budget(self, capsys, monkeypatch):
         # the bound is evaluated in fixed point at 97 grid points of the
-        # default suite's 300,000 checks, and no row marked rises reads the
-        # slope polynomial's balls
-        consts = []
+        # default suite's 300,000 checks, and the slope polynomial's balls
+        # are read for exactly the 12 entries not marked rises
+        read = set()
         slope_bounds = cat._slope_bounds
         monkeypatch.setattr(cat, "_slope_bounds", lambda *args: (
-            consts.append(args[0]) or slope_bounds(*args)))
+            read.add(args[:2]) or slope_bounds(*args)))
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json",
                                     "--stats"])
         assert code == 0
         assert strict_json(out)["stats"]["escalated"] <= 97
-        rising = {info.consts for info in cat._CATALOG.values() if info.rises}
-        assert consts and not rising.intersection(consts)
+        swept = {(cat._CATALOG[bound].consts, a) for bound, a in cli._suite_entries("all")
+                 if not cat._CATALOG[bound].rises}
+        assert read == swept and len(swept) == 12
+
+    def test_a_million_point_suite_keeps_its_violations_as_runs(self, capsys):
+        # the errata is violated at each of 10**6 points, kept as one run
+        # and listed for its first 25; the grid's points are computed where
+        # read
+        grid = orc.GridSpec(1e-8, 1e8, 10 ** 6, "log")
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, ["verify", "--suite", "fixed", "--grid-points",
+                                        str(grid.points), "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1 << 20
+        errata = next(e for e in strict_json(out)["results"]
+                      if e["bound"] == "two-over-pi-lower-errata")
+        assert errata["violation_count"] == 10 ** 6
+        bound = cat.BoundId.TWO_OVER_PI_LOWER_ERRATA
+        assert errata["violations"] == [
+            {"x": x, "bound": float(cat.eval_bound_hp(bound, x, digits=50)),
+             "oracle": float(orc.oracle_arctan(x, 50))} for x in grid.values()[:25]]
 
     def test_tiny_to_large_grid(self, capsys):
         # x = 1e-60 is zero units at 50 digits; such points are evaluated

@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arctanbounds.catalog
@@ -32,6 +33,7 @@ from arctanbounds import (
 )
 from arctanbounds.catalog import bound_side
 from arctanbounds import cli
+from arctanbounds import oracle as orc
 from arctanbounds.cli import _suite_entries
 from arctanbounds.fixedpoint import FixedReal, _bisect_crossover
 
@@ -150,10 +152,14 @@ class TestGridSpec:
                 with pytest.raises(IndexError):
                     xs[i]
 
-    def test_a_million_point_sweep_builds_no_grid(self):
+    @pytest.mark.parametrize("grid", [
+        GridSpec(1e-8, 1e8, 10 ** 6, "log"),
+        # a log-step of 1e-10, below 2**-30, on a range of 1e-4
+        GridSpec(1.0, 1.0001, 10 ** 6, "log"),
+    ], ids=["wide", "dense"])
+    def test_a_million_point_sweep_builds_no_grid(self, grid):
         # a sweep reads a few dozen points of the grid, each computed when
         # read; the 10**6 points would take about 32 MB as a tuple
-        grid = GridSpec(1e-8, 1e8, 10 ** 6, "log")
         tracemalloc.start()
         try:
             reports = [sweep(bound, a, grid) for bound, a in _suite_entries("family")]
@@ -162,6 +168,78 @@ class TestGridSpec:
             tracemalloc.stop()
         assert all(report.ok for report in reports)
         assert peak < 1 << 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.floats(-1.0, 6.0), st.integers(2, 10 ** 5))
+    def test_dense_log_grids_are_sorted(self, exponent, above, points):
+        # log-steps from half to 64 times 2**-47 (|log x_min| + 1), around the
+        # least that keeps a grid indexed, points computed when read
+        x_min = 10.0 ** exponent
+        step = 2.0 ** (above - 47) * (abs(math.log(x_min)) + 1)
+        x_max = x_min * math.exp(step * (points - 1))
+        if not x_min < x_max:
+            x_max = math.nextafter(x_min, math.inf)
+        grid = GridSpec(x_min, x_max, points, "log")
+        xs = grid.values()
+        values = list(xs)
+        assert values == sorted(values) and values[0] == x_min and values[-1] == x_max
+        assert values == list(self.closed_form(grid))
+        if above >= 0.1:
+            assert type(xs) is orc._GridPoints, grid
+
+    @staticmethod
+    @st.composite
+    def grids_and_cuts(draw):
+        """A grid, log or linear, with subnormal or DBL_MAX ends, linear
+        through 0, or built whole as a tuple, and a value to cut it at: a
+        point, its neighbours, 0, inf, or one below or above its ends."""
+        n = draw(st.one_of(st.integers(2, 40), st.integers(2, 5000)))
+        ends = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 1e300),
+                         st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, DBL_MAX]))
+        kind = draw(st.sampled_from(["log", "linear", "through-0", "narrow"]))
+        if kind == "through-0":
+            lo, hi = -draw(ends), draw(ends)
+        else:
+            lo = draw(ends)
+            hi = draw(st.one_of(ends, st.floats(0.0, 64.0).map(
+                lambda e: lo * (1 + 2.0 ** -e) ** (1 if kind != "narrow" else 1e-9))))
+            hi = min(max(hi, math.nextafter(lo, math.inf)), DBL_MAX)
+            lo = min(lo, math.nextafter(hi, 0.0))
+        grid = GridSpec(lo, hi, n, "log" if kind in ("log", "narrow") else "linear")
+        points = tuple(grid.values())
+        x = points[draw(st.integers(0, n - 1))]
+        t = draw(st.sampled_from([
+            x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf), 0.0, math.inf,
+            math.nextafter(lo, -math.inf), lo / 2 if lo > 0 else 2 * lo,
+            math.nextafter(hi, math.inf), min(2 * hi, DBL_MAX)]))
+        return grid, points, t
+
+    @settings(max_examples=400, deadline=None)
+    @given(grids_and_cuts())
+    # x_max/2 - x_min/2 rounds to 0: every inner point is x_max
+    @example((GridSpec(1.5e-323, 2e-323, 50, "linear"), (1.5e-323,) + (2e-323,) * 49,
+              2e-323))
+    def test_cuts_match_bisect_on_the_materialised_grid(self, drawn):
+        # an indexed grid's cut is sought within two steps (_WALK) of its
+        # closed form's inverse, unless its rounded points repeat; a tuple
+        # is bisected whole
+        grid, points, t = drawn
+        xs = grid.values()
+        searched = []
+        strictly_rising = all(map(operator.lt, points, points[1:]))
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("bisect_left", "bisect_right"):
+                patch.setattr(orc, name, (lambda find: lambda seq, t, lo=0, hi=None: (
+                    searched.append((lo, len(seq) if hi is None else hi))
+                    or find(seq, t, lo, len(seq) if hi is None else hi)))(getattr(bisect, name)))
+            for right in (False, True):
+                searched.clear()
+                find = bisect.bisect_right if right else bisect.bisect_left
+                assert orc._cut(xs, t, right) == find(points, t), (grid, t, right)
+                if strictly_rising and type(xs) is orc._GridPoints:
+                    assert all(hi - lo <= 2 * orc._WALK for lo, hi in searched), (
+                        grid, t, right, searched)
+        assert orc._WALK == 2
 
     def test_validation(self):
         with pytest.raises(ParamError):
@@ -359,7 +437,8 @@ class TestFilteredSweepMatchesReference:
             report = sweep(bound, a=a, grid=grid, digits=digits)
             escalated += report.escalated
             if resolved:
-                assert list(report.violation_at) == violations, (bound, a)
+                assert [i for run in report.violation_runs for i in run] == violations, (
+                    bound, a)
                 assert report.min_margin_x == min_x, (bound, a)
                 assert abs(report.min_margin - min_margin) <= (
                     certified_radius(bound, a, min_x, digits) + 4 * math.ulp(min_margin))
@@ -935,36 +1014,47 @@ class TestMonotonePieces:
                 assert pieces(BoundId.MID_REGIME_LOWER, a) == [(0, n, 1)]
             assert [s for *_, s in pieces(BoundId.TWO_OVER_PI_LOWER_ERRATA)] == [-1, 1]
 
-    def test_rises_marks_the_one_offs_and_the_squares(self):
+    def test_rises_marks_the_one_offs_and_the_rows_of_one_slope_sign(self):
         catalog = arctanbounds.catalog._CATALOG
         one_offs = {bound for bound, info in catalog.items() if info.consts is None}
         rises = {bound for bound, info in catalog.items() if info.rises}
-        assert rises == one_offs | {BoundId.SHAFER_LOWER, BoundId.MID_REGIME_LOWER}
+        assert rises == one_offs | {
+            BoundId.SHAFER_LOWER, BoundId.MID_REGIME_LOWER, BoundId.FAMILY_LOWER,
+            BoundId.REVERSED_UPPER, BoundId.HALF_ANGLE_UPPER, BoundId.TWO_OVER_PI_UPPER}
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([bound for bound, info in arctanbounds.catalog._CATALOG.items()
                             if info.rises and info.consts]).flatmap(
         lambda bound: st.tuples(st.just(bound), _param(bound))))
-    def test_rises_rows_have_a_square_slope_polynomial(self, row):
-        # Q(u) = (e^2 - c d) u^2 + e (2d - c) u + d^2 at the exact constants
-        # of the double a: a zero discriminant, c (c e^2 - 4 d e^2 + 4 d^3),
-        # and a leading coefficient >= 0 make Q a square, so a lower bound's
-        # margin rises on all of (0, inf)
+    def test_rises_rows_have_a_slope_polynomial_of_one_sign(self, row):
+        # Q(1 + v) = A v^2 + (2A + B) v + (A + B + C), A = e^2 - c d,
+        # B = e (2d - c), C = d^2, at the exact constants of the double a.
+        # Coefficients of one sign, not all 0, leave Q(1 + v) no root v > 0
+        # (Descartes' rule of signs); else a zero discriminant and a leading
+        # coefficient of that sign make Q a square.  Either way the margin,
+        # M' of the sign of +-Q (+ for a lower bound), rises on all of
+        # (0, inf).  pi enters at both ends of a rational bracket, 333/106 <
+        # pi < 355/113: each coefficient of two-over-pi-upper's Q(1 + v), 0,
+        # pi^2 - 2 pi - 8 and pi^2 - 2 pi - 4, is 0 or rises with pi
         bound, a = row
         info = arctanbounds.catalog._CATALOG[bound]
-        # these rows' constants are rational in a, with no pi
-        c, d, e = map(Fraction, info.consts(None if a is None else Fraction(a), None))
-        assert info.rises and info.side == "lower"
-        assert c * (c * e * e - 4 * d * e * e + 4 * d ** 3) == 0, (bound, a)
-        assert e * e - c * d >= 0, (bound, a)
+        side = 1 if info.side == "lower" else -1
+        for pi in (Fraction(333, 106), Fraction(355, 113)):
+            c, d, e = map(Fraction, info.consts(None if a is None else Fraction(a), pi))
+            big_a, big_b, big_c = e * e - c * d, e * (2 * d - c), d * d
+            coeffs = [side * k for k in (big_a + big_b + big_c, 2 * big_a + big_b, big_a)]
+            assert any(coeffs), (bound, a)
+            one_sign = min(coeffs) >= 0
+            square = coeffs[1] ** 2 == 4 * coeffs[0] * coeffs[2] and coeffs[2] >= 0
+            assert one_sign or square, (bound, a, pi)
 
     def test_structural_zeros_refine_off_the_grid(self, monkeypatch):
-        # the balls never settle A = 0 (two-over-pi-lower) or Q(1) = 0
-        # (two-over-pi-upper, c = d + e); the stretches they leave open
-        # shrink off the grid's points as the digits double.  The double
-        # root of mid-regime-lower's square Q is never read: the catalog
-        # marks the row rises, one rising run with no slope bounds
-        from arctanbounds import oracle as orc
+        # the balls never settle A = 0 (two-over-pi-lower), and settle
+        # Q(1) = 0 (mid-regime-upper at a = 0.6, where c = 1 + a = d + e)
+        # only once a's double is exact, at 100 digits; the stretches they
+        # leave open shrink off the grid's points as the digits double.  The
+        # rows marked rises read no slope bounds: the double root of
+        # mid-regime-lower's square Q, and two-over-pi-upper's Q(1) = 0
         seen = []
         bounds = arctanbounds.catalog._slope_bounds
         monkeypatch.setattr(arctanbounds.catalog, "_slope_bounds",
@@ -975,8 +1065,10 @@ class TestMonotonePieces:
                 (BoundId.TWO_OVER_PI_LOWER, None, DEFAULT_GRID.values(), [50]),
                 # the open stretch past x ~ 10**digits, from DBL_MAX up at 400
                 (BoundId.TWO_OVER_PI_LOWER, None, wide, [50, 100, 200, 400]),
-                # that below x ~ 10**(-digits/2), under 5e-324 at 800
-                (BoundId.TWO_OVER_PI_UPPER, None, wide, [50, 100, 200, 400, 800]),
+                # that below x ~ 10**(-digits/2), under 1e-8 at 50
+                (BoundId.MID_REGIME_UPPER, 0.6, DEFAULT_GRID.values(), [50]),
+                (BoundId.MID_REGIME_UPPER, 0.6, wide, [50, 100]),
+                (BoundId.TWO_OVER_PI_UPPER, None, wide, []),
                 (BoundId.MID_REGIME_LOWER, 0.6, wide, [])]:
             seen.clear()
             pieces = orc._monotone_pieces(bound, a, xs, 50)
@@ -996,6 +1088,11 @@ def exact_slope_sign(c: Fraction, d: Fraction, e: Fraction, x: float) -> int:
         return sign_e or sign_f
     norm = big_e * big_e - big_f * big_f * q
     return sign_e if norm > 0 else sign_f if norm < 0 else 0
+
+
+def bisect_cut(xs):
+    """The cut(t, right) that fixedpoint.sign_runs reads a sorted xs by."""
+    return lambda t, right: (bisect.bisect_right if right else bisect.bisect_left)(xs, t)
 
 
 def slope_bounds(balls):
@@ -1065,7 +1162,7 @@ class TestSlopeRuns:
         balls = tuple(FixedReal(v, 4) for v in consts)
         assert not any(k.err for k in balls)
         xs = GridSpec(1e-3, 1e3, 400, "log").values()
-        runs = sign_runs(*slope_bounds(balls), xs)
+        runs = sign_runs(*slope_bounds(balls), len(xs), bisect_cut(xs))
         # cut in two at the root, which lies between two grid points
         assert {sign for *_, sign in runs} == signs and len(runs) == 2
         exact = [Fraction(v) for v in consts]
@@ -1091,7 +1188,7 @@ class TestSlopeRuns:
                     if 0 < x < math.inf:
                         xs |= {x, math.nextafter(x, 0), math.nextafter(x, math.inf)}
         xs = tuple(sorted(xs))
-        runs = sign_runs(*bounds, xs)
+        runs = sign_runs(*bounds, len(xs), bisect_cut(xs))
         assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
         assert runs[-1][1] == len(xs)
         corners = [[Fraction(k.units + s * k.err, 10 ** 4) for s in (-1, 1)]
@@ -1236,7 +1333,8 @@ class TestPieceSweep:
         exact = [_exact_point(bound, a, side, x, 50) for x in grid.values()]
         margins = [p.margin for p in exact]
         report = sweep(bound, a=a, grid=grid)
-        assert list(report.violation_at) == [i for i, p in enumerate(exact) if not p.holds]
+        assert [i for run in report.violation_runs for i in run] == [
+            i for i, p in enumerate(exact) if not p.holds]
         assert report.min_margin == min(margins), (bound, a)
         assert report.min_margin_x == grid.values()[margins.index(min(margins))], (bound, a)
 

@@ -254,14 +254,33 @@ def _coprime_mod(p) -> bool:
     return len(a) == 1
 
 
+#: The most bits a remainder's integers take in all in _squarefree.
+_GCD_BITS = 1 << 14
+
+
+def _primitive(p) -> tuple:
+    """p times the positive rational that leaves its integer coefficients in
+    pi coprime, which keeps its roots; PrecisionError past _GCD_BITS."""
+    den = math.lcm(*(c.den for c in p))
+    rows = [[n * (den // c.den) for n in c.nums] for c in p]
+    g = math.gcd(*(n for row in rows for n in row))
+    rows = [[n // g for n in row] for row in rows]
+    if sum(abs(n).bit_length() for row in rows for n in row) > _GCD_BITS:
+        raise PrecisionError(f"a gcd of polynomials outgrows {_GCD_BITS} bits")
+    return tuple(map(QPi, rows))
+
+
 def _squarefree(p) -> tuple:
-    """p divided by gcd(p, p'): the same distinct roots, each simple."""
+    """p divided by gcd(p, p'): the same distinct roots, each simple.  Its
+    primitive pseudo-remainders keep rational coefficients near the size of
+    p's, but not a content in pi, which grows: PrecisionError past _GCD_BITS."""
     if len(p) <= 2 or _coprime_mod(p):
         return p
-    a, b = p, _derivative(p)
+    a, b = p, _primitive(_derivative(p))
     while b:
         a, b = b, _pseudo_divide(a, b)[1]
-    return p if len(a) == 1 else _pseudo_divide(p, a)[0]
+        b = b and _primitive(b)
+    return p if len(a) == 1 else _primitive(_pseudo_divide(p, a)[0])
 
 
 def _rational_form(row, a: Optional[float]) -> Optional[tuple]:

@@ -41,7 +41,7 @@ Importing this module loads ``catalog``, ``fixedpoint`` and ``errors`` of the
 package; ``eval``, ``classify`` and ``enclose`` use no more.  Each other
 handler imports what it uses when it runs: ``find-min`` loads ``family``
 alone, ``verify`` ``oracle``, ``dominance`` ``oracle`` and ``algebra``, and
-``profile`` ``kernel``, ``oracle`` and ``fastatan``.
+``profile`` ``kernel``, ``oracle`` and ``runs``.
 
 Exit status: 0 on success, 1 when a verification suite finds a violation of a
 trusted bound (the known-errata entry is expected to fail and does not count),

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -47,6 +49,34 @@ class TestQPi:
         with pytest.raises(PrecisionError):
             decide(PI - Fraction(314159265358979323846264338327950288419716939937510582097494459,
                                  10 ** 62))
+
+
+class TestSquareFree:
+    @pytest.mark.parametrize("in_pi", [False, True], ids=["rational", "in-pi"])
+    def test_a_square_returns_or_refuses_within_a_second(self, in_pi):
+        # a degree-4 polynomial with 53-bit coefficients, squared: primitive
+        # pseudo-remainders give back its rational form at once, and a
+        # content in pi, which they do not remove, is refused past the
+        # gcd's size cap (it took seconds, and 13 s on one catalog pair)
+        rng = random.Random(4)
+        p = tuple(QPi.lift(rng.uniform(-1, 1)) + (QPi.lift(rng.uniform(-1, 1)) * PI
+                                                  if in_pi else 0) for _ in range(5))
+        start = time.perf_counter()
+        try:
+            s = algebra._squarefree(times(p, p))
+        except PrecisionError:
+            assert in_pi
+        else:
+            assert not in_pi
+            # s is p times a rational
+            assert len(s) == 5 and all(decide(s[j] * p[k] - s[k] * p[j]) == (0, 0)
+                                       for j in range(5) for k in range(5))
+        assert time.perf_counter() - start < 1.0
+
+    def test_primitive_keeps_the_sign(self):
+        p = poly(Fraction(-6, 4), Fraction(3, 8)) + (QPi((0, Fraction(9, 2).numerator), 2),)
+        q = algebra._primitive(p)
+        assert [c.nums for c in q] == [(-4,), (1,), (0, 12)] and all(c.den == 1 for c in q)
 
 
 class TestComparison:

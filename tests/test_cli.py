@@ -635,8 +635,9 @@ print(calls)
         (["verify", "--suite", "fixed", "--grid-points", "200"], ["oracle"]),
         (["dominance", "--bound-a", "shafer-lower", "--bound-b", "two-over-pi-lower",
           "--grid-points", "200"], ["algebra", "oracle"]),
+        (["profile", "--grid-points", "200", "--stats"], ["kernel", "oracle", "runs"]),
     ], ids=["find-min", "find-min-stats", "enclose-stats", "eval-stats", "classify-stats",
-            "verify", "dominance"])
+            "verify", "dominance", "profile"])
     def test_commands_load_only_their_modules(self, argv, own):
         # find-min needs no oracle, and verify no family
         probe = """
@@ -1096,10 +1097,10 @@ class TestDominanceAndProfile:
         assert stats["rows_s"] > 0
         assert stats["digits"] == 20 and stats["grid"]["points"] == 300
         assert stats["package_version"] == arctanbounds.__version__
-        # the double filter settles most rows; at 20 digits the fixed point
-        # resolves only a few figures of the errors near x ~ 1e-5, where the
-        # certificate is tightest, so those rows are measured
-        assert 0 < stats["exact_rows"] < 30
+        # the ends of the runs near the largest errors, and, at 20 digits,
+        # the rows from x = 9e-6 to 2.3e-5 whose certificates the outward
+        # rounding does not put past the oracle's error: 13 rows
+        assert 4 <= stats["exact_rows"] <= 15
         assert 0 <= stats["extra_digit_rows"] <= stats["exact_rows"]
         # without --stats the report carries none of it
         assert payload == strict_json(plain)
@@ -1126,18 +1127,34 @@ class TestDominanceAndProfile:
 
     @pytest.mark.parametrize("digits", ["30", "100"])
     def test_profile_measures_few_rows_in_fixed_point(self, capsys, digits):
-        # on the default grid only the row of the largest actual error is
-        # measured: every other row is settled, and left out of the maximum,
-        # in double
+        # on the default grid the ends of the runs next to the crossovers and
+        # to the largest error, and a row inward of each end that holds a
+        # run's largest: 9 of 2000 rows
         code, out, _ = run(capsys, ["profile", "--digits", digits, "--stats",
                                     "--format", "json"])
         assert code == 0
         stats = strict_json(out)["stats"]
-        assert 1 <= stats["exact_rows"] <= 3 and stats["extra_digit_rows"] == 0
+        assert 1 <= stats["exact_rows"] <= 12 and stats["extra_digit_rows"] == 0
+
+    def test_profile_far_linear_grid_measures_few_rows(self, capsys):
+        # every |x| here exceeds 10**40, where the oracle returns pi/2 at 30
+        # digits, and every row has one value: they tie.  All 2000 rows were
+        # measured in fixed point before, for this same report
+        argv = ["profile", "--grid-min=-1e300", "--grid-max", "1e300",
+                "--grid-spacing", "linear"]
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        rows = int(re.match(r"fixed point at (\d+) of 2000 rows", out.splitlines()[-1])[1])
+        assert 1 <= rows <= 10
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        report = strict_json(out)
+        assert (report["max_certified"], report["max_actual"], report["certified_everywhere"]) \
+            == (2.886579864025407e-15, 6.1232339957368e-17, True)
 
     def test_profile_tiny_band_measures_no_row(self, capsys):
-        # below 2**-1000 a row's filter interval is one point, its actual
-        # error; every row here used to be measured in fixed point
+        # below 2**-1000 every row's actual error is 0, and its certificate
+        # the gap below |x|: no row is measured in fixed point
         code, out, _ = run(capsys, ["profile", "--grid-min", "5e-324", "--grid-max",
                                     "1e-310", "--stats"])
         assert code == 0

@@ -22,9 +22,10 @@ from arctanbounds import (
     eval_bound_hp,
     oracle_arctan,
 )
+from arctanbounds import algebra as alg
 from arctanbounds import kernel as ker
-from arctanbounds.fastatan import FAST_ATAN_K, fast_atan
-from arctanbounds.fixedpoint import _bits, _from_bits
+from arctanbounds import runs
+from arctanbounds.fixedpoint import _bits, _from_bits, x_of
 
 SMALL_GRID = GridSpec(1e-8, 1e8, 300, "log")
 DBL_MAX = sys.float_info.max
@@ -217,14 +218,6 @@ def _seeded_log_grid(seed: int) -> GridSpec:
                     rng.randint(200, 500), "log")
 
 
-#: Seeded log grids, [1e-300, 1e300], a log grid over every positive double
-#: (subnormal rows, rows below 2**-1000 where approx returns x, and rows from
-#: 2**512, where x*x overflows) and a linear grid through 0 and negative x.
-FILTER_GRIDS = ([_seeded_log_grid(seed) for seed in range(4)]
-                + [GridSpec(1e-300, 1e300, 400), GridSpec(5e-324, sys.float_info.max, 300),
-                   GridSpec(-5.0, 5.0, 201, "linear")])
-
-
 def _session_grid(seed: int) -> GridSpec:
     """2000 log points from 1e-8 to 1e8, each end moved by up to half a decade,
     as the benchmark's analysis sessions profile them."""
@@ -234,71 +227,226 @@ def _session_grid(seed: int) -> GridSpec:
 
 
 SESSION_GRIDS = [_session_grid(seed) for seed in range(3)]
+#: A linear grid through 0, with negative rows.
+LINEAR_GRID = GridSpec(-5.0, 5.0, 201, "linear")
+#: The grids every profile is checked on against every row: subnormal rows,
+#: rows below 2**-1000 where approx returns x, rows from 2**512 where x*x
+#: overflows, grids through 0 and wholly negative ones, and seeded log grids.
+EDGE_GRIDS = ([GridSpec(5e-324, 1e-310, 300), GridSpec(1e-300, 1e300, 400),
+               GridSpec(5e-324, DBL_MAX, 300), GridSpec(1e-305, 1e-302, 200),
+               LINEAR_GRID, GridSpec(-1e-3, 1e-3, 101, "linear"),
+               GridSpec(-1e300, 1e300, 400, "linear"), GridSpec(-3.0, -1e-3, 100, "linear"),
+               GridSpec(-1e10, -1.0, 200, "linear"), GridSpec(-2.8, -2.5, 150, "linear"),
+               GridSpec(2.5, 2.9, 300, "linear"), GridSpec(1e17, 1e300, 300)]
+              + [_seeded_log_grid(seed) for seed in range(4)])
 
 
-def filter_misses(prof, fast_atan_k: float) -> list[float]:
-    """The rows where the double filter's E, with fast_atan's error taken as
-    fast_atan_k * u * f, fails to cover |a - actual|, an exact comparison on
-    Fractions."""
-    misses = []
-    for row in prof.rows:
-        f = fast_atan(abs(row.x))
-        a = abs(abs(row.value) - f)
-        d = ker._row_digits(row.certified, prof.digits)
-        e = ker._row_error(fast_atan_k, d)(f, a)
-        if abs(Fraction(a) - Fraction(row.actual)) > Fraction(e):
-            misses.append(row.x)
-    return misses
+def _slope(low: tuple, high: tuple, atan: bool) -> tuple:
+    """P(u), u^2 (a_low + u)^2 (a_high + u)^2 times the slope in x of the sum
+    of k x / (a + u), k (a u + 1) / (u (a + u)^2), over low and high, each
+    (k, a), less that of arctan x, 1 / u^2, if atan."""
+    (k1, a1), (k2, a2) = low, high
+    s1, s2 = (alg._mul(alg._poly(a, 1), alg._poly(a, 1)) for a in (a1, a2))
+    p = alg._add(alg._mul(alg._poly(0, k1, k1 * a1), s2), alg._mul(alg._poly(0, k2, k2 * a2), s1))
+    return alg._sub(p, alg._mul(s1, s2)) if atan else p
 
 
-class TestProfileFilter:
-    """error_profile settles rows in double; its summary must be the one
-    every row, measured in fixed point, gives."""
+def kernel_pieces() -> list:
+    """The kernel's bracket as (u_stop, lower, upper) pieces in order, each up
+    to the exact u at which an end changes (None: infinity)."""
+    ll, uh, lh, ul = (end for end, _, _ in runs._REACH)
+
+    def meet(p, q) -> Fraction:     # c_p / (a_p + u) = c_q / (a_q + u)
+        cp, ap, cq, aq = map(Fraction, (p.c, p.a, q.c, q.a))
+        return (cq * ap - cp * aq) / (cp - cq)
+    return [(meet(ll, lh), ll, uh), (meet(ul, uh), lh, uh), (None, lh, ul)]
+
+
+def build_run_table(pieces: list) -> tuple:
+    """runs._CUTS and runs._REACH from the pieces: the brackets (lo, hi)
+    in x of the pieces' ends and of the roots of the slopes of e* = mid* -
+    arctan and w* in them (e* and w* of the exact model beside runs._End),
+    and each end's span of x widened by a relative 2**-30.  Adding a piece
+    and committing this function's output extends the table."""
+    cuts, reach, start, widen = [], {}, (0.0, 0.0), 1.0 + 2.0 ** -30
+    for u_stop, lower, upper in pieces:
+        t = math.inf if u_stop is None else u_stop - 1      # x = sqrt(t (t + 2))
+        stop = (t, t) if u_stop is None else tuple(
+            x_of(t.numerator, t.denominator, up) for up in (False, True))
+        for end in (lower, upper):
+            reach[end] = reach.get(end, (start[0] / widen,))[:1] + (stop[1] * widen,)
+        low, high = ((Fraction(end.c * end.scale) / 2, Fraction(end.a)) for end in (lower, upper))
+        for poly in (_slope(low, high, True), _slope((-low[0], low[1]), high, False)):
+            cuts += [b for b in alg.Comparison(poly).brackets if start[1] < b[0] and b[1] < stop[0]]
+        cuts.append(stop)
+        start = stop
+    return tuple(sorted(cuts)[:-1]), tuple((end, *span) for end, span in reach.items())
+
+
+class TestProfileRuns:
+    """error_profile reads the kernel's monotone runs; its summary must be the
+    one every row, measured in fixed point, gives."""
 
     @staticmethod
     def assert_summary_of_rows(prof):
         assert prof.max_certified == max(r.certified for r in prof.rows)
         assert prof.max_actual == max(r.actual for r in prof.rows)
         assert prof.certified_everywhere == all(r.ratio >= 1.0 for r in prof.rows)
-        assert 1 <= prof.exact_rows <= prof.grid.points
+        assert 0 <= prof.exact_rows <= prof.grid.points
 
     @pytest.mark.parametrize("digits", [20, 30, 100, 320, 330])
-    @pytest.mark.parametrize("grid", FILTER_GRIDS, ids=str)
+    @pytest.mark.parametrize("grid", EDGE_GRIDS, ids=str)
     def test_summary_equals_every_exact_row(self, grid, digits):
         prof = error_profile(DEFAULT_KERNEL, grid, digits)
         self.assert_summary_of_rows(prof)
         assert prof.certified_everywhere
 
-    @pytest.mark.parametrize("digits", [30, 100])
+    @pytest.mark.parametrize("digits", [20, 30, 100])
     @pytest.mark.parametrize("grid", SESSION_GRIDS, ids=str)
     def test_session_shaped_grids(self, grid, digits):
         prof = error_profile(DEFAULT_KERNEL, grid, digits)
         self.assert_summary_of_rows(prof)
         assert prof.certified_everywhere
-        assert filter_misses(prof, FAST_ATAN_K) == []
+        # the runs' ends near the maxima; at 20 digits also the rows from
+        # 9e-6 to 2.3e-5 that the outward rounding leaves open
+        assert prof.exact_rows <= (70 if digits == 20 else 12)
 
-    @pytest.mark.parametrize("scale", [0.5, 0.998])
-    def test_summary_with_refuted_rows(self, monkeypatch, scale):
-        # shrunken certificates fail at every row whose error is within that
-        # factor of the kernel's (over half of SMALL_GRID's rows): the filter
-        # refutes those rows, and leaves unsettled the few whose error lies
-        # within E of the shrunken certificate
+    @given(st.floats(-330.0, 308.0), st.floats(1e-12, 40.0), st.integers(2, 60),
+           st.sampled_from(["log", "linear"]), st.sampled_from([20, 30, 100]))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_grids_match_every_row(self, end, width, points, spacing, digits):
+        # log grids over 10**end .. 10**(end + width), linear ones from there
+        # too, or through 0 from -10**end where points is odd
+        lo = max(10.0 ** end, 5e-324)
+        hi = 10.0 ** min(end + width, 308.0)
+        if spacing == "linear" and points % 2:
+            lo = -lo
+        if not lo < hi:
+            return
+        self.assert_summary_of_rows(error_profile(DEFAULT_KERNEL,
+                                                  GridSpec(lo, hi, points, spacing), digits))
+
+    def test_summary_with_refuted_rows(self, monkeypatch):
+        # halved certificates fail at every row whose error is over half the
+        # kernel's, the row of the largest error among them: a measured row
+        # its certificate does not cover sends the profile to every row.  A
+        # shrink that fails only at rows of small error (0.998 fails at over
+        # half of SMALL_GRID's rows, none near the largest) goes unseen: the
+        # profile measures no such row, and covers it by approx's own rounding
+        # (the argument beside runs._End), which a shrunken approx lacks
         def shrunk(spec, x):
             est = approx(spec, x)
-            return ker.CertifiedValue(est.value, est.error_bound * scale)
+            return ker.CertifiedValue(est.value, est.error_bound * 0.5)
         monkeypatch.setattr(ker, "approx", shrunk)
-        for grid in (SMALL_GRID, FILTER_GRIDS[-1]):
+        for grid in (SMALL_GRID, LINEAR_GRID):
             prof = error_profile(DEFAULT_KERNEL, grid, 30)
             self.assert_summary_of_rows(prof)
-        assert not error_profile(DEFAULT_KERNEL, SMALL_GRID, 30).certified_everywhere
+            assert prof.exact_rows == grid.points
+            assert not prof.certified_everywhere
 
-    def test_package_import_leaves_fastatan_unloaded(self):
-        # error_profile imports it on first use, as sweep does, so commands
-        # that never filter do not build its table at start-up
-        probe = "import sys, arctanbounds.cli; print('arctanbounds.fastatan' in sys.modules)"
+    @pytest.mark.parametrize("bound, other", [
+        (BoundId.FAMILY_LOWER, BoundId.FAMILY_UPPER),
+        (BoundId.REVERSED_UPPER, BoundId.REVERSED_LOWER),
+        (BoundId.REVERSED_LOWER, BoundId.REVERSED_UPPER),
+        (BoundId.FAMILY_UPPER, BoundId.FAMILY_LOWER)])
+    def test_failing_catalog_row_reads_every_row(self, monkeypatch, bound, other):
+        # one end's catalog row, read as the other side's row at its a, lies
+        # on the wrong side of arctan where it is read: the argument's premise
+        # fails, and the summary comes from every row, each measured once
+        eval_bound_hp = runs.cat.eval_bound_hp
+        read = []
+
+        def wrong_side(b, x, a=None, digits=50):
+            read.append(b)
+            return eval_bound_hp(other if b == bound else b, x, a, digits=digits)
+        monkeypatch.setattr(runs.cat, "eval_bound_hp", wrong_side)
+        measure_rows = ker._measure_rows
+        calls = []
+        monkeypatch.setattr(ker, "_measure_rows", lambda *args: calls.append(args)
+                            or measure_rows(*args))
+        for grid in (SMALL_GRID, LINEAR_GRID, GridSpec(-10.0, -1e-3, 300, "linear")):
+            calls.clear()
+            prof = error_profile(DEFAULT_KERNEL, grid, 30)
+            assert read[-1] == bound
+            self.assert_summary_of_rows(prof)
+            assert prof.exact_rows == grid.points and prof.certified_everywhere
+            assert len(calls) == 1
+
+    def test_each_end_is_read_where_approx_takes_it(self, monkeypatch):
+        # the rises rows at the smallest x, the two others at the largest
+        read = set()
+        eval_bound_hp = runs.cat.eval_bound_hp
+
+        def spy(bound, x, a=None, digits=50):
+            read.add((bound, x))
+            return eval_bound_hp(bound, x, a, digits=digits)
+        monkeypatch.setattr(runs.cat, "eval_bound_hp", spy)
+        prof = error_profile(DEFAULT_KERNEL, SMALL_GRID, 30)
+        xs = SMALL_GRID.values()
+        assert read == {(BoundId.FAMILY_LOWER, xs[0]), (BoundId.REVERSED_UPPER, xs[0]),
+                        (BoundId.REVERSED_LOWER, xs[-1]), (BoundId.FAMILY_UPPER, xs[-1])}
+        assert prof.exact_rows <= 12
+
+    def test_run_table(self):
+        # the committed table is the one the kernel's pieces give: cut at the
+        # two crossovers and where e* peaks, at x = 2.78429... (w* peaks at
+        # the upper crossover), four runs
+        assert build_run_table(kernel_pieces()) == (runs._CUTS, runs._REACH)
+        (l_lo, l_hi), (w_lo, w_hi), (e_lo, e_hi) = runs._CUTS
+        assert all(hi == math.nextafter(lo, 3.0) for lo, hi in runs._CUTS)
+        assert 2.1758413 < l_lo < 2.1758414 and 2.5727533 < w_lo < 2.5727534
+        assert 2.7842927 < e_lo < 2.7842928
+        reach = {end.bound: span for end, *span in runs._REACH}
+        assert reach[BoundId.FAMILY_LOWER][0] == reach[BoundId.REVERSED_UPPER][0] == 0.0
+        assert reach[BoundId.REVERSED_LOWER][1] == reach[BoundId.FAMILY_UPPER][1] == math.inf
+        # each crossover lies inside both of its ends' reaches
+        for low, high, cross in ((BoundId.FAMILY_LOWER, BoundId.REVERSED_LOWER, 2.1758413981),
+                                 (BoundId.REVERSED_UPPER, BoundId.FAMILY_UPPER, w_lo)):
+            assert reach[high][0] < cross < reach[low][1]
+            assert reach[low][1] / reach[high][0] < 1 + 2.0 ** -28
+
+    def test_pieces_are_the_ends_approx_takes(self):
+        # inside each piece approx's tighter lower and upper ends are the
+        # piece's, at the spec's constants
+        spec, start = DEFAULT_KERNEL, 0.0
+        for u_stop, lower, upper in kernel_pieces():
+            stop = math.inf if u_stop is None else math.sqrt(float(u_stop) ** 2 - 1)
+            for x in (start * 1.01 + 1e-3, min(stop, 1e6) * 0.99):
+                ends = {e: e.c * (x / (e.a + math.hypot(1.0, x))) for e, _, _ in runs._REACH}
+                lows = [e for e in ends if e.scale < 1.0]
+                ups = [e for e in ends if e.scale > 1.0]
+                assert max(lows, key=ends.get) == lower and min(ups, key=ends.get) == upper
+                assert {lower.a, upper.a} <= {spec.a_low, spec.a_high}
+            start = stop
+
+    def test_far_rows_tie(self):
+        # above 10**(d+10) the oracle returns pi/2 whatever x is, so rows of
+        # one value tie: one row of this grid is measured, where every row was
+        prof = error_profile(DEFAULT_KERNEL, GridSpec(-1e300, 1e300, 2000, "linear"), 30)
+        assert prof.exact_rows == 1
+        x = math.nextafter(1e40, 0.0)
+        while Fraction(x) <= 10 ** 40:
+            x = math.nextafter(x, math.inf)
+        units = {oracle_arctan(y, 30).units for y in (x, 1e41, 1e200, DBL_MAX)}
+        assert len(units) == 1
+
+    def test_profile_never_imports_algebra(self):
+        # the run table is committed, and each end's catalog row is read from
+        # the balls of its slope: no profile needs the exact algebra.  approx
+        # alone leaves the runs module unloaded
+        probe = """
+import sys
+from arctanbounds import kernel, oracle
+kernel.approx(kernel.DEFAULT_KERNEL, 2.5)
+print("arctanbounds.runs" in sys.modules)
+for grid in (oracle.DEFAULT_GRID, oracle.GridSpec(-5.0, 5.0, 201, "linear"),
+             oracle.GridSpec(2.0, 3.0, 300, "linear")):
+    kernel.error_profile(kernel.DEFAULT_KERNEL, grid, 30)
+print("arctanbounds.algebra" in sys.modules)
+"""
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                 text=True, check=True)
-        assert result.stdout == "False\n"
+        assert result.stdout == "False\nFalse\n"
 
     def test_commands_load_only_what_they_use(self):
         # classify, enclose and eval need catalog and fixedpoint alone; the
@@ -331,45 +479,27 @@ print(loaded())
                                               str(after_star)]
 
     def test_linear_grid_has_zero_and_negative_rows(self):
-        xs = FILTER_GRIDS[-1].values()
+        xs = LINEAR_GRID.values()
         assert 0.0 in xs and min(xs) == -5.0
 
-    @pytest.mark.parametrize("digits", [20, 30, 100, 320, 330])
-    def test_error_bound_covers_every_row(self, digits):
-        for grid in FILTER_GRIDS:
-            assert filter_misses(error_profile(DEFAULT_KERNEL, grid, digits),
-                                 FAST_ATAN_K) == []
-
-    def test_tiny_rows_settle_in_double(self):
-        # below 2**-1000 fast_atan(x) == x, so the estimate is 0, and the
-        # measured error rounds to 0 at the digits such a row takes: E = 0.
-        # It used to leave 71 of these 2000 rows to fixed point
-        rng = random.Random(1000)
+    @pytest.mark.parametrize("digits", [20, 30, 100, 322, 330, 600, 700])
+    def test_rows_below_2_to_the_minus_1000_measure_zero(self, digits):
+        # there the oracle's series stops at its first term (d < 592), or D
+        # lies below half the least subnormal (d >= 324): M = 0 at every row
+        rng = random.Random(1000 + digits)
         top = _bits(2.0 ** -1000)
-        for bits in (rng.randrange(1, top) for _ in range(10_000)):
-            assert fast_atan(_from_bits(bits)) == _from_bits(bits)
-        grid = GridSpec(5e-324, sys.float_info.max, 2000)
-        for digits in (30, 100):
-            assert error_profile(DEFAULT_KERNEL, grid, digits).exact_rows == 1
-        # at 320 to 323 digits the one-subnormal certificates are measured at
-        # the report's digits, and E keeps its terms
-        assert filter_misses(error_profile(DEFAULT_KERNEL, FILTER_GRIDS[5], 322),
-                             FAST_ATAN_K) == []
+        for bits in [1, top - 1] + [rng.randrange(1, top) for _ in range(200)]:
+            x = _from_bits(bits)
+            assert approx(DEFAULT_KERNEL, x).value == x
+            assert ker._actual(x, x, digits) == 0.0 == ker._actual(-x, -x, digits)
 
     @pytest.mark.parametrize("digits", [20, 30, 100, 322, 330])
-    def test_rows_below_2_to_the_minus_1000_are_measured_in_double(self, digits):
-        # there E = 0 and M = a exactly: no such row is measured in fixed
-        # point, not even as a candidate for the largest M (every one was)
+    def test_rows_below_2_to_the_minus_1000_are_not_measured(self, digits):
+        # no such row is measured in fixed point, not even as a candidate for
+        # the largest M
         grid = GridSpec(5e-324, 1e-310, 2000)
         prof = error_profile(DEFAULT_KERNEL, grid, digits)
         assert prof.exact_rows == prof.extra_digit_rows == 0
         assert prof.max_certified == max(r.certified for r in prof.rows)
         assert prof.max_actual == max(r.actual for r in prof.rows) == 0.0
         assert prof.certified_everywhere == all(r.ratio >= 1.0 for r in prof.rows)
-
-    def test_error_bound_needs_the_fast_atan_term(self):
-        # without fast_atan's error the check above fails: it is not covered
-        # by the other terms
-        prof = error_profile(DEFAULT_KERNEL, SMALL_GRID, 30)
-        assert filter_misses(prof, FAST_ATAN_K) == []
-        assert len(filter_misses(prof, 0.0)) > 10

@@ -294,7 +294,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("x_min", [-1.0, 0.0])
     def test_grids_from_a_non_positive_point_raise(self, x_min):
-        # the float forms and fast_atan are proven for x > 0 only: a grid that
+        # the bounds are stated for x > 0 only: a grid that
         # starts there is refused, naming that point, by every suite entry and
         # every dominance pair
         grid = GridSpec(x_min, 2.0, 41, "linear")
@@ -1363,15 +1363,19 @@ class TestPieceSweep:
         with pytest.raises(error, match=re.escape(message)):
             sweep(bound, a=a, grid=grid)
 
-    def test_sweeps_leave_fastatan_unloaded(self):
-        # every piece is read in fixed point: no sweep of the default suite
-        # imports the double arctan
+    def test_verify_never_imports_algebra(self):
+        # every piece is read from the balls of the slope polynomial: no sweep
+        # of the default suite, nor a profile's constituent reads, need the
+        # exact algebra
         probe = """
 import sys
-from arctanbounds import cli, oracle
+from arctanbounds import cli, kernel, oracle
 for bound, a in cli._suite_entries("all"):
     oracle.sweep(bound, a=a)
-print("arctanbounds.fastatan" in sys.modules)
+for bound, a in ((oracle.cat.BoundId.FAMILY_UPPER, 0.5), (oracle.cat.BoundId.REVERSED_LOWER,
+                                                           oracle.cat.TWO_OVER_PI)):
+    oracle._monotone_pieces(bound, a, oracle.DEFAULT_GRID.values(), 30)
+print("arctanbounds.algebra" in sys.modules)
 """
         env = dict(os.environ, PYTHONPATH=str(Path(arctanbounds.__file__).parents[1]))
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True,

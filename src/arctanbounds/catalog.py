@@ -173,7 +173,8 @@ def _fixed_fn(form, consts, a, digits):
     return form if consts is None else form(*_fixed_consts(consts, a, digits))
 
 
-# Outward-rounded family ends (enclosure here, approx in kernel.py).  An end
+# Outward-rounded family ends, written in enclosure and again in
+# best_enclosure's loop below, and in kernel.approx.  An end
 # c * (x / (a + u)), c = 1 + a or pi/2, u = hypot(1, x), carries six roundings
 # of relative size u0 = 2**-53: c, hypot twice (one ulp; a >= 0 keeps it
 # relative in a + u), the sum, the quotient and the product; a and x enter
@@ -189,11 +190,14 @@ _new_pair = tuple.__new__
 #: Below this, arctan x = x - x^3/3 + ... lies strictly between x and the
 #: next double toward zero: x^3/3 is far below one subnormal step.
 _TINY = 2.0 ** -1000
+_hypot, _nextafter = math.hypot, math.nextafter
+_GAP_TEXT = "no two-sided enclosure for a={!r}; need 0 <= a <= 1/2 or a >= 2/pi"
 
 
 # The three certified ranges of the family parameter, each a test and its
 # text, read by the family rows and the interior-minimum solver in family.py;
-# enclosure spells out the first and last inline, on the kernel's hot path.
+# enclosure and best_enclosure spell out the first and last inline, on the
+# kernel's hot path.
 class ParamRange(NamedTuple):
     ok: Callable[[float], bool]
     text: str
@@ -298,9 +302,19 @@ def _check_param(bound: BoundId, a: Optional[float]) -> None:
             f"a={a!r} outside the certified range {param.text} for {bound.value}")
 
 
-def _check_x(x: float) -> None:
-    if not math.isfinite(x) or x <= 0:
+def _check_x(x: float) -> float:
+    """The double of x, the one a bound is computed at; DomainError where x
+    is not positive and finite, or where its double is not (an int past
+    DBL_MAX, a Fraction of at most 2**-1075)."""
+    if not x > 0 or x == _INF:
         raise DomainError(f"bounds are stated for x > 0, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:
+        value = _INF
+    if not 0.0 < value < _INF:
+        raise DomainError(f"x={x!r} has no positive finite double: it rounds to {value!r}")
+    return value
 
 
 def _double(units: int, scale: int) -> float:
@@ -329,7 +343,7 @@ def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
 def _settled_ball(bound: BoundId, x: float, a: Optional[float]) -> fp.FixedReal:
     """The ball eval_bound rounds, at the digits that settled its double."""
     _check_param(bound, a)
-    _check_x(x)
+    x = _check_x(x)
     return fp.refine(
         lambda d: eval_bound_hp(bound, x, a, digits=d),
         30 + 2 * math.ceil(abs(math.log10(x))),
@@ -350,10 +364,10 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     zero units, or where the radii reach a pole of the form.
     """
     _check_param(bound, a)
-    _check_x(x)
+    x = _check_x(x)
     info = _CATALOG[bound]
-    balls = ((fp.FixedReal(float(x), digits),) if info.consts is None
-             else _point_balls(float(x), digits))
+    balls = ((fp.FixedReal(x, digits),) if info.consts is None
+             else _point_balls(x, digits))
     if balls[0].units == 0:
         raise PrecisionError(f"x={x!r} rounds to zero at {digits} digits")
     return _fixed_fn(info.form, info.consts, a, digits)(*balls)
@@ -420,27 +434,6 @@ def classify_regime(a: float) -> Regime:
     return prove_regime(a).regime
 
 
-def _ends(a: float, x: float, u: float) -> tuple[float, float]:
-    """The outward-rounded family ends at parameter a, for a double x > 0
-    and u = hypot(1, x); ParamError for an a without a two-sided bracket."""
-    if not math.isfinite(a):
-        raise ParamError("family parameter must be finite")
-    # FAMILY_RANGE and REVERSED_RANGE, inline: this is the kernel's hot path
-    if 0.0 <= a <= 0.5:
-        c_lo, c_hi = 1.0 + a, _HALF_PI
-    elif a >= TWO_OVER_PI:
-        c_lo, c_hi = _HALF_PI, 1.0 + a
-    else:
-        raise ParamError(
-            f"no two-sided enclosure for a={a!r}; need 0 <= a <= 1/2 or a >= 2/pi")
-    if x < _TINY:
-        return math.nextafter(x, 0.0), x
-    q = x / (a + u)
-    if q < 2.0 ** -1022:
-        return 0.0, x
-    return c_lo * q * _DOWN, c_hi * q * _UP
-
-
 def enclosure(a: float, x: float) -> Enclosure:
     """Two-sided family enclosure of arctan x at parameter a, rounded outward.
 
@@ -449,16 +442,37 @@ def enclosure(a: float, x: float) -> Enclosure:
     1 -+ 2**-49 (see _DOWN), so the bracket holds for the doubles returned.
     It is [nextafter(x, 0), x] below 2**-1000, and [0, x] where x/(a+u) is
     subnormal (only a huge a does that).  Parameters in the gap (1/2, 2/pi),
-    or negative, have no certified two-sided bracket and raise.
+    or negative, have no certified two-sided bracket and raise.  An x that
+    is not a double is taken as its double, DomainError where that is not
+    positive and finite (_check_x).
 
-    x and the finished ends are checked inline, as _check_x and Enclosure
-    check them (a failed check calls that helper, which raises), and the
-    pair is built once, in C, by tuple.__new__: beyond the checks a call
-    costs one hypot and _ends.
+    The outward-rounded ends are written here and again in best_enclosure's
+    loop (a call of its own per part would cost each part a frame and a
+    hypot).  x and the finished ends are checked inline, as _check_x and
+    Enclosure check them, and a failed check calls that helper, which
+    raises.  The pair is built once, in C, by tuple.__new__: a
+    call runs in one Python frame, about 0.60 microseconds on a 2-CPU Xeon
+    virtual machine with Python 3.11, against 0.76 with the ends in a
+    helper of their own (BENCH_35.json).
     """
-    if not math.isfinite(x) or x <= 0:
-        _check_x(x)
-    lo, hi = _ends(a, float(x), math.hypot(1.0, x))
+    if type(x) is not float or not 0.0 < x < _INF:
+        x = _check_x(x)
+    # FAMILY_RANGE and REVERSED_RANGE, inline: this is the kernel's hot path
+    if 0.0 <= a <= 0.5:
+        c_lo, c_hi = 1.0 + a, _HALF_PI
+    elif TWO_OVER_PI <= a < _INF:
+        c_lo, c_hi = _HALF_PI, 1.0 + a
+    else:
+        raise ParamError(_GAP_TEXT.format(a) if math.isfinite(a)
+                         else "family parameter must be finite")
+    if x < _TINY:
+        lo, hi = _nextafter(x, 0.0), x
+    else:
+        q = x / (a + _hypot(1.0, x))
+        if q < 2.0 ** -1022:
+            lo, hi = 0.0, x
+        else:
+            lo, hi = c_lo * q * _DOWN, c_hi * q * _UP
     if not -_INF < lo <= hi < _INF:
         Enclosure(lo, hi)
     return _new_pair(Enclosure, (lo, hi))
@@ -469,16 +483,34 @@ def best_enclosure(x: float, params: Iterable[float]) -> Enclosure:
     min of the uppers, bit for bit those of enclosure(a, x), in one pass
     with one hypot.  Containment is preserved since every constituent
     brackets arctan x.  Errors come as enclosure raises them, in the order
-    of params; ParamError for none, or where the max exceeds the min.  As
-    in enclosure, x and the finished ends are checked inline and the pair
-    is built once, by tuple.__new__."""
+    of params; ParamError for none, or where the max exceeds the min.
+
+    Each part's ends are enclosure's, written again in the loop, and x and
+    the finished ends are checked inline, as there; the pair is built once,
+    by tuple.__new__.  A call at (1/2, 2/pi) costs about 1.0 microseconds
+    on the machine of enclosure's figure, against 1.2 with a helper call per
+    part (BENCH_35.json)."""
     lower, upper, u = -_INF, _INF, None
     for a in params:
         if u is None:       # x is checked as enclosure checks it, once
-            if not math.isfinite(x) or x <= 0:
-                _check_x(x)
-            x, u = float(x), math.hypot(1.0, x)
-        lo, hi = _ends(a, x, u)
+            if type(x) is not float or not 0.0 < x < _INF:
+                x = _check_x(x)
+            u = _hypot(1.0, x)
+        if 0.0 <= a <= 0.5:
+            c_lo, c_hi = 1.0 + a, _HALF_PI
+        elif TWO_OVER_PI <= a < _INF:
+            c_lo, c_hi = _HALF_PI, 1.0 + a
+        else:
+            raise ParamError(_GAP_TEXT.format(a) if math.isfinite(a)
+                             else "family parameter must be finite")
+        if x < _TINY:
+            lo, hi = _nextafter(x, 0.0), x
+        else:
+            q = x / (a + u)
+            if q < 2.0 ** -1022:
+                lo, hi = 0.0, x
+            else:
+                lo, hi = c_lo * q * _DOWN, c_hi * q * _UP
         if not lo <= hi:
             raise ParamError(f"inverted enclosure at a={a!r}: {lo!r} > {hi!r}")
         lower = lo if lo > lower else lower

@@ -115,8 +115,13 @@ def _run_max(lo: int, hi: int, best: float, read, slack: float) -> float:
 def _ends_hold(xs: Sequence[float], main: int, digits: int, checked: dict) -> bool:
     """Whether each catalog row approx takes lies strictly on its side of
     arctan at the rows main.. of xs (|x|, increasing) in its reach, read where
-    each monotone piece of its margin is smallest; checked keeps them."""
+    each monotone piece of its margin is smallest; checked keeps them.  A
+    row the catalog marks rises (family-lower and reversed-upper, c = 1 + a
+    = d + e) needs no reading: its margin rises from M(0+) = 0, as c / (d +
+    e) = 1, so it is positive on all of (0, inf)."""
     for end, lo, hi in _REACH:
+        if cat._CATALOG[end.bound].rises:
+            continue
         first, stop = max(main, orc._cut(xs, lo)), orc._cut(xs, hi, right=True)
         for i, j, slope in orc._monotone_pieces(end.bound, end.a, xs, digits) if first < stop else ():
             i, j = max(i, first), min(j, stop)

@@ -640,13 +640,22 @@ class TestBestEnclosure:
             best_enclosure(1.0, [0.5, 0.6])
 
 
-# enclosure and best_enclosure through their helpers, as the reference that
-# the inline checks and the pairs built in place are compared with: the x
-# check of _check_x, the ends of _ends, then Enclosure(lower, upper) through
-# its validating constructor.
+# enclosure and best_enclosure through helpers, as the reference that the
+# inline checks, the ends written in both functions and the pairs built in
+# place are compared with: x's double, the ends, then Enclosure(lower, upper)
+# through its validating constructor.
 def _reference_check_x(x):
-    if not math.isfinite(x) or x <= 0:
+    """The double the ends are computed from, checked after the conversion:
+    an x > 0 whose double is 0 or inf has no bracket."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    if not x > 0 or value == x:
         raise DomainError(f"bounds are stated for x > 0, got {x!r}")
+    raise DomainError(f"x={x!r} has no positive finite double: it rounds to {value!r}")
 
 
 def _reference_ends(a, x, u):
@@ -668,16 +677,16 @@ def _reference_ends(a, x, u):
 
 
 def reference_enclosure(a, x):
-    _reference_check_x(x)
-    return Enclosure(*_reference_ends(a, float(x), math.hypot(1.0, x)))
+    x = _reference_check_x(x)
+    return Enclosure(*_reference_ends(a, x, math.hypot(1.0, x)))
 
 
 def reference_best_enclosure(x, params):
     lower, upper, u = -math.inf, math.inf, None
     for a in params:
         if u is None:
-            _reference_check_x(x)
-            x, u = float(x), math.hypot(1.0, x)
+            x = _reference_check_x(x)
+            u = math.hypot(1.0, x)
         lo, hi = _reference_ends(a, x, u)
         if not lo <= hi:
             raise ParamError(f"inverted enclosure at a={a!r}: {lo!r} > {hi!r}")
@@ -759,6 +768,35 @@ class TestEnclosureErrors:
         with pytest.raises(DomainError) as info:
             enclosure(0.5, x)
         assert str(info.value) == _X_MESSAGE.format(repr(x))
+
+    @pytest.mark.parametrize("x,double", [(Fraction(1, 10 ** 400), 0.0), (10 ** 400, math.inf),
+                                          (Fraction(10 ** 400, 3), math.inf)],
+                             ids=["tiny-fraction", "huge-int", "huge-fraction"])
+    def test_x_without_a_positive_finite_double(self, x, double):
+        # the ends are computed from x's double: [0, 0] missed arctan x > 0,
+        # and a huge int overflowed in float()
+        message = f"x={x!r} has no positive finite double: it rounds to {double!r}"
+        for fn, args in ((enclosure, (0.5, x)), (best_enclosure, (x, [0.5, 0.7])),
+                         (reference_enclosure, (0.5, x)),
+                         (reference_best_enclosure, (x, [0.5, 0.7])),
+                         (eval_bound, (B.SHAFER_LOWER, x)), (eval_bound_hp, (B.SHAFER_LOWER, x))):
+            assert _enclosure_outcome(fn, *args) == (DomainError, message), fn
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), 3, True, Fraction(1, 10 ** 320),
+                                   10 ** 300 + 1, Fraction(-1, 3), -(10 ** 400)],
+                             ids=["third", "int", "bool", "subnormal-fraction", "big-int",
+                                  "negative-fraction", "huge-negative-int"])
+    def test_x_that_is_not_a_double_is_taken_as_its_double(self, x):
+        for a in _IDENTITY_PARAMS:
+            outcome = _enclosure_outcome(enclosure, a, x)
+            assert outcome == _enclosure_outcome(reference_enclosure, a, x), (a, x)
+            if x > 0:
+                assert outcome == _enclosure_outcome(enclosure, a, float(x)), (a, x)
+            else:
+                assert outcome == (DomainError, _X_MESSAGE.format(repr(x)))
+        for params in _IDENTITY_BEST_PARAMS:
+            assert _enclosure_outcome(best_enclosure, x, params) == \
+                _enclosure_outcome(reference_best_enclosure, x, params), (params, x)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter(self, a):

@@ -345,14 +345,13 @@ class TestProfileRuns:
             assert not prof.certified_everywhere
 
     @pytest.mark.parametrize("bound, other", [
-        (BoundId.FAMILY_LOWER, BoundId.FAMILY_UPPER),
-        (BoundId.REVERSED_UPPER, BoundId.REVERSED_LOWER),
         (BoundId.REVERSED_LOWER, BoundId.REVERSED_UPPER),
         (BoundId.FAMILY_UPPER, BoundId.FAMILY_LOWER)])
     def test_failing_catalog_row_reads_every_row(self, monkeypatch, bound, other):
         # one end's catalog row, read as the other side's row at its a, lies
         # on the wrong side of arctan where it is read: the argument's premise
-        # fails, and the summary comes from every row, each measured once
+        # fails, and the summary comes from every row, each measured once.
+        # The two rows the catalog marks rises are never read (below)
         eval_bound_hp = runs.cat.eval_bound_hp
         read = []
 
@@ -373,7 +372,7 @@ class TestProfileRuns:
             assert len(calls) == 1
 
     def test_each_end_is_read_where_approx_takes_it(self, monkeypatch):
-        # the rises rows at the smallest x, the two others at the largest
+        # the two rows not marked rises at the largest x, the rises rows nowhere
         read = set()
         eval_bound_hp = runs.cat.eval_bound_hp
 
@@ -383,9 +382,32 @@ class TestProfileRuns:
         monkeypatch.setattr(runs.cat, "eval_bound_hp", spy)
         prof = error_profile(DEFAULT_KERNEL, SMALL_GRID, 30)
         xs = SMALL_GRID.values()
-        assert read == {(BoundId.FAMILY_LOWER, xs[0]), (BoundId.REVERSED_UPPER, xs[0]),
-                        (BoundId.REVERSED_LOWER, xs[-1]), (BoundId.FAMILY_UPPER, xs[-1])}
+        assert read == {(BoundId.REVERSED_LOWER, xs[-1]), (BoundId.FAMILY_UPPER, xs[-1])}
         assert prof.exact_rows <= 12
+
+    @pytest.mark.parametrize("digits", [20, 330])
+    def test_rises_rows_are_not_read(self, monkeypatch, digits):
+        # family-lower and reversed-upper rise from a margin of 0 at x = 0+,
+        # so they hold on all of (0, inf) and need no reading: on
+        # [1e-300, 1e300] that reading took 2560 digits at x = 1e-300.  The
+        # pi/2 rows' margins at 1e300, about 2e-301, separate at 320 and at
+        # 330 digits.  A rises row read on the wrong side changes nothing
+        eval_bound_hp = runs.cat.eval_bound_hp
+        read = []
+
+        def wrong_side(bound, x, a=None, digits=50):
+            read.append((bound, digits))
+            other = {BoundId.FAMILY_LOWER: BoundId.FAMILY_UPPER,
+                     BoundId.REVERSED_UPPER: BoundId.REVERSED_LOWER}.get(bound, bound)
+            return eval_bound_hp(other, x, a, digits=digits)
+        monkeypatch.setattr(runs.cat, "eval_bound_hp", wrong_side)
+        grid = GridSpec(1e-300, 1e300, 400)
+        prof = error_profile(DEFAULT_KERNEL, grid, digits)
+        rises = {bound for bound in BoundId if runs.cat._CATALOG[bound].rises}
+        assert read and not [b for b, _ in read if b in rises]
+        assert max(d for _, d in read) <= 330
+        assert prof.exact_rows < grid.points and prof.certified_everywhere
+        self.assert_summary_of_rows(prof)
 
     def test_run_table(self):
         # the committed table is the one the kernel's pieces give: cut at the

@@ -30,6 +30,7 @@ from .errors import DomainError, ParamError, PrecisionError
 TWO_OVER_PI = 2.0 / math.pi
 _HALF_PI = 0.5 * math.pi
 _INF = math.inf
+_DBL_MAX = math.nextafter(_INF, 0.0)
 
 #: Default digits of the fixed-point oracle and of kernel profiles, and the
 #: starting digits of sweeps and dominance reports.  The oracle's defaults,
@@ -295,11 +296,18 @@ def _check_param(bound: BoundId, a: Optional[float]) -> None:
         return
     if a is None:
         raise ParamError(f"{bound.value} requires a family parameter")
-    if not math.isfinite(a):
-        raise ParamError("family parameter must be finite")
+    if not -_DBL_MAX <= a <= _DBL_MAX:
+        raise ParamError(f"family parameter {_past_doubles(a)}")
     if not param.ok(a):
         raise ParamError(
             f"a={a!r} outside the certified range {param.text} for {bound.value}")
+
+
+def _past_doubles(a) -> str:
+    """Why a parameter that fails -DBL_MAX <= a <= DBL_MAX, compared
+    exactly, has no double: nan or an infinity, or an int or a Fraction past
+    DBL_MAX, where a double evaluation would overflow."""
+    return "must be finite" if a != a or abs(a) == _INF else "lies past the largest double"
 
 
 def _check_x(x: float) -> float:
@@ -409,10 +417,10 @@ def prove_regime(a: float) -> RegimeProof:
     a enters as the exact Fraction of the double, and pi as the ends of the
     ball FixedReal.pi(30), pi_units(30) -+ 1 unit, which separates every
     double from 2/pi (math.pi -+ 1 ulp cannot: the nearest lies 3.9e-17
-    above it).  DomainError for nan or inf.
+    above it).  DomainError for nan, an infinity or an int past DBL_MAX.
     """
-    if not math.isfinite(a):
-        raise DomainError("parameter must be finite")
+    if not -_DBL_MAX <= a <= _DBL_MAX:
+        raise DomainError(f"parameter {_past_doubles(a)}")
     q = Fraction(a)
     if -1 < q < 0:
         return RegimeProof(Regime.UNCLASSIFIED)
@@ -460,11 +468,11 @@ def enclosure(a: float, x: float) -> Enclosure:
     # FAMILY_RANGE and REVERSED_RANGE, inline: this is the kernel's hot path
     if 0.0 <= a <= 0.5:
         c_lo, c_hi = 1.0 + a, _HALF_PI
-    elif TWO_OVER_PI <= a < _INF:
+    elif TWO_OVER_PI <= a <= _DBL_MAX:
         c_lo, c_hi = _HALF_PI, 1.0 + a
     else:
-        raise ParamError(_GAP_TEXT.format(a) if math.isfinite(a)
-                         else "family parameter must be finite")
+        raise ParamError(_GAP_TEXT.format(a) if -_DBL_MAX <= a <= _DBL_MAX
+                         else f"family parameter {_past_doubles(a)}")
     if x < _TINY:
         lo, hi = _nextafter(x, 0.0), x
     else:
@@ -498,11 +506,11 @@ def best_enclosure(x: float, params: Iterable[float]) -> Enclosure:
             u = _hypot(1.0, x)
         if 0.0 <= a <= 0.5:
             c_lo, c_hi = 1.0 + a, _HALF_PI
-        elif TWO_OVER_PI <= a < _INF:
+        elif TWO_OVER_PI <= a <= _DBL_MAX:
             c_lo, c_hi = _HALF_PI, 1.0 + a
         else:
-            raise ParamError(_GAP_TEXT.format(a) if math.isfinite(a)
-                             else "family parameter must be finite")
+            raise ParamError(_GAP_TEXT.format(a) if -_DBL_MAX <= a <= _DBL_MAX
+                             else f"family parameter {_past_doubles(a)}")
         if x < _TINY:
             lo, hi = _nextafter(x, 0.0), x
         else:

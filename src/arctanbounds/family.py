@@ -29,19 +29,30 @@ from .errors import DomainError, ParamError, SingularityError
 
 
 def _check_positive(x) -> None:
-    if not x > 0:
-        raise DomainError(f"defined for x > 0, got {x!r}")
+    """DomainError unless x > 0 and, unless x is a ball, x <= DBL_MAX."""
+    if not x > 0 or not (isinstance(x, fp.FixedReal) or x <= fp._DBL_MAX):
+        raise DomainError(f"defined for finite x > 0, got {x!r}")
+
+
+def _finite(value, what: str, a, x):
+    """value, a ball as it is; DomainError for a double that is not finite,
+    as where a step overflows: x^3 in the gap from x ~ 5.6e102."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{what} at a={a!r}, x={x!r} has no finite double evaluation;"
+                          " FixedReal arguments give it")
+    return value
 
 
 def family_ratio(a, x):
     """(a + sqrt(1+x^2)) * arctan(x) / x for x > 0.
 
     Tends to 1 + a as x -> 0+ and to pi/2 as x -> inf; those two limits are
-    the unimprovable constants of the two-sided bounds.
+    the unimprovable constants of the two-sided bounds.  In double,
+    DomainError where the result is not finite.
     """
     _check_positive(x)
     u = fp.sqrt_of(1 + x * x)
-    return (a + u) * fp.atan_of(x) / x
+    return _finite((a + u) * fp.atan_of(x) / x, "the ratio", a, x)
 
 
 def stationarity_gap(a, x):
@@ -50,14 +61,16 @@ def stationarity_gap(a, x):
     g(a, x) = (x + x^3 + a x u) / ((1+x^2)(1 + a u)) - arctan x, u = sqrt(1+x^2).
     g vanishes exactly at critical points of the ratio; it tends to 0 at 0+
     and to 1/a - pi/2 at infinity, and its derivative is
-    -x^2 h(u) / (u^3 (1 + a u)^2) with h(u) = (2a^2 - 1)u + a.
+    -x^2 h(u) / (u^3 (1 + a u)^2) with h(u) = (2a^2 - 1)u + a.  In double,
+    DomainError where the result is not finite.
     """
     _check_positive(x)
     u = fp.sqrt_of(1 + x * x)
     pivot = 1 + a * u
     if pivot == 0:
         raise SingularityError(f"1 + a*sqrt(1+x^2) vanishes at a={a!r}, x={x!r}")
-    return (x + x * x * x + a * x * u) / ((1 + x * x) * pivot) - fp.atan_of(x)
+    return _finite((x + x * x * x + a * x * u) / ((1 + x * x) * pivot) - fp.atan_of(x),
+                   "the gap", a, x)
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,9 @@ def pow10(digits: int) -> int:
 
 
 def check_digits(digits: int) -> None:
-    """Raise ParamError unless digits >= 1."""
-    if digits < 1:
-        raise ParamError(f"digits must be >= 1, got {digits!r}")
+    """Raise ParamError unless digits is an int >= 1."""
+    if not isinstance(digits, int) or digits < 1:
+        raise ParamError(f"digits must be a whole number >= 1, got {digits!r}")
 
 
 def refine(evaluate, digits: int, decided, what):

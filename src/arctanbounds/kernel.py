@@ -24,17 +24,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 from . import fixedpoint as fp
 from . import oracle as orc
-from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI, _new_pair
+from .catalog import _DBL_MAX, _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI, _new_pair
 from .errors import DomainError
-
-_DBL_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,12 +66,20 @@ def approx(spec: KernelSpec, x: float) -> CertifiedValue:
     """Approximate arctan x with a certified error bound, for any finite x.
 
     Odd symmetry is applied exactly (computed on |x| and negated), and
-    x = +-0.0 returns (x, 0).  Raises DomainError for an infinite or NaN x.
+    x = +-0.0 returns (x, 0).  Raises DomainError for an infinite or NaN x,
+    and for an x that is not a double (a Fraction, say) whose double, the
+    one the bracket is computed at, is 0.0 while x is not.
     """
     ax = abs(x)
     if ax < _TINY:
+        if type(x) is not float:
+            # taken as its double, as catalog.enclosure takes it
+            value = float(x)
+            if value == 0.0 and x:
+                raise DomainError(f"x={x!r} has no nonzero double: it rounds to {value!r}")
+            x, ax = value, abs(value)
         # arctan x lies in [nextafter(x, 0), x]; x keeps the sign of a zero
-        return _new_pair(CertifiedValue, (float(x), ax - math.nextafter(ax, 0.0)))
+        return _new_pair(CertifiedValue, (x, ax - math.nextafter(ax, 0.0)))
     if ax <= _DBL_MAX:
         # Each of the four bounds is c * (ax / (a + u)), scaled outward as
         # derived beside _DOWN and _UP in catalog.py (gamma_7 < 16 u0).  Each
@@ -148,7 +153,9 @@ class ErrorProfile:
     everywhere is the certification property.  `rows` measures every row when
     first read.  The summary is what every row gives, read from the kernel's
     monotone runs at exact_rows |x| in fixed point, extra_digit_rows of them
-    at extra digits.
+    at extra digits.  That reading rests on the four catalog rows approx
+    takes holding on all of (0, inf), which is proved, not checked at run
+    time (tests/test_kernel.py, test_each_end_holds_on_all_x).
     """
 
     spec: KernelSpec
@@ -190,7 +197,10 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
     Needs at least 20 digits, like the oracle: a coarser oracle cannot
     resolve the actual error against the certificate.  The summary is
     read from the kernel's monotone runs (runs.summary), at a few rows in
-    fixed point, or, where a premise of that reading fails, from every row.
+    fixed point, and reads no catalog row: the four rows approx takes hold
+    on all of (0, inf) by proof (tests/test_kernel.py,
+    test_each_end_holds_on_all_x).  Where a measured row's certificate does
+    not cover it, the summary is read from every row.
     """
     orc.check_digits(digits, "error profile")
     from . import runs      # on first use: approx alone never compiles it

@@ -95,8 +95,11 @@ from .errors import ArctanBoundsError, DomainError, ParamError
 
 
 def check_digits(digits: int, what: str) -> None:
-    """Raise ParamError, naming `what`, unless 20 <= digits <= MAX_DIGITS:
-    the fewest the oracle takes, and the most that fixedpoint.refine does."""
+    """Raise ParamError, naming `what`, unless digits is an int and 20 <=
+    digits <= MAX_DIGITS: the fewest the oracle takes, and the most that
+    fixedpoint.refine does."""
+    if not isinstance(digits, int):
+        raise ParamError(f"{what} needs a whole number of digits, got {digits!r}")
     if not 20 <= digits <= fp.MAX_DIGITS:
         raise ParamError(f"{what} needs at least 20 digits and at most {fp.MAX_DIGITS}")
 
@@ -127,11 +130,15 @@ class GridSpec:
     def __post_init__(self):
         if self.spacing not in ("log", "linear"):
             raise ParamError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
+        if not isinstance(self.points, int):
+            raise ParamError(f"a grid's points must be a whole number, got {self.points!r}")
         if self.points < 2:
             raise ParamError("a grid needs at least 2 points")
         if self.points > sys.maxsize:
             raise ParamError(f"a grid holds at most {sys.maxsize} points")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+        # compared exactly: nan fails, and so does an int past DBL_MAX
+        if not (-cat._DBL_MAX <= self.x_min <= cat._DBL_MAX
+                and -cat._DBL_MAX <= self.x_max <= cat._DBL_MAX):
             raise ParamError("grid endpoints must be finite")
         if not self.x_min < self.x_max:
             raise ParamError("x_min must be below x_max")

@@ -6,16 +6,13 @@ kernel, which every approx needs, does not compile it.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from functools import lru_cache, partial
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from . import catalog as cat
 from . import fixedpoint as fp
 from . import kernel as ker
 from . import oracle as orc
-from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
+from .catalog import _TINY
 
 
 # Why summary's figures are those of every row (u0 = 2**-53).  Row x has
@@ -27,6 +24,17 @@ from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
 #                   grows; M = 0, as for d < 592 the oracle's series stops at
 #                   its first term, x's own units, and for d >= 324 D < x^3/3
 #                   + 1.51 * 10**-d < 2**-1075.
+#   rows            the four catalog rows approx takes, family-lower and
+#                   family-upper at a = 1/2, reversed-lower and reversed-upper
+#                   at the double TWO_OVER_PI, hold on all of (0, inf) by proof
+#                   (tests/test_kernel.py, test_each_end_holds_on_all_x): the
+#                   two marked rises by their marks, the two with c = pi/2 as
+#                   their slope polynomials change sign once between margins
+#                   of 0 at 0+ and at inf.  A stored end is its row's bound
+#                   times (1 + theta)(1 -+ 16 u0), |theta| <= gamma_7 (beside
+#                   catalog._DOWN, _HALF_PI's rounding among the seven): past
+#                   the row by 8.99 u0 of it.  So A <= c - g, g = min(T -
+#                   lower, upper - T) >= 8.99 u0 L, L the lower.
 #   exact model     elsewhere v and c lie within gamma_7 mid* < 2**-50 v of
 #                   mid* and w*, the midpoint and half-width of approx's
 #                   bracket in exact arithmetic at its double constants (five
@@ -38,17 +46,6 @@ from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
 #                   pieces' ends and those polynomials' roots in them
 #                   (_CUTS), both are monotone on each run, and
 #                   |e*| and w* peak at an end of each stretch of a run.
-#   bracket         a stored end is its catalog row's bound times (1 + theta)
-#                   (1 -+ 16 u0), |theta| <= gamma_7 (beside catalog._DOWN,
-#                   _HALF_PI's rounding among the seven): past the row by 8.99
-#                   u0 of it.  Where the rows approx takes hold at x, A <= c -
-#                   g, g = min(T - lower, upper - T) >= 8.99 u0 L, L the lower.
-#   selection       approx compares its two lower (upper) ends, each within
-#                   gamma_5 of the model's, whose ratio is monotone in u with
-#                   slope 0.0157 (0.0123) at the crossover: beyond 1e-13 of it
-#                   approx takes the model's end.  So each end is read over
-#                   its pieces widened by a relative 2**-30, at the end of each
-#                   monotone piece of its margin where the margin is smallest.
 #   fixed point     v and x round to the nearest unit of 10**-d, the oracle to
 #                   the nearest after ten guard digits: |D - A| <= 1.51 *
 #                   10**-d, and M <= D (1 + u0), or D + 2**-1075.
@@ -61,34 +58,18 @@ from .catalog import _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI
 #       below it at the report's digits (x from 9e-6 at 20 digits) are measured.
 #   (3) for x > 10**(d+10) the oracle's reciprocal floors to 0: it returns
 #       pi/2's units, and rows there of one v and d tie.
-# A catalog row that fails, or a measured row its certificate does not cover,
-# breaks a premise: the profile is then read from every row.
-
-
-class _End(NamedTuple):
-    """approx's c * (x / (a + u)) * scale: `bound` at `a` rounded outward."""
-
-    bound: cat.BoundId
-    a: float
-    c: float
-    scale: float
+# A measured row its certificate does not cover breaks a premise: the profile
+# is then read from every row.
 
 
 #: The runs derived above, for the kernel's one spec.  Its bracket is
 #: (family-lower, reversed-upper) up to the crossover of its lower ends, then
 #: (reversed-lower, reversed-upper) up to that of its upper ends, then
 #: (reversed-lower, family-upper).  _CUTS brackets in x those crossovers and
-#: the one root of a slope of e* or w* inside a piece, e*'s peak; _REACH
-#: spans each end's pieces, widened by a relative 2**-30 (selection).
-#: tests/test_kernel.py rebuilds both from the pieces with algebra.Comparison.
+#: the one root of a slope of e* or w* inside a piece, e*'s peak.
+#: tests/test_kernel.py rebuilds it from the pieces with algebra.Comparison.
 _CUTS = ((2.1758413981537936, 2.175841398153794), (2.572753308123286, 2.5727533081232865),
          (2.784292734339491, 2.7842927343394916))
-_REACH = ((_End(cat.BoundId.FAMILY_LOWER, 0.5, 1.5, _DOWN), 0.0, 2.175841400180204),
-          (_End(cat.BoundId.REVERSED_UPPER, TWO_OVER_PI, 1.0 + TWO_OVER_PI, _UP),
-           0.0, 2.57275331051935),
-          (_End(cat.BoundId.REVERSED_LOWER, TWO_OVER_PI, _HALF_PI, _DOWN),
-           2.1758413961273835, math.inf),
-          (_End(cat.BoundId.FAMILY_UPPER, 0.5, _HALF_PI, _UP), 2.5727533057272227, math.inf))
 
 
 def _run_max(lo: int, hi: int, best: float, read, slack: float) -> float:
@@ -112,37 +93,12 @@ def _run_max(lo: int, hi: int, best: float, read, slack: float) -> float:
     return best
 
 
-def _ends_hold(xs: Sequence[float], main: int, digits: int, checked: dict) -> bool:
-    """Whether each catalog row approx takes lies strictly on its side of
-    arctan at the rows main.. of xs (|x|, increasing) in its reach, read where
-    each monotone piece of its margin is smallest; checked keeps them.  A
-    row the catalog marks rises (family-lower and reversed-upper, c = 1 + a
-    = d + e) needs no reading: its margin rises from M(0+) = 0, as c / (d +
-    e) = 1, so it is positive on all of (0, inf)."""
-    for end, lo, hi in _REACH:
-        if cat._CATALOG[end.bound].rises:
-            continue
-        first, stop = max(main, orc._cut(xs, lo)), orc._cut(xs, hi, right=True)
-        for i, j, slope in orc._monotone_pieces(end.bound, end.a, xs, digits) if first < stop else ():
-            i, j = max(i, first), min(j, stop)
-            x = xs[i if slope >= 0 else j - 1] if i < j else None
-            if x is not None and (end, x) not in checked:
-                bound, oracle = fp.refine(
-                    lambda d: (cat.eval_bound_hp(end.bound, x, end.a, digits=d),
-                               orc._oracle_at(x, d)),
-                    digits, fp.separated, lambda: f"{end.bound.value} at x={x!r}")
-                checked[end, x] = (oracle.units > bound.units) == (end.scale < 1.0)
-                if not checked[end, x]:
-                    return False
-    return True
-
-
 def summary(spec: ker.KernelSpec, grid: orc.GridSpec, digits: int) -> Optional[tuple]:
     """(max_certified, max_actual, certified_everywhere, exact_rows,
     extra_digit_rows) of the kernel over a grid, those of every row, or None
-    where a premise of the argument above fails.  The rows of each sign, as
-    |x|, are cut into the kernel's monotone runs (_CUTS), each read from its
-    ends inward while a row between could exceed the largest value:
+    where a measured row's certificate does not cover it.  The rows of each
+    sign, as |x|, are cut into the kernel's monotone runs (_CUTS), each read
+    from its ends inward while a row between could exceed the largest value:
     certificates with approx, actual errors in fixed point."""
     xs = grid.values()
     zeros, positive = orc._cut(xs, 0.0), orc._cut(xs, 0.0, right=True)
@@ -151,15 +107,13 @@ def summary(spec: ker.KernelSpec, grid: orc.GridSpec, digits: int) -> Optional[t
         tuple(-x for x in reversed(xs[:zeros])), xs[positive:]) if side]
     estimate = lru_cache(maxsize=None)(partial(ker.approx, spec))
     meas = 2 * 10.0 ** -digits + 2.0 ** -1074
-    checked, actuals, measured = {}, {}, {}
+    actuals, measured = {}, {}
     max_cert = max_actual = 0.0     # rows at 0 have c = M = 0, and below 2**-1000 M = 0
     runs = []           # (side, lo, hi, slack) of each run from 2**-1000
     for side in sides:
         main = orc._cut(side, _TINY)
         if main:
             max_cert = max(max_cert, estimate(side[main - 1]).error_bound)
-        if not _ends_hold(side, main, digits, checked):
-            return None
         bounds = [main, *(max(main, orc._cut(side, hi)) for _, hi in _CUTS), len(side)]
         runs += [(side, lo, hi, 2.0 ** -47 * estimate(side[hi - 1]).value)
                  for lo, hi in zip(bounds, bounds[1:]) if lo < hi]

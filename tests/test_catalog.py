@@ -117,6 +117,8 @@ class TestEvalBound:
             eval_bound(B.MID_REGIME_LOWER, 1.0, a=0.5)  # boundary excluded
         with pytest.raises(ParamError):
             eval_bound(B.FAMILY_LOWER, 1.0, a=math.nan)
+        with pytest.raises(ParamError, match="past the largest double"):
+            eval_bound(B.REVERSED_LOWER, 1.0, a=10 ** 400)   # no double holds it
 
     def test_family_lower_accepts_endpoints(self):
         eval_bound(B.FAMILY_LOWER, 1.0, a=0.0)
@@ -349,7 +351,7 @@ class TestRegimeProof:
             assert prove_regime(above).regime is Regime.DECREASING
         assert prove_regime(TWO_OVER_PI).regime is Regime.DECREASING
 
-    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)])
     def test_rejects_non_finite(self, a):
         with pytest.raises(DomainError):
             prove_regime(a)
@@ -638,6 +640,8 @@ class TestBestEnclosure:
     def test_bad_param_propagates(self):
         with pytest.raises(ParamError):
             best_enclosure(1.0, [0.5, 0.6])
+        with pytest.raises(ParamError, match="past the largest double"):
+            best_enclosure(1.0, [10 ** 400])
 
 
 # enclosure and best_enclosure through helpers, as the reference that the
@@ -803,6 +807,14 @@ class TestEnclosureErrors:
         with pytest.raises(ParamError) as info:
             enclosure(a, 1.0)
         assert str(info.value) == "family parameter must be finite"
+
+    @pytest.mark.parametrize("a", [10 ** 400, -(10 ** 400), Fraction(10 ** 400, 3)])
+    def test_parameter_past_the_doubles(self, a):
+        # 1.0 + a would overflow: no double holds a
+        for fn, args in ((enclosure, (a, 1.0)), (best_enclosure, (1.0, [0.5, a]))):
+            with pytest.raises(ParamError) as info:
+                fn(*args)
+            assert str(info.value) == "family parameter lies past the largest double"
 
     @pytest.mark.parametrize("a", [0.51, -0.1, math.nextafter(TWO_OVER_PI, 0.0)])
     def test_parameter_without_a_bracket(self, a):

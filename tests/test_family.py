@@ -50,6 +50,20 @@ class TestFamilyRatio:
         f_hp = family_ratio(FixedReal(0.3, 40), FixedReal(2, 40))
         assert float(f_hp) == pytest.approx(family_ratio(0.3, 2.0), rel=1e-14)
 
+    @pytest.mark.parametrize("x", [1e200, math.inf, 10 ** 400])
+    def test_no_silent_inf_or_nan_in_double(self, x):
+        # in double the ratio read inf (its value is about pi/2) and the gap
+        # nan once a step overflowed; both raise instead
+        for fn in (family_ratio, stationarity_gap):
+            with pytest.raises(DomainError):
+                fn(0.5, x)
+        # in fixed point both stay finite and unchanged
+        assert float(family_ratio(FixedReal(0.5, 40), FixedReal(1e200, 40))) == \
+            pytest.approx(math.pi / 2, rel=1e-15)
+        assert float(stationarity_gap(FixedReal(0.5, 40), FixedReal(1e200, 40))) == \
+            pytest.approx(2 - math.pi / 2, rel=1e-15)
+        assert math.isfinite(stationarity_gap(0.5, 1e100))
+
 
 class TestStationarityGap:
     def test_limit_at_infinity(self):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,12 @@ from arctanbounds import (
     oracle_arctan,
 )
 from arctanbounds import algebra as alg
+from arctanbounds import catalog as cat
+from arctanbounds import fixedpoint as fp
 from arctanbounds import kernel as ker
+from arctanbounds import oracle as orc
 from arctanbounds import runs
+from arctanbounds.catalog import _DOWN, _UP
 from arctanbounds.fixedpoint import _bits, _from_bits, x_of
 
 SMALL_GRID = GridSpec(1e-8, 1e8, 300, "log")
@@ -152,6 +157,17 @@ class TestApprox:
             with pytest.raises(DomainError):
                 approx(DEFAULT_KERNEL, x)
 
+    def test_x_that_is_not_a_double_is_taken_as_its_double(self):
+        # as enclosure takes it: a nonzero x whose double is 0.0 has no
+        # certificate (0.0 is not within 0.0 of arctan x); one whose double
+        # is not 0 is certified there
+        for x in (Fraction(1, 10 ** 400), Fraction(-1, 10 ** 400), Fraction(1, 2 ** 1076)):
+            with pytest.raises(DomainError, match="no nonzero double"):
+                approx(DEFAULT_KERNEL, x)
+        for x in (Fraction(1, 2 ** 1050), Fraction(-3, 10 ** 310), 0, Fraction(0)):
+            assert approx(DEFAULT_KERNEL, x) == approx(DEFAULT_KERNEL, float(x))
+            assert type(approx(DEFAULT_KERNEL, x).value) is float
+
     def test_error_bound_vanishes_at_zero(self):
         previous = math.inf
         for x in [1.0, 1e-2, 1e-4, 1e-6, 1e-8]:
@@ -251,10 +267,34 @@ def _slope(low: tuple, high: tuple, atan: bool) -> tuple:
     return alg._sub(p, alg._mul(s1, s2)) if atan else p
 
 
+class End(NamedTuple):
+    """One of approx's four ends, c * (x / (a + u)) * scale: a catalog row at
+    a, its constant c as a double, rounded outward by scale."""
+
+    bound: BoundId
+    a: float
+    c: float
+    scale: float
+
+
+def kernel_ends() -> tuple:
+    """approx's ends at DEFAULT_KERNEL: family-lower, reversed-upper,
+    reversed-lower and family-upper, each c from its catalog row's consts at
+    the double a and math.pi, its scale from the row's side."""
+    a_low, a_high = DEFAULT_KERNEL.a_low, DEFAULT_KERNEL.a_high
+    ends = []
+    for bound, a in ((BoundId.FAMILY_LOWER, a_low), (BoundId.REVERSED_UPPER, a_high),
+                     (BoundId.REVERSED_LOWER, a_high), (BoundId.FAMILY_UPPER, a_low)):
+        row = cat._CATALOG[bound]
+        c, _, _ = row.consts(a, math.pi)
+        ends.append(End(bound, a, c, _DOWN if row.side == "lower" else _UP))
+    return tuple(ends)
+
+
 def kernel_pieces() -> list:
     """The kernel's bracket as (u_stop, lower, upper) pieces in order, each up
     to the exact u at which an end changes (None: infinity)."""
-    ll, uh, lh, ul = (end for end, _, _ in runs._REACH)
+    ll, uh, lh, ul = kernel_ends()
 
     def meet(p, q) -> Fraction:     # c_p / (a_p + u) = c_q / (a_q + u)
         cp, ap, cq, aq = map(Fraction, (p.c, p.a, q.c, q.a))
@@ -262,25 +302,38 @@ def kernel_pieces() -> list:
     return [(meet(ll, lh), ll, uh), (meet(ul, uh), lh, uh), (None, lh, ul)]
 
 
+def holds_on_all_x(bound: BoundId, a: float) -> bool:
+    """Whether the proof of a row on all of (0, inf) goes through at the
+    double a: a rises row by its mark; any other shape row where c = pi/2
+    and e = 1, so that its margin D = arctan x - c x / (d + e u) is 0 at 0+
+    and at inf, and D's slope, of the sign of the slope polynomial Q, changes
+    sign once, first moving D to the row's own side (down for an upper
+    row): D then stays on that side."""
+    row = cat._CATALOG[bound]
+    if row.rises:
+        return True
+    c, _, e = row.consts(Fraction(a), alg.PI)
+    own = 1 if row.side == "lower" else -1
+    return (alg.sign(c - alg.PI / 2) == 0 and e == 1
+            and alg.Comparison(alg.slope_polynomial(row, a)).signs == [own, -own])
+
+
 def build_run_table(pieces: list) -> tuple:
-    """runs._CUTS and runs._REACH from the pieces: the brackets (lo, hi)
-    in x of the pieces' ends and of the roots of the slopes of e* = mid* -
-    arctan and w* in them (e* and w* of the exact model beside runs._End),
-    and each end's span of x widened by a relative 2**-30.  Adding a piece
-    and committing this function's output extends the table."""
-    cuts, reach, start, widen = [], {}, (0.0, 0.0), 1.0 + 2.0 ** -30
+    """runs._CUTS from the pieces: the brackets (lo, hi) in x of the pieces'
+    ends and of the roots of the slopes of e* = mid* - arctan and w* in
+    them (e* and w* of the exact model at the head of runs.py).  Adding a
+    piece and committing this function's output extends the table."""
+    cuts, start = [], (0.0, 0.0)
     for u_stop, lower, upper in pieces:
         t = math.inf if u_stop is None else u_stop - 1      # x = sqrt(t (t + 2))
         stop = (t, t) if u_stop is None else tuple(
             x_of(t.numerator, t.denominator, up) for up in (False, True))
-        for end in (lower, upper):
-            reach[end] = reach.get(end, (start[0] / widen,))[:1] + (stop[1] * widen,)
         low, high = ((Fraction(end.c * end.scale) / 2, Fraction(end.a)) for end in (lower, upper))
         for poly in (_slope(low, high, True), _slope((-low[0], low[1]), high, False)):
             cuts += [b for b in alg.Comparison(poly).brackets if start[1] < b[0] and b[1] < stop[0]]
         cuts.append(stop)
         start = stop
-    return tuple(sorted(cuts)[:-1]), tuple((end, *span) for end, span in reach.items())
+    return tuple(sorted(cuts)[:-1])
 
 
 class TestProfileRuns:
@@ -333,7 +386,7 @@ class TestProfileRuns:
         # shrink that fails only at rows of small error (0.998 fails at over
         # half of SMALL_GRID's rows, none near the largest) goes unseen: the
         # profile measures no such row, and covers it by approx's own rounding
-        # (the argument beside runs._End), which a shrunken approx lacks
+        # (the argument at the head of runs.py), which a shrunken approx lacks
         def shrunk(spec, x):
             est = approx(spec, x)
             return ker.CertifiedValue(est.value, est.error_bound * 0.5)
@@ -344,101 +397,64 @@ class TestProfileRuns:
             assert prof.exact_rows == grid.points
             assert not prof.certified_everywhere
 
-    @pytest.mark.parametrize("bound, other", [
-        (BoundId.REVERSED_LOWER, BoundId.REVERSED_UPPER),
-        (BoundId.FAMILY_UPPER, BoundId.FAMILY_LOWER)])
-    def test_failing_catalog_row_reads_every_row(self, monkeypatch, bound, other):
-        # one end's catalog row, read as the other side's row at its a, lies
-        # on the wrong side of arctan where it is read: the argument's premise
-        # fails, and the summary comes from every row, each measured once.
-        # The two rows the catalog marks rises are never read (below)
-        eval_bound_hp = runs.cat.eval_bound_hp
-        read = []
-
-        def wrong_side(b, x, a=None, digits=50):
-            read.append(b)
-            return eval_bound_hp(other if b == bound else b, x, a, digits=digits)
-        monkeypatch.setattr(runs.cat, "eval_bound_hp", wrong_side)
-        measure_rows = ker._measure_rows
-        calls = []
-        monkeypatch.setattr(ker, "_measure_rows", lambda *args: calls.append(args)
-                            or measure_rows(*args))
-        for grid in (SMALL_GRID, LINEAR_GRID, GridSpec(-10.0, -1e-3, 300, "linear")):
-            calls.clear()
-            prof = error_profile(DEFAULT_KERNEL, grid, 30)
-            assert read[-1] == bound
-            self.assert_summary_of_rows(prof)
-            assert prof.exact_rows == grid.points and prof.certified_everywhere
-            assert len(calls) == 1
-
-    def test_each_end_is_read_where_approx_takes_it(self, monkeypatch):
-        # the two rows not marked rises at the largest x, the rises rows nowhere
-        read = set()
-        eval_bound_hp = runs.cat.eval_bound_hp
-
-        def spy(bound, x, a=None, digits=50):
-            read.add((bound, x))
-            return eval_bound_hp(bound, x, a, digits=digits)
-        monkeypatch.setattr(runs.cat, "eval_bound_hp", spy)
-        prof = error_profile(DEFAULT_KERNEL, SMALL_GRID, 30)
-        xs = SMALL_GRID.values()
-        assert read == {(BoundId.REVERSED_LOWER, xs[-1]), (BoundId.FAMILY_UPPER, xs[-1])}
-        assert prof.exact_rows <= 12
-
     @pytest.mark.parametrize("digits", [20, 330])
-    def test_rises_rows_are_not_read(self, monkeypatch, digits):
-        # family-lower and reversed-upper rise from a margin of 0 at x = 0+,
-        # so they hold on all of (0, inf) and need no reading: on
-        # [1e-300, 1e300] that reading took 2560 digits at x = 1e-300.  The
-        # pi/2 rows' margins at 1e300, about 2e-301, separate at 320 and at
-        # 330 digits.  A rises row read on the wrong side changes nothing
-        eval_bound_hp = runs.cat.eval_bound_hp
-        read = []
+    def test_profile_reads_no_catalog_row(self, monkeypatch, digits):
+        # the four rows approx takes hold by proof (below): no profile reads a
+        # catalog row, sweeps its slope or refines anything.  On [1e-300,
+        # 1e300] at 30 digits a run-time reading of the two pi/2 rows took
+        # most of a first profile's time
+        calls = []
 
-        def wrong_side(bound, x, a=None, digits=50):
-            read.append((bound, digits))
-            other = {BoundId.FAMILY_LOWER: BoundId.FAMILY_UPPER,
-                     BoundId.REVERSED_UPPER: BoundId.REVERSED_LOWER}.get(bound, bound)
-            return eval_bound_hp(other, x, a, digits=digits)
-        monkeypatch.setattr(runs.cat, "eval_bound_hp", wrong_side)
-        grid = GridSpec(1e-300, 1e300, 400)
-        prof = error_profile(DEFAULT_KERNEL, grid, digits)
-        rises = {bound for bound in BoundId if runs.cat._CATALOG[bound].rises}
-        assert read and not [b for b, _ in read if b in rises]
-        assert max(d for _, d in read) <= 330
-        assert prof.exact_rows < grid.points and prof.certified_everywhere
-        self.assert_summary_of_rows(prof)
+        def spy(name, f):
+            return lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs)
+        for module, name in ((cat, "eval_bound_hp"), (orc, "_monotone_pieces"), (fp, "refine")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for grid in EDGE_GRIDS:
+            error_profile(DEFAULT_KERNEL, grid, digits)
+        assert calls == []
+
+    def test_each_end_holds_on_all_x(self):
+        # the premise of runs.summary: each of approx's four rows lies on its
+        # side of arctan on all of (0, inf), for the doubles approx takes
+        # (TWO_OVER_PI lies 3.9e-17 above 2/pi).  Family-upper at 1/2 has
+        # its margin fall, then rise back to 0 (a root near x = 1.8544), and
+        # reversed-lower at TWO_OVER_PI rise, then fall (near x = 0.92475)
+        for end in kernel_ends():
+            assert holds_on_all_x(end.bound, end.a), end
+        slope = {end.bound: alg.Comparison(alg.slope_polynomial(cat._CATALOG[end.bound], end.a))
+                 for end in kernel_ends() if not cat._CATALOG[end.bound].rises}
+        assert slope[BoundId.FAMILY_UPPER].crossovers[0][2] == pytest.approx(1.8544, abs=1e-4)
+        assert slope[BoundId.REVERSED_LOWER].crossovers[0][2] == pytest.approx(0.92475, abs=1e-5)
+        # outside their ranges, at a = 0.6, Q changes sign twice and the
+        # same check refutes both rows
+        for bound in (BoundId.REVERSED_LOWER, BoundId.FAMILY_UPPER):
+            assert not holds_on_all_x(bound, 0.6)
+            assert len(alg.Comparison(alg.slope_polynomial(cat._CATALOG[bound], 0.6)).signs) == 3
 
     def test_run_table(self):
         # the committed table is the one the kernel's pieces give: cut at the
         # two crossovers and where e* peaks, at x = 2.78429... (w* peaks at
         # the upper crossover), four runs
-        assert build_run_table(kernel_pieces()) == (runs._CUTS, runs._REACH)
+        assert build_run_table(kernel_pieces()) == runs._CUTS
         (l_lo, l_hi), (w_lo, w_hi), (e_lo, e_hi) = runs._CUTS
         assert all(hi == math.nextafter(lo, 3.0) for lo, hi in runs._CUTS)
         assert 2.1758413 < l_lo < 2.1758414 and 2.5727533 < w_lo < 2.5727534
         assert 2.7842927 < e_lo < 2.7842928
-        reach = {end.bound: span for end, *span in runs._REACH}
-        assert reach[BoundId.FAMILY_LOWER][0] == reach[BoundId.REVERSED_UPPER][0] == 0.0
-        assert reach[BoundId.REVERSED_LOWER][1] == reach[BoundId.FAMILY_UPPER][1] == math.inf
-        # each crossover lies inside both of its ends' reaches
-        for low, high, cross in ((BoundId.FAMILY_LOWER, BoundId.REVERSED_LOWER, 2.1758413981),
-                                 (BoundId.REVERSED_UPPER, BoundId.FAMILY_UPPER, w_lo)):
-            assert reach[high][0] < cross < reach[low][1]
-            assert reach[low][1] / reach[high][0] < 1 + 2.0 ** -28
 
     def test_pieces_are_the_ends_approx_takes(self):
         # inside each piece approx's tighter lower and upper ends are the
-        # piece's, at the spec's constants
+        # piece's, at the spec's constants, and its value their midpoint
         spec, start = DEFAULT_KERNEL, 0.0
         for u_stop, lower, upper in kernel_pieces():
             stop = math.inf if u_stop is None else math.sqrt(float(u_stop) ** 2 - 1)
             for x in (start * 1.01 + 1e-3, min(stop, 1e6) * 0.99):
-                ends = {e: e.c * (x / (e.a + math.hypot(1.0, x))) for e, _, _ in runs._REACH}
+                ends = {e: e.c * (x / (e.a + math.hypot(1.0, x))) for e in kernel_ends()}
                 lows = [e for e in ends if e.scale < 1.0]
                 ups = [e for e in ends if e.scale > 1.0]
                 assert max(lows, key=ends.get) == lower and min(ups, key=ends.get) == upper
                 assert {lower.a, upper.a} <= {spec.a_low, spec.a_high}
+                assert approx(spec, x).value == 0.5 * (ends[lower] * lower.scale
+                                                       + ends[upper] * upper.scale)
             start = stop
 
     def test_far_rows_tie(self):
@@ -453,9 +469,9 @@ class TestProfileRuns:
         assert len(units) == 1
 
     def test_profile_never_imports_algebra(self):
-        # the run table is committed, and each end's catalog row is read from
-        # the balls of its slope: no profile needs the exact algebra.  approx
-        # alone leaves the runs module unloaded
+        # the run table is committed and no catalog row is read: no profile
+        # needs the exact algebra.  approx alone leaves the runs module
+        # unloaded
         probe = """
 import sys
 from arctanbounds import kernel, oracle

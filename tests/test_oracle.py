@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import arctanbounds.catalog
 from arctanbounds import (
     DEFAULT_GRID,
+    DEFAULT_KERNEL,
     TWO_OVER_PI,
     ArctanBoundsError,
     BoundId,
@@ -27,6 +28,7 @@ from arctanbounds import (
     ParamError,
     PrecisionError,
     dominance_report,
+    error_profile,
     eval_bound_hp,
     oracle_arctan,
     sweep,
@@ -73,6 +75,25 @@ class TestOracle:
     def test_finite_only(self):
         with pytest.raises(DomainError):
             oracle_arctan(math.inf, 30)
+
+    @given(st.one_of(st.floats(1.0, 5000.0).filter(lambda d: not d.is_integer()),
+                     st.fractions(1, 5000).filter(lambda d: d.denominator > 1)),
+           st.integers(2 ** 1024, 2 ** 1100))
+    @settings(max_examples=60, deadline=None)
+    def test_non_integer_digits_and_points_raise(self, size, huge):
+        # digits and grid sizes are whole numbers, and grid ends finite
+        # doubles: each other value is a package error, never a bare
+        # TypeError, ValueError or OverflowError, nor a grid built anyway
+        grid = GridSpec(1.0, 10.0, 5)
+        for call in (lambda: oracle_arctan(1.0, size),
+                     lambda: sweep(BoundId.SHAFER_LOWER, grid=grid, digits=size),
+                     lambda: error_profile(DEFAULT_KERNEL, grid, size),
+                     lambda: FixedReal(1.0, size),
+                     lambda: GridSpec(1e-8, 1e8, size),
+                     lambda: GridSpec(1, huge, 10),
+                     lambda: GridSpec(-huge, 1.0, 10, "linear")):
+            with pytest.raises(ArctanBoundsError):
+                call()
 
     def test_thirty_forty_agreement(self):
         for x in [-12345.678, -1.0, 1e-5, 0.5, 99.0]:
@@ -291,6 +312,9 @@ class TestSweep:
             sweep(BoundId.FAMILY_LOWER, a=0.7, grid=GRID)
         with pytest.raises(ParamError):
             sweep(BoundId.FAMILY_LOWER, grid=GRID)  # missing a
+        with pytest.raises(ParamError, match="past the largest double"):
+            dominance_report(BoundId.REVERSED_LOWER, BoundId.FAMILY_LOWER,
+                             a_a=10 ** 400, a_b=0.5, grid=GRID)
 
     @pytest.mark.parametrize("x_min", [-1.0, 0.0])
     def test_grids_from_a_non_positive_point_raise(self, x_min):

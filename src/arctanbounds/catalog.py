@@ -325,38 +325,25 @@ def _check_x(x: float) -> float:
     return value
 
 
-def _double(units: int, scale: int) -> float:
-    """units/scale rounded to the nearest double, -inf or inf past DBL_MAX."""
-    try:
-        return units / scale
-    except OverflowError:
-        return -math.inf if units < 0 else math.inf
-
-
 def eval_bound(bound: BoundId, x: float, a: Optional[float] = None) -> float:
     """Evaluate one catalog bound at x > 0 as a double: the exact bound at
     the doubles x and a rounded once to the nearest double, -inf or inf
-    where that overflows (cubic-lower above ~1e103).
-
-    It runs eval_bound_hp from 30 + 2|log10 x| digits under
-    fixedpoint.refine, until both ends of the value's ball round to the
-    same double, which the exact value then rounds to as well: cubic-lower
-    near its zero at sqrt(3) and reversed-lower at a huge a take more
-    passes.  PrecisionError past fixedpoint.MAX_DIGITS.
+    where that overflows (cubic-lower above ~1e103).  eval_bound_hp's ball,
+    settled by fixedpoint.settle: cubic-lower near its zero at sqrt(3) and
+    reversed-lower at a huge a take more passes.  PrecisionError past
+    fixedpoint.MAX_DIGITS.
     """
-    value = _settled_ball(bound, x, a)
-    return _double(value.units, value.scale)
+    return _settled(bound, x, a)[0]
 
 
-def _settled_ball(bound: BoundId, x: float, a: Optional[float]) -> fp.FixedReal:
-    """The ball eval_bound rounds, at the digits that settled its double."""
+def _settled(bound: BoundId, x: float, a: Optional[float]) -> tuple[float, int]:
+    """eval_bound's double and the digits that settled it."""
     _check_param(bound, a)
     x = _check_x(x)
-    return fp.refine(
-        lambda d: eval_bound_hp(bound, x, a, digits=d),
-        30 + 2 * math.ceil(abs(math.log10(x))),
-        lambda v: _double(v.units - v.err, v.scale) == _double(v.units + v.err, v.scale),
+    (value,), digits = fp.settle(
+        lambda d: (eval_bound_hp(bound, x, a, digits=d),), x,
         lambda: f"the double of {bound.value} at x={x!r}")
+    return value, digits
 
 
 def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,

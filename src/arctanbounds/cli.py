@@ -262,8 +262,7 @@ def _cmd_eval(args) -> tuple[int, dict, str]:
     if args.digits > fp.MAX_DIGITS:
         raise ParamError(f"eval needs at most {fp.MAX_DIGITS} digits")
     started = time.perf_counter()
-    ball = cat._settled_ball(args.bound, args.x, args.a)
-    value = cat._double(ball.units, ball.scale)
+    value, digits = cat._settled(args.bound, args.x, args.a)
     eval_s = time.perf_counter() - started
     if not math.isfinite(value):    # JSON has no infinity; text matches it
         raise DomainError(f"{args.bound.value} at x={args.x!r}: the bound "
@@ -276,8 +275,8 @@ def _cmd_eval(args) -> tuple[int, dict, str]:
             args.bound, args.x, args.a, digits=args.digits).as_decimal_string()
         text += f"\nfixed-point [{args.digits} digits] = {payload['value_hp']}"
     if args.stats:
-        payload["stats"] = {"eval_s": eval_s, "digits": ball.digits}
-        text += f"\nsettled at {ball.digits} digits; eval {eval_s * 1e6:.1f} us"
+        payload["stats"] = {"eval_s": eval_s, "digits": digits}
+        text += f"\nsettled at {digits} digits; eval {eval_s * 1e6:.1f} us"
     return 0, payload, text
 
 

@@ -14,7 +14,9 @@ and reports the bracket's end where the gap is smaller;
 ``minimum_value_closed_form`` gives the minimum as (a+u)^2 / (u (1+a u))
 with u = sqrt(1 + x0^2).
 
-All evaluations accept floats or :class:`~arctanbounds.fixedpoint.FixedReal`.
+Each evaluation runs on FixedReal balls at a ball argument's digits, and
+at plain numbers returns the exact value rounded once to a double
+(fixedpoint.settle, as for catalog.eval_bound).
 """
 
 from __future__ import annotations
@@ -29,30 +31,36 @@ from .errors import DomainError, ParamError, SingularityError
 
 
 def _check_positive(x) -> None:
-    """DomainError unless x > 0 and, unless x is a ball, x <= DBL_MAX."""
-    if not x > 0 or not (isinstance(x, fp.FixedReal) or x <= fp._DBL_MAX):
+    """DomainError unless x > 0 and, but for a ball, x <= DBL_MAX with a
+    double above 0 (fixedpoint.settle starts from its size)."""
+    if not x > 0 or not (isinstance(x, fp.FixedReal) or x <= fp._DBL_MAX and float(x)):
         raise DomainError(f"defined for finite x > 0, got {x!r}")
 
 
-def _finite(value, what: str, a, x):
-    """value, a ball as it is; DomainError for a double that is not finite,
-    as where a step overflows: x^3 in the gap from x ~ 5.6e102."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"{what} at a={a!r}, x={x!r} has no finite double evaluation;"
-                          " FixedReal arguments give it")
-    return value
+def _evaluate(form, a, x, name: str):
+    """form(a, x) on balls: at a ball argument's digits, the other made a
+    ball there; else the double its exact value rounds to (+-inf past DBL_MAX)."""
+    if isinstance(x, fp.FixedReal):
+        return form(a if isinstance(a, fp.FixedReal) else fp.FixedReal(a, x.digits), x)
+    if isinstance(a, fp.FixedReal):
+        return form(a, fp.FixedReal(x, a.digits))
+    return fp.settle(lambda d: (form(fp.FixedReal(a, d), fp.FixedReal(x, d)),), x,
+                     lambda: f"the double of {name}({a!r}, {x!r})")[0][0]
+
+
+def _ratio_and_u(a: fp.FixedReal, x: fp.FixedReal) -> tuple:
+    u = (1 + x * x).sqrt()
+    return (a + u) * x.atan() / x, u
 
 
 def family_ratio(a, x):
     """(a + sqrt(1+x^2)) * arctan(x) / x for x > 0.
 
     Tends to 1 + a as x -> 0+ and to pi/2 as x -> inf; those two limits are
-    the unimprovable constants of the two-sided bounds.  In double,
-    DomainError where the result is not finite.
+    the unimprovable constants of the two-sided bounds.
     """
     _check_positive(x)
-    u = fp.sqrt_of(1 + x * x)
-    return _finite((a + u) * fp.atan_of(x) / x, "the ratio", a, x)
+    return _evaluate(lambda a, x: _ratio_and_u(a, x)[0], a, x, "family_ratio")
 
 
 def stationarity_gap(a, x):
@@ -61,16 +69,20 @@ def stationarity_gap(a, x):
     g(a, x) = (x + x^3 + a x u) / ((1+x^2)(1 + a u)) - arctan x, u = sqrt(1+x^2).
     g vanishes exactly at critical points of the ratio; it tends to 0 at 0+
     and to 1/a - pi/2 at infinity, and its derivative is
-    -x^2 h(u) / (u^3 (1 + a u)^2) with h(u) = (2a^2 - 1)u + a.  In double,
-    DomainError where the result is not finite.
+    -x^2 h(u) / (u^3 (1 + a u)^2) with h(u) = (2a^2 - 1)u + a.
+    SingularityError where 1 + a u is exactly 0 (a = -4/5, x = 3/4); never
+    at doubles, as no dyadic a and x have a^2 (1 + x^2) = 1.
     """
     _check_positive(x)
-    u = fp.sqrt_of(1 + x * x)
-    pivot = 1 + a * u
-    if pivot == 0:
-        raise SingularityError(f"1 + a*sqrt(1+x^2) vanishes at a={a!r}, x={x!r}")
-    return _finite((x + x * x * x + a * x * u) / ((1 + x * x) * pivot) - fp.atan_of(x),
-                   "the gap", a, x)
+
+    def gap(a_ball, x_ball):
+        u = (1 + x_ball * x_ball).sqrt()
+        pivot = 1 + a_ball * u
+        if not (pivot.units or pivot.err):
+            raise SingularityError(f"1 + a*sqrt(1+x^2) vanishes at a={a!r}, x={x!r}")
+        return ((x_ball + x_ball * x_ball * x_ball + a_ball * x_ball * u)
+                / ((1 + x_ball * x_ball) * pivot) - x_ball.atan())
+    return _evaluate(gap, a, x, "stationarity_gap")
 
 
 @dataclass(frozen=True)
@@ -90,18 +102,12 @@ class MinimumResult:
     max_digits: int
 
 
-#: Digits of the minimum's fixed-point value.  Its relative error, under
-#: 10**-32 for every x0 >= 4.7e-8, cannot move the rounding to a double
-#: unless the ratio lies that close to the midpoint of two doubles.
-_VALUE_DIGITS = 40
-
 #: Digits at which each sign of the gap is first tried.
 GAP_DIGITS = 30
 
 
 def _gap_at(a: float, x: float, d: int, digits: list) -> fp.FixedReal:
-    """stationarity_gap(a, x) in fixed point at d digits; appends d to
-    digits."""
+    """stationarity_gap(a, x) as a ball at d digits; appends d to digits."""
     digits.append(d)
     return stationarity_gap(fp.FixedReal(a, d), fp.FixedReal(x, d))
 
@@ -241,9 +247,9 @@ def find_interior_minimum(a: float) -> MinimumResult:
     end of the bracket where the gap is the smaller in magnitude
     (_nearer_end), mostly decided on the bracket's own balls, and residual
     that ball's centre in magnitude as a double; so the zero lies within
-    the bracket's width of x0.  value is the ratio at x0 in fixed point,
-    rounded once to a double (the double-precision ratio reads one ulp
-    above pi/2 at the double next below 2/pi).
+    the bracket's width of x0.  value and u are the ratio and
+    sqrt(1 + x0^2) at x0, each exact value rounded once to a double, both
+    settled on one set of balls (fixedpoint.settle).
     """
     if not MID_REGIME_RANGE.ok(a):
         raise ParamError(
@@ -252,25 +258,22 @@ def find_interior_minimum(a: float) -> MinimumResult:
     digits = []
     ends = _certified_bracket(lambda x: _certified_gap(a, x, digits), *_guess_minimum(a))
     x0, gap = _nearer_end(a, ends, digits)
-    return MinimumResult(
-        x0=x0,
-        value=float(family_ratio(fp.FixedReal(a, _VALUE_DIGITS),
-                                 fp.FixedReal(x0, _VALUE_DIGITS))),
-        u=math.sqrt(1.0 + x0 * x0),
-        residual=abs(float(gap)),
-        bracket=(ends[0][0], ends[1][0]),
-        gap_evals=len(digits),
-        max_digits=max(digits),
-    )
+    (value, u), _ = fp.settle(
+        lambda d: _ratio_and_u(fp.FixedReal(a, d), fp.FixedReal(x0, d)), x0,
+        lambda: f"the minimum at a={a!r}, x0={x0!r}")
+    return MinimumResult(x0=x0, value=value, u=u, residual=abs(float(gap)),
+                         bracket=(ends[0][0], ends[1][0]), gap_evals=len(digits),
+                         max_digits=max(digits))
 
 
-def minimum_value_closed_form(a: float, u: float) -> float:
+def minimum_value_closed_form(a, u):
     """(a+u)^2 / (u (1 + a u)), the ratio's minimum expressed through
     u = sqrt(1 + x0^2) > 1.  Exceeds 4a(1-a^2) for every u > 1, which is how
     the mid-regime lower bound constant arises."""
-    if not u > 1:
-        raise DomainError(f"u = sqrt(1+x0^2) must exceed 1, got {u!r}")
+    if not u > 1 or not (isinstance(u, fp.FixedReal) or u <= fp._DBL_MAX):
+        raise DomainError(f"u = sqrt(1+x0^2) must be finite and exceed 1, got {u!r}")
     if not MID_REGIME_RANGE.ok(a):
         raise ParamError(
             f"closed-form minimum applies for {MID_REGIME_RANGE.text}, got a={a!r}")
-    return (a + u) ** 2 / (u * (1 + a * u))
+    return _evaluate(lambda a, u: (a + u) * (a + u) / (u * (1 + a * u)), a, u,
+                     "minimum_value_closed_form")

@@ -11,11 +11,12 @@ argument to [0, 1] by the reciprocal identity, then to within 1/128 of a knot
 j/64 of a table of arctan(j/64), built when first needed at a working
 precision and kept for the 16 most recent; pi is 4*arctan(1), the table's
 last entry.  Beside them sit the bisection of a sign change between two
-positive doubles on their bit patterns (dominance crossovers, the family's
-minimum), the runs of a grid of doubles x on which a quadratic in
-v = sqrt(1 + x^2) - 1 with interval coefficients keeps one sign (a sweep's
-monotone pieces), and :func:`refine`, which doubles the digits of every
-sign the package certifies until no radius hides it.
+positive doubles on their bit patterns (dominance crossovers), the runs of
+a grid of doubles x on which a quadratic in v = sqrt(1 + x^2) - 1 with
+interval coefficients keeps one sign (a sweep's monotone pieces),
+:func:`refine`, which doubles the digits of every sign the package
+certifies until no radius hides it, and :func:`settle`, the one rule from
+a ball to a double.
 
 Python integers already provide exact floor division and an exact integer
 square root (``math.isqrt``), so division and roots need no Newton iteration.
@@ -77,6 +78,31 @@ def separated(balls: "tuple[FixedReal, FixedReal]") -> bool:
     return abs(p.units - q.units) > p.err + q.err
 
 
+def _double(units: int, scale: int) -> float:
+    """units/scale rounded to the nearest double, -inf or inf past DBL_MAX."""
+    try:
+        return units / scale
+    except OverflowError:
+        return -math.inf if units < 0 else math.inf
+
+
+def double_of(ball: "FixedReal") -> "float | None":
+    """The double every value in the ball, the exact one among them, rounds
+    to (_double), or None where its ends round to two (or to two zeros)."""
+    low, high = (_double(ball.units + s * ball.err, ball.scale) for s in (-1, 1))
+    return low if _bits(low) == _bits(high) else None
+
+
+def settle(evaluate, x, what) -> tuple[list, int]:
+    """The doubles of the balls evaluate(d) returns, and d: the first of
+    30 + 2 ceil|log10 x| digits (x > 0, the argument), twice them and so on
+    (refine), at which every ball has one (double_of), which its exact value
+    then rounds to.  PrecisionError, naming what(), past MAX_DIGITS."""
+    return refine(lambda d: ([double_of(ball) for ball in evaluate(d)], d),
+                  30 + 2 * math.ceil(abs(math.log10(x))),
+                  lambda settled: None not in settled[0], what)
+
+
 def _round_div(n: int, d: int) -> int:
     # round to nearest, ties away from zero; d > 0
     if n >= 0:
@@ -91,9 +117,7 @@ def _nearest(n: int, d: int) -> tuple[int, int]:
 
 
 def _rescale(units: int, from_digits: int, to_digits: int) -> int:
-    if to_digits >= from_digits:
-        return units * 10 ** (to_digits - from_digits)
-    return _round_div(units, 10 ** (from_digits - to_digits))
+    return _round_div(units, 10 ** (from_digits - to_digits))     # to_digits < from_digits
 
 
 _DOUBLE = struct.Struct("<d")
@@ -198,18 +222,15 @@ def sign_runs(low: list[int], high: list[int], n: int, cut
 
 
 def _bisect_crossover(sign_at, lo: float, hi: float, s_lo: int) -> float:
-    """A point within relative width 1e-13 of where sign_at leaves s_lo, for
-    0 < lo < hi.  Bisects the IEEE bit patterns, whose order is the numeric
-    order of positive doubles, so every step halves the doubles in between
-    and at most 64 steps reach adjacent doubles, at any magnitude."""
+    """A point within relative width 1e-13 of where sign_at (+-1) leaves
+    s_lo, for 0 < lo < hi.  Bisects the IEEE bit patterns, whose order is
+    the numeric order of positive doubles, so every step halves the doubles
+    in between and at most 64 steps reach adjacent doubles, at any size."""
     lo_bits, hi_bits = _bits(lo), _bits(hi)
     while hi_bits - lo_bits > 1 and hi - lo > 1e-13 * hi:
         mid_bits = (lo_bits + hi_bits) // 2
         mid = _from_bits(mid_bits)
-        s_mid = sign_at(mid)
-        if s_mid == 0:
-            return mid
-        if s_mid == s_lo:
+        if sign_at(mid) == s_lo:
             lo, lo_bits = mid, mid_bits
         else:
             hi, hi_bits = mid, mid_bits
@@ -574,14 +595,3 @@ def _quotient(num: FixedReal, den: FixedReal) -> FixedReal:
     units, rem = divmod(num.units * scale, den.units)
     spread = (num.err * mag + abs(num.units) * den.err) * scale
     return num._new(units, -(-spread // (mag * (mag - den.err))) + (rem != 0))
-
-
-# generic dispatch: the family analysis in family.py is written once with
-# ordinary operators and evaluated either on floats or on FixedReal
-
-def sqrt_of(v):
-    return v.sqrt() if isinstance(v, FixedReal) else math.sqrt(v)
-
-
-def atan_of(v):
-    return v.atan() if isinstance(v, FixedReal) else math.atan(v)

@@ -113,8 +113,9 @@ def oracle_arctan(x: float, digits: int = DEFAULT_DIGITS) -> fp.FixedReal:
     correctly rounded double of the centre.
     """
     check_digits(digits, "oracle mode")
-    if not math.isfinite(x):
-        raise DomainError("oracle_arctan needs a finite argument")
+    # compared exactly: nan fails, and so does an int past DBL_MAX
+    if not -cat._DBL_MAX <= x <= cat._DBL_MAX:
+        raise DomainError(f"oracle_arctan needs a finite double, got {x!r}")
     return fp.FixedReal(float(x), digits).atan()
 
 
@@ -298,8 +299,7 @@ def _fixed(balls: tuple[fp.FixedReal, fp.FixedReal], x: float) -> bool:
     """Whether every value in the balls (bound, oracle) gives the reported
     margin one double: that of M, and for x > 1 that of arctan x too."""
     b, o = balls
-    ends = [(o.units - b.units, b.err + o.err)] + [(o.units, o.err)] * (x > 1.0)
-    return all(cat._double(v - r, b.scale) == cat._double(v + r, b.scale) for v, r in ends)
+    return fp.double_of(o - b) is not None and (x <= 1.0 or fp.double_of(o) is not None)
 
 
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,

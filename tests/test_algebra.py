@@ -107,6 +107,19 @@ class TestComparison:
         assert touching.crossovers == []
         assert [sign_on_doubles(touching, x) for x in (0.5, 0.75, 1.0)] == [1, 0, 1]
 
+    def test_root_at_a_bisection_midpoint(self):
+        # (4u - 5)(2u - 3): two roots of t = u - 1 in (0, 1), so their
+        # isolation bisects (0, 1), and t = 1/2 is the midpoint it cuts at
+        c = Comparison(poly(15, -22, 8))
+        (lo, hi), (lo2, hi2) = c.brackets
+        # u = 5/4 at the double x = 3/4, u = 3/2 at x = sqrt(5)/2
+        assert Fraction(lo) == Fraction(hi) == Fraction(3, 4)
+        assert Fraction(lo2) ** 2 < Fraction(5, 4) < Fraction(hi2) ** 2
+        assert hi2 == math.nextafter(lo2, 2)
+        # positive at 0+ (P(1) = 1), 0 at 3/4, negative between the roots
+        assert c.signs == [1, 0, -1, 1]
+        assert [sign_on_doubles(c, x) for x in (0.5, 0.75, 1.0, hi2, 2.0)] == [1, 0, -1, 1, 1]
+
     def test_roots_past_the_doubles(self):
         huge = Comparison(poly(-10 ** 400, 1))
         assert huge.brackets == [(DBL_MAX, math.inf)] and huge.crossovers == []

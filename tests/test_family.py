@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import statistics
 from fractions import Fraction
 from pathlib import Path
@@ -53,16 +54,96 @@ class TestFamilyRatio:
     @pytest.mark.parametrize("x", [1e200, math.inf, 10 ** 400])
     def test_no_silent_inf_or_nan_in_double(self, x):
         # in double the ratio read inf (its value is about pi/2) and the gap
-        # nan once a step overflowed; both raise instead
-        for fn in (family_ratio, stationarity_gap):
-            with pytest.raises(DomainError):
-                fn(0.5, x)
+        # nan once a step overflowed; now a double x gives the exact values
+        # rounded once, and an x past the doubles raises
+        if x == 1e200:
+            assert family_ratio(0.5, x) == 1.5707963267948966      # pi/2's double
+            assert stationarity_gap(0.5, x) == float(2 - FixedReal.pi(60) / 2)
+        else:
+            for fn in (family_ratio, stationarity_gap):
+                with pytest.raises(DomainError):
+                    fn(0.5, x)
         # in fixed point both stay finite and unchanged
         assert float(family_ratio(FixedReal(0.5, 40), FixedReal(1e200, 40))) == \
             pytest.approx(math.pi / 2, rel=1e-15)
         assert float(stationarity_gap(FixedReal(0.5, 40), FixedReal(1e200, 40))) == \
             pytest.approx(2 - math.pi / 2, rel=1e-15)
         assert math.isfinite(stationarity_gap(0.5, 1e100))
+
+
+def rounded(ball_at, digits=30):
+    """The double nearest the exact value behind the balls ball_at(d): the
+    one both ends of the ball round to, at d = digits, twice that and so on
+    until they do."""
+    while True:
+        try:
+            ball = ball_at(digits)
+        except PrecisionError:
+            pass
+        else:
+            lo, hi = (float(Fraction(ball.units + s * ball.err, 10 ** ball.digits))
+                      for s in (-1, 1))
+            if lo == hi:
+                return lo
+        digits *= 2
+
+
+def exact_ratio(a, x):
+    def ball(d):
+        a_, x_ = FixedReal(a, d), FixedReal(x, d)
+        return (a_ + (1 + x_ * x_).sqrt()) * x_.atan() / x_
+    return rounded(ball)
+
+
+def exact_gap(a, x):
+    # g = x u (u + a) / (u^2 (1 + a u)) - arctan x, as 1 + x^2 = u^2
+    def ball(d):
+        a_, x_ = FixedReal(a, d), FixedReal(x, d)
+        u = (1 + x_ * x_).sqrt()
+        return x_ * (u + a_) / (u * (1 + a_ * u)) - x_.atan()
+    return rounded(ball)
+
+
+def exact_closed_form(a, u):
+    def ball(d):
+        a_, u_ = FixedReal(a, d), FixedReal(u, d)
+        return (a_ + u_) * (a_ + u_) / (u_ * (1 + a_ * u_))
+    return rounded(ball)
+
+
+class TestExactlyRounded:
+    """With plain numbers each evaluation is the exact value at them
+    rounded once to a double, checked against a ball built here, at digits
+    where both its ends round alike."""
+
+    @given(st.floats(min_value=-4.0, max_value=4.0),
+           st.floats(min_value=1e-8, max_value=1e8),
+           st.floats(min_value=0.5, max_value=TWO_OVER_PI, exclude_min=True,
+                     exclude_max=True),
+           st.floats(min_value=1.0, max_value=1e8, exclude_min=True))
+    @settings(deadline=None)
+    def test_doubles_are_the_exact_values_rounded_once(self, a, x, a_mid, u):
+        assert family_ratio(a, x) == exact_ratio(a, x)
+        assert stationarity_gap(a, x) == exact_gap(a, x)
+        assert minimum_value_closed_form(a_mid, u) == exact_closed_form(a_mid, u)
+
+    def test_cases_the_float_formulas_missed(self):
+        # the double formulas gave 0.0, 1.17e16, 1.5707963267948968 (or
+        # DomainError at x = 1e200) and an OverflowError
+        assert stationarity_gap(0.6, 1e-8) == -4.166666666666665e-26 == exact_gap(0.6, 1e-8)
+        s3 = math.sqrt(3)
+        assert stationarity_gap(-0.5, s3) == 2.9895115314336884e+16 == exact_gap(-0.5, s3)
+        assert family_ratio(0.5, 1e200) == 1.5707963267948966 == exact_ratio(0.5, 1e200)
+        assert minimum_value_closed_form(0.6, 1e200) == 1.6666666666666667
+        with pytest.raises(DomainError):
+            minimum_value_closed_form(0.6, math.inf)
+
+    def test_mixed_arguments_run_on_balls(self):
+        # a plain argument beside a ball becomes a ball at its digits
+        ball = stationarity_gap(FixedReal(0.6, 40), FixedReal(2.0, 40))
+        for a, x in [(0.6, FixedReal(2.0, 40)), (FixedReal(0.6, 40), 2.0)]:
+            mixed = stationarity_gap(a, x)
+            assert (mixed.units, mixed.err, mixed.digits) == (ball.units, ball.err, 40)
 
 
 class TestStationarityGap:
@@ -80,11 +161,17 @@ class TestStationarityGap:
         assert stationarity_gap(0.6, 0.5) < 0
 
     def test_singularity_signalled(self):
-        # at x = 1, a = -1/sqrt(2) makes 1 + a*u vanish exactly in doubles
+        # at a = -4/5, x = 3/4, u = 5/4 and 1 + a*u vanishes exactly; the
+        # message names the inputs as given
+        for a, x in [(Fraction(-4, 5), 0.75), (FixedReal("-0.8", 30), FixedReal(0.75, 30))]:
+            with pytest.raises(SingularityError, match=f"at a={re.escape(repr(a))}, "
+                                                       f"x={re.escape(repr(x))}$"):
+                stationarity_gap(a, x)
+        # at doubles it never vanishes: here 1 + a*u rounds to 0 in double,
+        # but the exact gap at these doubles is finite
         a = -0.7071067811865475
         assert 1.0 + a * math.sqrt(2.0) == 0.0
-        with pytest.raises(SingularityError):
-            stationarity_gap(a, 1.0)
+        assert stationarity_gap(a, 1.0) == 5640084168041827.0
 
     def test_derivative_sign_consistency(self):
         # sign of d/dx family_ratio == sign of g * (1 + a u), checked against
@@ -202,7 +289,8 @@ REFERENCE_PARAMS = [
 ]
 #: find_interior_minimum's x0, value, u and residual at REFERENCE_PARAMS, as
 #: repr strings, recorded when x0 became an end of the certified bracket
-#: (each value as before, bit for bit)
+#: (each value as before, bit for bit); u at 0.501 and 0.51 recorded again
+#: when it became sqrt(1 + x0^2) rounded once (math.sqrt read an ulp off)
 FIND_MIN_GOLDEN = Path(__file__).parent / "data" / "find_min_golden.json"
 
 

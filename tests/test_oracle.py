@@ -76,6 +76,16 @@ class TestOracle:
         with pytest.raises(DomainError):
             oracle_arctan(math.inf, 30)
 
+    def test_ints_past_the_doubles_raise(self):
+        # math.isfinite(10**400) raised a bare OverflowError; the argument
+        # is compared exactly with DBL_MAX
+        for x in (10 ** 400, -10 ** 400, math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                oracle_arctan(x, 30)
+        assert oracle_arctan(-DBL_MAX, 30).units == -oracle_arctan(DBL_MAX, 30).units
+        assert oracle_arctan(10 ** 300, 30) == oracle_arctan(1e300, 30)
+        assert oracle_arctan(0, 30).units == oracle_arctan(-0.0, 30).units == 0
+
     @given(st.one_of(st.floats(1.0, 5000.0).filter(lambda d: not d.is_integer()),
                      st.fractions(1, 5000).filter(lambda d: d.denominator > 1)),
            st.integers(2 ** 1024, 2 ** 1100))
@@ -1361,6 +1371,30 @@ class TestPieceSweep:
             i for i, p in enumerate(exact) if not p.holds]
         assert report.min_margin == min(margins), (bound, a)
         assert report.min_margin_x == grid.values()[margins.index(min(margins))], (bound, a)
+
+    @pytest.mark.parametrize("a,grid", [(0.6, GridSpec(1.5, 10.0, 30)),
+                                        (0.63, GridSpec(1.0, 100.0, 200))])
+    def test_interior_minimum_of_a_loose_piece(self, monkeypatch, a, grid):
+        # on x > 1 mid-regime-lower's reported margin is 1 - c / rho(a, x),
+        # smallest at the ratio's interior minimum x0, where its slope S goes
+        # from - to +: the sweep bisects S for it and reads inward from there
+        from arctanbounds.family import find_interior_minimum
+        from arctanbounds.oracle import _exact_point
+        asked = []
+        slope_sign = orc._ExactPoints.slope_sign
+        monkeypatch.setattr(orc._ExactPoints, "slope_sign",
+                            lambda self, i: asked.append(i) or slope_sign(self, i))
+        bound, xs = BoundId.MID_REGIME_LOWER, grid.values()
+        exact = [_exact_point(bound, a, "lower", x, 50) for x in xs]
+        margins = [p.margin for p in exact]
+        report = sweep(bound, a=a, grid=grid)
+        assert len(asked) > 2       # the two ends' signs, then the bisection
+        assert [i for run in report.violation_runs for i in run] == [
+            i for i, p in enumerate(exact) if not p.holds]
+        assert report.min_margin == min(margins)
+        assert report.min_margin_x == xs[margins.index(min(margins))]
+        k = bisect.bisect(xs, find_interior_minimum(a).x0)
+        assert report.min_margin_x in (xs[k - 1], xs[k])
 
     @pytest.mark.parametrize("bound,a,grid,max_digits,error", [
         # x^3/3 outgrows a double from x = 8.1e102

@@ -19,7 +19,7 @@ the report's time, its method, the degree of the polynomial whose roots cut
 the grid, their brackets and the digits of pi, and the grid points at a
 bracket's end, or for a log row the grid points and bisection steps decided
 in fixed point.  ``profile --stats`` adds the rows measured in fixed point,
-those of them at extra digits, and the rows' time.
+those of them settled above ``--digits``, and the rows' time.
 ``find-min --stats`` adds the solve's time, the fixed-point evaluations of
 the gap and their most digits, the certified bracket of which x0 is an
 end, and the digits a sign starts from.
@@ -216,10 +216,12 @@ def _dominance_options(p: argparse.ArgumentParser) -> None:
 
 def _profile_options(p: argparse.ArgumentParser) -> None:
     _add_grid_args(p, points=2_000)
-    p.add_argument("--digits", type=int, default=cat.DEFAULT_DIGITS)
-    _add_report_args(p, "add the rows measured in fixed point, those at extra "
-                        "digits, the rows' time and provenance to the JSON or "
-                        "text report", rows=True)
+    p.add_argument("--digits", type=int, default=cat.DEFAULT_DIGITS,
+                   help="starting digits of each row's fixed-point measurement, "
+                        "doubled until its error settles to one double (at least 20)")
+    _add_report_args(p, "add the rows measured in fixed point, those settled "
+                        "above the starting digits, the rows' time and "
+                        "provenance to the JSON or text report", rows=True)
 
 
 @functools.cache

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fixedpoint as fp
-from .catalog import MID_REGIME_RANGE
+from .catalog import MID_REGIME_RANGE, _past_doubles
 from .errors import DomainError, ParamError, SingularityError
 
 
@@ -39,7 +39,11 @@ def _check_positive(x) -> None:
 
 def _evaluate(form, a, x, name: str):
     """form(a, x) on balls: at a ball argument's digits, the other made a
-    ball there; else the double its exact value rounds to (+-inf past DBL_MAX)."""
+    ball there; else the double its exact value rounds to (+-inf past DBL_MAX).
+    ParamError, as catalog gives, for a parameter a past the doubles."""
+    # compared exactly: nan fails, and so does an int or a Fraction past DBL_MAX
+    if not isinstance(a, fp.FixedReal) and not -fp._DBL_MAX <= a <= fp._DBL_MAX:
+        raise ParamError(f"family parameter {_past_doubles(a)}")
     if isinstance(x, fp.FixedReal):
         return form(a if isinstance(a, fp.FixedReal) else fp.FixedReal(a, x.digits), x)
     if isinstance(a, fp.FixedReal):

@@ -93,13 +93,14 @@ def double_of(ball: "FixedReal") -> "float | None":
     return low if _bits(low) == _bits(high) else None
 
 
-def settle(evaluate, x, what) -> tuple[list, int]:
+def settle(evaluate, x, what, digits: int = 0) -> tuple[list, int]:
     """The doubles of the balls evaluate(d) returns, and d: the first of
-    30 + 2 ceil|log10 x| digits (x > 0, the argument), twice them and so on
-    (refine), at which every ball has one (double_of), which its exact value
-    then rounds to.  PrecisionError, naming what(), past MAX_DIGITS."""
+    30 + 2 ceil|log10 x| digits (x > 0, the argument), or `digits` if more,
+    twice them and so on (refine), at which every ball has one (double_of),
+    which its exact value then rounds to.  PrecisionError, naming what(),
+    past MAX_DIGITS."""
     return refine(lambda d: ([double_of(ball) for ball in evaluate(d)], d),
-                  30 + 2 * math.ceil(abs(math.log10(x))),
+                  max(digits, 30 + 2 * math.ceil(abs(math.log10(x)))),
                   lambda settled: None not in settled[0], what)
 
 

@@ -116,46 +116,45 @@ class ProfileRow:
     ratio: float
 
 
-def _row_digits(certified: float, digits: int) -> int:
-    """The digits a row is measured at: `digits`, or, for a certificate below
-    10**(3-digits), which the oracle at `digits` cannot resolve, enough to
-    put 1.5 * 10**-d, the oracle's error plus the value's rounding, below
-    2**-53 / 10 of the certificate."""
-    if 0.0 < certified < 10.0 ** (3 - digits):
-        return 18 - math.floor(math.log10(certified))
-    return digits
+def _actual(x: float, value: float, digits: int) -> tuple[float, int]:
+    """|value - arctan x| rounded once to a double, and the digits that
+    settled it (fixedpoint.settle, from `digits` at least)."""
+    if not x:
+        return 0.0, digits      # value = arctan 0 = 0
+    (actual,), d = fp.settle(
+        lambda d: (abs(fp.FixedReal(value, d) - orc.oracle_arctan(x, d)),), abs(x),
+        lambda: f"the kernel's error at x={x!r}", digits)
+    return actual, d
 
 
-def _actual(x: float, value: float, d: int) -> float:
-    """|value - arctan x| in fixed point at d digits, rounded to a double."""
-    return abs(float(fp.FixedReal(value, d) - orc.oracle_arctan(x, d)))
-
-
-def _measure_rows(spec: KernelSpec, grid: orc.GridSpec, digits: int) -> list[ProfileRow]:
-    """Every row of the grid, measured in fixed point."""
-    rows = []
+def _measure_rows(spec: KernelSpec, grid: orc.GridSpec,
+                  digits: int) -> tuple[list[ProfileRow], int]:
+    """Every row of the grid, measured in fixed point, and how many of them
+    settled above `digits`."""
+    rows, extra = [], 0
     for x in grid.values():
         est = approx(spec, x)
-        actual = _actual(x, est.value, _row_digits(est.error_bound, digits))
+        actual, d = _actual(x, est.value, digits)
+        extra += d > digits
         ratio = math.inf if actual == 0.0 else est.error_bound / actual
         rows.append(ProfileRow(x, est.value, est.error_bound, actual, ratio))
-    return rows
+    return rows, extra
 
 
 @dataclass(frozen=True)
 class ErrorProfile:
     """Certified versus measured error of a kernel over a grid.
 
-    A row's `actual` is |value - arctan x| measured in fixed point, the value
-    and the oracle at `digits`, or, where the certificate is below
-    10**(3-digits), at enough extra digits to put their error below a tenth
-    of an ulp of the certificate.  `ratio` is certified / actual, so ratio >= 1
-    everywhere is the certification property.  `rows` measures every row when
-    first read.  The summary is what every row gives, read from the kernel's
-    monotone runs at exact_rows |x| in fixed point, extra_digit_rows of them
-    at extra digits.  That reading rests on the four catalog rows approx
-    takes holding on all of (0, inf), which is proved, not checked at run
-    time (tests/test_kernel.py, test_each_end_holds_on_all_x).
+    A row's `actual` is the exact |value - arctan x| rounded once to a
+    double, settled in fixed point from `digits`, or 30 + 2 ceil|log10 x|
+    if more, as eval_bound settles a bound (fixedpoint.settle).  `ratio` is
+    certified / actual, so ratio >= 1 everywhere is the certification
+    property.  `rows` measures every row when first read.  The summary is
+    what every row gives, read from the kernel's monotone runs at exact_rows
+    |x| in fixed point, extra_digit_rows of them settled above `digits`.
+    That reading rests on the four catalog rows approx takes holding on all
+    of (0, inf), which is proved, not checked at run time
+    (tests/test_kernel.py, test_each_end_holds_on_all_x).
     """
 
     spec: KernelSpec
@@ -170,7 +169,7 @@ class ErrorProfile:
     @cached_property
     def rows(self) -> list[ProfileRow]:
         """Every row, measured in fixed point when first read."""
-        return _measure_rows(self.spec, self.grid, self.digits)
+        return _measure_rows(self.spec, self.grid, self.digits)[0]
 
     def write_csv(self, stream: io.TextIOBase) -> None:
         writer = csv.writer(stream)
@@ -194,11 +193,11 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
                   digits: int = orc.DEFAULT_DIGITS) -> ErrorProfile:
     """Certified and actual error of the kernel over a grid.
 
-    Needs at least 20 digits, like the oracle: a coarser oracle cannot
-    resolve the actual error against the certificate.  The summary is
-    read from the kernel's monotone runs (runs.summary), at a few rows in
-    fixed point, and reads no catalog row: the four rows approx takes hold
-    on all of (0, inf) by proof (tests/test_kernel.py,
+    `digits`, at least 20 as for the oracle, are the digits each row's
+    measurement starts at; the value it settles to does not depend on them.
+    The summary is read from the kernel's monotone runs (runs.summary), at
+    a few rows in fixed point, and reads no catalog row: the four rows
+    approx takes hold on all of (0, inf) by proof (tests/test_kernel.py,
     test_each_end_holds_on_all_x).  Where a measured row's certificate does
     not cover it, the summary is read from every row.
     """
@@ -212,10 +211,9 @@ def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
 
 def _from_rows(spec: KernelSpec, grid: orc.GridSpec, digits: int) -> ErrorProfile:
     """The profile read from every row, which it keeps as its rows."""
-    rows = _measure_rows(spec, grid, digits)
+    rows, extra = _measure_rows(spec, grid, digits)
     profile = ErrorProfile(spec, grid, digits, max(r.certified for r in rows),
                            max(r.actual for r in rows), all(r.ratio >= 1.0 for r in rows),
-                           len(rows), sum(_row_digits(r.certified, digits) != digits
-                                          for r in rows))
+                           len(rows), extra)
     vars(profile)["rows"] = rows        # where the cached property keeps them
     return profile

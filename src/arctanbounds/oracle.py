@@ -295,22 +295,14 @@ class _Point(NamedTuple):
     oracle_hp: fp.FixedReal
 
 
-def _fixed(balls: tuple[fp.FixedReal, fp.FixedReal], x: float) -> bool:
-    """Whether every value in the balls (bound, oracle) gives the reported
-    margin one double: that of M, and for x > 1 that of arctan x too."""
-    b, o = balls
-    return fp.double_of(o - b) is not None and (x <= 1.0 or fp.double_of(o) is not None)
-
-
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
-                 digits: int, fixed: bool = False) -> _Point:
+                 digits: int) -> _Point:
     """The fixed-point path at x, separated by fixedpoint.refine from
-    `digits`, and with `fixed` until the reported margin's double is too.
-    DomainError where the bound or the margin does not fit a double."""
+    `digits`.  DomainError where the bound or the margin does not fit a
+    double."""
     bound_hp, oracle_hp = fp.refine(
         lambda d: (cat.eval_bound_hp(bound, x, a, digits=d), _oracle_at(x, d)),
-        digits, lambda balls: fp.separated(balls) and (not fixed or _fixed(balls, x)),
-        lambda: f"{bound.value} at x={x!r}: the margin")
+        digits, fp.separated, lambda: f"{bound.value} at x={x!r}: the margin")
     diff = oracle_hp.units - bound_hp.units
     if side == "upper":
         diff = -diff
@@ -488,15 +480,29 @@ class _ExactPoints(dict):
                 i, error = mid, exc
         return error
 
+    def _balls(self, i: int, digits: int) -> tuple[fp.FixedReal, fp.FixedReal]:
+        """The balls (bound, oracle) at grid point i and `digits`: the
+        point's own at its digits."""
+        point, x = self[i], self.xs[i]
+        if digits == point.bound_hp.digits:
+            return point.bound_hp, point.oracle_hp
+        return cat.eval_bound_hp(self.bound, x, self.a, digits=digits), _oracle_at(x, digits)
+
     def fixed_margin(self, i: int) -> float:
-        """The reported margin at i, at more digits where its balls leave
-        its double open."""
+        """The reported margin at i from its exact parts, each rounded once
+        (fixedpoint.settle, from the point's digits): M, divided for x > 1
+        by arctan x."""
         if i not in self.fixed_margins:
-            point, x = self[i], self.xs[i]
-            if not _fixed((point.bound_hp, point.oracle_hp), x):
-                point = _exact_point(self.bound, self.a, self.side, x,
-                                     2 * point.bound_hp.digits, fixed=True)
-            self.fixed_margins[i] = point.margin
+            x = self.xs[i]
+
+            def parts(digits: int) -> tuple:
+                bound_hp, oracle_hp = self._balls(i, digits)
+                margin = oracle_hp - bound_hp if self.side == "lower" else bound_hp - oracle_hp
+                return (margin, oracle_hp) if x > 1.0 else (margin,)
+            (margin, *atan), _ = fp.settle(
+                parts, x, lambda: f"{self.bound.value} at x={x!r}: the margin",
+                self[i].bound_hp.digits)
+            self.fixed_margins[i] = margin / atan[0] if atan else margin
         return self.fixed_margins[i]
 
     def run_start(self, start: int, last: int) -> int:
@@ -516,10 +522,7 @@ class _ExactPoints(dict):
         point, x, consts = self[i], self.xs[i], cat._CATALOG[self.bound].consts
 
         def ball(digits: int) -> fp.FixedReal:
-            bound_hp, oracle_hp = (
-                (point.bound_hp, point.oracle_hp) if digits == point.bound_hp.digits
-                else (cat.eval_bound_hp(self.bound, x, self.a, digits=digits),
-                      _oracle_at(x, digits)))
+            bound_hp, oracle_hp = self._balls(i, digits)
             c, d, e = cat._fixed_consts(consts, self.a, digits)
             u = cat._point_balls(x, digits)[1]
             return bound_hp - c * u * (d * u + e) / ((d + e * u) * (d + e * u)) * oracle_hp

@@ -31,6 +31,21 @@ def central_difference(f, x, h):
     return (f(x + h) - f(x - h)) / (2 * h)
 
 
+@pytest.mark.parametrize("a, text", [
+    (10 ** 400, "lies past the largest double"), (-10 ** 400, "lies past the largest double"),
+    (Fraction(10 ** 400, 3), "lies past the largest double"),
+    (math.inf, "must be finite"), (-math.inf, "must be finite"), (math.nan, "must be finite")],
+    ids=["10**400", "-10**400", "Fraction", "inf", "-inf", "nan"])
+def test_parameters_past_the_doubles_raise_as_in_catalog(a, text):
+    # family_ratio(10**400, 1.0) returned inf and stationarity_gap a number;
+    # inf and nan got FixedReal's "cannot represent a non-finite float".
+    # Now each gets catalog's ParamError, plain x or ball
+    for fn in (family_ratio, stationarity_gap):
+        for x in (1.0, FixedReal(1, 40)):
+            with pytest.raises(ParamError, match=f"^family parameter {text}$"):
+                fn(a, x)
+
+
 class TestFamilyRatio:
     def test_value_at_one(self):
         assert family_ratio(0.0, 1.0) == pytest.approx(

@@ -223,6 +223,21 @@ class TestErrorProfile:
         assert lines[0] == "x,value,certified,actual,ratio"
         assert len(lines) == 25
 
+    def test_rows_are_the_exact_error_rounded_once(self):
+        # each row's actual is |value - arctan x| rounded once, as a 120-digit
+        # reference gives it (its radius, 2e-120, lies far below the ulp of
+        # the smallest error here, 3.3e-25 at x = 1e-8), and so the same
+        # double at every digits the measurement starts at
+        def reference(x: float, value: float) -> float:
+            atan = oracle_arctan(x, 120)
+            return float(abs(Fraction(value) - Fraction(atan.units, atan.scale)))
+        for grid in (GridSpec(1e-8, 1e8, 200), GridSpec(-5.0, 5.0, 201, "linear")):
+            expected = None
+            for digits in (20, 30, 100):
+                rows = error_profile(DEFAULT_KERNEL, grid, digits).rows
+                expected = expected or [_bits(reference(r.x, r.value)) for r in rows]
+                assert [_bits(r.actual) for r in rows] == expected, digits
+
     def test_needs_twenty_digits(self):
         with pytest.raises(ParamError):
             error_profile(DEFAULT_KERNEL, SMALL_GRID, digits=19)
@@ -360,9 +375,8 @@ class TestProfileRuns:
         prof = error_profile(DEFAULT_KERNEL, grid, digits)
         self.assert_summary_of_rows(prof)
         assert prof.certified_everywhere
-        # the runs' ends near the maxima; at 20 digits also the rows from
-        # 9e-6 to 2.3e-5 that the outward rounding leaves open
-        assert prof.exact_rows <= (70 if digits == 20 else 12)
+        # the runs' ends near the maxima, at every digits
+        assert prof.exact_rows <= 12
 
     @given(st.floats(-330.0, 308.0), st.floats(1e-12, 40.0), st.integers(2, 60),
            st.sampled_from(["log", "linear"]), st.sampled_from([20, 30, 100]))
@@ -400,18 +414,25 @@ class TestProfileRuns:
     @pytest.mark.parametrize("digits", [20, 330])
     def test_profile_reads_no_catalog_row(self, monkeypatch, digits):
         # the four rows approx takes hold by proof (below): no profile reads a
-        # catalog row, sweeps its slope or refines anything.  On [1e-300,
-        # 1e300] at 30 digits a run-time reading of the two pi/2 rows took
-        # most of a first profile's time
-        calls = []
+        # catalog row, sweeps its slope or refines anything but the rows it
+        # measures.  On [1e-300, 1e300] at 30 digits a run-time reading of
+        # the two pi/2 rows took most of a first profile's time
+        calls, rows = [], []
 
         def spy(name, f):
             return lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs)
-        for module, name in ((cat, "eval_bound_hp"), (orc, "_monotone_pieces"), (fp, "refine")):
+
+        def refine(evaluate, start, decided, what):
+            # a row's measurement names the kernel's error (kernel._actual)
+            (rows if what().startswith("the kernel's error") else calls).append("refine")
+            return fp_refine(evaluate, start, decided, what)
+        fp_refine = fp.refine
+        for module, name in ((cat, "eval_bound_hp"), (orc, "_monotone_pieces")):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        monkeypatch.setattr(fp, "refine", refine)
         for grid in EDGE_GRIDS:
             error_profile(DEFAULT_KERNEL, grid, digits)
-        assert calls == []
+        assert calls == [] and rows
 
     def test_each_end_holds_on_all_x(self):
         # the premise of runs.summary: each of approx's four rows lies on its
@@ -457,16 +478,23 @@ class TestProfileRuns:
                                                        + ends[upper] * upper.scale)
             start = stop
 
-    def test_far_rows_tie(self):
-        # above 10**(d+10) the oracle returns pi/2 whatever x is, so rows of
-        # one value tie: one row of this grid is measured, where every row was
-        prof = error_profile(DEFAULT_KERNEL, GridSpec(-1e300, 1e300, 2000, "linear"), 30)
-        assert prof.exact_rows == 1
-        x = math.nextafter(1e40, 0.0)
-        while Fraction(x) <= 10 ** 40:
-            x = math.nextafter(x, math.inf)
-        units = {oracle_arctan(y, 30).units for y in (x, 1e41, 1e200, DBL_MAX)}
-        assert len(units) == 1
+    @pytest.mark.parametrize("digits", [20, 30, 100, 330])
+    def test_rows_of_one_value_are_read_at_their_ends(self, digits):
+        # from 2**53 a + u rounds to u = x: every row has one value and
+        # certificate, and A = |v - arctan x| falls, then rises, so the first
+        # and the last of those rows hold their largest actual error.  Those
+        # alone are measured, where the parent read 15 to 300 of them
+        rng = random.Random(53)
+        far = [2.0 ** 53, DBL_MAX] + [_from_bits(rng.randrange(_bits(2.0 ** 53), _bits(DBL_MAX)))
+                                      for _ in range(2000)]
+        assert {approx(DEFAULT_KERNEL, x) for x in far} == {approx(DEFAULT_KERNEL, 2.0 ** 53)}
+        for grid, read in ((GridSpec(1e17, 1e300, 300), 2),
+                           (GridSpec(-1e300, 1e300, 2000, "linear"), 3)):
+            prof = error_profile(DEFAULT_KERNEL, grid, digits)
+            self.assert_summary_of_rows(prof)
+            assert prof.exact_rows == read
+            actual = [r.actual for r in prof.rows if r.x > 0]
+            assert max(actual) == max(actual[0], actual[-1])
 
     def test_profile_never_imports_algebra(self):
         # the run table is committed and no catalog row is read: no profile
@@ -522,14 +550,14 @@ print(loaded())
 
     @pytest.mark.parametrize("digits", [20, 30, 100, 322, 330, 600, 700])
     def test_rows_below_2_to_the_minus_1000_measure_zero(self, digits):
-        # there the oracle's series stops at its first term (d < 592), or D
-        # lies below half the least subnormal (d >= 324): M = 0 at every row
+        # there A < x^3/3 < 2**-1075: M = 0 at every row, whatever digits
+        # the measurement starts at
         rng = random.Random(1000 + digits)
         top = _bits(2.0 ** -1000)
         for bits in [1, top - 1] + [rng.randrange(1, top) for _ in range(200)]:
             x = _from_bits(bits)
             assert approx(DEFAULT_KERNEL, x).value == x
-            assert ker._actual(x, x, digits) == 0.0 == ker._actual(-x, -x, digits)
+            assert ker._actual(x, x, digits)[0] == 0.0 == ker._actual(-x, -x, digits)[0]
 
     @pytest.mark.parametrize("digits", [20, 30, 100, 322, 330])
     def test_rows_below_2_to_the_minus_1000_are_not_measured(self, digits):

@@ -194,9 +194,9 @@ def _find_min_options(p: argparse.ArgumentParser) -> None:
 def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=["all", "fixed", "family"], default="all")
     _add_grid_args(p, points=10_000)
-    p.add_argument("--digits", type=int, default=cat.DEFAULT_SWEEP_DIGITS,
-                   help="starting digits of the fixed-point checks, doubled "
-                        "where a margin lies within its error bound (at least 20)")
+    # not an option: every verdict is exact and every margin rounded once,
+    # and its checks start here
+    p.set_defaults(digits=cat.DEFAULT_SWEEP_DIGITS)
     _add_report_args(p, "add the monotone pieces, the fixed-point point "
                         "counts, the sweeps' time and provenance to the JSON "
                         "report")
@@ -355,7 +355,6 @@ def _suite_entries(suite: str):
 
 def _cmd_verify(args) -> tuple[int, dict, str]:
     orc = _submodule("oracle")
-    orc.check_digits(args.digits, "sweep")
     grid = _grid_from_args(args)
     results = []
     failed = False

@@ -9,14 +9,14 @@ ten guard digits; each adds to the radius the unit that rounding costs and
 what its operands' radii carry through its slope.  arctan reduces its
 argument to [0, 1] by the reciprocal identity, then to within 1/128 of a knot
 j/64 of a table of arctan(j/64), built when first needed at a working
-precision and kept for the 16 most recent; pi is 4*arctan(1), the table's
-last entry.  Beside them sit the bisection of a sign change between two
-positive doubles on their bit patterns (dominance crossovers), the runs of
-a grid of doubles x on which a quadratic in v = sqrt(1 + x^2) - 1 with
-interval coefficients keeps one sign (a sweep's monotone pieces),
-:func:`refine`, which doubles the digits of every sign the package
-certifies until no radius hides it, and :func:`settle`, the one rule from
-a ball to a double.
+precision and kept for the 16 most recent; pi is 16 arctan(1/5) -
+4 arctan(1/239) (Machin).  Beside them sit the bisection of a sign change
+between two positive doubles on their bit patterns (dominance crossovers),
+the runs of a grid of doubles x on which a quadratic in
+v = sqrt(1 + x^2) - 1 with interval coefficients keeps one sign (a sweep's
+monotone pieces), :func:`refine`, which doubles the digits of every sign
+the package certifies until no radius hides it, and :func:`settle`, the
+one rule from a ball to a double.
 
 Python integers already provide exact floor division and an exact integer
 square root (``math.isqrt``), so division and roots need no Newton iteration.
@@ -89,18 +89,19 @@ def _double(units: int, scale: int) -> float:
 def double_of(ball: "FixedReal") -> "float | None":
     """The double every value in the ball, the exact one among them, rounds
     to (_double), or None where its ends round to two (or to two zeros)."""
-    low, high = (_double(ball.units + s * ball.err, ball.scale) for s in (-1, 1))
-    return low if _bits(low) == _bits(high) else None
+    low = _double(ball.units - ball.err, ball.scale)
+    high = _double(ball.units + ball.err, ball.scale)
+    return low if low == high and math.copysign(1.0, low) == math.copysign(1.0, high) else None
 
 
 def settle(evaluate, x, what, digits: int = 0) -> tuple[list, int]:
     """The doubles of the balls evaluate(d) returns, and d: the first of
     30 + 2 ceil|log10 x| digits (x > 0, the argument), or `digits` if more,
-    twice them and so on (refine), at which every ball has one (double_of),
-    which its exact value then rounds to.  PrecisionError, naming what(),
-    past MAX_DIGITS."""
+    but at most MAX_DIGITS, twice them and so on (refine), at which every
+    ball has one (double_of), which its exact value then rounds to.
+    PrecisionError, naming what(), past MAX_DIGITS."""
     return refine(lambda d: ([double_of(ball) for ball in evaluate(d)], d),
-                  max(digits, 30 + 2 * math.ceil(abs(math.log10(x)))),
+                  min(max(digits, 30 + 2 * math.ceil(abs(math.log10(x)))), MAX_DIGITS),
                   lambda settled: None not in settled[0], what)
 
 
@@ -337,10 +338,19 @@ def atan_units(x_units: int, digits: int) -> int:
 
 @lru_cache(maxsize=None)
 def pi_units(digits: int) -> int:
-    """pi in units of 10**-digits, as 4*arctan(1) from the arctan table at ten
-    guard digits: within one unit of pi, as atan_units is of arctan."""
+    """pi in units of 10**-digits, by Machin's 16 arctan(1/5) -
+    4 arctan(1/239), two odd series at ten guard digits.  Error budget, in
+    units of 10**-work: each term is off by under 1.4 (the floors of the
+    term and of its quotient by k), the floored argument and the cutoff by
+    three, over under 0.72*work + 1 terms at 1/5 and 0.21*work + 1 at
+    1/239, so the sum is within 17.4*work + 100 of pi: below 10**-5 of a
+    unit of the result up to MAX_DIGITS, and after rounding to nearest,
+    within one unit, as atan_units is of arctan."""
     work = digits + _GUARD_DIGITS
-    return _rescale(4 * _atan_table(work)[_KNOTS], work, digits)
+    scale = pow10(work)
+    total = (16 * _odd_series(scale // 5, 1, 25, -1, work)
+             - 4 * _odd_series(scale // 239, 1, 239 * 239, -1, work))
+    return _rescale(total, work, digits)
 
 
 def log_units(y_units: int, digits: int) -> int:
@@ -515,7 +525,9 @@ class FixedReal:
         return self._new(-self.units, self.err)
 
     def __abs__(self):
-        return self._new(abs(self.units), self.err)
+        # a ball that reaches 0 holds |v| in [0, |units| + err]: from 0 up
+        units, err, half = abs(self.units), self.err, (abs(self.units) + self.err + 1) // 2
+        return self._new(units, err) if units > err else self._new(half, half)
 
     # comparisons ----------------------------------------------------------
 

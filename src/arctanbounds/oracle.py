@@ -49,13 +49,13 @@ changes at most once.  So the smallest R lies at an end unless S goes from
 A piece is skipped where M(p)/arctan(q) (or M(q)/arctan(p)), a lower bound
 of every ratio on it, exceeds the smallest margin found; a piece where M
 holds reads arctan alone at q.  Otherwise its points are evaluated inward
-from the ends of R's monotone runs until one's ratio bound clears it.
-Points that share the smallest double are ordered by their doubles once
-fixed, at more digits where the balls leave them open, then by index.  The
-oracle is computed, and cached, only at the points evaluated, those
-arctan-only ends and the violations listed, and a grid's points only where
-read (GridSpec.values).  So verdicts are the exact ones, and min_margin
-lies within its point's two radii of the smallest exact margin.
+from the ends of R's monotone runs until one's margin exceeds it.  Every
+reported double is the exact value rounded once (fixedpoint.settle), so
+the margins keep the exact order, and the first point of the smallest is
+reported.  The oracle is computed, and cached, only at the points
+evaluated, those arctan-only ends and the violations listed, and a grid's
+points only where read (GridSpec.values).  So verdicts are the exact ones,
+and no field but digits depends on the digits a sweep starts from.
 
 A dominance report gives every grid point the exact sign of the difference
 of two bounds.  For two rows without a log it is the sign of a polynomial
@@ -282,13 +282,16 @@ def _oracle_at(x: float, digits: int) -> fp.FixedReal:
     return oracle_arctan(x, digits)
 
 
-class _Point(NamedTuple):
-    """The fixed-point path at one point: the doubles of the bound's and the
-    oracle's centres, the reported margin, whether the inequality holds, and
-    the two balls, which share their digits."""
+def _balls(bound: cat.BoundId, a: Optional[float], x: float):
+    """digits -> the balls (bound, oracle) at x."""
+    return lambda d: (cat.eval_bound_hp(bound, x, a, digits=d), _oracle_at(x, d))
 
-    bound: float
-    oracle: float
+
+class _Point(NamedTuple):
+    """The fixed-point path at one point: the reported margin (the exact one
+    rounded once), whether the inequality holds, and the two balls that
+    separated it, which share their digits."""
+
     margin: float
     holds: bool
     bound_hp: fp.FixedReal
@@ -298,24 +301,32 @@ class _Point(NamedTuple):
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
                  digits: int) -> _Point:
     """The fixed-point path at x, separated by fixedpoint.refine from
-    `digits`.  DomainError where the bound or the margin does not fit a
-    double."""
-    bound_hp, oracle_hp = fp.refine(
-        lambda d: (cat.eval_bound_hp(bound, x, a, digits=d), _oracle_at(x, d)),
-        digits, fp.separated, lambda: f"{bound.value} at x={x!r}: the margin")
-    diff = oracle_hp.units - bound_hp.units
-    if side == "upper":
-        diff = -diff
-    # float(FixedReal) divides the units by the scale, correctly rounded
-    try:
-        oracle_f = float(oracle_hp)
-        margin = diff / bound_hp.scale if x <= 1.0 else diff / bound_hp.scale / oracle_f
-        if diff > 0 and margin == 0.0:      # a certified margin that underflows
-            raise OverflowError
-        return _Point(float(bound_hp), oracle_f, margin, diff > 0, bound_hp, oracle_hp)
-    except OverflowError:
+    `digits`, and its reported margin, M or M/arctan x for x > 1, rounded
+    once: from its ends' integer quotients there, or where they round to
+    two doubles, by fixedpoint.settle from twice the digits.  DomainError
+    where the bound or the margin does not fit a double."""
+    what, balls, lower = (lambda: f"{bound.value} at x={x!r}: the margin",
+                          _balls(bound, a, x), side == "lower")
+    bound_hp, oracle_hp = fp.refine(balls, digits, fp.separated, what)
+    diff = oracle_hp.units - bound_hp.units if lower else bound_hp.units - oracle_hp.units
+    radius, o, e = bound_hp.err + oracle_hp.err, oracle_hp.units, oracle_hp.err
+    # M's ends, of diff's sign, over the scale, or for x > 1 over the ends
+    # of arctan x (positive) that make the ends of M/arctan x
+    low, high = ((oracle_hp.scale,) * 2 if x <= 1.0 else
+                 (o + e, o - e) if diff > 0 else (o - e, o + e))
+    margin = fp._double(diff - radius, low)
+    if margin != fp._double(diff + radius, high):
+
+        def ball(bound_d: fp.FixedReal, oracle_d: fp.FixedReal) -> tuple[fp.FixedReal]:
+            m = oracle_d - bound_d if lower else bound_d - oracle_d
+            return (m if x <= 1.0 else m / oracle_d,)
+        (margin,), _ = fp.settle(lambda d: ball(*balls(d)), x, what, 2 * bound_hp.digits)
+    # a bound or margin past DBL_MAX, or a certified margin that underflows
+    if (abs(fp._double(bound_hp.units, bound_hp.scale)) == math.inf
+            or abs(margin) == math.inf or diff > 0 and margin == 0.0):
         raise DomainError(f"{bound.value} at x={x!r}: the bound or its margin "
-                          f"does not fit a double") from None
+                          f"does not fit a double")
+    return _Point(margin, diff > 0, bound_hp, oracle_hp)
 
 
 @dataclass(frozen=True)
@@ -326,15 +337,17 @@ class SweepReport:
     the grid points with a non-positive exact margin, at most one a piece;
     the report is clean iff it is empty iff min_margin > 0.
     violation_count counts their points, violations lists (x, bound,
-    oracle) for them, the doubles of the fixed-point centres, and
+    oracle) for them, the exact bound and arctan each rounded once, and
     violations_listed(n) the first n of them; the fixed-point bound is
     computed when the listing is read, and only for the violations listed.
     pieces counts the grid's runs on which the margin is monotone (see
     sweep) and escalated the grid points at which the sweep evaluated the
     bound in fixed point: the grid's ends, the near end of each piece and
     the points that decide its violations or its smallest ratio, but not
-    the far end of a piece where the bound holds.  min_margin is signed so
-    that positive means the inequality holds.
+    the far end of a piece where the bound holds.  min_margin, positive
+    where the inequality holds, is the smallest exact margin rounded once,
+    min_margin_x its first point; digits, where the checks start, moves no
+    other field.
     """
 
     bound: cat.BoundId
@@ -362,8 +375,11 @@ class SweepReport:
         xs = self.grid.values()
         listed = []
         for i in islice(chain.from_iterable(self.violation_runs), limit):
-            listed.append((xs[i], *_exact_point(self.bound, self.a, self.side, xs[i],
-                                                self.digits)[:2]))
+            x = xs[i]
+            doubles, _ = fp.settle(_balls(self.bound, self.a, x), x,
+                                   lambda: f"{self.bound.value} at x={x!r}: the bound",
+                                   self.digits)
+            listed.append((x, *doubles))
         return listed
 
     @cached_property
@@ -447,9 +463,8 @@ class _ExactPoints(dict):
     def __init__(self, bound: cat.BoundId, a: Optional[float], side: str,
                  grid: GridSpec, digits: int):
         super().__init__()
-        self.bound, self.a, self.side, self.grid, self.digits = bound, a, side, grid, digits
+        self.bound, self.a, self.side, self.digits = bound, a, side, digits
         self.xs = grid.values()
-        self.fixed_margins = {}
 
     def _evaluate(self, i: int) -> _Point:
         point = self[i] = _exact_point(self.bound, self.a, self.side, self.xs[i],
@@ -480,40 +495,15 @@ class _ExactPoints(dict):
                 i, error = mid, exc
         return error
 
-    def _balls(self, i: int, digits: int) -> tuple[fp.FixedReal, fp.FixedReal]:
-        """The balls (bound, oracle) at grid point i and `digits`: the
-        point's own at its digits."""
-        point, x = self[i], self.xs[i]
-        if digits == point.bound_hp.digits:
-            return point.bound_hp, point.oracle_hp
-        return cat.eval_bound_hp(self.bound, x, self.a, digits=digits), _oracle_at(x, digits)
-
-    def fixed_margin(self, i: int) -> float:
-        """The reported margin at i from its exact parts, each rounded once
-        (fixedpoint.settle, from the point's digits): M, divided for x > 1
-        by arctan x."""
-        if i not in self.fixed_margins:
-            x = self.xs[i]
-
-            def parts(digits: int) -> tuple:
-                bound_hp, oracle_hp = self._balls(i, digits)
-                margin = oracle_hp - bound_hp if self.side == "lower" else bound_hp - oracle_hp
-                return (margin, oracle_hp) if x > 1.0 else (margin,)
-            (margin, *atan), _ = fp.settle(
-                parts, x, lambda: f"{self.bound.value} at x={x!r}: the margin",
-                self[i].bound_hp.digits)
-            self.fixed_margins[i] = margin / atan[0] if atan else margin
-        return self.fixed_margins[i]
-
     def run_start(self, start: int, last: int) -> int:
-        """The first of the points start..last whose fixed margin is that at
-        last, on a run where the fixed margins do not rise."""
-        value = self.fixed_margin(last)
-        if last == start or self.fixed_margin(last - 1) != value:
+        """The first of the points start..last whose reported margin is that
+        at last, on a run where the reported margins do not rise."""
+        value = self[last].margin
+        if last == start or self[last - 1].margin != value:
             return last
-        if self.fixed_margin(start) == value:
+        if self[start].margin == value:
             return start
-        return _first_index(start, last - 1, lambda i: self.fixed_margin(i) == value)
+        return _first_index(start, last - 1, lambda i: self[i].margin == value)
 
     def slope_sign(self, i: int) -> int:
         """The sign at grid point i of a shape row's S, which M/arctan x has
@@ -522,7 +512,9 @@ class _ExactPoints(dict):
         point, x, consts = self[i], self.xs[i], cat._CATALOG[self.bound].consts
 
         def ball(digits: int) -> fp.FixedReal:
-            bound_hp, oracle_hp = self._balls(i, digits)
+            bound_hp, oracle_hp = ((point.bound_hp, point.oracle_hp)
+                                   if digits == point.bound_hp.digits else
+                                   _balls(self.bound, self.a, x)(digits))
             c, d, e = cat._fixed_consts(consts, self.a, digits)
             u = cat._point_balls(x, digits)[1]
             return bound_hp - c * u * (d * u + e) / ((d + e * u) * (d + e * u)) * oracle_hp
@@ -531,19 +523,20 @@ class _ExactPoints(dict):
                       lambda: f"{self.bound.value} at x={x!r}: the slope of the margin")
         return 1 if (s.units > 0) == (self.side == "lower") else -1
 
-    def loose_minimum(self, lo: int, hi: int, positive: bool, best: float) -> float:
+    def loose_minimum(self, lo: int, hi: int, best: float) -> float:
         """The smallest of best and the reported margins at the points
-        lo..hi-1, all x > 1, where M is monotone and positive or not, read
-        inward from the ends of R's monotone runs (see the module docstring)."""
+        lo..hi-1, all x > 1, where M is monotone and of one sign, read
+        inward from the ends of R's monotone runs (see the module docstring),
+        each run until a margin exceeds best: rounded once, the margins past
+        it do too."""
 
         def scan(i: int, step: int, stop: int) -> int:     # the index it stops at
             nonlocal best
             while (i - stop) * step < 0:
-                point = self[i]
-                best = min(best, point.margin)
-                if _lowest_ratio(point, point.oracle_hp, positive,
-                                 self.side == "lower") > best:
+                margin = self[i].margin
+                if margin > best:
                     break
+                best = margin
                 i += step
             return i
 
@@ -562,17 +555,14 @@ def _lowest_ratio(at_m: _Point, atan: fp.FixedReal, positive: bool, lower: bool)
     points x > 1 from first to last, where M is monotone and of one sign,
     from the balls of M at one end and of arctan at the other: M(x)/arctan x
     is at least M(first)/arctan(last) where M > 0 rises, and
-    M(last)/arctan(first) where M <= 0 falls; less 2**-50 of it, which
-    covers the three roundings of a reported margin (of the margin, of
-    arctan and of their quotient), so that no point past the bound can share
-    the double of a point below it; a double, rounded down."""
+    M(last)/arctan(first) where M <= 0 falls; rounded once, so that, as
+    rounding is monotone, no reported margin there lies below it."""
     b, o = at_m.bound_hp, at_m.oracle_hp
     low = (o.units - b.units if lower else b.units - o.units) - b.err - o.err
     atan_end = atan.units + atan.err if positive else atan.units - atan.err
-    # low/o.scale over atan_end/atan.scale, times (2**50 -+ 1)/2**50; the
-    # integer quotient is correctly rounded
-    return math.nextafter(low * atan.scale * ((1 << 50) - (1 if low > 0 else -1))
-                          / (o.scale * atan_end << 50), -math.inf)
+    # low/o.scale over atan_end/atan.scale; the integer quotient is
+    # correctly rounded
+    return fp._double(low * atan.scale, o.scale * atan_end)
 
 
 def sweep(bound: cat.BoundId, a: Optional[float] = None,
@@ -634,21 +624,20 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         at_m, atan = ((exact[lo], _oracle_at(xs[hi - 1], digits)) if positive else
                       (exact[hi - 1], exact[lo].oracle_hp))
         if _lowest_ratio(at_m, atan, positive, side == "lower") <= best:
-            best = exact.loose_minimum(lo, hi, positive, best)
+            best = exact.loose_minimum(lo, hi, best)
 
     # every grid point whose reported margin can be the smallest is now
     # evaluated, but on a falling part the run of points that share its
-    # last point's double; ties are ordered by their fixed margins
+    # last point's double; the first of the points that share the smallest
+    # is reported
     min_margin = min(point.margin for point in exact.values())
-    tied = {i for i, point in exact.items() if point.margin == min_margin}
+    first = min(i for i, point in exact.items() if point.margin == min_margin)
     for lo, hi, rising in end_parts:
         if not rising and exact[hi - 1].margin == min_margin:
-            tied.add(exact.run_start(lo, hi - 1))
-    first = min(tied) if len(tied) == 1 else min(
-        tied, key=lambda i: (exact.fixed_margin(i), i))
+            first = min(first, exact.run_start(lo, hi - 1))
     return SweepReport(bound=bound, a=a, side=side, grid=grid, digits=digits,
                        violation_runs=tuple(violated),
-                       min_margin=exact[first].margin, min_margin_x=xs[first],
+                       min_margin=min_margin, min_margin_x=xs[first],
                        escalated=len(exact), pieces=len(pieces))
 
 

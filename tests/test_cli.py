@@ -263,10 +263,9 @@ class TestErrors:
         assert code == 2
         assert "ParamError" in err
 
-    #: a command of each path to the digit cap: verify and profile through
-    #: the oracle's check, eval's fixed-point value through its own
+    #: a command of each path to the digit cap: profile through the oracle's
+    #: check, eval's fixed-point value through its own
     CAPPED_DIGITS = {
-        "verify": ["verify", "--suite", "fixed", "--grid-points", "2"],
         "profile": ["profile", "--grid-points", "2"],
         "eval": ["eval", "--bound", "shafer-lower", "--x", "1"],
     }
@@ -291,14 +290,12 @@ class TestErrors:
         assert out == ""
         assert "ParamError" in err
 
-    @pytest.mark.parametrize("command", ["verify", "profile"])
-    def test_stats_refuse_low_digits_before_the_oracle(self, capsys, monkeypatch,
-                                                       command):
+    def test_stats_refuse_low_digits_before_the_oracle(self, capsys, monkeypatch):
         # the digits check comes before any oracle value
         def no_oracle(x, digits):
             raise AssertionError("oracle_arctan called before the digits check")
         monkeypatch.setattr(orc, "oracle_arctan", no_oracle)
-        code, out, err = run(capsys, [command, "--digits", "10", "--grid-points", "50",
+        code, out, err = run(capsys, ["profile", "--digits", "10", "--grid-points", "50",
                                       "--stats", "--format", "json"])
         assert code == 2 and out == ""
         assert "ParamError" in err and "at least 20 digits" in err
@@ -317,6 +314,14 @@ class TestErrors:
             cli.main(argv + ["--format", "csv"])
         assert exc.value.code == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_verify_takes_no_digits(self, capsys):
+        # every verdict is exact and every margin the exact one rounded once,
+        # so no digits could move a report
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "fixed", "--digits", "50"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --digits 50" in capsys.readouterr().err
 
     def test_dominance_takes_no_digits(self, capsys):
         # every verdict and crossover is exact, so no digits could move one
@@ -862,49 +867,40 @@ class TestVerify:
             del entry["pieces"], entry["escalated"]
         assert payload == strict_json(plain)
 
-    def test_twenty_digits_order_ties_by_their_fixed_margins(self, capsys):
+    def test_twenty_digits_give_the_entries_of_fifty(self):
         # at 40 digits (20, doubled) reversed-lower[a=2/pi]'s margins share
-        # one centre of ~10 units from point 680 on; more digits order them,
-        # and the last point is the minimum, as at 50 digits
-        argv = ["verify", "--suite", "family", "--grid-min", "7.877056469476179e+21",
-                "--grid-max", "3.997866023592105e+22", "--grid-points", "700",
-                "--format", "json"]
-        reports = []
-        for digits in ("20", "50"):
-            code, out, _ = run(capsys, argv + ["--digits", digits])
-            assert code == 0
-            reports.append([(e["bound"], e["a"], e["violation_count"], e["min_margin_x"])
-                            for e in strict_json(out)["results"]])
-        assert reports[0] == reports[1]
-        assert ("reversed-lower", cat.TWO_OVER_PI, 0, 3.997866023592105e+22) in reports[0]
+        # one centre of ~10 units from point 680 on; rounded once, they put
+        # the minimum at the last point from every starting digits
+        grid = orc.GridSpec(7.877056469476179e+21, 3.997866023592105e+22, 700)
+        for bound, a in cli._suite_entries("family"):
+            entry = orc.sweep(bound, a, grid, digits=20).to_json_dict(limit=25)
+            assert dict(entry, digits=50) == orc.sweep(bound, a, grid).to_json_dict(
+                limit=25), (bound, a)
+        report = orc.sweep(cat.BoundId.REVERSED_LOWER, cat.TWO_OVER_PI, grid, digits=20)
+        assert report.ok and report.min_margin_x == 3.997866023592105e+22
 
-    @pytest.mark.parametrize("digits", ["20", "30"])
-    def test_fewer_digits_keep_the_golden_verdicts(self, capsys, digits):
+    @pytest.mark.parametrize("digits", [20, 30])
+    def test_fewer_digits_give_the_golden_entries(self, digits):
         # margins within the radii at the starting digits are evaluated again
-        # at more digits, so 20 and 30 give the golden's verdicts and minimum
-        # points (at 30 digits family-lower[a=0.5] once read 449 violations)
-        code, out, _ = run(capsys, ["verify", "--suite", "all", "--format", "json",
-                                    "--digits", digits])
-        assert code == 0
-        rows = [[e["bound"], e["a"], e["status"], e["violation_count"], e["min_margin_x"]]
-                for e in strict_json(out)["results"]]
-        golden = [[e["bound"], e["a"], e["status"], e["violation_count"], e["min_margin_x"]]
-                  for e in json.loads(VERIFY_GOLDEN.read_text(encoding="utf-8"))["results"]]
-        assert rows == golden
+        # at more digits, and every margin is rounded once, so 20 and 30 give
+        # the golden's entries (at 30 digits family-lower[a=0.5] once read
+        # 449 violations)
+        golden = json.loads(VERIFY_GOLDEN.read_text(encoding="utf-8"))["results"]
+        for (bound, a), expected in zip(cli._suite_entries("all"), golden, strict=True):
+            entry = orc.sweep(bound, a, digits=digits).to_json_dict(
+                limit=cli.VIOLATIONS_LISTED)
+            assert dict(entry, digits=50) == {key: expected[key] for key in entry}
 
-    def test_family_suite_at_thirty_digits(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--suite", "family", "--digits", "30",
-                                    "--format", "json", "--stats"])
-        assert code == 0
-        payload = strict_json(out)
-        entry = next(e for e in payload["results"]
-                     if e["bound"] == "family-lower" and e["a"] == 0.5)
-        assert entry["status"] == "ok" and entry["min_margin"] > 0
+    def test_family_suite_at_thirty_digits(self):
+        reports = {(bound, a): orc.sweep(bound, a, digits=30)
+                   for bound, a in cli._suite_entries("family")}
+        report = reports[cat.BoundId.FAMILY_LOWER, 0.5]
+        assert report.ok and report.min_margin > 0
         # the bound is evaluated at the grid's two ends and at the end of each
         # held piece where its margin is smallest; a loose piece above x = 1
         # reads arctan alone at its other end, unless its lowest ratio falls
         # below the smallest margin found
-        assert payload["stats"]["escalated"] == 62
+        assert sum(report.escalated for report in reports.values()) == 62
 
     def test_default_suite_budget(self, capsys, monkeypatch):
         # the bound is evaluated in fixed point at 97 grid points of the

@@ -262,6 +262,15 @@ class TestAtanTableReduction:
         for digits in range(1, 331):
             assert fp.pi_units(digits) == reference_pi_units(digits), digits
 
+    def test_pi_matches_the_table_formula(self):
+        # pi was 4*arctan(1), the knot table's last entry, at the same guard
+        # digits; Machin's formula gives the same units
+        def table_pi_units(digits):
+            work = digits + 10
+            return fp._rescale(4 * fp._atan_table(work)[fp._KNOTS], work, digits)
+        for digits in [*range(1, 331), 400, 512, 640, 800]:
+            assert fp.pi_units(digits) == table_pi_units(digits), digits
+
     def test_pi_ball_holds_pi(self):
         # the catalog's regime proof reads its ends at 30 digits, and the
         # algebra's signs from 30 up; pi here is the halving reference's at 130
@@ -400,6 +409,19 @@ class TestBallRadius:
         pairs += [(7 - b, 7 - e) for b, e in ops] + [(b + 0.1, e + Fraction(0.1)) for b, e in ops]
         pairs += [(-b, -e) for b, e in ops]
         self.check(pairs)
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_abs(self, digits):
+        # a ball that reaches 0 holds |v| in [0, |units| + err], and its abs
+        # starts at 0 (a wider lower end once kept two zeros apart in
+        # double_of)
+        reaching = [(FixedReal._raw(u, digits, e), Fraction(u + s * e, 10 ** digits))
+                    for u, e in ((0, 0), (0, 3), (2, 5), (-5, 5), (-4, 9)) for s in (-1, 0, 1)]
+        self.check([(abs(b), abs(e)) for b, e in _ball_operands(digits) + reaching])
+        for ball, _ in reaching:
+            lo, hi = abs(ball).ends()
+            assert lo == 0 and hi >= Fraction(abs(ball.units) + ball.err, ball.scale)
+        assert fp.double_of(abs(FixedReal._raw(-3, 678, 3))) == 0.0
 
     @pytest.mark.parametrize("digits", [20, 30, 50])
     def test_multiply(self, digits):
@@ -571,6 +593,20 @@ class TestRefine:
         with pytest.raises(PrecisionError, match="^x is unresolved at 30 digits$"):
             fp.refine(calls.append, 15, lambda value: False, lambda: "x")
         assert calls == [15, 30]
+
+    def test_settle_starts_at_most_at_the_cap(self, monkeypatch):
+        # a start past the cap, from the argument's floor or from twice the
+        # digits of a ball, is tried once at the cap, and then refused with
+        # PrecisionError, never evaluated past it
+        monkeypatch.setattr(fp, "MAX_DIGITS", 100)
+        calls = []
+        evaluate = lambda d: calls.append(d) or (FixedReal._raw(1, d, 1),)
+        for x, digits in ((1e40, 0), (0.5, 200)):
+            calls.clear()
+            with pytest.raises(PrecisionError, match="^y is unresolved at 100 digits$"):
+                fp.settle(evaluate, x, lambda: "y", digits)
+            assert calls == [100]
+        assert fp.settle(lambda d: (FixedReal(0.5, d),), 1e40, lambda: "y") == ([0.5], 100)
 
     def test_separated(self):
         p, q = FixedReal._raw(10, 30, 2), FixedReal._raw(14, 30, 1)

@@ -25,6 +25,7 @@ from arctanbounds import (
 )
 from arctanbounds import algebra as alg
 from arctanbounds import catalog as cat
+from arctanbounds import cli
 from arctanbounds import fixedpoint as fp
 from arctanbounds import kernel as ker
 from arctanbounds import oracle as orc
@@ -551,13 +552,28 @@ print(loaded())
     @pytest.mark.parametrize("digits", [20, 30, 100, 322, 330, 600, 700])
     def test_rows_below_2_to_the_minus_1000_measure_zero(self, digits):
         # there A < x^3/3 < 2**-1075: M = 0 at every row, whatever digits
-        # the measurement starts at
+        # the measurement starts at.  Its ball reaches 0, and its abs starts
+        # at 0, so each row settles at its first digits
         rng = random.Random(1000 + digits)
         top = _bits(2.0 ** -1000)
         for bits in [1, top - 1] + [rng.randrange(1, top) for _ in range(200)]:
             x = _from_bits(bits)
+            first = max(digits, 30 + 2 * math.ceil(-math.log10(x)))
             assert approx(DEFAULT_KERNEL, x).value == x
-            assert ker._actual(x, x, digits)[0] == 0.0 == ker._actual(-x, -x, digits)[0]
+            assert ker._actual(x, x, digits) == (0.0, first) == ker._actual(-x, -x, digits)
+        assert ker._actual(5e-324, 5e-324, 30) == (0.0, 678)
+
+    def test_csv_rows_below_2_to_the_minus_1000(self, capsys):
+        # each row's value is x and its actual error 0.0, read at the first
+        # digits (they once doubled to 1356)
+        assert cli.main(["profile", "--grid-min", "5e-324", "--grid-max", "1e-310",
+                         "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "x,value,certified,actual,ratio" and len(lines) == 2001
+        xs = GridSpec(5e-324, 1e-310, 2000).values()
+        for x, line in zip(xs, lines[1:], strict=True):
+            est = approx(DEFAULT_KERNEL, x)
+            assert line == f"{x!r},{x!r},{est.error_bound!r},0.0,inf"
 
     @pytest.mark.parametrize("digits", [20, 30, 100, 322, 330])
     def test_rows_below_2_to_the_minus_1000_are_not_measured(self, digits):

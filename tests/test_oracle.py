@@ -37,7 +37,7 @@ from arctanbounds.catalog import bound_side
 from arctanbounds import cli
 from arctanbounds import oracle as orc
 from arctanbounds.cli import _suite_entries
-from arctanbounds.fixedpoint import FixedReal, _bisect_crossover
+from arctanbounds.fixedpoint import FixedReal, _bisect_crossover, double_of
 
 GRID = GridSpec(1e-8, 1e8, 400, "log")
 DBL_MAX = 1.7976931348623157e308
@@ -340,6 +340,21 @@ class TestSweep:
             with pytest.raises(DomainError, match=message):
                 dominance_report(*pair, grid=grid)
 
+    @pytest.mark.parametrize("digits,message", [(10, "at least 20 digits"),
+                                                (4097, "at most 4096")])
+    def test_starting_digits_are_checked_before_the_oracle(self, monkeypatch, digits,
+                                                           message):
+        # they once ran for seconds to minutes at 20,000 digits and more
+        def no_oracle(x, digits):
+            raise AssertionError("oracle_arctan called before the digits check")
+        monkeypatch.setattr(orc, "oracle_arctan", no_oracle)
+        with pytest.raises(ParamError, match=message):
+            sweep(BoundId.SHAFER_LOWER, grid=GridSpec(1e-8, 1e8, 50), digits=digits)
+
+    def test_starting_digits_at_the_cap_run(self):
+        report = sweep(BoundId.SHAFER_LOWER, grid=GridSpec(1e-8, 1e8, 2), digits=4096)
+        assert report.ok and report.digits == 4096
+
     def test_json_round_trip(self):
         report = sweep(BoundId.LOG_LOWER, grid=GridSpec(0.1, 10, 16, "log"))
         payload = report.to_json_dict()
@@ -348,10 +363,37 @@ class TestSweep:
         assert payload["trusted"] is True
 
 
+def rounded_once(evaluate, digits):
+    """The doubles that the exact values of the balls evaluate(d) returns
+    round to: at `digits`, twice them and so on, until double_of gives one
+    for each ball."""
+    while True:
+        try:
+            doubles = [double_of(ball) for ball in evaluate(digits)]
+            if None not in doubles:
+                return doubles
+        except PrecisionError:
+            pass
+        digits *= 2
+
+
+def exact_margin(bound, a, x, digits):
+    """The reported margin at x, the exact M (or M/arctan x for x > 1)
+    rounded once, from balls at `digits`, twice them and so on."""
+    lower = bound_side(bound) == "lower"
+
+    def margin(d):
+        b, o = eval_bound_hp(bound, x, a, digits=d), oracle_arctan(x, d)
+        m = o - b if lower else b - o
+        return (m if x <= 1.0 else m / o,)
+    return rounded_once(margin, digits)[0]
+
+
 def reference_sweep(bound, a, grid, digits, oracle):
     """Every grid point through the fixed-point path: the per-point loop that
-    the filtered sweep replaced.  Returns (violations, min_margin,
-    min_margin_x)."""
+    the filtered sweep replaced, with its verdicts at `digits`.  Returns
+    (violations, min_margin, min_margin_x), each reported number the exact
+    value rounded once."""
     side = bound_side(bound)
     xs = grid.values()
     violations = []
@@ -359,10 +401,11 @@ def reference_sweep(bound, a, grid, digits, oracle):
     for x, oracle_hp in zip(xs, oracle):
         bound_hp = eval_bound_hp(bound, x, a, digits=digits)
         diff = (oracle_hp - bound_hp) if side == "lower" else (bound_hp - oracle_hp)
-        oracle_f, bound_f = float(oracle_hp), float(bound_hp)
-        margin = float(diff) if x <= 1.0 else float(diff) / oracle_f
         if diff.units <= 0:
-            violations.append((x, bound_f, oracle_f))
+            violations.append((x, *rounded_once(
+                lambda d: (eval_bound_hp(bound, x, a, digits=d), oracle_arctan(x, d)),
+                digits)))
+        margin = exact_margin(bound, a, x, digits)
         if margin < min_margin:
             min_margin, min_x = margin, x
     return violations, min_margin, min_x
@@ -502,12 +545,16 @@ class TestSettledViolations:
         assert [x for x, _, _ in listed] == list(DEFAULT_GRID.values()[:25])
         assert len(calls) <= 25
 
-    def test_cli_lists_first_25(self, capsys, fixed_point_calls):
+    def test_cli_lists_first_25(self, capsys, monkeypatch):
         grid = GridSpec(1e-8, 1e8, 300, "log")
         oracle = [oracle_arctan(x, 50) for x in grid.values()]
         reference, _, _ = reference_sweep(BoundId.TWO_OVER_PI_LOWER_ERRATA, None,
                                           grid, 50, oracle)
-        assert fixed_point_calls == []
+        digits = []     # of every eval_bound_hp call through the catalog module
+        original = arctanbounds.catalog.eval_bound_hp
+        monkeypatch.setattr(arctanbounds.catalog, "eval_bound_hp",
+                            lambda *args, **kwargs: digits.append(kwargs["digits"])
+                            or original(*args, **kwargs))
         assert cli.main(["verify", "--suite", "fixed", "--grid-points", "300",
                          "--format", "json", "--stats"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -516,8 +563,10 @@ class TestSettledViolations:
         assert entry["violation_count"] == 300 and entry["violations_truncated"] is True
         assert entry["violations"] == [{"x": x, "bound": b, "oracle": o}
                                        for x, b, o in reference[:25]]
-        # the sweeps' own fixed-point points, and at most the 25 listed
-        assert len(fixed_point_calls) <= payload["stats"]["escalated"] + 25
+        # at the sweeps' starting digits, their own fixed-point points and at
+        # most the 25 listed; a margin that the balls there leave between two
+        # doubles is settled at more digits
+        assert digits.count(50) <= payload["stats"]["escalated"] + 25
 
     def test_tiny_x_resolves_inside_sweep(self):
         # x = 1e-60 is zero units at 50 digits: the sweep evaluates such a
@@ -1302,9 +1351,9 @@ class TestPiecesAgainstTheExactSlope:
 class TestPieceMinimum:
     def test_ties_inside_a_loose_piece(self):
         # past x = 1 two-over-pi-upper's margin rises, but its ratio to
-        # arctan falls by about an ulp over this grid, so the piece is read
-        # in the double filter: points 2 to 39 share one double, and the
-        # first of them is reported, as by the reference
+        # arctan falls by about an ulp over this grid: all 40 exact ratios
+        # round to one double, and the grid's first point is reported, as by
+        # the reference
         grid = GridSpec(21157275.09932036, 21157275.127642065, 40, "log")
         oracle = [oracle_arctan(x, 50) for x in grid.values()]
         for bound, a in _suite_entries("all"):
@@ -1312,6 +1361,11 @@ class TestPieceMinimum:
             report = sweep(bound, a=a, grid=grid)
             assert report.violations == violations, (bound, a)
             assert (report.min_margin, report.min_margin_x) == (min_margin, min_x), (bound, a)
+        assert {exact_margin(BoundId.TWO_OVER_PI_UPPER, None, x, 120)
+                for x in grid.values()} == {0.041904506936932207}
+        report = sweep(BoundId.TWO_OVER_PI_UPPER, grid=grid)
+        assert (report.min_margin, report.min_margin_x) == (0.041904506936932207,
+                                                            grid.values()[0])
 
     def test_skipped_pieces_bound_every_ratio(self):
         # a loose piece above x = 1 (M > 0 rising or M <= 0 falling) is skipped
@@ -1337,7 +1391,7 @@ class TestPieceMinimum:
                 at_m, at_atan = (run[0], run[-1]) if holds else (run[-1], run[0])
                 lowest = _lowest_ratio(points[at_m], points[at_atan].oracle_hp, holds,
                                        side == "lower")
-                assert all(lowest < points[i].margin for i in run), (bound, a, piece)
+                assert all(lowest <= points[i].margin for i in run), (bound, a, piece)
                 checked += 1
         # the eight entries whose margin falls to 0 at infinity have no loose
         # piece here; each of the other 22 has one (mid-regime-lower's square
@@ -1371,6 +1425,25 @@ class TestPieceSweep:
             i for i, p in enumerate(exact) if not p.holds]
         assert report.min_margin == min(margins), (bound, a)
         assert report.min_margin_x == grid.values()[margins.index(min(margins))], (bound, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows_and_params(), st.floats(-6.0, 6.0),
+           st.one_of(st.floats(0.0, 6.0), st.floats(0.0, 100.0)), st.integers(2, 30))
+    def test_random_grids_report_the_exact_margin_rounded_once(self, row, low, decades,
+                                                               points):
+        # drawn as above: the report is one at every starting digits, and its
+        # min_margin is the exact margin at min_margin_x rounded once
+        bound, a = row
+        x_min = 10.0 ** low
+        x_max = min(x_min * 10.0 ** decades, 1e100)
+        if not x_min < x_max:
+            x_max = 2 * x_min
+        grid = GridSpec(x_min, x_max, points, "log")
+        reports = [sweep(bound, a, grid, digits=digits).to_json_dict()
+                   for digits in (20, 30, 50)]
+        assert [dict(report, digits=50) for report in reports] == [reports[2]] * 3
+        x = reports[2]["min_margin_x"]
+        assert reports[2]["min_margin"] == exact_margin(bound, a, x, resolving_digits(x))
 
     @pytest.mark.parametrize("a,grid", [(0.6, GridSpec(1.5, 10.0, 30)),
                                         (0.63, GridSpec(1.0, 100.0, 200))])
@@ -1456,10 +1529,12 @@ class TestExactPoint:
     """The fixed-point path decides a point only where the centres of the
     bound and the oracle lie further apart than their two radii."""
 
-    @pytest.mark.parametrize("gap,digits_seen", [(0, [50, 100]), (1, [50])])
+    @pytest.mark.parametrize("gap,digits_seen", [(0, [50, 100]), (1, [50, 100])])
     def test_decides_only_past_both_radii(self, monkeypatch, gap, digits_seen):
         # a bound 3 units wide whose centre lies the two radii (plus `gap`
-        # units) below the oracle's at 50 digits, and far below it at 100
+        # units) below the oracle's at 50 digits, and far below it at 100:
+        # with a gap the point is decided at 50 digits, and its margin, a few
+        # units there, is rounded once at 100
         from arctanbounds import oracle as orc
         from arctanbounds.fixedpoint import FixedReal
         seen = []
@@ -1471,8 +1546,9 @@ class TestExactPoint:
             return FixedReal._raw(o.units - below, digits, 3)
 
         monkeypatch.setattr(arctanbounds.catalog, "eval_bound_hp", ball)
-        holds = orc._exact_point(BoundId.SHAFER_LOWER, None, "lower", 0.5, 50)[3]
-        assert holds and seen == digits_seen
+        point = orc._exact_point(BoundId.SHAFER_LOWER, None, "lower", 0.5, 50)
+        assert point.holds and seen == digits_seen
+        assert point.bound_hp.digits == (50 if gap else 100)
 
     def test_unresolved_past_the_cap_raises(self, monkeypatch):
         from arctanbounds import oracle as orc

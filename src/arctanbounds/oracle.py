@@ -48,14 +48,17 @@ changes at most once.  So the smallest R lies at an end unless S goes from
 - to + inside the piece, where bisection on S's exact sign finds its zero.
 A piece is skipped where M(p)/arctan(q) (or M(q)/arctan(p)), a lower bound
 of every ratio on it, exceeds the smallest margin found; a piece where M
-holds reads arctan alone at q.  Otherwise its points are evaluated inward
-from the ends of R's monotone runs until one's margin exceeds it.  Every
-reported double is the exact value rounded once (fixedpoint.settle), so
-the margins keep the exact order, and the first point of the smallest is
-reported.  The oracle is computed, and cached, only at the points
-evaluated, those arctan-only ends and the violations listed, and a grid's
-points only where read (GridSpec.values).  So verdicts are the exact ones,
-and no field but digits depends on the digits a sweep starts from.
+holds reads arctan alone at q.  Otherwise R is evaluated only where it
+can be smallest: at the grid points either side of S's zero, and where
+there is none, at the piece's ends (a one-off's first).  Every reported
+double is the exact value rounded once (fixedpoint.settle), and rounding
+is monotone, so the margins keep the exact order, and the first point of
+the smallest is reported: on a falling run, the first point that shares
+its last point's double, found by bisection.  The oracle is computed,
+and cached, only at the points evaluated, those arctan-only ends and the
+violations listed, and a grid's points only where read (GridSpec.values).
+So verdicts are the exact ones, and no field but digits depends on the
+digits a sweep starts from.
 
 A dominance report gives every grid point the exact sign of the difference
 of two bounds.  For two rows without a log it is the sign of a polynomial
@@ -342,12 +345,13 @@ class SweepReport:
     computed when the listing is read, and only for the violations listed.
     pieces counts the grid's runs on which the margin is monotone (see
     sweep) and escalated the grid points at which the sweep evaluated the
-    bound in fixed point: the grid's ends, the near end of each piece and
-    the points that decide its violations or its smallest ratio, but not
-    the far end of a piece where the bound holds.  min_margin, positive
-    where the inequality holds, is the smallest exact margin rounded once,
-    min_margin_x its first point; digits, where the checks start, moves no
-    other field.
+    bound in fixed point: the grid's ends, the near end of each piece, the
+    points that decide its violations, and above x = 1 those that decide
+    the slope and the smallest end of its ratio's runs and their first
+    point, but not the far end of a piece where the bound holds.
+    min_margin, positive where the inequality holds, is the smallest exact
+    margin rounded once, min_margin_x its first point; digits, where the
+    checks start, moves no other field.
     """
 
     bound: cat.BoundId
@@ -497,7 +501,8 @@ class _ExactPoints(dict):
 
     def run_start(self, start: int, last: int) -> int:
         """The first of the points start..last whose reported margin is that
-        at last, on a run where the reported margins do not rise."""
+        at last, their smallest, where they fall, or rise and then fall: the
+        points that share it are start, or a run that ends at last."""
         value = self[last].margin
         if last == start or self[last - 1].margin != value:
             return last
@@ -522,32 +527,6 @@ class _ExactPoints(dict):
         s = fp.refine(ball, point.bound_hp.digits, lambda v: abs(v.units) > v.err,
                       lambda: f"{self.bound.value} at x={x!r}: the slope of the margin")
         return 1 if (s.units > 0) == (self.side == "lower") else -1
-
-    def loose_minimum(self, lo: int, hi: int, best: float) -> float:
-        """The smallest of best and the reported margins at the points
-        lo..hi-1, all x > 1, where M is monotone and of one sign, read
-        inward from the ends of R's monotone runs (see the module docstring),
-        each run until a margin exceeds best: rounded once, the margins past
-        it do too."""
-
-        def scan(i: int, step: int, stop: int) -> int:     # the index it stops at
-            nonlocal best
-            while (i - stop) * step < 0:
-                margin = self[i].margin
-                if margin > best:
-                    break
-                best = margin
-                i += step
-            return i
-
-        if cat._CATALOG[self.bound].consts is not None and (
-                self.slope_sign(lo) < 0 < self.slope_sign(hi - 1)):
-            k = _first_index(lo, hi - 1, lambda i: self.slope_sign(i) > 0)
-            scan(k - 1, -1, lo - 1)
-            scan(k, 1, hi)
-        else:
-            scan(hi - 1, -1, scan(lo, 1, hi))
-        return best
 
 
 def _lowest_ratio(at_m: _Point, atan: fp.FixedReal, positive: bool, lower: bool) -> float:
@@ -615,21 +594,32 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
         else:
             loose_parts.append((lo, hi, positive))
 
-    # a loose part is read from its own monotone runs unless its lowest
-    # ratio clears the smallest reported margin found: M at the end where it
-    # is smallest, evaluated, and arctan at the other, where a held part's
-    # bound is not evaluated
+    # a loose part is read from R's runs unless its lowest ratio clears the
+    # smallest reported margin found: M at the end where it is smallest,
+    # evaluated, and arctan at the other, where a held part's bound is not
+    # evaluated.  A one-off's R rises.  A shape row's falls, then rises, where
+    # S goes from - to + inside the part; otherwise its smallest lies at an
+    # end, lo (evaluated for its slope) or hi - 1, and the part is kept as a
+    # falling run, as run_start allows
     best = min(point.margin for point in exact.values())
+    shape = cat._CATALOG[bound].consts is not None
     for lo, hi, positive in loose_parts:
         at_m, atan = ((exact[lo], _oracle_at(xs[hi - 1], digits)) if positive else
                       (exact[hi - 1], exact[lo].oracle_hp))
-        if _lowest_ratio(at_m, atan, positive, side == "lower") <= best:
-            best = exact.loose_minimum(lo, hi, best)
+        if _lowest_ratio(at_m, atan, positive, side == "lower") > best:
+            continue
+        if shape and exact.slope_sign(lo) < 0 < exact.slope_sign(hi - 1):
+            k = _first_index(lo, hi - 1, lambda i: exact.slope_sign(i) > 0)
+            end_parts += [(lo, k, False), (k, hi, True)]
+        else:
+            end_parts.append((lo, hi, not shape))
 
-    # every grid point whose reported margin can be the smallest is now
-    # evaluated, but on a falling part the run of points that share its
-    # last point's double; the first of the points that share the smallest
-    # is reported
+    # each run's smallest reported margin is at its first point where it
+    # rises and its last (or its evaluated first) where it falls; the first
+    # of the points that share the smallest is reported, on a falling run by
+    # bisection of the points that share its last point's double
+    for lo, hi, rising in end_parts:
+        exact[lo if rising else hi - 1]
     min_margin = min(point.margin for point in exact.values())
     first = min(i for i, point in exact.items() if point.margin == min_margin)
     for lo, hi, rising in end_parts:

@@ -480,13 +480,18 @@ FILTER_CASES = [
     # margins a few ulps apart, so only exact values can order them
     (GridSpec(0.5, 0.5 * (1 + 1e-14), 40, "linear"), 50, 1.0, False),
     (GridSpec(1e3, 1e3 * (1 + 1e-14), 40, "linear"), 50, 1.0, False),
+    # above x ~ 1e17 the reported ratios of a loose piece share a few doubles
+    # across the grid, read at their runs' ends: at most 200 points in all;
+    # margins below 10**-50 there
+    (GridSpec(1.7360934399722822e+20, 1.1550183439139088e+56, 1000), 50, 200 / 30_000,
+     True),
 ]
 
 
 class TestFilteredSweepMatchesReference:
     @pytest.mark.parametrize("grid,digits,max_share,resolved", FILTER_CASES,
                              ids=["wide-20", "wide-30", "wide-50", "extreme-50",
-                                  "huge-50", "near-ties-0.5", "near-ties-1e3"])
+                                  "huge-50", "near-ties-0.5", "near-ties-1e3", "far-50"])
     def test_every_suite_entry(self, grid, digits, max_share, resolved):
         if resolved:
             oracle = {x: oracle_arctan(x, resolving_digits(x)) for x in grid.values()}
@@ -1406,10 +1411,15 @@ class TestPieceSweep:
 
     @settings(max_examples=100, deadline=None)
     @given(rows_and_params(), st.floats(-6.0, 6.0),
-           st.one_of(st.floats(0.0, 6.0), st.floats(0.0, 100.0)), st.integers(2, 30))
+           st.one_of(st.floats(0.0, 6.0), st.floats(0.0, 100.0)), st.integers(2, 200))
+    # a loose piece whose last 81 reported margins share one double, the
+    # smallest: its first is found by bisection
+    @example(row=(BoundId.MID_REGIME_UPPER, 0.620219046063943), low=3.7526036445845,
+             decades=63.80844771687863, points=101)
     def test_random_grids_match_the_per_point_path(self, row, low, decades, points):
         # grids above 1 as wide as [1, 1e100], where the reported margins of
-        # the loose pieces flatten to a few ulps
+        # the loose pieces flatten to a few ulps, with runs of ties long
+        # enough to bisect for their first point
         from arctanbounds.oracle import _exact_point
         bound, a = row
         x_min = 10.0 ** low
@@ -1450,7 +1460,8 @@ class TestPieceSweep:
     def test_interior_minimum_of_a_loose_piece(self, monkeypatch, a, grid):
         # on x > 1 mid-regime-lower's reported margin is 1 - c / rho(a, x),
         # smallest at the ratio's interior minimum x0, where its slope S goes
-        # from - to +: the sweep bisects S for it and reads inward from there
+        # from - to +: the sweep bisects S for it and evaluates the grid points
+        # on either side, the ends of R's falling and rising runs
         from arctanbounds.family import find_interior_minimum
         from arctanbounds.oracle import _exact_point
         asked = []

@@ -276,20 +276,30 @@ _CATALOG: dict[BoundId, _BoundInfo] = {
 }
 
 
+def _info(bound: BoundId) -> _BoundInfo:
+    """bound's catalog entry; ParamError naming the ids where bound is not a
+    BoundId (a str, None or an unhashable value)."""
+    try:
+        return _CATALOG[bound]
+    except (KeyError, TypeError):
+        raise ParamError(f"bound must be a BoundId, got {bound!r}; BoundId(value) takes "
+                         f"one of: {', '.join(b.value for b in BoundId)}") from None
+
+
 def bound_side(bound: BoundId) -> str:
-    return _CATALOG[bound].side
+    return _info(bound).side
 
 
 def bound_is_trusted(bound: BoundId) -> bool:
-    return _CATALOG[bound].trusted
+    return _info(bound).trusted
 
 
 def bound_takes_param(bound: BoundId) -> bool:
-    return _CATALOG[bound].param is not None
+    return _info(bound).param is not None
 
 
 def _check_param(bound: BoundId, a: Optional[float]) -> None:
-    param = _CATALOG[bound].param
+    param = _info(bound).param
     if param is None:
         if a is not None:
             raise ParamError(f"{bound.value} takes no family parameter")
@@ -360,7 +370,7 @@ def eval_bound_hp(bound: BoundId, x: float, a: Optional[float] = None,
     """
     _check_param(bound, a)
     x = _check_x(x)
-    info = _CATALOG[bound]
+    info = _info(bound)
     balls = ((fp.FixedReal(x, digits),) if info.consts is None
              else _point_balls(x, digits))
     if balls[0].units == 0:

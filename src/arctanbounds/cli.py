@@ -3,11 +3,11 @@
 Subcommands mirror the library surface: eval, classify, enclose, find-min,
 verify, dominance, profile.  Each handler returns ``(status, payload,
 text)``; ``main`` alone writes the text, or for ``--format json`` the
-payload indented alike for every command (``classify`` too), in one pass
-and byte for byte as ``json.dumps(payload, indent=2)`` writes it, to
-stdout or to ``--output``; ``profile --format csv`` rows replace the
-text.  A payload with ``stats`` gains the provenance: package and Python
-versions, and for a command with a grid its digits and grid.  ``verify`` lists the first 25
+payload as ``json.dumps(payload, indent=2)`` writes it, alike for every
+command (``classify`` too), to stdout or to ``--output``;
+``profile --format csv`` rows replace the text.  A payload with ``stats``
+gains the provenance: package and Python versions, and for a command with a
+grid its digits and grid.  ``verify`` lists the first 25
 violations of each entry and counts them all; its ``--stats`` adds each
 entry's count of the monotone pieces its sweep cut the grid into and of the
 points at which it evaluated the bound in fixed point (the far end of a
@@ -484,68 +484,6 @@ _COMMANDS = {
 }
 
 
-def _float_text(x: float) -> str:
-    """A float as json.dumps writes it: its repr, or NaN, Infinity or
-    -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """A dict key as json.dumps writes it, before its quotes: a number, a
-    bool or None as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte, in one pass: CPython runs
-    an indented dumps in its pure-Python encoder, a generator a level."""
-    parts = []
-    put, quote = parts.append, json.encoder.encode_basestring_ascii
-
-    def write(o, newline: str) -> None:
-        if isinstance(o, str):
-            put(quote(o))
-        elif o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        elif isinstance(o, int):
-            put(int.__repr__(o))
-        elif isinstance(o, float):
-            put(_float_text(o))
-        elif isinstance(o, (list, tuple, dict)):
-            is_dict = isinstance(o, dict)
-            if not o:
-                put("{}" if is_dict else "[]")
-                return
-            inner, sep = newline + "  ", "{" if is_dict else "["
-            for item in o.items() if is_dict else o:
-                put(sep + inner)
-                if is_dict:
-                    put(quote(_key_text(item[0])) + ": ")
-                    item = item[1]
-                write(item, inner)
-                sep = ","
-            put(newline + ("}" if is_dict else "]"))
-        else:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-    write(obj, "\n")
-    return "".join(parts)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         command, args = _parse(
@@ -559,7 +497,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 stats.update(digits=args.digits,
                              grid=_grid_from_args(args).to_json_dict())
         if args.format == "json":
-            text = _json_text(payload)
+            text = json.dumps(payload, indent=2)
         _emit(args, text)
         return status
     except ArctanBoundsError as exc:

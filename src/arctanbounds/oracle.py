@@ -735,7 +735,7 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     xs = grid.values()
     cat._check_x(xs[0])
     tighter = 1 if side_a == "lower" else -1     # a bigger lower bound is tighter
-    # imported on first use, as sweep imports it
+    # imported here, not at the top: verify must not load algebra
     from . import algebra as alg
     rows = cat._CATALOG[bound_a], cat._CATALOG[bound_b]
     p = alg.comparison_polynomial(rows[0], a_a, rows[1], a_b)

@@ -27,7 +27,7 @@ from arctanbounds import (
     prove_regime,
 )
 import arctanbounds
-from arctanbounds import catalog
+from arctanbounds import catalog, oracle
 from arctanbounds.cli import _suite_entries
 from arctanbounds.fixedpoint import FixedReal, _bits, _from_bits
 
@@ -119,6 +119,20 @@ class TestEvalBound:
             eval_bound(B.FAMILY_LOWER, 1.0, a=math.nan)
         with pytest.raises(ParamError, match="past the largest double"):
             eval_bound(B.REVERSED_LOWER, 1.0, a=10 ** 400)   # no double holds it
+
+    @pytest.mark.parametrize("bound", ["shafer-lower", None, []])
+    @pytest.mark.parametrize("call", [
+        lambda b: eval_bound(b, 1.0), lambda b: eval_bound_hp(b, 1.0),
+        lambda b: oracle.sweep(b), lambda b: oracle.dominance_report(b, B.SHAFER_LOWER),
+        lambda b: oracle.dominance_report(B.SHAFER_LOWER, b), catalog.bound_side,
+        catalog.bound_is_trusted, catalog.bound_takes_param,
+    ], ids=["eval_bound", "eval_bound_hp", "sweep", "dominance_report_a",
+            "dominance_report_b", "bound_side", "bound_is_trusted", "bound_takes_param"])
+    def test_bound_not_a_bound_id_raises_param_error(self, call, bound):
+        # a str, None or an unhashable value is no catalog key: a package
+        # error that names the ids, never a bare KeyError or TypeError
+        with pytest.raises(ParamError, match="BoundId.*shafer-lower, half-angle-upper"):
+            call(bound)
 
     def test_family_lower_accepts_endpoints(self):
         eval_bound(B.FAMILY_LOWER, 1.0, a=0.0)

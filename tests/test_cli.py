@@ -727,38 +727,6 @@ class TestOneOutputPath:
             assert out == json.dumps(strict_json(out), indent=2) + "\n"
 
 
-DBL_MAX = 1.7976931348623157e308
-
-#: json.dumps' leaves: ints past 2**63 and the floats it writes unlike
-#: repr, and strings with escapes, control and non-ASCII characters.
-JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(2 ** 63, 2 ** 200).map(lambda k: -k),
-    st.integers(2 ** 63, 2 ** 200), st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([-0.0, 5e-324, 1e16, DBL_MAX, math.nan, math.inf, -math.inf]),
-    st.text(), st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600a')))
-#: Keys of every type json.dumps writes, str or not.
-JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(allow_nan=True), st.booleans(),
-                      st.none())
-
-
-class TestJsonText:
-    @settings(max_examples=300, deadline=None)
-    @given(st.recursive(JSON_LEAVES, lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=25))
-    def test_json_text_matches_json_dumps(self, payload):
-        assert cli._json_text(payload) == json.dumps(payload, indent=2)
-
-    @pytest.mark.parametrize("payload", [
-        {"x": {1, 2}}, [b"bytes"], {"c": 1j}, [object()], {(1, 2): 0}, {b"k": 0},
-        [type("Shown", (), {"__str__": lambda self: "1", "__repr__": lambda self: "1"})()]])
-    def test_types_json_rejects_raise_type_error(self, payload):
-        with pytest.raises(TypeError) as expected:
-            json.dumps(payload, indent=2)
-        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
-            cli._json_text(payload)
-
-
 class TestVerify:
     def test_suite_passes_and_flags_errata(self, capsys):
         code, out, _ = run(capsys, VERIFY_ARGS)

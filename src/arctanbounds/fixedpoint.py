@@ -10,9 +10,9 @@ what its operands' radii carry through its slope.  arctan reduces its
 argument to [0, 1] by the reciprocal identity, then to within 1/128 of a knot
 j/64 of a table of arctan(j/64), built when first needed at a working
 precision and kept for the 16 most recent; pi is 16 arctan(1/5) -
-4 arctan(1/239) (Machin).  Beside them sit the bisection of a sign change
-between two positive doubles on their bit patterns (dominance crossovers),
-the runs of a grid of doubles x on which a quadratic in
+4 arctan(1/239) (Machin).  Beside them sit the doubles' IEEE bit patterns,
+ordered as positive doubles are, on which the package bisects down to
+adjacent doubles, the runs of a grid of doubles x on which a quadratic in
 v = sqrt(1 + x^2) - 1 with interval coefficients keeps one sign (a sweep's
 monotone pieces), :func:`refine`, which doubles the digits of every sign
 the package certifies until no radius hides it, and :func:`settle`, the
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -189,15 +190,13 @@ def _positive_roots(c0: int, c1: int, c2: int) -> list[tuple[tuple, tuple, bool]
     return brackets
 
 
-def sign_runs(low: list[int], high: list[int], n: int, cut
-              ) -> list[tuple[int, int, int]]:
-    """(start, stop, sign) in order, covering the indices 0..n-1 of positive
+def sign_runs(low: list[int], high: list[int], xs) -> list[tuple[int, int, int]]:
+    """(start, stop, sign) in order, covering the indices of xs, positive
     doubles in increasing order, for the quadratics T(v) = sum(t[k] v**k)
     between the integer ones low and high, coefficients from v^0, at
     v = sqrt(1 + x^2) - 1: every such T has the sign +-1 on the hull of the
     points start..stop-1, or the sign is 0 where low <= 0 <= high leaves it
-    open.  The points are read through cut(t, right), the index of the
-    first point above the double t (right) or at least t.  T is positive
+    open.  xs is read by bisection, at the brackets' ends.  T is positive
     where low is and negative where high is.  The bracket of each root of
     low and high holds the points from the double next above its lower end
     to that next below its upper end (x_of), and the points outside every
@@ -206,10 +205,10 @@ def sign_runs(low: list[int], high: list[int], n: int, cut
     marks = []      # (first index in, first index past, changes, of high)
     for poly, is_high in ((low, False), (high, True)):
         for lo, hi, changes in _positive_roots(*poly):
-            marks.append((cut(x_of(*lo, up=True), False), cut(x_of(*hi, up=False), True),
-                          changes, is_high))
+            marks.append((bisect_left(xs, x_of(*lo, up=True)),
+                          bisect_right(xs, x_of(*hi, up=False)), changes, is_high))
     at_zero = [next((1 if k > 0 else -1 for k in poly if k), 0) for poly in (low, high)]
-    cuts = sorted({0, n, *(m[0] for m in marks), *(m[1] for m in marks)})
+    cuts = sorted({0, len(xs), *(m[0] for m in marks), *(m[1] for m in marks)})
     runs = []
     for start, stop in zip(cuts, cuts[1:]):
         signs = at_zero[:]
@@ -221,22 +220,6 @@ def sign_runs(low: list[int], high: list[int], n: int, cut
                 signs[is_high] = -signs[is_high]
         runs.append((start, stop, 1 if signs[0] > 0 else -1 if signs[1] < 0 else 0))
     return runs
-
-
-def _bisect_crossover(sign_at, lo: float, hi: float, s_lo: int) -> float:
-    """A point within relative width 1e-13 of where sign_at (+-1) leaves
-    s_lo, for 0 < lo < hi.  Bisects the IEEE bit patterns, whose order is
-    the numeric order of positive doubles, so every step halves the doubles
-    in between and at most 64 steps reach adjacent doubles, at any size."""
-    lo_bits, hi_bits = _bits(lo), _bits(hi)
-    while hi_bits - lo_bits > 1 and hi - lo > 1e-13 * hi:
-        mid_bits = (lo_bits + hi_bits) // 2
-        mid = _from_bits(mid_bits)
-        if sign_at(mid) == s_lo:
-            lo, lo_bits = mid, mid_bits
-        else:
-            hi, hi_bits = mid, mid_bits
-    return _from_bits((lo_bits + hi_bits) // 2)
 
 
 def sqrt_units(units: int, digits: int) -> int:

@@ -22,11 +22,10 @@ negative.  The brackets of their roots, from math.isqrt and mapped exactly
 to doubles of x, cut the grid into runs of one sign of Q, and runs where
 the balls leave it open; the digits double until each of those holds one
 double (see _monotone_pieces).  A cut, the first grid point at or above a
-double, is read from the inverse of the grid's closed form and corrected
-against its points (_cut), with no search of the grid.  No root of Q is
-isolated, and a cut where Q keeps its sign only splits a monotone run in
-two.  The grid is cut again
-at x = 1, where the reported margin changes (below).  M is evaluated in
+double (or above it), is found by bisecting the grid's points, each
+computed as it is read.  No root of Q is isolated, and a cut where Q keeps
+its sign only splits a monotone run in two.  The grid is cut again at
+x = 1, where the reported margin changes (below).  M is evaluated in
 fixed point (``eval_bound_hp`` against the oracle's ball), decided where
 the centres lie further apart than the two radii, at the sweep's digits or
 at twice them and so on (see fixedpoint.refine): first at the grid's two
@@ -69,7 +68,9 @@ with a log row has the sign of an h with h(0+) = 0, monotone between the
 roots of algebra.log_pair_polynomial: the first piece takes h's sign at
 its last grid point, every other the signs at its ends and by bisection
 between them, decided on the two rows' fixed-point balls, as are the
-crossovers, bisected on the bit patterns to a relative width of 1e-13.
+crossovers: each is the first double past a run at which its sign no
+longer holds, bisected on the bit patterns down to adjacent doubles, so
+that every grid that straddles it reports the same double.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -87,7 +88,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from typing import NamedTuple, Optional
 
@@ -162,9 +163,9 @@ class GridSpec:
         |log x_min| and |log x_max|: the points' logs then lie within a
         sixteenth of a step of their exact values (see _grid_values).  Any
         other log grid is built whole, as a tuple, sorted where its rounded
-        points come out of order.  A sweep or dominance report cuts a grid
-        where its points pass a value (_cut): an indexed grid from the
-        inverse of its closed form, a tuple by bisection."""
+        points come out of order.  A sweep, a dominance report or a profile
+        cuts a grid where its points pass a value by bisection (bisect_left,
+        bisect_right)."""
         return _grid_values(self)
 
     def to_json_dict(self) -> dict:
@@ -172,21 +173,15 @@ class GridSpec:
                 "points": self.points, "spacing": self.spacing}
 
 
-#: The steps from its closed form's guess within which a cut of an indexed
-#: grid is sought.
-_WALK = 2
-
-
 class _GridPoints(Sequence):
     """A grid's points, sorted by construction, each computed by point(i)
-    when read; the ends are x_min and x_max.  index(t) is the inverse of the
-    closed form, the real i at which it passes t."""
+    when read; the ends are x_min and x_max."""
 
-    __slots__ = ("_n", "_last", "_ends", "_point", "_index")
+    __slots__ = ("_n", "_last", "_ends", "_point")
 
-    def __init__(self, grid: GridSpec, point, index):
+    def __init__(self, grid: GridSpec, point):
         self._n, self._last = grid.points, grid.points - 1
-        self._ends, self._point, self._index = (grid.x_min, grid.x_max), point, index
+        self._ends, self._point = (grid.x_min, grid.x_max), point
 
     def __len__(self) -> int:
         return self._n
@@ -209,33 +204,6 @@ class _GridPoints(Sequence):
         yield from map(self._point, range(1, self._n - 1))
         yield self._ends[1]
 
-    def cut(self, t: float, right: bool) -> int:
-        """bisect_right(self, t) with right, else bisect_left(self, t): the
-        index of the first point above t, or at least t.  Read from index(t)
-        and bisected within _WALK steps of it, where the points on either
-        side of that window bracket t; only a grid whose rounded points
-        repeat (a linear one with steps below an ulp) is bisected whole."""
-        before = operator.le if right else operator.lt     # a point before the cut
-        if not before(self._ends[0], t):
-            return 0
-        if before(self._ends[1], t):
-            return self._n
-        # the cut lies in [1, last]: the point before it is before t, its own is not
-        k = min(max(math.ceil(self._index(t)), 1), self._last)
-        lo, hi = max(k - _WALK, 1), min(k + _WALK, self._last)
-        find = bisect_right if right else bisect_left
-        if before(self[lo - 1], t) and not before(self[hi], t):
-            return find(self, t, lo, hi)
-        return find(self, t, 1, self._last)
-
-
-def _cut(xs: Sequence[float], t: float, right: bool = False) -> int:
-    """bisect_right(xs, t) with right, else bisect_left(xs, t), for a grid's
-    points xs: by _GridPoints.cut where they are indexed."""
-    if type(xs) is _GridPoints:
-        return xs.cut(t, right)
-    return (bisect_right if right else bisect_left)(xs, t)
-
 
 @lru_cache(maxsize=32)
 def _grid_values(grid: GridSpec) -> Sequence[float]:
@@ -244,13 +212,11 @@ def _grid_values(grid: GridSpec) -> Sequence[float]:
         # halves keep hi/2 - lo/2 finite for any finite ends, every step is
         # monotone in i, and the clamp holds each point in [x_min, x_max]
         half = hi / 2 - lo / 2
-        return _GridPoints(grid, lambda i: min(max(2 * (lo / 2 + half * (i / last)), lo), hi),
-                           lambda t: (t / 2 - lo / 2) / half * last if half else 1.0)
+        return _GridPoints(grid, lambda i: min(max(2 * (lo / 2 + half * (i / last)), lo), hi))
     log, exp = math.log, math.exp
     log_lo, log_hi = log(lo), log(hi)
     span = log_hi - log_lo
-    points = _GridPoints(grid, lambda i: exp(log_lo + span * i / last),
-                         lambda t: (log(t) - log_lo) * last / span)
+    points = _GridPoints(grid, lambda i: exp(log_lo + span * i / last))
     # Each rounding errs by at most 2**-53 relatively, and log and exp by an
     # ulp.  So log_lo + span i / last, whose exact line is log_lo + S i / n
     # (S = span, n = last), errs by at most 2**-52 S (the product and the
@@ -258,8 +224,7 @@ def _grid_values(grid: GridSpec) -> Sequence[float]:
     # by a relative 2**-52 where x_min is normal, 2**-51 in log; and the ends
     # lie within 2**-52 (L + S) of theirs.  Each point's log is within
     # r = 2**-51 (S + L + 1) of the line, so points a step S/n > 16 r
-    # apart keep their order, and the closed form's inverse, which errs
-    # by as little, lands within a fraction of a step of each cut.
+    # apart keep their order.
     if lo >= sys.float_info.min and span / last > 2.0 ** -47 * (
             span + max(abs(log_lo), abs(log_hi)) + 1):
         return points
@@ -426,14 +391,13 @@ def _monotone_pieces(bound: cat.BoundId, a: Optional[float], xs: Sequence[float]
     open share one double in each run: the stretches around Q's zeros
     that no ball resolves (A = 0 for two-over-pi-lower, Q(1) = 0 for
     mid-regime-upper where c = 1 + a = d + e) shrink to x = 0 or to
-    infinity.  sign_runs reads the grid through its cuts (_cut)."""
+    infinity.  sign_runs cuts the grid by bisection."""
     info = cat._CATALOG[bound]
     if info.rises:
         return [(0, len(xs), 1)]
     side = 1 if info.side == "lower" else -1
     runs = fp.refine(
-        lambda d: fp.sign_runs(*cat._slope_bounds(info.consts, a, d), len(xs),
-                               partial(_cut, xs)), digits,
+        lambda d: fp.sign_runs(*cat._slope_bounds(info.consts, a, d), xs), digits,
         lambda runs: all(xs[i] == xs[j - 1] for i, j, sign in runs if not sign),
         lambda: f"{bound.value}: the sign of its margin's slope")
     return [(i, j, side * sign) for i, j, sign in runs]
@@ -560,7 +524,7 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     xs = grid.values()
     cat._check_x(xs[0])     # the smallest point
     # the monotone pieces, cut again at x = 1, where the reported margin changes
-    one = _cut(xs, 1.0, right=True)
+    one = bisect_right(xs, 1.0)
     pieces = [(lo, hi, slope)
               for start, stop, slope in _monotone_pieces(bound, a, xs, digits)
               for lo, hi in ((start, min(stop, one)), (max(start, one), stop)) if lo < hi]
@@ -646,8 +610,11 @@ class DominanceReport:
     two bounds at the double x: "a" or "b" where that bound is strictly
     tighter, "equal" where the two are equal, which between two rows
     without a log happens at every point when P == 0 (identical rows) and
-    otherwise only at a root of P that is a grid point.  Regions, crossovers
-    and counts all come from it.
+    otherwise only at a root of P that is a grid point.  Regions and counts
+    come from it, and so do crossovers, each between two grid points of
+    opposite verdicts: the double nearest a root of P for two rows without
+    a log, and for a pair with a log row the first double at which the
+    earlier verdict no longer holds, which no grid that straddles it moves.
 
     method is "algebra" for two rows without a log and "monotone" for a
     pair with a log row.  degree is that of the polynomial whose roots cut
@@ -721,8 +688,8 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
     the sign changes, strictly inside the grid's range.  A pair with a log
     row reads the grid on the pieces where the difference is monotone, with
     fixed-point signs decided past both radii from DEFAULT_SWEEP_DIGITS
-    (see fixedpoint.refine), and bisects each crossover between adjacent
-    grid points that flip.
+    (see fixedpoint.refine), and bisects each crossover between grid points
+    of opposite signs on the bit patterns, down to adjacent doubles.
     """
     side_a = cat.bound_side(bound_a)
     side_b = cat.bound_side(bound_b)
@@ -772,9 +739,9 @@ def _regions(runs, xs: Sequence[float], tighter: int) -> dict:
 
 def _algebraic_signs(comparison, xs: Sequence[float], tighter: int) -> dict:
     """The report's fields from the sign of P: each run of grid points
-    between two edges has one sign, found by _cut, with no pass over the
+    between two edges has one sign, found by bisection, with no pass over the
     grid."""
-    cuts = [0, *(_cut(xs, edge, right=True) for edge in comparison.edges), len(xs)]
+    cuts = [0, *(bisect_right(xs, edge) for edge in comparison.edges), len(xs)]
     x_min, x_max = xs[0], xs[-1]
     ends = {end for bracket in comparison.brackets for end in bracket}
     return dict(
@@ -783,7 +750,7 @@ def _algebraic_signs(comparison, xs: Sequence[float], tighter: int) -> dict:
                     if x_min <= lo and hi <= x_max and x_min < c < x_max],
         method="algebra", degree=comparison.degree,
         brackets=tuple(comparison.brackets),
-        bracket_points=sum(_cut(xs, e, right=True) - _cut(xs, e) for e in ends),
+        bracket_points=sum(bisect_right(xs, e) - bisect_left(xs, e) for e in ends),
         pi_digits=comparison.pi_digits)
 
 
@@ -808,7 +775,7 @@ def _log_pair_signs(comparison, bound_a: cat.BoundId, bound_b: cat.BoundId,
         return 1 if ball_a.units > ball_b.units else -1
 
     sign, steps = lru_cache(maxsize=None)(lambda i: sign_at(xs[i])), []
-    cuts = [0, *(_cut(xs, lo, right=True) for lo, _ in comparison.brackets), len(xs)]
+    cuts = [0, *(bisect_right(xs, lo) for lo, _ in comparison.brackets), len(xs)]
     runs = []
     for k, (start, stop) in enumerate(zip(cuts, cuts[1:])):
         if start < stop:
@@ -816,8 +783,13 @@ def _log_pair_signs(comparison, bound_a: cat.BoundId, bound_b: cat.BoundId,
                 start, stop, sign)
             runs += [run for run in ((start, split, first), (split, stop, last))
                      if run[0] < run[1]]
-    crossovers = [fp._bisect_crossover(lambda x: steps.append(x) or sign_at(x),
-                                       xs[stop - 1], xs[start], before)
+    # each crossover is the first double past a run's last point at which its
+    # sign no longer holds: bisected on the bit patterns, whose order is that
+    # of positive doubles, down to adjacent doubles
+    crossovers = [fp._from_bits(_first_index(
+                      fp._bits(xs[stop - 1]), fp._bits(xs[start]),
+                      lambda bits: steps.append(bits)
+                      or sign_at(fp._from_bits(bits)) != before))
                   for (_, stop, before), (start, _, after) in zip(runs, runs[1:])
                   if before != after]
     return dict(**_regions(runs, xs, tighter), crossovers=crossovers,

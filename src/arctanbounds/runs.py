@@ -6,6 +6,7 @@ kernel, which every approx needs, does not compile it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -94,7 +95,7 @@ def summary(spec: ker.KernelSpec, grid: orc.GridSpec, digits: int) -> Optional[t
     and from _FAR into the one stretch of one value, read at its ends:
     certificates with approx, actual errors in fixed point."""
     xs = grid.values()
-    zeros, positive = orc._cut(xs, 0.0), orc._cut(xs, 0.0, right=True)
+    zeros, positive = bisect_left(xs, 0.0), bisect_right(xs, 0.0)
     # each sign's rows as |x| in increasing order; a grid of positive rows as it is
     sides = [xs] if not positive else [side for side in (
         tuple(-x for x in reversed(xs[:zeros])), xs[positive:]) if side]
@@ -104,12 +105,12 @@ def summary(spec: ker.KernelSpec, grid: orc.GridSpec, digits: int) -> Optional[t
     runs = []           # (side, lo, hi, slack) of each run from 2**-1000 to _FAR
     far = []            # the ends of each side's rows from _FAR
     for side in sides:
-        main, top = orc._cut(side, _TINY), orc._cut(side, _FAR)
+        main, top = bisect_left(side, _TINY), bisect_left(side, _FAR)
         if main:
             max_cert = max(max_cert, estimate(side[main - 1]).error_bound)
         if top < len(side):
             far += [side[top], side[-1]]
-        bounds = [main, *(orc._cut(side, hi) for _, hi in _CUTS), top]
+        bounds = [main, *(bisect_left(side, hi) for _, hi in _CUTS), top]
         runs += [(side, lo, hi, 2.0 ** -47 * estimate(side[hi - 1]).value)
                  for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -746,6 +747,28 @@ class TestVerify:
                 assert entry["status"] == "ok"
                 assert entry["min_margin"] > 0
 
+    def test_errata_not_reproduced_keeps_exit_0(self, capsys, monkeypatch):
+        # a sweep that found the errata clean: its entry says so, and only a
+        # trusted row's violation fails the run
+        sweep = orc.sweep
+
+        def clean_errata(bound, *args, **kwargs):
+            report = sweep(bound, *args, **kwargs)
+            if cat.bound_is_trusted(bound):
+                return report
+            return dataclasses.replace(report, violation_runs=(), min_margin=1.0)
+
+        monkeypatch.setattr(orc, "sweep", clean_errata)
+        code, out, _ = run(capsys, ["verify", "--suite", "fixed", "--grid-points", "300",
+                                    "--format", "json"])
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["ok"] is True
+        errata, = (e for e in payload["results"] if e["bound"] == "two-over-pi-lower-errata")
+        assert errata["status"] == "known-errata-not-reproduced"
+        assert errata["violation_count"] == 0 and errata["ok"] is True
+        assert all(e["status"] == "ok" for e in payload["results"] if e is not errata)
+
     def test_report_json_round_trips(self, capsys):
         _, out, _ = run(capsys, VERIFY_ARGS)
         payload = strict_json(out)
@@ -995,7 +1018,7 @@ class TestDominanceAndProfile:
         (["--bound-a", "cubic-lower", "--bound-b", "log-lower"],
          [{"x_lo": 1e-300, "x_hi": 0.09923286228833275, "verdict": "a"},
           {"x_lo": 10.077306820945022, "x_hi": 1e300, "verdict": "b"}],
-         [1.4859812905016057], 3),
+         [1.485981290501644], 3),
     ], ids=["log-lower-shafer", "cubic-log-lower"])
     def test_log_pairs_on_the_whole_range(self, capsys, argv, regions, crossovers, most):
         # the double filter decided 219 and 245 of these 300 points in fixed

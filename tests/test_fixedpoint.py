@@ -136,6 +136,14 @@ class TestSqrt:
         with pytest.raises(DomainError):
             FixedReal(-1, 30).sqrt()
 
+    def test_ball_reaching_zero_raises(self):
+        # a ball centred at 0 with a radius has no slope bound for its root;
+        # the exact 0 has the exact root 0
+        with pytest.raises(PrecisionError):
+            FixedReal._raw(0, 30, 3).sqrt()
+        root = FixedReal._raw(0, 30, 0).sqrt()
+        assert (root.units, root.err) == (0, 0)
+
     def test_floor_semantics(self):
         # sqrt rounds down: square of result never exceeds the input
         for v in ["2", "3", "5.5", "123.456"]:
@@ -353,6 +361,13 @@ class TestLog:
             FixedReal(0, 30).log()
         with pytest.raises(DomainError):
             FixedReal(-2, 30).log()
+
+    @pytest.mark.parametrize("units,err", [(1, 1), (2, 2), (1, 5)])
+    def test_ball_reaching_zero_raises(self, units, err):
+        # a positive centre within its radius of 0: log is unbounded below
+        with pytest.raises(PrecisionError):
+            FixedReal._raw(units, 30, err).log()
+        assert FixedReal._raw(units + err + 1, 30, err).log().err > 0
 
 
 def _ball_operands(digits: int) -> list[tuple[FixedReal, Fraction]]:

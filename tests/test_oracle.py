@@ -1,7 +1,6 @@
 import bisect
 import json
 import math
-import operator
 import os
 import random
 import re
@@ -37,7 +36,7 @@ from arctanbounds.catalog import bound_side
 from arctanbounds import cli
 from arctanbounds import oracle as orc
 from arctanbounds.cli import _suite_entries
-from arctanbounds.fixedpoint import FixedReal, _bisect_crossover, double_of
+from arctanbounds.fixedpoint import FixedReal, double_of
 
 GRID = GridSpec(1e-8, 1e8, 400, "log")
 DBL_MAX = 1.7976931348623157e308
@@ -251,26 +250,12 @@ class TestGridSpec:
     @example((GridSpec(1.5e-323, 2e-323, 50, "linear"), (1.5e-323,) + (2e-323,) * 49,
               2e-323))
     def test_cuts_match_bisect_on_the_materialised_grid(self, drawn):
-        # an indexed grid's cut is sought within two steps (_WALK) of its
-        # closed form's inverse, unless its rounded points repeat; a tuple
-        # is bisected whole
+        # a grid is cut by bisection on its points, each computed as it is
+        # read: the cuts are those of the whole grid built as a tuple
         grid, points, t = drawn
         xs = grid.values()
-        searched = []
-        strictly_rising = all(map(operator.lt, points, points[1:]))
-        with pytest.MonkeyPatch.context() as patch:
-            for name in ("bisect_left", "bisect_right"):
-                patch.setattr(orc, name, (lambda find: lambda seq, t, lo=0, hi=None: (
-                    searched.append((lo, len(seq) if hi is None else hi))
-                    or find(seq, t, lo, len(seq) if hi is None else hi)))(getattr(bisect, name)))
-            for right in (False, True):
-                searched.clear()
-                find = bisect.bisect_right if right else bisect.bisect_left
-                assert orc._cut(xs, t, right) == find(points, t), (grid, t, right)
-                if strictly_rising and type(xs) is orc._GridPoints:
-                    assert all(hi - lo <= 2 * orc._WALK for lo, hi in searched), (
-                        grid, t, right, searched)
-        assert orc._WALK == 2
+        for find in (bisect.bisect_left, bisect.bisect_right):
+            assert find(xs, t) == find(points, t), (grid, t, find)
 
     def test_validation(self):
         with pytest.raises(ParamError):
@@ -617,12 +602,12 @@ def exact_sign(bound_a, a_a, bound_b, a_b, x, digits):
 
 def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
     """Every verdict from exact_sign at each grid point.  A crossover is
-    bisected on the bit patterns to relative width 1e-13 between flipping
-    grid points for a pair with a log row, as dominance_report's filter
-    does; for two rows without a log it is the double nearest the root: an
-    end of the pair of adjacent doubles the bisection closes on, chosen by
-    the exact sign at their midpoint.  Returns the report's regions,
-    crossovers and counts as JSON."""
+    found between flipping grid points by bisection on the bit patterns
+    down to adjacent doubles: for a pair with a log row it is the upper of
+    the two, the first double at which the earlier sign no longer holds;
+    for two rows without a log it is the double nearest the root, the end
+    chosen by the exact sign at their midpoint.  Returns the report's
+    regions, crossovers and counts as JSON."""
     tighter = 1 if bound_side(bound_a) == "lower" else -1
 
     def sign_at(x):
@@ -644,10 +629,10 @@ def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
         if sign == 0:
             continue
         if prev is not None and signs[prev] != sign:
+            lo, hi = reference_bracket(sign_at, xs[prev], xs[i], signs[prev])
             if logs & {bound_a, bound_b}:
-                crossovers.append(reference_bisect(sign_at, xs[prev], xs[i], signs[prev]))
+                crossovers.append(hi)
             else:
-                lo, hi = reference_bracket(sign_at, xs[prev], xs[i], signs[prev])
                 mid = sign_at((Fraction(lo) + Fraction(hi)) / 2)
                 crossovers.append(hi if mid == signs[prev] else lo)
         prev = i
@@ -671,23 +656,6 @@ def reference_bracket(sign_at, lo, hi, s_lo):
         else:
             hi = mid
     return lo, hi
-
-
-def reference_bisect(sign_at, lo, hi, s_lo):
-    """Bisection on the bit patterns of two positive doubles, to relative
-    width 1e-13 or adjacent doubles."""
-    to_bits = lambda v: struct.unpack("<q", struct.pack("<d", v))[0]
-    to_float = lambda n: struct.unpack("<d", struct.pack("<q", n))[0]
-    while to_bits(hi) - to_bits(lo) > 1 and hi - lo > 1e-13 * hi:
-        mid = to_float((to_bits(lo) + to_bits(hi)) // 2)
-        s_mid = sign_at(mid)
-        if s_mid == 0:
-            return mid
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return to_float((to_bits(lo) + to_bits(hi)) // 2)
 
 
 def _family_pairs():
@@ -805,14 +773,6 @@ class TestDominance:
             assert len(report.crossovers) == 1, bound_a
             assert report.crossovers[0] == pytest.approx(math.sqrt(u * u - 1), abs=1e-9)
             assert [r.verdict for r in report.regions] == verdicts, bound_a
-
-    @pytest.mark.parametrize("lo,hi", [(1e-30, 1e-10), (1e-160, 1.0)])
-    def test_bisection_is_relative_at_any_magnitude(self, lo, hi):
-        # an absolute stopping width returned the first midpoint below ~1e-13
-        flip = 3e-20
-        sign_at = lambda x: 1 if x < flip else -1
-        for bisect in (_bisect_crossover, reference_bisect):
-            assert abs(bisect(sign_at, lo, hi, 1) - flip) <= 1e-13 * flip
 
     def test_sides_must_agree(self):
         with pytest.raises(ParamError):
@@ -985,6 +945,18 @@ def log_pairs(draw):
     return (log_row, None, row, a) if draw(st.booleans()) else (row, a, log_row, None)
 
 
+@st.composite
+def crossing_log_pairs(draw):
+    """A log row against a row whose difference from it changes sign once
+    in (0, inf), with a parameter at which it does, in either order."""
+    row, a = draw(st.one_of(
+        st.tuples(st.sampled_from([BoundId.RATIO_LOWER, BoundId.CUBIC_LOWER]), st.none()),
+        st.tuples(st.just(BoundId.REVERSED_LOWER), st.floats(2.5, 1e6)),
+        st.tuples(st.just(BoundId.FAMILY_UPPER), st.floats(0.0, 0.5))))
+    log_row = BoundId.LOG_LOWER if bound_side(row) == "lower" else BoundId.LOG_UPPER
+    return (log_row, None, row, a) if draw(st.booleans()) else (row, a, log_row, None)
+
+
 class TestLogPairDominance:
     """dominance_report for pairs with a log row against reference_dominance:
     the exact sign at every grid point from the rows' fixed-point balls, and
@@ -1008,6 +980,34 @@ class TestLogPairDominance:
         assert payload["counts"] == counts, pair
         assert payload["regions"] == regions, pair
         assert payload["crossovers"] == crossovers, pair
+
+    @settings(max_examples=20, deadline=None)
+    @given(crossing_log_pairs(), st.lists(st.tuples(
+        st.floats(1e-9, 6.0), st.floats(1e-9, 6.0), st.integers(2, 40)), min_size=2, max_size=2))
+    # the 300-point whole-range grid of the CLI's tests and the log and
+    # jittered grids of DOMINANCE_GRIDS, whose crossovers stopped at a
+    # relative width of 1e-13 in three places 66 to 173 ulps from the change
+    @example((BoundId.CUBIC_LOWER, None, BoundId.LOG_LOWER, None),
+             [GridSpec(1e-300, 1e300, 300, "log"), DOMINANCE_GRIDS[0][0],
+              DOMINANCE_GRIDS[1][0]])
+    def test_crossovers_are_the_same_double_on_every_grid(self, pair, grids):
+        # each grid straddles the pair's one crossover, found on the whole
+        # range: every grid reports the same double, the first at which the
+        # exact sign at 120 digits differs from that at the double below
+        bound_a, a_a, bound_b, a_b = pair
+        (crossover,) = dominance_report(bound_a, bound_b, a_a, a_b, grid=GridSpec(
+            1e-300, 1e300, 60, "log")).crossovers
+        for grid in grids:
+            if not isinstance(grid, GridSpec):
+                below, above, points = grid
+                grid = GridSpec(crossover * 10.0 ** -below, crossover * 10.0 ** above,
+                                points, "log")
+            assert grid.x_min < crossover < grid.x_max
+            report = dominance_report(bound_a, bound_b, a_a, a_b, grid=grid)
+            assert report.crossovers == [crossover], (pair, grid)
+        before = math.nextafter(crossover, 0.0)
+        assert (exact_sign(bound_a, a_a, bound_b, a_b, crossover, 120)
+                != exact_sign(bound_a, a_a, bound_b, a_b, before, 120)), pair
 
 
 def margin_change(bound, a, x1, x2, digits=120) -> int:
@@ -1178,11 +1178,6 @@ def exact_slope_sign(c: Fraction, d: Fraction, e: Fraction, x: float) -> int:
     return sign_e if norm > 0 else sign_f if norm < 0 else 0
 
 
-def bisect_cut(xs):
-    """The cut(t, right) that fixedpoint.sign_runs reads a sorted xs by."""
-    return lambda t, right: (bisect.bisect_right if right else bisect.bisect_left)(xs, t)
-
-
 def slope_bounds(balls):
     """catalog._slope_bounds of the balls (c, d, e) given."""
     return arctanbounds.catalog._slope_bounds(lambda a, pi: balls, None, 4)
@@ -1250,7 +1245,7 @@ class TestSlopeRuns:
         balls = tuple(FixedReal(v, 4) for v in consts)
         assert not any(k.err for k in balls)
         xs = GridSpec(1e-3, 1e3, 400, "log").values()
-        runs = sign_runs(*slope_bounds(balls), len(xs), bisect_cut(xs))
+        runs = sign_runs(*slope_bounds(balls), xs)
         # cut in two at the root, which lies between two grid points
         assert {sign for *_, sign in runs} == signs and len(runs) == 2
         exact = [Fraction(v) for v in consts]
@@ -1276,7 +1271,7 @@ class TestSlopeRuns:
                     if 0 < x < math.inf:
                         xs |= {x, math.nextafter(x, 0), math.nextafter(x, math.inf)}
         xs = tuple(sorted(xs))
-        runs = sign_runs(*bounds, len(xs), bisect_cut(xs))
+        runs = sign_runs(*bounds, xs)
         assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
         assert runs[-1][1] == len(xs)
         corners = [[Fraction(k.units + s * k.err, 10 ** 4) for s in (-1, 1)]

@@ -463,10 +463,10 @@ class Comparison:
     in increasing order, one (lo, hi) per distinct root of P with u > 1:
     adjacent doubles with the root between them, (p, p) at a double p, or
     (0.0, 2**-1074) and (DBL_MAX, inf) past the doubles.  The sign at a
-    double x > 0 is signs[bisect_left(edges, x)].  crossovers holds
-    (lo, hi, nearest) for each root where the sign changes, nearest the
-    double nearest to it.  pi_digits is the most digits of pi any sign took
-    (0 where none needed pi).
+    double x > 0 is signs[bisect_left(edges, x)].  crossovers holds the
+    bracket of each root where the sign changes: its hi is the first double
+    at which the sign before the root no longer holds.  pi_digits is the
+    most digits of pi any sign took (0 where none needed pi).
     """
 
     def __init__(self, p: tuple):
@@ -571,16 +571,4 @@ class Comparison:
             self.signs.append(after)
         self.brackets.append(bracket)
         if before and after and before != after:
-            self.crossovers.append((a, b, self._nearest(a, b)))
-
-    def _nearest(self, a: float, b: float) -> float:
-        """The double nearest the root in [a, b]: by S's exact sign at the
-        midpoint, a dyadic rational, and the even one on a tie."""
-        if a == b or a == 0.0:
-            return b
-        if b == math.inf:
-            return a
-        mid = self._at(self.s_u, (Fraction(a) + Fraction(b)) / 2)
-        if not mid:
-            return a if fp._bits(a) % 2 == 0 else b
-        return b if mid == self.s_signs[a] else a
+            self.crossovers.append(bracket)

@@ -60,17 +60,17 @@ So verdicts are the exact ones, and no field but digits depends on the
 digits a sweep starts from.
 
 A dominance report gives every grid point the exact sign of the difference
-of two bounds.  For two rows without a log it is the sign of a polynomial
-P in u with coefficients in Q[pi] (see :mod:`arctanbounds.algebra`): the
-brackets of its roots cut the grid, with no fixed-point evaluation, and
-a crossover is the double nearest a root where the sign changes.  A pair
-with a log row has the sign of an h with h(0+) = 0, monotone between the
-roots of algebra.log_pair_polynomial: the first piece takes h's sign at
-its last grid point, every other the signs at its ends and by bisection
-between them, decided on the two rows' fixed-point balls, as are the
-crossovers: each is the first double past a run at which its sign no
-longer holds, bisected on the bit patterns down to adjacent doubles, so
-that every grid that straddles it reports the same double.
+of two bounds, and each crossover is the first double past a run of one
+sign at which that sign no longer holds, so that every grid that straddles
+it reports the same double.  For two rows without a log the sign is that
+of a polynomial P in u with coefficients in Q[pi] (see algebra): the
+brackets of its roots cut the grid, with no fixed-point evaluation, and a
+crossover is the upper end of a bracket.  A pair with a log row has the
+sign of an h with h(0+) = 0, monotone between the roots of
+algebra.log_pair_polynomial: the first piece takes h's sign at its last
+grid point, every other the signs at its ends and by bisection between
+them, decided on the two rows' fixed-point balls, and each crossover is
+bisected on those signs over the bit patterns down to adjacent doubles.
 
 Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
@@ -612,9 +612,8 @@ class DominanceReport:
     without a log happens at every point when P == 0 (identical rows) and
     otherwise only at a root of P that is a grid point.  Regions and counts
     come from it, and so do crossovers, each between two grid points of
-    opposite verdicts: the double nearest a root of P for two rows without
-    a log, and for a pair with a log row the first double at which the
-    earlier verdict no longer holds, which no grid that straddles it moves.
+    opposite verdicts: the first double at which the earlier verdict no
+    longer holds, which no grid that straddles it moves.
 
     method is "algebra" for two rows without a log and "monotone" for a
     pair with a log row.  degree is that of the polynomial whose roots cut
@@ -681,15 +680,16 @@ def dominance_report(bound_a: cat.BoundId, bound_b: cat.BoundId,
                      grid: GridSpec = DEFAULT_GRID) -> DominanceReport:
     """Partition the grid by which of two same-side bounds is tighter.
 
-    The grid's first point, its smallest, must be positive.  For two rows
-    without a log the signs come from the roots of the comparison
-    polynomial P (see algebra): the grid is read by bisection at the edges
-    of its sign, and a crossover is the double nearest a root of P where
-    the sign changes, strictly inside the grid's range.  A pair with a log
-    row reads the grid on the pieces where the difference is monotone, with
-    fixed-point signs decided past both radii from DEFAULT_SWEEP_DIGITS
-    (see fixedpoint.refine), and bisects each crossover between grid points
-    of opposite signs on the bit patterns, down to adjacent doubles.
+    The grid's first point, its smallest, must be positive.  Each crossover
+    is the first double past a run of one sign at which that sign no longer
+    holds.  For two rows without a log the signs come from the roots of the
+    comparison polynomial P (see algebra): the grid is read by bisection at
+    the edges of its sign, and a crossover is the upper end of the bracket
+    of a root of P where the sign changes.  A pair with a log row reads the
+    grid on the pieces where the difference is monotone, with fixed-point
+    signs decided past both radii from DEFAULT_SWEEP_DIGITS (see
+    fixedpoint.refine), and bisects each crossover between grid points of
+    opposite signs on the bit patterns, down to adjacent doubles.
     """
     side_a = cat.bound_side(bound_a)
     side_b = cat.bound_side(bound_b)
@@ -740,14 +740,15 @@ def _regions(runs, xs: Sequence[float], tighter: int) -> dict:
 def _algebraic_signs(comparison, xs: Sequence[float], tighter: int) -> dict:
     """The report's fields from the sign of P: each run of grid points
     between two edges has one sign, found by bisection, with no pass over the
-    grid."""
+    grid, and the crossover of a bracket (lo, hi) is hi, listed where the
+    grid has points on both sides of the root."""
     cuts = [0, *(bisect_right(xs, edge) for edge in comparison.edges), len(xs)]
     x_min, x_max = xs[0], xs[-1]
     ends = {end for bracket in comparison.brackets for end in bracket}
     return dict(
         **_regions(zip(cuts, cuts[1:], comparison.signs), xs, tighter),
-        crossovers=[c for lo, hi, c in comparison.crossovers
-                    if x_min <= lo and hi <= x_max and x_min < c < x_max],
+        crossovers=[hi for lo, hi in comparison.crossovers
+                    if x_min <= lo < x_max and x_min < hi <= x_max],
         method="algebra", degree=comparison.degree,
         brackets=tuple(comparison.brackets),
         bracket_points=sum(bisect_right(xs, e) - bisect_left(xs, e) for e in ends),

@@ -445,8 +445,8 @@ class TestProfileRuns:
             assert holds_on_all_x(end.bound, end.a), end
         slope = {end.bound: alg.Comparison(alg.slope_polynomial(cat._CATALOG[end.bound], end.a))
                  for end in kernel_ends() if not cat._CATALOG[end.bound].rises}
-        assert slope[BoundId.FAMILY_UPPER].crossovers[0][2] == pytest.approx(1.8544, abs=1e-4)
-        assert slope[BoundId.REVERSED_LOWER].crossovers[0][2] == pytest.approx(0.92475, abs=1e-5)
+        assert slope[BoundId.FAMILY_UPPER].crossovers[0][1] == pytest.approx(1.8544, abs=1e-4)
+        assert slope[BoundId.REVERSED_LOWER].crossovers[0][1] == pytest.approx(0.92475, abs=1e-5)
         # outside their ranges, at a = 0.6, Q changes sign twice and the
         # same check refutes both rows
         for bound in (BoundId.REVERSED_LOWER, BoundId.FAMILY_UPPER):

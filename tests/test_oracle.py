@@ -569,21 +569,8 @@ class TestSettledViolations:
         assert bound == float(eval_bound_hp(BoundId.TWO_OVER_PI_LOWER_ERRATA, x, digits=200))
 
 
-def _ball(bound, a, x, digits):
-    """The row's fixed-point ball at a double x, or at a Fraction x from the
-    catalog's closed form on FixedReal, as eval_bound_hp builds it."""
-    if isinstance(x, float):
-        return eval_bound_hp(bound, x, a, digits=digits)
-    info = arctanbounds.catalog._CATALOG[bound]
-    x_hp = FixedReal(Fraction(x), digits)
-    if x_hp.units == 0:
-        raise PrecisionError("zero units")
-    balls = (x_hp,) if info.consts is None else (x_hp, (1 + x_hp * x_hp).sqrt())
-    return arctanbounds.catalog._fixed_fn(info.form, info.consts, a, digits)(*balls)
-
-
 def exact_sign(bound_a, a_a, bound_b, a_b, x, digits):
-    """The exact sign of A(x) - B(x) at a double or Fraction x > 0: the two
+    """The exact sign of A(x) - B(x) at a double x > 0: the two
     rows' fixed-point balls at `digits`, twice them and so on until they
     separate, and 0 for a row against itself.  Independent of the
     comparison polynomial and its roots."""
@@ -591,7 +578,8 @@ def exact_sign(bound_a, a_a, bound_b, a_b, x, digits):
         return 0
     while True:
         try:
-            p, q = _ball(bound_a, a_a, x, digits), _ball(bound_b, a_b, x, digits)
+            p = eval_bound_hp(bound_a, x, a_a, digits=digits)
+            q = eval_bound_hp(bound_b, x, a_b, digits=digits)
             if abs(p.units - q.units) > p.err + q.err:
                 return 1 if p.units > q.units else -1
         except PrecisionError:
@@ -603,11 +591,9 @@ def exact_sign(bound_a, a_a, bound_b, a_b, x, digits):
 def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
     """Every verdict from exact_sign at each grid point.  A crossover is
     found between flipping grid points by bisection on the bit patterns
-    down to adjacent doubles: for a pair with a log row it is the upper of
-    the two, the first double at which the earlier sign no longer holds;
-    for two rows without a log it is the double nearest the root, the end
-    chosen by the exact sign at their midpoint.  Returns the report's
-    regions, crossovers and counts as JSON."""
+    down to adjacent doubles: the upper of the two, the first double at
+    which the earlier sign no longer holds.  Returns the report's regions,
+    crossovers and counts as JSON."""
     tighter = 1 if bound_side(bound_a) == "lower" else -1
 
     def sign_at(x):
@@ -622,19 +608,13 @@ def reference_dominance(bound_a, bound_b, a_a, a_b, grid, digits):
             regions[-1]["x_hi"] = x
         else:
             regions.append({"x_lo": x, "x_hi": x, "verdict": names[sign]})
-    logs = {BoundId.LOG_LOWER, BoundId.LOG_UPPER}
     crossovers = []
     prev = None
     for i, sign in enumerate(signs):
         if sign == 0:
             continue
         if prev is not None and signs[prev] != sign:
-            lo, hi = reference_bracket(sign_at, xs[prev], xs[i], signs[prev])
-            if logs & {bound_a, bound_b}:
-                crossovers.append(hi)
-            else:
-                mid = sign_at((Fraction(lo) + Fraction(hi)) / 2)
-                crossovers.append(hi if mid == signs[prev] else lo)
+            crossovers.append(reference_bracket(sign_at, xs[prev], xs[i], signs[prev])[1])
         prev = i
     counts = {"a_tighter": signs.count(1), "b_tighter": signs.count(-1),
               "equal": signs.count(0)}
@@ -683,6 +663,11 @@ DOMINANCE_PAIRS = [
     (BoundId.TWO_OVER_PI_UPPER, BoundId.LOG_UPPER, None, None),
     (BoundId.CUBIC_LOWER, BoundId.LOG_LOWER, None, None),
     *_family_pairs(),
+    # crossovers at grid ends: 3.4800973479119635, the last point of the
+    # "x-max" grid below, and 3.4455961991369826, one ulp past the first
+    # point of the "x-min" grid
+    (BoundId.FAMILY_LOWER, BoundId.REVERSED_LOWER, 0.24771754354597048, 1.2494470025979894),
+    (BoundId.FAMILY_LOWER, BoundId.REVERSED_LOWER, 0.06718212205620061, 1.7919941735364566),
 ]
 #: (grid, the reference's starting digits); at 320 digits x = 1e-300 still
 #: has 10**20 units
@@ -692,12 +677,15 @@ DOMINANCE_GRIDS = [
     (GridSpec(1e-300, 1e300, 60, "log"), 320),
     (GridSpec(0.5, 0.5 * (1 + 1e-14), 40, "linear"), 50),
     (GridSpec(2.17, 2.18, 40, "linear"), 50),
+    (GridSpec(1.7400486739559815, 3.4800973479119635, 50, "log"), 50),
+    (GridSpec(3.445596199136982, 6.891192398273965, 50, "log"), 50),
 ]
 
 
 class TestDominanceMatchesReference:
     @pytest.mark.parametrize("grid,digits", DOMINANCE_GRIDS,
-                             ids=["log", "jittered", "extreme", "few-ulps", "crossover"])
+                             ids=["log", "jittered", "extreme", "few-ulps", "crossover",
+                                  "x-max", "x-min"])
     def test_pairs(self, grid, digits):
         for bound_a, bound_b, a_a, a_b in DOMINANCE_PAIRS:
             regions, crossovers, counts = reference_dominance(
@@ -859,6 +847,15 @@ def identical_rows(bound_a, a_a, bound_b, a_b) -> bool:
     return row_a == row_b
 
 
+def sign_before(pair, c):
+    """The exact sign at the double below the crossover c, at 120 digits,
+    checked to change across c and to no longer hold at c itself."""
+    below = exact_sign(*pair, math.nextafter(c, 0.0), 120)
+    above = exact_sign(*pair, math.nextafter(c, math.inf), 120)
+    assert below == -above != 0 and exact_sign(*pair, c, 120) != below, (pair, c)
+    return below
+
+
 class TestExactDominance:
     """dominance_report for rows without a log against exact_sign, the rows'
     fixed-point balls from 120 digits until they separate: independent of
@@ -888,11 +885,10 @@ class TestExactDominance:
         for x, verdict in zip(grid.values(), verdicts):
             assert verdict == names[tighter * exact_sign(*pair, x, 120)], (pair, x)
         for c in report.crossovers:
-            # the sign changes across each reported crossover
-            assert x_min < c < x_max
-            below = exact_sign(*pair, math.nextafter(c, 0.0), 120)
-            above = exact_sign(*pair, math.nextafter(c, math.inf), 120)
-            assert below == -above != 0, (pair, c)
+            # a crossover may be the grid's last point, not its first
+            assert x_min < c <= x_max
+            earlier = verdicts[bisect.bisect_left(grid.values(), c) - 1]
+            assert names[tighter * sign_before(pair, c)] == earlier, (pair, c)
 
     def test_crossovers_change_sign_on_bench_pairs(self):
         rng = random.Random("crossover-signs")
@@ -903,10 +899,7 @@ class TestExactDominance:
                                                       BoundId.REVERSED_UPPER, pair[3])]:
                 report = dominance_report(bound_a, bound_b, a_a, a_b, grid=GRID)
                 for c in report.crossovers:
-                    below = exact_sign(bound_a, a_a, bound_b, a_b, math.nextafter(c, 0.0), 120)
-                    above = exact_sign(bound_a, a_a, bound_b, a_b,
-                                       math.nextafter(c, math.inf), 120)
-                    assert below == -above != 0
+                    sign_before((bound_a, a_a, bound_b, a_b), c)
 
     def test_zero_polynomial_only_for_identical_rows(self):
         from arctanbounds import algebra
@@ -1321,7 +1314,7 @@ class TestPiecesAgainstTheExactSlope:
             if comparison is None:
                 assert slope == 1, bound
             else:
-                for lo, hi, _ in comparison.crossovers:
+                for lo, hi in comparison.crossovers:
                     below = first <= lo if lo < hi else first < lo
                     above = last >= hi if lo < hi else last > hi
                     assert not (below and above), (bound, a, first, last, lo, hi)

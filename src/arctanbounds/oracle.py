@@ -27,14 +27,15 @@ computed as it is read.  No root of Q is isolated, and a cut where Q keeps
 its sign only splits a monotone run in two.  The grid is cut again at
 x = 1, where the reported margin changes (below).  M is evaluated in
 fixed point (``eval_bound_hp`` against the oracle's ball), decided where
-the centres lie further apart than the two radii, at the sweep's digits or
-at twice them and so on (see fixedpoint.refine): first at the grid's two
-ends, where the points that raise an error lie, then on each piece at its
-near end, where M is smallest (its first point where M rises, its last
-where M falls).  Where M holds there, it holds on the whole piece, whose
-other end is not evaluated.  Otherwise its violations are one run at one
-end, found from the ends' signs and by bisection between them, and kept
-as that run; a violation's bound is computed again only when listed.
+the centres lie further apart than the two radii and the reported margin's
+ends round to one double, at the sweep's digits or at twice them and so on
+(see fixedpoint.refine): first at the grid's two ends, where the points
+that raise an error lie, then on each piece at its near end, where M is
+smallest (its first point where M rises, its last where M falls).
+Where M holds there, it holds on the whole piece, whose other end is not
+evaluated.  Otherwise its violations are one run at one end, found from
+the ends' signs and by bisection between them, and kept as that run; a
+violation's bound is computed again only when listed.
 
 The smallest reported margin of a piece lies at an end for x <= 1, and
 above it where M > 0 falls or M <= 0 rises, since arctan rises; on a
@@ -50,10 +51,10 @@ of every ratio on it, exceeds the smallest margin found; a piece where M
 holds reads arctan alone at q.  Otherwise R is evaluated only where it
 can be smallest: at the grid points either side of S's zero, and where
 there is none, at the piece's ends (a one-off's first).  Every reported
-double is the exact value rounded once (fixedpoint.settle), and rounding
-is monotone, so the margins keep the exact order, and the first point of
-the smallest is reported: on a falling run, the first point that shares
-its last point's double, found by bisection.  The oracle is computed,
+margin is the exact one rounded once, and rounding is monotone, so the
+margins keep the exact order, and the first point of the smallest is
+reported: on a falling run, the first point that shares its last point's
+double, found by bisection.  The oracle is computed,
 and cached, only at the points evaluated, those arctan-only ends and the
 violations listed, and a grid's points only where read (GridSpec.values).
 So verdicts are the exact ones, and no field but digits depends on the
@@ -76,8 +77,10 @@ Margins are reported absolutely for x <= 1 and relative to the oracle for
 x > 1 (both arctan and every bound vanish linearly at 0 and level off at
 pi/2, so one convention cannot serve both ends of the grid).  A positive
 margin that rounds to 0.0 raises DomainError, as a bound or margin that
-overflows does, so a report is clean exactly when min_margin > 0; the
-error names the first grid point that raises one.
+overflows does, so a report is clean exactly when min_margin > 0.  The
+points that raise an error are a run at one end of the grid (M vanishes
+at 0 and at infinity, |bound| is monotone at large x), and the error is
+that of its first point, bisected for where the grid's last point raises.
 """
 
 from __future__ import annotations
@@ -258,7 +261,7 @@ def _balls(bound: cat.BoundId, a: Optional[float], x: float):
 class _Point(NamedTuple):
     """The fixed-point path at one point: the reported margin (the exact one
     rounded once), whether the inequality holds, and the two balls that
-    separated it, which share their digits."""
+    decided both, which share their digits."""
 
     margin: float
     holds: bool
@@ -268,33 +271,32 @@ class _Point(NamedTuple):
 
 def _exact_point(bound: cat.BoundId, a: Optional[float], side: str, x: float,
                  digits: int) -> _Point:
-    """The fixed-point path at x, separated by fixedpoint.refine from
-    `digits`, and its reported margin, M or M/arctan x for x > 1, rounded
-    once: from its ends' integer quotients there, or where they round to
-    two doubles, by fixedpoint.settle from twice the digits.  DomainError
-    where the bound or the margin does not fit a double."""
-    what, balls, lower = (lambda: f"{bound.value} at x={x!r}: the margin",
-                          _balls(bound, a, x), side == "lower")
-    bound_hp, oracle_hp = fp.refine(balls, digits, fp.separated, what)
-    diff = oracle_hp.units - bound_hp.units if lower else bound_hp.units - oracle_hp.units
-    radius, o, e = bound_hp.err + oracle_hp.err, oracle_hp.units, oracle_hp.err
-    # M's ends, of diff's sign, over the scale, or for x > 1 over the ends
-    # of arctan x (positive) that make the ends of M/arctan x
-    low, high = ((oracle_hp.scale,) * 2 if x <= 1.0 else
-                 (o + e, o - e) if diff > 0 else (o - e, o + e))
-    margin = fp._double(diff - radius, low)
-    if margin != fp._double(diff + radius, high):
+    """The fixed-point path at x and its reported margin, M or M/arctan x
+    for x > 1, rounded once: decided by fixedpoint.refine from `digits`
+    where the balls are separated and the margin's ends, integer
+    quotients, round to one double.  DomainError where the bound or the
+    margin does not fit a double."""
 
-        def ball(bound_d: fp.FixedReal, oracle_d: fp.FixedReal) -> tuple[fp.FixedReal]:
-            m = oracle_d - bound_d if lower else bound_d - oracle_d
-            return (m if x <= 1.0 else m / oracle_d,)
-        (margin,), _ = fp.settle(lambda d: ball(*balls(d)), x, what, 2 * bound_hp.digits)
+    def step(d: int) -> Optional[_Point]:
+        bound_hp, oracle_hp = _balls(bound, a, x)(d)
+        radius, o, e = bound_hp.err + oracle_hp.err, oracle_hp.units, oracle_hp.err
+        diff = o - bound_hp.units if side == "lower" else bound_hp.units - o
+        # M's ends, of diff's sign, over the scale, or for x > 1 over the ends
+        # of arctan x (positive) that make the ends of M/arctan x
+        low, high = ((oracle_hp.scale,) * 2 if x <= 1.0 else
+                     (o + e, o - e) if diff > 0 else (o - e, o + e))
+        margin = fp._double(diff - radius, low)
+        if abs(diff) > radius and margin == fp._double(diff + radius, high):
+            return _Point(margin, diff > 0, bound_hp, oracle_hp)
+
+    point = fp.refine(step, digits, lambda point: point is not None,
+                      lambda: f"{bound.value} at x={x!r}: the margin")
     # a bound or margin past DBL_MAX, or a certified margin that underflows
-    if (abs(fp._double(bound_hp.units, bound_hp.scale)) == math.inf
-            or abs(margin) == math.inf or diff > 0 and margin == 0.0):
+    if (abs(fp._double(point.bound_hp.units, point.bound_hp.scale)) == math.inf
+            or abs(point.margin) == math.inf or point.holds and point.margin == 0.0):
         raise DomainError(f"{bound.value} at x={x!r}: the bound or its margin "
                           f"does not fit a double")
-    return _Point(margin, diff > 0, bound_hp, oracle_hp)
+    return point
 
 
 @dataclass(frozen=True)
@@ -405,7 +407,8 @@ def _monotone_pieces(bound: cat.BoundId, a: Optional[float], xs: Sequence[float]
 
 def _first_index(lo: int, hi: int, pred) -> int:
     """The first index in (lo, hi] where pred holds, pred being false at lo
-    and true from that index to hi."""
+    and true from that index to hi: a bisection of grid points (a sign's
+    edge, a run of one double, a sweep's first error) or of bit patterns."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pred(mid):
@@ -434,34 +437,10 @@ class _ExactPoints(dict):
         self.bound, self.a, self.side, self.digits = bound, a, side, digits
         self.xs = grid.values()
 
-    def _evaluate(self, i: int) -> _Point:
+    def __missing__(self, i: int) -> _Point:
         point = self[i] = _exact_point(self.bound, self.a, self.side, self.xs[i],
                                        self.digits)
         return point
-
-    def __missing__(self, i: int) -> _Point:
-        try:
-            return self._evaluate(i)
-        except ArctanBoundsError as error:
-            raise self._first_failure(i, error) from None
-
-    def _first_failure(self, i: int, error: ArctanBoundsError) -> ArctanBoundsError:
-        """The error of the first grid point that raises one, `error` being
-        that of i.  The points whose margin underflows or is unresolved, or
-        whose bound outgrows a double, lie at the grid's ends (the margin
-        vanishes at 0 and at infinity, and |bound| is monotone at large x),
-        and a sweep evaluates the grid's first point, then its last, before
-        any other: so between the nearest evaluated point below i and i
-        they are a run that ends at i, found by bisection."""
-        lo = max((k for k in self if k < i), default=-1)
-        while i - lo > 1:
-            mid = (lo + i) // 2
-            try:
-                self._evaluate(mid)
-                lo = mid
-            except ArctanBoundsError as exc:
-                i, error = mid, exc
-        return error
 
     def run_start(self, start: int, last: int) -> int:
         """The first of the points start..last whose reported margin is that
@@ -528,12 +507,21 @@ def sweep(bound: cat.BoundId, a: Optional[float] = None,
     pieces = [(lo, hi, slope)
               for start, stop, slope in _monotone_pieces(bound, a, xs, digits)
               for lo, hi in ((start, min(stop, one)), (max(start, one), stop)) if lo < hi]
-    exact = _ExactPoints(bound, a, side, grid, digits)
+    exact, errors, last = _ExactPoints(bound, a, side, grid, digits), {}, len(xs) - 1
+
+    def raises(i: int) -> bool:
+        try:
+            exact[i]
+        except ArctanBoundsError as error:
+            errors[i] = error
+        return i in errors
+
     # the grid's ends first: the points that raise an error are a run at one
-    # of them (see _ExactPoints._first_failure)
-    exact[0], exact[len(xs) - 1]
-    violated = []
-    end_parts, loose_parts = [], []
+    # of them (see the module docstring)
+    exact[0]
+    if raises(last):
+        raise errors[_first_index(0, last, raises)]
+    violated, end_parts, loose_parts = [], [], []
     for start, stop, slope in pieces:
         rising = slope >= 0
         # M is monotone on the piece, so it holds on one run of it and is

@@ -350,7 +350,7 @@ class TestErrors:
         # cubic-lower's bound -x^3/3 does not fit a double above ~1e103
         code, out, err = run(capsys, base + ["--grid-min", "1e-40"])
         assert code == 2 and out == ""
-        assert "DomainError" in err and "cubic-lower" in err
+        assert "DomainError" in err and "cubic-lower at x=3.292971255096969e+103" in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "family"],
@@ -893,24 +893,30 @@ class TestVerify:
         # below the smallest margin found
         assert sum(report.escalated for report in reports.values()) == 62
 
-    @pytest.mark.parametrize("grid,most", [
-        ([], 96),
+    @pytest.mark.parametrize("grid,most,calls", [
+        ([], 96, (121, 3)),
         # the reported ratios share a few doubles across whole runs, which are
         # read at their ends
-        (["--grid-min", "1e17", "--grid-max", "1e100", "--grid-points", "100000"], 200),
+        (["--grid-min", "1e17", "--grid-max", "1e100", "--grid-points", "100000"], 200,
+         (79, 70)),
     ], ids=["default-grid", "1e17-1e100"])
-    def test_default_suite_budget(self, capsys, monkeypatch, grid, most):
+    def test_default_suite_budget(self, capsys, monkeypatch, grid, most, calls):
         # the bound is evaluated in fixed point at 96 grid points of the
-        # default suite's 300,000 checks, and the slope polynomial's balls
-        # are read for exactly the 12 entries not marked rises
-        read = set()
-        slope_bounds = cat._slope_bounds
+        # default suite's 300,000 checks, in 121 calls at the suite's 50
+        # digits and 3 above them, the listed violations' included; and the
+        # slope polynomial's balls are read for exactly the 12 entries not
+        # marked rises
+        read, digits = set(), []
+        slope_bounds, eval_bound_hp = cat._slope_bounds, cat.eval_bound_hp
         monkeypatch.setattr(cat, "_slope_bounds", lambda *args: (
             read.add(args[:2]) or slope_bounds(*args)))
+        monkeypatch.setattr(cat, "eval_bound_hp", lambda *args, **kwargs: (
+            digits.append(kwargs["digits"]) or eval_bound_hp(*args, **kwargs)))
         code, out, _ = run(capsys, ["verify", "--suite", "all", *grid, "--format", "json",
                                     "--stats"])
         assert code == 0
         assert strict_json(out)["stats"]["escalated"] <= most
+        assert digits.count(50) <= calls[0] and sum(d > 50 for d in digits) <= calls[1]
         swept = {(cat._CATALOG[bound].consts, a) for bound, a in cli._suite_entries("all")
                  if not cat._CATALOG[bound].rises}
         assert read == swept and len(swept) == 12

@@ -32,7 +32,7 @@ from arctanbounds import (
     oracle_arctan,
     sweep,
 )
-from arctanbounds.catalog import bound_side
+from arctanbounds.catalog import bound_side, eval_bound
 from arctanbounds import cli
 from arctanbounds import oracle as orc
 from arctanbounds.cli import _suite_entries
@@ -310,6 +310,19 @@ class TestSweep:
         with pytest.raises(ParamError, match="past the largest double"):
             dominance_report(BoundId.REVERSED_LOWER, BoundId.FAMILY_LOWER,
                              a_a=10 ** 400, a_b=0.5, grid=GRID)
+
+    def test_first_failing_point_at_the_top_end_is_named(self):
+        # cubic-lower's bound -x^3/3 outgrows a double from point 3339 of this
+        # grid on, so its last point raises, and the sweep names the first
+        # of the run of points that do, found by bisection
+        grid = GridSpec(1.0, DBL_MAX, 10_000)
+        xs = grid.values()
+        assert eval_bound(BoundId.CUBIC_LOWER, xs[3338]) == -1.7378913490264741e+308
+        assert eval_bound(BoundId.CUBIC_LOWER, xs[3339]) == -math.inf
+        with pytest.raises(DomainError,
+                           match=re.escape("cubic-lower at x=8.640585655267973e+102:")):
+            sweep(BoundId.CUBIC_LOWER, grid=grid)
+        assert xs[3339] == 8.640585655267973e+102
 
     @pytest.mark.parametrize("x_min", [-1.0, 0.0])
     def test_grids_from_a_non_positive_point_raise(self, x_min):
@@ -1532,8 +1545,9 @@ class TestExactPoint:
     def test_decides_only_past_both_radii(self, monkeypatch, gap, digits_seen):
         # a bound 3 units wide whose centre lies the two radii (plus `gap`
         # units) below the oracle's at 50 digits, and far below it at 100:
-        # with a gap the point is decided at 50 digits, and its margin, a few
-        # units there, is rounded once at 100
+        # with a gap the balls are separated at 50 digits, but the margin's
+        # ends, a few units there, round to two doubles; either way the point
+        # is decided at 100, and keeps the balls that decided it
         from arctanbounds import oracle as orc
         from arctanbounds.fixedpoint import FixedReal
         seen = []
@@ -1547,7 +1561,7 @@ class TestExactPoint:
         monkeypatch.setattr(arctanbounds.catalog, "eval_bound_hp", ball)
         point = orc._exact_point(BoundId.SHAFER_LOWER, None, "lower", 0.5, 50)
         assert point.holds and seen == digits_seen
-        assert point.bound_hp.digits == (50 if gap else 100)
+        assert point.bound_hp.digits == point.oracle_hp.digits == 100
 
     def test_unresolved_past_the_cap_raises(self, monkeypatch):
         from arctanbounds import oracle as orc

@@ -13,6 +13,7 @@ from typing import Optional
 from . import kernel as ker
 from . import oracle as orc
 from .catalog import _TINY
+from .kernel import _FAR, _LOWER_SWITCH, _UPPER_SWITCH
 
 
 # Why summary's figures are those of every row (u0 = 2**-53).  Row x has
@@ -34,9 +35,12 @@ from .catalog import _TINY
 #   exact model     elsewhere v and c lie within gamma_7 mid* < 2**-50 v of
 #                   mid* and w*, the midpoint and half-width of approx's
 #                   bracket in exact arithmetic at its double constants (five
-#                   roundings before the max and min, which move no more than
-#                   their arguments, the scaling, and the midpoint: c = (upper
-#                   - lower)/2 + |v - (lower + upper)/2|, by Sterbenz).
+#                   roundings in each end, the scaling, and the midpoint: c =
+#                   (upper - lower)/2 + |v - (lower + upper)/2|, by Sterbenz).
+#                   approx takes its ends from the piece x lies in, cut at the
+#                   switches (kernel._LOWER_SWITCH, _UPPER_SWITCH), and each
+#                   crossover lies strictly inside its switch: at every double
+#                   approx's bracket is the exact model's piece.
 #   runs            on each piece the slopes of e* = mid* - T and w* have the
 #                   signs of polynomials in u = sqrt(1 + x^2); cut at the
 #                   pieces' ends and those polynomials' roots in them
@@ -56,13 +60,11 @@ from .catalog import _TINY
 #: The runs derived above, for the kernel's one spec.  Its bracket is
 #: (family-lower, reversed-upper) up to the crossover of its lower ends, then
 #: (reversed-lower, reversed-upper) up to that of its upper ends, then
-#: (reversed-lower, family-upper).  _CUTS brackets in x those crossovers and
-#: the one root of a slope of e* or w* inside a piece, e*'s peak.
-#: tests/test_kernel.py rebuilds it from the pieces with algebra.Comparison.
-_CUTS = ((2.1758413981537936, 2.175841398153794), (2.572753308123286, 2.5727533081232865),
-         (2.784292734339491, 2.7842927343394916))
-#: Where the rows of one value start, (2).
-_FAR = 2.0 ** 53
+#: (reversed-lower, family-upper).  _CUTS brackets in x those crossovers,
+#: approx's own switches, and the one root of a slope of e* or w* inside a
+#: piece, e*'s peak.  tests/test_kernel.py rebuilds it from the pieces with
+#: algebra.Comparison.
+_CUTS = (_LOWER_SWITCH, _UPPER_SWITCH, (2.784292734339491, 2.7842927343394916))
 
 
 def _run_max(lo: int, hi: int, best: float, read, slack: float) -> float:

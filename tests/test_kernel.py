@@ -318,6 +318,23 @@ def kernel_pieces() -> list:
     return [(meet(ll, lh), ll, uh), (meet(ul, uh), lh, uh), (None, lh, ul)]
 
 
+def piece_of(pieces: list, x: float) -> tuple:
+    """The (lower, upper) ends of the piece that |x| lies in, in exact
+    arithmetic."""
+    u2 = 1 + Fraction(x) ** 2
+    return next((lower, upper) for u_stop, lower, upper in pieces
+                if u_stop is None or u2 < u_stop ** 2)
+
+
+def piece_pair(pieces: list, x: float) -> tuple:
+    """approx's pair at a double x of its main path, from the two ends of the
+    piece that |x| lies in, computed here."""
+    ax, (lower, upper) = abs(x), piece_of(pieces, x)
+    lo, up = (e.c * (ax / (e.a + math.hypot(1.0, ax))) * e.scale for e in (lower, upper))
+    value = 0.5 * (lo + up)
+    return math.copysign(value, x), max(value - lo, up - value)
+
+
 def holds_on_all_x(bound: BoundId, a: float) -> bool:
     """Whether the proof of a row on all of (0, inf) goes through at the
     double a: a rises row by its mark; any other shape row where c = pi/2
@@ -458,6 +475,8 @@ class TestProfileRuns:
         # two crossovers and where e* peaks, at x = 2.78429... (w* peaks at
         # the upper crossover), four runs
         assert build_run_table(kernel_pieces()) == runs._CUTS
+        # approx switches pieces where profile cuts its runs
+        assert runs._CUTS[:2] == (ker._LOWER_SWITCH, ker._UPPER_SWITCH)
         (l_lo, l_hi), (w_lo, w_hi), (e_lo, e_hi) = runs._CUTS
         assert all(hi == math.nextafter(lo, 3.0) for lo, hi in runs._CUTS)
         assert 2.1758413 < l_lo < 2.1758414 and 2.5727533 < w_lo < 2.5727534
@@ -478,6 +497,39 @@ class TestProfileRuns:
                 assert approx(spec, x).value == 0.5 * (ends[lower] * lower.scale
                                                        + ends[upper] * upper.scale)
             start = stop
+
+    @pytest.mark.parametrize("switch", ["lower", "upper"])
+    def test_approx_at_its_switches(self, switch):
+        # the 10**4 doubles on each side of a switch: approx's pair is that
+        # of the piece each lies in, which the switch's lo still lies in and
+        # its hi does not, and the certificate holds with no slack.  Near the
+        # upper switch the tighter ends in exact arithmetic are not always
+        # those the rounded ends order as tighter
+        pieces = kernel_pieces()
+        lo, hi = ker._LOWER_SWITCH if switch == "lower" else ker._UPPER_SWITCH
+        assert hi == math.nextafter(lo, 3.0)
+        assert piece_of(pieces, lo) != piece_of(pieces, hi)
+        xs = [_from_bits(_bits(lo) - k) for k in range(10 ** 4)]
+        xs += [_from_bits(_bits(hi) + k) for k in range(10 ** 4)]
+        for x in xs:
+            assert approx(DEFAULT_KERNEL, x) == piece_pair(pieces, x), x
+            assert_certified(x)
+
+    def test_far_pair(self):
+        # from 2**53 both quotients are 1 and approx returns one pair, with
+        # the sign of x: the main path's at 2**53, computed here
+        pieces, far = kernel_pieces(), 2.0 ** 53
+        assert all(far / (e.a + math.hypot(1.0, far)) == 1.0 for e in kernel_ends())
+        value, bound = piece_pair(pieces, far)
+        for x in (far, DBL_MAX, -2.0 ** 60, 2 ** 60, Fraction(2 ** 60), -DBL_MAX):
+            cv = approx(DEFAULT_KERNEL, x)
+            assert cv == (math.copysign(value, x), bound), x
+            assert type(cv) is ker.CertifiedValue and type(cv.value) is float
+        # the double below 2**53 takes the main path, where 0.5 + u rounds up
+        # to 2**53: its pair is not the far one
+        below = math.nextafter(far, 0.0)
+        assert approx(DEFAULT_KERNEL, below) == piece_pair(pieces, below) != (value, bound)
+        assert_certified(below)
 
     @pytest.mark.parametrize("digits", [20, 30, 100, 330])
     def test_rows_of_one_value_are_read_at_their_ends(self, digits):

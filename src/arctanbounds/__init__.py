@@ -6,8 +6,8 @@ high-precision arctan oracle with a grid-sweep verification harness, and a
 fast approximation kernel whose error is certified by enclosure width.
 
 Importing the package loads only ``catalog``, ``errors`` and ``fixedpoint``.
-The public names of ``family``, ``kernel`` and ``oracle`` are bound on first
-use (PEP 562 module ``__getattr__``): ``arctanbounds.sweep`` or
+The public names of ``family``, ``kernel``, ``oracle`` and ``runs`` are bound
+on first use (PEP 562 module ``__getattr__``): ``arctanbounds.sweep`` or
 ``from arctanbounds import sweep`` imports ``oracle`` then, and binds the name
 in the package, the same object as ``arctanbounds.oracle.sweep``.
 ``from arctanbounds import *`` binds every name in ``__all__``.
@@ -39,14 +39,14 @@ from .errors import (
 )
 from .fixedpoint import FixedReal
 
-#: The public names bound on first use, by the module that defines them.
+#: The public names bound on first use, each under the module defining it.
 _LAZY = {
     "family": ("MinimumResult", "family_ratio", "find_interior_minimum",
                "minimum_value_closed_form", "stationarity_gap"),
-    "kernel": ("DEFAULT_KERNEL", "CertifiedValue", "ErrorProfile", "KernelSpec",
-               "approx", "error_profile"),
+    "kernel": ("DEFAULT_KERNEL", "CertifiedValue", "KernelSpec", "approx"),
     "oracle": ("DEFAULT_GRID", "DominanceReport", "GridSpec", "SweepReport",
                "dominance_report", "oracle_arctan", "sweep"),
+    "runs": ("ErrorProfile", "error_profile"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -19,19 +19,17 @@ the a = 1/2 one above, where (1 + 2/pi)(1/2 + u) = (pi/2)(2/pi + u).  These
 two crossovers are the pieces' switches (_LOWER_SWITCH, _UPPER_SWITCH).  The
 worst certified error on [1e-8, 1e8] is ~0.0249, at the upper crossover,
 and it falls to ~1e-14 at x = 1e-4 and ~1e-5 at x = 1e4.
+
+The error profile, the measured check of that certificate, lives in runs:
+error_profile is bound from there on its first read (__getattr__).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
-from . import fixedpoint as fp
-from . import oracle as orc
 from .catalog import _DBL_MAX, _DOWN, _HALF_PI, _TINY, _UP, TWO_OVER_PI, _hypot, _new_pair
 from .errors import DomainError
 
@@ -143,113 +141,12 @@ def _far_pairs() -> tuple[CertifiedValue, CertifiedValue]:
 _FAR_PAIRS = _far_pairs()
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    x: float
-    value: float
-    certified: float
-    actual: float
-    ratio: float
-
-
-def _actual(x: float, value: float, digits: int) -> tuple[float, int]:
-    """|value - arctan x| rounded once to a double, and the digits that
-    settled it (fixedpoint.settle, from `digits` at least)."""
-    if not x:
-        return 0.0, digits      # value = arctan 0 = 0
-    (actual,), d = fp.settle(
-        lambda d: (abs(fp.FixedReal(value, d) - orc.oracle_arctan(x, d)),), abs(x),
-        lambda: f"the kernel's error at x={x!r}", digits)
-    return actual, d
-
-
-def _measure_rows(spec: KernelSpec, grid: orc.GridSpec,
-                  digits: int) -> tuple[list[ProfileRow], int]:
-    """Every row of the grid, measured in fixed point, and how many of them
-    settled above `digits`."""
-    rows, extra = [], 0
-    for x in grid.values():
-        est = approx(spec, x)
-        actual, d = _actual(x, est.value, digits)
-        extra += d > digits
-        ratio = math.inf if actual == 0.0 else est.error_bound / actual
-        rows.append(ProfileRow(x, est.value, est.error_bound, actual, ratio))
-    return rows, extra
-
-
-@dataclass(frozen=True)
-class ErrorProfile:
-    """Certified versus measured error of a kernel over a grid.
-
-    A row's `actual` is the exact |value - arctan x| rounded once to a
-    double, settled in fixed point from `digits`, or 30 + 2 ceil|log10 x|
-    if more, as eval_bound settles a bound (fixedpoint.settle).  `ratio` is
-    certified / actual, so ratio >= 1 everywhere is the certification
-    property.  `rows` measures every row when first read.  The summary is
-    what every row gives, read from the kernel's monotone runs at exact_rows
-    |x| in fixed point, extra_digit_rows of them settled above `digits`.
-    That reading rests on the four catalog rows approx takes holding on all
-    of (0, inf), which is proved, not checked at run time
-    (tests/test_kernel.py, test_each_end_holds_on_all_x).
-    """
-
-    spec: KernelSpec
-    grid: orc.GridSpec
-    digits: int
-    max_certified: float
-    max_actual: float
-    certified_everywhere: bool
-    exact_rows: int
-    extra_digit_rows: int
-
-    @cached_property
-    def rows(self) -> list[ProfileRow]:
-        """Every row, measured in fixed point when first read."""
-        return _measure_rows(self.spec, self.grid, self.digits)[0]
-
-    def write_csv(self, stream: io.TextIOBase) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(["x", "value", "certified", "actual", "ratio"])
-        for r in self.rows:
-            writer.writerow([r.x, r.value, r.certified, r.actual, r.ratio])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a_low": self.spec.a_low,
-            "a_high": self.spec.a_high,
-            "digits": self.digits,
-            "grid": self.grid.to_json_dict(),
-            "max_certified": self.max_certified,
-            "max_actual": self.max_actual,
-            "certified_everywhere": self.certified_everywhere,
-        }
-
-
-def error_profile(spec: KernelSpec, grid: orc.GridSpec = orc.DEFAULT_GRID,
-                  digits: int = orc.DEFAULT_DIGITS) -> ErrorProfile:
-    """Certified and actual error of the kernel over a grid.
-
-    `digits`, at least 20 as for the oracle, are the digits each row's
-    measurement starts at; the value it settles to does not depend on them.
-    The summary is read from the kernel's monotone runs (runs.summary), at
-    a few rows in fixed point, and reads no catalog row: the four rows
-    approx takes hold on all of (0, inf) by proof (tests/test_kernel.py,
-    test_each_end_holds_on_all_x).  Where a measured row's certificate does
-    not cover it, the summary is read from every row.
-    """
-    orc.check_digits(digits, "error profile")
-    from . import runs      # on first use: approx alone never compiles it
-    summary = runs.summary(spec, grid, digits)
-    if summary is None:
-        return _from_rows(spec, grid, digits)
-    return ErrorProfile(spec, grid, digits, *summary)
-
-
-def _from_rows(spec: KernelSpec, grid: orc.GridSpec, digits: int) -> ErrorProfile:
-    """The profile read from every row, which it keeps as its rows."""
-    rows, extra = _measure_rows(spec, grid, digits)
-    profile = ErrorProfile(spec, grid, digits, max(r.certified for r in rows),
-                           max(r.actual for r in rows), all(r.ratio >= 1.0 for r in rows),
-                           len(rows), extra)
-    vars(profile)["rows"] = rows        # where the cached property keeps them
-    return profile
+def __getattr__(name: str):
+    # PEP 562, as the package binds its lazy names, so that approx alone
+    # compiles neither runs nor oracle; kept in globals, error_profile skips
+    # this hook from then on, and can be replaced by attribute
+    if name != "error_profile":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import runs
+    globals()[name] = value = runs.error_profile
+    return value

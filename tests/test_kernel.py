@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -441,7 +442,7 @@ class TestProfileRuns:
             return lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs)
 
         def refine(evaluate, start, decided, what):
-            # a row's measurement names the kernel's error (kernel._actual)
+            # a row's measurement names the kernel's error (runs._actual)
             (rows if what().startswith("the kernel's error") else calls).append("refine")
             return fp_refine(evaluate, start, decided, what)
         fp_refine = fp.refine
@@ -551,13 +552,14 @@ class TestProfileRuns:
 
     def test_profile_never_imports_algebra(self):
         # the run table is committed and no catalog row is read: no profile
-        # needs the exact algebra.  approx alone leaves the runs module
-        # unloaded
+        # needs the exact algebra.  approx alone loads neither the runs module
+        # nor the oracle
         probe = """
 import sys
-from arctanbounds import kernel, oracle
+from arctanbounds import kernel
 kernel.approx(kernel.DEFAULT_KERNEL, 2.5)
-print("arctanbounds.runs" in sys.modules)
+print(sorted(m for m in sys.modules if m.startswith("arctanbounds")))
+from arctanbounds import oracle
 for grid in (oracle.DEFAULT_GRID, oracle.GridSpec(-5.0, 5.0, 201, "linear"),
              oracle.GridSpec(2.0, 3.0, 300, "linear")):
     kernel.error_profile(kernel.DEFAULT_KERNEL, grid, 30)
@@ -565,7 +567,49 @@ print("arctanbounds.algebra" in sys.modules)
 """
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                 text=True, check=True)
-        assert result.stdout == "False\nFalse\n"
+        loaded = ["arctanbounds", "arctanbounds.catalog", "arctanbounds.errors",
+                  "arctanbounds.fixedpoint", "arctanbounds.kernel"]
+        assert result.stdout.splitlines() == [str(loaded), "False"]
+
+    def test_kernel_serves_the_profile_of_runs(self, monkeypatch, capsys):
+        # error_profile is defined in runs and bound in kernel on first read;
+        # a function set there by attribute, as bench/tracing.py sets its
+        # wrappers, sees the profile command's call
+        assert ker.error_profile is runs.error_profile is error_profile
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return runs.error_profile(*args, **kwargs)
+        monkeypatch.setattr(ker, "error_profile", spy)
+        assert cli.main(["profile", "--grid-points", "200"]) == 0
+        assert calls == [GridSpec(1e-8, 1e8, 200)]
+        assert "certified everywhere: True" in capsys.readouterr().out
+
+    def test_rows_of_either_sign_are_read_lazily(self, monkeypatch):
+        # each sign's rows are read from the grid as the profile needs them:
+        # over [-1, 1] a few hundred of 2,000,001 rows, not every row of both
+        # signs, and the summary is that of every row
+        reads = 0
+
+        class Counting(Sequence):
+            def __init__(self, xs):
+                self.xs = xs
+
+            def __len__(self):
+                return len(self.xs)
+
+            def __getitem__(self, i):
+                nonlocal reads
+                reads += len(range(*i.indices(len(self)))) if isinstance(i, slice) else 1
+                return self.xs[i]
+        values = GridSpec.values
+        monkeypatch.setattr(GridSpec, "values", lambda grid: Counting(values(grid)))
+        prof = error_profile(DEFAULT_KERNEL, GridSpec(-1.0, 1.0, 2_000_001, "linear"))
+        assert reads <= 1000
+        assert (prof.max_certified, prof.max_actual, prof.certified_everywhere,
+                prof.exact_rows, prof.extra_digit_rows) == (
+            0.0072075409662911705, 0.0054210024600656855, True, 3, 2)
 
     def test_commands_load_only_what_they_use(self):
         # classify, enclose and eval need catalog and fixedpoint alone; the
@@ -593,7 +637,7 @@ print(loaded())
         eager = ["arctanbounds", "arctanbounds.catalog", "arctanbounds.cli",
                  "arctanbounds.errors", "arctanbounds.fixedpoint"]
         after_star = sorted(eager + ["arctanbounds.family", "arctanbounds.kernel",
-                                     "arctanbounds.oracle"])
+                                     "arctanbounds.oracle", "arctanbounds.runs"])
         assert result.stdout.splitlines() == [str(eager), str(eager), "False",
                                               str(after_star)]
 
@@ -612,8 +656,8 @@ print(loaded())
             x = _from_bits(bits)
             first = max(digits, 30 + 2 * math.ceil(-math.log10(x)))
             assert approx(DEFAULT_KERNEL, x).value == x
-            assert ker._actual(x, x, digits) == (0.0, first) == ker._actual(-x, -x, digits)
-        assert ker._actual(5e-324, 5e-324, 30) == (0.0, 678)
+            assert runs._actual(x, x, digits) == (0.0, first) == runs._actual(-x, -x, digits)
+        assert runs._actual(5e-324, 5e-324, 30) == (0.0, 678)
 
     def test_csv_rows_below_2_to_the_minus_1000(self, capsys):
         # each row's value is x and its actual error 0.0, read at the first
